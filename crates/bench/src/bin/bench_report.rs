@@ -23,7 +23,9 @@
 //!   parallel runs), the deterministic p99 sim-step cost, and the
 //!   serial-vs-parallel speedup. The two runs are also asserted
 //!   byte-identical — the thread-invariance contract, re-checked at
-//!   bench time.
+//!   bench time. `sc-bench/4` times the placement stage on its own
+//!   (`placement_ms`) and reports `drain_events_per_s` — events over
+//!   the wall that is left — beside `available_parallelism`.
 //! * `chaosload` — the fault-injected million-UE soak
 //!   (`sc_emu::ext_chaosload`, full config): recovery SLOs of the
 //!   mid-soak crash/re-crash scenario — sessions dropped, session
@@ -33,7 +35,8 @@
 //!   (survival ≥ 98%, surge ≤ 3× steady state) are asserted here so a
 //!   perf or policy regression fails the bench run loudly. `sc-bench/3`
 //!   adds the surge-per-window summary (breached windows, peak window
-//!   time, settle time) from the folded 1 s re-registration windows.
+//!   time, settle time) from the folded 1 s re-registration windows;
+//!   `sc-bench/4` adds the same placement/drain split as `mload`.
 //!
 //! Plus `peak_rss_kb` (VmHWM) for the whole process. Wall-clock reads
 //! live here and in the shell wrapper only; the report filename's date
@@ -58,10 +61,14 @@ struct Report {
 struct Chaosload {
     total_ues: usize,
     threads: usize,
+    available_parallelism: usize,
     events_measured: u64,
     wall_s_serial: f64,
     wall_s_parallel: f64,
     events_per_s: f64,
+    /// See [`Mload::placement_ms`] and [`Mload::drain_events_per_s`].
+    placement_ms: f64,
+    drain_events_per_s: f64,
     /// Connected sessions dropped by the crash/re-crash scenario.
     sessions_dropped: u64,
     /// Fraction re-established within the deadline (SLO: ≥ 0.98).
@@ -92,6 +99,9 @@ struct Mload {
     /// Worker threads of the parallel run (`SC_EMU_THREADS` or the
     /// machine's parallelism).
     threads: usize,
+    /// What the machine offers, whatever `SC_EMU_THREADS` asked for:
+    /// read `parallel_speedup` against this.
+    available_parallelism: usize,
     /// Churn events processed over warmup + measured windows.
     events_total: u64,
     events_measured: u64,
@@ -102,6 +112,13 @@ struct Mload {
     /// `events_total` over the best wall time — the engine's sustained
     /// processing rate.
     steady_state_events_per_s: f64,
+    /// Wall of the stage ahead of the shard fan-out — the population
+    /// draw plus `churn::place` at `threads` workers — timed on its own.
+    placement_ms: f64,
+    /// `events_total` over (`wall_s_parallel` − placement): the rate of
+    /// the churn engine itself, which `steady_state_events_per_s`
+    /// understates by dividing by a wall that includes placement.
+    drain_events_per_s: f64,
     parallel_speedup: f64,
     /// p99 per-event SpaceCore processing cost, simulated ms
     /// (deterministic; byte-stable across reruns).
@@ -400,6 +417,24 @@ fn timed_experiment<R>(name: &str, run: impl FnOnce(&sc_obs::Recorder) -> R) -> 
     }
 }
 
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The soak engines' placement stage, run once on its own with their
+/// inputs (population draw, then `churn::place`); wall seconds.
+fn time_placement(threads: usize, load: &sc_emu::ext_mload::MloadConfig) -> f64 {
+    let grid = sc_geo::cells::CellGrid::new(53f64.to_radians(), 72, 22);
+    let shard_map = spacecore::shard::ShardMap::new(grid.cell_count(), load.shards);
+    let pop = sc_dataset::population::PopulationModel::world_bank_like();
+    let start = Instant::now();
+    let points = pop.sample_ues(load.total_ues, load.seed);
+    let placed = sc_emu::churn::place(threads, &points, &grid, &shard_map);
+    let wall_s = start.elapsed().as_secs_f64();
+    assert_eq!(placed.iter().map(Vec::len).sum::<usize>(), load.total_ues);
+    wall_s
+}
+
 /// The million-UE soak, timed serially and at the machine's worker
 /// count. Telemetry stays disabled (as in a production soak); the p99
 /// comes from the result's own merged histogram, so it is deterministic
@@ -420,16 +455,20 @@ fn time_mload() -> Mload {
         serde_json::to_string(&parallel).expect("serialize"),
         "mload results diverged between 1 and {threads} threads"
     );
+    let placement_s = time_placement(threads, &cfg);
     Mload {
         total_ues: cfg.total_ues,
         shards: cfg.shards,
         threads,
+        available_parallelism: available_parallelism(),
         events_total: parallel.events_total,
         events_measured: parallel.events_measured,
         mean_active_sessions: parallel.mean_active_sessions,
         wall_s_serial: wall_serial,
         wall_s_parallel: wall_parallel,
         steady_state_events_per_s: parallel.events_total as f64 / wall_serial.min(wall_parallel),
+        placement_ms: placement_s * 1e3,
+        drain_events_per_s: parallel.events_total as f64 / (wall_parallel - placement_s),
         parallel_speedup: wall_serial / wall_parallel,
         p99_step_cost_ms: parallel.p99_step_cost_ms,
         signaling_reduction: parallel.signaling_reduction,
@@ -493,13 +532,17 @@ fn time_chaosload() -> Chaosload {
         .iter()
         .position(|&v| (v as f64) <= parallel.steady_c1_per_s)
         .map(|i| (warmup_win + peak_off + i) as f64);
+    let placement_s = time_placement(threads, &cfg.load);
     Chaosload {
         total_ues: cfg.load.total_ues,
         threads,
+        available_parallelism: available_parallelism(),
         events_measured: parallel.events_measured,
         wall_s_serial: wall_serial,
         wall_s_parallel: wall_parallel,
         events_per_s: parallel.events_measured as f64 / wall_serial.min(wall_parallel),
+        placement_ms: placement_s * 1e3,
+        drain_events_per_s: parallel.events_total as f64 / (wall_parallel - placement_s),
         sessions_dropped: parallel.sessions_dropped,
         session_survival: parallel.session_survival,
         surge_amplitude: parallel.surge_amplitude,
@@ -552,8 +595,13 @@ fn main() {
     eprintln!("bench-report: million-UE sustained-load soak");
     let mload = time_mload();
     eprintln!(
-        "bench-report: mload {} UEs, {:.0} events/s steady-state, {:.2}x parallel",
-        mload.total_ues, mload.steady_state_events_per_s, mload.parallel_speedup
+        "bench-report: mload {} UEs, {:.0} events/s steady-state ({:.0} in the drain, placement {:.0} ms), {:.2}x on {} threads",
+        mload.total_ues,
+        mload.steady_state_events_per_s,
+        mload.drain_events_per_s,
+        mload.placement_ms,
+        mload.parallel_speedup,
+        mload.threads
     );
     eprintln!("bench-report: million-UE chaos soak (crash/re-crash + flap + burst)");
     let chaosload = time_chaosload();
@@ -564,7 +612,7 @@ fn main() {
         chaosload.tt99_s
     );
     let report = Report {
-        schema: "sc-bench/3",
+        schema: "sc-bench/4",
         scheduler,
         run_until,
         experiments,

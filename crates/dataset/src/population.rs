@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sc_geo::sphere::GeoPoint;
+use sc_geo::sphere::{GeoPoint, Vec3};
 
 /// Continental region labels used by Figure 12's annotations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,6 +24,28 @@ pub enum Region {
 }
 
 impl Region {
+    /// Every region, in [`Region::index`] order.
+    pub const ALL: [Region; 6] = [
+        Region::NorthAmerica,
+        Region::SouthCentralAmerica,
+        Region::EuropeAsia,
+        Region::Africa,
+        Region::Oceania,
+        Region::Ocean,
+    ];
+
+    /// Position of the region in [`Region::ALL`].
+    pub fn index(self) -> usize {
+        match self {
+            Region::NorthAmerica => 0,
+            Region::SouthCentralAmerica => 1,
+            Region::EuropeAsia => 2,
+            Region::Africa => 3,
+            Region::Oceania => 4,
+            Region::Ocean => 5,
+        }
+    }
+
     pub fn name(self) -> &'static str {
         match self {
             Region::NorthAmerica => "North America",
@@ -39,7 +61,15 @@ impl Region {
 /// One population hotspot.
 #[derive(Debug, Clone, Copy)]
 struct Hotspot {
+    /// Centre as lat/lon — what sampling offsets from.
     center: GeoPoint,
+    /// `center.unit_vector()`, cached: every distance query is one dot
+    /// product against it.
+    unit: Vec3,
+    /// `cos(3σ) − 1e-9`: a dot product below this is farther than 3σ.
+    /// The margin is ~10⁶ ulps, so rounding in the dot product can only
+    /// send a borderline hotspot through the exact test, never past it.
+    reject_below: f64,
     /// Relative subscription weight (≈ millions of subscribers).
     weight: f64,
     /// Spatial spread, radians of central angle.
@@ -65,11 +95,17 @@ impl PopulationModel {
     /// Bank 2019 mobile-subscription distribution.
     pub fn world_bank_like() -> Self {
         use Region::*;
-        let h = |lat: f64, lon: f64, weight: f64, sigma_deg: f64, region: Region| Hotspot {
-            center: GeoPoint::from_degrees(lat, lon),
-            weight,
-            sigma: sigma_deg.to_radians(),
-            region,
+        let h = |lat: f64, lon: f64, weight: f64, sigma_deg: f64, region: Region| {
+            let center = GeoPoint::from_degrees(lat, lon);
+            let sigma = sigma_deg.to_radians();
+            Hotspot {
+                center,
+                unit: center.unit_vector(),
+                reject_below: (3.0 * sigma).cos() - 1e-9,
+                weight,
+                sigma,
+                region,
+            }
         };
         let hotspots = vec![
             // Europe & Asia (the dominant mass).
@@ -108,21 +144,33 @@ impl PopulationModel {
     /// Relative subscription density at a point (arbitrary units;
     /// integrates to ≈ total weight).
     pub fn density(&self, p: &GeoPoint) -> f64 {
+        let u = p.unit_vector();
         self.hotspots
             .iter()
             .map(|h| {
-                let d = h.center.central_angle(p);
+                let d = h.unit.dot(&u).clamp(-1.0, 1.0).acos();
                 h.weight * (-0.5 * (d / h.sigma).powi(2)).exp() / (h.sigma * h.sigma)
             })
             .sum()
     }
 
     /// Region classification of a point: the region of the nearest
-    /// hotspot if within 3σ, else [`Region::Ocean`].
+    /// hotspot (in σ units) if within 3σ, else [`Region::Ocean`].
+    ///
+    /// A hotspot whose dot product with the point is clearly below
+    /// `cos(3σ)` is skipped; every other one goes through
+    /// `central_angle`'s own `clamp → acos` arithmetic, so the result is
+    /// bit-for-bit what 20 full `central_angle` calls give
+    /// (`tests/placement_props.rs` pins it to that reference).
     pub fn region_of(&self, p: &GeoPoint) -> Region {
+        let u = p.unit_vector();
         let mut best: Option<(f64, Region)> = None;
         for h in &self.hotspots {
-            let d = h.center.central_angle(p) / h.sigma;
+            let dot = h.unit.dot(&u);
+            if dot < h.reject_below {
+                continue;
+            }
+            let d = dot.clamp(-1.0, 1.0).acos() / h.sigma;
             if d <= 3.0 && best.is_none_or(|(bd, _)| d < bd) {
                 best = Some((d, h.region));
             }
@@ -167,6 +215,12 @@ impl PopulationModel {
             .collect()
     }
 
+    /// The mixture's components as `(centre, σ in radians, region)` —
+    /// what a reference classifier needs to restate [`Self::region_of`].
+    pub fn hotspots(&self) -> impl Iterator<Item = (GeoPoint, f64, Region)> + '_ {
+        self.hotspots.iter().map(|h| (h.center, h.sigma, h.region))
+    }
+
     /// Total model weight (≈ global subscriptions, millions).
     pub fn total_weight(&self) -> f64 {
         self.total_weight
@@ -209,6 +263,13 @@ mod tests {
             m.region_of(&GeoPoint::from_degrees(-35.0, -140.0)),
             Region::Ocean
         );
+    }
+
+    #[test]
+    fn region_index_is_the_position_in_all() {
+        for (i, r) in Region::ALL.iter().enumerate() {
+            assert_eq!(r.index(), i);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Stateless churn-randomness primitives shared by the sharded load
-//! engines (`ext_mload`, `ext_chaosload`).
+//! What the sharded load engines (`ext_mload`, `ext_chaosload`) share:
+//! the placement stage ([`place`]) and the stateless churn-randomness
+//! primitives.
 //!
 //! The engines' determinism contract — results and telemetry
 //! byte-identical across `SC_EMU_THREADS` and shard counts — rests on
@@ -7,6 +8,49 @@
 //! rather than a stateful RNG: a UE's own events are totally ordered by
 //! its shard's DES, so its draw counter sequence (and therefore every
 //! value) is identical under any shard layout or thread schedule.
+
+use sc_geo::cells::CellGrid;
+use sc_geo::sphere::GeoPoint;
+use spacecore::shard::{cell_index, ShardMap};
+
+/// UEs per parallel placement chunk.
+const PLACE_CHUNK: usize = 16_384;
+
+/// The placement stage: pin every point to its cell and hand it to the
+/// shard owning that cell, as a compact `(UE id, cell index)` record
+/// (the id is the point's index — the hash-stream key). Cells are
+/// computed in parallel over fixed-size id ranges; the scatter is serial
+/// and walks ids upwards into exactly-sized vectors. **Ordering
+/// contract:** `out[s]` lists shard `s`'s UEs in ascending id order for
+/// every `threads` value — the order the engines seed their DES in, so
+/// every byte of their artifacts rests on it. The engines build their
+/// per-UE churn state from these records inside the shard worker.
+pub fn place(
+    threads: usize,
+    points: &[GeoPoint],
+    grid: &CellGrid,
+    shard_map: &ShardMap,
+) -> Vec<Vec<(u32, u32)>> {
+    let chunks: Vec<&[GeoPoint]> = points.chunks(PLACE_CHUNK).collect();
+    let cells = crate::engine::parallel_map_with(threads, chunks, |chunk| {
+        chunk
+            .iter()
+            .map(|p| cell_index(grid, grid.cell_of_point(p)) as u32)
+            .collect::<Vec<u32>>()
+    });
+    let owner: Vec<u32> = (0..shard_map.cells())
+        .map(|c| shard_map.shard_of(c) as u32)
+        .collect();
+    let mut sizes = vec![0usize; shard_map.shards()];
+    for &cell in cells.iter().flatten() {
+        sizes[owner[cell as usize] as usize] += 1;
+    }
+    let mut out: Vec<Vec<(u32, u32)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (id, &cell) in cells.iter().flatten().enumerate() {
+        out[owner[cell as usize] as usize].push((id as u32, cell));
+    }
+    out
+}
 
 /// splitmix64 finalizer: the stateless per-UE hash stream.
 pub fn mix64(mut x: u64) -> u64 {

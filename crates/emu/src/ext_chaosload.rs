@@ -1058,20 +1058,8 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
     let (metas, in_storm, storms) = scenario_metas(cfg, &coverage, horizon);
 
     let points = PopulationModel::world_bank_like().sample_ues(cfg.load.total_ues, cfg.load.seed);
-    let mut shard_ues: Vec<Vec<Ue>> = (0..shard_map.shards()).map(|_| Vec::new()).collect();
-    for (id, p) in points.iter().enumerate() {
-        let cell = cell_index(&grid, grid.cell_of_point(p));
-        shard_ues[shard_map.shard_of(cell)].push(Ue {
-            id: id as u32,
-            cell: cell as u32,
-            state: Link::Idle,
-            gen: 0,
-            attempt: 0,
-            crash_id: -1,
-            drop_us: 0,
-            draws: 0,
-        });
-    }
+    let placed = crate::churn::place(threads, &points, &grid, &shard_map);
+    drop(points);
 
     let ctx = ShardCtx {
         cfg,
@@ -1083,7 +1071,20 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
         in_storm: &in_storm,
         storms: &storms,
     };
-    let outs = crate::engine::parallel_map_obs_with(threads, obs, shard_ues, |ues, rec| {
+    let outs = crate::engine::parallel_map_obs_with(threads, obs, placed, |placed, rec| {
+        let ues = placed
+            .iter()
+            .map(|&(id, cell)| Ue {
+                id,
+                cell,
+                state: Link::Idle,
+                gen: 0,
+                attempt: 0,
+                crash_id: -1,
+                drop_us: 0,
+                draws: 0,
+            })
+            .collect();
         run_shard(ctx, ues, rec)
     });
 

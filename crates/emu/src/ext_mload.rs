@@ -3,9 +3,11 @@
 //! The per-figure sweeps sample populations; this engine *serves* one.
 //! It draws `total_ues` UEs from the World-Bank population mixture,
 //! pins each to its geospatial cell on the Starlink grid (72 × 22, the
-//! paper's natural shard key), partitions the cells into contiguous
-//! shards ([`spacecore::shard::ShardMap`]), and drives every UE through
-//! continuous churn on one calendar-queue DES per shard:
+//! paper's natural shard key) and to the contiguous shard owning that
+//! cell ([`crate::churn::place`] — cells computed in parallel, each
+//! shard's UEs always in ascending id order; the shard worker then
+//! classifies their regions and builds their churn state), and drives
+//! every UE through continuous churn on one calendar-queue DES per shard:
 //!
 //! * **session arrivals** — Poisson, mean 106.9 s per UE (§3.1); an
 //!   arrival on an idle UE runs the localized establishment (4 msgs
@@ -148,22 +150,6 @@ pub struct RegionRow {
     pub ues: u64,
     /// Session arrivals inside the measured window.
     pub arrivals: u64,
-}
-
-const REGIONS: [Region; 6] = [
-    Region::NorthAmerica,
-    Region::SouthCentralAmerica,
-    Region::EuropeAsia,
-    Region::Africa,
-    Region::Oceania,
-    Region::Ocean,
-];
-
-fn region_slot(r: Region) -> usize {
-    REGIONS
-        .iter()
-        .position(|x| *x == r)
-        .expect("REGIONS covers every variant")
 }
 
 use crate::churn::ue_unit;
@@ -436,24 +422,16 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &MloadConfig
     let costs = ProcedureCosts::paper();
     let pop = PopulationModel::world_bank_like();
 
-    // Placement: every UE gets its cell, region and owner shard from
-    // the population draw; shard inputs are filled in UE-id order so a
-    // shard's local ordering is independent of the shard count.
     let points = pop.sample_ues(cfg.total_ues, cfg.seed);
-    let mut shard_ues: Vec<Vec<Ue>> = (0..shard_map.shards()).map(|_| Vec::new()).collect();
-    for (id, p) in points.iter().enumerate() {
-        let cell = cell_index(&grid, grid.cell_of_point(p));
-        let region = region_slot(pop.region_of(p)) as u8;
-        shard_ues[shard_map.shard_of(cell)].push(Ue {
-            id: id as u32,
-            cell: cell as u32,
-            region,
-            connected: false,
-            draws: 0,
-        });
-    }
-
-    let outs = crate::engine::parallel_map_obs_with(threads, obs, shard_ues, |ues, rec| {
+    let placed = crate::churn::place(threads, &points, &grid, &shard_map);
+    let outs = crate::engine::parallel_map_obs_with(threads, obs, placed, |placed, rec| {
+        let ues = placed
+            .iter()
+            .map(|&(id, cell)| {
+                let region = pop.region_of(&points[id as usize]).index() as u8;
+                Ue { id, cell, region, connected: false, draws: 0 }
+            })
+            .collect();
         run_shard(cfg, &grid, &costs, ues, rec)
     });
 
@@ -475,7 +453,7 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &MloadConfig
             *acc += *v as u64;
         }
         step_hist.merge(&o.step_hist);
-        for r in 0..REGIONS.len() {
+        for r in 0..Region::ALL.len() {
             region_ues[r] += o.region_ues[r];
             region_arrivals[r] += o.region_arrivals[r];
         }
@@ -511,7 +489,7 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &MloadConfig
         legacy_msgs_per_s: stats.legacy_msgs as f64 / cfg.measure_s,
         signaling_reduction: stats.legacy_msgs as f64 / stats.spacecore_msgs.max(1) as f64,
         p99_step_cost_ms: step_hist.percentile(0.99).map(|us| us / 1000.0),
-        regions: REGIONS
+        regions: Region::ALL
             .iter()
             .enumerate()
             .map(|(r, reg)| RegionRow {

@@ -7,7 +7,8 @@
 #     (simulated ms, from the sc-obs span sidecar),
 #   - the million-UE ext_mload soak: total UEs, steady-state events/s,
 #     p99 sim-step cost, serial-vs-parallel wall (results asserted
-#     byte-identical across thread counts),
+#     byte-identical across thread counts), the placement stage timed
+#     on its own and the drain-only events/s that leaves,
 #   - the fault-injected ext_chaosload soak: sessions dropped, session
 #     survival, per-crash tt99, signaling-surge amplitude (byte-identity
 #     asserted again, plus the recovery SLOs: survival >= 98%,
@@ -21,7 +22,9 @@
 #
 # Usage:
 #   scripts/bench.sh              # writes BENCH_<today>.json
-#   scripts/bench.sh out.json     # writes out.json
+#   scripts/bench.sh out.json     # writes out.json; a PR's snapshot is
+#                                 # BENCH_<date>_pr<N>.json, beside the
+#                                 # earlier ones, never over them
 set -eu
 
 cd "$(dirname "$0")/.."

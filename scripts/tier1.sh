@@ -112,49 +112,36 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
         echo "== tier-1: FAIL — ext_chaos telemetry differs across thread counts" >&2; exit 1; }
     echo "== tier-1: ext_chaos byte-stable (results + telemetry, threads 1 vs 4)" >&2
 
-    # Sustained-load engine, bounded smoke config (seconds, not the
-    # million-UE soak): per-shard recorders are merged in slot order and
-    # every reported quantity is shard-additive, so both the result JSON
-    # and the telemetry sidecar must be byte-identical across thread
-    # counts (docs/BENCHMARKS.md covers the full soak).
-    echo "== tier-1: ext_mload --smoke result/telemetry byte-stability (threads 1 vs 4)" >&2
-    ( cd "$OBS_TMP" && \
-      SC_EMU_THREADS=1 cargo run -q --release --offline \
-          --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin ext_mload -- \
-          --smoke --obs-out "$OBS_TMP/ext_mload.t1.json" >/dev/null && \
-      cp results/ext_mload.json ext_mload.r1.json && \
-      SC_EMU_THREADS=4 cargo run -q --release --offline \
-          --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin ext_mload -- \
-          --smoke --obs-out "$OBS_TMP/ext_mload.t4.json" >/dev/null && \
-      cp results/ext_mload.json ext_mload.r4.json )
-    cmp "$OBS_TMP/ext_mload.r1.json" "$OBS_TMP/ext_mload.r4.json" || {
-        echo "== tier-1: FAIL — ext_mload results differ across thread counts" >&2; exit 1; }
-    cmp "$OBS_TMP/ext_mload.t1.json" "$OBS_TMP/ext_mload.t4.json" || {
-        echo "== tier-1: FAIL — ext_mload telemetry differs across thread counts" >&2; exit 1; }
-    echo "== tier-1: ext_mload byte-stable (results + telemetry, threads 1 vs 4)" >&2
-
-    # Chaos under load, bounded smoke config: the fault-injected soak
-    # (satellite crash + mid-recovery re-crash, feeder flap, loss burst)
-    # drives paced reattach storms, admission barring and overload
-    # deferral across shard boundaries — every one of those draws is
-    # keyed by (seed, ue, attempt) and chaos markers replay per shard,
-    # so results and telemetry must still be byte-identical across
-    # thread counts (docs/BENCHMARKS.md covers the full soak + SLOs).
-    echo "== tier-1: ext_chaosload --smoke result/telemetry byte-stability (threads 1 vs 4)" >&2
-    ( cd "$OBS_TMP" && \
-      SC_EMU_THREADS=1 cargo run -q --release --offline \
-          --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin ext_chaosload -- \
-          --smoke --obs-out "$OBS_TMP/ext_chaosload.t1.json" >/dev/null && \
-      cp results/ext_chaosload.json ext_chaosload.r1.json && \
-      SC_EMU_THREADS=4 cargo run -q --release --offline \
-          --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin ext_chaosload -- \
-          --smoke --obs-out "$OBS_TMP/ext_chaosload.t4.json" >/dev/null && \
-      cp results/ext_chaosload.json ext_chaosload.r4.json )
-    cmp "$OBS_TMP/ext_chaosload.r1.json" "$OBS_TMP/ext_chaosload.r4.json" || {
-        echo "== tier-1: FAIL — ext_chaosload results differ across thread counts" >&2; exit 1; }
-    cmp "$OBS_TMP/ext_chaosload.t1.json" "$OBS_TMP/ext_chaosload.t4.json" || {
-        echo "== tier-1: FAIL — ext_chaosload telemetry differs across thread counts" >&2; exit 1; }
-    echo "== tier-1: ext_chaosload byte-stable (results + telemetry, threads 1 vs 4)" >&2
+    # Sustained-load engine, bounded smoke configs (seconds, not the
+    # million-UE soaks; docs/BENCHMARKS.md covers those and their SLOs).
+    # ext_mload: per-shard recorders are merged in slot order and every
+    # reported quantity is shard-additive. ext_chaosload: the
+    # fault-injected soak (satellite crash + mid-recovery re-crash,
+    # feeder flap, loss burst) drives paced reattach storms, admission
+    # barring and overload deferral across shard boundaries — every one
+    # of those draws is keyed by (seed, ue, attempt) and chaos markers
+    # replay per shard. So for both, the result JSON and the telemetry
+    # sidecar must be byte-identical across thread counts. Threads 3 as
+    # well as 4: the smoke population is two placement chunks, the
+    # second ragged, and an odd worker count leaves both the chunks and
+    # the 8 shards unevenly divided.
+    for exp in ext_mload ext_chaosload; do
+        echo "== tier-1: $exp --smoke result/telemetry byte-stability (threads 1 vs 3 vs 4)" >&2
+        ( cd "$OBS_TMP" && \
+          for t in 1 3 4; do
+              SC_EMU_THREADS=$t cargo run -q --release --offline \
+                  --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin "$exp" -- \
+                  --smoke --obs-out "$OBS_TMP/$exp.t$t.json" >/dev/null && \
+              cp "results/$exp.json" "$exp.r$t.json" || exit 1
+          done )
+        for t in 3 4; do
+            cmp "$OBS_TMP/$exp.r1.json" "$OBS_TMP/$exp.r$t.json" || {
+                echo "== tier-1: FAIL — $exp results differ across thread counts (1 vs $t)" >&2; exit 1; }
+            cmp "$OBS_TMP/$exp.t1.json" "$OBS_TMP/$exp.t$t.json" || {
+                echo "== tier-1: FAIL — $exp telemetry differs across thread counts (1 vs $t)" >&2; exit 1; }
+        done
+        echo "== tier-1: $exp byte-stable (results + telemetry, threads 1 vs 3 vs 4)" >&2
+    done
 
     # Windowed time-series layer (sc-obs/3): the cmp checks above already
     # prove the "series" section byte-stable across thread counts; here,

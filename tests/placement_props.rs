@@ -1,0 +1,111 @@
+//! The placement stage that feeds both sharded soak engines, pinned to
+//! the straightforward code it replaced:
+//!
+//! * `PopulationModel::region_of` rejects far hotspots with one dot
+//!   product against a cached unit vector; it must classify every point
+//!   exactly as 20 full `central_angle` calls do — on the open sphere,
+//!   on the 3σ decision boundary of every hotspot, and where lat/lon
+//!   arithmetic is least forgiving (poles, antimeridian).
+//! * `churn::place` computes cells in parallel chunks; shard membership
+//!   *and* in-shard order must be what one serial pass in UE-id order
+//!   produces, for any thread count, shard count and population size —
+//!   the engines' byte-stable artifacts rest on that order.
+
+use proptest::prelude::*;
+use sc_dataset::population::{PopulationModel, Region};
+use sc_emu::churn::place;
+use sc_geo::cells::CellGrid;
+use sc_geo::sphere::GeoPoint;
+use spacecore::shard::{cell_index, ShardMap};
+use std::f64::consts::{FRAC_PI_2, PI};
+
+/// The classifier as first written: every hotspot pays a full
+/// `central_angle`; nearest in σ units wins if within 3σ.
+fn region_of_reference(m: &PopulationModel, p: &GeoPoint) -> Region {
+    let mut best: Option<(f64, Region)> = None;
+    for (center, sigma, region) in m.hotspots() {
+        let d = center.central_angle(p) / sigma;
+        if d <= 3.0 && best.is_none_or(|(bd, _)| d < bd) {
+            best = Some((d, region));
+        }
+    }
+    best.map_or(Region::Ocean, |(_, r)| r)
+}
+
+/// The point at central angle `r` from `from` along `bearing`.
+fn offset(from: &GeoPoint, r: f64, bearing: f64) -> GeoPoint {
+    let (slat, clat) = from.lat.sin_cos();
+    let (sr, cr) = r.sin_cos();
+    let sin_lat = (slat * cr + clat * sr * bearing.cos()).clamp(-1.0, 1.0);
+    let dlon = (bearing.sin() * sr * clat).atan2(cr - slat * sin_lat);
+    GeoPoint::new(sin_lat.asin(), from.lon + dlon)
+}
+
+proptest! {
+    #[test]
+    fn region_of_matches_reference_on_the_sphere(z in -1.0f64..1.0, lon in -PI..PI) {
+        let m = PopulationModel::world_bank_like();
+        let p = GeoPoint::new(z.asin(), lon);
+        prop_assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{:?}", p);
+    }
+
+    /// Rings at 3σ·(1 ± ε) around every hotspot: the fast reject must
+    /// never drop a hotspot the exact `d <= 3.0` test would keep.
+    #[test]
+    fn region_of_matches_reference_on_the_3_sigma_boundary(bearing in 0.0f64..(2.0 * PI)) {
+        let m = PopulationModel::world_bank_like();
+        for (center, sigma, _) in m.hotspots() {
+            for eps in [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6] {
+                let p = offset(&center, 3.0 * sigma * (1.0 + eps), bearing);
+                prop_assert_eq!(
+                    m.region_of(&p),
+                    region_of_reference(&m, &p),
+                    "hotspot {:?} eps {} bearing {}", center, eps, bearing
+                );
+            }
+        }
+    }
+
+    /// Shard membership and in-shard order equal the serial pass for
+    /// every thread count — including populations of less than one
+    /// chunk, a ragged last chunk, and more workers than chunks.
+    #[test]
+    fn place_matches_serial_pass(n in 0usize..50_000, shards in 1usize..33, seed in any::<u64>()) {
+        let grid = CellGrid::new(53f64.to_radians(), 72, 22);
+        let shard_map = ShardMap::new(grid.cell_count(), shards);
+        let points = PopulationModel::world_bank_like().sample_ues(n, seed);
+        let mut want: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shard_map.shards()];
+        for (id, p) in points.iter().enumerate() {
+            let cell = cell_index(&grid, grid.cell_of_point(p));
+            want[shard_map.shard_of(cell)].push((id as u32, cell as u32));
+        }
+        for threads in [1, 2, 3, 7] {
+            prop_assert_eq!(&place(threads, &points, &grid, &shard_map), &want, "threads={}", threads);
+        }
+    }
+}
+
+#[test]
+fn region_of_matches_reference_at_poles_and_antimeridian() {
+    let m = PopulationModel::world_bank_like();
+    let lats = [
+        FRAC_PI_2,
+        -FRAC_PI_2,
+        FRAC_PI_2 - 1e-12,
+        -FRAC_PI_2 + 1e-12,
+        1.55,
+        -1.55,
+    ];
+    for lat in lats {
+        for k in 0..72 {
+            let p = GeoPoint::new(lat, -PI + k as f64 * (2.0 * PI / 72.0));
+            assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{p:?}");
+        }
+    }
+    for lon in [PI, -PI, PI - 1e-12, -PI + 1e-12, PI + 1e-9] {
+        for k in 0..=180 {
+            let p = GeoPoint::new((k as f64 - 90.0).to_radians(), lon);
+            assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{p:?}");
+        }
+    }
+}
