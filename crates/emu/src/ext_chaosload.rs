@@ -1,9 +1,10 @@
 //! Extension experiment: chaos under load — fault-injected million-UE
 //! soak with retry budgets, overload shedding, and recovery SLOs.
 //!
-//! `ext_mload` serves a million UEs on a failure-free sky; this engine
-//! drives the same sharded churn through a seeded
-//! [`FailureTimeline`]: a serving
+//! `ext_mload` serves a million UEs on a failure-free sky; this
+//! experiment runs the same churn engine ([`crate::churn`], which
+//! documents the shard model, per-shard timeline replay and the
+//! determinism contract) on a seeded [`FailureTimeline`]: a serving
 //! satellite crashes mid-soak (and its replacement re-crashes
 //! mid-recovery), a feeder link flaps, and a loss-burst window opens
 //! over the recovery. Every session the crash drops goes through
@@ -29,62 +30,23 @@
 //!   depends on how cells are grouped into shards, and gating on it
 //!   would break the byte-identity contract.
 //!
-//! Chaos state is replayed **per shard** from the shared timeline (a
-//! [`ChaosCursor`](sc_netsim::chaos::ChaosCursor) advanced on the
-//! shard's own DES clock, telemetry disabled so counters are not
-//! multiplied by shard count — the schedule is emitted once at top
-//! level), and burst-loss draws use the keyed hash-stream variant
-//! (`burst_loss_keyed`) so loss decisions are a pure function of
-//! `(timeline seed, UE, draw#)`. Chaos timestamps are quantized to the
-//! integer-µs grid on insert, so a crash landing exactly on a
-//! `drain_until` batch boundary is processed on the same tick no matter
-//! how wide the batches are — `tests/chaosload_props.rs` asserts batch
-//! widths 0.25/0.5/1.0 s produce identical bytes.
-//!
-//! Recovery SLOs reported per crash: sessions dropped, time to 99 %
-//! re-established (exact, from 0.25 s offset slot counts), session
-//! survival within the deadline, and the signaling-surge amplitude —
-//! peak re-registration rate over the crashed footprint's cells versus
-//! those cells' steady-state C1 establishment rate. The acceptance bar
-//! (≥ 98 % survival, surge ≤ 3×) is asserted by `bench-report`'s
-//! `chaosload` section on the full run.
+//! What this module adds to the engine is the scenario presets, the
+//! result schema and the SLO pass. Recovery SLOs reported per crash:
+//! sessions dropped, time to 99 % re-established (exact, from 0.25 s
+//! offset slot counts), session survival within the deadline, and the
+//! signaling-surge amplitude — peak re-registration rate over the
+//! crashed footprint's cells versus those cells' steady-state C1
+//! establishment rate. The acceptance bar (≥ 98 % survival, surge ≤ 3×)
+//! is asserted on the smoke config by `tests/churn_equivalence.rs` and
+//! on the full run by `bench-report`'s `chaosload` section.
 
-use crate::churn::{exp_clamped, mix64, ue_unit};
-use sc_dataset::population::PopulationModel;
-use sc_dataset::workload::WorkloadParams;
-use sc_geo::cells::CellGrid;
-use sc_netsim::chaos::{ChaosAction, FailureTimeline};
-use sc_netsim::des::EventQueue;
+use crate::churn::{self, WINDOW_S};
+use sc_netsim::chaos::FailureTimeline;
 use serde::Serialize;
-use spacecore::recovery::{RecoveryCosts, RetryBudget};
-use spacecore::shard::{
-    cell_at, cell_index, CellLedger, CellStorm, ChaosStats, ProcedureCosts, ShardMap, ShardStats,
-};
+use spacecore::recovery::RetryBudget;
 
+pub use crate::churn::{BATCH_WINDOW_S, MIN_DELAY_S};
 pub use crate::ext_mload::MloadConfig;
-
-/// Default batch window width (= the DES calendar day). The config can
-/// narrow it — the batching ≡ interleaving contract only needs
-/// `batch_window_s <= MIN_DELAY_S`.
-pub const BATCH_WINDOW_S: f64 = 1.0;
-/// Minimum follow-up delay: every reaction the engine schedules
-/// (retries, backoffs, deferrals, churn follow-ups) is at least one
-/// full default batch window in the future. Loss *detection* is
-/// likewise quantized up to this (the plan-level 200 ms would land
-/// retries inside the window that scheduled them).
-pub const MIN_DELAY_S: f64 = BATCH_WINDOW_S;
-/// Simulated per-message processing cost, µs (see `ext_mload`).
-const PER_MSG_US: f64 = 120.0;
-/// Fixed re-registration-rate accounting window, s. Indexed by event
-/// time — deliberately independent of `batch_window_s`.
-const SLO_WINDOW_S: f64 = 1.0;
-/// Resolution of the time-to-re-established slot counts, µs (0.25 s).
-const TT_SLOT_US: u64 = 250_000;
-
-/// Microsecond tick of a simulation timestamp (the `CellLedger` grid).
-fn tick(t_s: f64) -> u64 {
-    (t_s * 1e6).round() as u64
-}
 
 /// Engine configuration: the `ext_mload` churn substrate plus the
 /// failure scenario and the robustness policies.
@@ -92,9 +54,9 @@ fn tick(t_s: f64) -> u64 {
 pub struct ChaosloadConfig {
     /// Churn substrate (population, shards, windows, seed).
     pub load: MloadConfig,
-    /// Satellites covering the grid; [`ShardMap`] doubles as the static
-    /// cell → serving-satellite footprint map (independent of the
-    /// execution shard count).
+    /// Satellites covering the grid; [`spacecore::shard::ShardMap`]
+    /// doubles as the static cell → serving-satellite footprint map
+    /// (independent of the execution shard count).
     pub sats: usize,
     /// DES drain-batch width, s (≤ [`MIN_DELAY_S`]; test hook — results
     /// are invariant to it).
@@ -178,769 +140,20 @@ impl ChaosloadConfig {
         }
     }
 
+    /// `load` on a sky where nothing fails: the empty timeline opens no
+    /// overload window and drops no session, so the robustness policy
+    /// fields are inert. This is the whole of `ext_mload`'s scenario.
+    pub fn failure_free(load: MloadConfig) -> Self {
+        Self {
+            load,
+            timeline: FailureTimeline::none(),
+            ..Self::full()
+        }
+    }
+
     /// The feeder-link ground node id (satellites are `0..sats`).
     pub fn gateway(&self) -> usize {
         self.sats
-    }
-}
-
-/// One crash in the scenario, resolved from the timeline: when, which
-/// satellite, and its footprint (the overload window it opens lives in
-/// the matching [`StormWin`]).
-#[derive(Debug, Clone)]
-struct CrashMeta {
-    ev_idx: usize,
-    t_s: f64,
-    sat: usize,
-    cells: std::ops::Range<usize>,
-}
-
-/// An overload window bound to the timeline event that opens it: a
-/// crash (footprint overloaded until recovery + hold) or a feeder-link
-/// drop (the cut-off satellite defers non-essential signaling until
-/// realignment + hold — sessions stay up, the control plane backs off).
-#[derive(Debug, Clone)]
-struct StormWin {
-    ev_idx: usize,
-    cells: std::ops::Range<usize>,
-    until_s: f64,
-}
-
-/// Resolve crash metadata, the overload windows, and the storm-cell
-/// membership mask — pure functions of the config, computed identically
-/// for every shard.
-fn scenario_metas(
-    cfg: &ChaosloadConfig,
-    coverage: &ShardMap,
-    horizon: f64,
-) -> (Vec<CrashMeta>, Vec<bool>, Vec<StormWin>) {
-    let events = cfg.timeline.events();
-    let mut metas = Vec::new();
-    let mut storms = Vec::new();
-    let mut in_storm = vec![false; coverage.cells()];
-    for (k, e) in events.iter().enumerate() {
-        if e.time_ms / 1000.0 >= horizon {
-            continue;
-        }
-        match e.action {
-            ChaosAction::Crash(sat) if sat < cfg.sats => {
-                let recover_s = events[k + 1..]
-                    .iter()
-                    .find(|r| r.action == ChaosAction::Recover(sat))
-                    .map_or(horizon, |r| r.time_ms / 1000.0);
-                let cells = coverage.range(sat);
-                for c in cells.clone() {
-                    in_storm[c] = true;
-                }
-                storms.push(StormWin {
-                    ev_idx: k,
-                    cells: cells.clone(),
-                    until_s: recover_s + cfg.overload_hold_s,
-                });
-                metas.push(CrashMeta {
-                    ev_idx: k,
-                    t_s: e.time_ms / 1000.0,
-                    sat,
-                    cells,
-                });
-            }
-            ChaosAction::LinkDown(a, b) => {
-                let sat = if a < cfg.sats { a } else { b };
-                if sat >= cfg.sats {
-                    continue;
-                }
-                let up_s = events[k + 1..]
-                    .iter()
-                    .find(|r| r.action == ChaosAction::LinkUp(a, b))
-                    .map_or(horizon, |r| r.time_ms / 1000.0);
-                storms.push(StormWin {
-                    ev_idx: k,
-                    cells: coverage.range(sat),
-                    until_s: up_s + cfg.overload_hold_s,
-                });
-            }
-            _ => {}
-        }
-    }
-    (metas, in_storm, storms)
-}
-
-/// Connection state of one UE under chaos.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Link {
-    Idle,
-    Connected,
-    /// Between a drop (or a blocked fresh establishment) and the
-    /// re-establishment that resolves it.
-    Reattaching,
-}
-
-/// One UE's churn + recovery state inside its shard.
-struct Ue {
-    id: u32,
-    cell: u32,
-    state: Link,
-    /// Session generation: bumped on every drop/teardown so stale
-    /// `Release`/`Reattach` events from a previous session are ignored.
-    gen: u32,
-    /// Attempts made in the current re-establishment chain.
-    attempt: u32,
-    /// Crash row this recovery belongs to (−1: blocked fresh
-    /// establishment, not a dropped session).
-    crash_id: i32,
-    /// µs tick of the drop, for time-to-re-established offsets.
-    drop_us: u64,
-    /// Draws consumed from this UE's hash stream (see `churn`).
-    draws: u32,
-}
-
-impl Ue {
-    fn draw(&mut self, seed: u64) -> f64 {
-        let u = ue_unit(seed, self.id, self.draws);
-        self.draws += 1;
-        u
-    }
-}
-
-/// Churn + chaos events; UE payloads are shard-local indices.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ev {
-    Arrive(u32),
-    Release { ue: u32, gen: u32 },
-    Sweep(u32),
-    Cross(u32),
-    Reattach { ue: u32, gen: u32 },
-    /// Index into the timeline's event list; scheduled before any UE
-    /// event so same-tick ties resolve chaos-first in every shard.
-    Chaos(u32),
-}
-
-/// Per-crash recovery accounting: additive counts plus the
-/// time-to-re-established slot histogram (0.25 s resolution).
-#[derive(Debug, Clone)]
-struct CrashTrack {
-    dropped: u64,
-    reattached: u64,
-    survived: u64,
-    late: u64,
-    lost: u64,
-    pending: u64,
-    /// `slots[i]` = sessions re-established with offset in
-    /// `[i·0.25 s, (i+1)·0.25 s)`; the last slot collects ≥ deadline.
-    slots: Vec<u64>,
-}
-
-impl CrashTrack {
-    fn new(in_slots: usize) -> Self {
-        Self {
-            dropped: 0,
-            reattached: 0,
-            survived: 0,
-            late: 0,
-            lost: 0,
-            pending: 0,
-            slots: vec![0; in_slots + 1],
-        }
-    }
-
-    fn absorb(&mut self, o: &CrashTrack) {
-        self.dropped += o.dropped;
-        self.reattached += o.reattached;
-        self.survived += o.survived;
-        self.late += o.late;
-        self.lost += o.lost;
-        self.pending += o.pending;
-        for (a, b) in self.slots.iter_mut().zip(o.slots.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Exact time to 99 % re-established: the first slot boundary by
-    /// which ≥ ⌈0.99 · dropped⌉ sessions were back, `None` if 99 % was
-    /// never reached within the deadline.
-    fn tt99_s(&self) -> Option<f64> {
-        if self.dropped == 0 {
-            return None;
-        }
-        let target = (self.dropped * 99).div_ceil(100);
-        let mut cum = 0u64;
-        for (i, &n) in self.slots[..self.slots.len() - 1].iter().enumerate() {
-            cum += n;
-            if cum >= target {
-                return Some((i + 1) as f64 * (TT_SLOT_US as f64 * 1e-6));
-            }
-        }
-        None
-    }
-}
-
-/// Everything one shard returns: additive tallies, mergeable
-/// histograms, per-crash tracks, and the per-second window counts.
-struct ShardOut {
-    stats: ShardStats,
-    cstats: ChaosStats,
-    events_total: u64,
-    events_measured: u64,
-    busy_us: u64,
-    cell_active_end: Vec<u32>,
-    step_hist: sc_obs::Histogram,
-    reattach_hist: sc_obs::Histogram,
-    crash_rows: Vec<CrashTrack>,
-    /// Establishments per SLO window, storm cells only.
-    est_storm_win: Vec<u64>,
-    /// Re-registration signaling per SLO window, storm cells only
-    /// (establishments + re-establishment attempts).
-    rereg_storm_win: Vec<u64>,
-    reattaching_at_horizon: u64,
-}
-
-/// Draw the per-event cost jitter and, for measured events with
-/// SpaceCore-side work, record the processing cost (integer µs) —
-/// the `ext_mload` convention, on the `emu.chaosload.*` series.
-fn observe_cost(
-    seed: u64,
-    ue: &mut Ue,
-    msgs: u32,
-    measured: bool,
-    hist: &mut sc_obs::Histogram,
-    rec: &sc_obs::Recorder,
-) {
-    let u = ue.draw(seed);
-    if measured && msgs > 0 {
-        let cost_us = (msgs as f64 * PER_MSG_US * (0.75 + 0.5 * u)).round();
-        hist.observe(cost_us);
-        rec.observe("emu.chaosload.step_us", cost_us);
-    }
-}
-
-/// Immutable per-run context shared (by reference) with every shard
-/// worker: the config, the static maps, the cost models, and the
-/// precomputed chaos scenario.
-#[derive(Clone, Copy)]
-struct ShardCtx<'a> {
-    cfg: &'a ChaosloadConfig,
-    grid: &'a CellGrid,
-    coverage: &'a ShardMap,
-    costs: &'a ProcedureCosts,
-    rcosts: &'a RecoveryCosts,
-    metas: &'a [CrashMeta],
-    in_storm: &'a [bool],
-    storms: &'a [StormWin],
-}
-
-#[allow(clippy::too_many_lines)]
-fn run_shard(ctx: ShardCtx<'_>, mut ues: Vec<Ue>, rec: &sc_obs::Recorder) -> ShardOut {
-    let ShardCtx { cfg, grid, coverage, costs, rcosts, metas, in_storm, storms } = ctx;
-    let params = WorkloadParams::paper_defaults();
-    let seed = cfg.load.seed;
-    let horizon = cfg.load.warmup_s + cfg.load.measure_s;
-    let gateway = cfg.gateway();
-    let deadline_us = (cfg.deadline_s * 1e6).round() as u64;
-    debug_assert_eq!(deadline_us % TT_SLOT_US, 0, "deadline must sit on the slot grid");
-    let in_slots = (deadline_us / TT_SLOT_US) as usize;
-    let windows_1s = (horizon / SLO_WINDOW_S).ceil() as usize;
-    let win_of = |t: f64| ((t / SLO_WINDOW_S) as usize).min(windows_1s.saturating_sub(1));
-
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    let mut ledger = CellLedger::new(grid.cell_count(), cfg.load.warmup_s, horizon);
-    let mut storm = CellStorm::new(grid.cell_count());
-    // Per-shard replay cursor over the shared timeline. Telemetry is
-    // disabled here: shards would multiply the schedule counters by the
-    // shard count; `run_config_with` emits the schedule once, serially.
-    let mut cursor = cfg.timeline.cursor();
-    let quiet = sc_obs::Recorder::disabled();
-    let mut stats = ShardStats::default();
-    let mut cstats = ChaosStats::default();
-    let mut step_hist = sc_obs::Histogram::new();
-    let mut reattach_hist = sc_obs::Histogram::new();
-    let mut crash_rows: Vec<CrashTrack> = metas.iter().map(|_| CrashTrack::new(in_slots)).collect();
-    let mut est_storm_win = vec![0u64; windows_1s];
-    let mut rereg_storm_win = vec![0u64; windows_1s];
-    // Storm-gate activity per 1 s window: signaling the overload gate
-    // (or an outage) deferred into the paced lane, and C4 updates it
-    // shed outright. Dense window-indexed Vecs like the storm windows
-    // above — emitted as shard-additive counter series at shard end.
-    let mut gate_deferred_win = vec![0u64; windows_1s];
-    let mut gate_shed_win = vec![0u64; windows_1s];
-    let mut events_total = 0u64;
-    let mut events_measured = 0u64;
-
-    // Chaos markers first (smallest sequence numbers in *every* shard,
-    // so same-tick ties against UE events resolve identically), then
-    // the initial churn schedule in local UE order, as in `ext_mload`.
-    for (k, e) in cfg.timeline.events().iter().enumerate() {
-        q.schedule(e.time_ms / 1000.0, Ev::Chaos(k as u32));
-    }
-    for (i, ue) in ues.iter_mut().enumerate() {
-        let i = i as u32;
-        let u = ue.draw(seed);
-        q.schedule(exp_clamped(params.session_interarrival_s, u, MIN_DELAY_S), Ev::Arrive(i));
-        let u = ue.draw(seed);
-        q.schedule(u * params.transit_s, Ev::Sweep(i));
-        let u = ue.draw(seed);
-        q.schedule(exp_clamped(cfg.load.crossing_interval_s, u, MIN_DELAY_S), Ev::Cross(i));
-    }
-
-    // Is the serving satellite of `cell` unreachable right now (dead or
-    // feeder link down)? Burst loss is drawn separately, per attempt.
-    let service_down = |cursor: &sc_netsim::chaos::ChaosCursor<'_>, cell: usize| {
-        let sat = coverage.shard_of(cell);
-        cursor.is_dead(sat) || cursor.link_down(sat, gateway)
-    };
-
-    let windows = (horizon / cfg.batch_window_s).ceil() as u64;
-    let mut batch = Vec::new();
-    for w in 0..windows {
-        let end = ((w + 1) as f64 * cfg.batch_window_s).min(horizon);
-        q.drain_until(end, &mut batch);
-        for ev in &batch {
-            let t = ev.time;
-            let measured = t >= cfg.load.warmup_s;
-            // Chaos markers are replayed in *every* shard; they are
-            // schedule bookkeeping, not workload, so they stay out of
-            // the (shard-additive) event tallies.
-            if !matches!(ev.event, Ev::Chaos(_)) {
-                events_total += 1;
-                if measured {
-                    events_measured += 1;
-                }
-            }
-            cursor.advance_to(t * 1000.0, &quiet);
-            match ev.event {
-                Ev::Arrive(i) => {
-                    let ue = &mut ues[i as usize];
-                    let u = ue.draw(seed);
-                    let next = t + exp_clamped(params.session_interarrival_s, u, MIN_DELAY_S);
-                    match ue.state {
-                        // Data rides the existing bearer — or, while
-                        // re-establishing, the arrival piggybacks on
-                        // the recovery exchange already in flight.
-                        Link::Connected | Link::Reattaching => {
-                            if measured {
-                                stats.bill_arrival(costs, true);
-                            }
-                        }
-                        Link::Idle => {
-                            let cell = ue.cell as usize;
-                            let down = service_down(&cursor, cell);
-                            // Admission control: an alive-but-storming
-                            // satellite broadcasts access-class barring,
-                            // so new-session requests are never even
-                            // transmitted — recovery traffic keeps the
-                            // bucket's full token rate.
-                            let barred = !down && storm.overloaded(cell, tick(t));
-                            let mut blocked = down || barred;
-                            if !blocked && cursor.in_burst() {
-                                let lost =
-                                    cursor.burst_loss_keyed(ue.id as u64, ue.draws as u64, &quiet);
-                                ue.draws += 1;
-                                if lost {
-                                    blocked = true;
-                                    if measured {
-                                        cstats.burst_losses += 1;
-                                    }
-                                }
-                            }
-                            if blocked {
-                                // Admission is deferred into the paced
-                                // half-rate lane of the bucket (no
-                                // session to lose yet, so no crash row).
-                                ue.state = Link::Reattaching;
-                                ue.gen += 1;
-                                ue.attempt = 1;
-                                ue.crash_id = -1;
-                                ue.drop_us = 0;
-                                if measured {
-                                    stats.arrivals += 1;
-                                    cstats.deferred_establishments += 1;
-                                    gate_deferred_win[win_of(t)] += 1;
-                                    // Only a burst-lost setup actually
-                                    // transmitted to a live satellite;
-                                    // barred UEs stay silent and against
-                                    // a dead one there is no cell to
-                                    // signal to — no surge counted.
-                                    if in_storm[cell] && !down && !barred {
-                                        rereg_storm_win[win_of(t)] += 1;
-                                    }
-                                }
-                                let u = ue.draw(seed);
-                                let delay = if cfg.paced {
-                                    let slot = cfg.budget.slot(mix64(
-                                        seed ^ mix64(((ue.id as u64) << 16) | 0xFF00 | 1),
-                                    ));
-                                    cfg.budget.admission_attempt_s(slot, u).max(MIN_DELAY_S)
-                                } else {
-                                    cfg.budget.backoff_s(1, u).max(MIN_DELAY_S)
-                                };
-                                q.schedule(t + delay, Ev::Reattach { ue: i, gen: ue.gen });
-                            } else {
-                                let u = ue.draw(seed);
-                                let hold = params.inactivity_release_s - 2.5 + 5.0 * u; // U(10, 15)
-                                ue.state = Link::Connected;
-                                ledger.connect(cell, t);
-                                q.schedule(t + hold, Ev::Release { ue: i, gen: ue.gen });
-                                let msgs = if measured {
-                                    rec.observe(
-                                        "emu.chaosload.session_hold_ms",
-                                        (hold * 1000.0).round(),
-                                    );
-                                    if in_storm[cell] {
-                                        est_storm_win[win_of(t)] += 1;
-                                        rereg_storm_win[win_of(t)] += 1;
-                                    }
-                                    stats.bill_arrival(costs, false)
-                                } else {
-                                    costs.local_establishment
-                                };
-                                observe_cost(seed, &mut ues[i as usize], msgs, measured, &mut step_hist, rec);
-                            }
-                        }
-                    }
-                    q.schedule(next, Ev::Arrive(i));
-                }
-                Ev::Release { ue: i, gen } => {
-                    let ue = &mut ues[i as usize];
-                    if ue.gen != gen || ue.state != Link::Connected {
-                        // Stale: the session this release belonged to
-                        // was dropped by a crash (no draws consumed —
-                        // stale events are invisible to the streams).
-                        continue;
-                    }
-                    let cell = ue.cell as usize;
-                    if storm.overloaded(cell, tick(t)) {
-                        // Overload gate: the release is low-priority
-                        // signaling — defer it past the storm.
-                        if measured {
-                            cstats.deferred_releases += 1;
-                            gate_deferred_win[win_of(t)] += 1;
-                        }
-                        let u = ue.draw(seed);
-                        q.schedule(t + MIN_DELAY_S + u, Ev::Release { ue: i, gen });
-                    } else {
-                        ue.state = Link::Idle;
-                        ledger.release(cell, t);
-                        let msgs = if measured {
-                            stats.bill_release(costs)
-                        } else {
-                            costs.release
-                        };
-                        observe_cost(seed, &mut ues[i as usize], msgs, measured, &mut step_hist, rec);
-                    }
-                }
-                Ev::Sweep(i) => {
-                    let ue = &mut ues[i as usize];
-                    let u = ue.draw(seed);
-                    let next = (t + params.transit_s * (0.75 + 0.5 * u)).max(t + MIN_DELAY_S);
-                    if ue.state == Link::Connected {
-                        let cell = ue.cell as usize;
-                        if storm.overloaded(cell, tick(t)) {
-                            // Defer the handover signaling, not the
-                            // satellite: retry shortly, the normal
-                            // sweep cadence resumes once it lands.
-                            if measured {
-                                cstats.deferred_handovers += 1;
-                                gate_deferred_win[win_of(t)] += 1;
-                            }
-                            let u = ue.draw(seed);
-                            q.schedule(t + MIN_DELAY_S + u, Ev::Sweep(i));
-                        } else {
-                            let msgs = if measured {
-                                stats.bill_sweep(costs, true)
-                            } else {
-                                costs.local_handover
-                            };
-                            observe_cost(seed, &mut ues[i as usize], msgs, measured, &mut step_hist, rec);
-                            q.schedule(next, Ev::Sweep(i));
-                        }
-                    } else {
-                        if measured {
-                            stats.bill_sweep(costs, false);
-                        }
-                        q.schedule(next, Ev::Sweep(i));
-                    }
-                }
-                Ev::Cross(i) => {
-                    let ue = &mut ues[i as usize];
-                    let u = ue.draw(seed);
-                    let dir = ((u * 4.0) as usize).min(3);
-                    let old = cell_at(grid, ue.cell as usize);
-                    let new_idx = cell_index(grid, grid.neighbors(old)[dir]);
-                    if ue.state == Link::Connected {
-                        ledger.move_session(ue.cell as usize, new_idx);
-                    }
-                    ue.cell = new_idx as u32;
-                    if storm.overloaded(new_idx, tick(t)) {
-                        // Shed: the destination satellite is storming;
-                        // the C4 update is dropped outright (the cell
-                        // record is eventually consistent). Cost jitter
-                        // still draws so the stream stays aligned.
-                        if measured {
-                            cstats.shed_crossings += 1;
-                            gate_shed_win[win_of(t)] += 1;
-                        }
-                        observe_cost(seed, &mut ues[i as usize], 0, measured, &mut step_hist, rec);
-                    } else {
-                        let msgs = if measured {
-                            stats.bill_crossing(costs)
-                        } else {
-                            costs.cell_crossing
-                        };
-                        observe_cost(seed, &mut ues[i as usize], msgs, measured, &mut step_hist, rec);
-                    }
-                    let ue = &mut ues[i as usize];
-                    let u = ue.draw(seed);
-                    q.schedule(t + exp_clamped(cfg.load.crossing_interval_s, u, MIN_DELAY_S), Ev::Cross(i));
-                }
-                Ev::Reattach { ue: i, gen } => {
-                    let ue = &mut ues[i as usize];
-                    if ue.gen != gen || ue.state != Link::Reattaching {
-                        continue; // stale chain
-                    }
-                    let cell = ue.cell as usize;
-                    let down = service_down(&cursor, cell);
-                    if ue.crash_id < 0 && !down && storm.overloaded(cell, tick(t)) {
-                        // Fresh admission still barred by the overload
-                        // broadcast: stay silent, re-enter the
-                        // half-rate admission lane.
-                        if measured {
-                            cstats.deferred_establishments += 1;
-                            gate_deferred_win[win_of(t)] += 1;
-                        }
-                        if ue.attempt >= cfg.budget.max_attempts {
-                            if measured {
-                                cstats.budget_exhausted += 1;
-                            }
-                            ue.state = Link::Idle;
-                            ue.gen += 1;
-                            ue.attempt = 0;
-                        } else {
-                            ue.attempt += 1;
-                            let u = ue.draw(seed);
-                            let delay = if cfg.paced {
-                                let slot = cfg.budget.slot(mix64(
-                                    seed ^ mix64(((ue.id as u64) << 16) | 0xFF00 | ue.attempt as u64),
-                                ));
-                                cfg.budget.admission_attempt_s(slot, u).max(MIN_DELAY_S)
-                            } else {
-                                cfg.budget.backoff_s(ue.attempt, u).max(MIN_DELAY_S)
-                            };
-                            q.schedule(t + delay, Ev::Reattach { ue: i, gen });
-                        }
-                        continue;
-                    }
-                    let mut failed = down;
-                    if !failed && cursor.in_burst() {
-                        let lost = cursor.burst_loss_keyed(ue.id as u64, ue.draws as u64, &quiet);
-                        ue.draws += 1;
-                        if lost {
-                            failed = true;
-                            if measured {
-                                cstats.burst_losses += 1;
-                            }
-                        }
-                    }
-                    // Surge accounting: an attempt is signaling load on
-                    // the satellite only if a live satellite saw it —
-                    // against a dead one there is no cell to reach, the
-                    // UE just keeps scanning.
-                    if measured && in_storm[cell] && !down {
-                        rereg_storm_win[win_of(t)] += 1;
-                    }
-                    if failed {
-                        if measured {
-                            cstats.bill_attempt_failure(rcosts);
-                        }
-                        if ue.attempt >= cfg.budget.max_attempts {
-                            // Budget exhausted: give the session up.
-                            if measured {
-                                cstats.budget_exhausted += 1;
-                                if ue.crash_id >= 0 {
-                                    crash_rows[ue.crash_id as usize].lost += 1;
-                                }
-                            }
-                            ue.state = Link::Idle;
-                            ue.gen += 1;
-                            ue.crash_id = -1;
-                            ue.attempt = 0;
-                        } else {
-                            ue.attempt += 1;
-                            let u = ue.draw(seed);
-                            // Recovery chains back off exponentially
-                            // (deadline-bound); fresh-admission chains
-                            // re-enter the paced admission lane.
-                            let delay = if ue.crash_id >= 0 || !cfg.paced {
-                                cfg.budget.backoff_s(ue.attempt, u).max(MIN_DELAY_S)
-                            } else {
-                                let slot = cfg.budget.slot(mix64(
-                                    seed ^ mix64(((ue.id as u64) << 16) | 0xFF00 | ue.attempt as u64),
-                                ));
-                                cfg.budget.admission_attempt_s(slot, u).max(MIN_DELAY_S)
-                            };
-                            q.schedule(t + delay, Ev::Reattach { ue: i, gen });
-                        }
-                    } else {
-                        // Stateless local re-establishment at the
-                        // replacement satellite (4 msgs vs legacy 13).
-                        ue.state = Link::Connected;
-                        ledger.connect(cell, t);
-                        let msgs;
-                        if ue.crash_id >= 0 {
-                            msgs = if measured {
-                                cstats.bill_reattach(rcosts)
-                            } else {
-                                rcosts.local_messages
-                            };
-                            if measured {
-                                let row = &mut crash_rows[ue.crash_id as usize];
-                                row.reattached += 1;
-                                let off_us = tick(t) - ue.drop_us;
-                                let slot = ((off_us / TT_SLOT_US) as usize).min(in_slots);
-                                row.slots[slot] += 1;
-                                if slot < in_slots {
-                                    row.survived += 1;
-                                } else {
-                                    row.late += 1;
-                                }
-                                let off_ms = (off_us as f64 / 1000.0).round();
-                                reattach_hist.observe(off_ms);
-                                rec.observe("emu.chaosload.reattach_ms", off_ms);
-                            }
-                        } else {
-                            // A deferred fresh establishment landing.
-                            msgs = costs.local_establishment;
-                            if measured {
-                                stats.establishments += 1;
-                                stats.spacecore_msgs += costs.local_establishment as u64;
-                                stats.legacy_msgs += costs.legacy_establishment as u64;
-                                if in_storm[cell] {
-                                    est_storm_win[win_of(t)] += 1;
-                                }
-                            }
-                        }
-                        ue.crash_id = -1;
-                        ue.attempt = 0;
-                        let u = ue.draw(seed);
-                        let hold = params.inactivity_release_s - 2.5 + 5.0 * u;
-                        q.schedule(t + hold, Ev::Release { ue: i, gen });
-                        observe_cost(seed, &mut ues[i as usize], msgs, measured, &mut step_hist, rec);
-                    }
-                }
-                Ev::Chaos(k) => {
-                    let k = k as usize;
-                    let chaos_ev = &cfg.timeline.events()[k];
-                    // Apply through the event's *exact* quantized
-                    // timestamp: the s → ms roundtrip above can land
-                    // one ulp short of it.
-                    cursor.advance_to(chaos_ev.time_ms, &quiet);
-                    let now_us = tick(t);
-                    // Open any overload window this event starts (crash
-                    // footprints and feeder-cut footprints alike).
-                    for sw in storms.iter().filter(|s| s.ev_idx == k) {
-                        storm.open(sw.cells.clone(), now_us, tick(sw.until_s));
-                    }
-                    let Some(row) = metas.iter().position(|m| m.ev_idx == k) else {
-                        continue; // recover/link/burst/flap: no drops
-                    };
-                    let meta = &metas[row];
-                    // Drop every connected session in the footprint and
-                    // pace its re-establishment through the budget.
-                    for (j, ue) in ues.iter_mut().enumerate() {
-                        let cell = ue.cell as usize;
-                        if ue.state != Link::Connected || !meta.cells.contains(&cell) {
-                            continue;
-                        }
-                        ue.state = Link::Reattaching;
-                        ue.gen += 1; // invalidates the pending Release
-                        ue.attempt = 1;
-                        ue.crash_id = row as i32;
-                        ue.drop_us = now_us;
-                        ledger.release(cell, t);
-                        if measured {
-                            cstats.dropped += 1;
-                            crash_rows[row].dropped += 1;
-                        }
-                        let u = ue.draw(seed);
-                        let first = if cfg.paced {
-                            let slot = cfg
-                                .budget
-                                .slot(mix64(seed ^ mix64(((ue.id as u64) << 8) | row as u64)));
-                            cfg.budget.first_attempt_s(slot, u)
-                        } else {
-                            // Thundering herd: everyone storms the
-                            // replacement right after detection.
-                            cfg.budget.detect_s + 0.2 * u
-                        };
-                        q.schedule(t + first, Ev::Reattach { ue: j as u32, gen: ue.gen });
-                    }
-                }
-            }
-        }
-    }
-    ledger.finish();
-
-    let reattaching_at_horizon = ues.iter().filter(|u| u.state == Link::Reattaching).count() as u64;
-    for ue in &ues {
-        if ue.state == Link::Reattaching && ue.crash_id >= 0 {
-            crash_rows[ue.crash_id as usize].pending += 1;
-        }
-    }
-
-    // Shard telemetry: counters, integer-valued histograms, and counter
-    // series only (all shard-additive; see the `ext_mload` policy note).
-    // SLO_WINDOW_S equals the series window (1.0 s), so the window
-    // index maps one-to-one onto the series tick grid.
-    for (w, &v) in gate_deferred_win.iter().enumerate() {
-        if v > 0 {
-            rec.series_inc_tick(
-                "emu.chaosload.gate_deferred_per_s",
-                w as u64 * sc_obs::WINDOW_TICKS,
-                v,
-            );
-        }
-    }
-    for (w, &v) in gate_shed_win.iter().enumerate() {
-        if v > 0 {
-            rec.series_inc_tick(
-                "emu.chaosload.gate_shed_per_s",
-                w as u64 * sc_obs::WINDOW_TICKS,
-                v,
-            );
-        }
-    }
-    rec.inc("emu.chaosload.events", events_total);
-    rec.inc("emu.chaosload.arrivals", stats.arrivals);
-    rec.inc("emu.chaosload.establishments", stats.establishments);
-    rec.inc("emu.chaosload.piggybacked", stats.piggybacked);
-    rec.inc("emu.chaosload.releases", stats.releases);
-    rec.inc("emu.chaosload.handovers_local", stats.local_handovers);
-    rec.inc("emu.chaosload.sweeps_idle", stats.idle_sweeps);
-    rec.inc("emu.chaosload.cell_crossings", stats.cell_crossings);
-    rec.inc("emu.chaosload.msgs_spacecore", stats.spacecore_msgs + cstats.spacecore_msgs);
-    rec.inc("emu.chaosload.msgs_legacy", stats.legacy_msgs + cstats.legacy_msgs);
-    rec.inc("emu.chaosload.dropped", cstats.dropped);
-    rec.inc("emu.chaosload.reattach_attempts", cstats.reattach_attempts);
-    rec.inc("emu.chaosload.reattach_failures", cstats.reattach_failures);
-    rec.inc("emu.chaosload.reattached", cstats.reattached);
-    rec.inc("emu.chaosload.budget_exhausted", cstats.budget_exhausted);
-    rec.inc("emu.chaosload.deferred_handovers", cstats.deferred_handovers);
-    rec.inc("emu.chaosload.deferred_releases", cstats.deferred_releases);
-    rec.inc("emu.chaosload.shed_crossings", cstats.shed_crossings);
-    rec.inc("emu.chaosload.deferred_establishments", cstats.deferred_establishments);
-    rec.inc("emu.chaosload.burst_losses", cstats.burst_losses);
-
-    ShardOut {
-        stats,
-        cstats,
-        events_total,
-        events_measured,
-        busy_us: ledger.busy_us(),
-        cell_active_end: ledger.cell_active().to_vec(),
-        step_hist,
-        reattach_hist,
-        crash_rows,
-        est_storm_win,
-        rereg_storm_win,
-        reattaching_at_horizon,
     }
 }
 
@@ -1043,117 +256,38 @@ pub fn run_smoke_obs(obs: &sc_obs::Recorder) -> ExtChaosload {
     run_config_with(crate::engine::thread_count(), obs, &ChaosloadConfig::smoke())
 }
 
-/// The engine proper: explicit worker count and config.
+/// Explicit worker count and config. Results and telemetry are
+/// byte-identical for every `threads`, `cfg.load.shards` and
+/// `cfg.batch_window_s` value.
 pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadConfig) -> ExtChaosload {
-    assert!(
-        cfg.batch_window_s > 0.0 && cfg.batch_window_s <= MIN_DELAY_S,
-        "batch window must not exceed the minimum follow-up delay"
-    );
-    let grid = CellGrid::new(53f64.to_radians(), 72, 22);
-    let shard_map = ShardMap::new(grid.cell_count(), cfg.load.shards);
-    let coverage = ShardMap::new(grid.cell_count(), cfg.sats);
-    let costs = ProcedureCosts::paper();
-    let rcosts = RecoveryCosts::paper();
+    let out = churn::run(threads, cfg, 1, &|_| 0, obs.enabled());
+    let (stats, cstats) = (&out.stats, &out.chaos);
     let horizon = cfg.load.warmup_s + cfg.load.measure_s;
-    let (metas, in_storm, storms) = scenario_metas(cfg, &coverage, horizon);
-
-    let points = PopulationModel::world_bank_like().sample_ues(cfg.load.total_ues, cfg.load.seed);
-    let placed = crate::churn::place(threads, &points, &grid, &shard_map);
-    drop(points);
-
-    let ctx = ShardCtx {
-        cfg,
-        grid: &grid,
-        coverage: &coverage,
-        costs: &costs,
-        rcosts: &rcosts,
-        metas: &metas,
-        in_storm: &in_storm,
-        storms: &storms,
-    };
-    let outs = crate::engine::parallel_map_obs_with(threads, obs, placed, |placed, rec| {
-        let ues = placed
-            .iter()
-            .map(|&(id, cell)| Ue {
-                id,
-                cell,
-                state: Link::Idle,
-                gen: 0,
-                attempt: 0,
-                crash_id: -1,
-                drop_us: 0,
-                draws: 0,
-            })
-            .collect();
-        run_shard(ctx, ues, rec)
-    });
-
-    // Slot-order fold: sums and bucket merges only.
-    let windows_1s = (horizon / SLO_WINDOW_S).ceil() as usize;
-    let deadline_us = (cfg.deadline_s * 1e6).round() as u64;
-    let in_slots = (deadline_us / TT_SLOT_US) as usize;
-    let mut stats = ShardStats::default();
-    let mut cstats = ChaosStats::default();
-    let mut events_total = 0u64;
-    let mut events_measured = 0u64;
-    let mut busy_us = 0u64;
-    let mut step_hist = sc_obs::Histogram::new();
-    let mut reattach_hist = sc_obs::Histogram::new();
-    let mut crash_rows: Vec<CrashTrack> = metas.iter().map(|_| CrashTrack::new(in_slots)).collect();
-    let mut est_storm_win = vec![0u64; windows_1s];
-    let mut rereg_storm_win = vec![0u64; windows_1s];
-    let mut reattaching_at_horizon = 0u64;
-    for o in &outs {
-        stats.absorb(&o.stats);
-        cstats.absorb(&o.cstats);
-        events_total += o.events_total;
-        events_measured += o.events_measured;
-        busy_us += o.busy_us;
-        step_hist.merge(&o.step_hist);
-        reattach_hist.merge(&o.reattach_hist);
-        for (row, or) in crash_rows.iter_mut().zip(o.crash_rows.iter()) {
-            row.absorb(or);
-        }
-        for (a, b) in est_storm_win.iter_mut().zip(o.est_storm_win.iter()) {
-            *a += b;
-        }
-        for (a, b) in rereg_storm_win.iter_mut().zip(o.rereg_storm_win.iter()) {
-            *a += b;
-        }
-        reattaching_at_horizon += o.reattaching_at_horizon;
-    }
-    // End-of-run occupancy: sessions in a cell can live in any shard
-    // (crossings migrate UEs into foreign cells), so sum element-wise
-    // before counting occupied cells.
-    let mut cell_active = vec![0u64; grid.cell_count()];
-    for o in &outs {
-        for (a, b) in cell_active.iter_mut().zip(o.cell_active_end.iter()) {
-            *a += *b as u64;
-        }
-    }
-    let cells_occupied_end = cell_active.iter().filter(|&&n| n > 0).count();
+    let windows = out.rereg_storm_win.len();
+    let cells_occupied_end = out.cell_active_end.iter().filter(|&&n| n > 0).count();
 
     // Surge SLO: steady state is the storm cells' establishment rate
     // over the pre-crash measured windows; peak is the worst measured
     // re-registration window over the same cells. Integer sums → the
     // ratio is exact and shard-invariant.
-    let warmup_win = (cfg.load.warmup_s / SLO_WINDOW_S) as usize;
-    let first_crash_win = metas
+    let warmup_win = (cfg.load.warmup_s / WINDOW_S) as usize;
+    let first_crash_win = out
+        .crashes
         .first()
-        .map_or(windows_1s, |m| (m.t_s / SLO_WINDOW_S) as usize)
-        .min(windows_1s);
-    let steady_windows = &est_storm_win[warmup_win.min(first_crash_win)..first_crash_win];
+        .map_or(windows, |c| (c.t_s / WINDOW_S) as usize)
+        .min(windows);
+    let steady_windows = &out.est_storm_win[warmup_win.min(first_crash_win)..first_crash_win];
     let steady_c1_per_s = if steady_windows.is_empty() {
         0.0
     } else {
-        steady_windows.iter().sum::<u64>() as f64 / (steady_windows.len() as f64 * SLO_WINDOW_S)
+        steady_windows.iter().sum::<u64>() as f64 / (steady_windows.len() as f64 * WINDOW_S)
     };
-    let peak_rereg_per_s = rereg_storm_win[warmup_win.min(windows_1s)..]
+    let peak_rereg_per_s = out.rereg_storm_win[warmup_win.min(windows)..]
         .iter()
         .max()
         .copied()
         .unwrap_or(0) as f64
-        / SLO_WINDOW_S;
+        / WINDOW_S;
     let surge_amplitude = if steady_c1_per_s > 0.0 {
         peak_rereg_per_s / steady_c1_per_s
     } else {
@@ -1161,31 +295,56 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
     };
 
     let dropped = cstats.dropped;
-    let survived: u64 = crash_rows.iter().map(|r| r.survived).sum();
-    let late: u64 = crash_rows.iter().map(|r| r.late).sum();
-    let lost: u64 = crash_rows.iter().map(|r| r.lost).sum();
+    let survived: u64 = out.crashes.iter().map(|r| r.survived).sum();
+    let late: u64 = out.crashes.iter().map(|r| r.late).sum();
+    let lost: u64 = out.crashes.iter().map(|r| r.lost).sum();
     let session_survival = if dropped > 0 {
         survived as f64 / dropped as f64
     } else {
         1.0
     };
 
-    // The chaos schedule's telemetry, emitted exactly once (a serial
-    // replay — per-shard cursors run with a disabled recorder).
-    {
-        let mut c = cfg.timeline.cursor();
-        c.advance_to(horizon * 1000.0, obs);
-    }
-    for (m, row) in metas.iter().zip(crash_rows.iter()) {
+    obs.inc("emu.chaosload.events", out.events_total);
+    obs.inc("emu.chaosload.arrivals", stats.arrivals);
+    obs.inc("emu.chaosload.establishments", stats.establishments);
+    obs.inc("emu.chaosload.piggybacked", stats.piggybacked);
+    obs.inc("emu.chaosload.releases", stats.releases);
+    obs.inc("emu.chaosload.handovers_local", stats.local_handovers);
+    obs.inc("emu.chaosload.sweeps_idle", stats.idle_sweeps);
+    obs.inc("emu.chaosload.cell_crossings", stats.cell_crossings);
+    obs.inc("emu.chaosload.msgs_spacecore", stats.spacecore_msgs + cstats.spacecore_msgs);
+    obs.inc("emu.chaosload.msgs_legacy", stats.legacy_msgs + cstats.legacy_msgs);
+    obs.inc("emu.chaosload.dropped", cstats.dropped);
+    obs.inc("emu.chaosload.reattach_attempts", cstats.reattach_attempts);
+    obs.inc("emu.chaosload.reattach_failures", cstats.reattach_failures);
+    obs.inc("emu.chaosload.reattached", cstats.reattached);
+    obs.inc("emu.chaosload.budget_exhausted", cstats.budget_exhausted);
+    obs.inc("emu.chaosload.deferred_handovers", cstats.deferred_handovers);
+    obs.inc("emu.chaosload.deferred_releases", cstats.deferred_releases);
+    obs.inc("emu.chaosload.shed_crossings", cstats.shed_crossings);
+    obs.inc("emu.chaosload.deferred_establishments", cstats.deferred_establishments);
+    obs.inc("emu.chaosload.burst_losses", cstats.burst_losses);
+    obs.merge_hist("emu.chaosload.step_us", &out.step_us);
+    obs.merge_hist("emu.chaosload.session_hold_ms", &out.session_hold_ms);
+    obs.merge_hist("emu.chaosload.reattach_ms", &out.reattach_ms);
+    churn::emit_series(obs, "emu.chaosload.gate_deferred_per_s", &out.gate_deferred_win);
+    churn::emit_series(obs, "emu.chaosload.gate_shed_per_s", &out.gate_shed_win);
+    churn::emit_series(obs, "emu.chaosload.est_storm_per_s", &out.est_storm_win);
+    churn::emit_series(obs, "emu.chaosload.rereg_storm_per_s", &out.rereg_storm_win);
+
+    // The chaos schedule's own telemetry: one serial replay (the
+    // per-shard cursors are silent).
+    cfg.timeline.cursor().advance_to(horizon * 1000.0, obs);
+    for c in &out.crashes {
         let mut fields = vec![
-            ("sat", sc_obs::FieldValue::from(m.sat)),
-            ("dropped", sc_obs::FieldValue::from(row.dropped)),
-            ("survived", sc_obs::FieldValue::from(row.survived)),
+            ("sat", sc_obs::FieldValue::from(c.sat)),
+            ("dropped", sc_obs::FieldValue::from(c.dropped)),
+            ("survived", sc_obs::FieldValue::from(c.survived)),
         ];
-        if let Some(tt) = row.tt99_s() {
+        if let Some(tt) = c.tt99_s() {
             fields.push(("tt99_s", sc_obs::FieldValue::from(tt)));
         }
-        obs.event(m.t_s, "chaosload.crash", fields);
+        obs.event(c.t_s, "chaosload.crash", fields);
     }
     obs.set_gauge("emu.chaosload.cells_occupied_end", cells_occupied_end as f64);
     obs.set_gauge("emu.chaosload.session_survival", session_survival);
@@ -1193,49 +352,29 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
     obs.set_gauge("emu.chaosload.peak_rereg_per_s", peak_rereg_per_s);
     obs.set_gauge("emu.chaosload.surge_amplitude", surge_amplitude);
 
-    // The folded storm windows as top-level counter series (emitted
-    // once, serially — the per-shard vecs were already summed in slot
-    // order above, so the series is shard- and thread-invariant), then
-    // the windowed SLO pass over them: burn = re-registration signaling
-    // per window against the surge budget (3× the storm cells' steady
-    // C1 rate), plus a recovery rule — once every crash's
+    // The windowed SLO pass over the re-registration series: burn =
+    // signaling per window against the surge budget (3× the storm
+    // cells' steady C1 rate), plus a recovery rule — once every crash's
     // re-establishment deadline has passed, the storm must have decayed
     // back under 2× steady. `SloTracker::record` writes the
     // `slo.burn.*` gauge series, the `slo.breached_windows.*` counters,
     // and one `slo.breach` event at each rule's first breach.
-    for (w, &v) in est_storm_win.iter().enumerate() {
-        if v > 0 {
-            obs.series_inc_tick(
-                "emu.chaosload.est_storm_per_s",
-                w as u64 * sc_obs::WINDOW_TICKS,
-                v,
-            );
-        }
-    }
-    for (w, &v) in rereg_storm_win.iter().enumerate() {
-        if v > 0 {
-            obs.series_inc_tick(
-                "emu.chaosload.rereg_storm_per_s",
-                w as u64 * sc_obs::WINDOW_TICKS,
-                v,
-            );
-        }
-    }
     if obs.enabled() {
-        let surge_budget = 3.0 * steady_c1_per_s * SLO_WINDOW_S;
-        let recovery_win = metas
+        let surge_budget = 3.0 * steady_c1_per_s * WINDOW_S;
+        let recovery_win = out
+            .crashes
             .iter()
-            .map(|m| ((m.t_s + cfg.deadline_s) / SLO_WINDOW_S).ceil() as u64)
+            .map(|c| ((c.t_s + cfg.deadline_s) / WINDOW_S).ceil() as u64)
             .max()
             .unwrap_or(0);
-        let recovery_budget = 2.0 * steady_c1_per_s * SLO_WINDOW_S;
+        let recovery_budget = 2.0 * steady_c1_per_s * WINDOW_S;
         let tracker = sc_obs::SloTracker::new(vec![
             sc_obs::SloRule::new(
                 "chaosload.surge",
                 "emu.chaosload.rereg_storm_per_s",
                 surge_budget,
             )
-            .over_windows(warmup_win as u64, windows_1s as u64)
+            .over_windows(warmup_win as u64, windows as u64)
             .emit_as(
                 "slo.burn.chaosload_surge",
                 "slo.breached_windows.chaosload_surge",
@@ -1245,26 +384,26 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
                 "emu.chaosload.rereg_storm_per_s",
                 recovery_budget,
             )
-            .over_windows(recovery_win, windows_1s as u64)
+            .over_windows(recovery_win, windows as u64)
             .emit_as(
                 "slo.burn.chaosload_recovery",
                 "slo.breached_windows.chaosload_recovery",
             ),
         ]);
-        tracker.record(obs, SLO_WINDOW_S);
+        tracker.record(obs, WINDOW_S);
     }
 
     ExtChaosload {
         total_ues: cfg.load.total_ues,
-        cells: grid.cell_count(),
+        cells: out.cell_active_end.len(),
         sats: cfg.sats,
         warmup_s: cfg.load.warmup_s,
         measure_s: cfg.load.measure_s,
         deadline_s: cfg.deadline_s,
         paced: cfg.paced,
-        events_total,
-        events_measured,
-        mean_active_sessions: busy_us as f64 * 1e-6 / cfg.load.measure_s,
+        events_total: out.events_total,
+        events_measured: out.events_measured,
+        mean_active_sessions: out.busy_us as f64 * 1e-6 / cfg.load.measure_s,
         arrivals: stats.arrivals,
         establishments: stats.establishments,
         piggybacked_arrivals: stats.piggybacked,
@@ -1283,7 +422,7 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
         sessions_survived: survived,
         sessions_late: late,
         sessions_lost: lost,
-        reattaching_at_horizon,
+        reattaching_at_horizon: out.reattaching_at_horizon,
         session_survival,
         budget_exhausted: cstats.budget_exhausted,
         deferred_handovers: cstats.deferred_handovers,
@@ -1294,16 +433,16 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
         steady_c1_per_s,
         peak_rereg_per_s,
         surge_amplitude,
-        p99_step_cost_ms: step_hist.percentile(0.99).map(|us| us / 1000.0),
-        reattach_ms_p50: reattach_hist.percentile(0.50),
-        reattach_ms_p99: reattach_hist.percentile(0.99),
-        crashes: metas
+        p99_step_cost_ms: out.step_us.percentile(0.99).map(|us| us / 1000.0),
+        reattach_ms_p50: out.reattach_ms.percentile(0.50),
+        reattach_ms_p99: out.reattach_ms.percentile(0.99),
+        crashes: out
+            .crashes
             .iter()
-            .zip(crash_rows.iter())
-            .map(|(m, row)| CrashRow {
-                t_s: m.t_s,
-                satellite: m.sat,
-                footprint_cells: m.cells.len(),
+            .map(|row| CrashRow {
+                t_s: row.t_s,
+                satellite: row.sat,
+                footprint_cells: row.cells.len(),
                 dropped: row.dropped,
                 reestablished: row.reattached,
                 survived: row.survived,
@@ -1313,7 +452,7 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
                 tt99_s: row.tt99_s(),
             })
             .collect(),
-        rereg_storm_win,
+        rereg_storm_win: out.rereg_storm_win,
     }
 }
 
@@ -1452,32 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_caps_the_signaling_surge() {
-        let r = cached();
-        assert!(r.steady_c1_per_s > 0.0);
-        assert!(
-            r.surge_amplitude <= 3.0,
-            "paced surge {} exceeds 3x",
-            r.surge_amplitude
-        );
-        // The thundering-herd contrast: pacing off, same scenario.
-        let unpaced = run_config_with(
-            2,
-            &sc_obs::Recorder::disabled(),
-            &ChaosloadConfig {
-                paced: false,
-                ..ChaosloadConfig::smoke()
-            },
-        );
-        assert!(
-            unpaced.surge_amplitude > r.surge_amplitude * 2.0,
-            "unpaced {} vs paced {}",
-            unpaced.surge_amplitude,
-            r.surge_amplitude
-        );
-    }
-
-    #[test]
     fn overload_gate_sheds_and_defers_low_priority_signaling() {
         let r = cached();
         assert!(r.deferred_handovers > 0, "storm must defer handovers");
@@ -1504,48 +617,5 @@ mod tests {
             r.reattach_attempts,
             r.sessions_reestablished + r.reattach_failures
         );
-    }
-
-    #[test]
-    fn results_thread_and_shard_invariant_smoke() {
-        let cfg = ChaosloadConfig {
-            load: MloadConfig {
-                total_ues: 3_000,
-                shards: 8,
-                warmup_s: 3.0,
-                measure_s: 15.0,
-                ..MloadConfig::smoke()
-            },
-            timeline: FailureTimeline::none()
-                .crash(6_000.0, 5)
-                .recover(8_000.0, 5)
-                .loss_burst(6_000.0, 9_000.0, 0.25)
-                .with_seed(0xC4A0_5EED),
-            deadline_s: 10.0,
-            ..ChaosloadConfig::smoke()
-        };
-        let reference = {
-            let obs = sc_obs::Recorder::new();
-            let r = run_config_with(1, &obs, &cfg);
-            (serde_json::to_string(&r).unwrap(), obs.snapshot().to_json("t"))
-        };
-        for (threads, shards) in [(4, 8), (2, 1), (3, 1584)] {
-            let obs = sc_obs::Recorder::new();
-            let c = ChaosloadConfig {
-                load: MloadConfig { shards, ..cfg.load.clone() },
-                ..cfg.clone()
-            };
-            let r = run_config_with(threads, &obs, &c);
-            assert_eq!(
-                serde_json::to_string(&r).unwrap(),
-                reference.0,
-                "threads={threads} shards={shards}"
-            );
-            assert_eq!(
-                obs.snapshot().to_json("t"),
-                reference.1,
-                "threads={threads} shards={shards}"
-            );
-        }
     }
 }

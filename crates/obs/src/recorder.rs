@@ -116,6 +116,16 @@ impl Recorder {
         });
     }
 
+    /// Merge a locally filled histogram into the histogram `name` —
+    /// what a caller that batched its samples off the recorder's lock
+    /// uses in place of one [`Recorder::observe`] per sample. An empty
+    /// `h` leaves no name behind, as zero `observe` calls would.
+    pub fn merge_hist(&self, name: &'static str, h: &Histogram) {
+        if h.count() > 0 {
+            self.with_inner(|i| i.hists.entry(name).or_default().merge(h));
+        }
+    }
+
     /// Add `by` to the **counter series** `name` in the 1.0-unit window
     /// holding sim-time `t_sim` (the emitting module's native time
     /// base; see docs/TELEMETRY.md for units per series). Windowed
@@ -310,6 +320,21 @@ mod tests {
         let h = s.histogram("net.delay_ms");
         assert_eq!(h.map(|h| h.count()), Some(2));
         assert_eq!(h.and_then(|h| h.mean()), Some(20.0));
+    }
+
+    #[test]
+    fn merge_hist_equals_observing_each_sample() {
+        let per_sample = Recorder::new();
+        let batched = Recorder::new();
+        let mut local = Histogram::new();
+        for v in [3.0, 480.0, 1560.0] {
+            per_sample.observe("h", v);
+            local.observe(v);
+        }
+        batched.merge_hist("h", &local);
+        batched.merge_hist("never_observed", &Histogram::new());
+        assert_eq!(batched.snapshot().to_json("t"), per_sample.snapshot().to_json("t"));
+        Recorder::disabled().merge_hist("h", &local);
     }
 
     #[test]

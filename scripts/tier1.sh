@@ -143,6 +143,21 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
         echo "== tier-1: $exp byte-stable (results + telemetry, threads 1 vs 3 vs 4)" >&2
     done
 
+    # Golden artifacts: the full soaks must regenerate the checked-in
+    # results and sidecars byte for byte (the smoke cmps above compare
+    # runs with each other, never with results/).
+    for exp in ext_mload ext_chaosload; do
+        ( cd "$OBS_TMP" && \
+          cargo run -q --release --offline \
+              --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin "$exp" -- \
+              --obs-out "$OBS_TMP/$exp.full.telemetry.json" >/dev/null )
+        cmp "$OBS_TMP/results/$exp.json" "results/$exp.json" || {
+            echo "== tier-1: FAIL — $exp full run differs from results/$exp.json" >&2; exit 1; }
+        cmp "$OBS_TMP/$exp.full.telemetry.json" "results/$exp.telemetry.json" || {
+            echo "== tier-1: FAIL — $exp full run differs from results/$exp.telemetry.json" >&2; exit 1; }
+    done
+    echo "== tier-1: ext_mload, ext_chaosload full runs equal the checked-in results + sidecars" >&2
+
     # Windowed time-series layer (sc-obs/3): the cmp checks above already
     # prove the "series" section byte-stable across thread counts; here,
     # require that the load-engine sidecars actually carry their windowed
