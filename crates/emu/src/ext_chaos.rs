@@ -25,7 +25,7 @@
 use sc_netsim::chaos::FailureTimeline;
 use sc_netsim::failure::{LossProcess, Xorshift64};
 use sc_netsim::isl::{IslConfig, IslNetwork};
-use sc_netsim::sim::{ProcedureSim, SimConfig, SimStep};
+use sc_netsim::sim::{ProcedureSim, SimConfig, SimScratch, SimStep};
 use sc_orbit::{ConstellationConfig, GroundStationSet, IdealPropagator, SatId};
 use serde::Serialize;
 use spacecore::recovery::RecoveryPlan;
@@ -146,6 +146,7 @@ fn run_cell(net: &IslNetwork, cell: &Cell, rec: &sc_obs::Recorder) -> ChaosPoint
     let mut completed = 0u64;
     let mut lat_sum = 0.0;
     let mut tx_sum = 0u64;
+    let mut scratch = SimScratch::new();
     for run in 0..RUNS {
         // The solution's clock starts when it *detects* the crash, so
         // the absolute loss-burst window shifts into its frame.
@@ -184,7 +185,7 @@ fn run_cell(net: &IslNetwork, cell: &Cell, rec: &sc_obs::Recorder) -> ChaosPoint
         };
         let sim = ProcedureSim::with_timeline(net.graph(), &tl, cfg.clone()).with_recorder(run_rec);
         let mut loss = LossProcess::new(AMBIENT_LOSS, SEED_LOSS ^ (run * 13 + 1));
-        let o = sim.run(&steps, &mut loss);
+        let o = sim.run_in(&steps, &mut loss, &mut scratch);
         rec.inc("emu.ext_chaos.runs", 1);
         if o.completed {
             completed += 1;

@@ -7,20 +7,22 @@
 //! message is in flight, or a radio-link loss burst (Fig. 13b) opens
 //! right as a signaling exchange begins. A [`FailureTimeline`] is a
 //! seeded, time-ordered schedule of such events; [`crate::sim::ProcedureSim`]
-//! consults it as the DES clock advances, re-resolving paths per attempt
-//! so routing reroutes around nodes that died after the procedure
-//! started.
+//! consults it as the DES clock advances, so routing reroutes around
+//! nodes that died after the procedure started (when a route is
+//! re-resolved is `sim`'s business: see its module doc).
 //!
 //! Everything is deterministic: the schedule is fixed up front, burst
 //! loss draws come from a counted splitmix64 hash stream keyed by the
 //! timeline seed (so the n-th draw is a pure function of `(seed, n)`,
 //! never of which cursor clone evaluates it), and event application
-//! order is (time, insertion order) — so chaos runs replay
-//! bit-identically, the property the `ext_chaos` experiment's
-//! byte-stability checks enforce. Sharded engines that fan one timeline
-//! out across UE partitions use [`ChaosCursor::burst_loss_keyed`]
-//! instead: the loss decision is keyed by `(seed, entity, draw#)` and
-//! is therefore invariant to shard layout and drain interleaving.
+//! order is (time, insertion order) — [`FailureTimeline`] inserts each
+//! new event after every event scheduled at or before its time — so
+//! chaos runs replay bit-identically, the property the `ext_chaos`
+//! experiment's byte-stability checks enforce. Sharded engines that fan
+//! one timeline out across UE partitions use
+//! [`ChaosCursor::burst_loss_keyed`] instead: the loss decision is keyed
+//! by `(seed, entity, draw#)` and is therefore invariant to shard layout
+//! and drain interleaving.
 //!
 //! Event times are quantized to the integer-microsecond grid on insert
 //! ([`quantize_ms_to_us_grid`]) — the same tick resolution
@@ -85,7 +87,7 @@ pub struct ChaosEvent {
 /// `tests/chaos_props.rs`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailureTimeline {
-    /// Sorted by `time_ms` (stable: ties keep insertion order).
+    /// Sorted by `time_ms`; ties keep insertion order.
     events: Vec<ChaosEvent>,
     /// Nodes dead from t = 0 (the static-snapshot embedding).
     initial_dead: Vec<NodeId>,
@@ -205,12 +207,26 @@ impl FailureTimeline {
 
     /// Start a replay cursor at t = 0.
     pub fn cursor(&self) -> ChaosCursor<'_> {
-        let mut dead: HashSet<NodeId> = HashSet::new();
-        dead.extend(self.initial_dead.iter().copied());
+        // Sized once, from the largest node id the timeline can ever
+        // crash; ids beyond it are alive by construction.
+        let crashable = self.events.iter().filter_map(|e| match e.action {
+            ChaosAction::Crash(n) => Some(n),
+            _ => None,
+        });
+        let len = crashable
+            .chain(self.initial_dead.iter().copied())
+            .max()
+            .map_or(0, |n| n + 1);
+        let mut dead = vec![false; len];
+        for &n in &self.initial_dead {
+            dead[n] = true;
+        }
         ChaosCursor {
             timeline: self,
             next: 0,
             dead,
+            // `from_static` is the only writer and takes a set's members.
+            dead_count: self.initial_dead.len(),
             links_down: HashSet::new(),
             bursts: Vec::new(),
             draw_seed: self.seed.wrapping_add(0x051C_4A05),
@@ -220,13 +236,14 @@ impl FailureTimeline {
 
     fn push(mut self, t_ms: f64, action: ChaosAction) -> Self {
         assert!(t_ms >= 0.0 && t_ms.is_finite(), "bad chaos time {t_ms}");
-        self.events.push(ChaosEvent {
-            time_ms: quantize_ms_to_us_grid(t_ms),
-            action,
-        });
-        // Stable sort: ties keep insertion order, so replay order is a
-        // pure function of the build sequence.
-        self.events.sort_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+        let time_ms = quantize_ms_to_us_grid(t_ms);
+        // After every event at or before `time_ms` — the order a push
+        // followed by a stable sort gives, without the sort — so replay
+        // order is a pure function of the build sequence.
+        let at = self
+            .events
+            .partition_point(|e| e.time_ms.total_cmp(&time_ms).is_le());
+        self.events.insert(at, ChaosEvent { time_ms, action });
         self
     }
 }
@@ -239,12 +256,16 @@ impl FailureTimeline {
 /// telemetry (`netsim.chaos.*` counters, `chaos.crash` /
 /// `chaos.recover` events stamped with the *scheduled* sim-time) is
 /// emitted as events are applied.
+///
+/// The dead set is dense — `dead[node]`, plus a count — because routing
+/// asks [`Self::is_dead`] once per relaxed edge.
 #[derive(Debug, Clone)]
 pub struct ChaosCursor<'a> {
     timeline: &'a FailureTimeline,
     /// Next unapplied event index.
     next: usize,
-    dead: HashSet<NodeId>,
+    dead: Vec<bool>,
+    dead_count: usize,
     /// Normalized (min, max) undirected down links.
     links_down: HashSet<(NodeId, NodeId)>,
     /// LIFO stack of open burst-window probabilities.
@@ -271,22 +292,28 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-impl ChaosCursor<'_> {
-    /// Apply every event with `time_ms <= t_ms`.
-    pub fn advance_to(&mut self, t_ms: f64, obs: &Recorder) {
+impl<'a> ChaosCursor<'a> {
+    /// Apply every event with `time_ms <= t_ms`; returns the events
+    /// this call applied, in replay order (empty when none were due).
+    pub fn advance_to(&mut self, t_ms: f64, obs: &Recorder) -> &'a [ChaosEvent] {
+        let first = self.next;
         while let Some(ev) = self.timeline.events.get(self.next) {
             if ev.time_ms > t_ms {
                 break;
             }
             match ev.action {
                 ChaosAction::Crash(n) => {
-                    if self.dead.insert(n) {
+                    if !self.dead[n] {
+                        self.dead[n] = true;
+                        self.dead_count += 1;
                         obs.inc("netsim.chaos.crashes", 1);
                         obs.event(ev.time_ms, "chaos.crash", vec![("node", FieldValue::from(n))]);
                     }
                 }
                 ChaosAction::Recover(n) => {
-                    if self.dead.remove(&n) {
+                    if self.is_dead(n) {
+                        self.dead[n] = false;
+                        self.dead_count -= 1;
                         obs.inc("netsim.chaos.recoveries", 1);
                         obs.event(
                             ev.time_ms,
@@ -315,11 +342,12 @@ impl ChaosCursor<'_> {
             }
             self.next += 1;
         }
+        &self.timeline.events[first..self.next]
     }
 
     /// Is `node` dead right now?
     pub fn is_dead(&self, node: NodeId) -> bool {
-        self.dead.contains(&node)
+        self.dead.get(node).is_some_and(|&d| d)
     }
 
     /// Is the undirected link `a`–`b` down right now?
@@ -329,7 +357,7 @@ impl ChaosCursor<'_> {
 
     /// Number of currently-dead nodes.
     pub fn dead_count(&self) -> usize {
-        self.dead.len()
+        self.dead_count
     }
 
     /// Draw one burst loss for a transmission happening now. Consumes
@@ -566,6 +594,66 @@ mod tests {
         let mut closed = tl.cursor();
         closed.advance_to(2_000.0, &obs);
         assert!(!closed.burst_loss_keyed(3, 0, &obs));
+    }
+
+    #[test]
+    fn insert_order_equals_push_then_stable_sort() {
+        let mut rng = Xorshift64::new(11);
+        let mut tl = FailureTimeline::none();
+        let mut reference = Vec::new();
+        for node in 0..200 {
+            let t = rng.below(20) as f64 * 0.5; // twenty slots: mostly ties
+            tl = tl.crash(t, node);
+            reference.push(ChaosEvent {
+                time_ms: t,
+                action: ChaosAction::Crash(node),
+            });
+        }
+        reference.sort_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+        assert_eq!(tl.events(), reference);
+    }
+
+    #[test]
+    fn advance_to_returns_the_events_it_applied() {
+        let tl = FailureTimeline::none()
+            .crash(10.0, 4)
+            .link_flap(10.0, 30.0, 1, 2)
+            .recover(20.0, 4);
+        let obs = Recorder::disabled();
+        let mut c = tl.cursor();
+        assert!(c.advance_to(9.0, &obs).is_empty());
+        let applied = c.advance_to(10.0, &obs);
+        assert_eq!(applied, &tl.events()[..2]);
+        // The slice borrows the timeline, not the cursor.
+        assert!(c.is_dead(4) && c.link_down(2, 1));
+        assert!(
+            c.advance_to(10.0, &obs).is_empty(),
+            "nothing is applied twice"
+        );
+        assert_eq!(c.advance_to(1e9, &obs), &tl.events()[2..]);
+    }
+
+    #[test]
+    fn dense_view_treats_unnamed_ids_as_alive() {
+        // The view is sized by the largest id that can crash (here 7);
+        // queries and recoveries beyond it are in range and alive.
+        let tl = FailureTimeline::none().crash(5.0, 7).recover(6.0, 1_000);
+        let obs = Recorder::new();
+        let mut c = tl.cursor();
+        c.advance_to(10.0, &obs);
+        assert!(c.is_dead(7) && !c.is_dead(8) && !c.is_dead(1_000));
+        assert_eq!(c.dead_count(), 1);
+        assert_eq!(obs.snapshot().counter("netsim.chaos.recoveries"), 0);
+        // A repeated crash is counted once.
+        let tl = FailureTimeline::none()
+            .crash(1.0, 3)
+            .crash(2.0, 3)
+            .recover(3.0, 3);
+        let mut c = tl.cursor();
+        c.advance_to(2.0, &obs);
+        assert_eq!(c.dead_count(), 1);
+        c.advance_to(3.0, &obs);
+        assert_eq!(c.dead_count(), 0);
     }
 
     #[test]

@@ -16,12 +16,65 @@
 //! end-to-end procedure latency — with failure injection, the machinery
 //! behind the "any signaling loss/error can block the entire procedure"
 //! claim of §3.3.
+//!
+//! # Route resolution
+//!
+//! Every transmission is routed against the failure view *current at
+//! its send* — but the Dijkstra behind it runs only when that view has
+//! changed in a way that can change the answer. A [`RouteMemo`] keeps,
+//! per `(from, to)` pair, the last resolved `(cost, hops)` and the
+//! nodes of its path, and is told every event the cursor applies:
+//!
+//! * a `Recover` or `LinkUp` (a *heal*) drops every entry,
+//! * a `Crash(n)` drops the entries whose path contains `n`; a
+//!   `LinkDown(a, b)` those whose path contains both `a` and `b`,
+//! * a remembered partition (`None`) falls only to a heal,
+//! * burst windows do not touch routing.
+//!
+//! This is exact, not approximate: a hit returns the very bits a fresh
+//! [`Graph::route_in`] would. The argument, once. Weights are
+//! non-negative and f64 addition is monotone, so the labels a search
+//! pops never decrease, and a finished search has
+//! `D[v] ≤ D[u] + w(u, v)` on every open edge. The heap pops the least
+//! `(dist, node)` and a label is replaced only by a strictly smaller
+//! one, so `prev[v]` is the *first popped* neighbour that offers `v`
+//! its final label. Let `P = p0 … pk` be the predecessor chain returned
+//! on the view `G`, let `G′` be `G` minus nodes and edges that are not
+//! on `P`, and `D`, `D′` the labels of the two searches (the early exit
+//! at the destination is no matter: all of `P` is popped before it).
+//!
+//! 1. `D ≤ D′` wherever `D′` is finite: a `G′` label is a sum along a
+//!    chain that is open in `G` too.
+//! 2. `pi` keeps its label — `p(i-1)`, popped with its old label,
+//!    offers `D[pi]`, and (1) lets nothing undercut it — and whatever
+//!    `G′` pops before `pi`, `G` pops before `pi`. Take such a `u`, in
+//!    `G′` pop order. Popped before `p(i-1)`: that is this claim, one
+//!    step down the chain. Popped after it, `pi` already sits in the
+//!    heap, so `(D′[u], u)` is below `pi`'s key; `u`'s `G′` predecessor
+//!    is, by this same claim, popped before `pi` in `G` as well and by
+//!    (1) offers `u` no more than `D′[u]` there — `u` is in `G`'s heap
+//!    under a key below `pi`'s before `pi` can be popped.
+//! 3. `pi` keeps its predecessor: a rival that `G′` pops before
+//!    `p(i-1)` and that offers `pi` its label is, by (2) and (1), popped
+//!    before `p(i-1)` in `G` and offers no more there — `prev[pi]` would
+//!    not have been `p(i-1)`.
+//!
+//! Hence the same chain, so the same `cost` (a sum taken along the
+//! chain, in chain order) and the same `hops` — all this module reads
+//! of a route: the delivery delay, the per-hop loss draws and the
+//! span's `hops` field. A partition of `G` is one of `G′`. Putting a
+//! node or an edge back can create a cheaper or an earlier-popped rival
+//! anywhere, which is why a heal forgets everything (pruning that is a
+//! separate, bounded-detour argument and not attempted here).
+//! `tests/route_memo_props.rs` holds the memo to the public
+//! [`Graph::shortest_path_avoiding`] on generated timelines.
 
-use crate::chaos::{ChaosCursor, FailureTimeline};
+use crate::chaos::{ChaosAction, ChaosCursor, ChaosEvent, FailureTimeline};
 use crate::des::EventQueue;
 use crate::failure::{LossProcess, NodeFailures};
-use crate::topo::{Graph, NodeId};
+use crate::topo::{Graph, NodeId, PathScratch};
 use sc_obs::{FieldValue, Recorder, SpanId};
+use std::borrow::Cow;
 
 /// Where each abstract entity of a procedure lives in the network.
 #[derive(Debug, Clone)]
@@ -122,24 +175,115 @@ impl SimConfig {
     }
 }
 
-/// Where the simulator reads its failure state from.
-enum FailureSource<'a> {
-    /// A static pre-run snapshot (the legacy API): the routing view
-    /// never changes during the run.
-    Static(&'a NodeFailures),
-    /// A dynamic [`FailureTimeline`]: the view evolves as the DES clock
-    /// advances, so a node can die (and recover) mid-procedure.
-    Timeline(&'a FailureTimeline),
+/// One remembered route: what [`Graph::route_in`] returned for the
+/// pair, and the nodes of the path it found (none for a partition).
+#[derive(Default)]
+struct MemoEntry {
+    from: NodeId,
+    to: NodeId,
+    route: Option<(f64, usize)>,
+    nodes: Vec<NodeId>,
+}
+
+/// Routes resolved so far in one replay, keyed by `(from, to)` and
+/// dropped exactly when an applied chaos event can change Dijkstra's
+/// answer — the rule and why it is exact are in the [module
+/// doc](self#route-resolution).
+///
+/// One memo serves one [`ChaosCursor`] from t = 0: every slice
+/// [`ChaosCursor::advance_to`] returns goes to [`Self::observe`], and
+/// [`Self::clear`] starts the next replay.
+#[derive(Default)]
+pub struct RouteMemo {
+    /// `entries[..live]` are remembered; the tail only keeps its path
+    /// buffers for reuse.
+    entries: Vec<MemoEntry>,
+    live: usize,
+    paths: PathScratch,
+}
+
+impl RouteMemo {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forget every route (a new replay, a new cursor).
+    pub fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// Account for the events the cursor just applied.
+    pub fn observe(&mut self, applied: &[ChaosEvent]) {
+        for ev in applied {
+            match ev.action {
+                ChaosAction::Recover(_) | ChaosAction::LinkUp(..) => self.clear(),
+                ChaosAction::Crash(n) => self.drop_if(|path| path.contains(&n)),
+                ChaosAction::LinkDown(a, b) => {
+                    self.drop_if(|path| path.contains(&a) && path.contains(&b));
+                }
+                ChaosAction::BurstStart { .. } | ChaosAction::BurstEnd => {}
+            }
+        }
+    }
+
+    /// `(cost, hops)` of the route `from → to` under `cursor`'s current
+    /// view, `None` for a partition: bit-for-bit what
+    /// [`Graph::shortest_path_avoiding`] answers for the same view.
+    pub fn resolve(
+        &mut self,
+        graph: &Graph,
+        cursor: &ChaosCursor<'_>,
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<(f64, usize)> {
+        let known = self.entries[..self.live]
+            .iter()
+            .find(|e| e.from == from && e.to == to);
+        if let Some(e) = known {
+            return e.route;
+        }
+        let route = graph.route_in(
+            from,
+            to,
+            |n| cursor.is_dead(n),
+            |a, b| cursor.link_down(a, b),
+            &mut self.paths,
+        );
+        if self.live == self.entries.len() {
+            self.entries.push(MemoEntry::default());
+        }
+        let e = &mut self.entries[self.live];
+        self.live += 1;
+        (e.from, e.to, e.route) = (from, to, route);
+        e.nodes.clear();
+        e.nodes.extend(self.paths.path_rev());
+        route
+    }
+
+    fn drop_if(&mut self, hit: impl Fn(&[NodeId]) -> bool) {
+        let mut i = 0;
+        while i < self.live {
+            if hit(&self.entries[i].nodes) {
+                self.live -= 1;
+                self.entries.swap(i, self.live);
+            } else {
+                i += 1;
+            }
+        }
+    }
 }
 
 /// Reusable per-run working memory for [`ProcedureSim`].
 ///
-/// One run needs an event queue plus five per-step vectors; a sweep
-/// that replays thousands of procedures can hand the same scratch to
-/// every [`ProcedureSim::run_in`] call and amortize all of those
-/// allocations to one. Outcomes and telemetry are bit-identical to the
-/// scratch-free entry points — the queue's [`EventQueue::reset`]
-/// rewinds time and the sequence counter completely.
+/// One run needs an event queue, five per-step vectors and the route
+/// memo with its Dijkstra scratch; a sweep that replays thousands of
+/// procedures can hand the same scratch to every
+/// [`ProcedureSim::run_in`] call and amortize all of those allocations
+/// to one (what a run still allocates is its outcome's `deliveries`,
+/// and span fields when telemetry is on). Outcomes and telemetry are
+/// bit-identical to the scratch-free entry points — the queue's
+/// [`EventQueue::reset`] rewinds time and the sequence counter
+/// completely, and the memo is cleared per run.
 #[derive(Default)]
 pub struct SimScratch {
     q: EventQueue<Ev>,
@@ -148,6 +292,11 @@ pub struct SimScratch {
     partition_retries: Vec<u32>,
     step_spans: Vec<SpanId>,
     tx_spans: Vec<SpanId>,
+    routes: RouteMemo,
+    /// Test oracle: forget every route before every send, i.e. run one
+    /// Dijkstra per transmission as if there were no memo.
+    #[cfg(test)]
+    forget_before_send: bool,
 }
 
 impl SimScratch {
@@ -159,7 +308,10 @@ impl SimScratch {
 /// Message-level procedure simulator.
 pub struct ProcedureSim<'a> {
     graph: &'a Graph,
-    failures: FailureSource<'a>,
+    /// The one failure view. A static snapshot is held as its
+    /// [`FailureTimeline::from_static`] embedding: dead from t = 0, no
+    /// events.
+    failures: Cow<'a, FailureTimeline>,
     cfg: SimConfig,
     /// Telemetry (disabled by default): `netsim.sim.*` counters, the
     /// per-procedure latency histogram, and one `netsim.delivery` event
@@ -178,10 +330,12 @@ enum Ev {
 }
 
 impl<'a> ProcedureSim<'a> {
+    /// Simulate against a static pre-run snapshot: the routing view
+    /// never changes during the run.
     pub fn new(graph: &'a Graph, failures: &'a NodeFailures, cfg: SimConfig) -> Self {
         Self {
             graph,
-            failures: FailureSource::Static(failures),
+            failures: Cow::Owned(FailureTimeline::from_static(failures)),
             cfg,
             obs: Recorder::disabled(),
         }
@@ -189,14 +343,14 @@ impl<'a> ProcedureSim<'a> {
 
     /// Simulate against a dynamic [`FailureTimeline`] instead of a
     /// static snapshot: the timeline is replayed as the DES clock
-    /// advances, every transmission re-resolves its path against the
-    /// *current* dead-node/link set, and open loss-burst windows add
-    /// their own per-transmission losses. An empty timeline is
-    /// outcome-identical to [`Self::new`] with [`NodeFailures::none`].
+    /// advances, every transmission is routed against the *current*
+    /// dead-node/link set, and open loss-burst windows add their own
+    /// per-transmission losses. An empty timeline is outcome-identical
+    /// to [`Self::new`] with [`NodeFailures::none`].
     pub fn with_timeline(graph: &'a Graph, timeline: &'a FailureTimeline, cfg: SimConfig) -> Self {
         Self {
             graph,
-            failures: FailureSource::Timeline(timeline),
+            failures: Cow::Borrowed(timeline),
             cfg,
             obs: Recorder::disabled(),
         }
@@ -257,7 +411,7 @@ impl<'a> ProcedureSim<'a> {
     }
 
     /// [`Self::run_traced`] against a caller-owned [`SimScratch`];
-    /// outcome- and telemetry-identical, allocation-free per run.
+    /// outcome- and telemetry-identical.
     pub fn run_traced_in(
         &self,
         steps: &[SimStep],
@@ -286,15 +440,15 @@ impl<'a> ProcedureSim<'a> {
             partition_retries,
             step_spans,
             tx_spans,
+            routes,
+            #[cfg(test)]
+            forget_before_send,
         } = scratch;
         q.reset();
         q.attach_recorder(self.obs.clone());
-        // Dynamic-failure view, replayed as the DES clock advances
-        // (absent for the legacy static snapshot).
-        let mut cursor: Option<ChaosCursor<'_>> = match &self.failures {
-            FailureSource::Timeline(tl) => Some(tl.cursor()),
-            FailureSource::Static(_) => None,
-        };
+        // The failure view, replayed as the DES clock advances.
+        let mut cursor = self.failures.cursor();
+        routes.clear();
         let mut deliveries: Vec<(&'static str, f64)> = Vec::new();
         delivered.clear();
         delivered.resize(steps.len(), false);
@@ -338,9 +492,7 @@ impl<'a> ProcedureSim<'a> {
         while let Some(ev) = q.pop() {
             let now = ev.time;
             last_time = now;
-            if let Some(c) = cursor.as_mut() {
-                c.advance_to(now, &self.obs);
-            }
+            routes.observe(cursor.advance_to(now, &self.obs));
             match ev.event {
                 Ev::Send { idx, attempt } => {
                     if delivered[idx] {
@@ -371,21 +523,14 @@ impl<'a> ProcedureSim<'a> {
                         );
                     }
                     let step = &steps[idx];
-                    // Per-attempt path resolution: a chaos run reroutes
-                    // around nodes that died after the procedure started.
-                    let path = if let Some(c) = cursor.as_ref() {
-                        self.graph.shortest_path_avoiding(
-                            step.from,
-                            step.to,
-                            |n| c.is_dead(n),
-                            |a, b| c.link_down(a, b),
-                        )
-                    } else if let FailureSource::Static(nf) = &self.failures {
-                        self.graph.shortest_path(step.from, step.to, nf.blocker())
-                    } else {
-                        None // timeline source always has a cursor
-                    };
-                    match path {
+                    #[cfg(test)]
+                    if *forget_before_send {
+                        routes.clear();
+                    }
+                    // Routed against the view current at this send: a
+                    // chaos run reroutes around nodes that died after
+                    // the procedure started.
+                    match routes.resolve(self.graph, &cursor, step.from, step.to) {
                         None if self.cfg.retry_on_partition => {
                             // Partition-as-transient: wait a backoff and
                             // re-resolve, bounded by the deadline budget
@@ -417,19 +562,15 @@ impl<'a> ProcedureSim<'a> {
                             completed = false;
                             break; // endpoints partitioned
                         }
-                        Some(p) => {
-                            let mut lost = if self.cfg.loss_per_hop {
+                        Some((cost, hops)) => {
+                            let lost = if self.cfg.loss_per_hop {
                                 // First lossy hop kills the transmission.
-                                (0..p.hops()).any(|_| loss.lost())
+                                (0..hops).any(|_| loss.lost())
                             } else {
                                 loss.lost()
                             };
-                            if !lost {
-                                if let Some(c) = cursor.as_mut() {
-                                    // Open Fig. 13b-style burst window?
-                                    lost = c.burst_loss(&self.obs);
-                                }
-                            }
+                            // Open Fig. 13b-style burst window?
+                            let lost = lost || cursor.burst_loss(&self.obs);
                             let rto = self.cfg.rto_for(attempt);
                             if lost {
                                 self.obs.inc("netsim.sim.losses", 1);
@@ -441,7 +582,7 @@ impl<'a> ProcedureSim<'a> {
                                         now + rto,
                                         vec![
                                             ("attempt", FieldValue::from(attempt as u64)),
-                                            ("hops", FieldValue::from(p.hops())),
+                                            ("hops", FieldValue::from(hops)),
                                             ("lost", FieldValue::from(1u64)),
                                         ],
                                     );
@@ -451,7 +592,7 @@ impl<'a> ProcedureSim<'a> {
                                 // recovers it.
                                 q.schedule(now + rto, Ev::Timeout { idx, attempt });
                             } else {
-                                let delay = p.cost + self.cfg.endpoint_processing_ms;
+                                let delay = cost + self.cfg.endpoint_processing_ms;
                                 if traced {
                                     tx_spans[idx] = self.obs.span_open(
                                         Some(step_spans[idx]),
@@ -459,7 +600,7 @@ impl<'a> ProcedureSim<'a> {
                                         now,
                                         vec![
                                             ("attempt", FieldValue::from(attempt as u64)),
-                                            ("hops", FieldValue::from(p.hops())),
+                                            ("hops", FieldValue::from(hops)),
                                         ],
                                     );
                                 }
@@ -1031,6 +1172,112 @@ mod tests {
         let o_tl = ProcedureSim::with_timeline(&g, &tl, SimConfig::default())
             .run(&steps, &mut LossProcess::new(0.3, 42));
         assert_eq!(o_static, o_tl);
+    }
+
+    /// Ring of `n` nodes (5–7 ms links) with 17 ms chords across it:
+    /// every pair has several routes, of different hop counts.
+    fn ring_with_chords(n: usize) -> Graph {
+        let mut g = Graph::new(n);
+        for i in 0..n {
+            g.add_bidirectional(i, (i + 1) % n, 5.0 + (i % 3) as f64);
+        }
+        for i in 0..n / 2 {
+            g.add_bidirectional(i, i + n / 2, 17.0);
+        }
+        g
+    }
+
+    #[test]
+    fn memoised_replay_equals_one_search_per_send() {
+        use crate::failure::Xorshift64;
+        let n = 16;
+        let g = ring_with_chords(n);
+        // 12 alternating legs, as a home-routed recovery ping-pongs.
+        let legs: Vec<(&str, NodeId, NodeId)> = (0..12)
+            .map(|i| {
+                if i % 2 == 0 {
+                    ("up", 0, n / 2)
+                } else {
+                    ("down", n / 2, 0)
+                }
+            })
+            .collect();
+        let steps = steps_from_pairs(&legs);
+        let mut rng = Xorshift64::new(0x5EED);
+        let mut memo = SimScratch::new();
+        let mut oracle = SimScratch {
+            forget_before_send: true,
+            ..SimScratch::new()
+        };
+        let mut blocked = 0;
+        for case in 0..600 {
+            let p_crash = [0.0, 0.1, 0.3, 0.5][rng.below(4)];
+            let recover = [None, Some(5.0), Some(30.0), Some(200.0)][rng.below(4)];
+            let (down, a) = (rng.next_f64() * 300.0, rng.below(n));
+            // Crashes and heals land while the ~20 ms legs are running;
+            // node 0 is protected, its peer n/2 is not (partitions).
+            let tl = FailureTimeline::random_crashes(n, p_crash, 300.0, recover, rng.next_u64())
+                .without_node(0)
+                .link_flap(down, down + rng.next_f64() * 100.0, a, (a + 1) % n)
+                .loss_burst(20.0, 150.0, 0.3)
+                .with_seed(rng.next_u64());
+            let cfg = SimConfig {
+                rto_ms: 60.0,
+                max_attempts: 6,
+                backoff_factor: 1.5,
+                rto_cap_ms: 300.0,
+                retry_on_partition: case % 2 == 0,
+                total_deadline_ms: 2_000.0,
+                loss_per_hop: true,
+                ..SimConfig::default()
+            };
+            let sim = ProcedureSim::with_timeline(&g, &tl, cfg);
+            let seed = rng.next_u64();
+            let got = sim.run_in(&steps, &mut LossProcess::new(0.05, seed), &mut memo);
+            let want = sim.run_in(&steps, &mut LossProcess::new(0.05, seed), &mut oracle);
+            assert_eq!(got, want, "case {case}");
+            blocked += usize::from(!got.completed);
+        }
+        assert!((50..550).contains(&blocked), "{blocked} of 600 blocked");
+    }
+
+    #[test]
+    fn reused_scratch_equals_fresh_runs() {
+        let g = line();
+        // Node 2 dies at t = 15 ms: while the first leg is on the wire.
+        let tl = FailureTimeline::none().crash(15.0, 2);
+        let long = steps_from_pairs(&[("a", 0, 1), ("b", 1, 0), ("c", 0, 1), ("d", 1, 1)]);
+        let short = steps_from_pairs(&[("a", 0, 1)]);
+        // Legacy abort-on-partition: leg "b" finds 0 cut off and the run
+        // blocks with leg "a"'s RTO timer still queued.
+        let cut = steps_from_pairs(&[("a", 0, 3), ("b", 3, 0)]);
+        let rec_reused = Recorder::new();
+        let rec_fresh = Recorder::new();
+        let traced = |rec: &Recorder| {
+            ProcedureSim::with_timeline(&g, &tl, SimConfig::default()).with_recorder(rec.clone())
+        };
+        let quiet = ProcedureSim::with_timeline(&g, &tl, SimConfig::default());
+        let mut scratch = SimScratch::new();
+        let loss = || LossProcess::new(0.2, 9);
+
+        // A traced run, then quiet ones on the same scratch — run 0 and
+        // runs 1–39 of an `ext_chaos` cell.
+        let first = traced(&rec_reused).run_in(&long, &mut loss(), &mut scratch);
+        assert_eq!(first, traced(&rec_fresh).run(&long, &mut loss()));
+        for steps in [&short, &cut, &long, &[][..], &cut, &short] {
+            let reused = quiet.run_in(steps, &mut loss(), &mut scratch);
+            assert_eq!(reused, quiet.run(steps, &mut loss()));
+        }
+        // Leg "a" went through on its first transmission (so its timer
+        // is the queued event) and leg "b" never left.
+        let o = quiet.run(&cut, &mut loss());
+        assert!(
+            !o.completed && o.transmissions == 2 && o.deliveries.len() == 1,
+            "{o:?}"
+        );
+        // The quiet runs added nothing to the first run's recorder.
+        assert_eq!(rec_reused.snapshot(), rec_fresh.snapshot());
+        assert_eq!(rec_fresh.snapshot().counter("netsim.sim.procedures"), 1);
     }
 
     #[test]

@@ -41,6 +41,97 @@ impl PathResult {
     }
 }
 
+/// Heap entry of the Dijkstra loop: min-heap on `(dist, node)`.
+#[derive(Debug, Clone, PartialEq)]
+struct QItem {
+    dist: f64,
+    node: NodeId,
+}
+impl Eq for QItem {}
+impl Ord for QItem {
+    fn cmp(&self, o: &Self) -> Ordering {
+        o.dist
+            .total_cmp(&self.dist)
+            .then_with(|| o.node.cmp(&self.node))
+    }
+}
+impl PartialOrd for QItem {
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
+
+/// One node's Dijkstra label. Live only while `stamp` equals the
+/// scratch's current generation; anything older reads as unreached.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    stamp: u32,
+    dist: f64,
+    prev: NodeId,
+}
+
+/// Reusable working memory for [`Graph::route_in`]: generation-stamped
+/// labels (starting a search is O(1), not an `n`-sized fill) and the
+/// heap. After a successful search it also holds the found path.
+#[derive(Debug, Clone, Default)]
+pub struct PathScratch {
+    generation: u32,
+    labels: Vec<Label>,
+    heap: BinaryHeap<QItem>,
+    /// Endpoints of the last search, if it reached its destination.
+    found: Option<(NodeId, NodeId)>,
+}
+
+impl PathScratch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Nodes of the last found path, destination first. Empty after a
+    /// search that found none.
+    pub fn path_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let src = self.found.map(|(src, _)| src);
+        std::iter::successors(self.found.map(|(_, dst)| dst), move |&cur| {
+            (Some(cur) != src).then(|| self.labels[cur].prev)
+        })
+    }
+
+    /// Start a search over `n` nodes: every label reads as unreached.
+    fn begin(&mut self, n: usize) {
+        const UNREACHED: Label = Label {
+            stamp: 0,
+            dist: f64::INFINITY,
+            prev: usize::MAX,
+        };
+        if self.generation == u32::MAX {
+            self.labels.fill(UNREACHED);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        if self.labels.len() < n {
+            self.labels.resize(n, UNREACHED);
+        }
+        self.heap.clear();
+    }
+
+    fn dist(&self, node: NodeId) -> f64 {
+        let l = &self.labels[node];
+        if l.stamp == self.generation {
+            l.dist
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    fn relabel(&mut self, node: NodeId, dist: f64, prev: NodeId) {
+        self.labels[node] = Label {
+            stamp: self.generation,
+            dist,
+            prev,
+        };
+    }
+}
+
 impl Graph {
     /// Create a graph with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
@@ -116,40 +207,46 @@ impl Graph {
         blocked: impl Fn(NodeId) -> bool,
         blocked_edge: impl Fn(NodeId, NodeId) -> bool,
     ) -> Option<PathResult> {
+        let mut scratch = PathScratch::new();
+        let (cost, _) = self.route_in(src, dst, blocked, blocked_edge, &mut scratch)?;
+        let mut path: Vec<NodeId> = scratch.path_rev().collect();
+        path.reverse();
+        Some(PathResult { path, cost })
+    }
+
+    /// The one Dijkstra loop: [`Self::shortest_path_avoiding`] against
+    /// caller-owned working memory, returning only `(cost, hops)`. The
+    /// found path's nodes stay readable through
+    /// [`PathScratch::path_rev`] until the scratch's next search.
+    ///
+    /// The search order is part of the contract — the heap pops in
+    /// `(dist, node)` order and a label is replaced only by a strictly
+    /// smaller one — because [`crate::sim::RouteMemo`]'s invalidation
+    /// rule is exact only for that order.
+    pub fn route_in(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        blocked: impl Fn(NodeId) -> bool,
+        blocked_edge: impl Fn(NodeId, NodeId) -> bool,
+        scratch: &mut PathScratch,
+    ) -> Option<(f64, usize)> {
+        scratch.found = None;
         if blocked(src) || blocked(dst) {
             return None;
         }
-        #[derive(PartialEq)]
-        struct QItem {
-            dist: f64,
-            node: NodeId,
-        }
-        impl Eq for QItem {}
-        impl Ord for QItem {
-            fn cmp(&self, o: &Self) -> Ordering {
-                o.dist
-                    .total_cmp(&self.dist)
-                    .then_with(|| o.node.cmp(&self.node))
-            }
-        }
-        impl PartialOrd for QItem {
-            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-                Some(self.cmp(o))
-            }
-        }
+        scratch.begin(self.adj.len());
+        scratch.relabel(src, 0.0, src);
+        scratch.heap.push(QItem {
+            dist: 0.0,
+            node: src,
+        });
 
-        let n = self.adj.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![usize::MAX; n];
-        let mut heap = BinaryHeap::new();
-        dist[src] = 0.0;
-        heap.push(QItem { dist: 0.0, node: src });
-
-        while let Some(QItem { dist: d, node }) = heap.pop() {
+        while let Some(QItem { dist: d, node }) = scratch.heap.pop() {
             if node == dst {
                 break;
             }
-            if d > dist[node] {
+            if d > scratch.dist(node) {
                 continue;
             }
             for e in &self.adj[node] {
@@ -157,28 +254,22 @@ impl Graph {
                     continue;
                 }
                 let nd = d + e.weight;
-                if nd < dist[e.to] {
-                    dist[e.to] = nd;
-                    prev[e.to] = node;
-                    heap.push(QItem { dist: nd, node: e.to });
+                if nd < scratch.dist(e.to) {
+                    scratch.relabel(e.to, nd, node);
+                    scratch.heap.push(QItem {
+                        dist: nd,
+                        node: e.to,
+                    });
                 }
             }
         }
 
-        if dist[dst].is_infinite() {
+        let cost = scratch.dist(dst);
+        if cost.is_infinite() {
             return None;
         }
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != src {
-            cur = prev[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(PathResult {
-            path,
-            cost: dist[dst],
-        })
+        scratch.found = Some((src, dst));
+        Some((cost, scratch.path_rev().count() - 1))
     }
 
     /// Hop count of the shortest path by *hops* (unit weights), or `None`
@@ -272,6 +363,33 @@ mod tests {
         assert_eq!(r.path, vec![2]);
         assert_eq!(r.hops(), 0);
         assert_eq!(r.cost, 0.0);
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_searches() {
+        let g = diamond();
+        let mut ring = Graph::new(10);
+        for i in 0..10 {
+            ring.add_bidirectional(i, (i + 1) % 10, 1.0);
+        }
+        let mut scratch = PathScratch::new();
+        // Small graph, larger graph, a blocked search, small again: no
+        // label of an earlier search leaks into a later one.
+        let searches: [(&Graph, NodeId, NodeId, NodeId); 5] = [
+            (&g, 0, 3, usize::MAX),
+            (&ring, 0, 5, usize::MAX),
+            (&g, 0, 3, 1),
+            (&g, 0, 3, 3),
+            (&g, 2, 2, usize::MAX),
+        ];
+        for (graph, src, dst, dead) in searches {
+            let fresh = graph.shortest_path(src, dst, |n| n == dead);
+            let got = graph.route_in(src, dst, |n| n == dead, |_, _| false, &mut scratch);
+            assert_eq!(got, fresh.as_ref().map(|p| (p.cost, p.hops())));
+            let mut path: Vec<NodeId> = scratch.path_rev().collect();
+            path.reverse();
+            assert_eq!(path, fresh.map(|p| p.path).unwrap_or_default());
+        }
     }
 
     #[test]

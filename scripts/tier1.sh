@@ -95,8 +95,12 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
 
     # Chaos experiment: the result JSON and the telemetry sidecar must
     # both be byte-identical across thread counts (the timeline replay,
-    # burst draws, and per-cell recorders are all seeded + slot-merged).
-    echo "== tier-1: ext_chaos result/telemetry byte-stability (threads 1 vs 4)" >&2
+    # burst draws, and per-cell recorders are all seeded + slot-merged)
+    # and equal to the checked-in golden pair. The sidecar carries every
+    # traced transmission's `hops`, the netsim.sim.* / netsim.chaos.*
+    # counters and the chaos events, so a route that differs from a
+    # fresh Dijkstra's shows here.
+    echo "== tier-1: ext_chaos result/telemetry byte-stability (threads 1 vs 4, vs results/)" >&2
     ( cd "$OBS_TMP" && \
       SC_EMU_THREADS=1 cargo run -q --release --offline \
           --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin ext_chaos -- \
@@ -110,7 +114,11 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
         echo "== tier-1: FAIL — ext_chaos results differ across thread counts" >&2; exit 1; }
     cmp "$OBS_TMP/ext_chaos.t1.json" "$OBS_TMP/ext_chaos.t4.json" || {
         echo "== tier-1: FAIL — ext_chaos telemetry differs across thread counts" >&2; exit 1; }
-    echo "== tier-1: ext_chaos byte-stable (results + telemetry, threads 1 vs 4)" >&2
+    cmp "$OBS_TMP/ext_chaos.r1.json" results/ext_chaos.json || {
+        echo "== tier-1: FAIL — ext_chaos run differs from results/ext_chaos.json" >&2; exit 1; }
+    cmp "$OBS_TMP/ext_chaos.t1.json" results/ext_chaos.telemetry.json || {
+        echo "== tier-1: FAIL — ext_chaos run differs from results/ext_chaos.telemetry.json" >&2; exit 1; }
+    echo "== tier-1: ext_chaos byte-stable (results + telemetry, threads 1 vs 4) and equal to results/" >&2
 
     # Sustained-load engine, bounded smoke configs (seconds, not the
     # million-UE soaks; docs/BENCHMARKS.md covers those and their SLOs).

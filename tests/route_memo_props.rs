@@ -1,0 +1,162 @@
+//! `ProcedureSim`'s route memo pinned to the search it skips.
+//!
+//! `sc_netsim::sim::RouteMemo` reuses a resolved route until an applied
+//! chaos event can change Dijkstra's answer (the rule and its argument
+//! are in `sim.rs`'s module doc). Here a `ChaosCursor` walks generated
+//! timelines — random crashes with and without recovery, link flaps, a
+//! protected endpoint — and at every stop the memoised `(cost bits,
+//! hops)`, or `None` for a partition, must be what the public
+//! `Graph::shortest_path_avoiding` returns for the same cursor: on tori
+//! with unit weights (every route tied many ways), on tori with three
+//! weight classes, zero included (ties between routes of different hop
+//! counts), and on the Starlink ISL graph `ext_chaos` replays over.
+//! `ext_chaos`'s own seeds are compile-time constants, so these
+//! timelines are the unseen-seed half of its byte-identity claim.
+
+use proptest::prelude::*;
+use sc_netsim::chaos::FailureTimeline;
+use sc_netsim::failure::Xorshift64;
+use sc_netsim::isl::{IslConfig, IslNetwork};
+use sc_netsim::sim::RouteMemo;
+use sc_netsim::topo::{Graph, NodeId};
+use sc_obs::Recorder;
+use sc_orbit::{ConstellationConfig, GroundStationSet, IdealPropagator, SatId};
+use std::sync::OnceLock;
+
+const HORIZON_MS: f64 = 300.0;
+const P_CRASH: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
+const RECOVER_MS: [Option<f64>; 4] = [None, Some(5.0), Some(30.0), Some(200.0)];
+
+/// `w × h` torus; edge `k` (in build order) weighs `weights[k % len]`.
+fn torus(w: usize, h: usize, weights: &[f64]) -> Graph {
+    let mut g = Graph::new(w * h);
+    let mut k = 0;
+    for y in 0..h {
+        for x in 0..w {
+            for to in [y * w + (x + 1) % w, ((y + 1) % h) * w + x] {
+                g.add_bidirectional(y * w + x, to, weights[k % weights.len()]);
+                k += 1;
+            }
+        }
+    }
+    g
+}
+
+/// A seeded timeline over the first `crashable` nodes of `graph`:
+/// random crashes, `flaps` link flaps on existing edges, and `keep`
+/// stripped back out (so one endpoint is always alive while the others
+/// come and go, which is what partitions and heals them).
+fn timeline(
+    graph: &Graph,
+    crashable: usize,
+    flaps: usize,
+    keep: NodeId,
+    rng: &mut Xorshift64,
+) -> FailureTimeline {
+    let p = P_CRASH[rng.below(P_CRASH.len())];
+    let recover = RECOVER_MS[rng.below(RECOVER_MS.len())];
+    let mut tl = FailureTimeline::random_crashes(crashable, p, HORIZON_MS, recover, rng.next_u64());
+    for _ in 0..flaps {
+        let a = rng.below(graph.len());
+        let degree = graph.neighbors(a).count();
+        if degree == 0 {
+            continue;
+        }
+        let (b, _) = graph
+            .neighbors(a)
+            .nth(rng.below(degree))
+            .expect("index < degree");
+        let down = rng.next_f64() * HORIZON_MS;
+        tl = tl.link_flap(down, down + rng.next_f64() * 100.0, a, b);
+    }
+    tl.without_node(keep)
+}
+
+/// Walk one cursor and one memo through `tl` in `stops` random steps;
+/// at each stop query a random subset of `pairs` (an entry may sit
+/// through several batches of events before it is asked for again).
+fn memo_matches_fresh_search(
+    graph: &Graph,
+    tl: &FailureTimeline,
+    pairs: &[(NodeId, NodeId)],
+    stops: usize,
+    rng: &mut Xorshift64,
+) {
+    let obs = Recorder::disabled();
+    let mut cursor = tl.cursor();
+    let mut memo = RouteMemo::new();
+    let mut now = 0.0;
+    for _ in 0..stops {
+        memo.observe(cursor.advance_to(now, &obs));
+        for &(from, to) in pairs {
+            if rng.chance(0.3) {
+                continue;
+            }
+            let fresh = graph
+                .shortest_path_avoiding(
+                    from,
+                    to,
+                    |n| cursor.is_dead(n),
+                    |a, b| cursor.link_down(a, b),
+                )
+                .map(|p| (p.cost.to_bits(), p.hops()));
+            let memoised = memo
+                .resolve(graph, &cursor, from, to)
+                .map(|(cost, hops)| (cost.to_bits(), hops));
+            assert_eq!(memoised, fresh, "{from} -> {to} at t = {now} ms");
+        }
+        now += rng.next_f64() * 2.0 * (HORIZON_MS + 250.0) / stops as f64;
+    }
+}
+
+fn torus_case(weights: &[f64], w: usize, h: usize, seed: u64) {
+    let mut rng = Xorshift64::new(seed);
+    let g = torus(w, h, weights);
+    let n = g.len();
+    let (a, b, c) = (rng.below(n), rng.below(n), rng.below(n));
+    let tl = timeline(&g, n, 3, a, &mut rng);
+    memo_matches_fresh_search(&g, &tl, &[(a, b), (b, a), (a, c), (c, b)], 60, &mut rng);
+}
+
+fn starlink() -> &'static IslNetwork {
+    static NET: OnceLock<IslNetwork> = OnceLock::new();
+    NET.get_or_init(|| {
+        let prop = IdealPropagator::new(ConstellationConfig::starlink());
+        let stations = GroundStationSet::starlink_like();
+        IslNetwork::build(&prop, &stations, 0.0, IslConfig::default())
+    })
+}
+
+proptest! {
+    #[test]
+    fn memo_matches_fresh_search_on_unit_tori(w in 3usize..9, h in 3usize..9, seed in any::<u64>()) {
+        torus_case(&[1.0], w, h, seed);
+    }
+
+    #[test]
+    fn memo_matches_fresh_search_on_weighted_tori(w in 3usize..9, h in 3usize..9, seed in any::<u64>()) {
+        torus_case(&[0.0, 1.0, 2.0], w, h, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `ext_chaos`'s own shape: serving satellite ⇄ gateway over the
+    /// Starlink graph, the serving satellite protected.
+    #[test]
+    fn memo_matches_fresh_search_on_starlink(seed in any::<u64>()) {
+        let net = starlink();
+        let mut rng = Xorshift64::new(seed);
+        let serving = net.sat_node(SatId::new(10, 6));
+        let gateway = net.ground_node(0);
+        let tl = timeline(net.graph(), net.num_sats(), 8, serving, &mut rng);
+        memo_matches_fresh_search(
+            net.graph(),
+            &tl,
+            &[(serving, gateway), (gateway, serving)],
+            40,
+            &mut rng,
+        );
+    }
+}
