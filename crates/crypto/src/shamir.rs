@@ -55,6 +55,10 @@ pub fn split(
 /// Panics if `shares` is empty or contains duplicate x-coordinates.
 pub fn reconstruct(shares: &[Share]) -> Fe {
     assert!(!shares.is_empty(), "need at least one share");
+    // A lone share (an OR gate, 1-of-n) has Lagrange coefficient 1.
+    if let [only] = shares {
+        return only.y;
+    }
     for (i, a) in shares.iter().enumerate() {
         for b in &shares[i + 1..] {
             assert!(a.x != b.x, "duplicate share x-coordinate");
@@ -72,6 +76,8 @@ pub fn reconstruct(shares: &[Share]) -> Fe {
             num = num.mul(sj.x.neg());
             den = den.mul(si.x.sub(sj.x));
         }
+        // One inversion per share, deliberately not batched: it is the
+        // per-leaf cost that stands in for a pairing (Fig. 18a's slope).
         acc = acc.add(si.y.mul(num.mul(den.inv())));
     }
     acc

@@ -49,9 +49,10 @@ impl EncryptedUeState {
         now > self.expires_at
     }
 
-    /// Wire size in bytes for signaling-cost accounting.
+    /// Wire size in bytes for signaling-cost accounting: the length of
+    /// [`crate::wire::encode_state`]'s output.
     pub fn size_bytes(&self) -> usize {
-        self.ciphertext.size_bytes() + 4 + 8 + 8
+        crate::wire::encoded_len(self)
     }
 }
 
@@ -193,11 +194,11 @@ impl HomeCrypto {
     }
 
     fn sign_envelope(&self, version: u32, expires_at: f64, payload: &[u8]) -> u64 {
-        let mut buf = Vec::with_capacity(payload.len() + 12);
-        buf.extend_from_slice(&version.to_le_bytes());
-        buf.extend_from_slice(&expires_at.to_bits().to_le_bytes());
-        buf.extend_from_slice(payload);
-        crate::field::keyed_hash(self.sign_key, &buf)
+        let mut h = crate::field::KeyedHasher::new(self.sign_key);
+        h.update(&version.to_le_bytes());
+        h.update(&expires_at.to_bits().to_le_bytes());
+        h.update(payload);
+        h.finish()
     }
 
     /// Verify the home signature over a decrypted state. Satellites call

@@ -47,7 +47,7 @@ const MAX_POLICY_DEPTH: usize = 16;
 
 /// Encode an encrypted UE state to bytes.
 pub fn encode_state(st: &EncryptedUeState) -> Vec<u8> {
-    let mut b = Vec::with_capacity(256);
+    let mut b = Vec::with_capacity(encoded_len(st));
     b.push(1u8);
     b.extend_from_slice(&st.version.to_le_bytes());
     b.extend_from_slice(&st.expires_at.to_bits().to_le_bytes());
@@ -75,6 +75,24 @@ pub fn decode_state(b: &[u8]) -> Result<EncryptedUeState, WireError> {
         ciphertext,
         home_sig,
     })
+}
+
+/// Exactly `encode_state(st).len()`, from the layout above.
+pub(crate) fn encoded_len(st: &EncryptedUeState) -> usize {
+    let (policy, shares, _, payload, _) = st.ciphertext.parts();
+    (1 + 4 + 8 + 8) + (8 + 8 + 2 + 8 * shares.len()) + policy_len(policy) + 4 + payload.len()
+}
+
+fn policy_len(p: &AccessTree) -> usize {
+    match p {
+        AccessTree::Leaf(a) => 1 + 2 + a.as_str().len(),
+        AccessTree::And(children) | AccessTree::Or(children) => {
+            1 + 2 + children.iter().map(policy_len).sum::<usize>()
+        }
+        AccessTree::Threshold { children, .. } => {
+            1 + 2 + 2 + children.iter().map(policy_len).sum::<usize>()
+        }
+    }
 }
 
 fn encode_ciphertext(ct: &AbeCiphertext, b: &mut Vec<u8>) {
@@ -283,6 +301,31 @@ mod tests {
         let st = home.encrypt_state(b"p", &tree, 1, 1.0, 1);
         let b = encode_state(&st);
         assert_eq!(decode_state(&b).unwrap_err(), WireError::PolicyTooDeep);
+    }
+
+    #[test]
+    fn size_bytes_is_the_encoded_length() {
+        let home = HomeCrypto::setup(1);
+        // The home's per-UE policy (`spacecore::home`): satellites OR the UE itself.
+        let per_ue = AccessTree::Or(vec![
+            AccessTree::all_of(&["role:satellite", "authorized"]),
+            AccessTree::all_of(&["role:ue", "supi:460010000000042"]),
+        ]);
+        let states = [
+            sample_state(),
+            home.encrypt_state(&[7u8; 153], &per_ue, 1, 3600.0, 9),
+            home.encrypt_state(b"", &AccessTree::leaf("a"), 1, 1.0, 1),
+            home.encrypt_state(
+                &[0u8; 500],
+                &AccessTree::all_of(&["a", "b", "c", "d", "e", "f"]),
+                1,
+                1.0,
+                1,
+            ),
+        ];
+        for st in &states {
+            assert_eq!(st.size_bytes(), encode_state(st).len());
+        }
     }
 
     #[test]

@@ -111,6 +111,19 @@ pub enum NasDecodeError {
     UnknownIe(u8),
 }
 
+impl std::fmt::Display for NasDecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NasDecodeError::Truncated => f.write_str("truncated message"),
+            NasDecodeError::BadDiscriminator => f.write_str("not a 5GMM message"),
+            NasDecodeError::BadMessageType => f.write_str("unknown message type"),
+            NasDecodeError::UnknownIe(tag) => write!(f, "unknown IE tag {tag:#04x}"),
+        }
+    }
+}
+
+impl std::error::Error for NasDecodeError {}
+
 const EPD_5GMM: u8 = 0x7E; // extended protocol discriminator, 5G MM
 
 impl NasMessage {

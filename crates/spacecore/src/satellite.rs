@@ -10,9 +10,13 @@
 
 use crate::home::HomeNetwork;
 use crate::uestate::UeDevice;
-use sc_crypto::statecrypt::{satellite_local_access_obs, ue_complete_exchange, SatCredentials,
-    StateCryptError};
+use sc_crypto::statecrypt::{
+    satellite_local_access_obs, ue_complete_exchange, EncryptedUeState, SatCredentials,
+    StateCryptError,
+};
+use sc_crypto::wire::WireError;
 use sc_fiveg::ids::Supi;
+use sc_fiveg::nas::{IeTag, NasDecodeError, NasMessage};
 use sc_fiveg::state::SessionState;
 use sc_orbit::SatId;
 use std::collections::HashMap;
@@ -30,13 +34,61 @@ pub struct SessionOutcome {
     pub session_key: Option<u64>,
 }
 
-/// Why the local path failed (before rollback).
+/// Why the local path failed (before rollback), one variant per cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalPathFailure {
     /// UE has no SpaceCore proxy.
     NoUeSupport,
+    /// The piggybacked NAS message did not parse.
+    NasDecode(NasDecodeError),
+    /// The NAS message parsed but carries no `StateReplica` IE.
+    MissingReplicaIe,
+    /// The `StateReplica` IE is not a valid replica encoding.
+    ReplicaWire(WireError),
     /// State crypto failure (policy, TTL, tamper, certs).
     Crypto(StateCryptError),
+    /// The replica decrypted and verified, but its payload is not a
+    /// `SessionState` this codec version reads.
+    StateCodec,
+}
+
+impl std::fmt::Display for LocalPathFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LocalPathFailure::NoUeSupport => f.write_str("UE has no SpaceCore proxy"),
+            LocalPathFailure::NasDecode(e) => write!(f, "piggybacked NAS message: {e}"),
+            LocalPathFailure::MissingReplicaIe => f.write_str("no StateReplica IE"),
+            LocalPathFailure::ReplicaWire(e) => write!(f, "StateReplica IE: {e}"),
+            LocalPathFailure::Crypto(e) => write!(f, "state crypto: {e}"),
+            LocalPathFailure::StateCodec => f.write_str("decrypted payload is not a session state"),
+        }
+    }
+}
+
+impl std::error::Error for LocalPathFailure {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            LocalPathFailure::NasDecode(e) => Some(e),
+            LocalPathFailure::ReplicaWire(e) => Some(e),
+            LocalPathFailure::Crypto(e) => Some(e),
+            LocalPathFailure::NoUeSupport
+            | LocalPathFailure::MissingReplicaIe
+            | LocalPathFailure::StateCodec => None,
+        }
+    }
+}
+
+/// The satellite proxy's receive side: the replica inside the NAS PDU it
+/// was sent, or the step that failed. Takes the decode *result* so the
+/// caller can drop its arena lock before the replica is parsed.
+fn received_replica(
+    parsed: Result<NasMessage, NasDecodeError>,
+) -> Result<EncryptedUeState, LocalPathFailure> {
+    let nas = parsed.map_err(LocalPathFailure::NasDecode)?;
+    let replica_bytes = nas
+        .ie(IeTag::StateReplica)
+        .ok_or(LocalPathFailure::MissingReplicaIe)?;
+    sc_crypto::wire::decode_state(replica_bytes).map_err(LocalPathFailure::ReplicaWire)
 }
 
 /// A satellite running the SpaceCore proxy.
@@ -130,14 +182,9 @@ impl SpaceCoreSatellite {
             let mut arena = self.arena.lock();
             arena.reset();
             let wire = arena.encode_nas(&nas);
-            sc_fiveg::nas::NasMessage::decode(arena.bytes(wire))
-                .map_err(|_| LocalPathFailure::Crypto(StateCryptError::BadHomeSignature))?
+            NasMessage::decode(arena.bytes(wire))
         };
-        let replica_bytes = parsed
-            .ie(sc_fiveg::nas::IeTag::StateReplica)
-            .ok_or(LocalPathFailure::NoUeSupport)?;
-        let replica = sc_crypto::wire::decode_state(replica_bytes)
-            .map_err(|_| LocalPathFailure::Crypto(StateCryptError::BadHomeSignature))?;
+        let replica = received_replica(parsed)?;
         // Satellite side (lines 11-13).
         let eph = sc_crypto::field::keyed_hash(
             (self.id.plane as u64) << 32 | self.id.slot as u64,
@@ -165,9 +212,7 @@ impl SpaceCoreSatellite {
         .map_err(LocalPathFailure::Crypto)?;
         debug_assert_eq!(k_ue, out.session_key);
 
-        let state = SessionState::decode(&out.state).ok_or(LocalPathFailure::Crypto(
-            StateCryptError::BadHomeSignature,
-        ))?;
+        let state = SessionState::decode(&out.state).ok_or(LocalPathFailure::StateCodec)?;
         let active_now = {
             let mut active = self.active.lock();
             active.insert(
@@ -355,6 +400,70 @@ mod tests {
             err,
             LocalPathFailure::Crypto(StateCryptError::Expired)
         );
+    }
+
+    /// The NAS bytes a UE sends for `ue`'s replica.
+    fn piggyback_wire(ue: &UeDevice) -> Vec<u8> {
+        sc_fiveg::nas::piggybacked_session_request(sc_crypto::wire::encode_state(ue.piggyback()), 7)
+            .encode()
+    }
+
+    #[test]
+    fn intact_piggyback_yields_the_replica() {
+        let (_, _, ue) = setup();
+        let got = received_replica(NasMessage::decode(&piggyback_wire(&ue)));
+        assert_eq!(got.as_ref(), Ok(ue.piggyback()));
+    }
+
+    #[test]
+    fn truncated_nas_keeps_the_nas_error() {
+        let (_, _, ue) = setup();
+        let wire = piggyback_wire(&ue);
+        let err = received_replica(NasMessage::decode(&wire[..wire.len() - 1])).unwrap_err();
+        assert_eq!(err, LocalPathFailure::NasDecode(NasDecodeError::Truncated));
+        assert!(std::error::Error::source(&err).is_some());
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn truncated_replica_ie_keeps_the_wire_error() {
+        let (_, _, ue) = setup();
+        let mut replica = sc_crypto::wire::encode_state(ue.piggyback());
+        replica.truncate(replica.len() - 3);
+        let nas = sc_fiveg::nas::piggybacked_session_request(replica, 7).encode();
+        let err = received_replica(NasMessage::decode(&nas)).unwrap_err();
+        assert_eq!(err, LocalPathFailure::ReplicaWire(WireError::Truncated));
+        assert!(std::error::Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn absent_replica_ie_is_its_own_failure() {
+        let nas = NasMessage::new(sc_fiveg::nas::NasMessageType::PduSessionEstablishmentRequest)
+            .with_ie(IeTag::DhPublic, 7u64.to_be_bytes().to_vec())
+            .encode();
+        let err = received_replica(NasMessage::decode(&nas)).unwrap_err();
+        assert_eq!(err, LocalPathFailure::MissingReplicaIe);
+    }
+
+    #[test]
+    fn undecodable_state_payload_is_not_a_signature_failure() {
+        // Home-signed and decryptable, but not a `SessionState`: the
+        // envelope verifies, the codec refuses.
+        let (home, sat, mut ue) = setup();
+        let policy = ue.replica.ciphertext.policy().clone();
+        ue.replica = home.crypto().encrypt_state(
+            b"not a session state",
+            &policy,
+            ue.replica.version,
+            ue.replica.expires_at,
+            1,
+        );
+        let err = sat
+            .try_local_establishment(&home, &mut ue, 1.0)
+            .unwrap_err();
+        assert_eq!(err, LocalPathFailure::StateCodec);
+        assert!(!sat.establish_session(&home, &mut ue, 1.0).local);
+        assert_eq!(sat.active_sessions(), 0);
     }
 
     #[test]

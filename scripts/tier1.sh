@@ -183,6 +183,16 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
         series "$OBS_TMP/ext_chaosload.t1.json" >&2 || {
         echo "== tier-1: FAIL — sctrace series could not render the chaosload sidecar" >&2
         exit 1; }
+
+    # Executed path: scbench's five workloads on smoke inputs (seconds
+    # after its own release build). Its output checks — every serve
+    # operation's outcome class and message count, the soaks' and the
+    # sweep's bytes against results/ — fail here, not only in the
+    # benchmark pipeline, when a crypto or codec change flips one.
+    echo "== tier-1: scbench --quick (output checks of all five workloads)" >&2
+    bash benchmark/run.sh --quick >&2 || {
+        echo "== tier-1: FAIL — scbench --quick: a workload failed its output checks" >&2
+        exit 1; }
 fi
 
 echo "== tier-1: OK" >&2
