@@ -4,14 +4,14 @@
 //! The library itself is intentionally empty — everything measurable
 //! lives in two kinds of targets:
 //!
-//! * **`benches/` — one Criterion target per paper table/figure**, named
-//!   after what it reproduces (`fig05` … `fig21`, `table2_dataset`,
-//!   `table3_cells`, `table4_reductions`), plus the DESIGN.md ablations
-//!   (`ablation_routing`, `ablation_cell_granularity`,
-//!   `ablation_rollback`, `ablation_visibility`), the extension
-//!   experiments (`ext_anchor`, `ext_chaos`, `ext_resilience`), and
-//!   `des_queue`, the calendar-queue vs. binary-heap scheduler
-//!   head-to-head. Run one with
+//! * **`benches/` — Criterion targets**: `experiments` times one full
+//!   run of every row of `sc_emu::EXPERIMENTS` (the soaks aside); the
+//!   rest each measure one thing — a figure's inner kernel
+//!   (`fig18a_abe`, `fig18b_relay`, `table2_dataset`, `table3_cells`),
+//!   a DESIGN.md ablation (`ablation_routing`,
+//!   `ablation_cell_granularity`, `ablation_rollback`,
+//!   `ablation_visibility`), or `des_queue`, the calendar-queue vs.
+//!   binary-heap scheduler head-to-head. Run one with
 //!   `cargo bench -p sc-bench --bench fig18a_abe`, or everything with
 //!   `cargo bench -p sc-bench`. Use these for before/after work on a
 //!   single hot path.

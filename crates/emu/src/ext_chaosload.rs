@@ -246,7 +246,7 @@ pub fn run() -> ExtChaosload {
     )
 }
 
-/// Full config with telemetry (the `ext_chaosload` binary's default).
+/// Full config with telemetry (what `scemu ext_chaosload` runs).
 pub fn run_obs(obs: &sc_obs::Recorder) -> ExtChaosload {
     run_config_with(crate::engine::thread_count(), obs, &ChaosloadConfig::full())
 }

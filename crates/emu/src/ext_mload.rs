@@ -126,7 +126,7 @@ pub fn run() -> ExtMload {
     )
 }
 
-/// Full config with telemetry (the `ext_mload` binary's default mode).
+/// Full config with telemetry (what `scemu ext_mload` runs).
 pub fn run_obs(obs: &sc_obs::Recorder) -> ExtMload {
     run_config_with(crate::engine::thread_count(), obs, &MloadConfig::full())
 }

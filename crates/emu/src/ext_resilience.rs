@@ -10,7 +10,8 @@
 //! satellite decay fractions, measuring completion probability and
 //! latency.
 
-use sc_netsim::failure::{LossProcess, NodeFailures};
+use sc_netsim::chaos::FailureTimeline;
+use sc_netsim::failure::LossProcess;
 use sc_netsim::isl::{IslConfig, IslNetwork};
 use sc_netsim::sim::{ProcedureSim, SimConfig, SimStep};
 use sc_orbit::{ConstellationConfig, GroundStationSet, IdealPropagator, SatId};
@@ -91,16 +92,11 @@ pub fn run() -> ExtResilience {
     ] {
         for loss_rate in LOSS_RATES {
             for decay in DECAY_FRACTIONS {
-                let failures = if decay == 0.0 {
-                    NodeFailures::none()
-                } else {
-                    // Never fail the serving satellite itself (the UE
-                    // would simply camp elsewhere); fail the relay fabric.
-                    let mut f = NodeFailures::random(net.num_sats(), decay, 0xFA11);
-                    f.recover(serving);
-                    f
-                };
-                let sim = ProcedureSim::new(net.graph(), &failures, SimConfig::default());
+                // Never fail the serving satellite itself (the UE would
+                // simply camp elsewhere); fail the relay fabric.
+                let failures = FailureTimeline::random_dead(net.num_sats(), decay, 0xFA11)
+                    .without_node(serving);
+                let sim = ProcedureSim::with_timeline(net.graph(), &failures, SimConfig::default());
                 let mut completed = 0u64;
                 let mut lat_sum = 0.0;
                 let mut tx_sum = 0u64;

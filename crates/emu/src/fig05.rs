@@ -125,9 +125,10 @@ fn record_telemetry(obs: &sc_obs::Recorder, r: &Fig05) {
     let mut g = sc_netsim::topo::Graph::new(3);
     g.add_bidirectional(0, 1, GEO_ONE_WAY_S * 1e3);
     g.add_bidirectional(1, 2, GEO_ONE_WAY_S * 1e3);
-    let nf = sc_netsim::failure::NodeFailures::none();
-    let sim = sc_netsim::sim::ProcedureSim::new(&g, &nf, sc_netsim::sim::SimConfig::default())
-        .with_recorder(obs.clone());
+    let nf = sc_netsim::chaos::FailureTimeline::none();
+    let sim =
+        sc_netsim::sim::ProcedureSim::with_timeline(&g, &nf, sc_netsim::sim::SimConfig::default())
+            .with_recorder(obs.clone());
     let steps = crate::obs::replay_steps(&c1);
     let outcome = crate::obs::replay_traced(
         obs,

@@ -194,9 +194,10 @@ fn storm_miniature(obs: &sc_obs::Recorder) {
     let mut g = sc_netsim::topo::Graph::new(3);
     g.add_bidirectional(0, 1, 2.0);
     g.add_bidirectional(1, 2, 30.0);
-    let nf = sc_netsim::failure::NodeFailures::none();
-    let sim = sc_netsim::sim::ProcedureSim::new(&g, &nf, sc_netsim::sim::SimConfig::default())
-        .with_recorder(obs.clone());
+    let nf = sc_netsim::chaos::FailureTimeline::none();
+    let sim =
+        sc_netsim::sim::ProcedureSim::with_timeline(&g, &nf, sc_netsim::sim::SimConfig::default())
+            .with_recorder(obs.clone());
     let c2 = Procedure::build_obs_at(ProcedureKind::SessionEstablishment, obs, 0.0);
     let steps = crate::obs::replay_steps(&c2);
     crate::obs::replay_traced(
@@ -213,9 +214,12 @@ fn storm_miniature(obs: &sc_obs::Recorder) {
     // critical path is all 2 ms UE↔satellite hops.
     let mut g_local = sc_netsim::topo::Graph::new(2);
     g_local.add_bidirectional(0, 1, 2.0);
-    let sim_local =
-        sc_netsim::sim::ProcedureSim::new(&g_local, &nf, sc_netsim::sim::SimConfig::default())
-            .with_recorder(obs.clone());
+    let sim_local = sc_netsim::sim::ProcedureSim::with_timeline(
+        &g_local,
+        &nf,
+        sc_netsim::sim::SimConfig::default(),
+    )
+    .with_recorder(obs.clone());
     let local_steps = crate::obs::replay_steps_local(&c2);
     crate::obs::replay_traced(
         obs,

@@ -1,8 +1,8 @@
-//! Telemetry sidecar plumbing for the experiment binaries.
+//! The experiment front door (`scemu`) and its telemetry sidecar.
 //!
-//! Every binary builds an [`ObsSink`] first thing in `main`. Telemetry
-//! is **off by default** — the sink hands out a disabled
-//! [`sc_obs::Recorder`] and [`ObsSink::write`] is a no-op, so the
+//! [`Command::parse`] reads the command line once, [`run_cli`] runs the
+//! row it names. Telemetry is **off by default** — the run gets a
+//! disabled [`sc_obs::Recorder`] and no sidecar is written, so the
 //! regenerated `results/*.json` stay byte-identical to untelemetered
 //! runs. It turns on in two ways:
 //!
@@ -17,119 +17,145 @@
 //! byte-stable: same seed ⇒ same bytes, independent of `SC_EMU_THREADS`
 //! (see [`crate::engine::parallel_map_obs_with`]).
 
+use crate::RunFn;
 use sc_obs::Recorder;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// The whole `main` of an experiment binary: resolve the telemetry
-/// sink, time the run, print the rendered table, write
-/// `results/<experiment>.json`, and flush the sidecar. Every
-/// `crates/emu/src/bin/*.rs` delegates here so the sidecar plumbing and
-/// result-file layout live in exactly one place.
-///
-/// `run` receives the sink's recorder (disabled unless `--obs-out` /
-/// `SC_OBS` asked for a sidecar), so plain experiments can ignore it
-/// and telemetered ones thread it through.
-pub fn run_cli<R: serde::Serialize>(
-    experiment: &'static str,
-    run: impl FnOnce(&Recorder) -> R,
-    render: impl FnOnce(&R) -> String,
-) {
-    let sink = ObsSink::from_env(experiment);
-    let rec = sink.recorder();
-    let (r, timing) = crate::report::timed(experiment, || run(&rec));
-    timing.eprint();
-    println!("{}", render(&r));
-    std::fs::create_dir_all("results").expect("create results dir");
-    let json = serde_json::to_string_pretty(&r).expect("serialize");
-    let path = format!("results/{experiment}.json");
-    std::fs::write(&path, json).expect("write json");
-    eprintln!("wrote {path}");
-    sink.write();
+/// One line of usage; `scemu` prints it, then [`crate::list`], on a
+/// command line it does not understand.
+pub const USAGE: &str =
+    "usage: scemu list | scemu <experiment> [--smoke] [--obs-out <path> | --obs-out=<path>]";
+
+/// What one `scemu` command line asks for.
+#[derive(Debug)]
+pub enum Command {
+    /// `scemu list`: print the catalogue.
+    List,
+    Run {
+        /// The row's name in [`crate::EXPERIMENTS`].
+        name: &'static str,
+        /// The row's full run, or with `--smoke` its bounded variant.
+        run: RunFn,
+        /// Where the telemetry sidecar goes; `None` = telemetry off.
+        obs_out: Option<PathBuf>,
+    },
 }
 
-/// Where (and whether) one experiment binary writes its telemetry.
-#[derive(Debug, Clone)]
-pub struct ObsSink {
-    experiment: &'static str,
-    recorder: Recorder,
-    out: Option<PathBuf>,
-}
-
-impl ObsSink {
-    /// Resolve from the process arguments and environment (see the
-    /// module docs for the precedence rules).
-    pub fn from_env(experiment: &'static str) -> Self {
-        Self::from_args(
-            experiment,
-            std::env::args().skip(1),
-            std::env::var("SC_OBS").ok(),
-        )
-    }
-
-    /// Testable core of [`Self::from_env`]: `args` are the process
-    /// arguments (binary name already stripped), `sc_obs` the `SC_OBS`
-    /// environment value, if any.
-    pub fn from_args(
-        experiment: &'static str,
-        args: impl Iterator<Item = String>,
+impl Command {
+    /// Parse the process arguments (binary name already stripped) and
+    /// the `SC_OBS` environment value, if any. Anything not understood —
+    /// an unknown experiment or flag, `--smoke` on a row without a smoke
+    /// variant, `--obs-out` without a path — is an error, never ignored:
+    /// a mistyped flag must not silently run something else.
+    pub fn parse(
+        mut args: impl Iterator<Item = String>,
         sc_obs: Option<String>,
-    ) -> Self {
-        let mut out: Option<PathBuf> = None;
-        let mut args = args;
+    ) -> Result<Self, String> {
+        let name = args.next().ok_or("no experiment named")?;
+        if name == "list" {
+            return match args.next() {
+                None => Ok(Self::List),
+                Some(extra) => Err(format!("`list` takes no argument, got {extra:?}")),
+            };
+        }
+        let experiment =
+            crate::find(&name).ok_or_else(|| format!("unknown experiment {name:?}"))?;
+        let mut smoke = false;
+        let mut obs_out = None;
         while let Some(a) = args.next() {
-            if a == "--obs-out" {
-                out = args.next().map(PathBuf::from);
+            if a == "--smoke" {
+                smoke = true;
+            } else if a == "--obs-out" {
+                obs_out = Some(args.next().ok_or("--obs-out needs a path")?);
             } else if let Some(p) = a.strip_prefix("--obs-out=") {
-                out = Some(PathBuf::from(p));
+                obs_out = Some(p.to_string());
+            } else {
+                return Err(format!("unknown argument {a:?}"));
             }
         }
-        if out.is_none() && sc_obs.is_some_and(|v| !v.is_empty() && v != "0") {
-            out = Some(PathBuf::from(format!(
-                "results/{experiment}.telemetry.json"
-            )));
+        if obs_out.as_deref() == Some("") {
+            return Err("--obs-out needs a path".into());
         }
-        let recorder = if out.is_some() {
-            Recorder::new()
+        let run = if smoke {
+            experiment
+                .smoke
+                .ok_or_else(|| format!("{name} has no --smoke variant"))?
         } else {
-            Recorder::disabled()
+            experiment.run
         };
-        Self {
-            experiment,
-            recorder,
-            out,
-        }
+        let obs_out = obs_out.map(PathBuf::from).or_else(|| {
+            sc_obs
+                .is_some_and(|v| !v.is_empty() && v != "0")
+                .then(|| PathBuf::from(format!("results/{name}.telemetry.json")))
+        });
+        Ok(Self::Run {
+            name: experiment.name,
+            run,
+            obs_out,
+        })
     }
+}
 
-    /// The recorder to thread into the experiment (disabled when no
-    /// sidecar was requested — recording through it is a no-op).
-    pub fn recorder(&self) -> Recorder {
-        self.recorder.clone()
-    }
+/// Why [`run_cli`] could not leave its files behind: what it was doing
+/// (naming the path) and the error that stopped it.
+#[derive(Debug)]
+pub struct CliError {
+    what: String,
+    source: Box<dyn std::error::Error + Send + Sync>,
+}
 
-    /// Is a sidecar going to be written?
-    pub fn enabled(&self) -> bool {
-        self.out.is_some()
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cannot {}: {}", self.what, self.source)
     }
+}
 
-    /// Write the sidecar. No-op when telemetry is disabled; I/O errors
-    /// are reported on stderr, never panicked on (telemetry must not
-    /// take an experiment down).
-    pub fn write(&self) {
-        let Some(path) = &self.out else { return };
-        let json = self.recorder.snapshot().to_json(self.experiment);
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("obs: cannot create {}: {e}", dir.display());
-                    return;
-                }
-            }
-        }
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("obs: cannot write {}: {e}", path.display()),
-        }
+impl std::error::Error for CliError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(self.source.as_ref())
     }
+}
+
+fn cannot<E>(what: String) -> impl FnOnce(E) -> CliError
+where
+    E: std::error::Error + Send + Sync + 'static,
+{
+    |source| CliError {
+        what,
+        source: Box::new(source),
+    }
+}
+
+/// Write `contents` to `path`, creating its directory first.
+fn write_file(path: &Path, contents: &str) -> Result<(), CliError> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(cannot(format!("create {}", dir.display())))?;
+    }
+    std::fs::write(path, contents).map_err(cannot(format!("write {}", path.display())))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
+}
+
+/// One experiment run, end to end: time `run` (the `[timing]` line on
+/// stderr), print the rendered table, write `results/<name>.json` under
+/// the current directory and, when `obs_out` names one, the telemetry
+/// sidecar. `run` receives a disabled recorder unless a sidecar was
+/// asked for, so the result bytes do not depend on telemetry.
+pub fn run_cli(name: &'static str, run: RunFn, obs_out: Option<&Path>) -> Result<(), CliError> {
+    let rec = if obs_out.is_some() {
+        Recorder::new()
+    } else {
+        Recorder::disabled()
+    };
+    let (out, timing) = crate::report::timed(name, || run(&rec));
+    timing.eprint();
+    let out = out.map_err(cannot(format!("serialize the {name} result")))?;
+    println!("{}", out.text);
+    write_file(Path::new(&format!("results/{name}.json")), &out.json)?;
+    if let Some(path) = obs_out {
+        write_file(path, &rec.snapshot().to_json(name))?;
+    }
+    Ok(())
 }
 
 /// Map a Figure 9 procedure onto the 3-node replay topology the
@@ -204,40 +230,89 @@ pub fn replay_traced(
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> std::vec::IntoIter<String> {
-        v.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
+    fn parse(args: &[&str], sc_obs: Option<&str>) -> Result<Command, String> {
+        Command::parse(args.iter().map(|s| s.to_string()), sc_obs.map(String::from))
+    }
+
+    /// The sidecar path of a command line that must parse to a run.
+    fn obs_out(args: &[&str], sc_obs: Option<&str>) -> Result<Option<PathBuf>, String> {
+        match parse(args, sc_obs)? {
+            Command::Run { obs_out, .. } => Ok(obs_out),
+            Command::List => Err("parsed as `list`".into()),
+        }
     }
 
     #[test]
-    fn disabled_by_default() {
-        let s = ObsSink::from_args("figxx", args(&[]), None);
-        assert!(!s.enabled());
-        assert!(!s.recorder().enabled());
-        s.write(); // no-op, no panic
+    fn telemetry_is_off_unless_asked_for() -> Result<(), String> {
+        for sc_obs in [None, Some(""), Some("0")] {
+            assert_eq!(obs_out(&["fig05"], sc_obs)?, None, "SC_OBS={sc_obs:?}");
+        }
+        Ok(())
     }
 
     #[test]
-    fn obs_out_flag_enables() {
-        let s = ObsSink::from_args("figxx", args(&["--obs-out", "/tmp/t.json"]), None);
-        assert!(s.enabled());
-        assert!(s.recorder().enabled());
-        let s2 = ObsSink::from_args("figxx", args(&["--obs-out=/tmp/t.json"]), None);
-        assert!(s2.enabled());
+    fn sc_obs_selects_the_default_sidecar_and_the_flag_overrides_it() -> Result<(), String> {
+        let default = PathBuf::from("results/fig05.telemetry.json");
+        assert_eq!(obs_out(&["fig05"], Some("1"))?, Some(default));
+        let named = Some(PathBuf::from("/tmp/t.json"));
+        assert_eq!(obs_out(&["fig05", "--obs-out", "/tmp/t.json"], None)?, named);
+        assert_eq!(obs_out(&["fig05", "--obs-out=/tmp/t.json"], None)?, named);
+        assert_eq!(obs_out(&["fig05", "--obs-out=/tmp/t.json"], Some("1"))?, named);
+        Ok(())
     }
 
     #[test]
-    fn sc_obs_env_selects_default_path() {
-        let s = ObsSink::from_args("fig05", args(&[]), Some("1".into()));
-        assert!(s.enabled());
-        assert_eq!(
-            s.out.as_deref(),
-            Some(std::path::Path::new("results/fig05.telemetry.json"))
-        );
-        assert!(!ObsSink::from_args("fig05", args(&[]), Some("0".into())).enabled());
-        assert!(!ObsSink::from_args("fig05", args(&[]), Some(String::new())).enabled());
+    fn smoke_selects_the_rows_bounded_variant() -> Result<(), String> {
+        let row = crate::find("ext_mload").ok_or("no ext_mload row")?;
+        let smoke = row.smoke.ok_or("ext_mload has no smoke variant")?;
+        for (args, want) in [
+            (&["ext_mload"][..], row.run),
+            (&["ext_mload", "--obs-out=x.json", "--smoke"][..], smoke),
+        ] {
+            match parse(args, None)? {
+                Command::Run { name, run, .. } => {
+                    assert_eq!(name, "ext_mload");
+                    assert!(std::ptr::fn_addr_eq(run, want), "{args:?}");
+                }
+                Command::List => return Err("parsed as `list`".into()),
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn list_is_a_command_of_its_own() {
+        assert!(matches!(parse(&["list"], Some("1")), Ok(Command::List)));
+        assert!(parse(&["list", "fig05"], None).is_err());
+    }
+
+    #[test]
+    fn what_is_not_understood_is_rejected() {
+        for (args, why) in [
+            (&[][..], "no experiment named"),
+            (&["fig99"][..], "unknown experiment \"fig99\""),
+            (&["--smoke"][..], "unknown experiment \"--smoke\""),
+            (&["fig05", "--smoke"][..], "fig05 has no --smoke variant"),
+            (&["fig05", "--obs_out", "x"][..], "unknown argument \"--obs_out\""),
+            (&["fig05", "fig07"][..], "unknown argument \"fig07\""),
+            (&["fig05", "--obs-out"][..], "--obs-out needs a path"),
+            (&["fig05", "--obs-out="][..], "--obs-out needs a path"),
+        ] {
+            assert_eq!(parse(args, None).err().as_deref(), Some(why), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn io_errors_name_the_path_and_keep_their_cause() -> Result<(), String> {
+        // A regular file where a directory is needed.
+        let blocker = std::env::temp_dir().join(format!("scemu-test-{}", std::process::id()));
+        std::fs::write(&blocker, "").map_err(|e| e.to_string())?;
+        let err = write_file(&blocker.join("x.json"), "{}");
+        std::fs::remove_file(&blocker).map_err(|e| e.to_string())?;
+        let err = err.err().ok_or("writing under a regular file succeeded")?;
+        assert!(err.to_string().contains(&blocker.display().to_string()), "{err}");
+        assert!(std::error::Error::source(&err).is_some());
+        Ok(())
     }
 
     #[test]
@@ -265,10 +340,10 @@ mod tests {
         let steps = replay_steps_local(&c2);
         let mut g = sc_netsim::topo::Graph::new(2);
         g.add_bidirectional(0, 1, 2.0);
-        let nf = sc_netsim::failure::NodeFailures::none();
+        let nf = sc_netsim::chaos::FailureTimeline::none();
+        let cfg = sc_netsim::sim::SimConfig::default;
         let sim =
-            sc_netsim::sim::ProcedureSim::new(&g, &nf, sc_netsim::sim::SimConfig::default())
-                .with_recorder(obs.clone());
+            sc_netsim::sim::ProcedureSim::with_timeline(&g, &nf, cfg()).with_recorder(obs.clone());
         let mut loss = sc_netsim::failure::LossProcess::new(0.0, 1);
         let outcome = replay_traced(&obs, &sim, &c2, &steps, "local", &mut loss);
         assert!(outcome.completed);
@@ -294,8 +369,7 @@ mod tests {
 
         // Disabled recorder: same outcome, zero telemetry.
         let off = Recorder::disabled();
-        let sim_off =
-            sc_netsim::sim::ProcedureSim::new(&g, &nf, sc_netsim::sim::SimConfig::default());
+        let sim_off = sc_netsim::sim::ProcedureSim::with_timeline(&g, &nf, cfg());
         let mut loss2 = sc_netsim::failure::LossProcess::new(0.0, 1);
         let plain = replay_traced(&off, &sim_off, &c2, &steps, "local", &mut loss2);
         assert_eq!(plain.latency_ms, outcome.latency_ms);

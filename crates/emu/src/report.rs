@@ -1,9 +1,9 @@
-//! Small text-table renderer and wall-clock timing shared by the
-//! experiment binaries.
+//! Small text-table renderer shared by the experiment modules, and
+//! `scemu`'s wall-clock timing.
 
 use std::time::Instant;
 
-/// Wall-clock timing of one experiment run. Binaries print this to
+/// Wall-clock timing of one experiment run. `scemu` prints this to
 /// stderr, keeping stdout tables and `results/*.json` byte-identical
 /// whatever the thread count.
 #[derive(Debug, Clone)]

@@ -1,15 +1,16 @@
 //! Deterministic chaos injection: sim-time-ordered failure timelines.
 //!
-//! The static [`NodeFailures`] snapshot answers "what if these satellites
-//! were already dead when the procedure started?" — the Figure 13a decay
-//! regime. This module answers the harder §3.3 question: what happens
-//! when a satellite dies *mid-procedure*, a laser link flaps while a
-//! message is in flight, or a radio-link loss burst (Fig. 13b) opens
-//! right as a signaling exchange begins. A [`FailureTimeline`] is a
-//! seeded, time-ordered schedule of such events; [`crate::sim::ProcedureSim`]
-//! consults it as the DES clock advances, so routing reroutes around
-//! nodes that died after the procedure started (when a route is
-//! re-resolved is `sim`'s business: see its module doc).
+//! A [`FailureTimeline`] is the one failure view of the simulator: a set
+//! of nodes dead from t = 0 — "what if these satellites were already
+//! gone when the procedure started?", the Figure 13a decay regime — plus
+//! a seeded, time-ordered schedule of events for the harder §3.3
+//! question: what happens when a satellite dies *mid-procedure*, a laser
+//! link flaps while a message is in flight, or a radio-link loss burst
+//! (Fig. 13b) opens right as a signaling exchange begins.
+//! [`crate::sim::ProcedureSim`] consults it as the DES clock advances,
+//! so routing reroutes around nodes that died after the procedure
+//! started (when a route is re-resolved is `sim`'s business: see its
+//! module doc).
 //!
 //! Everything is deterministic: the schedule is fixed up front, burst
 //! loss draws come from a counted splitmix64 hash stream keyed by the
@@ -30,7 +31,7 @@
 //! window split across `drain_until` batch boundaries lands on exactly
 //! the same tick no matter how the batches are cut.
 
-use crate::failure::{NodeFailures, Xorshift64};
+use crate::failure::Xorshift64;
 use crate::topo::NodeId;
 use sc_obs::{FieldValue, Recorder};
 use std::collections::HashSet;
@@ -78,18 +79,15 @@ pub struct ChaosEvent {
 
 /// A sim-time-ordered schedule of failure events.
 ///
-/// Build one with the fluent methods ([`Self::crash`],
-/// [`Self::link_flap`], [`Self::loss_burst`], …) or generate a seeded
-/// random schedule with [`Self::random_crashes`]. A static
-/// [`NodeFailures`] snapshot embeds as the trivial timeline
-/// ([`Self::from_static`]): dead from t = 0, no events — replays of it
-/// are outcome-identical to the static path (property-tested in
-/// `tests/chaos_props.rs`).
+/// Build one with the fluent methods ([`Self::dead_from_start`],
+/// [`Self::crash`], [`Self::link_flap`], [`Self::loss_burst`], …) or
+/// generate a seeded random one with [`Self::random_dead`] (decay: dead
+/// before the run) or [`Self::random_crashes`] (crashes during it).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailureTimeline {
     /// Sorted by `time_ms`; ties keep insertion order.
     events: Vec<ChaosEvent>,
-    /// Nodes dead from t = 0 (the static-snapshot embedding).
+    /// Nodes dead from t = 0, ascending and unique.
     initial_dead: Vec<NodeId>,
     /// Seed for the replay cursor's burst-loss draws.
     seed: u64,
@@ -101,12 +99,13 @@ impl FailureTimeline {
         Self::default()
     }
 
-    /// Embed a static failure snapshot: every dead node is dead from
-    /// t = 0 and never recovers. Replaying this timeline is equivalent
-    /// to running against the snapshot itself.
-    pub fn from_static(failures: &NodeFailures) -> Self {
+    /// Satellite decay: each of `num_nodes` nodes is independently dead
+    /// from t = 0 with probability `p_dead` (Fig. 13a: ~1/40 ≈ 0.025 for
+    /// Starlink). No events are scheduled, so nothing recovers.
+    pub fn random_dead(num_nodes: usize, p_dead: f64, seed: u64) -> Self {
+        let mut rng = Xorshift64::new(seed);
         Self {
-            initial_dead: failures.dead_nodes(),
+            initial_dead: (0..num_nodes).filter(|_| rng.chance(p_dead)).collect(),
             ..Self::default()
         }
     }
@@ -148,8 +147,17 @@ impl FailureTimeline {
         self
     }
 
-    /// Schedule a node crash at `t_ms`. `t_ms = 0.0` is equivalent to
-    /// the node being in the initial dead set.
+    /// `node` is dead from t = 0 — before any event, with no crash
+    /// telemetry. A scheduled [`Self::recover`] can still revive it.
+    pub fn dead_from_start(mut self, node: NodeId) -> Self {
+        if let Err(at) = self.initial_dead.binary_search(&node) {
+            self.initial_dead.insert(at, node);
+        }
+        self
+    }
+
+    /// Schedule a node crash at `t_ms`. `t_ms = 0.0` routes exactly as
+    /// [`Self::dead_from_start`] does.
     pub fn crash(self, t_ms: f64, node: NodeId) -> Self {
         self.push(t_ms, ChaosAction::Crash(node))
     }
@@ -225,7 +233,6 @@ impl FailureTimeline {
             timeline: self,
             next: 0,
             dead,
-            // `from_static` is the only writer and takes a set's members.
             dead_count: self.initial_dead.len(),
             links_down: HashSet::new(),
             bursts: Vec::new(),
@@ -420,18 +427,30 @@ mod tests {
     }
 
     #[test]
-    fn static_embedding_is_dead_from_time_zero() {
-        let mut nf = NodeFailures::none();
-        nf.fail(3);
-        nf.fail(7);
-        let tl = FailureTimeline::from_static(&nf);
-        assert_eq!(tl.initial_dead(), &[3, 7]);
+    fn initially_dead_nodes_are_dead_from_time_zero() {
+        let tl = FailureTimeline::none()
+            .dead_from_start(7)
+            .dead_from_start(3)
+            .dead_from_start(7);
+        assert_eq!(tl.initial_dead(), &[3, 7], "ascending, unique");
+        // Dead before the first event is applied, and with no event
+        // scheduled, for good.
         let mut c = tl.cursor();
-        c.advance_to(0.0, &Recorder::disabled());
         assert!(c.is_dead(3) && c.is_dead(7) && !c.is_dead(4));
-        // Never recovers.
+        assert_eq!(c.dead_count(), 2);
         c.advance_to(1e12, &Recorder::disabled());
         assert!(c.is_dead(3));
+    }
+
+    #[test]
+    fn random_dead_is_seeded_decay() {
+        let tl = FailureTimeline::random_dead(10_000, 0.025, 3);
+        assert_eq!(tl, FailureTimeline::random_dead(10_000, 0.025, 3));
+        assert!(tl.events().is_empty());
+        let frac = tl.initial_dead().len() as f64 / 10_000.0;
+        assert!((frac - 0.025).abs() < 0.01, "{frac}");
+        assert!(tl.initial_dead().windows(2).all(|w| w[0] < w[1]));
+        assert!(FailureTimeline::random_dead(100, 0.0, 3).is_empty());
     }
 
     #[test]

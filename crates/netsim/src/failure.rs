@@ -3,10 +3,11 @@
 //! * [`LossProcess`] — Bernoulli i.i.d. signaling loss,
 //! * [`GilbertElliott`] — two-state bursty frame-error process matching
 //!   the Tiantong radio-link failure bursts of Figure 13b,
-//! * [`NodeFailures`] — satellite decay / dead-node sets (Fig. 13a shows
-//!   ≈ 1-in-40 Starlink satellites failed),
 //! * [`AttackInjector`] — hijacked-satellite and man-in-the-middle tap
 //!   markers consumed by the Figure 19 leakage experiments.
+//!
+//! Dead satellites (the Fig. 13a decay regime as much as mid-run
+//! crashes) are [`crate::chaos::FailureTimeline`]'s business.
 //!
 //! All processes are deterministic given their seed (xorshift-based), so
 //! failure experiments replay identically.
@@ -146,58 +147,6 @@ impl GilbertElliott {
     }
 }
 
-/// A set of failed (decayed / destroyed) satellites.
-#[derive(Debug, Clone, Default)]
-pub struct NodeFailures {
-    dead: HashSet<usize>,
-}
-
-impl NodeFailures {
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Fail each of `n` nodes independently with probability `p`
-    /// (Fig. 13a: ~1/40 ≈ 0.025 for Starlink).
-    pub fn random(n: usize, p: f64, seed: u64) -> Self {
-        let mut rng = Xorshift64::new(seed);
-        let dead = (0..n).filter(|_| rng.chance(p)).collect();
-        Self { dead }
-    }
-
-    /// Mark one node failed.
-    pub fn fail(&mut self, node: usize) {
-        self.dead.insert(node);
-    }
-
-    /// Recover one node.
-    pub fn recover(&mut self, node: usize) {
-        self.dead.remove(&node);
-    }
-
-    pub fn is_dead(&self, node: usize) -> bool {
-        self.dead.contains(&node)
-    }
-
-    pub fn dead_count(&self) -> usize {
-        self.dead.len()
-    }
-
-    /// The dead nodes, sorted (deterministic embedding into a
-    /// [`crate::chaos::FailureTimeline`]).
-    pub fn dead_nodes(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.dead.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Closure usable as the `blocked` predicate of
-    /// [`crate::topo::Graph::shortest_path`].
-    pub fn blocker(&self) -> impl Fn(usize) -> bool + '_ {
-        move |n| self.is_dead(n)
-    }
-}
-
 /// Attack markers for the Figure 19 experiments.
 #[derive(Debug, Clone, Default)]
 pub struct AttackInjector {
@@ -302,24 +251,6 @@ mod tests {
     fn stationary_loss_formula() {
         let ge = GilbertElliott::new(0.01, 0.09, 0.0, 1.0, 1);
         assert!((ge.stationary_loss() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn node_failures_rate() {
-        let nf = NodeFailures::random(10_000, 0.025, 3);
-        let frac = nf.dead_count() as f64 / 10_000.0;
-        assert!((frac - 0.025).abs() < 0.01, "{frac}");
-    }
-
-    #[test]
-    fn fail_recover_cycle() {
-        let mut nf = NodeFailures::none();
-        assert!(!nf.is_dead(5));
-        nf.fail(5);
-        assert!(nf.is_dead(5));
-        assert!(nf.blocker()(5));
-        nf.recover(5);
-        assert!(!nf.is_dead(5));
     }
 
     #[test]

@@ -15,13 +15,15 @@
 //! * [`queueing`] — the M/M/1-style signaling-latency model used to
 //!   reproduce the latency-vs-load knees of Figures 8 and 17,
 //! * [`failure`] — Bernoulli and Gilbert–Elliott (bursty) loss processes
-//!   matching the radio-link failure traces of Figure 13b, satellite
-//!   decay (Fig. 13a), plus hijack and man-in-the-middle attack markers
-//!   for the Figure 19 leakage experiments,
-//! * [`chaos`] — dynamic fault timelines: seeded, sim-time-ordered
-//!   schedules of node crash/recover, link flaps, and loss-burst windows
-//!   that [`sim::ProcedureSim`] replays as its DES clock advances, so a
-//!   satellite can die (and recover) *mid-procedure*.
+//!   matching the radio-link failure traces of Figure 13b, plus hijack
+//!   and man-in-the-middle attack markers for the Figure 19 leakage
+//!   experiments,
+//! * [`chaos`] — the one node/link failure model: a set of satellites
+//!   dead from t = 0 (the Fig. 13a decay regime) plus a seeded,
+//!   sim-time-ordered schedule of node crash/recover, link flaps, and
+//!   loss-burst windows that [`sim::ProcedureSim`] replays as its DES
+//!   clock advances, so a satellite can die (and recover)
+//!   *mid-procedure*.
 //!
 //! The DES and the message-level procedure simulator carry an optional
 //! `sc-obs` recorder: [`des::EventQueue`] counts scheduled/processed
@@ -45,7 +47,7 @@ pub use capacity::CapacityModel;
 pub use chaos::{ChaosAction, ChaosCursor, ChaosEvent, FailureTimeline};
 pub use des::{EventQueue, ScheduledEvent};
 pub use flow::{handover_scenario, TcpFlow, TcpPhase};
-pub use failure::{AttackInjector, GilbertElliott, LossProcess, NodeFailures};
+pub use failure::{AttackInjector, GilbertElliott, LossProcess};
 pub use isl::{IslNetwork, NodeKind};
 pub use queueing::MM1Model;
 pub use sim::{ProcedureSim, SimConfig, SimOutcome, SimStep};

@@ -71,10 +71,9 @@
 
 use crate::chaos::{ChaosAction, ChaosCursor, ChaosEvent, FailureTimeline};
 use crate::des::EventQueue;
-use crate::failure::{LossProcess, NodeFailures};
+use crate::failure::LossProcess;
 use crate::topo::{Graph, NodeId, PathScratch};
 use sc_obs::{FieldValue, Recorder, SpanId};
-use std::borrow::Cow;
 
 /// Where each abstract entity of a procedure lives in the network.
 #[derive(Debug, Clone)]
@@ -308,10 +307,8 @@ impl SimScratch {
 /// Message-level procedure simulator.
 pub struct ProcedureSim<'a> {
     graph: &'a Graph,
-    /// The one failure view. A static snapshot is held as its
-    /// [`FailureTimeline::from_static`] embedding: dead from t = 0, no
-    /// events.
-    failures: Cow<'a, FailureTimeline>,
+    /// The one failure view: nodes dead from t = 0 plus scheduled events.
+    failures: &'a FailureTimeline,
     cfg: SimConfig,
     /// Telemetry (disabled by default): `netsim.sim.*` counters, the
     /// per-procedure latency histogram, and one `netsim.delivery` event
@@ -330,27 +327,15 @@ enum Ev {
 }
 
 impl<'a> ProcedureSim<'a> {
-    /// Simulate against a static pre-run snapshot: the routing view
-    /// never changes during the run.
-    pub fn new(graph: &'a Graph, failures: &'a NodeFailures, cfg: SimConfig) -> Self {
-        Self {
-            graph,
-            failures: Cow::Owned(FailureTimeline::from_static(failures)),
-            cfg,
-            obs: Recorder::disabled(),
-        }
-    }
-
-    /// Simulate against a dynamic [`FailureTimeline`] instead of a
-    /// static snapshot: the timeline is replayed as the DES clock
-    /// advances, every transmission is routed against the *current*
-    /// dead-node/link set, and open loss-burst windows add their own
-    /// per-transmission losses. An empty timeline is outcome-identical
-    /// to [`Self::new`] with [`NodeFailures::none`].
+    /// Simulate over `graph` against `timeline`: it is replayed as the
+    /// DES clock advances, every transmission is routed against the
+    /// *current* dead-node/link set, and open loss-burst windows add
+    /// their own per-transmission losses. [`FailureTimeline::none`] is
+    /// the failure-free run.
     pub fn with_timeline(graph: &'a Graph, timeline: &'a FailureTimeline, cfg: SimConfig) -> Self {
         Self {
             graph,
-            failures: Cow::Borrowed(timeline),
+            failures: timeline,
             cfg,
             obs: Recorder::disabled(),
         }
@@ -723,15 +708,15 @@ mod tests {
         g
     }
 
-    fn no_failures() -> NodeFailures {
-        NodeFailures::none()
+    fn no_failures() -> FailureTimeline {
+        FailureTimeline::none()
     }
 
     #[test]
     fn lossless_run_sums_path_delays() {
         let g = line();
         let nf = no_failures();
-        let sim = ProcedureSim::new(&g, &nf, SimConfig::default());
+        let sim = ProcedureSim::with_timeline(&g, &nf, SimConfig::default());
         let steps = steps_from_pairs(&[("a", 0, 3), ("b", 3, 0)]);
         let mut loss = LossProcess::new(0.0, 1);
         let o = sim.run(&steps, &mut loss);
@@ -746,7 +731,7 @@ mod tests {
     fn loss_adds_rto_delays() {
         let g = line();
         let nf = no_failures();
-        let sim = ProcedureSim::new(&g, &nf, SimConfig::default());
+        let sim = ProcedureSim::with_timeline(&g, &nf, SimConfig::default());
         let steps = steps_from_pairs(&[("a", 0, 3)]);
         // Always lose the first transmission, deliver the second.
         let mut loss = LossProcess::new(0.0, 1);
@@ -767,7 +752,7 @@ mod tests {
     fn moderate_loss_recovers_with_retries() {
         let g = line();
         let nf = no_failures();
-        let sim = ProcedureSim::new(&g, &nf, SimConfig::default());
+        let sim = ProcedureSim::with_timeline(&g, &nf, SimConfig::default());
         let steps = steps_from_pairs(&[("a", 0, 2), ("b", 2, 1), ("c", 1, 3)]);
         let mut completed = 0;
         let mut total_tx = 0;
@@ -788,9 +773,8 @@ mod tests {
     #[test]
     fn partition_blocks_procedure() {
         let g = line();
-        let mut nf = NodeFailures::none();
-        nf.fail(1); // cuts 0 from the rest
-        let sim = ProcedureSim::new(&g, &nf, SimConfig::default());
+        let nf = FailureTimeline::none().dead_from_start(1); // cuts 0 from the rest
+        let sim = ProcedureSim::with_timeline(&g, &nf, SimConfig::default());
         let steps = steps_from_pairs(&[("a", 0, 3)]);
         let mut loss = LossProcess::new(0.0, 1);
         let o = sim.run(&steps, &mut loss);
@@ -806,9 +790,8 @@ mod tests {
         g.add_bidirectional(1, 3, 5.0);
         g.add_bidirectional(0, 2, 20.0);
         g.add_bidirectional(2, 3, 20.0);
-        let mut nf = NodeFailures::none();
-        nf.fail(1);
-        let sim = ProcedureSim::new(&g, &nf, SimConfig::default());
+        let nf = FailureTimeline::none().dead_from_start(1);
+        let sim = ProcedureSim::with_timeline(&g, &nf, SimConfig::default());
         let steps = steps_from_pairs(&[("a", 0, 3)]);
         let mut loss = LossProcess::new(0.0, 1);
         let o = sim.run(&steps, &mut loss);
@@ -820,7 +803,7 @@ mod tests {
     fn empty_procedure_trivially_completes() {
         let g = line();
         let nf = no_failures();
-        let sim = ProcedureSim::new(&g, &nf, SimConfig::default());
+        let sim = ProcedureSim::with_timeline(&g, &nf, SimConfig::default());
         let o = sim.run(&[], &mut LossProcess::new(0.5, 1));
         assert!(o.completed);
         assert_eq!(o.latency_ms, 0.0);
@@ -832,7 +815,7 @@ mod tests {
         let nf = no_failures();
         let rec = Recorder::new();
         let sim =
-            ProcedureSim::new(&g, &nf, SimConfig::default()).with_recorder(rec.clone());
+            ProcedureSim::with_timeline(&g, &nf, SimConfig::default()).with_recorder(rec.clone());
         let steps = steps_from_pairs(&[("req", 0, 3), ("rsp", 3, 0)]);
         let mut loss = LossProcess::new(0.0, 1);
         let o = sim.run(&steps, &mut loss);
@@ -866,7 +849,7 @@ mod tests {
         let nf = no_failures();
         let rec = Recorder::new();
         let sim =
-            ProcedureSim::new(&g, &nf, SimConfig::default()).with_recorder(rec.clone());
+            ProcedureSim::with_timeline(&g, &nf, SimConfig::default()).with_recorder(rec.clone());
         let steps = steps_from_pairs(&[("req", 0, 3), ("rsp", 3, 0)]);
         let o = sim.run(&steps, &mut LossProcess::new(0.0, 1));
         assert!(o.completed);
@@ -894,7 +877,7 @@ mod tests {
         // Second step starts when the first delivers.
         assert_eq!(s.spans[1].end, Some(s.spans[3].start));
         // Outcomes are identical with telemetry off.
-        let plain = ProcedureSim::new(&g, &nf, SimConfig::default());
+        let plain = ProcedureSim::with_timeline(&g, &nf, SimConfig::default());
         let o2 = plain.run(&steps, &mut LossProcess::new(0.0, 1));
         assert_eq!(o, o2);
     }
@@ -908,7 +891,7 @@ mod tests {
             max_attempts: 8,
             ..SimConfig::default()
         };
-        let sim = ProcedureSim::new(&g, &nf, cfg.clone()).with_recorder(rec.clone());
+        let sim = ProcedureSim::with_timeline(&g, &nf, cfg.clone()).with_recorder(rec.clone());
         let steps = steps_from_pairs(&[("a", 0, 3)]);
         // Seed 3 loses the first transmissions (see backoff test above).
         let o = sim.run(&steps, &mut LossProcess::new(0.9, 3));
@@ -943,7 +926,7 @@ mod tests {
         let rec = Recorder::new();
         let outer = rec.span_open(None, "fiveg.proc.test", 0.0, vec![]);
         let sim =
-            ProcedureSim::new(&g, &nf, SimConfig::default()).with_recorder(rec.clone());
+            ProcedureSim::with_timeline(&g, &nf, SimConfig::default()).with_recorder(rec.clone());
         let steps = steps_from_pairs(&[("a", 0, 3)]);
         let o = sim.run_traced(&steps, &mut LossProcess::new(0.0, 1), Some(outer));
         rec.span_close(outer, o.latency_ms);
@@ -968,7 +951,7 @@ mod tests {
             rto_ms: 50.0,
             ..SimConfig::default()
         };
-        let sim = ProcedureSim::new(&g, &nf, cfg).with_recorder(rec.clone());
+        let sim = ProcedureSim::with_timeline(&g, &nf, cfg).with_recorder(rec.clone());
         let steps = steps_from_pairs(&[("slow", 0, 3)]);
         let o = sim.run(&steps, &mut LossProcess::new(0.0, 1));
         assert!(o.completed);
@@ -989,7 +972,7 @@ mod tests {
             loss_per_hop: true,
             ..SimConfig::default()
         };
-        let sim = ProcedureSim::new(&g, &nf, cfg);
+        let sim = ProcedureSim::with_timeline(&g, &nf, cfg);
         let steps = steps_from_pairs(&[("local", 2, 2)]);
         let o = sim.run(&steps, &mut LossProcess::new(1.0, 1));
         assert!(o.completed);
@@ -1000,7 +983,7 @@ mod tests {
             max_attempts: 1,
             ..SimConfig::default()
         };
-        let sim = ProcedureSim::new(&g, &nf, cfg1);
+        let sim = ProcedureSim::with_timeline(&g, &nf, cfg1);
         let short = steps_from_pairs(&[("s", 0, 1)]);
         let long = steps_from_pairs(&[("l", 0, 3)]);
         let mut short_ok = 0;
@@ -1042,11 +1025,11 @@ mod tests {
         let nf = no_failures();
         let steps = steps_from_pairs(&[("a", 0, 3)]);
         // Seeded so the first few transmissions are lost.
-        let fixed = ProcedureSim::new(&g, &nf, SimConfig {
+        let fixed = ProcedureSim::with_timeline(&g, &nf, SimConfig {
             max_attempts: 8,
             ..SimConfig::default()
         });
-        let backed = ProcedureSim::new(&g, &nf, SimConfig {
+        let backed = ProcedureSim::with_timeline(&g, &nf, SimConfig {
             max_attempts: 8,
             backoff_factor: 2.0,
             ..SimConfig::default()
@@ -1071,7 +1054,7 @@ mod tests {
             total_deadline_ms: 900.0, // two 400 ms RTOs fit, not many more
             ..SimConfig::default()
         };
-        let sim = ProcedureSim::new(&g, &nf, cfg);
+        let sim = ProcedureSim::with_timeline(&g, &nf, cfg);
         let steps = steps_from_pairs(&[("a", 0, 3)]);
         let o = sim.run(&steps, &mut LossProcess::new(1.0, 1));
         assert!(!o.completed);
@@ -1159,19 +1142,6 @@ mod tests {
         assert!(o2.completed);
         // Leg a delivers at 11, leg b reroutes: 40 + 1 = 41 → total 52.
         assert!((o2.latency_ms - 52.0).abs() < 1e-9, "{}", o2.latency_ms);
-    }
-
-    #[test]
-    fn empty_timeline_matches_static_run() {
-        let g = line();
-        let nf = no_failures();
-        let tl = FailureTimeline::none();
-        let steps = steps_from_pairs(&[("a", 0, 3), ("b", 3, 0)]);
-        let o_static = ProcedureSim::new(&g, &nf, SimConfig::default())
-            .run(&steps, &mut LossProcess::new(0.3, 42));
-        let o_tl = ProcedureSim::with_timeline(&g, &tl, SimConfig::default())
-            .run(&steps, &mut LossProcess::new(0.3, 42));
-        assert_eq!(o_static, o_tl);
     }
 
     /// Ring of `n` nodes (5–7 ms links) with 17 ms chords across it:
@@ -1290,7 +1260,7 @@ mod tests {
             max_attempts: 1, // no retries: raw fragility
             ..SimConfig::default()
         };
-        let sim = ProcedureSim::new(&g, &nf, cfg);
+        let sim = ProcedureSim::with_timeline(&g, &nf, cfg);
         let long: Vec<SimStep> =
             steps_from_pairs(&(0..24).map(|_| ("s", 0usize, 3usize)).collect::<Vec<_>>());
         let short: Vec<SimStep> =

@@ -1,14 +1,14 @@
 //! Property-based tests for the chaos-injection layer (`sc-netsim::chaos`).
 //!
 //! The properties the `ext_chaos` experiment's byte-stability checks
-//! lean on: identical seed + timeline ⇒ bit-identical outcomes, the
-//! empty/static-embedding timelines reproduce the legacy static-failure
-//! results exactly, and partition-as-transient retries recover runs a
-//! legacy abort-on-partition simulator loses.
+//! lean on: identical seed + timeline ⇒ bit-identical outcomes, a node
+//! dead from t = 0 behaves exactly as one crashed at t = 0, and
+//! partition-as-transient retries recover runs a legacy
+//! abort-on-partition simulator loses.
 
 use proptest::prelude::*;
 use sc_netsim::chaos::FailureTimeline;
-use sc_netsim::failure::{LossProcess, NodeFailures};
+use sc_netsim::failure::LossProcess;
 use sc_netsim::sim::{steps_from_pairs, ProcedureSim, SimConfig, SimStep};
 use sc_netsim::topo::Graph;
 
@@ -72,10 +72,10 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// The empty timeline and the static embedding of a `NodeFailures`
-    /// snapshot reproduce the legacy static-failure results exactly.
+    /// Initially-dead nodes replay exactly as crashes scheduled at t = 0
+    /// (`FailureTimeline::crash`'s documented equivalence).
     #[test]
-    fn static_embedding_matches_legacy(
+    fn initially_dead_matches_crash_at_time_zero(
         seed in any::<u64>(),
         p_dead in 0.0f64..0.4,
         p_loss in 0.0f64..0.4,
@@ -83,26 +83,19 @@ proptest! {
     ) {
         let n = 12;
         let g = ring_with_chords(n);
-        let mut nf = NodeFailures::random(n, p_dead, seed);
-        nf.recover(0);
-        nf.recover(n / 2);
-        let tl = FailureTimeline::from_static(&nf);
+        let dead = FailureTimeline::random_dead(n, p_dead, seed)
+            .without_node(0)
+            .without_node(n / 2);
+        let crashed = dead
+            .initial_dead()
+            .iter()
+            .fold(FailureTimeline::none(), |tl, &node| tl.crash(0.0, node));
         let steps = procedure(n, legs);
-        let cfg = SimConfig::default();
-        let legacy = ProcedureSim::new(&g, &nf, cfg.clone())
-            .run(&steps, &mut LossProcess::new(p_loss, seed ^ 1));
-        let replay = ProcedureSim::with_timeline(&g, &tl, cfg.clone())
-            .run(&steps, &mut LossProcess::new(p_loss, seed ^ 1));
-        prop_assert_eq!(&legacy, &replay);
-
-        // And the empty timeline matches a no-failure legacy run.
-        let none = NodeFailures::none();
-        let empty = FailureTimeline::none();
-        let legacy0 = ProcedureSim::new(&g, &none, cfg.clone())
-            .run(&steps, &mut LossProcess::new(p_loss, seed ^ 2));
-        let replay0 = ProcedureSim::with_timeline(&g, &empty, cfg)
-            .run(&steps, &mut LossProcess::new(p_loss, seed ^ 2));
-        prop_assert_eq!(&legacy0, &replay0);
+        let run = |tl: &FailureTimeline| {
+            ProcedureSim::with_timeline(&g, tl, SimConfig::default())
+                .run(&steps, &mut LossProcess::new(p_loss, seed ^ 1))
+        };
+        prop_assert_eq!(run(&dead), run(&crashed));
     }
 
     /// A crash-then-recover of the only transit node defeats the legacy

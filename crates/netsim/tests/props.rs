@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use sc_netsim::des::EventQueue;
-use sc_netsim::failure::{GilbertElliott, LossProcess, NodeFailures};
+use sc_netsim::chaos::FailureTimeline;
+use sc_netsim::failure::{GilbertElliott, LossProcess};
 use sc_netsim::flow::TcpFlow;
 use sc_netsim::queueing::MM1Model;
 use sc_netsim::topo::Graph;
@@ -110,9 +111,9 @@ proptest! {
     }
 
     #[test]
-    fn node_failures_fraction(p in 0.0f64..0.5, seed in any::<u64>()) {
-        let nf = NodeFailures::random(5000, p, seed);
-        let frac = nf.dead_count() as f64 / 5000.0;
+    fn random_dead_fraction(p in 0.0f64..0.5, seed in any::<u64>()) {
+        let tl = FailureTimeline::random_dead(5000, p, seed);
+        let frac = tl.initial_dead().len() as f64 / 5000.0;
         prop_assert!((frac - p).abs() < 0.05);
     }
 

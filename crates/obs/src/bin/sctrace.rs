@@ -8,11 +8,9 @@
 //! sctrace diff <a.json> <b.json> [--fail-on-regress <pct>]
 //! ```
 //!
-//! `series` renders the sc-obs/3 windowed time-series section: one row
-//! per series with total, peak window, steady-state (median), the
+//! `series` renders the windowed time-series section: one row per
+//! series with total, peak window, steady-state (median), the
 //! peak/steady storm-amplitude ratio, and a sparkline of the shape.
-//! Older sidecars (sc-obs/1, sc-obs/2) have no series section; the
-//! command says so and exits 0 so pipelines degrade gracefully.
 //!
 //! `diff` exits 2 when any counter, histogram statistic, drop counter,
 //! or series total/peak increased by more than `<pct>` percent from A

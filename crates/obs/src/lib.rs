@@ -67,5 +67,6 @@ pub use span::{Span, SpanId, SpanRing};
 /// Schema identifier written into every emitted snapshot, bumped when
 /// the JSON layout changes shape (documented in docs/TELEMETRY.md).
 /// `sc-obs/2` added the causal `"spans"` section; `sc-obs/3` the
-/// windowed `"series"` section. Readers accept all three generations.
+/// windowed `"series"` section. [`Sidecar::parse`] accepts this
+/// generation only.
 pub const SCHEMA: &str = "sc-obs/3";

@@ -1,13 +1,12 @@
 //! Reading telemetry sidecars back in.
 //!
 //! [`Sidecar::parse`] is the inverse of [`crate::Snapshot::to_json`]: a
-//! hand-rolled, zero-dependency JSON reader tolerant enough for every
-//! schema generation (`sc-obs/1` without spans, `sc-obs/2` with them,
-//! `sc-obs/3` with windowed series).
+//! hand-rolled, zero-dependency JSON reader for the one schema the writer
+//! emits ([`crate::SCHEMA`]; any other generation is rejected).
 //! It backs the `sctrace` analysis binary, which must not pull serde
 //! into this crate. Parsing is strict about structure (a malformed
-//! sidecar is an error, not a guess) but lenient about *extra* object
-//! keys, so future additive schema revisions keep old readers working.
+//! sidecar or a missing section is an error, not a guess) but lenient
+//! about *extra* object keys.
 //!
 //! Everything returns `Result` — this crate ratchets at zero panic
 //! sites, sidecar included.
@@ -140,13 +139,13 @@ pub struct Sidecar {
     pub events_dropped: u64,
     pub spans: Vec<SidecarSpan>,
     pub spans_dropped: u64,
-    /// Windowed series (`sc-obs/3`; empty for older generations).
+    /// Windowed series.
     pub series: BTreeMap<String, SidecarSeries>,
     pub series_dropped: u64,
 }
 
 impl Sidecar {
-    /// Parse a telemetry sidecar (schema `sc-obs/1`, `/2`, or `/3`).
+    /// Parse a telemetry sidecar (schema [`crate::SCHEMA`] only).
     pub fn parse(input: &str) -> Result<Sidecar, ParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
@@ -165,7 +164,7 @@ impl Sidecar {
             .as_obj()
             .ok_or_else(|| err_at(0, "top level is not an object"))?;
         let schema = get_str(obj, "schema")?;
-        if !["sc-obs/1", "sc-obs/2", crate::SCHEMA].contains(&schema.as_str()) {
+        if schema != crate::SCHEMA {
             return Err(err_at(0, &format!("unsupported schema {schema:?}")));
         }
         let mut out = Sidecar {
@@ -194,28 +193,18 @@ impl Sidecar {
         out.events_dropped = get(obj, "events_dropped")?
             .as_u64()
             .ok_or_else(|| err_at(0, "events_dropped is not a u64"))?;
-        // sc-obs/1 has no spans section.
-        if let Some(spans) = find(obj, "spans") {
-            for (i, sv) in spans.as_arr_or_empty().iter().enumerate() {
-                out.spans.push(parse_span(i, sv)?);
-            }
+        for (i, sv) in get(obj, "spans")?.as_arr_or_empty().iter().enumerate() {
+            out.spans.push(parse_span(i, sv)?);
         }
-        if let Some(sd) = find(obj, "spans_dropped") {
-            out.spans_dropped = sd
-                .as_u64()
-                .ok_or_else(|| err_at(0, "spans_dropped is not a u64"))?;
+        out.spans_dropped = get(obj, "spans_dropped")?
+            .as_u64()
+            .ok_or_else(|| err_at(0, "spans_dropped is not a u64"))?;
+        for (k, v) in get(obj, "series")?.as_obj_or_empty() {
+            out.series.insert(k.clone(), parse_series(k, v)?);
         }
-        // sc-obs/1 and /2 have no series section.
-        if let Some(series) = find(obj, "series") {
-            for (k, v) in series.as_obj_or_empty() {
-                out.series.insert(k.clone(), parse_series(k, v)?);
-            }
-        }
-        if let Some(sd) = find(obj, "series_dropped") {
-            out.series_dropped = sd
-                .as_u64()
-                .ok_or_else(|| err_at(0, "series_dropped is not a u64"))?;
-        }
+        out.series_dropped = get(obj, "series_dropped")?
+            .as_u64()
+            .ok_or_else(|| err_at(0, "series_dropped is not a u64"))?;
         Ok(out)
     }
 
@@ -638,52 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn accepts_schema_two_without_series() -> Result<(), ParseError> {
-        // A checked-in sc-obs/2 shape must keep parsing after the /3
-        // bump: spans but no series section.
-        let v2 = r#"{
-  "schema": "sc-obs/2",
-  "experiment": "old",
-  "counters": {"a": 1},
-  "gauges": {},
-  "histograms": {},
-  "events": [],
-  "events_dropped": 0,
-  "spans": [
-    {"id": 0, "parent": null, "kind": "proc", "start": 0.0, "end": 1.0, "fields": {}}
-  ],
-  "spans_dropped": 0
-}
-"#;
-        let sc = Sidecar::parse(v2)?;
-        assert_eq!(sc.schema, "sc-obs/2");
-        assert_eq!(sc.spans.len(), 1);
-        assert!(sc.series.is_empty());
-        assert_eq!(sc.series_dropped, 0);
-        Ok(())
-    }
-
-    #[test]
-    fn accepts_schema_one_without_spans() -> Result<(), ParseError> {
-        let v1 = r#"{
-  "schema": "sc-obs/1",
-  "experiment": "old",
-  "counters": {"a": 1},
-  "gauges": {},
-  "histograms": {},
-  "events": [],
-  "events_dropped": 0
-}
-"#;
-        let sc = Sidecar::parse(v1)?;
-        assert_eq!(sc.schema, "sc-obs/1");
-        assert_eq!(sc.counter("a"), 1);
-        assert!(sc.spans.is_empty());
-        assert_eq!(sc.spans_dropped, 0);
-        Ok(())
-    }
-
-    #[test]
     fn open_span_null_end_parses_as_none() -> Result<(), ParseError> {
         let r = Recorder::new();
         r.span_open(None, "open", 3.5, vec![]);
@@ -698,7 +641,19 @@ mod tests {
     fn rejects_garbage_and_unknown_schema() {
         assert!(Sidecar::parse("not json").is_err());
         assert!(Sidecar::parse("{}").is_err());
-        assert!(Sidecar::parse("{\"schema\": \"sc-obs/99\", \"experiment\": \"x\"}").is_err());
+        // Every generation but the writer's gets the same error: a
+        // future one, and the two retired ones.
+        for other in ["sc-obs/99", "sc-obs/1", "sc-obs/2"] {
+            let err = Sidecar::parse(&sample_json().replace(crate::SCHEMA, other));
+            let msg = err.err().map(|e| e.msg).unwrap_or_default();
+            assert_eq!(msg, format!("unsupported schema {other:?}"));
+        }
+        // The writer emits every section; a file missing one is malformed.
+        for section in ["spans", "spans_dropped", "series", "series_dropped"] {
+            let renamed = sample_json().replace(&format!("\"{section}\":"), "\"x\":");
+            let msg = Sidecar::parse(&renamed).err().map(|e| e.msg).unwrap_or_default();
+            assert_eq!(msg, format!("missing key {section:?}"));
+        }
         // Trailing data after the object.
         let mut j = sample_json();
         j.push_str("{}");

@@ -254,13 +254,7 @@ impl<'a> TraceForest<'a> {
 /// bytes, so the report is as byte-stable as the sidecar.
 pub fn render_series(sc: &Sidecar) -> String {
     if sc.series.is_empty() {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "(no series section — {} predates sc-obs/3; regenerate the sidecar to get windowed series)",
-            sc.schema
-        );
-        return out;
+        return "(no windowed series recorded)\n".to_string();
     }
     let mut out = String::new();
     let window_ticks = sc.series.values().next().map_or(0, |s| s.window_ticks);
@@ -688,19 +682,10 @@ mod tests {
         assert!(out.contains('█'), "{out}");
         // Stable across re-renders of the same bytes.
         assert_eq!(out, render_series(&stormy_sidecar(40)?));
-        Ok(())
-    }
-
-    #[test]
-    fn render_series_degrades_without_series_section() -> Result<(), String> {
-        // An sc-obs/2 sidecar has no series section.
-        let sc = Sidecar::parse(
-            "{\n  \"schema\": \"sc-obs/2\",\n  \"experiment\": \"old\",\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {},\n  \"events\": [],\n  \"events_dropped\": 0\n}\n",
-        )
-        .map_err(|e| e.to_string())?;
-        let out = render_series(&sc);
-        assert!(out.contains("no series section"), "{out}");
-        assert!(out.contains("sc-obs/2"), "{out}");
+        // A run that recorded no series (fig05's sidecar) says so.
+        let none = Sidecar::parse(&Recorder::new().snapshot().to_json("u"))
+            .map_err(|e| e.to_string())?;
+        assert_eq!(render_series(&none), "(no windowed series recorded)\n");
         Ok(())
     }
 }

@@ -16,7 +16,7 @@
 //! Run with: `cargo run --example emergency_comms`
 
 use sc_geo::GeoPoint;
-use sc_netsim::failure::NodeFailures;
+use sc_netsim::chaos::FailureTimeline;
 use sc_orbit::{ConstellationConfig, Constellation, IdealPropagator, Propagator, SatId};
 use spacecore::prelude::*;
 
@@ -35,17 +35,18 @@ fn main() {
     println!("{} UEs registered before the disaster", ues.len());
 
     // Disaster: terrestrial core unreachable; 5% of satellites dead.
-    let failures = NodeFailures::random(cfg.total_sats(), 0.05, 0xBAD);
+    let failures = FailureTimeline::random_dead(cfg.total_sats(), 0.05, 0xBAD);
+    let lost = failures.cursor();
     println!(
         "disaster strikes: terrestrial infrastructure down, {} satellites lost",
-        failures.dead_count()
+        lost.dead_count()
     );
 
     // Find a surviving satellite over the zone and serve everyone.
     let snapshot = prop.snapshot(0.0);
     let serving = constellation
         .sats()
-        .filter(|s| !failures.is_dead(constellation.index_of(*s)))
+        .filter(|s| !lost.is_dead(constellation.index_of(*s)))
         .min_by(|a, b| {
             let da = snapshot[constellation.index_of(*a)].subpoint.distance_km(&zone);
             let db = snapshot[constellation.index_of(*b)].subpoint.distance_km(&zone);

@@ -16,7 +16,8 @@
 //!
 //! Run with: `cargo run --example orbital_edge`
 
-use sc_netsim::failure::{LossProcess, NodeFailures};
+use sc_netsim::chaos::FailureTimeline;
+use sc_netsim::failure::LossProcess;
 use sc_netsim::isl::{IslConfig, IslNetwork};
 use sc_netsim::sim::{steps_from_pairs, ProcedureSim, SimConfig};
 use sc_geo::GeoPoint;
@@ -67,9 +68,8 @@ fn main() {
     // legacy 13-message re-establishment through the home.
     let gs = GroundStationSet::starlink_like();
     let net = IslNetwork::build(&prop, &gs, 5.0, IslConfig::default());
-    let mut failures = NodeFailures::none();
-    failures.fail(net.sat_node(first.sat));
-    let sim = ProcedureSim::new(net.graph(), &failures, SimConfig::default());
+    let failures = FailureTimeline::none().dead_from_start(net.sat_node(first.sat));
+    let sim = ProcedureSim::with_timeline(net.graph(), &failures, SimConfig::default());
 
     let ue_node = net.sat_node(next.sat); // radio attach point
     let (gnode, _) = nearest_ground(&net, &client_pos);

@@ -24,6 +24,24 @@ cargo test -q --offline "$@"
 echo "== tier-1: sc-audit (warn-only; scripts/audit.sh enforces)" >&2
 cargo run -q -p sc-audit --offline -- --warn-only || true
 
+# The experiment gates below all call the one sc-emu binary, built once
+# here, through scemu(): `scemu <threads> <args…>` runs it from a scratch
+# directory (so the checkout's results/ is never written) with
+# SC_EMU_THREADS=<threads> ("" leaves the caller's setting), stdout
+# dropped. A run's results/<name>.json lands in $RUN_TMP/results/.
+obs_on() { [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; }
+if [ "${SC_NO_RATCHET:-0}" = "0" ] || obs_on; then
+    echo "== tier-1: cargo build --release --offline -p sc-emu --bin scemu" >&2
+    cargo build -q --release --offline -p sc-emu --bin scemu
+    SCEMU="$PWD/target/release/scemu"
+    RUN_TMP="$(mktemp -d)"
+    trap 'rm -rf "$RUN_TMP"' EXIT
+fi
+scemu() {
+    ( cd "$RUN_TMP" && { [ -z "$1" ] || export SC_EMU_THREADS="$1"; } && \
+      shift && "$SCEMU" "$@" >/dev/null )
+}
+
 # Perf-ratchet (opt-out: SC_NO_RATCHET=1). Regenerate the fig10 sc-obs
 # sidecar deterministically (threads=1 — spans record *simulated* time,
 # so the file is byte-stable and a checked-in baseline is meaningful)
@@ -35,20 +53,14 @@ cargo run -q -p sc-audit --offline -- --warn-only || true
 # baseline (see perf/README.md).
 if [ "${SC_NO_RATCHET:-0}" = "0" ]; then
     echo "== tier-1: perf-ratchet (sctrace diff vs perf/fig10.telemetry.baseline.json)" >&2
-    RATCHET_TMP="$(mktemp -d)"
-    ( cd "$RATCHET_TMP" && \
-      SC_EMU_THREADS=1 cargo run -q --release --offline \
-          --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin fig10 -- \
-          --obs-out "$RATCHET_TMP/fig10.telemetry.json" >/dev/null )
+    scemu 1 fig10 --obs-out "$RUN_TMP/fig10.telemetry.json"
     cargo run -q --release --offline -p sc-obs --bin sctrace -- \
-        diff perf/fig10.telemetry.baseline.json "$RATCHET_TMP/fig10.telemetry.json" \
+        diff perf/fig10.telemetry.baseline.json "$RUN_TMP/fig10.telemetry.json" \
         --fail-on-regress 5 >&2 || {
         echo "== tier-1: FAIL — perf-ratchet: fig10 span regression vs checked-in baseline" >&2
         echo "           (intentional change? regenerate per perf/README.md; bypass: SC_NO_RATCHET=1)" >&2
-        rm -rf "$RATCHET_TMP"
         exit 1
     }
-    rm -rf "$RATCHET_TMP"
     echo "== tier-1: perf-ratchet clean (--fail-on-regress 5)" >&2
 fi
 
@@ -56,24 +68,15 @@ fi
 # fig05 and fig10 with the sc-obs sidecar enabled, twice and under
 # different thread counts, and require byte-identical telemetry.json.
 # See docs/TELEMETRY.md for the schema.
-if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
+if obs_on; then
     echo "== tier-1: SC_OBS telemetry determinism (fig05, fig10)" >&2
-    OBS_TMP="$(mktemp -d)"
-    trap 'rm -rf "$OBS_TMP"' EXIT
     for exp in fig05 fig10; do
-        ( cd "$OBS_TMP" && \
-          SC_EMU_THREADS=1 cargo run -q --release --offline \
-              --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin "$exp" -- \
-              --obs-out "$OBS_TMP/$exp.t1.json" >/dev/null && \
-          SC_EMU_THREADS=1 cargo run -q --release --offline \
-              --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin "$exp" -- \
-              --obs-out "$OBS_TMP/$exp.t1b.json" >/dev/null && \
-          SC_EMU_THREADS=4 cargo run -q --release --offline \
-              --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin "$exp" -- \
-              --obs-out "$OBS_TMP/$exp.t4.json" >/dev/null )
-        cmp "$OBS_TMP/$exp.t1.json" "$OBS_TMP/$exp.t1b.json" || {
+        scemu 1 "$exp" --obs-out "$RUN_TMP/$exp.t1.json"
+        scemu 1 "$exp" --obs-out "$RUN_TMP/$exp.t1b.json"
+        scemu 4 "$exp" --obs-out "$RUN_TMP/$exp.t4.json"
+        cmp "$RUN_TMP/$exp.t1.json" "$RUN_TMP/$exp.t1b.json" || {
             echo "== tier-1: FAIL — $exp telemetry differs across reruns" >&2; exit 1; }
-        cmp "$OBS_TMP/$exp.t1.json" "$OBS_TMP/$exp.t4.json" || {
+        cmp "$RUN_TMP/$exp.t1.json" "$RUN_TMP/$exp.t4.json" || {
             echo "== tier-1: FAIL — $exp telemetry differs across thread counts" >&2; exit 1; }
         echo "== tier-1: $exp telemetry byte-stable (reruns, threads 1 vs 4)" >&2
     done
@@ -82,13 +85,13 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
     # storm miniature's traced C2 replays ("spans" section), and
     # `sctrace diff` of a byte-identical rerun pair must gate zero
     # regressions at the tightest threshold.
-    grep -q '"spans"' "$OBS_TMP/fig10.t1.json" || {
+    grep -q '"spans"' "$RUN_TMP/fig10.t1.json" || {
         echo "== tier-1: FAIL — fig10 sidecar has no spans section" >&2; exit 1; }
     echo "== tier-1: sctrace critical-path (fig10)" >&2
     cargo run -q --release --offline -p sc-obs --bin sctrace -- \
-        critical-path "$OBS_TMP/fig10.t1.json" >&2
+        critical-path "$RUN_TMP/fig10.t1.json" >&2
     cargo run -q --release --offline -p sc-obs --bin sctrace -- \
-        diff "$OBS_TMP/fig10.t1.json" "$OBS_TMP/fig10.t1b.json" --fail-on-regress 0 >&2 || {
+        diff "$RUN_TMP/fig10.t1.json" "$RUN_TMP/fig10.t1b.json" --fail-on-regress 0 >&2 || {
         echo "== tier-1: FAIL — sctrace diff gated a regression between identical reruns" >&2
         exit 1; }
     echo "== tier-1: sctrace diff gate clean (rerun pair, --fail-on-regress 0)" >&2
@@ -101,22 +104,17 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
     # counters and the chaos events, so a route that differs from a
     # fresh Dijkstra's shows here.
     echo "== tier-1: ext_chaos result/telemetry byte-stability (threads 1 vs 4, vs results/)" >&2
-    ( cd "$OBS_TMP" && \
-      SC_EMU_THREADS=1 cargo run -q --release --offline \
-          --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin ext_chaos -- \
-          --obs-out "$OBS_TMP/ext_chaos.t1.json" >/dev/null && \
-      cp results/ext_chaos.json ext_chaos.r1.json && \
-      SC_EMU_THREADS=4 cargo run -q --release --offline \
-          --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin ext_chaos -- \
-          --obs-out "$OBS_TMP/ext_chaos.t4.json" >/dev/null && \
-      cp results/ext_chaos.json ext_chaos.r4.json )
-    cmp "$OBS_TMP/ext_chaos.r1.json" "$OBS_TMP/ext_chaos.r4.json" || {
+    for t in 1 4; do
+        scemu $t ext_chaos --obs-out "$RUN_TMP/ext_chaos.t$t.json"
+        cp "$RUN_TMP/results/ext_chaos.json" "$RUN_TMP/ext_chaos.r$t.json"
+    done
+    cmp "$RUN_TMP/ext_chaos.r1.json" "$RUN_TMP/ext_chaos.r4.json" || {
         echo "== tier-1: FAIL — ext_chaos results differ across thread counts" >&2; exit 1; }
-    cmp "$OBS_TMP/ext_chaos.t1.json" "$OBS_TMP/ext_chaos.t4.json" || {
+    cmp "$RUN_TMP/ext_chaos.t1.json" "$RUN_TMP/ext_chaos.t4.json" || {
         echo "== tier-1: FAIL — ext_chaos telemetry differs across thread counts" >&2; exit 1; }
-    cmp "$OBS_TMP/ext_chaos.r1.json" results/ext_chaos.json || {
+    cmp "$RUN_TMP/ext_chaos.r1.json" results/ext_chaos.json || {
         echo "== tier-1: FAIL — ext_chaos run differs from results/ext_chaos.json" >&2; exit 1; }
-    cmp "$OBS_TMP/ext_chaos.t1.json" results/ext_chaos.telemetry.json || {
+    cmp "$RUN_TMP/ext_chaos.t1.json" results/ext_chaos.telemetry.json || {
         echo "== tier-1: FAIL — ext_chaos run differs from results/ext_chaos.telemetry.json" >&2; exit 1; }
     echo "== tier-1: ext_chaos byte-stable (results + telemetry, threads 1 vs 4) and equal to results/" >&2
 
@@ -135,17 +133,14 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
     # the 8 shards unevenly divided.
     for exp in ext_mload ext_chaosload; do
         echo "== tier-1: $exp --smoke result/telemetry byte-stability (threads 1 vs 3 vs 4)" >&2
-        ( cd "$OBS_TMP" && \
-          for t in 1 3 4; do
-              SC_EMU_THREADS=$t cargo run -q --release --offline \
-                  --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin "$exp" -- \
-                  --smoke --obs-out "$OBS_TMP/$exp.t$t.json" >/dev/null && \
-              cp "results/$exp.json" "$exp.r$t.json" || exit 1
-          done )
+        for t in 1 3 4; do
+            scemu $t "$exp" --smoke --obs-out "$RUN_TMP/$exp.t$t.json"
+            cp "$RUN_TMP/results/$exp.json" "$RUN_TMP/$exp.r$t.json"
+        done
         for t in 3 4; do
-            cmp "$OBS_TMP/$exp.r1.json" "$OBS_TMP/$exp.r$t.json" || {
+            cmp "$RUN_TMP/$exp.r1.json" "$RUN_TMP/$exp.r$t.json" || {
                 echo "== tier-1: FAIL — $exp results differ across thread counts (1 vs $t)" >&2; exit 1; }
-            cmp "$OBS_TMP/$exp.t1.json" "$OBS_TMP/$exp.t$t.json" || {
+            cmp "$RUN_TMP/$exp.t1.json" "$RUN_TMP/$exp.t$t.json" || {
                 echo "== tier-1: FAIL — $exp telemetry differs across thread counts (1 vs $t)" >&2; exit 1; }
         done
         echo "== tier-1: $exp byte-stable (results + telemetry, threads 1 vs 3 vs 4)" >&2
@@ -155,13 +150,10 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
     # results and sidecars byte for byte (the smoke cmps above compare
     # runs with each other, never with results/).
     for exp in ext_mload ext_chaosload; do
-        ( cd "$OBS_TMP" && \
-          cargo run -q --release --offline \
-              --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin "$exp" -- \
-              --obs-out "$OBS_TMP/$exp.full.telemetry.json" >/dev/null )
-        cmp "$OBS_TMP/results/$exp.json" "results/$exp.json" || {
+        scemu "" "$exp" --obs-out "$RUN_TMP/$exp.full.telemetry.json"
+        cmp "$RUN_TMP/results/$exp.json" "results/$exp.json" || {
             echo "== tier-1: FAIL — $exp full run differs from results/$exp.json" >&2; exit 1; }
-        cmp "$OBS_TMP/$exp.full.telemetry.json" "results/$exp.telemetry.json" || {
+        cmp "$RUN_TMP/$exp.full.telemetry.json" "results/$exp.telemetry.json" || {
             echo "== tier-1: FAIL — $exp full run differs from results/$exp.telemetry.json" >&2; exit 1; }
     done
     echo "== tier-1: ext_mload, ext_chaosload full runs equal the checked-in results + sidecars" >&2
@@ -175,12 +167,12 @@ if [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; then
                 "ext_chaosload.t1.json:emu.chaosload.rereg_storm_per_s" \
                 "fig10.t1.json:fiveg.msgs_per_window.c2_session_establishment"; do
         side="${pair%%:*}"; name="${pair#*:}"
-        grep -q "\"$name\"" "$OBS_TMP/$side" || {
+        grep -q "\"$name\"" "$RUN_TMP/$side" || {
             echo "== tier-1: FAIL — $side sidecar is missing series \"$name\"" >&2; exit 1; }
     done
     echo "== tier-1: sctrace series (ext_chaosload storm windows)" >&2
     cargo run -q --release --offline -p sc-obs --bin sctrace -- \
-        series "$OBS_TMP/ext_chaosload.t1.json" >&2 || {
+        series "$RUN_TMP/ext_chaosload.t1.json" >&2 || {
         echo "== tier-1: FAIL — sctrace series could not render the chaosload sidecar" >&2
         exit 1; }
 

@@ -2,7 +2,8 @@
 //! Fig. 19, Appendix B) exercised across crates.
 
 use sc_geo::GeoPoint;
-use sc_netsim::failure::{AttackInjector, GilbertElliott, NodeFailures};
+use sc_netsim::chaos::FailureTimeline;
+use sc_netsim::failure::{AttackInjector, GilbertElliott};
 use sc_netsim::isl::{IslConfig, IslNetwork};
 use sc_orbit::{ConstellationConfig, GroundStationSet, IdealPropagator, SatId};
 use spacecore::home::HomeConfig;
@@ -17,7 +18,8 @@ fn routing_survives_satellite_decay() {
     let net = IslNetwork::build(&prop, &gs, 0.0, IslConfig::default());
 
     for p_fail in [0.025, 0.10] {
-        let failures = NodeFailures::random(net.num_sats(), p_fail, 99);
+        let decayed = FailureTimeline::random_dead(net.num_sats(), p_fail, 99);
+        let failures = decayed.cursor();
         let src = net.sat_node(SatId::new(0, 0));
         let dst = net.sat_node(SatId::new(36, 11));
         if failures.is_dead(src) || failures.is_dead(dst) {

@@ -1,8 +1,10 @@
-//! Byte-stability of the checked-in `results/` figure JSONs.
+//! Byte-stability of the checked-in `results/`, row by row of
+//! `sc_emu::EXPERIMENTS`.
 //!
-//! Every figure binary writes `serde_json::to_string_pretty` of its
-//! result struct; these tests regenerate each experiment in-process
-//! and require the bytes to match the checked-in file exactly. The
+//! `scemu <name>` writes `serde_json::to_string_pretty` of the row's
+//! result struct to `results/<name>.json` and prints its rendered table
+//! (`results/<name>.txt`); these tests regenerate each row in-process
+//! and require the bytes to match the checked-in files exactly. The
 //! worker-threaded experiments are additionally run at
 //! `SC_EMU_THREADS` 1 and 4 (passed explicitly through `run_with`, so
 //! the tests cannot race on the environment): the scheduler, arena,
@@ -11,8 +13,18 @@
 //!
 //! fig18 is excluded by design: it reports wall-clock timings
 //! (EXPERIMENTS.md documents it as the one non-reproducible figure).
+//! The two soaks (the rows with a `--smoke` variant) are left to release
+//! builds: their full runs are pinned by `SC_OBS=1 scripts/tier1.sh` and
+//! by scbench's output checks.
 
+use sc_emu::EXPERIMENTS;
+use std::collections::BTreeSet;
 use std::error::Error;
+
+fn checked_in(file: &str) -> Result<String, Box<dyn Error>> {
+    let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}").into())
+}
 
 /// Serialize exactly as `sc_emu::obs::run_cli` does and diff against
 /// the checked-in `results/<name>.json` bytes.
@@ -20,8 +32,7 @@ fn assert_matches_checked_in<R: serde::Serialize>(
     name: &str,
     r: &R,
 ) -> Result<(), Box<dyn Error>> {
-    let path = format!("{}/results/{name}.json", env!("CARGO_MANIFEST_DIR"));
-    let want = std::fs::read_to_string(&path)?;
+    let want = checked_in(&format!("results/{name}.json"))?;
     let got = serde_json::to_string_pretty(r)?;
     if got != want {
         return Err(format!(
@@ -79,17 +90,52 @@ fn threaded_experiments_byte_stable_across_thread_counts() -> Result<(), Box<dyn
 
 #[test]
 fn single_threaded_experiments_match_checked_in_results() -> Result<(), Box<dyn Error>> {
-    assert_matches_checked_in("fig05", &sc_emu::fig05::run())?;
-    assert_matches_checked_in("fig07", &sc_emu::fig07::run())?;
-    assert_matches_checked_in("fig08", &sc_emu::fig08::run())?;
-    assert_matches_checked_in("fig13", &sc_emu::fig13::run())?;
-    assert_matches_checked_in("fig17", &sc_emu::fig17::run())?;
-    assert_matches_checked_in("fig19", &sc_emu::fig19::run())?;
-    assert_matches_checked_in("fig21", &sc_emu::fig21::run())?;
-    assert_matches_checked_in("table3", &sc_emu::table3::run())?;
-    assert_matches_checked_in("table4", &sc_emu::table4::run())?;
-    assert_matches_checked_in("ext_anchor", &sc_emu::ext_anchor::run())?;
-    assert_matches_checked_in("ext_iot", &sc_emu::ext_iot::run())?;
-    assert_matches_checked_in("ext_resilience", &sc_emu::ext_resilience::run())?;
+    let obs = sc_obs::Recorder::disabled();
+    for e in EXPERIMENTS {
+        if e.name == "fig18" || e.smoke.is_some() {
+            continue;
+        }
+        let out = (e.run)(&obs)?;
+        for (ext, got) in [("json", out.json), ("txt", out.text + "\n")] {
+            let file = format!("results/{}.{ext}", e.name);
+            if got != checked_in(&file)? {
+                return Err(format!("{file} drifted from what the {} row regenerates", e.name).into());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The table and `results/` name the same experiments, each once.
+#[test]
+fn every_row_has_a_result_file_and_every_result_file_a_row() -> Result<(), Box<dyn Error>> {
+    let rows: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    assert_eq!(rows.len(), EXPERIMENTS.len(), "experiment names are unique");
+    let mut files = BTreeSet::new();
+    for entry in std::fs::read_dir(format!("{}/results", env!("CARGO_MANIFEST_DIR")))? {
+        let file = entry?.file_name().to_string_lossy().into_owned();
+        match file.strip_suffix(".json") {
+            Some(stem) if !stem.ends_with(".telemetry") => files.insert(stem.to_string()),
+            _ => continue,
+        };
+    }
+    assert_eq!(rows, files.iter().map(String::as_str).collect());
+    Ok(())
+}
+
+/// EXPERIMENTS.md's "Reading the results" table is the one hand-kept
+/// copy of the catalogue: its first column names exactly the rows.
+#[test]
+fn experiments_md_reads_the_same_rows() -> Result<(), Box<dyn Error>> {
+    let doc = checked_in("EXPERIMENTS.md")?;
+    let (_, section) = doc
+        .split_once("## Reading the results")
+        .ok_or("EXPERIMENTS.md lost its \"Reading the results\" section")?;
+    let documented: BTreeSet<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split_once(".json` |"))
+        .map(|(name, _)| name)
+        .collect();
+    assert_eq!(documented, EXPERIMENTS.iter().map(|e| e.name).collect());
     Ok(())
 }

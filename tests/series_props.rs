@@ -6,9 +6,7 @@
 //! `series_inc_tick` per window, the `drain_until` batch shapes of the
 //! mload/chaosload engines. Plus the window-edge cases: an event
 //! landing exactly on a window boundary, a run confined to one window,
-//! and an empty series. Backward compatibility rides along: sc-obs/1
-//! and sc-obs/2 sidecars (no `series` section) must keep parsing, and
-//! the series analytics must degrade to a clear message, not an error.
+//! and an empty series.
 
 use proptest::prelude::*;
 use sc_obs::{Recorder, SeriesSet, WINDOW_TICKS};
@@ -113,33 +111,4 @@ fn sub_window_runs_and_empty_series() {
     let json = rec.snapshot().to_json("empty_series");
     assert!(json.contains("\"series\": {}"), "{json}");
     assert!(json.contains("\"series_dropped\": 0"), "{json}");
-}
-
-/// Pre-series sidecars keep parsing (sc-obs/1: no spans either;
-/// sc-obs/2: spans but no series), and the series analytics degrade to
-/// a clear message instead of failing — old telemetry archives stay
-/// readable by new tooling.
-#[test]
-fn old_sidecar_generations_parse_and_degrade_gracefully() {
-    let v1 = "{\n  \"schema\": \"sc-obs/1\",\n  \"experiment\": \"archive\",\n  \
-        \"counters\": {\n    \"netsim.des.processed\": 42\n  },\n  \"gauges\": {},\n  \
-        \"histograms\": {},\n  \"events\": [],\n  \"events_dropped\": 0\n}\n";
-    let v2 = "{\n  \"schema\": \"sc-obs/2\",\n  \"experiment\": \"archive\",\n  \
-        \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {},\n  \"events\": [],\n  \
-        \"events_dropped\": 0,\n  \"spans\": [],\n  \"spans_dropped\": 0\n}\n";
-    for (text, schema) in [(v1, "sc-obs/1"), (v2, "sc-obs/2")] {
-        let sc = sc_obs::Sidecar::parse(text).expect(schema);
-        assert_eq!(sc.schema, schema);
-        assert!(sc.series.is_empty());
-        assert_eq!(sc.series_dropped, 0);
-        let report = sc_obs::trace::render_series(&sc);
-        assert!(report.contains("no series section"), "{report}");
-        assert!(report.contains(schema), "{report}");
-    }
-    // A current-schema sidecar with series renders the table instead.
-    let rec = Recorder::new();
-    rec.series_inc("x_per_s", 0.0, 3);
-    let sc = sc_obs::Sidecar::parse(&rec.snapshot().to_json("new")).expect("sc-obs/3");
-    let report = sc_obs::trace::render_series(&sc);
-    assert!(report.contains("x_per_s"), "{report}");
 }

@@ -130,8 +130,8 @@ proptest! {
         let mut g = sc_netsim::topo::Graph::new(3);
         g.add_bidirectional(0, 1, 2.0);
         g.add_bidirectional(1, 2, 30.0);
-        let nf = sc_netsim::failure::NodeFailures::none();
-        let sim = sc_netsim::sim::ProcedureSim::new(
+        let nf = sc_netsim::chaos::FailureTimeline::none();
+        let sim = sc_netsim::sim::ProcedureSim::with_timeline(
             &g,
             &nf,
             sc_netsim::sim::SimConfig::default(),
