@@ -6,11 +6,14 @@
 //! (R1–R3), and parses each token stream into its AST. Pass 2 merges
 //! the ASTs into a workspace [`Symbols`] table and runs the dataflow
 //! rules (R4/R5 in [`crate::flow`]) — which is what lets a type alias
-//! declared in `sc-fiveg` convict a struct field in `sc-spacecore`.
+//! declared in `sc-fiveg` convict a struct field in `sc-spacecore` —
+//! and the module-reachability rule (R6 in [`crate::orphan`]), the one
+//! rule that also reads the files outside `crates/`.
 
 use crate::baseline::{Baseline, FlowCounts};
 use crate::flow::{self, FileUnit, FlowFinding};
-use crate::lexer;
+use crate::lexer::{self, Lexed};
+use crate::orphan;
 use crate::parser;
 use crate::rules::{self, audit_tokens, Config, Finding, PanicCounts};
 use crate::symbols::Symbols;
@@ -22,9 +25,12 @@ use std::path::{Path, PathBuf};
 /// Everything one audit run produced.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// R1/R2 findings (already annotation-filtered), in deterministic
-    /// file/position order.
+    /// R1/R2/R6 findings (already annotation-filtered), in deterministic
+    /// file/position order, R6 last.
     pub findings: Vec<Finding>,
+    /// R6 findings an `allow(orphan, …)` suppressed: the modules kept
+    /// caller-less on purpose.
+    pub allowed_orphans: Vec<Finding>,
     /// R4/R5 dataflow findings (annotation-filtered, sorted). These are
     /// gated by the baseline-v2 ratchet rather than failing directly,
     /// mirroring R3: the checked-in `r4`/`r5` ceilings (normally zero)
@@ -88,8 +94,8 @@ impl Report {
 }
 
 /// Collect every `.rs` file under `<root>/crates`, skipping build
-/// output and the auditor's own violation fixtures. Sorted for
-/// deterministic output.
+/// output and the auditor's own violation fixtures, then the callers
+/// R6 reads for references only. Sorted for deterministic output.
 pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
@@ -100,9 +106,20 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
         ));
     }
     walk(&crates_dir, &mut files)?;
+    for dir in REFERENCE_ONLY {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            walk(&dir, &mut files)?;
+        }
+    }
     files.sort();
     Ok(files)
 }
+
+/// Directories outside `crates/` whose files can keep a module alive
+/// (R6). They are lexed for references and never audited: R1–R5 and
+/// the R3 counters see `crates/` only.
+const REFERENCE_ONLY: [&str; 4] = ["src", "tests", "examples", "benchmark/src"];
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
@@ -148,7 +165,8 @@ pub fn audit_workspace(root: &Path, baseline: &Baseline, cfg: &Config) -> io::Re
 
 /// Audit a set of (relative-path, source) pairs as one mini-workspace:
 /// the full two-pass pipeline including the cross-file R4/R5 dataflow
-/// rules. `audit_workspace` is this plus the directory walk; the
+/// rules and R6. Paths outside `crates/` are R6's reference-only
+/// callers. `audit_workspace` is this plus the directory walk; the
 /// fixture tests call it directly with in-memory corpora.
 pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline, cfg: &Config) -> Report {
     let mut report = Report::default();
@@ -157,9 +175,15 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline, cfg: &Co
     // suppression — R4 skips these (one defect, one rule, and an
     // allow(stateful) on the line must not resurface as an R4).
     let mut r1_sites: HashSet<(String, u32)> = HashSet::new();
+    // Files outside `crates/`: R6 reads them, nothing audits them.
+    let mut callers: Vec<(&str, Lexed)> = Vec::new();
 
     for (rel, src) in sources {
         let lexed = lexer::lex(src);
+        if !rel.starts_with("crates/") {
+            callers.push((rel, lexed));
+            continue;
+        }
         let (findings, counts) = audit_tokens(rel, &lexed, cfg);
         report.findings.extend(findings);
         if let Some(krate) = crate_of(rel) {
@@ -213,6 +237,12 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline, cfg: &Co
         }
     }
     report.flow = flow_findings;
+
+    let audited = units.iter().map(|u| (u.rel.as_str(), &u.lexed));
+    let files: Vec<_> = audited.chain(callers.iter().map(|(rel, lexed)| (*rel, lexed))).collect();
+    let (orphans, allowed) = orphan::rule_orphan(&files);
+    report.findings.extend(orphans);
+    report.allowed_orphans = allowed;
     compare_ratchet(baseline, &mut report);
     report
 }

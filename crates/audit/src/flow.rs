@@ -751,7 +751,7 @@ fn closure_in(toks: &[Token], start: usize, end: usize) -> Option<(Vec<String>, 
 }
 
 /// Index of the token closing the balanced region opened at `open_at`.
-fn matching(toks: &[Token], open_at: usize, open: &str, close: &str) -> usize {
+pub(crate) fn matching(toks: &[Token], open_at: usize, open: &str, close: &str) -> usize {
     let mut depth = 0i32;
     for (i, t) in toks.iter().enumerate().skip(open_at) {
         if t.kind == TokenKind::Punct {

@@ -27,6 +27,10 @@
 //!   sweep: closures spawned into `thread::scope`/`parallel_map*`
 //!   regions must not mutate captured locals, take ad-hoc locks, or
 //!   iterate hash-ordered collections.
+//! * **R6 `orphan`** — no module without a caller ([`orphan`]): a
+//!   `crates/<c>/src/<m>.rs` that no experiment row, binary, root test,
+//!   example or benchmark reaches is a finding on its `mod` line;
+//!   zero-tolerance like R1.
 //!
 //! R4/R5 are gated by the baseline-v2 per-crate `r4`/`r5` ceilings
 //! (normally zero), mirroring the R3 workflow. Machine-readable SARIF
@@ -40,6 +44,7 @@ pub mod baseline;
 pub mod engine;
 pub mod flow;
 pub mod lexer;
+pub mod orphan;
 pub mod parser;
 pub mod rules;
 pub mod sarif;

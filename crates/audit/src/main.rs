@@ -165,6 +165,12 @@ fn main() -> ExitCode {
         for f in &report.findings {
             println!("{f}");
         }
+        for f in &report.allowed_orphans {
+            eprintln!(
+                "sc-audit: note: {}:{} R6-orphan suppressed by allow(orphan)",
+                f.file, f.line
+            );
+        }
         for f in &report.flow {
             println!("{f}");
             if args.explain {
@@ -186,7 +192,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // R1/R2 findings are fatal directly; R4/R5 findings gate through
+    // R1/R2/R6 findings are fatal directly; R4/R5 findings gate through
     // the baseline-v2 ratchet (so grandfathered ceilings behave exactly
     // like the R3 workflow).
     let ratchet_fails = if args.update_baseline { 0 } else { report.ratchet.len() };

@@ -46,6 +46,10 @@ const RULES: &[(&str, &str)] = &[
         "R5-parallel",
         "Parallel-determinism: closures in the SC_EMU_THREADS sweep must not mutate captures, take ad-hoc locks, or iterate hash-ordered collections.",
     ),
+    (
+        "R6-orphan",
+        "Every module is reached by an experiment row, a binary, a root test, an example or the benchmark; its own tests, its crate's tests/ and benches do not count.",
+    ),
 ];
 
 /// Render the whole report as a SARIF 2.1.0 document.

@@ -79,7 +79,7 @@ fn instant_now_inside_allowlist_is_fine() {
 #[test]
 fn thread_rng_is_flagged_everywhere() {
     let src = include_str!("fixtures/rng_thread.rs");
-    for rel in ["crates/emu/src/fig18.rs", "crates/orbit/src/passes.rs"] {
+    for rel in ["crates/emu/src/fig18.rs", "crates/orbit/src/coverage.rs"] {
         let report = audit_fixture(rel, src);
         assert_eq!(report.findings.len(), 1, "{rel}");
         assert_eq!(report.findings[0].rule, "R2-rng");

@@ -19,10 +19,7 @@
 //!   the per-satellite aggregate rates behind Figures 10/12/20,
 //! * [`traffic`] — device-class profiles (consumer broadband,
 //!   massive IoT, …) that scale those workload parameters into the
-//!   mixed-population bills of the `ext_iot` extension,
-//! * [`trace`] — Trace 1-style timestamped session event logs,
-//!   regenerated synthetically for any latency profile so examples can
-//!   show *what a session looks like*, not just its aggregate cost.
+//!   mixed-population bills of the `ext_iot` extension.
 //!
 //! Everything is seeded and deterministic: [`population::PopulationModel::sample_ues`]
 //! is the placement source for Figure 12's per-region breakdown and for
@@ -31,12 +28,10 @@
 
 pub mod population;
 pub mod table2;
-pub mod trace;
 pub mod traffic;
 pub mod workload;
 
 pub use population::{PopulationModel, Region};
 pub use table2::{DatasetSource, ProtocolLayer, Table2};
 pub use traffic::{TrafficClass, TrafficMix};
-pub use trace::{geo_pipe_session, spacecore_session, SessionTrace, TraceEvent};
 pub use workload::{RateModel, WorkloadParams};

@@ -1,30 +1,25 @@
-//! A reusable buffer arena for NAS/NGAP message building.
+//! A reusable buffer arena for NAS message building.
 //!
-//! Encoding a signaling message with [`NasMessage::encode`] /
-//! [`NgapMessage::encode`] allocates a fresh `Vec<u8>` per call. On the
-//! hot paths that rebuild the same handful of messages for every
-//! procedure run — the satellite proxy re-encoding the piggybacked PDU
-//! session request for each establishment, sweep engines replaying
-//! Figure 9 exchanges millions of times — that per-message allocation
-//! dominates the codec cost.
+//! Encoding a signaling message with [`NasMessage::encode`] allocates a
+//! fresh `Vec<u8>` per call. On the hot paths that rebuild the same
+//! handful of messages for every procedure run — the satellite proxy
+//! re-encoding the piggybacked PDU session request for each
+//! establishment, sweep engines replaying Figure 9 exchanges millions
+//! of times — that per-message allocation dominates the codec cost.
 //!
 //! [`MessageArena`] amortizes it: the arena owns a pool of byte
-//! buffers, [`MessageArena::encode_nas`] / [`encode_ngap`] write into
-//! the next free buffer (via [`NasMessage::encode_into`] /
-//! [`NgapMessage::encode_into`]) and hand back a [`BufId`] ticket, and
-//! [`MessageArena::reset`] — called once per procedure run — returns
-//! every buffer to the pool without freeing its capacity. After the
-//! first run through a procedure the arena allocates nothing.
+//! buffers, [`MessageArena::encode_nas`] writes into the next free
+//! buffer (via [`NasMessage::encode_into`]) and hands back a [`BufId`]
+//! ticket, and [`MessageArena::reset`] — called once per procedure run
+//! — returns every buffer to the pool without freeing its capacity.
+//! After the first run through a procedure the arena allocates nothing.
 //!
 //! The encoded bytes are identical to the allocating `encode()` path
 //! (pinned by tests here and exercised byte-for-byte by the satellite
 //! proxy's encode→decode round-trip), so swapping the arena in changes
 //! no experiment output.
-//!
-//! [`encode_ngap`]: MessageArena::encode_ngap
 
 use crate::nas::NasMessage;
-use crate::ngap::NgapMessage;
 
 /// Ticket for a buffer checked out of a [`MessageArena`]. Valid until
 /// the next [`MessageArena::reset`]; redeem with
@@ -62,14 +57,6 @@ impl MessageArena {
     /// Encode `m` into a pooled buffer; same bytes as
     /// [`NasMessage::encode`] without the allocation.
     pub fn encode_nas(&mut self, m: &NasMessage) -> BufId {
-        let id = self.acquire();
-        m.encode_into(&mut self.bufs[id.0]);
-        id
-    }
-
-    /// Encode `m` into a pooled buffer; same bytes as
-    /// [`NgapMessage::encode`] without the allocation.
-    pub fn encode_ngap(&mut self, m: &NgapMessage) -> BufId {
         let id = self.acquire();
         m.encode_into(&mut self.bufs[id.0]);
         id
@@ -115,7 +102,6 @@ impl MessageArena {
 mod tests {
     use super::*;
     use crate::nas::{IeTag, NasMessageType};
-    use crate::ngap::{ie, NgapProcedure};
 
     fn nas_sample() -> NasMessage {
         NasMessage::new(NasMessageType::PduSessionEstablishmentRequest)
@@ -123,21 +109,20 @@ mod tests {
             .with_ie(IeTag::DhPublic, 7u64.to_be_bytes().to_vec())
     }
 
-    fn ngap_sample() -> NgapMessage {
-        NgapMessage::new(NgapProcedure::PathSwitchRequest)
-            .with_ie(ie::RAN_UE_NGAP_ID, vec![0, 0, 0, 9])
-            .with_ie(ie::SECURITY_CONTEXT, vec![3; 40])
+    fn accept_sample() -> NasMessage {
+        NasMessage::new(NasMessageType::PduSessionEstablishmentAccept)
+            .with_ie(IeTag::DhPublic, 9u64.to_be_bytes().to_vec())
     }
 
     #[test]
     fn arena_bytes_match_allocating_encode() {
         let mut a = MessageArena::new();
         let nas = nas_sample();
-        let ngap = ngap_sample();
+        let accept = accept_sample();
         let n = a.encode_nas(&nas);
-        let g = a.encode_ngap(&ngap);
+        let g = a.encode_nas(&accept);
         assert_eq!(a.bytes(n), nas.encode().as_slice());
-        assert_eq!(a.bytes(g), ngap.encode().as_slice());
+        assert_eq!(a.bytes(g), accept.encode().as_slice());
         // Two live tickets coexist without clobbering each other.
         assert_eq!(a.in_use(), 2);
     }
@@ -146,13 +131,13 @@ mod tests {
     fn repeated_runs_allocate_nothing_new() {
         let mut a = MessageArena::new();
         let nas = nas_sample();
-        let ngap = ngap_sample();
+        let accept = accept_sample();
         for _ in 0..100 {
             a.reset();
             let n = a.encode_nas(&nas);
-            let g = a.encode_ngap(&ngap);
+            let g = a.encode_nas(&accept);
             assert_eq!(a.bytes(n).len(), nas.wire_len());
-            assert!(!a.bytes(g).is_empty());
+            assert_eq!(a.bytes(g).len(), accept.wire_len());
         }
         assert_eq!(a.allocated(), 2, "pool is flat after warm-up");
         assert_eq!(a.high_water(), 2);

@@ -25,41 +25,29 @@
 //!   between UPFs (§5),
 //! * [`conn`] — the UE RRC/session connection state machine (idle ↔
 //!   connected, inactivity release),
-//! * [`arena`] — a reusable buffer arena so the NAS/NGAP hot paths
-//!   encode without per-message allocation.
+//! * [`arena`] — a reusable buffer arena so the NAS hot paths encode
+//!   without per-message allocation.
 
 pub mod amf;
 pub mod arena;
 pub mod conn;
-pub mod corenet;
 pub mod cpu;
 pub mod gtp;
 pub mod ids;
 pub mod messages;
 pub mod nas;
-pub mod ngap;
 pub mod nf;
-pub mod pcf;
-pub mod security;
 pub mod smf;
-pub mod udm;
 pub mod state;
-pub mod upf;
 
 pub use amf::{Amf, RmState, UeContext};
 pub use arena::{BufId, MessageArena};
-pub use corenet::{CoreNetwork, ProcedureReceipt, SimulatedUe};
-pub use pcf::{Pcf, PolicyDecision};
-pub use udm::{SubscriptionTier, Udm};
 pub use smf::{PduSession, Smf};
 pub use conn::{ConnEvent, ConnState, UeConnection};
 pub use cpu::{HardwareProfile, NfCostTable};
 pub use gtp::GtpUHeader;
 pub use ids::{PlmnId, SessionId, Supi, TunnelId};
 pub use nas::{NasMessage, NasMessageType};
-pub use ngap::{NgapMessage, NgapProcedure};
 pub use messages::{Entity, Procedure, ProcedureKind, SignalingStep, StateOp};
 pub use nf::{FunctionSplit, NetworkFunction, Placement, SplitOption};
-pub use upf::{ForwardAction, TokenBucket, Upf, UsageReport, Verdict};
-pub use security::{AuthVector, KeyHierarchy};
 pub use state::{BillingState, IdState, LocationState, QosState, SecurityState, SessionState};

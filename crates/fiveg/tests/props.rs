@@ -4,10 +4,8 @@ use proptest::prelude::*;
 use sc_fiveg::gtp::GtpUHeader;
 use sc_fiveg::ids::{PlmnId, SessionId, Supi, TunnelId};
 use sc_fiveg::nas::{IeTag, NasMessage, NasMessageType};
-use sc_fiveg::security::{generate_av, ue_respond, verify_response, KeyHierarchy};
 use sc_fiveg::smf::Smf;
 use sc_fiveg::state::SessionState;
-use sc_fiveg::upf::TokenBucket;
 
 proptest! {
     #[test]
@@ -65,49 +63,6 @@ proptest! {
     #[test]
     fn nas_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = NasMessage::decode(&data);
-    }
-
-    #[test]
-    fn aka_succeeds_iff_keys_match(k in any::<u64>(), k2 in any::<u64>(), rand in any::<u64>(), sqn in any::<u64>()) {
-        let av = generate_av(k, rand, sqn);
-        // Right key: always verifies.
-        let res = ue_respond(k, av.rand, av.autn, sqn).unwrap();
-        prop_assert!(verify_response(&av, res));
-        // Wrong key: AUTN check fails (or, astronomically unlikely,
-        // collides — accept either but never a forged pass-through).
-        if k2 != k {
-            if let Some(r2) = ue_respond(k2, av.rand, av.autn, sqn) {
-                prop_assert!(!verify_response(&av, r2));
-            }
-        }
-    }
-
-    #[test]
-    fn key_hierarchy_distinct_levels(k in any::<u64>(), rand in any::<u64>(), snid in any::<u64>()) {
-        let h = KeyHierarchy::derive(k, rand, snid);
-        let keys = [h.k_ausf, h.k_seaf, h.k_amf, h.k_nas, h.k_gnb];
-        for i in 0..keys.len() {
-            for j in i + 1..keys.len() {
-                prop_assert_ne!(keys[i], keys[j]);
-            }
-        }
-    }
-
-    #[test]
-    fn token_bucket_never_exceeds_rate_long_run(kbps in 64u32..100_000, seconds in 2u32..10) {
-        let mut tb = TokenBucket::from_kbps(kbps, 100.0);
-        let mut admitted = 0u64;
-        let packet = 1500u64;
-        let steps = 1000 * seconds;
-        for i in 0..steps {
-            let now = i as f64 * seconds as f64 / steps as f64;
-            if tb.admit(now, packet) {
-                admitted += packet;
-            }
-        }
-        let rate_kbps = admitted as f64 * 8.0 / 1000.0 / seconds as f64;
-        // Long-run rate bounded by sustained rate + burst amortization.
-        prop_assert!(rate_kbps <= kbps as f64 * 1.3 + 200.0, "{rate_kbps} vs {kbps}");
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //!   [`cells::CellId`] (plane-column, in-plane-row), [`cells::CellGrid`] (size and
 //!   enumeration per Table 1 constellation), cell-level adjacency for
 //!   Algorithm 1's greedy relay,
-//! * [`subcell`] — hierarchical quadtree refinement of a cell (§6.2),
-//!   2 address bits per level, for the Iridium detour ablation,
 //! * [`addr`] — the **128-bit geospatial UE address** of Figure 15c that
 //!   folds the UE's logical and physical location into a single
 //!   identifier.
@@ -37,11 +35,9 @@ pub mod angle;
 pub mod cells;
 pub mod inclined;
 pub mod sphere;
-pub mod subcell;
 
 pub use addr::GeoAddress;
 pub use angle::{normalize_lon, wrap_2pi, Degrees, Radians};
 pub use cells::{CellGrid, CellId, CellStats};
 pub use inclined::{InclinedCoord, InclinedFrame};
-pub use subcell::{SubCellExt, SubCellId};
 pub use sphere::{GeoPoint, Vec3, EARTH_RADIUS_KM};

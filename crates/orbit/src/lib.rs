@@ -23,15 +23,12 @@
 
 pub mod constellation;
 pub mod coverage;
-pub mod doppler;
 pub mod groundstation;
 pub mod index;
-pub mod passes;
 pub mod propagator;
 
 pub use constellation::{Constellation, ConstellationConfig, SatId};
 pub use coverage::{CoverageGrid, CoverageModel, SatView};
 pub use index::{IndexedSnapshot, SatMask, SnapshotCache, SpatialIndex};
 pub use groundstation::{GroundStation, GroundStationSet};
-pub use passes::{Pass, PassPredictor};
 pub use propagator::{IdealPropagator, J4Propagator, Propagator, SatState};

@@ -1,7 +1,11 @@
 //! Constellation-scale SpaceCore deployment: every satellite
 //! provisioned, a UE fleet registered, and time-driven serving
-//! assignments with local handovers — the orchestration layer the
-//! larger integration tests and examples drive.
+//! assignments with local handovers.
+//!
+//! **Caller-less.** No experiment, root test, example or scbench layer
+//! drives this module — only its own unit tests do. It is kept, under
+//! an `allow(orphan)` in `lib.rs`, until ROADMAP item 1 decides whether
+//! it grows into the one executed fleet or is deleted.
 //!
 //! This is the "whole system running" view: where `satellite.rs` models
 //! one SpaceCore proxy and `solutions.rs` models aggregate costs, a

@@ -46,10 +46,11 @@
 //! assert_eq!(outcome.home_round_trips, 0);
 //! ```
 
+// sc-audit: allow(orphan, reason = "caller-less until ROADMAP item 1 decides: it becomes the one executed fleet or is deleted")
 pub mod deployment;
 pub mod home;
-pub mod integration;
 pub mod mobility;
+// sc-audit: allow(orphan, reason = "caller-less until ROADMAP item 1 decides: the executed fleet exercises downlink delivery or it is deleted")
 pub mod paging;
 pub mod recovery;
 pub mod relay;
@@ -62,7 +63,6 @@ pub mod uestate;
 pub mod prelude {
     pub use crate::deployment::{Deployment, EpochStats};
     pub use crate::home::{HomeConfig, HomeNetwork};
-    pub use crate::integration::{Access, AccessSelector, SwitchOutcome};
     pub use crate::paging::{deliver_downlink, PagingOutcome};
     pub use crate::mobility::{MobilityEvent, MobilityManager, MobilityOutcome};
     pub use crate::recovery::RecoveryPlan;

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Static-analysis gate: sc-audit (statelessness / determinism / panic
-# ratchet, see crates/audit) plus clippy with warnings promoted to
-# errors. Fatal on any finding — run before merging. tier1.sh runs the
-# same audit warn-only.
+# ratchet / no module without a caller, see crates/audit) plus clippy
+# with warnings promoted to errors. Fatal on any finding — run before
+# merging. tier1.sh runs the same audit warn-only.
 #
 # Everything runs --offline against the vendored dependency set.
 set -eu
@@ -15,7 +15,7 @@ echo "== audit: cargo build -p sc-audit --release --offline" >&2
 cargo build -q -p sc-audit --release --offline
 AUDIT_BIN=target/release/sc-audit
 
-echo "== audit: sc-audit (R1/R2 findings, R3 panic ratchet, R4 state-flow, R5 parallel)" >&2
+echo "== audit: sc-audit (R1/R2 findings, R3 panic ratchet, R4 state-flow, R5 parallel, R6 orphan)" >&2
 T0=$(date +%s%N)
 if ! "$AUDIT_BIN"; then
     echo "== audit: FAIL — re-running with --explain for the flow traces" >&2

@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
 # Tier-1 verification (ROADMAP.md): release build + quiet test run.
+# Through the root manifest's `default-members` both cover the root
+# package and every crate under crates/ — every test of the workspace
+# but the vendor/ stubs' own.
 #
 # Runs with --offline: every external dependency is vendored under
 # vendor/ (see vendor/README.md), so the build must never touch a
-# registry. Pass extra cargo arguments through, e.g.
-#   scripts/tier1.sh --workspace
-# to extend the test run to every workspace member.
+# registry. Extra arguments go to `cargo test`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,9 +19,9 @@ cargo test -q --offline "$@"
 
 # Statelessness/determinism audit, warn-only at this tier: R1/R2 token
 # findings, R4 state-flow and R5 parallel-determinism dataflow findings,
-# and R3/R4/R5 ratchet regressions are printed but do not fail the
-# build. scripts/audit.sh is the fatal gate (and emits the SARIF
-# artifact).
+# R6 orphan modules and R3/R4/R5 ratchet regressions are printed but do
+# not fail the build. scripts/audit.sh is the fatal gate (and emits the
+# SARIF artifact).
 echo "== tier-1: sc-audit (warn-only; scripts/audit.sh enforces)" >&2
 cargo run -q -p sc-audit --offline -- --warn-only || true
 
