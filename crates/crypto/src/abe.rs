@@ -13,10 +13,30 @@
 //! the adversary model of the paper's leakage experiments (Fig. 19),
 //! where "leaked" means *states an entity can decrypt through the
 //! protocol*. Costs scale with leaf count as in real ABE (Fig. 18a).
+//!
+//! **The ciphertext is its wire form.** An [`AbeCiphertext`] owns one
+//! contiguous buffer laid out exactly as it rides in the NAS
+//! `StateReplica` IE behind [`crate::wire`]'s envelope (integers
+//! little-endian):
+//!
+//! ```text
+//! nonce(8) | mac(8) | n_shares(2) | shares(8·n) | policy | payload_len(4) | payload
+//! policy node: 0 len(2) attr | 1 n(2) children… | 2 n(2) children…
+//!            | 3 k(2) n(2) children…          (leaf, AND, OR, threshold)
+//! ```
+//!
+//! [`AbeSystem::encrypt`] writes shares and policy straight into it,
+//! [`crate::wire::encode_state`] copies it and [`AbeSystem::decrypt`]
+//! walks the policy bytes where they lie. Bytes from outside the program
+//! are validated exactly once, when [`crate::wire::decode_state`] turns
+//! them into an `AbeCiphertext`: every length in bounds, every node a
+//! known kind, every gate `1 ≤ k ≤ n`, one share per leaf. Shares are
+//! kept verbatim, canonical or not, and reduced by `Fe::new` when read.
 
 use crate::field::{hash_to_fe, keyed_hash, xor_stream, Fe};
 use crate::policy::{AccessTree, Attribute};
 use crate::shamir;
+use crate::wire::WireError;
 use std::collections::BTreeSet;
 
 /// Public parameters. Cloned freely to UEs and satellites.
@@ -32,74 +52,198 @@ pub struct AbeMasterKey {
     system_key: u64,
 }
 
-/// A decryption key bound to an attribute set.
+/// A decryption key bound to an attribute set: per-attribute unblinding
+/// elements issued by KeyGen (e.g. for a satellite's capabilities).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbeSecretKey {
-    /// The attributes this key embodies (e.g. a satellite's capabilities).
-    attrs: BTreeSet<Attribute>,
-    /// Per-attribute unblinding elements issued by KeyGen.
     unblind: Vec<(Attribute, Fe)>,
 }
 
-impl AbeSecretKey {
-    /// The attribute set the key was issued for.
-    pub fn attributes(&self) -> &BTreeSet<Attribute> {
-        &self.attrs
-    }
-}
-
-/// A ciphertext: the policy in the clear (standard for CP-ABE), blinded
-/// leaf shares, and the wrapped payload.
+/// A ciphertext in its wire form (module doc): the policy in the clear
+/// (standard for CP-ABE), one blinded share per leaf in depth-first leaf
+/// order, and the wrapped payload, in one buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbeCiphertext {
-    policy: AccessTree,
-    /// Blinded share per leaf, in depth-first leaf order.
-    leaf_shares: Vec<Fe>,
-    nonce: u64,
-    payload: Vec<u8>,
-    mac: u64,
+    /// Always a valid layout: built by `encrypt` or checked by `from_wire`.
+    bytes: Box<[u8]>,
+    /// Where the payload starts in `bytes`.
+    payload_off: usize,
 }
 
+/// Offset of the first share: past nonce, mac and `n_shares`.
+const SHARES_OFF: usize = 8 + 8 + 2;
+
+const LEAF: u8 = 0;
+const AND: u8 = 1;
+const OR: u8 = 2;
+const THRESHOLD: u8 = 3;
+
+/// Deepest policy nesting `from_wire` accepts (malformed/hostile input).
+pub(crate) const MAX_POLICY_DEPTH: usize = 16;
+
 impl AbeCiphertext {
-    /// The (public) policy this ciphertext is encrypted under.
-    pub fn policy(&self) -> &AccessTree {
-        &self.policy
+    /// The (public) policy this ciphertext is encrypted under, decoded
+    /// from the policy bytes.
+    pub fn policy(&self) -> AccessTree {
+        match head(&self.bytes).and_then(|(.., mut policy)| read_tree(&mut policy)) {
+            Ok(tree) => tree,
+            Err(e) => unreachable!("ciphertext bytes are validated when built: {e}"),
+        }
     }
 
     /// Ciphertext size in bytes (payload + share overhead), for cost
     /// accounting.
     pub fn size_bytes(&self) -> usize {
-        self.payload.len() + self.leaf_shares.len() * 8 + 16
+        let n_shares =
+            u16::from_le_bytes([self.bytes[SHARES_OFF - 2], self.bytes[SHARES_OFF - 1]]) as usize;
+        (self.bytes.len() - self.payload_off) + n_shares * 8 + 16
     }
 
-    /// Deconstruct into components (for the wire codec).
-    pub fn parts(&self) -> (&AccessTree, &[Fe], u64, &[u8], u64) {
-        (
-            &self.policy,
-            &self.leaf_shares,
-            self.nonce,
-            &self.payload,
-            self.mac,
-        )
+    /// The wire form.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Reassemble from components (wire decode). The caller is trusted
-    /// to supply matching parts; mismatches simply fail to decrypt.
-    pub fn from_parts(
-        policy: AccessTree,
-        leaf_shares: Vec<Fe>,
-        nonce: u64,
-        payload: Vec<u8>,
-        mac: u64,
-    ) -> Self {
-        Self {
-            policy,
-            leaf_shares,
-            nonce,
-            payload,
-            mac,
+    /// The one validating walk over bytes from outside the program, then
+    /// the one copy.
+    pub(crate) fn from_wire(b: &[u8]) -> Result<Self, WireError> {
+        let (_, _, shares, mut c) = head(b)?;
+        if 8 * count_leaves(&mut c, 0)? != shares.b.len() {
+            return Err(WireError::ShareCount);
+        }
+        let payload_len = c.u32()? as usize;
+        let payload_off = c.i;
+        c.take(payload_len)?;
+        if c.i != b.len() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(Self {
+            bytes: b.into(),
+            payload_off,
+        })
+    }
+}
+
+/// Little-endian reader over replica bytes, and the one reader of the
+/// policy node layout ([`Cur::node`]).
+pub(crate) struct Cur<'a> {
+    b: &'a [u8],
+    i: usize,
+}
+
+/// One policy node as it lies in the bytes; a gate's `n` children follow.
+enum Node<'a> {
+    Leaf(&'a [u8]),
+    Gate { kind: u8, k: usize, n: usize },
+}
+
+impl<'a> Cur<'a> {
+    pub(crate) fn new(b: &'a [u8]) -> Self {
+        Cur { b, i: 0 }
+    }
+
+    /// The unread bytes.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.b[self.i..]
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (s, _) = self
+            .rest()
+            .split_at_checked(n)
+            .ok_or(WireError::Truncated)?;
+        self.i += n;
+        Ok(s)
+    }
+
+    /// Every fixed-width read goes through here.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
+    }
+    fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_le_bytes)
+    }
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_le_bytes)
+    }
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Read one policy node, rejecting unknown kinds and gates `shamir`
+    /// could not split or reconstruct.
+    fn node(&mut self) -> Result<Node<'a>, WireError> {
+        let kind = self.u8()?;
+        let (k, n) = match kind {
+            LEAF => {
+                let len = self.u16()? as usize;
+                return self.take(len).map(Node::Leaf);
+            }
+            AND => {
+                let n = self.u16()? as usize;
+                (n, n)
+            }
+            OR => (1, self.u16()? as usize),
+            THRESHOLD => (self.u16()? as usize, self.u16()? as usize),
+            _ => return Err(WireError::BadPolicyNode),
+        };
+        if k == 0 || k > n {
+            return Err(WireError::BadGate);
+        }
+        Ok(Node::Gate { kind, k, n })
+    }
+}
+
+/// Split the fixed head off ciphertext bytes: nonce, mac, the share
+/// area, and a cursor standing at the policy.
+fn head(b: &[u8]) -> Result<(u64, u64, Cur<'_>, Cur<'_>), WireError> {
+    let mut c = Cur::new(b);
+    let nonce = c.u64()?;
+    let mac = c.u64()?;
+    let n_shares = c.u16()? as usize;
+    let shares = Cur::new(c.take(8 * n_shares)?);
+    Ok((nonce, mac, shares, c))
+}
+
+/// Validate the policy at `c` and count its leaves.
+fn count_leaves(c: &mut Cur, depth: usize) -> Result<usize, WireError> {
+    if depth > MAX_POLICY_DEPTH {
+        return Err(WireError::PolicyTooDeep);
+    }
+    match c.node()? {
+        Node::Leaf(attr) => match std::str::from_utf8(attr) {
+            Ok(_) => Ok(1),
+            Err(_) => Err(WireError::BadUtf8),
+        },
+        Node::Gate { n, .. } => {
+            let mut leaves = 0;
+            for _ in 0..n {
+                leaves += count_leaves(c, depth + 1)?;
+            }
+            Ok(leaves)
         }
     }
+}
+
+/// Decode the (validated) policy at `c` into an owned tree.
+fn read_tree(c: &mut Cur) -> Result<AccessTree, WireError> {
+    Ok(match c.node()? {
+        Node::Leaf(attr) => AccessTree::Leaf(Attribute::new(String::from_utf8_lossy(attr))),
+        Node::Gate { kind, k, n } => {
+            let children = (0..n).map(|_| read_tree(c)).collect::<Result<_, _>>()?;
+            match kind {
+                AND => AccessTree::And(children),
+                OR => AccessTree::Or(children),
+                _ => AccessTree::Threshold { k, children },
+            }
+        }
+    })
 }
 
 /// Errors from decryption.
@@ -145,12 +289,9 @@ impl AbeSystem {
     pub fn keygen(msk: &AbeMasterKey, attrs: &BTreeSet<Attribute>) -> AbeSecretKey {
         let unblind = attrs
             .iter()
-            .map(|a| (a.clone(), leaf_blind(msk.system_key, a)))
+            .map(|a| (a.clone(), leaf_blind(msk.system_key, a.as_str().as_bytes())))
             .collect();
-        AbeSecretKey {
-            attrs: attrs.clone(),
-            unblind,
-        }
+        AbeSecretKey { unblind }
     }
 
     /// `Encrypt(pk, state, A)` (Algorithm 2 line 7): wrap `plaintext`
@@ -166,20 +307,32 @@ impl AbeSystem {
         let secret = Fe::new(rng.next_nonzero());
         let nonce = rng.next();
 
-        // Recursively share the secret down the tree.
-        let mut leaf_shares = Vec::with_capacity(policy.leaf_count());
-        share_node(pk.system_key, policy, secret, &mut rng, &mut leaf_shares);
-
-        let mut payload = plaintext.to_vec();
-        let mac = keyed_hash(secret.value(), plaintext);
-        xor_stream(secret.value(), nonce, &mut payload);
+        let n_shares = policy.leaf_count();
+        let policy_off = SHARES_OFF + 8 * n_shares;
+        let payload_off = policy_off + policy_len(policy) + 4;
+        let mut b = Vec::with_capacity(payload_off + plaintext.len());
+        b.extend_from_slice(&nonce.to_le_bytes());
+        b.extend_from_slice(&keyed_hash(secret.value(), plaintext).to_le_bytes());
+        put_u16(&mut b, n_shares);
+        b.resize(policy_off, 0);
+        // Recursively share the secret down the tree: each node appends
+        // its policy bytes, each leaf fills the next share slot.
+        let mut next_share = SHARES_OFF;
+        share_node(
+            pk.system_key,
+            policy,
+            secret,
+            &mut rng,
+            &mut b,
+            &mut next_share,
+        );
+        b.extend_from_slice(&(plaintext.len() as u32).to_le_bytes());
+        b.extend_from_slice(plaintext);
+        xor_stream(secret.value(), nonce, &mut b[payload_off..]);
 
         AbeCiphertext {
-            policy: policy.clone(),
-            leaf_shares,
-            nonce,
-            payload,
-            mac,
+            bytes: b.into_boxed_slice(),
+            payload_off,
         }
     }
 
@@ -216,12 +369,14 @@ impl AbeSystem {
     /// `Decrypt(msg, sk)` (Algorithm 2 lines 8/11): recover the plaintext
     /// iff `sk`'s attributes satisfy the ciphertext policy.
     pub fn decrypt(ct: &AbeCiphertext, sk: &AbeSecretKey) -> Result<Vec<u8>, AbeError> {
-        let mut idx = 0usize;
-        let secret = recover_node(&ct.policy, &ct.leaf_shares, sk, &mut idx)
+        let (nonce, mac, mut shares, mut policy) =
+            head(&ct.bytes).map_err(|_| AbeError::IntegrityFailure)?;
+        let mut stack = Vec::with_capacity(shares.b.len() / 8);
+        let secret = recover_node(&mut policy, &mut shares, sk, &mut stack)
             .ok_or(AbeError::PolicyNotSatisfied)?;
-        let mut payload = ct.payload.clone();
-        xor_stream(secret.value(), ct.nonce, &mut payload);
-        if keyed_hash(secret.value(), &payload) != ct.mac {
+        let mut payload = ct.bytes[ct.payload_off..].to_vec();
+        xor_stream(secret.value(), nonce, &mut payload);
+        if keyed_hash(secret.value(), &payload) != mac {
             return Err(AbeError::IntegrityFailure);
         }
         Ok(payload)
@@ -229,68 +384,102 @@ impl AbeSystem {
 }
 
 /// Per-attribute leaf blinding element.
-fn leaf_blind(system_key: u64, attr: &Attribute) -> Fe {
-    hash_to_fe(system_key, attr.as_str().as_bytes())
+fn leaf_blind(system_key: u64, attr: &[u8]) -> Fe {
+    hash_to_fe(system_key, attr)
 }
 
-/// Recursively split `secret` down the tree, pushing blinded leaf shares
-/// in depth-first order.
+/// Append a `u16` policy field.
+///
+/// # Panics
+/// Panics past `u16::MAX` — trees are built by the home network, so an
+/// unencodable policy is a bug there.
+fn put_u16(b: &mut Vec<u8>, v: usize) {
+    assert!(v <= u16::MAX as usize, "policy field {v} exceeds u16");
+    b.extend_from_slice(&(v as u16).to_le_bytes());
+}
+
+/// Bytes `share_node` appends for `p`.
+fn policy_len(p: &AccessTree) -> usize {
+    match p {
+        AccessTree::Leaf(a) => 1 + 2 + a.as_str().len(),
+        AccessTree::And(children) | AccessTree::Or(children) => {
+            1 + 2 + children.iter().map(policy_len).sum::<usize>()
+        }
+        AccessTree::Threshold { children, .. } => {
+            1 + 2 + 2 + children.iter().map(policy_len).sum::<usize>()
+        }
+    }
+}
+
+/// Recursively split `secret` down the tree, appending each node's
+/// policy bytes to `b` and writing blinded leaf shares into the share
+/// slots at `next_share`, in depth-first order.
 fn share_node(
     system_key: u64,
     node: &AccessTree,
     secret: Fe,
     rng: &mut SplitMix64,
-    out: &mut Vec<Fe>,
+    b: &mut Vec<u8>,
+    next_share: &mut usize,
 ) {
+    let (k, n) = node.gate();
     match node {
         AccessTree::Leaf(attr) => {
-            out.push(secret.add(leaf_blind(system_key, attr)));
+            let attr = attr.as_str().as_bytes();
+            let share = secret.add(leaf_blind(system_key, attr));
+            b[*next_share..*next_share + 8].copy_from_slice(&share.value().to_le_bytes());
+            *next_share += 8;
+            b.push(LEAF);
+            put_u16(b, attr.len());
+            b.extend_from_slice(attr);
+            return;
         }
-        _ => {
-            let (k, n) = node.gate();
-            let shares = shamir::split(secret, k, n, || Fe::new(rng.next()));
-            for (child, share) in node.children().iter().zip(shares) {
-                share_node(system_key, child, share.y, rng, out);
-            }
+        AccessTree::And(_) => b.push(AND),
+        AccessTree::Or(_) => b.push(OR),
+        AccessTree::Threshold { .. } => {
+            b.push(THRESHOLD);
+            put_u16(b, k);
         }
+    }
+    put_u16(b, n);
+    let shares = shamir::split(secret, k, n, || Fe::new(rng.next()));
+    for (child, share) in node.children().iter().zip(shares) {
+        share_node(system_key, child, share.y, rng, b, next_share);
     }
 }
 
-/// Recursively recover a node's secret from the leaves the key covers.
-/// Advances `idx` through the depth-first leaf order even for subtrees it
-/// cannot satisfy (to stay aligned).
+/// Recursively recover the secret of the node at `policy` from the
+/// leaves the key covers, reading `shares` in depth-first leaf order
+/// (also through subtrees it cannot satisfy, to stay aligned). Recovered
+/// child shares wait on `stack` until their gate reconstructs.
 fn recover_node(
-    node: &AccessTree,
-    leaf_shares: &[Fe],
+    policy: &mut Cur,
+    shares: &mut Cur,
     sk: &AbeSecretKey,
-    idx: &mut usize,
+    stack: &mut Vec<shamir::Share>,
 ) -> Option<Fe> {
-    match node {
-        AccessTree::Leaf(attr) => {
-            let blinded = leaf_shares[*idx];
-            *idx += 1;
+    match policy.node().ok()? {
+        Node::Leaf(attr) => {
+            let blinded = Fe::new(shares.u64().ok()?);
             sk.unblind
                 .iter()
-                .find(|(a, _)| a == attr)
+                .find(|(a, _)| a.as_str().as_bytes() == attr)
                 .map(|(_, b)| blinded.sub(*b))
         }
-        _ => {
-            let (k, _) = node.gate();
-            let mut shares = Vec::new();
-            for (i, child) in node.children().iter().enumerate() {
-                let recovered = recover_node(child, leaf_shares, sk, idx);
-                if let Some(y) = recovered {
-                    shares.push(shamir::Share {
+        Node::Gate { k, n, .. } => {
+            let base = stack.len();
+            for i in 0..n {
+                if let Some(y) = recover_node(policy, shares, sk, stack) {
+                    stack.push(shamir::Share {
                         x: Fe::new(i as u64 + 1),
                         y,
                     });
                 }
             }
-            if shares.len() < k {
-                return None;
-            }
-            shares.truncate(k);
-            Some(shamir::reconstruct(&shares))
+            let secret =
+                (stack.len() - base >= k).then(|| shamir::reconstruct(&stack[base..base + k]));
+            stack.truncate(base);
+            secret
         }
     }
 }
@@ -394,7 +583,7 @@ mod tests {
         let sk = AbeSystem::keygen(&msk, &attr_set(&["role:ue", "supi:1"]));
         let mut ct = AbeSystem::encrypt(&pk, b"billing: 15GB", &paper_policy(), 5);
         // A selfish UE flips payload bits to manipulate its billing state.
-        ct.payload[0] ^= 0xFF;
+        ct.bytes[ct.payload_off] ^= 0xFF;
         assert_eq!(
             AbeSystem::decrypt(&ct, &sk).unwrap_err(),
             AbeError::IntegrityFailure

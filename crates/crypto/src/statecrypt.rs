@@ -52,7 +52,7 @@ impl EncryptedUeState {
     /// Wire size in bytes for signaling-cost accounting: the length of
     /// [`crate::wire::encode_state`]'s output.
     pub fn size_bytes(&self) -> usize {
-        crate::wire::encoded_len(self)
+        crate::wire::ENVELOPE_LEN + self.ciphertext.as_bytes().len()
     }
 }
 

@@ -9,10 +9,20 @@
 //!           | policy | payload_len(4) | payload
 //! policy:    node_kind(1) | … (recursive; leaves carry utf-8 attrs)
 //! ```
+//!
+//! The `ciphertext` part *is* an [`AbeCiphertext`]: the type owns those
+//! bytes in exactly this layout ([`crate::abe`] documents the policy
+//! nodes), so encoding is the envelope header plus one copy, and
+//! decoding is one validating walk plus one copy. Validation happens
+//! here and only here — [`decode_state`] rejects anything
+//! [`crate::abe::AbeSystem::decrypt`] could not walk (a length out of
+//! bounds, an unknown node, a gate without `1 ≤ k ≤ n`, a share count
+//! that is not the policy's leaf count), so a UE-supplied replica can
+//! fail to decrypt but cannot panic the satellite. Shares are not
+//! checked for canonical form: a value `≥ P` is kept verbatim and
+//! reduced by `Fe::new` when a share is read.
 
-use crate::abe::AbeCiphertext;
-use crate::field::Fe;
-use crate::policy::{AccessTree, Attribute};
+use crate::abe::{AbeCiphertext, Cur};
 use crate::statecrypt::EncryptedUeState;
 
 /// Decode failures.
@@ -25,6 +35,10 @@ pub enum WireError {
     TrailingBytes,
     /// Nesting deeper than the sanity bound (malformed/hostile input).
     PolicyTooDeep,
+    /// A gate with no children or a threshold outside `1..=n`.
+    BadGate,
+    /// `n_shares` is not the policy's leaf count.
+    ShareCount,
 }
 
 impl std::fmt::Display for WireError {
@@ -36,6 +50,8 @@ impl std::fmt::Display for WireError {
             WireError::BadUtf8 => "attribute is not utf-8",
             WireError::TrailingBytes => "trailing bytes",
             WireError::PolicyTooDeep => "policy nesting too deep",
+            WireError::BadGate => "gate threshold outside 1..=children",
+            WireError::ShareCount => "share count is not the policy's leaf count",
         };
         f.write_str(s)
     }
@@ -43,32 +59,37 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-const MAX_POLICY_DEPTH: usize = 16;
+/// Envelope bytes ahead of the ciphertext.
+pub(crate) const ENVELOPE_LEN: usize = 1 + 4 + 8 + 8;
 
 /// Encode an encrypted UE state to bytes.
 pub fn encode_state(st: &EncryptedUeState) -> Vec<u8> {
-    let mut b = Vec::with_capacity(encoded_len(st));
+    let mut b = Vec::with_capacity(st.size_bytes());
+    encode_state_into(st, &mut b);
+    b
+}
+
+/// Append [`encode_state`]'s bytes to `b` — for a caller that already
+/// holds the buffer the replica travels in.
+pub fn encode_state_into(st: &EncryptedUeState, b: &mut Vec<u8>) {
     b.push(1u8);
     b.extend_from_slice(&st.version.to_le_bytes());
     b.extend_from_slice(&st.expires_at.to_bits().to_le_bytes());
     b.extend_from_slice(&st.home_sig.to_le_bytes());
-    encode_ciphertext(&st.ciphertext, &mut b);
-    b
+    b.extend_from_slice(st.ciphertext.as_bytes());
 }
 
-/// Decode an encrypted UE state from bytes.
+/// Decode an encrypted UE state from bytes, validating every field
+/// (module doc).
 pub fn decode_state(b: &[u8]) -> Result<EncryptedUeState, WireError> {
-    let mut c = Cur { b, i: 0 };
+    let mut c = Cur::new(b);
     if c.u8()? != 1 {
         return Err(WireError::BadVersion);
     }
     let version = c.u32()?;
     let expires_at = f64::from_bits(c.u64()?);
     let home_sig = c.u64()?;
-    let ciphertext = decode_ciphertext(&mut c)?;
-    if c.i != b.len() {
-        return Err(WireError::TrailingBytes);
-    }
+    let ciphertext = AbeCiphertext::from_wire(c.rest())?;
     Ok(EncryptedUeState {
         version,
         expires_at,
@@ -77,152 +98,11 @@ pub fn decode_state(b: &[u8]) -> Result<EncryptedUeState, WireError> {
     })
 }
 
-/// Exactly `encode_state(st).len()`, from the layout above.
-pub(crate) fn encoded_len(st: &EncryptedUeState) -> usize {
-    let (policy, shares, _, payload, _) = st.ciphertext.parts();
-    (1 + 4 + 8 + 8) + (8 + 8 + 2 + 8 * shares.len()) + policy_len(policy) + 4 + payload.len()
-}
-
-fn policy_len(p: &AccessTree) -> usize {
-    match p {
-        AccessTree::Leaf(a) => 1 + 2 + a.as_str().len(),
-        AccessTree::And(children) | AccessTree::Or(children) => {
-            1 + 2 + children.iter().map(policy_len).sum::<usize>()
-        }
-        AccessTree::Threshold { children, .. } => {
-            1 + 2 + 2 + children.iter().map(policy_len).sum::<usize>()
-        }
-    }
-}
-
-fn encode_ciphertext(ct: &AbeCiphertext, b: &mut Vec<u8>) {
-    let (policy, shares, nonce, payload, mac) = ct.parts();
-    b.extend_from_slice(&nonce.to_le_bytes());
-    b.extend_from_slice(&mac.to_le_bytes());
-    b.extend_from_slice(&(shares.len() as u16).to_le_bytes());
-    for s in shares {
-        b.extend_from_slice(&s.value().to_le_bytes());
-    }
-    encode_policy(policy, b);
-    b.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    b.extend_from_slice(payload);
-}
-
-fn decode_ciphertext(c: &mut Cur) -> Result<AbeCiphertext, WireError> {
-    let nonce = c.u64()?;
-    let mac = c.u64()?;
-    let n = c.u16()? as usize;
-    let mut shares = Vec::with_capacity(n);
-    for _ in 0..n {
-        shares.push(Fe::new(c.u64()?));
-    }
-    let policy = decode_policy(c, 0)?;
-    let plen = c.u32()? as usize;
-    let payload = c.take(plen)?.to_vec();
-    Ok(AbeCiphertext::from_parts(policy, shares, nonce, payload, mac))
-}
-
-fn encode_policy(p: &AccessTree, b: &mut Vec<u8>) {
-    match p {
-        AccessTree::Leaf(a) => {
-            b.push(0);
-            let s = a.as_str().as_bytes();
-            b.extend_from_slice(&(s.len() as u16).to_le_bytes());
-            b.extend_from_slice(s);
-        }
-        AccessTree::And(children) => {
-            b.push(1);
-            b.extend_from_slice(&(children.len() as u16).to_le_bytes());
-            for ch in children {
-                encode_policy(ch, b);
-            }
-        }
-        AccessTree::Or(children) => {
-            b.push(2);
-            b.extend_from_slice(&(children.len() as u16).to_le_bytes());
-            for ch in children {
-                encode_policy(ch, b);
-            }
-        }
-        AccessTree::Threshold { k, children } => {
-            b.push(3);
-            b.extend_from_slice(&(*k as u16).to_le_bytes());
-            b.extend_from_slice(&(children.len() as u16).to_le_bytes());
-            for ch in children {
-                encode_policy(ch, b);
-            }
-        }
-    }
-}
-
-fn decode_policy(c: &mut Cur, depth: usize) -> Result<AccessTree, WireError> {
-    if depth > MAX_POLICY_DEPTH {
-        return Err(WireError::PolicyTooDeep);
-    }
-    match c.u8()? {
-        0 => {
-            let n = c.u16()? as usize;
-            let s = std::str::from_utf8(c.take(n)?).map_err(|_| WireError::BadUtf8)?;
-            Ok(AccessTree::Leaf(Attribute::new(s)))
-        }
-        1 | 2 => {
-            let kind = c.b[c.i - 1];
-            let n = c.u16()? as usize;
-            let mut children = Vec::with_capacity(n);
-            for _ in 0..n {
-                children.push(decode_policy(c, depth + 1)?);
-            }
-            Ok(if kind == 1 {
-                AccessTree::And(children)
-            } else {
-                AccessTree::Or(children)
-            })
-        }
-        3 => {
-            let k = c.u16()? as usize;
-            let n = c.u16()? as usize;
-            let mut children = Vec::with_capacity(n);
-            for _ in 0..n {
-                children.push(decode_policy(c, depth + 1)?);
-            }
-            Ok(AccessTree::Threshold { k, children })
-        }
-        _ => Err(WireError::BadPolicyNode),
-    }
-}
-
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.i + n > self.b.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.b[self.i..self.i + n];
-        self.i += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::attr_set;
+    use crate::abe::MAX_POLICY_DEPTH;
+    use crate::policy::{attr_set, AccessTree};
     use crate::statecrypt::HomeCrypto;
 
     fn sample_state() -> EncryptedUeState {
@@ -282,11 +162,50 @@ mod tests {
         let b = encode_state(&st);
         // Find the policy start: version(1)+4+8+8 + nonce(8)+mac(8)+
         // n_shares(2)+shares(8·n).
-        let (_, shares, _, _, _) = st.ciphertext.parts();
-        let policy_off = 1 + 4 + 8 + 8 + 8 + 8 + 2 + 8 * shares.len();
+        let n_shares = st.ciphertext.policy().leaf_count();
+        let policy_off = 1 + 4 + 8 + 8 + 8 + 8 + 2 + 8 * n_shares;
         let mut bad = b.clone();
         bad[policy_off] = 9;
         assert_eq!(decode_state(&bad).unwrap_err(), WireError::BadPolicyNode);
+    }
+
+    /// A valid replica under `AND(a, b)` and the offset of its policy.
+    fn two_leaf_replica() -> (Vec<u8>, usize) {
+        let home = HomeCrypto::setup(7);
+        let st = home.encrypt_state(b"payload", &AccessTree::all_of(&["a", "b"]), 1, 99.0, 1);
+        (encode_state(&st), ENVELOPE_LEN + 8 + 8 + 2 + 8 * 2)
+    }
+
+    #[test]
+    fn fewer_shares_than_leaves_rejected() {
+        // Hostile UE: `n_shares` 2 → 1 with one share cut out, so every
+        // length still adds up — and `decrypt`, reading a share per
+        // leaf, would run past the share area.
+        let (mut b, policy_off) = two_leaf_replica();
+        b[ENVELOPE_LEN + 16] = 1;
+        b.drain(policy_off - 8..policy_off);
+        assert_eq!(decode_state(&b).unwrap_err(), WireError::ShareCount);
+    }
+
+    #[test]
+    fn malformed_gates_rejected() {
+        // Hostile UE: three self-consistent replicas whose gates `shamir`
+        // cannot reconstruct (no shares, or fewer than it would slice).
+        let (b, policy_off) = two_leaf_replica();
+        assert_eq!(b[policy_off..policy_off + 3], [1, 2, 0]);
+        // The whole policy (gate + two 4-byte leaves) replaced by an AND
+        // of nothing, with no shares to match.
+        let mut childless = b.clone();
+        childless.splice(policy_off..policy_off + 11, [1, 0, 0]);
+        childless.drain(policy_off - 16..policy_off);
+        childless[ENVELOPE_LEN + 16] = 0;
+        assert_eq!(decode_state(&childless).unwrap_err(), WireError::BadGate);
+        // The AND rewritten as a threshold with k = 0 and k = 3 of 2.
+        for k in [0u8, 3] {
+            let mut t = b.clone();
+            t.splice(policy_off..policy_off + 3, [3, k, 0, 2, 0]);
+            assert_eq!(decode_state(&t).unwrap_err(), WireError::BadGate, "k = {k}");
+        }
     }
 
     #[test]

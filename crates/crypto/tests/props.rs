@@ -8,6 +8,29 @@ use sc_crypto::shamir;
 use sc_crypto::statecrypt::HomeCrypto;
 use sc_crypto::wire;
 
+/// A policy of depth ≤ `depth` over attributes `a0..a5`, drawn from
+/// `seed`: leaves, AND, OR and threshold gates of 1–3 children.
+fn gen_tree(seed: &mut u64, depth: usize) -> AccessTree {
+    let mut draw = |n: u64| {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*seed >> 33) % n
+    };
+    let kind = if depth == 0 { 0 } else { draw(4) };
+    if kind == 0 {
+        return AccessTree::leaf(format!("a{}", draw(6)));
+    }
+    let n = 1 + draw(3) as usize;
+    let k = 1 + draw(n as u64) as usize;
+    let children = (0..n).map(|_| gen_tree(seed, depth - 1)).collect();
+    match kind {
+        1 => AccessTree::And(children),
+        2 => AccessTree::Or(children),
+        _ => AccessTree::Threshold { k, children },
+    }
+}
+
 proptest! {
     #[test]
     fn field_add_commutes_and_associates(a in 0..P, b in 0..P, c in 0..P) {
@@ -99,12 +122,48 @@ proptest! {
         version in any::<u32>(),
         ttl in 0.0f64..1e6,
         entropy in any::<u64>(),
+        tree_seed in any::<u64>(),
     ) {
         let home = HomeCrypto::setup(5);
-        let policy = AccessTree::any_of(&["p", "q", "r"]);
+        let policy = gen_tree(&mut { tree_seed }, 4);
         let st = home.encrypt_state(&payload, &policy, version, ttl, entropy);
-        let decoded = wire::decode_state(&wire::encode_state(&st)).unwrap();
-        prop_assert_eq!(decoded, st);
+        let bytes = wire::encode_state(&st);
+        prop_assert_eq!(wire::decode_state(&bytes).unwrap(), st.clone());
+        // The ciphertext carries the tree it was encrypted under.
+        prop_assert_eq!(st.ciphertext.policy(), policy);
+        // `encode_state_into` appends exactly those bytes.
+        let mut buf = vec![0xEE; 3];
+        wire::encode_state_into(&st, &mut buf);
+        prop_assert_eq!(&buf[..3], &[0xEE; 3]);
+        prop_assert_eq!(&buf[3..], bytes.as_slice());
+    }
+
+    #[test]
+    fn decoded_replicas_never_panic_decrypt(
+        data in proptest::collection::vec(any::<u8>(), 0..96),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        tree_seed in any::<u64>(),
+        held in 0u8..64,
+    ) {
+        // Whatever `decode_state` accepts — arbitrary bytes, or a valid
+        // replica with a few bytes overwritten — `decrypt` walks to an
+        // answer under any key.
+        let home = HomeCrypto::setup(5);
+        let policy = gen_tree(&mut { tree_seed }, 4);
+        let mut mutated = wire::encode_state(&home.encrypt_state(b"state", &policy, 1, 9.0, tree_seed));
+        for (at, byte) in flips {
+            let at = at % mutated.len();
+            mutated[at] = byte;
+        }
+        let attrs: Vec<String> = (0..6).filter(|i| held >> i & 1 == 1).map(|i| format!("a{i}")).collect();
+        let refs: Vec<&str> = attrs.iter().map(|s| s.as_str()).collect();
+        let creds = home.provision_ue(&attr_set(&refs));
+        for bytes in [data, mutated] {
+            if let Ok(st) = wire::decode_state(&bytes) {
+                let _ = AbeSystem::decrypt(&st.ciphertext, &creds.sk);
+                let _ = st.ciphertext.policy();
+            }
+        }
     }
 
     #[test]

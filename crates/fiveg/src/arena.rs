@@ -10,7 +10,10 @@
 //! [`MessageArena`] amortizes it: the arena owns a pool of byte
 //! buffers, [`MessageArena::encode_nas`] writes into the next free
 //! buffer (via [`NasMessage::encode_into`]) and hands back a [`BufId`]
-//! ticket, and [`MessageArena::reset`] — called once per procedure run
+//! ticket, [`MessageArena::write_nas`] lets a caller with no owned
+//! `NasMessage` write the IEs there directly (the satellite proxy's
+//! path: the replica is encoded into the buffer it is then parsed
+//! from), and [`MessageArena::reset`] — called once per procedure run
 //! — returns every buffer to the pool without freeing its capacity.
 //! After the first run through a procedure the arena allocates nothing.
 //!
@@ -19,7 +22,7 @@
 //! proxy's encode→decode round-trip), so swapping the arena in changes
 //! no experiment output.
 
-use crate::nas::NasMessage;
+use crate::nas::{NasMessage, NasMessageType, NasWriter};
 
 /// Ticket for a buffer checked out of a [`MessageArena`]. Valid until
 /// the next [`MessageArena::reset`]; redeem with
@@ -59,6 +62,19 @@ impl MessageArena {
     pub fn encode_nas(&mut self, m: &NasMessage) -> BufId {
         let id = self.acquire();
         m.encode_into(&mut self.bufs[id.0]);
+        id
+    }
+
+    /// Build a message of `msg_type` in a pooled buffer: `ies` writes its
+    /// information elements where they will be read, with no owned
+    /// [`NasMessage`] in between.
+    pub fn write_nas(
+        &mut self,
+        msg_type: NasMessageType,
+        ies: impl FnOnce(&mut NasWriter),
+    ) -> BufId {
+        let id = self.acquire();
+        ies(&mut NasWriter::new(&mut self.bufs[id.0], msg_type));
         id
     }
 
@@ -125,6 +141,18 @@ mod tests {
         assert_eq!(a.bytes(g), accept.encode().as_slice());
         // Two live tickets coexist without clobbering each other.
         assert_eq!(a.in_use(), 2);
+    }
+
+    #[test]
+    fn written_bytes_match_owned_encode() {
+        let mut a = MessageArena::new();
+        let nas = nas_sample();
+        let id = a.write_nas(nas.msg_type, |w| {
+            for (tag, value) in &nas.ies {
+                w.ie(*tag, |b| b.extend_from_slice(value));
+            }
+        });
+        assert_eq!(a.bytes(id), nas.encode().as_slice());
     }
 
     #[test]

@@ -164,43 +164,114 @@ impl NasMessage {
     /// Encode into a caller-supplied buffer (cleared first) — the
     /// allocation-free variant behind [`crate::arena::MessageArena`].
     pub fn encode_into(&self, b: &mut Vec<u8>) {
-        b.clear();
-        b.reserve(self.wire_len());
-        b.push(EPD_5GMM);
-        b.push(self.msg_type.to_byte());
+        let mut w = NasWriter::new(b, self.msg_type);
         for (tag, value) in &self.ies {
-            b.push(tag.to_byte());
-            b.extend_from_slice(&(value.len() as u16).to_be_bytes());
-            b.extend_from_slice(value);
+            w.ie(*tag, |b| b.extend_from_slice(value));
         }
     }
 
-    /// Decode with strict validation.
+    /// Decode with strict validation ([`NasView::parse`]) into an owned
+    /// message.
     pub fn decode(b: &[u8]) -> Result<Self, NasDecodeError> {
-        if b.len() < 2 {
+        let view = NasView::parse(b)?;
+        Ok(Self {
+            msg_type: view.msg_type,
+            ies: view.ies().map(|(tag, v)| (tag, v.to_vec())).collect(),
+        })
+    }
+}
+
+/// A received NAS message read where it lies: IE values borrow from the
+/// PDU's bytes. [`NasView::parse`] is the one strict validator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NasView<'a> {
+    pub msg_type: NasMessageType,
+    /// The validated TLVs after the two header bytes.
+    tlvs: &'a [u8],
+}
+
+impl<'a> NasView<'a> {
+    /// Validate the header and every TLV of `b`.
+    pub fn parse(b: &'a [u8]) -> Result<Self, NasDecodeError> {
+        let [epd, msg_type, tlvs @ ..] = b else {
             return Err(NasDecodeError::Truncated);
-        }
-        if b[0] != EPD_5GMM {
+        };
+        if *epd != EPD_5GMM {
             return Err(NasDecodeError::BadDiscriminator);
         }
         let msg_type =
-            NasMessageType::from_byte(b[1]).ok_or(NasDecodeError::BadMessageType)?;
-        let mut ies = Vec::new();
-        let mut i = 2;
-        while i < b.len() {
-            if i + 3 > b.len() {
-                return Err(NasDecodeError::Truncated);
-            }
-            let tag = IeTag::from_byte(b[i]).ok_or(NasDecodeError::UnknownIe(b[i]))?;
-            let len = u16::from_be_bytes([b[i + 1], b[i + 2]]) as usize;
-            i += 3;
-            if i + len > b.len() {
-                return Err(NasDecodeError::Truncated);
-            }
-            ies.push((tag, b[i..i + len].to_vec()));
-            i += len;
+            NasMessageType::from_byte(*msg_type).ok_or(NasDecodeError::BadMessageType)?;
+        Tlvs(tlvs).try_for_each(|ie| ie.map(drop))?;
+        Ok(Self { msg_type, tlvs })
+    }
+
+    /// The information elements, in order.
+    pub fn ies(&self) -> impl Iterator<Item = (IeTag, &'a [u8])> {
+        Tlvs(self.tlvs).map_while(Result::ok)
+    }
+
+    /// First IE with the given tag.
+    pub fn ie(&self, tag: IeTag) -> Option<&'a [u8]> {
+        self.ies().find(|(t, _)| *t == tag).map(|(_, v)| v)
+    }
+}
+
+/// The one TLV reader: yields each `tag(1) len(2BE) value`, or the
+/// reason the bytes stop being TLVs.
+struct Tlvs<'a>(&'a [u8]);
+
+impl<'a> Iterator for Tlvs<'a> {
+    type Item = Result<(IeTag, &'a [u8]), NasDecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let b = self.0;
+        if b.is_empty() {
+            return None;
         }
-        Ok(Self { msg_type, ies })
+        // An error ends the walk.
+        self.0 = &[];
+        let &[tag, hi, lo, ref rest @ ..] = b else {
+            return Some(Err(NasDecodeError::Truncated));
+        };
+        let Some(tag) = IeTag::from_byte(tag) else {
+            return Some(Err(NasDecodeError::UnknownIe(tag)));
+        };
+        let Some((value, rest)) = rest.split_at_checked(u16::from_be_bytes([hi, lo]) as usize)
+        else {
+            return Some(Err(NasDecodeError::Truncated));
+        };
+        self.0 = rest;
+        Some(Ok((tag, value)))
+    }
+}
+
+/// Writes a NAS message into a caller's buffer: the header, then each
+/// IE's value produced in place with its length patched in afterwards.
+#[derive(Debug)]
+pub struct NasWriter<'a> {
+    b: &'a mut Vec<u8>,
+}
+
+impl<'a> NasWriter<'a> {
+    /// Clear `b` and start a message of `msg_type` in it.
+    pub fn new(b: &'a mut Vec<u8>, msg_type: NasMessageType) -> Self {
+        b.clear();
+        b.extend_from_slice(&[EPD_5GMM, msg_type.to_byte()]);
+        Self { b }
+    }
+
+    /// Append an information element whose value is whatever `value`
+    /// appends to the buffer.
+    ///
+    /// # Panics
+    /// Panics if the value outgrows the 16-bit length field.
+    pub fn ie(&mut self, tag: IeTag, value: impl FnOnce(&mut Vec<u8>)) {
+        self.b.extend_from_slice(&[tag.to_byte(), 0, 0]);
+        let start = self.b.len();
+        value(self.b);
+        let len = self.b.len() - start;
+        assert!(len <= u16::MAX as usize, "IE too large");
+        self.b[start - 2..start].copy_from_slice(&(len as u16).to_be_bytes());
     }
 }
 

@@ -3,9 +3,20 @@
 use proptest::prelude::*;
 use sc_fiveg::gtp::GtpUHeader;
 use sc_fiveg::ids::{PlmnId, SessionId, Supi, TunnelId};
-use sc_fiveg::nas::{IeTag, NasMessage, NasMessageType};
+use sc_fiveg::nas::{IeTag, NasMessage, NasMessageType, NasView, NasWriter};
 use sc_fiveg::smf::Smf;
 use sc_fiveg::state::SessionState;
+
+/// A registration request carrying `values` under rotating tags.
+fn nas_message(values: &[Vec<u8>]) -> NasMessage {
+    let tags = [IeTag::MobileIdentity, IeTag::AuthParam, IeTag::PduAddress,
+                IeTag::QosRules, IeTag::StateReplica];
+    let mut m = NasMessage::new(NasMessageType::RegistrationRequest);
+    for (i, v) in values.iter().enumerate() {
+        m = m.with_ie(tags[i % tags.len()], v.clone());
+    }
+    m
+}
 
 proptest! {
     #[test]
@@ -51,13 +62,58 @@ proptest! {
 
     #[test]
     fn nas_roundtrip(values in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..128), 0..5)) {
-        let tags = [IeTag::MobileIdentity, IeTag::AuthParam, IeTag::PduAddress,
-                    IeTag::QosRules, IeTag::StateReplica];
-        let mut m = NasMessage::new(NasMessageType::RegistrationRequest);
-        for (i, v) in values.iter().enumerate() {
-            m = m.with_ie(tags[i % tags.len()], v.clone());
-        }
+        let m = nas_message(&values);
         prop_assert_eq!(NasMessage::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn nas_writer_matches_owned_encode(
+        values in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..128), 0..5),
+        stale in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let m = nas_message(&values);
+        let mut b = stale;
+        let mut w = NasWriter::new(&mut b, m.msg_type);
+        for (tag, value) in &m.ies {
+            // Values may arrive in pieces: the length is patched in after.
+            let (head, tail) = value.split_at(value.len() / 2);
+            w.ie(*tag, |b| {
+                b.extend_from_slice(head);
+                b.extend_from_slice(tail);
+            });
+        }
+        prop_assert_eq!(b, m.encode());
+    }
+
+    #[test]
+    fn nas_view_agrees_with_owned_decode(
+        data in proptest::collection::vec(any::<u8>(), 0..128),
+        values in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..5),
+        flip in (any::<usize>(), any::<u8>()),
+        cut in any::<usize>(),
+    ) {
+        // Arbitrary bytes, and a valid encoding with one byte overwritten
+        // and a tail cut off: the view and the owned message accept and
+        // reject the same inputs for the same reason, and see the same IEs.
+        let mut mutated = nas_message(&values).encode();
+        let at = flip.0 % mutated.len();
+        mutated[at] = flip.1;
+        mutated.truncate(mutated.len().saturating_sub(cut % 4));
+        for bytes in [data, mutated] {
+            let view = NasView::parse(&bytes);
+            let owned = NasMessage::decode(&bytes);
+            prop_assert_eq!(view.as_ref().err(), owned.as_ref().err());
+            if let (Ok(view), Ok(owned)) = (view, owned) {
+                prop_assert_eq!(view.msg_type, owned.msg_type);
+                let seen: Vec<_> = view.ies().map(|(t, v)| (t, v.to_vec())).collect();
+                prop_assert_eq!(&seen, &owned.ies);
+                for (tag, _) in &owned.ies {
+                    prop_assert_eq!(view.ie(*tag), owned.ie(*tag));
+                }
+                // Strict: what parsed re-encodes to the same bytes.
+                prop_assert_eq!(owned.encode(), bytes);
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@ use sc_crypto::statecrypt::{
     StateCryptError,
 };
 use sc_crypto::wire::WireError;
+use sc_fiveg::arena::{BufId, MessageArena};
 use sc_fiveg::ids::Supi;
-use sc_fiveg::nas::{IeTag, NasDecodeError, NasMessage};
+use sc_fiveg::nas::{IeTag, NasDecodeError, NasMessageType, NasView};
 use sc_fiveg::state::SessionState;
 use sc_orbit::SatId;
 use std::collections::HashMap;
@@ -52,6 +53,31 @@ pub enum LocalPathFailure {
     StateCodec,
 }
 
+impl LocalPathFailure {
+    /// The `spacecore.satellite.rollback.*` counter this cause lands on.
+    fn rollback_counter(&self) -> &'static str {
+        match self {
+            LocalPathFailure::NoUeSupport => "spacecore.satellite.rollback.no_ue_support",
+            LocalPathFailure::NasDecode(_) => "spacecore.satellite.rollback.nas_decode",
+            LocalPathFailure::MissingReplicaIe => "spacecore.satellite.rollback.missing_replica_ie",
+            LocalPathFailure::ReplicaWire(_) => "spacecore.satellite.rollback.replica_wire",
+            LocalPathFailure::Crypto(StateCryptError::Expired) => {
+                "spacecore.satellite.rollback.crypto_expired"
+            }
+            LocalPathFailure::Crypto(StateCryptError::Abe(_)) => {
+                "spacecore.satellite.rollback.crypto_abe"
+            }
+            LocalPathFailure::Crypto(StateCryptError::Sts(_)) => {
+                "spacecore.satellite.rollback.crypto_sts"
+            }
+            LocalPathFailure::Crypto(StateCryptError::BadHomeSignature) => {
+                "spacecore.satellite.rollback.crypto_home_sig"
+            }
+            LocalPathFailure::StateCodec => "spacecore.satellite.rollback.state_codec",
+        }
+    }
+}
+
 impl std::fmt::Display for LocalPathFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -78,13 +104,24 @@ impl std::error::Error for LocalPathFailure {
     }
 }
 
+/// The UE proxy's send side: the PDU session request with the replica
+/// and `X` piggybacked — the bytes of
+/// [`sc_fiveg::nas::piggybacked_session_request`], written straight into
+/// a pooled buffer.
+fn write_piggyback(arena: &mut MessageArena, replica: &EncryptedUeState, x: u64) -> BufId {
+    arena.write_nas(NasMessageType::PduSessionEstablishmentRequest, |w| {
+        w.ie(IeTag::StateReplica, |b| {
+            sc_crypto::wire::encode_state_into(replica, b)
+        });
+        w.ie(IeTag::DhPublic, |b| b.extend_from_slice(&x.to_be_bytes()));
+    })
+}
+
 /// The satellite proxy's receive side: the replica inside the NAS PDU it
-/// was sent, or the step that failed. Takes the decode *result* so the
-/// caller can drop its arena lock before the replica is parsed.
-fn received_replica(
-    parsed: Result<NasMessage, NasDecodeError>,
-) -> Result<EncryptedUeState, LocalPathFailure> {
-    let nas = parsed.map_err(LocalPathFailure::NasDecode)?;
+/// was sent, or the step that failed. The PDU is parsed where it lies;
+/// the returned replica is the one copy made of it.
+fn received_replica(pdu: &[u8]) -> Result<EncryptedUeState, LocalPathFailure> {
+    let nas = NasView::parse(pdu).map_err(LocalPathFailure::NasDecode)?;
     let replica_bytes = nas
         .ie(IeTag::StateReplica)
         .ok_or(LocalPathFailure::MissingReplicaIe)?;
@@ -106,10 +143,10 @@ pub struct SpaceCoreSatellite {
     /// and the active-session gauge; local accesses also feed the
     /// `crypto.statecrypt.*` counters.
     obs: sc_obs::Recorder,
-    /// Pooled NAS encode buffers: each establishment re-encodes the
-    /// piggybacked session request, and after the first one the arena
-    /// serves every run allocation-free.
-    arena: parking_lot::Mutex<sc_fiveg::arena::MessageArena>,
+    /// Pooled NAS buffers: each establishment writes the piggybacked
+    /// session request into one and parses it there, and after the
+    /// first one the arena serves every run allocation-free.
+    arena: parking_lot::Mutex<MessageArena>,
 }
 
 /// Radio/UPF install state for one active session.
@@ -129,7 +166,7 @@ impl SpaceCoreSatellite {
             active: parking_lot::Mutex::new(HashMap::new()),
             home_cert_key: home.cert_verify_key(),
             obs: sc_obs::Recorder::disabled(),
-            arena: parking_lot::Mutex::new(sc_fiveg::arena::MessageArena::new()),
+            arena: parking_lot::Mutex::new(MessageArena::new()),
         }
     }
 
@@ -148,7 +185,7 @@ impl SpaceCoreSatellite {
             active: parking_lot::Mutex::new(HashMap::new()),
             home_cert_key: home.cert_verify_key(),
             obs: sc_obs::Recorder::disabled(),
-            arena: parking_lot::Mutex::new(sc_fiveg::arena::MessageArena::new()),
+            arena: parking_lot::Mutex::new(MessageArena::new()),
         }
     }
 
@@ -171,20 +208,15 @@ impl SpaceCoreSatellite {
         }
         // Algorithm 2 line 10: UE sends X and the encrypted state —
         // as actual bytes: the replica is wire-encoded into the NAS PDU
-        // session request's StateReplica IE (§5), and the satellite
-        // proxy re-parses it.
+        // session request's StateReplica IE (§5) in a pooled buffer,
+        // and the satellite proxy parses it where it lies.
         let ue_sts = ue.begin_key_exchange(home.dh_params());
-        let nas = sc_fiveg::nas::piggybacked_session_request(
-            sc_crypto::wire::encode_state(ue.piggyback()),
-            ue_sts.public_value(),
-        );
-        let parsed = {
+        let replica = {
             let mut arena = self.arena.lock();
             arena.reset();
-            let wire = arena.encode_nas(&nas);
-            NasMessage::decode(arena.bytes(wire))
+            let pdu = write_piggyback(&mut arena, ue.piggyback(), ue_sts.public_value());
+            received_replica(arena.bytes(pdu))?
         };
-        let replica = received_replica(parsed)?;
         // Satellite side (lines 11-13).
         let eph = sc_crypto::field::keyed_hash(
             (self.id.plane as u64) << 32 | self.id.slot as u64,
@@ -256,8 +288,9 @@ impl SpaceCoreSatellite {
     ) -> SessionOutcome {
         match self.try_local_establishment(home, ue, now) {
             Ok(o) => o,
-            Err(_) => {
+            Err(cause) => {
                 self.obs.inc("spacecore.satellite.rollbacks", 1);
+                self.obs.inc(cause.rollback_counter(), 1);
                 // Legacy C2: 13 messages, multiple home round-trips.
                 let c2 = sc_fiveg::messages::Procedure::build(
                     sc_fiveg::messages::ProcedureKind::SessionEstablishment,
@@ -411,15 +444,23 @@ mod tests {
     #[test]
     fn intact_piggyback_yields_the_replica() {
         let (_, _, ue) = setup();
-        let got = received_replica(NasMessage::decode(&piggyback_wire(&ue)));
+        let got = received_replica(&piggyback_wire(&ue));
         assert_eq!(got.as_ref(), Ok(ue.piggyback()));
+    }
+
+    #[test]
+    fn piggyback_written_in_place_is_the_owned_encoding() {
+        let (_, _, ue) = setup();
+        let mut arena = MessageArena::new();
+        let pdu = write_piggyback(&mut arena, ue.piggyback(), 7);
+        assert_eq!(arena.bytes(pdu), piggyback_wire(&ue));
     }
 
     #[test]
     fn truncated_nas_keeps_the_nas_error() {
         let (_, _, ue) = setup();
         let wire = piggyback_wire(&ue);
-        let err = received_replica(NasMessage::decode(&wire[..wire.len() - 1])).unwrap_err();
+        let err = received_replica(&wire[..wire.len() - 1]).unwrap_err();
         assert_eq!(err, LocalPathFailure::NasDecode(NasDecodeError::Truncated));
         assert!(std::error::Error::source(&err).is_some());
         assert!(err.to_string().contains("truncated"), "{err}");
@@ -431,18 +472,64 @@ mod tests {
         let mut replica = sc_crypto::wire::encode_state(ue.piggyback());
         replica.truncate(replica.len() - 3);
         let nas = sc_fiveg::nas::piggybacked_session_request(replica, 7).encode();
-        let err = received_replica(NasMessage::decode(&nas)).unwrap_err();
+        let err = received_replica(&nas).unwrap_err();
         assert_eq!(err, LocalPathFailure::ReplicaWire(WireError::Truncated));
         assert!(std::error::Error::source(&err).is_some());
     }
 
     #[test]
+    fn hostile_replicas_are_refused_before_decryption() {
+        // One share cut out; the root OR rewritten as a 0-of-2 threshold:
+        // well-formed lengths that `decrypt` could not walk. A `UeDevice`
+        // cannot hold such a replica (`decode_state` is the only way in
+        // from bytes), so the hostile UE is the PDU it sends.
+        let (_, _, ue) = setup();
+        let replica = sc_crypto::wire::encode_state(ue.piggyback());
+        // n_shares(2) sits past the 21-byte envelope, nonce and mac; the
+        // per-UE policy has four leaves, and starts with `OR` of 2.
+        let (n_shares_at, policy_at) = (21 + 16, 21 + 18 + 8 * 4);
+        assert_eq!(replica[n_shares_at..n_shares_at + 2], [4, 0]);
+        assert_eq!(replica[policy_at..policy_at + 3], [2, 2, 0]);
+
+        let mut too_few_shares = replica.clone();
+        too_few_shares[n_shares_at] = 3;
+        too_few_shares.drain(policy_at - 8..policy_at);
+        let mut zero_threshold = replica;
+        zero_threshold.splice(policy_at..policy_at + 3, [3, 0, 0, 2, 0]);
+
+        for (hostile, why) in [
+            (too_few_shares, WireError::ShareCount),
+            (zero_threshold, WireError::BadGate),
+        ] {
+            let pdu = sc_fiveg::nas::piggybacked_session_request(hostile, 7).encode();
+            let err = received_replica(&pdu).unwrap_err();
+            assert_eq!(err, LocalPathFailure::ReplicaWire(why));
+            assert_eq!(
+                err.rollback_counter(),
+                "spacecore.satellite.rollback.replica_wire"
+            );
+        }
+    }
+
+    #[test]
     fn absent_replica_ie_is_its_own_failure() {
-        let nas = NasMessage::new(sc_fiveg::nas::NasMessageType::PduSessionEstablishmentRequest)
+        let nas = sc_fiveg::nas::NasMessage::new(NasMessageType::PduSessionEstablishmentRequest)
             .with_ie(IeTag::DhPublic, 7u64.to_be_bytes().to_vec())
             .encode();
-        let err = received_replica(NasMessage::decode(&nas)).unwrap_err();
+        let err = received_replica(&nas).unwrap_err();
         assert_eq!(err, LocalPathFailure::MissingReplicaIe);
+    }
+
+    /// Swap `ue`'s replica for one the home signed under the same policy
+    /// and envelope, whose payload is not a `SessionState`.
+    fn carry_undecodable_payload(home: &HomeNetwork, ue: &mut UeDevice) {
+        ue.replica = home.crypto().encrypt_state(
+            b"not a session state",
+            &ue.replica.ciphertext.policy(),
+            ue.replica.version,
+            ue.replica.expires_at,
+            1,
+        );
     }
 
     #[test]
@@ -450,14 +537,7 @@ mod tests {
         // Home-signed and decryptable, but not a `SessionState`: the
         // envelope verifies, the codec refuses.
         let (home, sat, mut ue) = setup();
-        let policy = ue.replica.ciphertext.policy().clone();
-        ue.replica = home.crypto().encrypt_state(
-            b"not a session state",
-            &policy,
-            ue.replica.version,
-            ue.replica.expires_at,
-            1,
-        );
+        carry_undecodable_payload(&home, &mut ue);
         let err = sat
             .try_local_establishment(&home, &mut ue, 1.0)
             .unwrap_err();
@@ -558,6 +638,38 @@ mod tests {
         // The local path also feeds the crypto-layer counters.
         assert_eq!(snap.counter("crypto.statecrypt.local_accesses"), 1);
         assert_eq!(snap.counter("crypto.abe.decrypts"), 1);
+    }
+
+    #[test]
+    fn rollbacks_are_counted_by_cause() {
+        // The two causes `serve-mixed` injects, plus an undecodable
+        // payload: three counters, summing to the total.
+        let (home, mut sat, mut ue) = setup();
+        let rec = sc_obs::Recorder::new();
+        sat.attach_recorder(rec.clone());
+        let mut rogue =
+            SpaceCoreSatellite::provision_with_attrs(&home, SatId::new(9, 9), &["role:satellite"]);
+        rogue.attach_recorder(rec.clone());
+
+        let past_ttl = home.config().state_ttl_s + 1.0;
+        assert!(!sat.establish_session(&home, &mut ue, past_ttl).local);
+        assert!(!rogue.establish_session(&home, &mut ue, 1.0).local);
+        carry_undecodable_payload(&home, &mut ue);
+        assert!(!sat.establish_session(&home, &mut ue, 1.0).local);
+
+        let snap = rec.snapshot();
+        for cause in ["crypto_expired", "crypto_abe", "state_codec"] {
+            let name = format!("spacecore.satellite.rollback.{cause}");
+            assert_eq!(snap.counter(&name), 1, "{name}");
+        }
+        assert_eq!(snap.counter("spacecore.satellite.rollbacks"), 3);
+        let by_cause: u64 = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("spacecore.satellite.rollback."))
+            .map(|(_, n)| *n)
+            .sum();
+        assert_eq!(by_cause, 3);
     }
 
     #[test]

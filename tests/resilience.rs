@@ -162,7 +162,7 @@ fn ue_state_forgery_detected_end_to_end() {
     let mut forged_session = ue.session.clone();
     forged_session.qos.ambr_kbps = u32::MAX;
     forged_session.billing.quota_bytes = u64::MAX;
-    let policy = ue.replica.ciphertext.policy().clone();
+    let policy = ue.replica.ciphertext.policy();
     let forged_ct = sc_crypto::abe::AbeSystem::encrypt(
         home.crypto().public_key(),
         &forged_session.encode(),
