@@ -79,7 +79,7 @@ pub struct Config {
     /// does not (and must not) fire on the series API.
     pub stateful_scope: Vec<String>,
     /// Files (or path prefixes) allowed to read wall clocks: the two
-    /// wall-clock reporters and the benchmark harness.
+    /// wall-clock reporters and the Criterion targets.
     pub timing_allowlist: Vec<String>,
     /// Path prefixes where R5 (parallel-determinism) applies: the
     /// emulator's deterministic parallel sweep engine and its callers.
@@ -105,7 +105,7 @@ impl Default for Config {
             timing_allowlist: vec![
                 "crates/emu/src/fig18.rs".into(),
                 "crates/emu/src/report.rs".into(),
-                "crates/bench/".into(),
+                "crates/bench/benches/".into(),
             ],
             parallel_scope: vec!["crates/emu/src/".into()],
             per_ue_keys: ["Supi", "Imsi", "UeId", "Suci", "Guti", "Tmsi"]

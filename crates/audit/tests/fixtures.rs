@@ -74,6 +74,10 @@ fn instant_now_inside_allowlist_is_fine() {
         let report = audit_fixture(rel, src);
         assert!(report.findings.is_empty(), "{rel}: {:?}", report.findings);
     }
+    // Only the Criterion targets are allowlisted, not the rest of sc-bench.
+    let report = audit_fixture("crates/bench/src/bin/anything.rs", src);
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].rule, "R2-timing");
 }
 
 #[test]

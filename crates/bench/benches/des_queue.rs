@@ -2,7 +2,7 @@
 //! calendar-queue [`EventQueue`] against the retained binary-heap
 //! [`ReferenceQueue`] (schedule/pop hold pattern), and the single-pop
 //! `run_until` against the peek-then-pop loop it replaced.
-//! `bench-report` measures the same shapes for `BENCH_*.json`.
+//! scbench's `netsim.des_event_ns` layer times the calendar queue alone.
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sc_netsim::des::{reference::ReferenceQueue, EventQueue};
 

@@ -37,8 +37,8 @@
 //! signaling-surge amplitude — peak re-registration rate over the
 //! crashed footprint's cells versus those cells' steady-state C1
 //! establishment rate. The acceptance bar (≥ 98 % survival, surge ≤ 3×)
-//! is asserted on the smoke config by `tests/churn_equivalence.rs` and
-//! on the full run by `bench-report`'s `chaosload` section.
+//! is asserted by `tests/churn_equivalence.rs`: on a smoke-config run,
+//! and on the full run through its checked-in telemetry sidecar.
 
 use crate::churn::{self, WINDOW_S};
 use sc_netsim::chaos::FailureTimeline;
@@ -215,8 +215,8 @@ pub struct ExtChaosload {
     /// Re-registration signaling per 1 s window over the storm cells —
     /// the folded source of `peak_rereg_per_s` and the
     /// `emu.chaosload.rereg_storm_per_s` telemetry series; the storm's
-    /// time axis in the results JSON. `bench-report` reads it
-    /// in-process for the surge-per-window summary.
+    /// time axis in the results JSON. `sctrace series` renders it;
+    /// `tests/churn_equivalence.rs` holds its peak to the measured window.
     pub rereg_storm_win: Vec<u64>,
 }
 

@@ -6,7 +6,11 @@
 //! It backs the `sctrace` analysis binary, which must not pull serde
 //! into this crate. Parsing is strict about structure (a malformed
 //! sidecar or a missing section is an error, not a guess) but lenient
-//! about *extra* object keys.
+//! about *extra* object keys. What the analyses in [`crate::trace`]
+//! rely on is checked here, where the bytes enter: span ids are
+//! unique, a parent present in the file precedes its children, span
+//! trees nest at most `MAX_SPAN_DEPTH` deep, and a series' windows
+//! ascend strictly.
 //!
 //! Everything returns `Result` — this crate ratchets at zero panic
 //! sites, sidecar included.
@@ -110,19 +114,17 @@ impl SidecarSeries {
             .max_by(|(wa, va), (wb, vb)| va.total_cmp(vb).then(wb.cmp(wa)))
     }
 
-    /// Number of windows spanned: last touched window + 1.
+    /// Number of windows spanned: last touched window + 1 (saturating).
     pub fn windows(&self) -> u64 {
-        self.points.last().map_or(0, |(w, _)| w + 1)
+        self.points.last().map_or(0, |(w, _)| w.saturating_add(1))
     }
 
     /// The value in window `w` (0.0 for an untouched counter window,
     /// `None` only when no point exists at `w` and the series is a
-    /// gauge — callers treat absence per kind).
+    /// gauge — callers treat absence per kind). A binary search:
+    /// `points` ascend by window.
     pub fn value_at(&self, w: u64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|(pw, _)| *pw == w)
-            .map(|(_, v)| *v)
+        self.points.binary_search_by_key(&w, |(pw, _)| *pw).ok().map(|i| self.points[i].1)
     }
 }
 
@@ -148,6 +150,7 @@ impl Sidecar {
     /// Parse a telemetry sidecar (schema [`crate::SCHEMA`] only).
     pub fn parse(input: &str) -> Result<Sidecar, ParseError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -196,6 +199,7 @@ impl Sidecar {
         for (i, sv) in get(obj, "spans")?.as_arr_or_empty().iter().enumerate() {
             out.spans.push(parse_span(i, sv)?);
         }
+        check_span_order(&out.spans)?;
         out.spans_dropped = get(obj, "spans_dropped")?
             .as_u64()
             .ok_or_else(|| err_at(0, "spans_dropped is not a u64"))?;
@@ -244,14 +248,42 @@ fn parse_hist(name: &str, v: &Value) -> Result<SidecarHist, ParseError> {
     })
 }
 
+/// The span-list shape [`crate::trace::TraceForest`] walks without
+/// re-checking: every id once, a parent that is in the file ahead of
+/// its children (one shed by the ring is simply absent), and trees no
+/// deeper than [`MAX_SPAN_DEPTH`]. [`crate::span`] emits nothing else.
+fn check_span_order(spans: &[SidecarSpan]) -> Result<(), ParseError> {
+    let bad = |i: usize, why: String| Err(err_at(0, &format!("span #{i} {why}")));
+    let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
+    // Depth of every span seen so far, by id.
+    let mut depth_of: BTreeMap<u64, usize> = BTreeMap::new();
+    for (i, s) in spans.iter().enumerate() {
+        let depth = match s.parent.filter(|p| ids.contains(p)) {
+            None => 0,
+            Some(p) => match depth_of.get(&p) {
+                Some(d) if *d < MAX_SPAN_DEPTH => d + 1,
+                Some(_) => return bad(i, format!("nests deeper than {MAX_SPAN_DEPTH}")),
+                None => return bad(i, format!("has parent {p}, which is not earlier in the file")),
+            },
+        };
+        if depth_of.insert(s.id, depth).is_some() {
+            return bad(i, format!("repeats id {}", s.id));
+        }
+    }
+    Ok(())
+}
+
 fn parse_series(name: &str, v: &Value) -> Result<SidecarSeries, ParseError> {
     let obj = v
         .as_obj()
         .ok_or_else(|| err_at(0, &format!("series {name:?} is not an object")))?;
-    let mut points = Vec::new();
+    let mut points: Vec<(u64, f64)> = Vec::new();
     for p in get(obj, "points")?.as_arr_or_empty() {
         let pair = p.as_arr_or_empty();
         match (pair.first().and_then(Value::as_u64), pair.get(1).and_then(Value::as_f64)) {
+            (Some(w), Some(_)) if points.last().is_some_and(|(last, _)| w <= *last) => {
+                return Err(err_at(0, &format!("series {name:?} window {w} does not ascend")))
+            }
             (Some(w), Some(v)) => points.push((w, v)),
             _ => {
                 return Err(err_at(
@@ -393,7 +425,13 @@ fn err_at(at: usize, msg: &str) -> ParseError {
 /// while keeping hostile inputs from exhausting the stack.
 const MAX_DEPTH: usize = 32;
 
+/// Bound on span-tree depth, for the same reason: the tree walks in
+/// [`crate::trace`] recurse (and indent) once per level. Emitted trees
+/// are procedure → step → hop, 3 deep.
+const MAX_SPAN_DEPTH: usize = 32;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -537,9 +575,9 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Multi-byte UTF-8 sequences pass through unchanged:
-                    // copy the whole scalar at once.
-                    let rest = &self.bytes[self.pos..];
-                    match std::str::from_utf8(rest).ok().and_then(|s| s.chars().next()) {
+                    // copy the whole scalar at once (`text` is already
+                    // valid, so nothing past it is re-checked).
+                    match self.text.get(self.pos..).and_then(|s| s.chars().next()) {
                         Some(c) => {
                             out.push(c);
                             self.pos += c.len_utf8();
@@ -658,6 +696,65 @@ mod tests {
         let mut j = sample_json();
         j.push_str("{}");
         assert!(Sidecar::parse(&j).is_err());
+    }
+
+    /// A minimal sidecar around hand-written `spans` and `series` sections.
+    fn hostile(spans: &str, series: &str) -> String {
+        format!(
+            r#"{{"schema":"{}","experiment":"h","counters":{{}},"gauges":{{}},"histograms":{{}},"events":[],"events_dropped":0,"spans":[{spans}],"spans_dropped":0,"series":{{{series}}},"series_dropped":0}}"#,
+            crate::SCHEMA
+        )
+    }
+
+    /// Why `parse` rejected `json` ("" when it did not).
+    fn rejection(json: &str) -> String {
+        Sidecar::parse(json).err().map(|e| e.msg).unwrap_or_default()
+    }
+
+    fn span(id: u64, parent: &str) -> String {
+        format!(r#"{{"id":{id},"parent":{parent},"kind":"k","start":0,"end":1,"fields":{{}}}}"#)
+    }
+
+    #[test]
+    fn rejects_span_lists_the_forest_cannot_walk() {
+        let msg = |spans: &[String]| rejection(&hostile(&spans.join(","), ""));
+        // A repeated id that is its own parent: `sctrace tree` never
+        // returned on this one.
+        assert_eq!(msg(&[span(1, "null"), span(2, "1"), span(2, "2")]), "span #2 repeats id 2");
+        assert_eq!(msg(&[span(1, "null"), span(1, "null")]), "span #1 repeats id 1");
+        // A parent that is in the file, but not earlier (or is the span itself).
+        assert_eq!(
+            msg(&[span(2, "3"), span(3, "null")]),
+            "span #0 has parent 3, which is not earlier in the file"
+        );
+        assert_eq!(msg(&[span(5, "5")]), "span #0 has parent 5, which is not earlier in the file");
+        // A parent the ring shed is merely absent: still a root.
+        assert_eq!(msg(&[span(7, "3"), span(8, "7")]), "");
+        // A chain one level past the bound.
+        let chain = |n: u64| -> Vec<String> {
+            (0..n).map(|i| span(i, &i.checked_sub(1).map_or("null".into(), |p| p.to_string()))).collect()
+        };
+        assert_eq!(msg(&chain(MAX_SPAN_DEPTH as u64 + 1)), "");
+        assert_eq!(
+            msg(&chain(MAX_SPAN_DEPTH as u64 + 2)),
+            format!("span #{} nests deeper than {MAX_SPAN_DEPTH}", MAX_SPAN_DEPTH + 1)
+        );
+    }
+
+    #[test]
+    fn rejects_series_windows_that_do_not_ascend() {
+        let series = |points: &str| {
+            hostile("", &format!(r#""s":{{"kind":"counter","window_ticks":1,"points":[{points}]}}"#))
+        };
+        for points in ["[3,1],[3,2]", "[3,1],[2,1]"] {
+            let msg = rejection(&series(points));
+            assert!(msg.starts_with("series \"s\" window") && msg.ends_with("does not ascend"), "{msg}");
+        }
+        // The last window a u64 can name: `windows()` saturates.
+        let far = Sidecar::parse(&series("[18446744073709551615,1]")).ok();
+        let s = far.as_ref().and_then(|sc| sc.series.get("s"));
+        assert_eq!(s.map(SidecarSeries::windows), Some(u64::MAX));
+        assert_eq!(s.and_then(|s| s.value_at(u64::MAX)), Some(1.0));
     }
 
     #[test]

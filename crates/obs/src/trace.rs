@@ -1,11 +1,12 @@
 //! Trace-tree analysis over parsed sidecars.
 //!
 //! [`TraceForest`] rebuilds the span tree a sidecar serialized flat
-//! (parents always precede children — [`crate::span`] guarantees it)
-//! and renders the views the `sctrace` binary exposes: an indented
-//! `tree`, a `critical-path` table with the longest child chain per
-//! root, flamegraph-compatible `folded` stacks, and an A/B `diff` of
-//! two sidecars with a regression gate for CI.
+//! (ids unique, parents ahead of children, bounded depth —
+//! [`Sidecar::parse`] rejects anything else) and renders the views the
+//! `sctrace` binary exposes: an indented `tree`, a `critical-path`
+//! table with the longest child chain per root, flamegraph-compatible
+//! `folded` stacks, and an A/B `diff` of two sidecars with a regression
+//! gate for CI.
 //!
 //! Every rendering is a pure function of its input sidecar(s), so the
 //! output inherits the telemetry byte-stability guarantee: identical
@@ -304,23 +305,33 @@ pub fn render_series(sc: &Sidecar) -> String {
 
 /// Median per-window value over the series' span. Counter series count
 /// untouched windows as zero (a silent window is part of the steady
-/// state); gauge series take the median of written samples only.
+/// state) — counted, never materialised, so a far-out window costs
+/// nothing; gauge series take the median of written samples only.
 fn steady_state(s: &crate::sidecar::SidecarSeries) -> f64 {
-    let mut vals: Vec<f64> = if s.kind == "counter" {
-        let n = s.windows();
-        (0..n).map(|w| s.value_at(w).unwrap_or(0.0)).collect()
+    let mut vals: Vec<f64> = s.points.iter().map(|(_, v)| *v).collect();
+    vals.sort_by(f64::total_cmp);
+    let zeros = if s.kind == "counter" {
+        s.windows().saturating_sub(vals.len() as u64)
     } else {
-        s.points.iter().map(|(_, v)| *v).collect()
+        0
     };
-    if vals.is_empty() {
+    let n = vals.len() as u64 + zeros;
+    if n == 0 {
         return 0.0;
     }
-    vals.sort_by(f64::total_cmp);
-    let mid = vals.len() / 2;
-    if vals.len() % 2 == 1 {
-        vals[mid]
+    // The sorted per-window values are `vals` with the zeros spliced in
+    // after the negatives.
+    let at = vals.partition_point(|v| *v < 0.0) as u64;
+    let kth = |k: u64| match k {
+        k if k < at => vals[k as usize],
+        k if k < at + zeros => 0.0,
+        k => vals[(k - zeros) as usize],
+    };
+    let mid = n / 2;
+    if n % 2 == 1 {
+        kth(mid)
     } else {
-        (vals[mid - 1] + vals[mid]) / 2.0
+        (kth(mid - 1) + kth(mid)) / 2.0
     }
 }
 
@@ -336,13 +347,16 @@ fn sparkline(s: &crate::sidecar::SidecarSeries, cols: u64) -> String {
     let peak = s.peak().map_or(0.0, |(_, v)| v);
     let cols = cols.clamp(1, n);
     let mut line = String::new();
+    // Points ascend by window, so each chunk's points are one run.
+    let mut next = 0;
     for c in 0..cols {
-        // Even chunking: chunk c covers windows [c*n/cols, (c+1)*n/cols).
-        let from = c * n / cols;
-        let to = (((c + 1) * n) / cols).max(from + 1);
+        // Even chunking: chunk c covers windows [c*n/cols, (c+1)*n/cols);
+        // u128 because `c * n` outgrows u64 for a far-out window.
+        let to = (u128::from(c + 1) * u128::from(n)) / u128::from(cols);
         let mut chunk_max = 0.0f64;
-        for w in from..to.min(n) {
-            chunk_max = chunk_max.max(s.value_at(w).unwrap_or(0.0));
+        while let Some((_, v)) = s.points.get(next).filter(|(w, _)| u128::from(*w) < to) {
+            chunk_max = chunk_max.max(*v);
+            next += 1;
         }
         let idx = if peak > 0.0 {
             (((chunk_max / peak) * 8.0).ceil() as usize).clamp(0, 8)
@@ -666,6 +680,27 @@ mod tests {
         let r = render_diff(&a, &b, 0.0);
         assert_eq!(r.regressions, vec!["series_dropped".to_string()]);
         assert!(r.text.contains("series_dropped: 0 -> 1"), "{}", r.text);
+        Ok(())
+    }
+
+    #[test]
+    fn far_out_window_is_counted_not_allocated() -> Result<(), String> {
+        // One point at window 2^34 on a counter series: a Vec of every
+        // implicit zero window would be 128 GiB.
+        let json = Recorder::new().snapshot().to_json("unit").replace(
+            "\"series\": {}",
+            "\"series\": {\"s\":{\"kind\":\"counter\",\"window_ticks\":1000000,\"points\":[[3,4],[17179869184,9]]}}",
+        );
+        let sc = Sidecar::parse(&json).map_err(|e| e.to_string())?;
+        let s = sc.series.get("s").ok_or("series s missing")?;
+        assert_eq!(s.windows(), (1 << 34) + 1);
+        // All but two windows are zero, so the median is.
+        assert_eq!(steady_state(s), 0.0);
+        let line = sparkline(s, 60);
+        assert_eq!(line.chars().count(), 60);
+        // 4/9 of the peak in the first chunk, the peak in the last.
+        assert!(line.starts_with('▄') && line.ends_with('█'), "{line}");
+        assert!(render_series(&sc).contains("17179869185"));
         Ok(())
     }
 

@@ -120,7 +120,7 @@ if obs_on; then
     echo "== tier-1: ext_chaos byte-stable (results + telemetry, threads 1 vs 4) and equal to results/" >&2
 
     # Sustained-load engine, bounded smoke configs (seconds, not the
-    # million-UE soaks; docs/BENCHMARKS.md covers those and their SLOs).
+    # million-UE soaks: scbench times those, tests/churn_equivalence.rs their SLOs).
     # ext_mload: per-shard recorders are merged in slot order and every
     # reported quantity is shard-additive. ext_chaosload: the
     # fault-injected soak (satellite crash + mid-recovery re-crash,

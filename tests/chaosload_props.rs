@@ -6,8 +6,9 @@
 //! lands exactly on a batch boundary versus mid-batch.
 //!
 //! These are the contracts that let `scripts/tier1.sh` cmp the smoke
-//! run's artifacts across thread counts, and let `bench-report` assert
-//! the serial and parallel million-UE chaos soaks agree. The batching
+//! run's artifacts across thread counts, and let scbench `chaos-soak`
+//! check every 2-thread million-UE repetition against its 1-thread
+//! oracle. The batching
 //! invariance leans on chaos timestamps being quantized to the
 //! integer-µs tick grid (`sc_netsim::chaos::quantize_ms_to_us_grid`),
 //! so a crash at a window edge is applied on the same tick regardless

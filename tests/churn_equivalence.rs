@@ -2,8 +2,8 @@
 //! `ext_mload` is `ext_chaosload` on an empty `FailureTimeline`. The
 //! differential law below pins that — every result field the two
 //! schemas share agrees to the bit, and an empty timeline leaves every
-//! chaos tally at zero — and the smoke-config recovery SLOs give
-//! `cargo test -q` the acceptance bar the full run is held to.
+//! chaos tally at zero — and the recovery SLOs are held twice: on a
+//! smoke-config run, and on the full run's checked-in sidecar.
 
 use proptest::prelude::*;
 use sc_emu::ext_chaosload::{self, ChaosloadConfig, MloadConfig};
@@ -94,4 +94,32 @@ fn smoke_scenario_meets_the_recovery_slos() {
         unpaced.surge_amplitude,
         paced.surge_amplitude
     );
+}
+
+/// The same bar on the full million-UE run, read off its checked-in
+/// sidecar — no run: `SC_OBS=1 scripts/tier1.sh` regenerates the full
+/// run and `cmp`s `results/ext_chaosload.telemetry.json` against it (as
+/// scbench `chaos-soak` does the result JSON beside it).
+#[test]
+fn full_run_sidecar_meets_the_recovery_slos() -> Result<(), Box<dyn std::error::Error>> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/ext_chaosload.telemetry.json");
+    let sc = sc_obs::sidecar::Sidecar::parse(&std::fs::read_to_string(path)?)?;
+    let gauge = |name: &str| sc.gauges.get(name).copied().ok_or(format!("no gauge {name}"));
+    let survival = gauge("emu.chaosload.session_survival")?;
+    assert!(survival >= 0.98, "survival {survival}");
+    let surge = gauge("emu.chaosload.surge_amplitude")?;
+    assert!(surge > 0.0 && surge <= 3.0, "surge {surge}");
+    for rule in ["chaosload_surge", "chaosload_recovery"] {
+        let name = format!("slo.breached_windows.{rule}");
+        assert_eq!(sc.counters.get(&name), Some(&0), "{name}");
+    }
+    let storm = sc
+        .series
+        .get("emu.chaosload.rereg_storm_per_s")
+        .ok_or("no re-registration storm series")?;
+    let (peak_win, _) = storm.peak().ok_or("empty storm series")?;
+    let load = ChaosloadConfig::full().load;
+    let measured = load.warmup_s as u64..(load.warmup_s + load.measure_s) as u64;
+    assert!(measured.contains(&peak_win), "storm peaks at window {peak_win}, outside {measured:?}");
+    Ok(())
 }

@@ -5,8 +5,8 @@
 //! counts, and the churn schedule must be a pure function of the seed.
 //!
 //! These are the contracts that let `scripts/tier1.sh` cmp the smoke
-//! run's artifacts across thread counts, and let `bench-report` assert
-//! the serial and parallel million-UE soaks agree.
+//! run's artifacts across thread counts, and let scbench `soak` check
+//! every 2-thread million-UE repetition against its 1-thread oracle.
 
 use proptest::prelude::*;
 use sc_emu::ext_mload::{run_config_with, MloadConfig};

@@ -9,7 +9,8 @@
 //! `SC_EMU_THREADS` 1 and 4 (passed explicitly through `run_with`, so
 //! the tests cannot race on the environment): the scheduler, arena,
 //! and visibility-kernel hot paths must not shift a single output
-//! byte under any thread count.
+//! byte under any thread count. `ext_chaos` runs with its recorder
+//! on, which pins `results/ext_chaos.telemetry.json` too.
 //!
 //! fig18 is excluded by design: it reports wall-clock timings
 //! (EXPERIMENTS.md documents it as the one non-reproducible figure).
@@ -78,13 +79,22 @@ fn threaded_experiments_byte_stable_across_thread_counts() -> Result<(), Box<dyn
     assert_same_bytes("ext_scaling", &a, &b)?;
     assert_matches_checked_in("ext_scaling", &a)?;
 
-    let obs = sc_obs::Recorder::disabled();
+    // Recorders on: telemetry must not move a result byte, and the
+    // sidecar itself is golden — the one `cargo test` can afford to pin.
+    let (obs_1, obs_4) = (sc_obs::Recorder::new(), sc_obs::Recorder::new());
     let (a, b) = (
-        sc_emu::ext_chaos::run_with(1, &obs),
-        sc_emu::ext_chaos::run_with(4, &obs),
+        sc_emu::ext_chaos::run_with(1, &obs_1),
+        sc_emu::ext_chaos::run_with(4, &obs_4),
     );
     assert_same_bytes("ext_chaos", &a, &b)?;
     assert_matches_checked_in("ext_chaos", &a)?;
+    let sidecar = obs_1.snapshot().to_json("ext_chaos");
+    if sidecar != obs_4.snapshot().to_json("ext_chaos") {
+        return Err("ext_chaos telemetry differs across thread counts".into());
+    }
+    if sidecar != checked_in("results/ext_chaos.telemetry.json")? {
+        return Err("results/ext_chaos.telemetry.json drifted from what ext_chaos records".into());
+    }
     Ok(())
 }
 

@@ -6,9 +6,13 @@
 //! `series_inc_tick` per window, the `drain_until` batch shapes of the
 //! mload/chaosload engines. Plus the window-edge cases: an event
 //! landing exactly on a window boundary, a run confined to one window,
-//! and an empty series.
+//! and an empty series. The reader side gets one law too: whatever
+//! bytes `Sidecar::parse` is handed it returns, and what it accepts
+//! every `sctrace` view renders.
 
 use proptest::prelude::*;
+use sc_obs::sidecar::Sidecar;
+use sc_obs::trace::{render_series, TraceForest};
 use sc_obs::{Recorder, SeriesSet, WINDOW_TICKS};
 
 const NAMES: [&str; 2] = ["t.alpha_per_s", "t.beta_per_s"];
@@ -79,6 +83,73 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert_eq!(per_event.dropped(), 0);
         prop_assert_eq!(batched.dropped(), 0);
+    }
+}
+
+/// A small sidecar with every section populated: span trees three
+/// deep, a counter series with a gap, a gauge series.
+fn emitted_sidecar() -> String {
+    let rec = Recorder::new();
+    rec.inc("t.msgs", 7);
+    rec.observe("t.delay_ms", 30.0);
+    for p in 0..4u32 {
+        let t = f64::from(p);
+        let root = rec.span_open(None, "proc", t, vec![]);
+        let step = rec.span_open(Some(root), "step", t, vec![]);
+        rec.span(Some(step), "tx", t, t + 0.5, vec![]);
+        rec.span_close(step, t + 0.5);
+        rec.span_close(root, t + 1.0);
+        rec.series_inc_tick(NAMES[0], u64::from(2 * p) * WINDOW_TICKS, 10 + u64::from(p));
+    }
+    rec.series_gauge_tick("t.depth", WINDOW_TICKS, 2.5);
+    rec.snapshot().to_json("series_props")
+}
+
+/// Parse, and render every `sctrace` view of what parsed.
+fn parse_and_render(input: &[u8]) {
+    let Ok(sc) = Sidecar::parse(&String::from_utf8_lossy(input)) else {
+        return;
+    };
+    let forest = TraceForest::build(&sc.spans);
+    let _ = (
+        render_series(&sc),
+        forest.render_tree(),
+        forest.render_critical_paths(),
+        forest.render_folded(),
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile bytes neither hang nor abort the reader: arbitrary
+    /// bytes, an emitted sidecar with 1–3 bytes overwritten, and one
+    /// with 1–3 of its digits swapped for other digits — the edits that
+    /// still parse (a span id repeated, a window far out), so they are
+    /// the ones that reach the renderers.
+    #[test]
+    fn hostile_sidecars_parse_and_render(
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+        overwrites in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        digit_swaps in proptest::collection::vec((any::<usize>(), b'0'..b':'), 1..4),
+    ) {
+        parse_and_render(&noise);
+
+        let emitted = emitted_sidecar().into_bytes();
+        let mut bytes = emitted.clone();
+        for (at, b) in overwrites {
+            let at = at % bytes.len();
+            bytes[at] = b;
+        }
+        parse_and_render(&bytes);
+
+        let digits: Vec<usize> =
+            (0..emitted.len()).filter(|&i| emitted[i].is_ascii_digit()).collect();
+        let mut bytes = emitted;
+        for (nth, d) in digit_swaps {
+            bytes[digits[nth % digits.len()]] = d;
+        }
+        parse_and_render(&bytes);
     }
 }
 
