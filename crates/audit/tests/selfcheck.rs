@@ -39,7 +39,8 @@ fn live_workspace_is_clean_under_checked_in_baseline() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // R6: nothing uncalled, bar the two modules ROADMAP item 1 decides.
+    // R6: nothing uncalled, bar the two modules the ROADMAP's
+    // executed-path soak decides.
     let allowed: Vec<&str> = report
         .allowed_orphans
         .iter()

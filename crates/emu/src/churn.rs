@@ -46,7 +46,6 @@ use sc_geo::sphere::GeoPoint;
 use sc_netsim::chaos::{ChaosAction, ChaosCursor};
 use sc_netsim::des::EventQueue;
 use sc_obs::{Histogram, Recorder};
-use spacecore::recovery::RecoveryCosts;
 use spacecore::shard::{
     cell_at, cell_index, CellLedger, CellStorm, ChaosStats, ProcedureCosts, ShardMap, ShardStats,
 };
@@ -399,7 +398,6 @@ struct Run<'a> {
     /// Static cell → serving-satellite footprint map.
     coverage: ShardMap,
     costs: ProcedureCosts,
-    rcosts: RecoveryCosts,
     horizon: f64,
     /// [`WINDOW_S`] windows covering the horizon.
     windows: usize,
@@ -491,7 +489,6 @@ impl<'a> Run<'a> {
             grid,
             coverage,
             costs: ProcedureCosts::paper(),
-            rcosts: RecoveryCosts::paper(),
             horizon,
             windows: (horizon / WINDOW_S).ceil() as usize,
             in_slots,
@@ -868,18 +865,16 @@ impl<'a> Shard<'a> {
         }
         if failed {
             if measured {
-                self.out.chaos.bill_attempt_failure(&run.rcosts);
+                self.out.chaos.bill_attempt_failure(&run.costs);
             }
             return self.retry_or_give_up(t, measured, i);
         }
         // Stateless local re-establishment at the replacement satellite
-        // (4 msgs vs legacy 13), or a deferred fresh establishment
-        // landing.
-        let mut msgs = run.costs.local_establishment;
+        // (legacy re-runs the home-routed C2), or a deferred fresh
+        // establishment landing: the same local bill either way.
         if crash != NO_CRASH {
-            msgs = run.rcosts.local_messages;
             if measured {
-                self.out.chaos.bill_reattach(&run.rcosts);
+                self.out.chaos.bill_reattach(&run.costs);
                 let row = &mut self.out.crashes[crash as usize];
                 row.reattached += 1;
                 let off_us = tick(t) - tick(row.t_s);
@@ -905,7 +900,7 @@ impl<'a> Shard<'a> {
         ue.crash = NO_CRASH;
         ue.attempt = 0;
         self.start_session(t, i);
-        self.observe_cost(i, msgs, measured);
+        self.observe_cost(i, run.costs.local_establishment, measured);
     }
 
     /// Apply timeline event `k`: open the overload windows it starts

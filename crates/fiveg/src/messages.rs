@@ -1,4 +1,4 @@
-//! Signaling procedures transcribed from Figure 9.
+//! Signaling procedures transcribed from Figures 9 and 16.
 //!
 //! Each of the paper's four core procedures — **C1** initial
 //! registration, **C2** session establishment, **C3** handover, **C4**
@@ -6,7 +6,8 @@
 //! [`SignalingStep`]s: one network message each, annotated with the
 //! sending and receiving entity and the session-state operations the
 //! standards attach to that step (the `copy S1…`, `create S5…`
-//! annotations in Figure 9).
+//! annotations in Figure 9). SpaceCore's Fig. 16 exchanges are tables of
+//! the same shape, so every message bill counts rows here.
 //!
 //! Given a [`FunctionSplit`], a step can be
 //! classified: does it stay inside the satellite, cross the
@@ -148,7 +149,7 @@ impl SignalingStep {
     }
 }
 
-/// The procedure kinds of Figure 9 (plus network-triggered paging).
+/// The procedure kinds of Figures 9 and 16 (plus network-triggered paging).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcedureKind {
     /// C1: initial registration (Fig. 9a).
@@ -161,6 +162,12 @@ pub enum ProcedureKind {
     MobilityRegistration,
     /// Network-triggered paging preceding a downlink C2.
     Paging,
+    /// SpaceCore localized session establishment (Fig. 16a).
+    LocalEstablishment,
+    /// SpaceCore inter-satellite handover with the replica (Fig. 16c).
+    ReplicaHandover,
+    /// RRC connection release.
+    RrcRelease,
 }
 
 impl ProcedureKind {
@@ -171,6 +178,9 @@ impl ProcedureKind {
             ProcedureKind::Handover => "C3 handover",
             ProcedureKind::MobilityRegistration => "C4 mobility registration",
             ProcedureKind::Paging => "paging",
+            ProcedureKind::LocalEstablishment => "local establishment",
+            ProcedureKind::ReplicaHandover => "replica handover",
+            ProcedureKind::RrcRelease => "rrc release",
         }
     }
 
@@ -182,6 +192,9 @@ impl ProcedureKind {
             ProcedureKind::Handover => "fiveg.procedures.c3_handover",
             ProcedureKind::MobilityRegistration => "fiveg.procedures.c4_mobility_registration",
             ProcedureKind::Paging => "fiveg.procedures.paging",
+            ProcedureKind::LocalEstablishment => "fiveg.procedures.local_establishment",
+            ProcedureKind::ReplicaHandover => "fiveg.procedures.replica_handover",
+            ProcedureKind::RrcRelease => "fiveg.procedures.rrc_release",
         }
     }
 
@@ -196,6 +209,9 @@ impl ProcedureKind {
             ProcedureKind::Handover => "fiveg.msgs_per_window.c3_handover",
             ProcedureKind::MobilityRegistration => "fiveg.msgs_per_window.c4_mobility_registration",
             ProcedureKind::Paging => "fiveg.msgs_per_window.paging",
+            ProcedureKind::LocalEstablishment => "fiveg.msgs_per_window.local_establishment",
+            ProcedureKind::ReplicaHandover => "fiveg.msgs_per_window.replica_handover",
+            ProcedureKind::RrcRelease => "fiveg.msgs_per_window.rrc_release",
         }
     }
 
@@ -208,6 +224,9 @@ impl ProcedureKind {
             ProcedureKind::Handover => "fiveg.proc.c3_handover",
             ProcedureKind::MobilityRegistration => "fiveg.proc.c4_mobility_registration",
             ProcedureKind::Paging => "fiveg.proc.paging",
+            ProcedureKind::LocalEstablishment => "fiveg.proc.local_establishment",
+            ProcedureKind::ReplicaHandover => "fiveg.proc.replica_handover",
+            ProcedureKind::RrcRelease => "fiveg.proc.rrc_release",
         }
     }
 }
@@ -247,6 +266,9 @@ impl Procedure {
             ProcedureKind::Handover => &tables::C3_HANDOVER,
             ProcedureKind::MobilityRegistration => &tables::C4_MOBILITY_REGISTRATION,
             ProcedureKind::Paging => &tables::PAGING,
+            ProcedureKind::LocalEstablishment => &tables::LOCAL_ESTABLISHMENT,
+            ProcedureKind::ReplicaHandover => &tables::REPLICA_HANDOVER,
+            ProcedureKind::RrcRelease => &tables::RRC_RELEASE,
         };
         Procedure { kind, steps }
     }
@@ -295,7 +317,7 @@ impl Procedure {
     }
 
     /// Total message count.
-    pub fn message_count(&self) -> usize {
+    pub const fn message_count(&self) -> usize {
         self.steps.len()
     }
 
@@ -552,6 +574,28 @@ pub(super) static PAGING: [SignalingStep; 4] = [
     step("paging request", Amf, Ran, &[op(Copy, S1Identifiers)], 100),
     step("paging broadcast", Ran, Ue, &[], 60),
 ];
+
+/// Fig. 16a — localized session establishment. No Fig. 16 row carries a
+/// state operation: the replica is opaque to the network.
+pub(super) static LOCAL_ESTABLISHMENT: [SignalingStep; 4] = [
+    step("P0: rrc connection request", Ue, Ran, &[], 56),
+    step("P0: rrc connection setup", Ran, Ue, &[], 88),
+    step("P1': rrc setup complete (piggyback: replica, X)", Ue, Ran, &[], 415),
+    step("P9': session accept (Y, CERT)", Ran, Ue, &[], 192),
+];
+
+/// Fig. 16c — handover without the path switch through the core.
+pub(super) static REPLICA_HANDOVER: [SignalingStep; 3] = [
+    step("P12: rrc reconfiguration (ho command)", Ran, Ue, &[], 140),
+    step("P12': ho confirm (piggyback: replica, X)", Ue, RanTarget, &[], 419),
+    step("P9': session accept (Y, CERT)", RanTarget, Ue, &[], 192),
+];
+
+/// RRC connection release: the satellite forgets the session.
+pub(super) static RRC_RELEASE: [SignalingStep; 2] = [
+    step("rrc release", Ran, Ue, &[], 40),
+    step("rrc release ack", Ue, Ran, &[], 32),
+];
 }
 
 #[cfg(test)]
@@ -578,6 +622,36 @@ mod tests {
             12
         );
         assert_eq!(Procedure::build(ProcedureKind::Paging).message_count(), 4);
+        // Fig. 16: the localized exchanges SpaceCore replaces C2/C3 with.
+        assert_eq!(
+            Procedure::build(ProcedureKind::LocalEstablishment).message_count(),
+            4
+        );
+        assert_eq!(Procedure::build(ProcedureKind::ReplicaHandover).message_count(), 3);
+        assert_eq!(Procedure::build(ProcedureKind::RrcRelease).message_count(), 2);
+    }
+
+    #[test]
+    fn figure16_exchanges_stay_between_ue_and_satellite() {
+        // No home round trip and no infrastructure-side migration, read
+        // off the tables themselves under every split.
+        let splits = SplitOption::STATEFUL.into_iter().chain([SplitOption::SpaceCore]);
+        for split in splits.map(SplitOption::split) {
+            for (kind, piggybacks) in [
+                (ProcedureKind::LocalEstablishment, 1),
+                (ProcedureKind::ReplicaHandover, 1),
+                (ProcedureKind::RrcRelease, 0),
+            ] {
+                let p = Procedure::build(kind);
+                assert_eq!(p.ground_messages(&split), 0, "{}", kind.name());
+                assert_eq!(p.state_op_count(), 0, "{}", kind.name());
+                for s in p.steps {
+                    assert!(s.from == Entity::Ue || s.to == Entity::Ue, "{}", s.label);
+                }
+                let carried = p.steps.iter().filter(|s| s.label.contains("piggyback")).count();
+                assert_eq!(carried, piggybacks, "{}", kind.name());
+            }
+        }
     }
 
     #[test]
@@ -649,6 +723,9 @@ mod tests {
             ProcedureKind::Handover,
             ProcedureKind::MobilityRegistration,
             ProcedureKind::Paging,
+            ProcedureKind::LocalEstablishment,
+            ProcedureKind::ReplicaHandover,
+            ProcedureKind::RrcRelease,
         ] {
             for s in Procedure::build(kind).steps {
                 assert!(s.bytes > 0, "{}: {}", kind.name(), s.label);
@@ -719,6 +796,9 @@ mod tests {
             ProcedureKind::Handover,
             ProcedureKind::MobilityRegistration,
             ProcedureKind::Paging,
+            ProcedureKind::LocalEstablishment,
+            ProcedureKind::ReplicaHandover,
+            ProcedureKind::RrcRelease,
         ];
         let mut names: Vec<&str> = kinds.iter().map(|k| k.span_kind()).collect();
         assert!(names.iter().all(|n| n.starts_with("fiveg.proc.")));

@@ -5,7 +5,7 @@
 //! | event | legacy stateful core | SpaceCore |
 //! |---|---|---|
 //! | satellite sweeps past an **idle** UE | C4 mobility registration (tracking area moved) | **nothing** — geospatial TA is earth-fixed |
-//! | satellite sweeps past an **active** UE | C3 handover with multi-hop state migration | local handover via the UE replica (3 msgs) |
+//! | satellite sweeps past an **active** UE | C3 handover with multi-hop state migration | local handover via the UE replica (Fig. 16c) |
 //! | beam handover (same satellite) | PHY-only | PHY-only |
 //! | UE crosses a geospatial cell | C4 | C4 through the home (rare: Table 3 cell sizes) |
 //!
@@ -37,8 +37,6 @@ pub struct MobilityOutcome {
     pub state_migrations: u32,
     /// Whether the event needs the remote home.
     pub requires_home: bool,
-    /// The legacy procedure this corresponds to, if any.
-    pub procedure: Option<ProcedureKind>,
 }
 
 impl MobilityOutcome {
@@ -46,8 +44,17 @@ impl MobilityOutcome {
         signaling_messages: 0,
         state_migrations: 0,
         requires_home: false,
-        procedure: None,
     };
+
+    /// The bill of one run of `kind`'s step table.
+    fn run(kind: ProcedureKind, requires_home: bool) -> Self {
+        let p = Procedure::build(kind);
+        Self {
+            signaling_messages: p.message_count() as u32,
+            state_migrations: p.state_op_count() as u32,
+            requires_home,
+        }
+    }
 }
 
 /// Which mobility design is in force.
@@ -78,73 +85,34 @@ impl MobilityManager {
         Self::new(MobilityDesign::LegacyLogical)
     }
 
-    pub fn design(&self) -> MobilityDesign {
-        self.design
-    }
-
     /// The signaling bill for an event.
     pub fn handle(&self, ev: MobilityEvent) -> MobilityOutcome {
+        use MobilityDesign::{Geospatial, LegacyLogical};
+        use MobilityEvent::{BeamHandover, SatelliteSweep, UeCellCrossing};
         match (self.design, ev) {
-            // Beam handovers are PHY-only in both designs.
-            (_, MobilityEvent::BeamHandover) => MobilityOutcome::NOTHING,
-
-            // ---- Legacy: moving satellites drag their service areas ----
-            (MobilityDesign::LegacyLogical, MobilityEvent::SatelliteSweep(ConnState::Idle)) => {
-                // The tracking area moved away: C4 for a static, idle UE.
-                let c4 = Procedure::build(ProcedureKind::MobilityRegistration);
-                MobilityOutcome {
-                    signaling_messages: c4.message_count() as u32,
-                    state_migrations: c4.state_op_count() as u32,
-                    requires_home: true,
-                    procedure: Some(ProcedureKind::MobilityRegistration),
-                }
-            }
-            (MobilityDesign::LegacyLogical, MobilityEvent::SatelliteSweep(ConnState::Connected)) => {
-                // Handover with inter-satellite state migration (and, on
-                // tracking-area change, a C4 as well; we bill the C3 here
-                // and the sweep generator bills the C4 separately).
-                let c3 = Procedure::build(ProcedureKind::Handover);
-                MobilityOutcome {
-                    signaling_messages: c3.message_count() as u32,
-                    state_migrations: c3.state_op_count() as u32,
-                    requires_home: false,
-                    procedure: Some(ProcedureKind::Handover),
-                }
-            }
-            (MobilityDesign::LegacyLogical, MobilityEvent::UeCellCrossing(_)) => {
-                let c4 = Procedure::build(ProcedureKind::MobilityRegistration);
-                MobilityOutcome {
-                    signaling_messages: c4.message_count() as u32,
-                    state_migrations: c4.state_op_count() as u32,
-                    requires_home: true,
-                    procedure: Some(ProcedureKind::MobilityRegistration),
-                }
-            }
-
-            // ---- SpaceCore: service areas are earth-fixed ----
-            (MobilityDesign::Geospatial, MobilityEvent::SatelliteSweep(ConnState::Idle)) => {
-                // "A static UE in the idle mode does not run handovers as
-                // satellites move … no state updates are needed."
+            // Beam handovers are PHY-only in both designs; under
+            // SpaceCore "a static UE in the idle mode does not run
+            // handovers as satellites move … no state updates are needed."
+            (_, BeamHandover) | (Geospatial, SatelliteSweep(ConnState::Idle)) => {
                 MobilityOutcome::NOTHING
             }
-            (MobilityDesign::Geospatial, MobilityEvent::SatelliteSweep(ConnState::Connected)) => {
-                // Local handover: replica piggybacked in the HO ack.
-                MobilityOutcome {
-                    signaling_messages: 3,
-                    state_migrations: 0, // no infrastructure-side migration
-                    requires_home: false,
-                    procedure: Some(ProcedureKind::Handover),
-                }
+            // C4 through the home: the legacy tracking area moved away
+            // from a static idle UE, or the UE crossed a cell (rare under
+            // SpaceCore, §4.3).
+            (LegacyLogical, SatelliteSweep(ConnState::Idle) | UeCellCrossing(_))
+            | (Geospatial, UeCellCrossing(_)) => {
+                MobilityOutcome::run(ProcedureKind::MobilityRegistration, true)
             }
-            (MobilityDesign::Geospatial, MobilityEvent::UeCellCrossing(_)) => {
-                // Rare: standard C4 through the home (§4.3).
-                let c4 = Procedure::build(ProcedureKind::MobilityRegistration);
-                MobilityOutcome {
-                    signaling_messages: c4.message_count() as u32,
-                    state_migrations: c4.state_op_count() as u32,
-                    requires_home: true,
-                    procedure: Some(ProcedureKind::MobilityRegistration),
-                }
+            // Handover with inter-satellite state migration (and, on
+            // tracking-area change, a C4 as well; we bill the C3 here
+            // and the sweep generator bills the C4 separately).
+            (LegacyLogical, SatelliteSweep(ConnState::Connected)) => {
+                MobilityOutcome::run(ProcedureKind::Handover, false)
+            }
+            // Local handover: replica piggybacked in the HO confirm, no
+            // infrastructure-side migration.
+            (Geospatial, SatelliteSweep(ConnState::Connected)) => {
+                MobilityOutcome::run(ProcedureKind::ReplicaHandover, false)
             }
         }
     }

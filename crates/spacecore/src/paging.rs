@@ -26,7 +26,7 @@ pub struct PagingOutcome {
     /// Did the UE answer (it answers iff it is inside the paged cell)?
     pub ue_answered: bool,
     /// Total signaling messages: relay hops are data-plane; the paging
-    /// broadcast + the UE's 4-message local establishment are control.
+    /// broadcast + the UE's local establishment (Fig. 16a) are control.
     pub signaling_messages: u32,
     /// End-to-end delay until the session was up, ms.
     pub total_delay_ms: f64,

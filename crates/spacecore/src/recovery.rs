@@ -6,14 +6,14 @@
 //!
 //! * **SpaceCore** — the state is self-carried by the UE (encrypted,
 //!   home-signed replica), so the next visible satellite re-establishes
-//!   the session *locally* with the 4-message exchange of Fig. 16a. The
-//!   geospatial IP address survives because it was never bound to the
-//!   dead satellite.
+//!   the session *locally* with the exchange of Fig. 16a
+//!   (`ProcedureKind::LocalEstablishment`). The geospatial IP address
+//!   survives because it was never bound to the dead satellite.
 //! * **5G NTN** — the radio context dies with the satellite, but the
 //!   core state is home-anchored: the UE redoes the full home-routed
-//!   session establishment (13 messages, multiple home round-trips)
-//!   across the fragile ISL fabric. The IP survives *if* that long
-//!   exchange completes within the service deadline.
+//!   session establishment (the Fig. 9b C2 table, multiple home
+//!   round-trips) across the fragile ISL fabric. The IP survives *if*
+//!   that long exchange completes within the service deadline.
 //! * **SkyCore** — states are pre-replicated to neighbors, so the new
 //!   satellite re-installs locally — but the UE's logical IP was bound
 //!   to the dead satellite's in-orbit core (Fig. 21): connections break
@@ -25,12 +25,14 @@
 //! [`RecoveryPlan`] exposes these per-solution semantics for the
 //! `ext_chaos` experiment, which replays the recovery exchange over the
 //! chaos-injected constellation and scores session survival. For the
-//! million-UE chaos soak (`ext_chaosload`), [`RecoveryCosts`] condenses
-//! the plans into the per-re-establishment signaling bill and
+//! million-UE chaos soak (`ext_chaosload`), `shard::ProcedureCosts`
+//! bills each re-establishment from the same step tables and
 //! [`RetryBudget`] paces the correlated re-registration storm a
 //! satellite crash triggers.
 
+use crate::satellite::LEGACY_C2_HOME_ROUND_TRIPS;
 use crate::solutions::SolutionKind;
+use sc_fiveg::messages::{Procedure, ProcedureKind};
 
 /// How a solution recovers a session after its serving satellite crashes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,19 +58,20 @@ pub struct RecoveryPlan {
 impl RecoveryPlan {
     /// The recovery semantics of `kind` (see module docs for rationale).
     pub fn for_solution(kind: SolutionKind) -> Self {
+        let messages = |k| Procedure::build(k).message_count() as u32;
         match kind {
             SolutionKind::SpaceCore => Self {
                 ip_survives: true,
                 local: true,
-                messages: 4, // Fig. 16a localized establishment
+                messages: messages(ProcedureKind::LocalEstablishment),
                 home_round_trips: 0,
                 detection_delay_ms: 200.0,
             },
             SolutionKind::FiveGNtn => Self {
                 ip_survives: true, // home-anchored address (Fig. 21)
                 local: false,
-                messages: 13, // full Fig. 9b C2 re-run
-                home_round_trips: 3,
+                messages: messages(ProcedureKind::SessionEstablishment), // full C2 re-run
+                home_round_trips: LEGACY_C2_HOME_ROUND_TRIPS,
                 detection_delay_ms: 1_000.0,
             },
             SolutionKind::SkyCore => Self {
@@ -81,7 +84,7 @@ impl RecoveryPlan {
             SolutionKind::Baoyun => Self {
                 ip_survives: false,
                 local: false,
-                messages: 13,
+                messages: messages(ProcedureKind::SessionEstablishment),
                 home_round_trips: 5,
                 detection_delay_ms: 1_000.0,
             },
@@ -99,33 +102,6 @@ impl RecoveryPlan {
     /// still has to complete in time; this is the necessary condition.
     pub fn can_survive(&self) -> bool {
         self.ip_survives
-    }
-}
-
-/// The per-re-establishment signaling bill of a serving-satellite
-/// crash, both designs — [`RecoveryPlan`] condensed for hot-path
-/// accounting the way `ProcedureCosts` condenses the mobility decision
-/// table. A failed attempt (replacement not yet visible, burst loss)
-/// bills the probe the UE wasted reaching for a satellite.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryCosts {
-    /// SpaceCore stateless local re-establishment (Fig. 16a): the UE
-    /// presents its self-carried replica to the replacement satellite.
-    pub local_messages: u32,
-    /// Legacy home-routed re-registration: the full C2 re-run.
-    pub legacy_messages: u32,
-    /// Messages a failed attempt wastes (one unanswered probe).
-    pub probe_messages: u32,
-}
-
-impl RecoveryCosts {
-    /// Derive from the per-solution recovery plans.
-    pub fn paper() -> Self {
-        Self {
-            local_messages: RecoveryPlan::for_solution(SolutionKind::SpaceCore).messages,
-            legacy_messages: RecoveryPlan::for_solution(SolutionKind::FiveGNtn).messages,
-            probe_messages: 1,
-        }
     }
 }
 
@@ -257,10 +233,15 @@ mod tests {
 
     #[test]
     fn recovery_costs_mirror_the_plans() {
-        let c = RecoveryCosts::paper();
-        assert_eq!(c.local_messages, 4, "Fig. 16a local re-establishment");
-        assert_eq!(c.legacy_messages, 13, "full C2 re-run");
-        assert!(c.probe_messages < c.local_messages);
+        // The chaos soak bills re-establishments from `ProcedureCosts`;
+        // those counts must be the ones the plans replay.
+        let c = crate::shard::ProcedureCosts::paper();
+        let plan = |k| RecoveryPlan::for_solution(k).messages;
+        assert_eq!(c.local_establishment, 4, "Fig. 16a local re-establishment");
+        assert_eq!(c.legacy_establishment, 13, "full C2 re-run");
+        assert_eq!(c.local_establishment, plan(SolutionKind::SpaceCore));
+        assert_eq!(c.legacy_establishment, plan(SolutionKind::FiveGNtn));
+        assert!(c.recovery_probe < c.local_establishment);
     }
 
     #[test]

@@ -17,10 +17,21 @@ use sc_crypto::statecrypt::{
 use sc_crypto::wire::WireError;
 use sc_fiveg::arena::{BufId, MessageArena};
 use sc_fiveg::ids::Supi;
+use sc_fiveg::messages::{Procedure, ProcedureKind};
 use sc_fiveg::nas::{IeTag, NasDecodeError, NasMessageType, NasView};
 use sc_fiveg::state::SessionState;
 use sc_orbit::SatId;
 use std::collections::HashMap;
+
+/// Home round trips of the legacy home-routed C2 (Fig. 9b) that a
+/// rollback, and 5G NTN's crash recovery, pay. A model constant, not a
+/// count of the C2 table: its ground crossings give one round trip under
+/// the radio-only split and two under SpaceCore's.
+pub(crate) const LEGACY_C2_HOME_ROUND_TRIPS: u32 = 3;
+
+/// Fig. 16a / 16c message counts, read off the step tables at compile time.
+const LOCAL_MSGS: u32 = Procedure::build(ProcedureKind::LocalEstablishment).message_count() as u32;
+const HANDOVER_MSGS: u32 = Procedure::build(ProcedureKind::ReplicaHandover).message_count() as u32;
 
 /// How a session establishment was served.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,7 +204,8 @@ impl SpaceCoreSatellite {
     /// its encrypted replica in the RRC setup-complete message; the
     /// satellite decrypts locally (Algorithm 2), verifies the home
     /// envelope, completes the station-to-station exchange, and installs
-    /// the session — 3 over-the-air messages, no home round-trip.
+    /// the session — the over-the-air messages of
+    /// [`ProcedureKind::LocalEstablishment`], no home round-trip.
     ///
     /// On any failure the caller must take the rollback path
     /// ([`Self::establish_session`] does both).
@@ -269,9 +281,7 @@ impl SpaceCoreSatellite {
         );
         Ok(SessionOutcome {
             local: true,
-            // P0 (2 messages: RRC request + setup) + P1' piggyback +
-            // session accept with Y/CERT (Fig. 16a).
-            signaling_messages: 4,
+            signaling_messages: LOCAL_MSGS,
             home_round_trips: 0,
             session_key: Some(out.session_key),
         })
@@ -291,14 +301,11 @@ impl SpaceCoreSatellite {
             Err(cause) => {
                 self.obs.inc("spacecore.satellite.rollbacks", 1);
                 self.obs.inc(cause.rollback_counter(), 1);
-                // Legacy C2: 13 messages, multiple home round-trips.
-                let c2 = sc_fiveg::messages::Procedure::build(
-                    sc_fiveg::messages::ProcedureKind::SessionEstablishment,
-                );
+                let c2 = Procedure::build(ProcedureKind::SessionEstablishment);
                 SessionOutcome {
                     local: false,
                     signaling_messages: c2.message_count() as u32,
-                    home_round_trips: 3,
+                    home_round_trips: LEGACY_C2_HOME_ROUND_TRIPS,
                     session_key: None,
                 }
             }
@@ -316,17 +323,16 @@ impl SpaceCoreSatellite {
     ) -> Result<SessionOutcome, LocalPathFailure> {
         let mut o = self.try_local_establishment(home, ue, now)?;
         self.obs.inc("spacecore.satellite.handovers_in", 1);
-        // Handover piggyback rides existing HO messages: only the HO
-        // command + confirm + accept are new over-the-air messages.
-        o.signaling_messages = 3;
+        // The replica rides the HO confirm instead of its own RRC setup.
+        o.signaling_messages = HANDOVER_MSGS;
         Ok(o)
     }
 
     /// §3.3 / Fig. 13 — the UE's *previous* serving satellite crashed
     /// mid-session and this satellite is the next one visible. Because
     /// the session state is self-carried by the UE, recovery is just the
-    /// localized establishment of Fig. 16a replayed here: 4 messages, no
-    /// home round-trip, and the geospatial IP (never bound to the dead
+    /// localized establishment of Fig. 16a replayed here: no home
+    /// round-trip, and the geospatial IP (never bound to the dead
     /// satellite) survives. Stateful baselines have no equivalent — they
     /// redo the full home-routed registration
     /// (see [`crate::recovery::RecoveryPlan`]).
@@ -406,8 +412,9 @@ mod tests {
         ue.supports_spacecore = false;
         let o = sat.establish_session(&home, &mut ue, 1.0);
         assert!(!o.local);
-        assert!(o.home_round_trips > 0);
-        assert!(o.signaling_messages > 4);
+        assert_eq!(o.home_round_trips, 3);
+        let c2 = Procedure::build(ProcedureKind::SessionEstablishment);
+        assert_eq!(o.signaling_messages as usize, c2.message_count());
         assert_eq!(sat.active_sessions(), 0);
     }
 

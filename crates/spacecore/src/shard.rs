@@ -19,8 +19,8 @@
 //!   many shards the cells are split across.
 //! * [`ProcedureCosts`] / [`ShardStats`] — the signaling bill of the
 //!   churn events, derived once from [`crate::mobility::MobilityManager`]
-//!   and the Figure 9 procedure message counts, and tallied per shard
-//!   in plain additive counters.
+//!   and the Figure 9 / Figure 16 procedure message counts, and tallied
+//!   per shard in plain additive counters.
 //!
 //! Everything here is `u64`/`f64` sums over disjoint cell ranges:
 //! merging shard results in any grouping reproduces the single-shard
@@ -28,7 +28,6 @@
 //! output across `SC_EMU_THREADS` and shard counts.
 
 use crate::mobility::{MobilityEvent, MobilityManager};
-use crate::recovery::RecoveryCosts;
 use sc_fiveg::conn::ConnState;
 use sc_fiveg::messages::{Procedure, ProcedureKind};
 use sc_geo::cells::{CellGrid, CellId};
@@ -207,18 +206,18 @@ impl CellLedger {
 
 /// The per-event signaling bill of the churn model, both designs,
 /// resolved once from the mobility decision table
-/// ([`MobilityManager::handle`]) and the Figure 9 procedure builders so
-/// hot-path accounting never rebuilds a [`Procedure`].
+/// ([`MobilityManager::handle`]) and the Figure 9 / Figure 16 procedure
+/// builders so hot-path accounting never rebuilds a [`Procedure`]. A
+/// crash's re-establishment bills the same two establishments.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcedureCosts {
-    /// SpaceCore localized establishment: the RRC piggyback path of
-    /// `satellite::SpaceCoreSatellite::try_local_establishment` — 4
-    /// messages, no home round-trip.
+    /// SpaceCore localized establishment ([`ProcedureKind::LocalEstablishment`]),
+    /// no home round-trip.
     pub local_establishment: u32,
     /// Legacy C2 home-routed establishment.
     pub legacy_establishment: u32,
     /// SpaceCore active-UE satellite sweep: local handover via the UE
-    /// replica (3 messages).
+    /// replica ([`ProcedureKind::ReplicaHandover`]).
     pub local_handover: u32,
     /// Legacy active-UE satellite sweep: full C3 handover.
     pub legacy_handover: u32,
@@ -227,8 +226,10 @@ pub struct ProcedureCosts {
     pub legacy_idle_sweep: u32,
     /// UE crossing a geospatial cell: C4 in both designs (§4.3).
     pub cell_crossing: u32,
-    /// RRC release, both designs.
+    /// RRC release, both designs ([`ProcedureKind::RrcRelease`]).
     pub release: u32,
+    /// A failed crash-recovery attempt: one unanswered probe, both designs.
+    pub recovery_probe: u32,
 }
 
 impl ProcedureCosts {
@@ -241,10 +242,10 @@ impl ProcedureCosts {
             sc_idle.signaling_messages, 0,
             "geospatial idle sweeps must be free"
         );
-        let c2 = Procedure::build(ProcedureKind::SessionEstablishment);
+        let messages = |k| Procedure::build(k).message_count() as u32;
         Self {
-            local_establishment: 4,
-            legacy_establishment: c2.message_count() as u32,
+            local_establishment: messages(ProcedureKind::LocalEstablishment),
+            legacy_establishment: messages(ProcedureKind::SessionEstablishment),
             local_handover: sc
                 .handle(MobilityEvent::SatelliteSweep(ConnState::Connected))
                 .signaling_messages,
@@ -257,7 +258,8 @@ impl ProcedureCosts {
             cell_crossing: sc
                 .handle(MobilityEvent::UeCellCrossing(ConnState::Idle))
                 .signaling_messages,
-            release: 2,
+            release: messages(ProcedureKind::RrcRelease),
+            recovery_probe: 1,
         }
     }
 }
@@ -453,24 +455,21 @@ impl ChaosStats {
     }
 
     /// Bill a failed re-establishment attempt (one wasted probe each
-    /// design); returns the SpaceCore-side message count.
-    pub fn bill_attempt_failure(&mut self, costs: &RecoveryCosts) -> u32 {
+    /// design).
+    pub fn bill_attempt_failure(&mut self, costs: &ProcedureCosts) {
         self.reattach_attempts += 1;
         self.reattach_failures += 1;
-        self.spacecore_msgs += costs.probe_messages as u64;
-        self.legacy_msgs += costs.probe_messages as u64;
-        costs.probe_messages
+        self.spacecore_msgs += costs.recovery_probe as u64;
+        self.legacy_msgs += costs.recovery_probe as u64;
     }
 
-    /// Bill a successful local re-establishment (4 messages SpaceCore,
-    /// the 13-message home-routed re-registration legacy); returns the
-    /// SpaceCore-side message count.
-    pub fn bill_reattach(&mut self, costs: &RecoveryCosts) -> u32 {
+    /// Bill a successful re-establishment: SpaceCore's local
+    /// establishment, legacy's home-routed C2 re-registration.
+    pub fn bill_reattach(&mut self, costs: &ProcedureCosts) {
         self.reattach_attempts += 1;
         self.reattached += 1;
-        self.spacecore_msgs += costs.local_messages as u64;
-        self.legacy_msgs += costs.legacy_messages as u64;
-        costs.local_messages
+        self.spacecore_msgs += costs.local_establishment as u64;
+        self.legacy_msgs += costs.legacy_establishment as u64;
     }
 }
 
@@ -549,6 +548,7 @@ mod tests {
         assert!(c.legacy_handover > c.local_handover);
         assert_eq!(c.legacy_idle_sweep, 12);
         assert_eq!(c.cell_crossing, 12);
+        assert_eq!(c.release, 2);
     }
 
     #[test]
@@ -593,7 +593,7 @@ mod tests {
 
     #[test]
     fn chaos_stats_absorb_matches_single_stream() {
-        let costs = RecoveryCosts::paper();
+        let costs = ProcedureCosts::paper();
         let mut whole = ChaosStats::default();
         let mut a = ChaosStats::default();
         let mut b = ChaosStats::default();

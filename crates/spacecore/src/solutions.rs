@@ -156,8 +156,12 @@ impl Solution {
     pub fn sat_msgs_per_procedure(&self, kind: ProcedureKind) -> f64 {
         match (self.kind, kind) {
             // SpaceCore's localized procedures (Fig. 16).
-            (SolutionKind::SpaceCore, ProcedureKind::SessionEstablishment) => 4.0,
-            (SolutionKind::SpaceCore, ProcedureKind::Handover) => 3.0,
+            (SolutionKind::SpaceCore, ProcedureKind::SessionEstablishment) => {
+                Procedure::build(ProcedureKind::LocalEstablishment).message_count() as f64
+            }
+            (SolutionKind::SpaceCore, ProcedureKind::Handover) => {
+                Procedure::build(ProcedureKind::ReplicaHandover).message_count() as f64
+            }
             (SolutionKind::SpaceCore, ProcedureKind::MobilityRegistration) => 0.0,
             (SolutionKind::SpaceCore, ProcedureKind::Paging) => 2.0,
             (SolutionKind::SpaceCore, ProcedureKind::InitialRegistration) => {
@@ -330,6 +334,9 @@ impl Solution {
             (_, Handover) => 1.0,
             (SpaceCore, Paging) => 0.0,
             (_, Paging) => 1.0,
+
+            // SpaceCore's Fig. 16 exchanges never leave the satellite.
+            (_, LocalEstablishment | ReplicaHandover | RrcRelease) => 0.0,
         }
     }
 

@@ -6,14 +6,16 @@
 //!    geospatial address).
 //! 3. A satellite serves the UE *locally* from the replica — zero home
 //!    round-trips (Fig. 16).
-//! 4. The satellite sweeps on; the next one takes over via a 3-message
-//!    local handover. No mobility registration fires.
+//! 4. The satellite sweeps on; the next one takes over via a local
+//!    handover with the replica (Fig. 16c). No mobility registration
+//!    fires.
 //! 5. The home throttles the UE after its quota (home-controlled state
 //!    update, §4.4); the old replica version is rejected by the device.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use spacecore::prelude::*;
+use sc_fiveg::messages::{Procedure, ProcedureKind};
 use sc_geo::GeoPoint;
 use sc_orbit::SatId;
 
@@ -34,6 +36,8 @@ fn main() {
     let sat_a = SpaceCoreSatellite::provision(&home, SatId::new(3, 7));
     let outcome = sat_a.establish_session(&home, &mut ue, 10.0);
     assert!(outcome.local);
+    let messages = |k| Procedure::build(k).message_count() as u32;
+    assert_eq!(outcome.signaling_messages, messages(ProcedureKind::LocalEstablishment));
     println!(
         "session via {}: local={} messages={} home-round-trips={}",
         sat_a.id, outcome.local, outcome.signaling_messages, outcome.home_round_trips
@@ -43,9 +47,12 @@ fn main() {
     let sat_b = SpaceCoreSatellite::provision(&home, SatId::new(3, 8));
     let ho = sat_b.handover_in(&home, &mut ue, 175.0).expect("authorized");
     sat_a.release(ue.supi);
+    assert_eq!(ho.signaling_messages, messages(ProcedureKind::ReplicaHandover));
     println!(
-        "handover to {}: messages={} (legacy C3 would need 11 + state migration)",
-        sat_b.id, ho.signaling_messages
+        "handover to {}: messages={} (legacy C3 would need {} + state migration)",
+        sat_b.id,
+        ho.signaling_messages,
+        messages(ProcedureKind::Handover)
     );
 
     // Idle satellite sweeps cost nothing at all:

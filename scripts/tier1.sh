@@ -17,6 +17,11 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q --offline $*" >&2
 cargo test -q --offline "$@"
 
+# `cargo test` compiles the examples but never runs them; run the one
+# whose asserts pin the executed counts to the Fig. 16 step tables.
+echo "== tier-1: cargo run --release --offline --example quickstart" >&2
+cargo run -q --release --offline --example quickstart >/dev/null
+
 # Statelessness/determinism audit, warn-only at this tier: R1/R2 token
 # findings, R4 state-flow and R5 parallel-determinism dataflow findings,
 # R6 orphan modules and R3/R4/R5 ratchet regressions are printed but do
