@@ -92,7 +92,7 @@ pub struct Field {
     pub ty: TypeExpr,
     pub line: u32,
     pub col: u32,
-    /// Covered by a `// sc-audit: allow(stateful|state-flow, …)`
+    /// Covered by a `// sc-audit: allow(state-flow, …)`
     /// directive: the justification excuses the store *and* everything
     /// that transitively contains it, so excused fields are invisible to
     /// the R4 embeds/retains computation (otherwise every container of

@@ -1,13 +1,9 @@
 //! The ratchet file: per-crate counters checked into the repo as
 //! `audit.baseline.toml`. The format is a tiny TOML subset
 //! (`[section]`, `key = integer`, `#` comments) parsed by hand so the
-//! auditor stays dependency-free.
-//!
-//! **v1** carried the R3 panic-hygiene counters (`unwrap`/`expect`/
-//! `panic`/`unsafe`). **v2** adds per-crate `r4`/`r5` finding ceilings
-//! for the dataflow rules in [`crate::flow`] — absent keys parse as 0,
-//! so every v1 file is a valid v2 file that pins R4/R5 at zero (the
-//! desired steady state).
+//! auditor stays dependency-free. It carries the R3 panic-hygiene
+//! counters (`unwrap`/`expect`/`panic`/`unsafe`) only: every other rule
+//! is fatal on its first finding, so it has no ceiling to record.
 //!
 //! The ratchet direction: current counts may be **at or below** the
 //! baseline, never above. Dropping below prints a nudge to regenerate
@@ -17,20 +13,10 @@
 use crate::rules::PanicCounts;
 use std::collections::BTreeMap;
 
-/// Per-crate ceilings for the R4/R5 dataflow findings (baseline v2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowCounts {
-    pub r4: u32,
-    pub r5: u32,
-}
-
 /// Baseline counters keyed by crate directory name (`fiveg`, `emu`, …).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
     pub crates: BTreeMap<String, PanicCounts>,
-    /// R4/R5 ceilings. Crates present in `crates` but absent here pin
-    /// at zero (v1 files, and the common case).
-    pub flow: BTreeMap<String, FlowCounts>,
 }
 
 /// A parse failure with its line number.
@@ -93,12 +79,6 @@ impl Baseline {
                 "expect" => c.expect = value,
                 "panic" => c.panic = value,
                 "unsafe" => c.r#unsafe = value,
-                // Zero is the default; storing it would only make the
-                // in-memory form depend on whether the file spelled
-                // the zeros out (breaking render/parse roundtrips).
-                "r4" if value > 0 => out.flow.entry(section.clone()).or_default().r4 = value,
-                "r5" if value > 0 => out.flow.entry(section.clone()).or_default().r5 = value,
-                "r4" | "r5" => {}
                 other => {
                     return Err(ParseError {
                         line: lineno,
@@ -110,43 +90,27 @@ impl Baseline {
         Ok(out)
     }
 
-    /// Render back to the canonical checked-in form (v2: `r4`/`r5`
-    /// ceilings are always written, normally as zeros).
+    /// Render back to the canonical checked-in form.
     pub fn render(&self) -> String {
         let mut s = String::from(
             "# Ratchet file for sc-audit. Counts are per crate directory under\n\
              # crates/ and may only go DOWN over time; regenerate after genuine\n\
              # reductions with: cargo run -p sc-audit -- --update-baseline\n\
-             # unwrap/expect/panic/unsafe: R3 panic hygiene.\n\
-             # r4/r5: unsuppressed state-flow / parallel-determinism findings\n\
-             # (baseline v2); the steady state is zero everywhere.\n",
+             # unwrap/expect/panic/unsafe: R3 panic hygiene.\n",
         );
         for (name, c) in &self.crates {
-            let f = self.flow.get(name).copied().unwrap_or_default();
             s.push_str(&format!(
-                "\n[{name}]\nunwrap = {}\nexpect = {}\npanic = {}\nunsafe = {}\nr4 = {}\nr5 = {}\n",
-                c.unwrap, c.expect, c.panic, c.r#unsafe, f.r4, f.r5
+                "\n[{name}]\nunwrap = {}\nexpect = {}\npanic = {}\nunsafe = {}\n",
+                c.unwrap, c.expect, c.panic, c.r#unsafe
             ));
         }
         s
     }
 
-    /// Build from measured counts (R4/R5 ceilings default to zero).
+    /// Build from measured counts.
     pub fn from_counts(counts: &BTreeMap<String, PanicCounts>) -> Self {
         Self {
             crates: counts.clone(),
-            flow: BTreeMap::new(),
-        }
-    }
-
-    /// Build from measured counts plus measured flow findings.
-    pub fn from_measurements(
-        counts: &BTreeMap<String, PanicCounts>,
-        flow: &BTreeMap<String, FlowCounts>,
-    ) -> Self {
-        Self {
-            crates: counts.clone(),
-            flow: flow.iter().filter(|(_, f)| f.r4 > 0 || f.r5 > 0).map(|(k, f)| (k.clone(), *f)).collect(),
         }
     }
 }
@@ -180,33 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_flow_ceilings_parse_and_default_to_zero() {
-        let b = Baseline::parse("[spacecore]\nunwrap = 3\nr4 = 2\nr5 = 0\n[emu]\nunwrap = 1\n").unwrap();
-        assert_eq!(b.flow["spacecore"].r4, 2);
-        assert_eq!(b.flow["spacecore"].r5, 0);
-        assert!(!b.flow.contains_key("emu"), "absent keys pin at zero");
-        // v1 files (no r4/r5 at all) are valid v2 files.
-        let v1 = Baseline::parse("[fiveg]\nunwrap = 9\n").unwrap();
-        assert!(v1.flow.is_empty());
-    }
-
-    #[test]
-    fn v2_roundtrip_with_flow() {
-        let mut counts = BTreeMap::new();
-        counts.insert("spacecore".to_string(), PanicCounts::default());
-        let mut flow = BTreeMap::new();
-        flow.insert("spacecore".to_string(), FlowCounts { r4: 1, r5: 0 });
-        let b = Baseline::from_measurements(&counts, &flow);
-        let parsed = Baseline::parse(&b.render()).unwrap();
-        assert_eq!(parsed, b);
-        assert!(b.render().contains("r4 = 1"));
-    }
-
-    #[test]
     fn rejects_garbage() {
         assert!(Baseline::parse("unwrap = 1\n").is_err(), "key before section");
         assert!(Baseline::parse("[x]\nunwrap = -1\n").is_err(), "negative");
         assert!(Baseline::parse("[x]\nwat = 1\n").is_err(), "unknown key");
+        assert!(Baseline::parse("[x]\nr4 = 0\n").is_err(), "R4/R5 have no ceiling");
         assert!(Baseline::parse("[x\n").is_err(), "unterminated header");
     }
 }

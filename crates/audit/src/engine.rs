@@ -3,21 +3,21 @@
 //! the `sc-audit` verdict.
 //!
 //! The run is two-pass. Pass 1 lexes every file, runs the token rules
-//! (R1–R3), and parses each token stream into its AST. Pass 2 merges
+//! (R2/R3), and parses each token stream into its AST. Pass 2 merges
 //! the ASTs into a workspace [`Symbols`] table and runs the dataflow
 //! rules (R4/R5 in [`crate::flow`]) — which is what lets a type alias
 //! declared in `sc-fiveg` convict a struct field in `sc-spacecore` —
 //! and the module-reachability rule (R6 in [`crate::orphan`]), the one
 //! rule that also reads the files outside `crates/`.
 
-use crate::baseline::{Baseline, FlowCounts};
+use crate::baseline::Baseline;
 use crate::flow::{self, FileUnit, FlowFinding};
 use crate::lexer::{self, Lexed};
 use crate::orphan;
 use crate::parser;
 use crate::rules::{self, audit_tokens, Config, Finding, PanicCounts};
 use crate::symbols::Symbols;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -25,24 +25,19 @@ use std::path::{Path, PathBuf};
 /// Everything one audit run produced.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// R1/R2/R6 findings (already annotation-filtered), in deterministic
+    /// R2/R6 findings (already annotation-filtered), in deterministic
     /// file/position order, R6 last.
     pub findings: Vec<Finding>,
     /// R6 findings an `allow(orphan, …)` suppressed: the modules kept
     /// caller-less on purpose.
     pub allowed_orphans: Vec<Finding>,
-    /// R4/R5 dataflow findings (annotation-filtered, sorted). These are
-    /// gated by the baseline-v2 ratchet rather than failing directly,
-    /// mirroring R3: the checked-in `r4`/`r5` ceilings (normally zero)
-    /// decide pass/fail, so a grandfathered finding is visible but
-    /// non-fatal until its ceiling ratchets down.
+    /// R4/R5 dataflow findings (annotation-filtered, sorted), each with
+    /// its flow trace. Fatal like `findings`: no baseline grandfathers
+    /// them.
     pub flow: Vec<FlowFinding>,
     /// Measured R3 counters per crate directory name.
     pub counts: BTreeMap<String, PanicCounts>,
-    /// Measured R4/R5 finding counts per crate directory name.
-    pub flow_counts: BTreeMap<String, FlowCounts>,
-    /// Ratchet violations (crate, counter, current, baseline) — R3
-    /// counters plus the v2 `r4`/`r5` ceilings.
+    /// R3 counters above their checked-in ceilings.
     pub ratchet: Vec<RatchetViolation>,
     /// Crates now strictly below their baseline — candidates for
     /// `--update-baseline`.
@@ -51,7 +46,7 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-/// One counter that exceeded its checked-in ceiling.
+/// One R3 counter that exceeded its checked-in ceiling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RatchetViolation {
     pub krate: String,
@@ -60,26 +55,13 @@ pub struct RatchetViolation {
     pub baseline: u32,
 }
 
-impl RatchetViolation {
-    /// The rule family this counter ratchets (`r4`/`r5` → the dataflow
-    /// rules; everything else is R3 panic hygiene).
-    pub fn rule_label(&self) -> &'static str {
-        match self.counter {
-            "r4" => "R4-state-flow",
-            "r5" => "R5-parallel",
-            _ => "R3-ratchet",
-        }
-    }
-}
-
 impl std::fmt::Display for RatchetViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "crates/{}: {} {} count {} exceeds baseline {} — remove the new \
+            "crates/{}: R3-ratchet {} count {} exceeds baseline {} — remove the new \
              site or (after review) regenerate with --update-baseline",
             self.krate,
-            self.rule_label(),
             self.counter,
             self.current,
             self.baseline
@@ -89,7 +71,7 @@ impl std::fmt::Display for RatchetViolation {
 
 impl Report {
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.ratchet.is_empty()
+        self.findings.is_empty() && self.flow.is_empty() && self.ratchet.is_empty()
     }
 }
 
@@ -117,7 +99,7 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 }
 
 /// Directories outside `crates/` whose files can keep a module alive
-/// (R6). They are lexed for references and never audited: R1–R5 and
+/// (R6). They are lexed for references and never audited: R2–R5 and
 /// the R3 counters see `crates/` only.
 const REFERENCE_ONLY: [&str; 4] = ["src", "tests", "examples", "benchmark/src"];
 
@@ -171,10 +153,6 @@ pub fn audit_workspace(root: &Path, baseline: &Baseline, cfg: &Config) -> io::Re
 pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline, cfg: &Config) -> Report {
     let mut report = Report::default();
     let mut units: Vec<FileUnit> = Vec::new();
-    // (file, line) sites where R1's token probes fired *before* allow
-    // suppression — R4 skips these (one defect, one rule, and an
-    // allow(stateful) on the line must not resurface as an R4).
-    let mut r1_sites: HashSet<(String, u32)> = HashSet::new();
     // Files outside `crates/`: R6 reads them, nothing audits them.
     let mut callers: Vec<(&str, Lexed)> = Vec::new();
 
@@ -184,7 +162,7 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline, cfg: &Co
             callers.push((rel, lexed));
             continue;
         }
-        let (findings, counts) = audit_tokens(rel, &lexed, cfg);
+        let (findings, counts) = audit_tokens(rel, &lexed);
         report.findings.extend(findings);
         if let Some(krate) = crate_of(rel) {
             report
@@ -195,19 +173,9 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline, cfg: &Co
         }
         report.files_scanned += 1;
 
-        let mut raw = Vec::new();
-        rules::rule_stateful(rel, &lexed, cfg, &mut raw);
-        rules::rule_retained_lock(rel, &lexed, cfg, &mut raw);
-        for f in raw {
-            r1_sites.insert((rel.clone(), f.line));
-        }
-
-        // Fields under an allow(stateful|state-flow) are excused in the
-        // AST so containers of justified stores don't cascade-fire R4.
-        let excuse = |line: u32| {
-            rules::is_allowed(&lexed, "stateful", line)
-                || rules::is_allowed(&lexed, "state-flow", line)
-        };
+        // Fields under an allow(state-flow) are excused in the AST so
+        // containers of justified stores don't cascade-fire R4.
+        let excuse = |line: u32| rules::is_allowed(&lexed, "state-flow", line);
         let ast = parser::parse(&lexed, &excuse);
         units.push(FileUnit {
             rel: rel.clone(),
@@ -221,22 +189,11 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline, cfg: &Co
             .iter()
             .map(|u| (u.rel.as_str(), &u.ast, u.lexed.tokens.as_slice())),
     );
-    let mut flow_findings = flow::rule_state_flow(&units, &symbols, cfg, &r1_sites);
-    flow_findings.extend(flow::rule_parallel(&units, cfg));
-    flow_findings.sort_by(|a, b| {
+    report.flow = flow::rule_state_flow(&units, &symbols, cfg);
+    report.flow.extend(flow::rule_parallel(&units, cfg));
+    report.flow.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
     });
-    for f in &flow_findings {
-        if let Some(krate) = crate_of(&f.file) {
-            let e = report.flow_counts.entry(krate.to_string()).or_default();
-            if f.rule.starts_with("R4") {
-                e.r4 += 1;
-            } else {
-                e.r5 += 1;
-            }
-        }
-    }
-    report.flow = flow_findings;
 
     let audited = units.iter().map(|u| (u.rel.as_str(), &u.lexed));
     let files: Vec<_> = audited.chain(callers.iter().map(|(rel, lexed)| (*rel, lexed))).collect();
@@ -247,27 +204,9 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline, cfg: &Co
     report
 }
 
-/// Audit a single source string as if it lived at `rel`: token rules
-/// (R1–R3) only — the dataflow rules need the whole workspace, use
-/// [`audit_sources`] for those.
-pub fn audit_one(rel: &str, src: &str, cfg: &Config, report: &mut Report) {
-    let lexed = lexer::lex(src);
-    let (findings, counts) = audit_tokens(rel, &lexed, cfg);
-    report.findings.extend(findings);
-    if let Some(krate) = crate_of(rel) {
-        report
-            .counts
-            .entry(krate.to_string())
-            .or_default()
-            .add(&counts);
-    }
-    report.files_scanned += 1;
-}
-
 /// Fill in `report.ratchet` / `report.improvements` from the measured
-/// counts. Crates absent from the baseline ratchet at zero — for the
-/// R3 counters and for the v2 `r4`/`r5` ceilings alike.
-pub fn compare_ratchet(baseline: &Baseline, report: &mut Report) {
+/// R3 counts. Crates absent from the baseline ratchet at zero.
+fn compare_ratchet(baseline: &Baseline, report: &mut Report) {
     for (krate, counts) in &report.counts {
         let base = baseline.crates.get(krate).copied().unwrap_or_default();
         for (counter, cur, allowed) in [
@@ -276,30 +215,6 @@ pub fn compare_ratchet(baseline: &Baseline, report: &mut Report) {
             ("panic", counts.panic, base.panic),
             ("unsafe", counts.r#unsafe, base.r#unsafe),
         ] {
-            if cur > allowed {
-                report.ratchet.push(RatchetViolation {
-                    krate: krate.clone(),
-                    counter,
-                    current: cur,
-                    baseline: allowed,
-                });
-            } else if cur < allowed {
-                report.improvements.push((krate.clone(), counter, cur, allowed));
-            }
-        }
-    }
-    // v2: flow-finding ceilings, over the union of measured and
-    // baselined crates (a crate can improve to zero findings and then
-    // vanish from `flow_counts`).
-    let crates: std::collections::BTreeSet<&String> = report
-        .flow_counts
-        .keys()
-        .chain(baseline.flow.keys())
-        .collect();
-    for krate in crates {
-        let cur = report.flow_counts.get(krate).copied().unwrap_or_default();
-        let base = baseline.flow.get(krate).copied().unwrap_or_default();
-        for (counter, cur, allowed) in [("r4", cur.r4, base.r4), ("r5", cur.r5, base.r5)] {
             if cur > allowed {
                 report.ratchet.push(RatchetViolation {
                     krate: krate.clone(),

@@ -1,24 +1,25 @@
 //! The dataflow rule families layered on the AST + symbol table:
 //!
-//! * **R4 `state-flow`** — semantic statelessness. Where R1 pattern-
-//!   matches `HashMap<Supi, …>` at the declaration site, R4 asks the
+//! * **R4 `state-flow`** — statelessness, the paper's S1–S5 claim (no
+//!   per-UE state on the satellite) as a mechanical check. R4 asks the
 //!   *typed* question: does this satellite-scope storage site (struct
-//!   field, enum payload, static, lock wrapper) transitively retain a
-//!   value embedding a per-UE key — through type aliases, newtype
-//!   wrappers, generic instantiations, and cross-crate struct fields?
-//!   Findings carry a flow trace (retention site → embed chain → key
-//!   declaration → mutating method → callers) for `--explain`.
+//!   field, enum payload, static, lock wrapper) retain a value
+//!   embedding a per-UE key — spelled out (`HashMap<Supi, …>`) or
+//!   through type aliases, newtype wrappers, generic instantiations,
+//!   and cross-crate struct fields? A site that spells a lock over a
+//!   growable buffer (`Mutex<Vec<Vec<u8>>>`) is convicted too, key or
+//!   not, unless it names an arena pool type. Findings carry a flow
+//!   trace (retention site → embed chain → key declaration → mutating
+//!   method → callers) for `--explain`.
 //! * **R5 `parallel`** — determinism of the `SC_EMU_THREADS` parallel
 //!   sweep: closures spawned into `thread::scope`/`parallel_map*`
 //!   regions must not mutate captured locals, take ad-hoc locks, or
 //!   iterate hash-ordered collections — any of which can reorder
 //!   writes and break the byte-stable-results invariant.
 //!
-//! Both rules honor `// sc-audit: allow(...)` directives (R4 under the
-//! `state-flow` *or* `stateful` key — a justified store excuses its
-//! flow too; R5 under `parallel`), skip `#[cfg(test)]`/`mod tests`
-//! items, and are ratcheted per crate by baseline v2 (see
-//! [`crate::baseline`]).
+//! Both rules honor `// sc-audit: allow(...)` directives (R4 under
+//! `state-flow`, R5 under `parallel`), skip `#[cfg(test)]`/`mod tests`
+//! items, and are fatal on any unsuppressed finding.
 
 use crate::ast::{Ast, ItemKind, TypeExpr};
 use crate::lexer::{Lexed, Token, TokenKind};
@@ -77,6 +78,13 @@ const COLLECTIONS: &[&str] = &[
 /// type is shared-mutable per-UE state.
 const LOCKS: &[&str] = &["Mutex", "RwLock", "RefCell"];
 
+/// Growable buffers that, held under a lock, are retained shared-mutable
+/// scratch even with no per-UE key in sight (as opposed to, say,
+/// `Mutex<SuffixAllocator>`, which holds fixed-shape internals).
+const GROWABLE: &[&str] = &[
+    "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Vec", "VecDeque", "String",
+];
+
 /// Transparent wrappers the retention probe looks through.
 const WRAPPERS: &[&str] = &["Option", "Box", "Arc", "Rc", "Cell"];
 
@@ -90,16 +98,8 @@ const MUTATORS: &[&str] = &[
 // R4 — state-flow
 // ---------------------------------------------------------------------
 
-/// Run R4 over every unit in `cfg.stateful_scope`. `r1_sites` holds the
-/// (file, line) positions where R1's token probes fired *before*
-/// suppression — R4 skips those so one bad declaration is reported by
-/// exactly one rule (the sharper, older one).
-pub fn rule_state_flow(
-    units: &[FileUnit],
-    symbols: &Symbols,
-    cfg: &Config,
-    r1_sites: &HashSet<(String, u32)>,
-) -> Vec<FlowFinding> {
+/// Run R4 over every unit in `cfg.stateful_scope`.
+pub fn rule_state_flow(units: &[FileUnit], symbols: &Symbols, cfg: &Config) -> Vec<FlowFinding> {
     let mut az = Analyzer {
         symbols,
         cfg,
@@ -117,12 +117,7 @@ pub fn rule_state_flow(
             match &item.kind {
                 ItemKind::Struct { fields } => {
                     for f in fields.iter().filter(|f| !f.excused) {
-                        if r1_sites.contains(&(unit.rel.clone(), f.line))
-                            || r1_sites.contains(&(unit.rel.clone(), f.ty.line))
-                        {
-                            continue;
-                        }
-                        if let Some((why, chain)) = az.retains(&f.ty) {
+                        if let Some((why, chain)) = az.convicts(&f.ty) {
                             let mut trace = vec![FlowStep {
                                 file: unit.rel.clone(),
                                 line: f.line,
@@ -157,7 +152,7 @@ pub fn rule_state_flow(
                 }
                 ItemKind::Enum { variants } => {
                     for v in variants.iter().filter(|v| !v.excused) {
-                        if let Some((why, chain)) = az.retains(&v.ty) {
+                        if let Some((why, chain)) = az.convicts(&v.ty) {
                             let mut trace = vec![FlowStep {
                                 file: unit.rel.clone(),
                                 line: v.line,
@@ -186,10 +181,7 @@ pub fn rule_state_flow(
                 ItemKind::Static { ty } => {
                     // Bare `const KEY: Supi` is a copied constant, not
                     // retention — only retaining shapes fire here.
-                    if r1_sites.contains(&(unit.rel.clone(), item.line)) {
-                        continue;
-                    }
-                    if let Some((why, chain)) = az.retains(ty) {
+                    if let Some((why, chain)) = az.convicts(ty) {
                         let mut trace = vec![FlowStep {
                             file: unit.rel.clone(),
                             line: item.line,
@@ -216,11 +208,9 @@ pub fn rule_state_flow(
             }
         }
     }
-    // Apply allow directives: `state-flow`, or the R1 key `stateful` —
-    // a justified store excuses the flow that fills it.
     out.retain(|f| {
         let unit = units.iter().find(|u| u.rel == f.file).expect("own unit");
-        !is_allowed(&unit.lexed, "state-flow", f.line) && !is_allowed(&unit.lexed, "stateful", f.line)
+        !is_allowed(&unit.lexed, "state-flow", f.line)
     });
     out
 }
@@ -269,6 +259,22 @@ struct Analyzer<'a> {
 }
 
 impl Analyzer<'_> {
+    /// What R4 convicts at a storage site declared in scope: retained
+    /// per-UE state, or else a lock over a growable buffer spelled at the
+    /// site itself. Ad-hoc shared-mutable scratch is how per-UE state
+    /// creeps back by accretion, so it goes through the arena pool or
+    /// carries a reasoned allow.
+    fn convicts(&mut self, ty: &TypeExpr) -> Option<(String, Vec<FlowStep>)> {
+        self.retains(ty).or_else(|| {
+            let lock = adhoc_lock(ty, self.cfg)?;
+            let why = format!(
+                "lock-wrapped growable buffer `{lock}<…>`; pool scratch through the arena \
+                 API (`MessageArena`/`BufId`)"
+            );
+            Some((why, Vec::new()))
+        })
+    }
+
     /// Does `ty` transitively embed a per-UE key? Returns the chain of
     /// hops (alias / field / variant, each with its decl site) ending
     /// at the key's own declaration.
@@ -362,7 +368,7 @@ impl Analyzer<'_> {
         }
         if LOCKS.contains(&ty.head.as_str()) {
             // The arena pool types are recycled handle-addressed
-            // scratch, sanctioned by R1 — same exemption here.
+            // scratch, never subscriber-keyed.
             if self.cfg.pool_types.iter().any(|p| ty.mentions(p)) {
                 return None;
             }
@@ -463,6 +469,20 @@ impl Analyzer<'_> {
     fn first_decl(&self, name: &str) -> Option<&TypeDecl> {
         self.symbols.types.get(name)?.first()
     }
+}
+
+/// The first lock in `ty`'s own spelling that wraps a growable buffer
+/// and names no pool type (`Mutex<MessageArena>`, `Mutex<Vec<BufId>>`
+/// are the sanctioned pool).
+fn adhoc_lock<'t>(ty: &'t TypeExpr, cfg: &Config) -> Option<&'t str> {
+    let buffer = |a: &TypeExpr| GROWABLE.iter().any(|g| a.mentions(g));
+    if LOCKS.contains(&ty.head.as_str())
+        && ty.args.iter().any(buffer)
+        && !cfg.pool_types.iter().any(|p| ty.mentions(p))
+    {
+        return Some(&ty.head);
+    }
+    ty.args.iter().find_map(|a| adhoc_lock(a, cfg))
 }
 
 fn prepend(decl: &TypeDecl, note: String, mut chain: Vec<FlowStep>) -> Vec<FlowStep> {
@@ -779,9 +799,7 @@ mod tests {
             .iter()
             .map(|(rel, src)| {
                 let lexed = lex(src);
-                let excuse = |line: u32| {
-                    is_allowed(&lexed, "stateful", line) || is_allowed(&lexed, "state-flow", line)
-                };
+                let excuse = |line: u32| is_allowed(&lexed, "state-flow", line);
                 let ast = parse(&lexed, &excuse);
                 FileUnit {
                     rel: rel.to_string(),
@@ -798,7 +816,7 @@ mod tests {
             us.iter()
                 .map(|u| (u.rel.as_str(), &u.ast, u.lexed.tokens.as_slice())),
         );
-        rule_state_flow(&us, &symbols, &Config::default(), &HashSet::new())
+        rule_state_flow(&us, &symbols, &Config::default())
     }
 
     const IDS: (&str, &str) = (
@@ -867,6 +885,25 @@ mod tests {
         // The allowed field is suppressed AND `Vec<Sat>` does not
         // cascade-fire one level up (the field is excused in the table).
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn statics_declared_inside_macros_are_read() {
+        // `thread_local!` (and `lazy_static!`'s `static ref`) declare
+        // their statics inside a macro body; the parser reads the body
+        // as items, so each store is convicted like a plain static.
+        let f = r4(&[
+            IDS,
+            (
+                "crates/spacecore/src/satellite.rs",
+                "thread_local! {\n    static SEEN: RefCell<HashMap<Supi, u32>> = RefCell::new(HashMap::new());\n}\n\
+                 lazy_static! {\n    static ref LOG: Mutex<Vec<u8>> = Mutex::new(Vec::new());\n}\n",
+            ),
+        ]);
+        let lines: Vec<u32> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [2, 5], "{f:?}");
+        assert!(f[0].message.contains("per-UE key"), "{}", f[0].message);
+        assert!(f[1].message.contains("lock-wrapped growable buffer"), "{}", f[1].message);
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl Token {
 /// the next line that holds any token (annotation-above style).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowDirective {
-    /// Rule key being allowed (`stateful`, `timing`, `rng`, `unordered`,
-    /// `float-cmp`).
+    /// Rule key being allowed (`unordered`, `float-cmp`, `state-flow`,
+    /// `parallel`, `orphan`).
     pub rule: String,
     /// The mandatory human justification.
     pub reason: String,
@@ -432,17 +432,17 @@ mod tests {
 
     #[test]
     fn directive_parses_with_reason() {
-        let src = "// sc-audit: allow(stateful, reason = \"ephemeral radio state\")\nmap: HashMap<Supi, u8>,";
+        let src = "// sc-audit: allow(state-flow, reason = \"ephemeral radio state\")\nmap: HashMap<Supi, u8>,";
         let l = lex(src);
         assert_eq!(l.directives.len(), 1);
-        assert_eq!(l.directives[0].rule, "stateful");
+        assert_eq!(l.directives[0].rule, "state-flow");
         assert_eq!(l.directives[0].reason, "ephemeral radio state");
         assert_eq!(l.directives[0].line, 1);
     }
 
     #[test]
     fn directive_without_reason_is_ignored() {
-        let src = "// sc-audit: allow(stateful)\nx";
+        let src = "// sc-audit: allow(state-flow)\nx";
         assert!(lex(src).directives.is_empty());
     }
 

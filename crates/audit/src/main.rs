@@ -4,7 +4,6 @@
 use sc_audit::baseline::Baseline;
 use sc_audit::engine::audit_workspace;
 use sc_audit::rules::Config;
-use sc_audit::sarif;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -18,13 +17,11 @@ OPTIONS:
     --root <PATH>        Workspace root (default: nearest ancestor of the
                          current directory containing crates/)
     --baseline <PATH>    Ratchet file (default: <root>/audit.baseline.toml)
-    --update-baseline    Rewrite the ratchet file from current counts
-                         (including the v2 r4/r5 finding ceilings)
+    --update-baseline    Rewrite the ratchet file from current R3 counts
     --warn-only          Print findings but always exit 0 (tier-1 mode)
     --counts             Also print the per-crate R3 counters
-    --format <FMT>       Output format: text (default) or json (SARIF 2.1.0)
-    --explain            With text output, print the R4/R5 flow trace
-                         under each dataflow finding
+    --explain            Print the R4/R5 flow trace under each dataflow
+                         finding
     -h, --help           This help
 
 EXIT STATUS:
@@ -39,7 +36,6 @@ struct Args {
     update_baseline: bool,
     warn_only: bool,
     counts: bool,
-    json: bool,
     explain: bool,
 }
 
@@ -50,7 +46,6 @@ fn parse_args() -> Result<Args, String> {
         update_baseline: false,
         warn_only: false,
         counts: false,
-        json: false,
         explain: false,
     };
     let mut it = std::env::args().skip(1);
@@ -63,12 +58,6 @@ fn parse_args() -> Result<Args, String> {
             "--update-baseline" => args.update_baseline = true,
             "--warn-only" => args.warn_only = true,
             "--counts" => args.counts = true,
-            "--format" => match it.next().as_deref() {
-                Some("text") => args.json = false,
-                Some("json") => args.json = true,
-                Some(other) => return Err(format!("--format must be text or json, got `{other}`")),
-                None => return Err("--format needs text or json".into()),
-            },
             "--explain" => args.explain = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -138,7 +127,7 @@ fn main() -> ExitCode {
     };
 
     if args.update_baseline {
-        let fresh = Baseline::from_measurements(&report.counts, &report.flow_counts);
+        let fresh = Baseline::from_counts(&report.counts);
         if let Err(e) = std::fs::write(&baseline_path, fresh.render()) {
             eprintln!("sc-audit: writing {}: {e}", baseline_path.display());
             return ExitCode::from(2);
@@ -150,53 +139,47 @@ fn main() -> ExitCode {
         );
     }
 
-    if args.json {
-        print!("{}", sarif::to_sarif(&report, args.warn_only));
-    } else {
-        if args.counts {
-            for (krate, c) in &report.counts {
-                let f = report.flow_counts.get(krate).copied().unwrap_or_default();
-                println!(
-                    "crates/{krate}: unwrap={} expect={} panic={} unsafe={} r4={} r5={}",
-                    c.unwrap, c.expect, c.panic, c.r#unsafe, f.r4, f.r5
-                );
-            }
-        }
-        for f in &report.findings {
-            println!("{f}");
-        }
-        for f in &report.allowed_orphans {
-            eprintln!(
-                "sc-audit: note: {}:{} R6-orphan suppressed by allow(orphan)",
-                f.file, f.line
+    if args.counts {
+        for (krate, c) in &report.counts {
+            println!(
+                "crates/{krate}: unwrap={} expect={} panic={} unsafe={}",
+                c.unwrap, c.expect, c.panic, c.r#unsafe
             );
         }
-        for f in &report.flow {
-            println!("{f}");
-            if args.explain {
-                for step in &f.trace {
-                    println!("    ↳ {}:{}:{} {}", step.file, step.line, step.col, step.note);
-                }
-            }
-        }
-        if !args.update_baseline {
-            for r in &report.ratchet {
-                println!("{r}");
-            }
-            for (krate, counter, cur, base) in &report.improvements {
-                eprintln!(
-                    "sc-audit: note: crates/{krate} {counter} improved ({cur} < baseline {base}); \
-                     run --update-baseline to lock it in"
-                );
+    }
+    for f in &report.findings {
+        println!("{f}");
+    }
+    for f in &report.allowed_orphans {
+        eprintln!(
+            "sc-audit: note: {}:{} R6-orphan suppressed by allow(orphan)",
+            f.file, f.line
+        );
+    }
+    for f in &report.flow {
+        println!("{f}");
+        if args.explain {
+            for step in &f.trace {
+                println!("    ↳ {}:{}:{} {}", step.file, step.line, step.col, step.note);
             }
         }
     }
+    if !args.update_baseline {
+        for r in &report.ratchet {
+            println!("{r}");
+        }
+        for (krate, counter, cur, base) in &report.improvements {
+            eprintln!(
+                "sc-audit: note: crates/{krate} {counter} improved ({cur} < baseline {base}); \
+                 run --update-baseline to lock it in"
+            );
+        }
+    }
 
-    // R1/R2/R6 findings are fatal directly; R4/R5 findings gate through
-    // the baseline-v2 ratchet (so grandfathered ceilings behave exactly
-    // like the R3 workflow).
+    // Every finding is fatal; only the R3 counters ratchet, and
+    // --update-baseline moves their ceilings.
     let ratchet_fails = if args.update_baseline { 0 } else { report.ratchet.len() };
-    let violations = report.findings.len() + ratchet_fails;
+    let violations = report.findings.len() + report.flow.len() + ratchet_fails;
     eprintln!(
         "sc-audit: {} files scanned, {} finding(s), {} dataflow finding(s), {} ratchet regression(s)",
         report.files_scanned,

@@ -25,7 +25,7 @@
 //!
 //! Liveness spreads from the roots to a fixpoint, so a module reached
 //! only from orphans is an orphan. A finding sits on the `mod` line in
-//! `lib.rs`, is fatal like R1 (no baseline counter), and is suppressed
+//! `lib.rs`, is fatal (no baseline counter), and is suppressed
 //! only by `// sc-audit: allow(orphan, reason = "…")` there. Where the
 //! rule approximates (macro arguments, `super` in a nested module, a
 //! local named like a crate) it errs toward *no finding*; the one shape

@@ -3,8 +3,9 @@
 //!
 //! Design rule: **total, never wrong about positions**. The parser
 //! understands items (type aliases, structs, enums, statics/consts,
-//! fns, impl/trait/mod blocks) and type expressions; everything else —
-//! expression bodies, attributes, macros, where clauses — is skipped
+//! fns, impl/trait/mod blocks, the items inside an item-position macro
+//! such as `thread_local!`) and type expressions; everything else —
+//! expression bodies, attributes, macro definitions, where clauses — is skipped
 //! with balanced delimiters. An unrecognized construct therefore costs
 //! recall (no finding), never a spurious finding or a crash, which is
 //! the right failure mode for a CI gate.
@@ -13,7 +14,7 @@ use crate::ast::{Ast, Field, FnItem, Item, ItemKind, TypeExpr};
 use crate::lexer::{Lexed, Token, TokenKind};
 
 /// Parse one lexed file. `excuse` reports whether a field declared on a
-/// given line is covered by a `stateful`/`state-flow` allow directive
+/// given line is covered by a `state-flow` allow directive
 /// (resolved against the same file's directives by the caller).
 pub fn parse(lexed: &Lexed, excuse: &dyn Fn(u32) -> bool) -> Ast {
     let mut p = Parser {
@@ -185,6 +186,9 @@ impl Parser<'_> {
                     }
                 }
                 (TokenKind::Punct, "{") => self.skip_balanced('{', '}'),
+                (TokenKind::Ident, _) if self.toks.get(self.pos + 1).is_some_and(|n| n.is_punct('!')) => {
+                    self.macro_items(self_ty, in_tests)
+                }
                 _ => {
                     self.bump();
                 }
@@ -384,10 +388,32 @@ impl Parser<'_> {
         });
     }
 
-    /// `static NAME: Ty = …;` / `const NAME: Ty = …;`
+    /// `name! { … }` / `name!(…);` / `name![…];` in item position: the
+    /// body is read as items, so the statics a `thread_local!` declares
+    /// are seen like any other.
+    fn macro_items(&mut self, self_ty: Option<&str>, in_tests: bool) {
+        self.bump(); // macro name
+        self.bump(); // `!`
+        let delims = match self.peek().map(|t| t.text.as_str()) {
+            Some("{") => ('{', '}'),
+            Some("(") => ('(', ')'),
+            Some("[") => ('[', ']'),
+            _ => return,
+        };
+        let close = self.matching(self.pos, delims.0, delims.1);
+        self.bump();
+        self.items(self_ty, in_tests, close);
+        self.pos = self.pos.max(close + 1);
+        if self.at_punct(';') {
+            self.bump();
+        }
+    }
+
+    /// `static NAME: Ty = …;` / `const NAME: Ty = …;` (and
+    /// `lazy_static!`'s `static ref NAME: Ty = …;`)
     fn static_item(&mut self, line: u32, col: u32, in_tests: bool) {
         self.bump(); // `static` / `const`
-        if self.at_ident("mut") {
+        if self.at_ident("mut") || self.at_ident("ref") {
             self.bump();
         }
         let Some(name) = self.ident_text() else {

@@ -1,25 +1,19 @@
-//! The rule families enforced by `sc-audit`, expressed over the token
-//! stream of [`crate::lexer`]:
+//! The token-level rule families enforced by `sc-audit`, expressed over
+//! the token stream of [`crate::lexer`]:
 //!
-//! * **R1 `stateful`** — per-UE keyed collections (`HashMap`/`BTreeMap`
-//!   keyed by `Supi`, `Imsi`, `UeId`, `Suci`, `Guti`, `Tmsi`) are
-//!   forbidden in satellite-side modules unless carrying an explicit
-//!   `// sc-audit: allow(stateful, reason = "…")` justification. This is
-//!   the paper's S1–S5 claim (no per-UE state on the satellite) as a
-//!   mechanical check. A second probe flags *retained lock-wrapped
-//!   collections* (`Mutex<Vec<…>>`, `RwLock<HashMap<…>>`, …) — ad-hoc
-//!   shared-mutable buffers that tend to grow into session state. The
-//!   arena API is the sanctioned way to pool encode buffers: types in
-//!   [`Config::pool_types`] (`MessageArena`, `BufId`) hold recycled,
-//!   content-free scratch space keyed by handle, never by subscriber, so
-//!   `Mutex<MessageArena>` (and pools of `BufId` handles) are exempt.
-//! * **R2 `timing`/`rng`/`unordered`/`float-cmp`** — determinism: no
-//!   wall-clock reads outside the timing allowlist, no unseeded RNG, no
-//!   direct iteration of hash-ordered collections into emitted results,
-//!   no `partial_cmp(..).unwrap()` (use `total_cmp`).
+//! * **R2 `unordered`/`float-cmp`** — determinism: no direct iteration
+//!   of hash-ordered collections into emitted results, no
+//!   `partial_cmp(..).unwrap()` (use `total_cmp`). The other two
+//!   determinism bans need no auditor: `clippy.toml` disallows
+//!   `Instant::now` / `SystemTime::now` (the timers opt out per file
+//!   with a reasoned `#![expect(clippy::disallowed_methods, …)]`), and
+//!   the vendored `rand` has no unseeded constructor to call.
 //! * **R3 ratchet** — per-crate counts of `unwrap()` / `expect(` /
 //!   `panic!` / `unsafe`, compared against `audit.baseline.toml` by the
 //!   engine (counting happens here, comparison in [`crate::engine`]).
+//!
+//! Per-UE state on the satellite is R4's question, answered over the
+//! typed AST in [`crate::flow`].
 
 use crate::lexer::{Lexed, Token, TokenKind};
 
@@ -30,7 +24,7 @@ pub struct Finding {
     pub file: String,
     pub line: u32,
     pub col: u32,
-    /// Rule id, e.g. `R1-stateful`.
+    /// Rule id, e.g. `R2-unordered`.
     pub rule: &'static str,
     pub message: String,
 }
@@ -55,10 +49,6 @@ pub struct PanicCounts {
 }
 
 impl PanicCounts {
-    pub fn total(&self) -> u32 {
-        self.unwrap + self.expect + self.panic + self.r#unsafe
-    }
-
     pub fn add(&mut self, o: &PanicCounts) {
         self.unwrap += o.unwrap;
         self.expect += o.expect;
@@ -71,16 +61,13 @@ impl PanicCounts {
 /// layout; tests override them to point at fixtures.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path prefixes where R1 (per-UE keyed collections) applies: the
+    /// Path prefixes where R4 (per-UE state flow) applies: the
     /// satellite-side modules and the 5G NF hot paths. The sc-obs
     /// windowed-series buffers inside this scope are fine by
     /// construction — dense window-indexed `Vec`s keyed by sim-time
-    /// window, never by subscriber identity — so R1's per-UE-key probe
-    /// does not (and must not) fire on the series API.
+    /// window, never by subscriber identity — so R4 does not (and must
+    /// not) fire on the series API.
     pub stateful_scope: Vec<String>,
-    /// Files (or path prefixes) allowed to read wall clocks: the two
-    /// wall-clock reporters and the Criterion targets.
-    pub timing_allowlist: Vec<String>,
     /// Path prefixes where R5 (parallel-determinism) applies: the
     /// emulator's deterministic parallel sweep engine and its callers.
     pub parallel_scope: Vec<String>,
@@ -88,9 +75,8 @@ pub struct Config {
     pub per_ue_keys: Vec<String>,
     /// Pooled-buffer types from the message arena API. These hold
     /// recycled scratch space addressed by handle (`BufId`), never by
-    /// subscriber identity, so lock-wrapping them on the satellite is
-    /// not retained per-UE state and R1's retained-lock probe skips
-    /// them.
+    /// subscriber identity, so a lock that names one is neither
+    /// retained per-UE state nor an ad-hoc buffer: R4 looks no further.
     pub pool_types: Vec<String>,
 }
 
@@ -101,11 +87,6 @@ impl Default for Config {
                 "crates/spacecore/src/".into(),
                 "crates/fiveg/src/".into(),
                 "crates/obs/src/".into(),
-            ],
-            timing_allowlist: vec![
-                "crates/emu/src/fig18.rs".into(),
-                "crates/emu/src/report.rs".into(),
-                "crates/bench/benches/".into(),
             ],
             parallel_scope: vec!["crates/emu/src/".into()],
             per_ue_keys: ["Supi", "Imsi", "UeId", "Suci", "Guti", "Tmsi"]
@@ -131,16 +112,11 @@ pub(crate) const ORDER_INSENSITIVE: &[&str] = &[
 ];
 
 /// Audit one file's token stream. `rel_path` is workspace-relative with
-/// forward slashes (it selects which rules apply). Returns the findings
-/// and the file's R3 counters.
-pub fn audit_tokens(rel_path: &str, lexed: &Lexed, cfg: &Config) -> (Vec<Finding>, PanicCounts) {
+/// forward slashes. Returns the findings and the file's R3 counters.
+pub fn audit_tokens(rel_path: &str, lexed: &Lexed) -> (Vec<Finding>, PanicCounts) {
     let mut findings = Vec::new();
     let toks = &lexed.tokens;
 
-    rule_stateful(rel_path, lexed, cfg, &mut findings);
-    rule_retained_lock(rel_path, lexed, cfg, &mut findings);
-    rule_timing(rel_path, lexed, cfg, &mut findings);
-    rule_rng(rel_path, lexed, &mut findings);
     rule_float_cmp(rel_path, lexed, &mut findings);
     rule_unordered(rel_path, lexed, &mut findings);
 
@@ -189,198 +165,6 @@ pub(crate) fn is_allowed(lexed: &Lexed, key: &str, line: u32) -> bool {
 
 pub(crate) fn path_matches(rel_path: &str, prefixes: &[String]) -> bool {
     prefixes.iter().any(|p| rel_path.starts_with(p.as_str()))
-}
-
-/// R1 — per-UE keyed collection type mentions in satellite-side scope.
-/// `pub(crate)`: the engine re-runs this pre-suppression to compute the
-/// sites R4 must not double-report.
-pub(crate) fn rule_stateful(rel_path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Finding>) {
-    if !path_matches(rel_path, &cfg.stateful_scope) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("BTreeMap")) {
-            continue;
-        }
-        let Some(next) = toks.get(i + 1) else { continue };
-        if !next.is_punct('<') {
-            continue;
-        }
-        // Collect identifiers in the key position: everything from the
-        // `<` to the first `,` at angle depth 1 / paren depth 0.
-        let mut angle = 0i32;
-        let mut paren = 0i32;
-        let mut key_idents: Vec<&Token> = Vec::new();
-        for tk in &toks[i + 1..] {
-            match tk.kind {
-                TokenKind::Punct => match tk.text.as_str() {
-                    "<" => angle += 1,
-                    ">" => {
-                        angle -= 1;
-                        if angle == 0 {
-                            break;
-                        }
-                    }
-                    "(" => paren += 1,
-                    ")" => paren -= 1,
-                    "," if angle == 1 && paren == 0 => break,
-                    ";" => break, // malformed / end of item
-                    _ => {}
-                },
-                TokenKind::Ident
-                    if angle >= 1 => {
-                        key_idents.push(tk);
-                    }
-                _ => {}
-            }
-        }
-        if let Some(k) = key_idents
-            .iter()
-            .find(|k| cfg.per_ue_keys.iter().any(|p| p == &k.text))
-        {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                rule: "R1-stateful",
-                message: format!(
-                    "per-UE keyed collection `{}<{}, …>` in satellite-side module; \
-                     delegate this state to the UE (S1/S3–S5) or annotate with \
-                     `// sc-audit: allow(stateful, reason = \"…\")`",
-                    t.text, k.text
-                ),
-            });
-        }
-    }
-}
-
-/// Growable collection types whose presence inside a lock wrapper marks
-/// retained mutable state (as opposed to, say, `Mutex<SuffixAllocator>`
-/// or a telemetry handle, which hold fixed-shape internals).
-const GROWABLE: &[&str] = &[
-    "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Vec", "VecDeque", "String",
-];
-
-/// R1 (retained-lock probe) — lock-wrapped growable collections in
-/// satellite-side scope. A `Mutex<Vec<u8>>` scratch buffer is how per-UE
-/// state sneaks back in by accretion; the arena API is the sanctioned
-/// pool (see [`Config::pool_types`]). Skips wrappers that
-///
-/// * mention a pool type (`Mutex<MessageArena>`, `Mutex<Vec<BufId>>`) —
-///   recycled handle-addressed scratch, not session state, or
-/// * mention a per-UE key — the keyed-map probe already reports those
-///   with the sharper message.
-pub(crate) fn rule_retained_lock(rel_path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Finding>) {
-    if !path_matches(rel_path, &cfg.stateful_scope) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("Mutex") || t.is_ident("RwLock") || t.is_ident("RefCell")) {
-            continue;
-        }
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct('<')) {
-            continue; // `Mutex::new(…)` expression etc. — type uses only
-        }
-        // Collect identifiers in the balanced angle region.
-        let mut angle = 0i32;
-        let mut inner: Vec<&Token> = Vec::new();
-        for tk in &toks[i + 1..] {
-            match tk.kind {
-                TokenKind::Punct => match tk.text.as_str() {
-                    "<" => angle += 1,
-                    ">" => {
-                        angle -= 1;
-                        if angle == 0 {
-                            break;
-                        }
-                    }
-                    ";" => break, // malformed / end of item
-                    _ => {}
-                },
-                TokenKind::Ident if angle >= 1 => inner.push(tk),
-                _ => {}
-            }
-        }
-        let mentions = |names: &[String]| {
-            inner
-                .iter()
-                .any(|k| names.iter().any(|n| n == &k.text))
-        };
-        if mentions(&cfg.pool_types) || mentions(&cfg.per_ue_keys) {
-            continue;
-        }
-        if !inner
-            .iter()
-            .any(|k| GROWABLE.contains(&k.text.as_str()))
-        {
-            continue;
-        }
-        out.push(Finding {
-            file: rel_path.to_string(),
-            line: t.line,
-            col: t.col,
-            rule: "R1-stateful",
-            message: format!(
-                "lock-wrapped growable collection `{}<…>` retained in satellite-side \
-                 module; pool scratch buffers through the arena API (`MessageArena`/\
-                 `BufId`) or annotate with `// sc-audit: allow(stateful, reason = \"…\")`",
-                t.text
-            ),
-        });
-    }
-}
-
-/// R2 — wall-clock reads outside the timing allowlist.
-fn rule_timing(rel_path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Finding>) {
-    if path_matches(rel_path, &cfg.timing_allowlist) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("Instant") || t.is_ident("SystemTime")) {
-            continue;
-        }
-        if toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|a| a.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|a| a.is_ident("now"))
-        {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                rule: "R2-timing",
-                message: format!(
-                    "`{}::now()` outside the timing allowlist breaks byte-identical \
-                     results; thread simulated time through instead (telemetry \
-                     belongs in sc-obs, whose `Recorder::event`, histograms, \
-                     `span_open`/`span_close` spans, and the windowed \
-                     `series_inc`/`series_gauge` time-series all take sim-time, \
-                     never wall-clock)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// R2 — unseeded randomness.
-fn rule_rng(rel_path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    for t in &lexed.tokens {
-        if t.is_ident("thread_rng") || t.is_ident("from_entropy") || t.is_ident("OsRng") {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                rule: "R2-rng",
-                message: format!(
-                    "`{}` is unseeded; use `StdRng::seed_from_u64` so runs replay",
-                    t.text
-                ),
-            });
-        }
-    }
 }
 
 /// R2 — `partial_cmp(..).unwrap()/expect(..)`: panics on NaN and reads
@@ -611,10 +395,22 @@ fn rule_unordered(rel_path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::baseline::Baseline;
+    use crate::engine::audit_sources;
 
+    /// Audit one snippet through the whole pipeline, so per-UE state
+    /// (R4, in [`crate::flow`]) and the token rules report side by side.
     fn run(path: &str, src: &str) -> (Vec<Finding>, PanicCounts) {
-        audit_tokens(path, &lex(src), &Config::default())
+        let report = audit_sources(&[(path.into(), src.into())], &Baseline::default(), &Config::default());
+        let flow = report.flow.into_iter().map(|f| Finding {
+            file: f.file,
+            line: f.line,
+            col: f.col,
+            rule: f.rule,
+            message: f.message,
+        });
+        let counts = report.counts.into_values().next().unwrap_or_default();
+        (report.findings.into_iter().chain(flow).collect(), counts)
     }
 
     const SAT: &str = "crates/spacecore/src/satellite.rs";
@@ -624,7 +420,7 @@ mod tests {
         let src = "struct S { active: Mutex<HashMap<Supi, ActiveSession>>, }";
         let (f, _) = run(SAT, src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "R1-stateful");
+        assert_eq!(f[0].rule, "R4-state-flow");
     }
 
     #[test]
@@ -647,7 +443,7 @@ mod tests {
 
     #[test]
     fn allow_annotation_suppresses() {
-        let src = "struct S {\n    // sc-audit: allow(stateful, reason = \"ephemeral\")\n    active: HashMap<Supi, u8>,\n}";
+        let src = "struct S {\n    // sc-audit: allow(state-flow, reason = \"ephemeral\")\n    active: HashMap<Supi, u8>,\n}";
         let (f, _) = run(SAT, src);
         assert!(f.is_empty(), "{f:?}");
     }
@@ -667,54 +463,43 @@ mod tests {
         let src = "struct S { scratch: Mutex<Vec<Vec<u8>>>, }";
         let (f, _) = run(SAT, src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "R1-stateful");
+        assert_eq!(f[0].rule, "R4-state-flow");
         assert!(f[0].message.contains("MessageArena"), "{}", f[0].message);
         // Out of satellite scope: fine.
         let (f, _) = run("crates/emu/src/fig05.rs", src);
         assert!(f.is_empty(), "{f:?}");
         // Annotated: suppressed.
-        let src = "struct S {\n    // sc-audit: allow(stateful, reason = \"bounded reorder window\")\n    scratch: Mutex<Vec<Vec<u8>>>,\n}";
+        let src = "struct S {\n    // sc-audit: allow(state-flow, reason = \"bounded reorder window\")\n    scratch: Mutex<Vec<Vec<u8>>>,\n}";
         let (f, _) = run(SAT, src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn per_ue_locked_map_reported_once_by_keyed_probe() {
-        // `Mutex<HashMap<Supi, …>>` is the keyed-map probe's finding;
-        // the retained-lock probe must not double-report it.
+        // `Mutex<HashMap<Supi, …>>` is one store, hence one finding,
+        // however many wrappers the type walk steps through.
         let src = "struct S { active: Mutex<HashMap<Supi, ActiveSession>>, }";
         let (f, _) = run(SAT, src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("per-UE keyed collection"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn instant_now_flagged_outside_allowlist() {
-        let (f, _) = run(SAT, "fn f() { let t = Instant::now(); }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "R2-timing");
-        let (f, _) = run("crates/emu/src/fig18.rs", "fn f() { let t = Instant::now(); }");
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn obs_crate_is_not_timing_allowlisted() {
-        // sc-obs records sim-time only: a wall-clock read inside it is a
-        // bug, not a telemetry feature.
-        let (f, _) = run("crates/obs/src/recorder.rs", "fn f() { let t = Instant::now(); }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "R2-timing");
-        assert!(f[0].message.contains("sc-obs"), "{}", f[0].message);
+        assert!(f[0].message.contains("retains per-UE state"), "{}", f[0].message);
     }
 
     #[test]
     fn obs_crate_is_in_stateful_scope() {
         // A per-UE keyed map inside the observability layer would smuggle
-        // session state out of the stateless core — R1 watches for it.
+        // session state out of the stateless core — R4 watches for it.
         let src = "struct S { m: HashMap<Supi, u64>, }";
         let (f, _) = run("crates/obs/src/recorder.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "R1-stateful");
+        assert_eq!(f[0].rule, "R4-state-flow");
+    }
+
+    #[test]
+    fn instant_now_flagged_outside_allowlist() {
+        // The wall clock is the compiler's (module doc); tests/fixtures.rs
+        // lints the injection. This side pins the hand-off itself.
+        let bans = include_str!("../../../clippy.toml");
+        assert!(["Instant", "SystemTime"].iter().all(|c| bans.contains(&format!("path = \"std::time::{c}::now\""))));
     }
 
     #[test]
@@ -749,8 +534,8 @@ mod tests {
     fn iteration_through_lock_guard_flagged() {
         let src = "struct S { m: Mutex<HashMap<u32, f64>>, }\nfn f(s: &S) -> Vec<u32> { s.m.lock().keys().copied().collect() }";
         let (f, _) = run(SAT, src);
-        // Two findings: the retained-lock probe on the field, and the
-        // unordered-iteration probe on the emission path under test.
+        // Two findings: the lock-wrapped buffer on the field (R4), and
+        // the unordered iteration on the emission path under test.
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().any(|x| x.rule == "R2-unordered"), "{f:?}");
     }

@@ -4,6 +4,6 @@
 use std::collections::HashMap;
 
 pub struct SatellitePayload {
-    // sc-audit: allow(stateful, reason = "ephemeral radio state for active sessions only")
+    // sc-audit: allow(state-flow, reason = "ephemeral radio state for active sessions only")
     contexts: HashMap<Supi, UeContext>,
 }

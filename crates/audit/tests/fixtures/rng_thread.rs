@@ -1,6 +1,12 @@
-//! Fixture: unseeded RNG. Must trip R2-rng anywhere in the workspace.
+//! Fixture: unseeded RNG. The vendored `rand` has no unseeded
+//! constructor, so this must fail to compile anywhere in the workspace.
 
-pub fn jitter() -> f64 {
+use rand::rngs::StdRng;
+use rand::Rng;
+
+pub fn jitter() -> u64 {
+    let _ = StdRng::from_entropy();
+    let _ = rand::rngs::OsRng;
     let mut rng = rand::thread_rng();
-    rng.gen_range(0.0..1.0)
+    rng.next_u64()
 }

@@ -1,5 +1,5 @@
 //! Fixture: a per-UE keyed collection in a satellite-side module.
-//! Audited as `crates/spacecore/src/satellite.rs` — must trip R1-stateful.
+//! Audited as `crates/spacecore/src/satellite.rs` — must trip R4-state-flow.
 
 use std::collections::HashMap;
 

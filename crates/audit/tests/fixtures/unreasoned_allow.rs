@@ -4,6 +4,6 @@
 use std::collections::HashMap;
 
 pub struct SatellitePayload {
-    // sc-audit: allow(stateful)
+    // sc-audit: allow(state-flow)
     contexts: HashMap<Supi, UeContext>,
 }

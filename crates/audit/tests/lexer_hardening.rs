@@ -78,7 +78,7 @@ fn nested_block_comments_balance() {
 fn block_comment_directives_do_not_count() {
     // Allow directives are line-comment-only; a block comment that
     // *mentions* the syntax must not create a directive.
-    let src = "/* sc-audit: allow(stateful, reason = \"nope\") */\nlet x = 1;\n";
+    let src = "/* sc-audit: allow(state-flow, reason = \"nope\") */\nlet x = 1;\n";
     let lexed = lex(src);
     assert!(lexed.directives.is_empty(), "{:?}", lexed.directives);
 }

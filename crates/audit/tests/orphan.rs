@@ -156,8 +156,8 @@ fn allow_needs_a_reason_exactly_as_for_r1() {
 #[test]
 fn callers_outside_crates_are_read_for_references_only() {
     // The same source convicts under `crates/` and is invisible to
-    // R1–R5 and the R3 counters under `tests/`.
-    let src = include_str!("fixtures/timing_instant.rs");
+    // R2–R5 and the R3 counters under `tests/`.
+    let src = include_str!("fixtures/float_cmp.rs");
     let report = audit(&[("tests/t.rs", src), ("benchmark/src/main.rs", src)]);
     assert!(report.findings.is_empty() && report.counts.is_empty(), "{:?}", report.findings);
     assert_eq!(report.files_scanned, 0);

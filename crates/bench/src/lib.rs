@@ -10,5 +10,6 @@
 //! `cargo bench -p sc-bench`. The numbers a PR is judged by come from
 //! scbench (`benchmark/`, `BENCHMARK.json`), not from here.
 //!
-//! `benches/` is on sc-audit's R2 timing allowlist (`crates/audit`);
-//! `src/` is not — nothing there may read a wall clock.
+//! The benches time through the Criterion stand-in, which carries the
+//! one wall-clock opt-out they need; nothing here reads a wall clock
+//! directly (`clippy.toml` bans it).

@@ -1,5 +1,9 @@
 //! Small text-table renderer shared by the experiment modules, and
 //! `scemu`'s wall-clock timing.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the [timing] line goes to stderr, never into a table or results/"
+)]
 
 use std::time::Instant;
 

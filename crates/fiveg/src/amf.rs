@@ -62,7 +62,7 @@ pub struct Amf {
     /// This AMF's identifier (baked into allocated GUTIs).
     pub amf_id: u32,
     plmn: PlmnId,
-    // sc-audit: allow(stateful, reason = "legacy stateful AMF baseline — the per-UE S1/S5 store the paper's stateless design eliminates (§3.2)")
+    // sc-audit: allow(state-flow, reason = "legacy stateful AMF baseline — the per-UE S1/S5 store the paper's stateless design eliminates (§3.2)")
     contexts: HashMap<Supi, UeContext>,
     next_tmsi: u32,
     /// Telemetry (disabled by default): `fiveg.amf.*` counters and the

@@ -62,7 +62,7 @@ pub struct Smf {
     prefix: u64,
     next_host: u64,
     next_teid: u32,
-    // sc-audit: allow(stateful, reason = "legacy stateful SMF baseline — per-UE S2 session anchors, kept to account the Fig. 5a anchor-gateway bottleneck")
+    // sc-audit: allow(state-flow, reason = "legacy stateful SMF baseline — per-UE S2 session anchors, kept to account the Fig. 5a anchor-gateway bottleneck")
     sessions: HashMap<(Supi, SessionId), PduSession>,
     /// Sessions pinned per anchor (bottleneck accounting).
     per_anchor: HashMap<u32, u32>,

@@ -20,9 +20,9 @@
 //!   ([`Snapshot::to_json`]); maps are `BTreeMap` so emission order is
 //!   the sorted name order, not hash order (sc-audit R2-unordered).
 //! * **No wall-clock reads.** Event timestamps are supplied by the
-//!   caller from the DES scheduler ([`Recorder::event`]); this crate is
-//!   deliberately *not* on sc-audit's R2 timing allowlist, so an
-//!   `Instant::now()` here is a build-breaking finding.
+//!   caller from the DES scheduler ([`Recorder::event`]); this crate
+//!   carries no opt-out from `clippy.toml`'s wall-clock ban, so an
+//!   `Instant::now()` here fails the clippy gate.
 //! * **No panic sites.** The crate ratchets at zero in the R3 baseline:
 //!   no `unwrap`/`expect`/`panic!`/`unsafe`, tests included. Mutex
 //!   poisoning is absorbed (`PoisonError::into_inner`), non-finite

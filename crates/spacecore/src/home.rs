@@ -55,7 +55,7 @@ pub struct HomeNetwork {
     crypto: HomeCrypto,
     grid: CellGrid,
     alloc: Mutex<SuffixAllocator>,
-    // sc-audit: allow(stateful, reason = "ground-home replica version counters — the terrestrial freshness anchor for UE-carried state (Algorithm 1); never launched")
+    // sc-audit: allow(state-flow, reason = "ground-home replica version counters — the terrestrial freshness anchor for UE-carried state (Algorithm 1); never launched")
     versions: Mutex<std::collections::HashMap<Supi, u32>>,
 }
 

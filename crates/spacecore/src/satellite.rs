@@ -146,7 +146,7 @@ pub struct SpaceCoreSatellite {
     pub id: SatId,
     creds: SatCredentials,
     /// Currently served sessions: SUPI → installed state + key.
-    // sc-audit: allow(stateful, reason = "ephemeral radio-install state for currently served sessions only; forgotten on release, bounding hijack leakage to active users (Fig. 19a)")
+    // sc-audit: allow(state-flow, reason = "ephemeral radio-install state for currently served sessions only; forgotten on release, bounding hijack leakage to active users (Fig. 19a)")
     active: parking_lot::Mutex<HashMap<Supi, ActiveSession>>,
     /// Home crypto handle for envelope verification (public material).
     home_cert_key: u64,

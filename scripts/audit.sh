@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Static-analysis gate: sc-audit (statelessness / determinism / panic
 # ratchet / no module without a caller, see crates/audit) plus clippy
-# with warnings promoted to errors. Fatal on any finding — run before
+# with warnings promoted to errors (clippy.toml bans the wall clock). Fatal on any finding — run before
 # merging. tier1.sh runs the same audit warn-only.
 #
 # Everything runs --offline against the vendored dependency set.
@@ -15,7 +15,7 @@ echo "== audit: cargo build -p sc-audit --release --offline" >&2
 cargo build -q -p sc-audit --release --offline
 AUDIT_BIN=target/release/sc-audit
 
-echo "== audit: sc-audit (R1/R2 findings, R3 panic ratchet, R4 state-flow, R5 parallel, R6 orphan)" >&2
+echo "== audit: sc-audit (R2 determinism, R3 panic ratchet, R4 state-flow, R5 parallel, R6 orphan)" >&2
 T0=$(date +%s%N)
 if ! "$AUDIT_BIN"; then
     echo "== audit: FAIL — re-running with --explain for the flow traces" >&2
@@ -30,12 +30,6 @@ if [ "$ELAPSED_MS" -ge 5000 ]; then
     echo "           the gate must stay cheap enough to run on every merge" >&2
     exit 1
 fi
-
-# Machine-readable artifact for CI annotation (SARIF 2.1.0, byte-stable
-# across reruns). Emitted after the gate so a failing audit leaves the
-# previous artifact untouched.
-"$AUDIT_BIN" --format json > target/sc-audit.sarif.json
-echo "== audit: SARIF artifact at target/sc-audit.sarif.json" >&2
 
 echo "== audit: cargo clippy --offline --workspace --all-targets -- -D warnings" >&2
 cargo clippy -q --offline --workspace --all-targets -- -D warnings

@@ -22,11 +22,10 @@ cargo test -q --offline "$@"
 echo "== tier-1: cargo run --release --offline --example quickstart" >&2
 cargo run -q --release --offline --example quickstart >/dev/null
 
-# Statelessness/determinism audit, warn-only at this tier: R1/R2 token
+# Statelessness/determinism audit, warn-only at this tier: R2 token
 # findings, R4 state-flow and R5 parallel-determinism dataflow findings,
-# R6 orphan modules and R3/R4/R5 ratchet regressions are printed but do
-# not fail the build. scripts/audit.sh is the fatal gate (and emits the
-# SARIF artifact).
+# R6 orphan modules and R3 ratchet regressions are printed but do not
+# fail the build. scripts/audit.sh is the fatal gate.
 echo "== tier-1: sc-audit (warn-only; scripts/audit.sh enforces)" >&2
 cargo run -q -p sc-audit --offline -- --warn-only || true
 
