@@ -27,13 +27,16 @@
 //!
 //! [`AbeSystem::encrypt`] writes shares and policy straight into it,
 //! [`crate::wire::encode_state`] copies it and [`AbeSystem::decrypt`]
-//! walks the policy bytes where they lie. Bytes from outside the program
-//! are validated exactly once, when [`crate::wire::decode_state`] turns
-//! them into an `AbeCiphertext`: every length in bounds, every node a
-//! known kind, every gate `1 ≤ k ≤ n`, one share per leaf. Shares are
-//! kept verbatim, canonical or not, and reduced by `Fe::new` when read.
+//! walks the policy bytes where they lie and opens the payload in one
+//! pass ([`crate::field::keystream_pass`]: key stream, MAC and the
+//! caller's co-hasher in one loop; `encrypt` seals it the same way).
+//! Bytes from outside the program are validated exactly once, when
+//! [`crate::wire::decode_state`] turns them into an `AbeCiphertext`:
+//! every length in bounds, every node a known kind, every gate
+//! `1 ≤ k ≤ n`, one share per leaf. Shares are kept verbatim, canonical
+//! or not, and reduced by `Fe::new` when read.
 
-use crate::field::{hash_to_fe, keyed_hash, xor_stream, Fe};
+use crate::field::{hash_to_fe, keyed_hash, keystream_pass, Absorb, Fe, KeyedHasher};
 use crate::policy::{AccessTree, Attribute};
 use crate::shamir;
 use crate::wire::WireError;
@@ -70,8 +73,10 @@ pub struct AbeCiphertext {
     payload_off: usize,
 }
 
+/// Offset of the MAC: past the nonce.
+const MAC_OFF: usize = 8;
 /// Offset of the first share: past nonce, mac and `n_shares`.
-const SHARES_OFF: usize = 8 + 8 + 2;
+const SHARES_OFF: usize = MAC_OFF + 8 + 2;
 
 const LEAF: u8 = 0;
 const AND: u8 = 1;
@@ -303,6 +308,19 @@ impl AbeSystem {
         policy: &AccessTree,
         entropy: u64,
     ) -> AbeCiphertext {
+        Self::encrypt_with(pk, plaintext, policy, entropy, &mut KeyedHasher::new(0))
+    }
+
+    /// [`AbeSystem::encrypt`], absorbing `plaintext` into `co` in the
+    /// pass that computes the MAC and XORs the key stream — a second
+    /// digest over the payload at no second walk over it.
+    pub fn encrypt_with(
+        pk: &AbePublicKey,
+        plaintext: &[u8],
+        policy: &AccessTree,
+        entropy: u64,
+        co: &mut KeyedHasher,
+    ) -> AbeCiphertext {
         let mut rng = SplitMix64::new(entropy ^ pk.system_key);
         let secret = Fe::new(rng.next_nonzero());
         let nonce = rng.next();
@@ -312,7 +330,7 @@ impl AbeSystem {
         let payload_off = policy_off + policy_len(policy) + 4;
         let mut b = Vec::with_capacity(payload_off + plaintext.len());
         b.extend_from_slice(&nonce.to_le_bytes());
-        b.extend_from_slice(&keyed_hash(secret.value(), plaintext).to_le_bytes());
+        b.extend_from_slice(&[0; 8]); // the MAC, once the payload pass has run
         put_u16(&mut b, n_shares);
         b.resize(policy_off, 0);
         // Recursively share the secret down the tree: each node appends
@@ -328,7 +346,10 @@ impl AbeSystem {
         );
         b.extend_from_slice(&(plaintext.len() as u32).to_le_bytes());
         b.extend_from_slice(plaintext);
-        xor_stream(secret.value(), nonce, &mut b[payload_off..]);
+        let mut mac = KeyedHasher::new(secret.value());
+        let payload = &mut b[payload_off..];
+        keystream_pass(secret.value(), nonce, payload, Absorb::Input, &mut mac, co);
+        b[MAC_OFF..MAC_OFF + 8].copy_from_slice(&mac.finish().to_le_bytes());
 
         AbeCiphertext {
             bytes: b.into_boxed_slice(),
@@ -351,15 +372,16 @@ impl AbeSystem {
         ct
     }
 
-    /// [`AbeSystem::decrypt`] with telemetry: counts
+    /// [`AbeSystem::decrypt_with`] with telemetry: counts
     /// `crypto.abe.decrypts` and `crypto.abe.decrypt_failures`.
     pub fn decrypt_obs(
         obs: &sc_obs::Recorder,
         ct: &AbeCiphertext,
         sk: &AbeSecretKey,
+        co: &mut KeyedHasher,
     ) -> Result<Vec<u8>, AbeError> {
         obs.inc("crypto.abe.decrypts", 1);
-        let r = Self::decrypt(ct, sk);
+        let r = Self::decrypt_with(ct, sk, co);
         if r.is_err() {
             obs.inc("crypto.abe.decrypt_failures", 1);
         }
@@ -369,14 +391,29 @@ impl AbeSystem {
     /// `Decrypt(msg, sk)` (Algorithm 2 lines 8/11): recover the plaintext
     /// iff `sk`'s attributes satisfy the ciphertext policy.
     pub fn decrypt(ct: &AbeCiphertext, sk: &AbeSecretKey) -> Result<Vec<u8>, AbeError> {
+        Self::decrypt_with(ct, sk, &mut KeyedHasher::new(0))
+    }
+
+    /// [`AbeSystem::decrypt`], absorbing the recovered plaintext into
+    /// `co` in the pass that XORs the key stream and computes the MAC.
+    /// `co` is fed before the MAC is compared: on
+    /// [`AbeError::IntegrityFailure`] its digest is of bytes the home
+    /// never sealed, and the caller must not act on it.
+    pub fn decrypt_with(
+        ct: &AbeCiphertext,
+        sk: &AbeSecretKey,
+        co: &mut KeyedHasher,
+    ) -> Result<Vec<u8>, AbeError> {
         let (nonce, mac, mut shares, mut policy) =
             head(&ct.bytes).map_err(|_| AbeError::IntegrityFailure)?;
         let mut stack = Vec::with_capacity(shares.b.len() / 8);
         let secret = recover_node(&mut policy, &mut shares, sk, &mut stack)
             .ok_or(AbeError::PolicyNotSatisfied)?;
         let mut payload = ct.bytes[ct.payload_off..].to_vec();
-        xor_stream(secret.value(), nonce, &mut payload);
-        if keyed_hash(secret.value(), &payload) != mac {
+        let mut computed = KeyedHasher::new(secret.value());
+        let key = secret.value();
+        keystream_pass(key, nonce, &mut payload, Absorb::Output, &mut computed, co);
+        if computed.finish() != mac {
             return Err(AbeError::IntegrityFailure);
         }
         Ok(payload)

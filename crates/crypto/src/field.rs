@@ -13,6 +13,16 @@
 //! powers, two Fermat inversions), so `mul` and `pow` avoid
 //! data-dependent branches: a mispredicted coin-flip costs more than
 //! the multiply it guards.
+//!
+//! The module also holds the workspace's one keyed hash
+//! ([`KeyedHasher`], [`keyed_hash`]) and its one key-stream loop,
+//! [`keystream_pass`]. Both byte-serial jobs on a replica payload — the
+//! XOR stream and the digests over the plaintext — run in that single
+//! loop: the stream is computed four blocks at a time (independent
+//! hash chains, side by side) and every byte is absorbed into two
+//! hashers in the iteration that XORs it, so the ABE MAC and the home's
+//! envelope signature ([`crate::statecrypt`]) cost one walk over the
+//! payload on seal and on open, not three.
 
 /// The field modulus: the Mersenne prime 2⁶¹ − 1.
 pub const P: u64 = (1u64 << 61) - 1;
@@ -142,26 +152,28 @@ impl KeyedHasher {
 
     /// Absorb the next piece of the message.
     pub fn update(&mut self, data: &[u8]) {
-        let mut h = self.0;
-        for &b in data {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-            h ^= h >> 29;
-        }
-        self.0 = h;
+        self.0 = data.iter().fold(self.0, |h, &b| hash_round(h, b));
     }
 
     /// The hash of everything absorbed.
     pub fn finish(&self) -> u64 {
-        // Final avalanche (splitmix64 tail).
-        let mut h = self.0;
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        h
+        avalanche(self.0)
     }
+}
+
+/// One byte into the hash state: the whole per-byte round.
+const fn hash_round(h: u64, b: u8) -> u64 {
+    let h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    h ^ (h >> 29)
+}
+
+/// The final avalanche (splitmix64 tail).
+const fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 /// Hash into a non-zero field element.
@@ -176,21 +188,88 @@ pub fn hash_to_fe(key: u64, data: &[u8]) -> Fe {
     }
 }
 
-/// XOR key-stream over a buffer, keyed by `key` and a nonce. Involutive:
-/// applying twice restores the plaintext.
-pub fn xor_stream(key: u64, nonce: u64, data: &mut [u8]) {
-    for (i, chunk) in data.chunks_mut(8).enumerate() {
-        let block = keyed_hash(key ^ nonce.rotate_left(13), &(i as u64).to_le_bytes());
-        let kb = block.to_le_bytes();
-        for (j, b) in chunk.iter_mut().enumerate() {
-            *b ^= kb[j];
+/// Which bytes of a [`keystream_pass`] its two hashers absorb.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Absorb {
+    /// Each byte as it came in, before the XOR.
+    Input,
+    /// Each byte as the XOR leaves it.
+    Output,
+}
+
+/// Key-stream blocks [`keystream_pass`] computes side by side.
+const LANES: usize = 4;
+
+/// The one pass over a payload: XOR the key stream of `(key, nonce)`
+/// into `data` and, in the same iteration, absorb each byte into `mac`
+/// and `co` — as it was before the XOR or after it, per `absorb`.
+///
+/// Block `i` of the stream is
+/// `keyed_hash(key ^ nonce.rotate_left(13), &(i as u64).to_le_bytes())`,
+/// little-endian, so the XOR is involutive: a second pass under the same
+/// key and nonce restores the input. To hash the plaintext, sealing
+/// absorbs [`Absorb::Input`] and opening [`Absorb::Output`]; for a tag
+/// over the ciphertext (encrypt-then-MAC, [`crate::suci`]) the reverse.
+pub fn keystream_pass(
+    key: u64,
+    nonce: u64,
+    data: &mut [u8],
+    absorb: Absorb,
+    mac: &mut KeyedHasher,
+    co: &mut KeyedHasher,
+) {
+    let seed = KeyedHasher::new(key ^ nonce.rotate_left(13)).0;
+    let (mut m, mut c) = (mac.0, co.0);
+    for (n, chunk) in data.chunks_mut(8 * LANES).enumerate() {
+        let stream = stream_blocks(seed, (n * LANES) as u64);
+        for (block, k) in chunk.chunks_mut(8).zip(stream) {
+            // A whole block goes through at a fixed width: one load, one
+            // XOR, one store; only the payload's last block can be short.
+            match <&mut [u8; 8]>::try_from(&mut *block) {
+                Ok(whole) => xor_absorb(whole, k, absorb, &mut m, &mut c),
+                Err(_) => xor_absorb(block, k, absorb, &mut m, &mut c),
+            }
         }
     }
+    (mac.0, co.0) = (m, c);
+}
+
+/// XOR key-stream block `k` into `block` (at most 8 bytes) and absorb
+/// each of its bytes, as it was or as it becomes, into both hash states.
+#[inline(always)]
+fn xor_absorb(block: &mut [u8], k: u64, absorb: Absorb, m: &mut u64, c: &mut u64) {
+    let mut word = [0u8; 8];
+    word[..block.len()].copy_from_slice(block);
+    let input = u64::from_le_bytes(word);
+    let output = input ^ k;
+    let seen = match absorb {
+        Absorb::Input => input,
+        Absorb::Output => output,
+    };
+    for i in 0..block.len() {
+        let b = (seen >> (8 * i)) as u8;
+        *m = hash_round(*m, b);
+        *c = hash_round(*c, b);
+    }
+    block.copy_from_slice(&output.to_le_bytes()[..block.len()]);
+}
+
+/// Key-stream blocks `first..first + LANES`: `LANES` hash chains over
+/// the blocks' little-endian indices, advanced together.
+fn stream_blocks(seed: u64, first: u64) -> [u64; LANES] {
+    let mut h = [seed; LANES];
+    for byte in 0..8 {
+        for (lane, h) in (0..).zip(h.iter_mut()) {
+            *h = hash_round(*h, ((first + lane) >> (8 * byte)) as u8);
+        }
+    }
+    h.map(avalanche)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn add_sub_roundtrip() {
@@ -242,22 +321,102 @@ mod tests {
         }
     }
 
+    /// The random inputs of one pass: stream key, nonce, MAC key, and
+    /// the co-hasher's key and header.
+    struct Keys<'a> {
+        stream: u64,
+        nonce: u64,
+        mac: u64,
+        co: u64,
+        header: &'a [u8],
+    }
+
+    /// Output bytes, MAC and co-hasher digest of one pass.
+    type Sealed = (Vec<u8>, u64, u64);
+
+    fn fused(k: &Keys, data: &[u8], absorb: Absorb) -> Sealed {
+        let mut out = data.to_vec();
+        let mut mac = KeyedHasher::new(k.mac);
+        let mut co = KeyedHasher::new(k.co);
+        co.update(k.header);
+        keystream_pass(k.stream, k.nonce, &mut out, absorb, &mut mac, &mut co);
+        (out, mac.finish(), co.finish())
+    }
+
+    /// The three passes the fused one replaces, kept here as its
+    /// reference: the stream one 8-byte block at a time, then the MAC,
+    /// then the co-hash over header ‖ plaintext.
+    fn three_passes(k: &Keys, data: &[u8], absorb: Absorb) -> Sealed {
+        let mut out = data.to_vec();
+        for (i, chunk) in out.chunks_mut(8).enumerate() {
+            let block = keyed_hash(
+                k.stream ^ k.nonce.rotate_left(13),
+                &(i as u64).to_le_bytes(),
+            );
+            for (b, x) in chunk.iter_mut().zip(block.to_le_bytes()) {
+                *b ^= x;
+            }
+        }
+        let plain = match absorb {
+            Absorb::Input => data,
+            Absorb::Output => &out,
+        };
+        let mac = keyed_hash(k.mac, plain);
+        let mut co = KeyedHasher::new(k.co);
+        co.update(k.header);
+        co.update(plain);
+        let co = co.finish();
+        (out, mac, co)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fused_pass_equals_the_three_passes(
+            stream in any::<u64>(),
+            nonce in any::<u64>(),
+            mac in any::<u64>(),
+            co in any::<u64>(),
+            header in proptest::collection::vec(any::<u8>(), 0..16),
+            bytes in proptest::collection::vec(any::<u8>(), 320),
+        ) {
+            let k = Keys { stream, nonce, mac, co, header: &header };
+            // Every length up to 320: every tail shape mod 8 (a block)
+            // and mod 32 (a round of four blocks), ten rounds deep.
+            for len in 0..=bytes.len() {
+                let data = &bytes[..len];
+                for absorb in [Absorb::Input, Absorb::Output] {
+                    prop_assert_eq!(fused(&k, data, absorb), three_passes(&k, data, absorb));
+                }
+                let (ct, mac, co) = fused(&k, data, Absorb::Input);
+                prop_assert_eq!(fused(&k, &ct, Absorb::Output), (data.to_vec(), mac, co));
+            }
+        }
+    }
+
+    fn seal(stream: u64, nonce: u64, data: &[u8]) -> Vec<u8> {
+        let k = Keys {
+            stream,
+            nonce,
+            mac: 0,
+            co: 0,
+            header: b"",
+        };
+        fused(&k, data, Absorb::Input).0
+    }
+
     #[test]
     fn xor_stream_involutive() {
-        let mut data = b"hello spacecore, this is a state replica".to_vec();
-        let orig = data.clone();
-        xor_stream(0xABCD, 42, &mut data);
-        assert_ne!(data, orig);
-        xor_stream(0xABCD, 42, &mut data);
-        assert_eq!(data, orig);
+        let data = b"hello spacecore, this is a state replica";
+        let ct = seal(0xABCD, 42, data);
+        assert_ne!(ct, data);
+        assert_eq!(seal(0xABCD, 42, &ct), data);
     }
 
     #[test]
     fn xor_stream_nonce_sensitive() {
-        let mut a = b"same plaintext".to_vec();
-        let mut b = a.clone();
-        xor_stream(1, 1, &mut a);
-        xor_stream(1, 2, &mut b);
-        assert_ne!(a, b);
+        let data = b"same plaintext";
+        assert_ne!(seal(1, 1, data), seal(1, 2, data));
     }
 }

@@ -24,6 +24,7 @@
 
 use crate::abe::{AbeCiphertext, AbeError, AbeMasterKey, AbePublicKey, AbeSecretKey, AbeSystem};
 use crate::dh::{Certificate, DhParams, StationToStation, StsError};
+use crate::field::KeyedHasher;
 use crate::policy::{AccessTree, Attribute};
 use std::collections::BTreeSet;
 
@@ -39,7 +40,9 @@ pub struct EncryptedUeState {
     pub expires_at: f64,
     /// The ABE-wrapped state payload.
     pub ciphertext: AbeCiphertext,
-    /// Home signature over (version, expiry, payload digest).
+    /// Home signature: the keyed hash of version ‖ expiry ‖ plaintext
+    /// payload, computed in the ABE pass that seals the payload and
+    /// checked in the one that opens it.
     pub home_sig: u64,
 }
 
@@ -183,37 +186,27 @@ impl HomeCrypto {
         expires_at: f64,
         entropy: u64,
     ) -> EncryptedUeState {
-        let ciphertext = AbeSystem::encrypt(&self.pk, state_payload, policy, entropy);
-        let home_sig = self.sign_envelope(version, expires_at, state_payload);
+        let mut envelope = self.envelope(version, expires_at);
+        let ciphertext =
+            AbeSystem::encrypt_with(&self.pk, state_payload, policy, entropy, &mut envelope);
         EncryptedUeState {
             version,
             expires_at,
             ciphertext,
-            home_sig,
+            home_sig: envelope.finish(),
         }
     }
 
-    fn sign_envelope(&self, version: u32, expires_at: f64, payload: &[u8]) -> u64 {
-        let mut h = crate::field::KeyedHasher::new(self.sign_key);
+    /// The home signature's hasher, seeded with the envelope header
+    /// (`version ‖ expires_at`): the ABE pass absorbs the plaintext
+    /// payload into it, sealing on the home and opening on a satellite.
+    /// The header in the seed is what makes a UE's rewritten version or
+    /// TTL a [`StateCryptError::BadHomeSignature`].
+    fn envelope(&self, version: u32, expires_at: f64) -> KeyedHasher {
+        let mut h = KeyedHasher::new(self.sign_key);
         h.update(&version.to_le_bytes());
         h.update(&expires_at.to_bits().to_le_bytes());
-        h.update(payload);
-        h.finish()
-    }
-
-    /// Verify the home signature over a decrypted state. Satellites call
-    /// this after ABE decryption; it is what makes UE-side state
-    /// manipulation detectable (Appendix B "UE-side state manipulation").
-    pub fn verify_envelope(
-        &self,
-        st: &EncryptedUeState,
-        decrypted_payload: &[u8],
-    ) -> Result<(), StateCryptError> {
-        if self.sign_envelope(st.version, st.expires_at, decrypted_payload) == st.home_sig {
-            Ok(())
-        } else {
-            Err(StateCryptError::BadHomeSignature)
-        }
+        h
     }
 }
 
@@ -235,7 +228,9 @@ pub struct LocalAccessOutcome {
 /// the piggybacked state and answer the UE's DH offer.
 ///
 /// `now` enforces the TTL (Appendix B replay protection); `home` supplies
-/// envelope verification (home-signed states cannot be forged by UEs).
+/// the envelope key the decryption pass checks the home signature with
+/// (home-signed states cannot be forged by UEs, Appendix B "UE-side
+/// state manipulation").
 pub fn satellite_local_access(
     creds: &SatCredentials,
     home: &HomeCrypto,
@@ -289,8 +284,14 @@ fn local_access_inner(
         obs.inc("crypto.statecrypt.expired", 1);
         return Err(StateCryptError::Expired);
     }
-    let state = AbeSystem::decrypt_obs(obs, &st.ciphertext, &creds.sk)?;
-    home.verify_envelope(st, &state)?;
+    // One pass opens the payload, checks the ABE MAC and feeds the
+    // envelope hash; the MAC is judged first, so a tampered ciphertext
+    // stays an ABE failure and never reads as a bad home signature.
+    let mut envelope = home.envelope(st.version, st.expires_at);
+    let state = AbeSystem::decrypt_obs(obs, &st.ciphertext, &creds.sk, &mut envelope)?;
+    if envelope.finish() != st.home_sig {
+        return Err(StateCryptError::BadHomeSignature);
+    }
     let sts = StationToStation::new(home.dh_params(), ephemeral_secret);
     let session_key = sts.shared_key(ue_x_public);
     let transcript_sig =
@@ -412,6 +413,66 @@ mod tests {
         let err = satellite_local_access(&sat, &h, &forged, ue_sts.public_value(), 2, 10.0)
             .unwrap_err();
         assert_eq!(err, StateCryptError::BadHomeSignature);
+    }
+
+    #[test]
+    fn each_failure_keeps_its_cause() {
+        // The opening pass computes the MAC and the envelope digest
+        // together; the TTL is judged before either, the MAC before the
+        // envelope, so each forgery keeps its own cause.
+        let h = home();
+        let sat = h.provision_satellite(13, &attr_set(&["role:satellite", "qos"]));
+        let payload = b"billing=throttle-at-15gb";
+        let st = h.encrypt_state(payload, &sat_policy(), 4, 100.0, 52);
+        assert!(satellite_local_access(&sat, &h, &st, 1, 2, 10.0).is_ok());
+        // The ciphertext payload is the tail of the wire form.
+        let wire = crate::wire::encode_state(&st);
+        let flipped = |i: usize| {
+            let mut b = wire.clone();
+            b[wire.len() - payload.len() + i] ^= 0x80;
+            crate::wire::decode_state(&b).unwrap()
+        };
+        let integrity = StateCryptError::Abe(AbeError::IntegrityFailure);
+        let mut cases = vec![
+            // A UE replaying past its TTL by pushing the expiry forward…
+            (
+                EncryptedUeState {
+                    expires_at: 1e9,
+                    ..st.clone()
+                },
+                150.0,
+                StateCryptError::BadHomeSignature,
+                1,
+                0,
+            ),
+            // …or rewriting its version: the header seeds the envelope.
+            (
+                EncryptedUeState {
+                    version: 5,
+                    ..st.clone()
+                },
+                10.0,
+                StateCryptError::BadHomeSignature,
+                1,
+                0,
+            ),
+            // An honest replica past its TTL is never decrypted.
+            (st.clone(), 101.0, StateCryptError::Expired, 0, 0),
+        ];
+        cases.extend((0..payload.len()).map(|i| (flipped(i), 10.0, integrity, 1, 1)));
+        for (forged, now, cause, decrypts, decrypt_failures) in cases {
+            let obs = sc_obs::Recorder::new();
+            let err = satellite_local_access_obs(&obs, &sat, &h, &forged, 1, 2, now).unwrap_err();
+            assert_eq!(err, cause);
+            let snap = obs.snapshot();
+            assert_eq!(snap.counter("crypto.abe.decrypts"), decrypts, "{cause}");
+            assert_eq!(
+                snap.counter("crypto.abe.decrypt_failures"),
+                decrypt_failures,
+                "{cause}"
+            );
+            assert_eq!(snap.counter("crypto.statecrypt.failures"), 1, "{cause}");
+        }
     }
 
     #[test]

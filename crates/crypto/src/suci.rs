@@ -12,7 +12,7 @@
 //! crypto strength.
 
 use crate::dh::DhParams;
-use crate::field::{keyed_hash, xor_stream, Fe};
+use crate::field::{keyed_hash, keystream_pass, Absorb, Fe, KeyedHasher};
 
 /// The home network's SUCI key pair.
 #[derive(Debug, Clone, Copy)]
@@ -56,12 +56,20 @@ pub fn conceal(home_public: u64, params: DhParams, supi: u64, ephemeral: u64) ->
     let eph_public = Fe::new(params.g).pow(eph_secret).value();
     let shared = Fe::new(home_public).pow(eph_secret).value();
     let mut ct = supi.to_le_bytes().to_vec();
-    xor_stream(shared, eph_public, &mut ct);
-    let mac = keyed_hash(shared, &ct);
+    let mut mac = KeyedHasher::new(shared);
+    // Encrypt-then-MAC: the tag is over the ciphertext, the XOR's output.
+    keystream_pass(
+        shared,
+        eph_public,
+        &mut ct,
+        Absorb::Output,
+        &mut mac,
+        &mut KeyedHasher::new(0),
+    );
     Suci {
         ephemeral_public: eph_public,
         ciphertext: ct,
-        mac,
+        mac: mac.finish(),
     }
 }
 
@@ -93,11 +101,20 @@ pub fn deconceal_obs(obs: &sc_obs::Recorder, home: &SuciHomeKey, suci: &Suci) ->
 /// encrypted for a different home).
 pub fn deconceal(home: &SuciHomeKey, suci: &Suci) -> Option<u64> {
     let shared = Fe::new(suci.ephemeral_public).pow(home.secret).value();
-    if keyed_hash(shared, &suci.ciphertext) != suci.mac {
+    let mut pt = suci.ciphertext.clone();
+    let mut mac = KeyedHasher::new(shared);
+    // The tag is over the ciphertext: here, the XOR's input.
+    keystream_pass(
+        shared,
+        suci.ephemeral_public,
+        &mut pt,
+        Absorb::Input,
+        &mut mac,
+        &mut KeyedHasher::new(0),
+    );
+    if mac.finish() != suci.mac {
         return None;
     }
-    let mut pt = suci.ciphertext.clone();
-    xor_stream(shared, suci.ephemeral_public, &mut pt);
     Some(u64::from_le_bytes(pt.try_into().ok()?))
 }
 

@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 use sc_crypto::abe::AbeSystem;
-use sc_crypto::field::{keyed_hash, xor_stream, Fe, P};
+use sc_crypto::field::{keyed_hash, keystream_pass, Absorb, Fe, KeyedHasher, P};
 use sc_crypto::policy::{attr_set, AccessTree};
 use sc_crypto::shamir;
-use sc_crypto::statecrypt::HomeCrypto;
+use sc_crypto::statecrypt::{satellite_local_access, HomeCrypto};
 use sc_crypto::wire;
 
 /// A policy of depth ≤ `depth` over attributes `a0..a5`, drawn from
@@ -60,8 +60,10 @@ proptest! {
     #[test]
     fn xor_stream_involutive(key in any::<u64>(), nonce in any::<u64>(), data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let mut d = data.clone();
-        xor_stream(key, nonce, &mut d);
-        xor_stream(key, nonce, &mut d);
+        for _ in 0..2 {
+            let (mut mac, mut co) = (KeyedHasher::new(0), KeyedHasher::new(0));
+            keystream_pass(key, nonce, &mut d, Absorb::Input, &mut mac, &mut co);
+        }
         prop_assert_eq!(d, data);
     }
 
@@ -168,13 +170,16 @@ proptest! {
 
     #[test]
     fn wire_rejects_random_bytes(data in proptest::collection::vec(any::<u8>(), 0..64)) {
-        // Random blobs must never decode into a valid state that also
-        // verifies (they may occasionally parse structurally; the
-        // envelope signature still gates them, so parse-failure here is
-        // the common case).
+        // Random blobs must never decode into a valid state that a
+        // satellite also accepts (they may occasionally parse
+        // structurally; the policy, the MAC and the envelope signature
+        // still gate them, so parse-failure here is the common case).
+        // `now` = -inf: no TTL expires, every check after it runs.
         if let Ok(st) = wire::decode_state(&data) {
             let home = HomeCrypto::setup(5);
-            prop_assert!(home.verify_envelope(&st, b"anything").is_err());
+            let sat = home.provision_satellite(1, &attr_set(&["a0", "a1", "a2"]));
+            let access = satellite_local_access(&sat, &home, &st, 2, 3, f64::NEG_INFINITY);
+            prop_assert!(access.is_err());
         }
     }
 }

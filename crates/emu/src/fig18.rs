@@ -13,6 +13,7 @@
 )]
 
 use sc_crypto::abe::AbeSystem;
+use sc_crypto::field::KeyedHasher;
 use sc_crypto::policy::{attr_set, AccessTree};
 use sc_geo::sphere::GeoPoint;
 use sc_orbit::{ConstellationConfig, IdealPropagator, J4Propagator};
@@ -161,7 +162,7 @@ fn record_abe_counts(obs: &sc_obs::Recorder) {
         let policy = AccessTree::all_of(&attr_refs);
         let sk = AbeSystem::keygen(&msk, &attr_set(&attr_refs));
         let ct = AbeSystem::encrypt_obs(obs, &pk, &payload, &policy, k as u64);
-        let _ = AbeSystem::decrypt_obs(obs, &ct, &sk);
+        let _ = AbeSystem::decrypt_obs(obs, &ct, &sk, &mut KeyedHasher::new(0));
     }
 }
 

@@ -680,6 +680,57 @@ mod tests {
     }
 
     #[test]
+    fn each_replica_forgery_lands_on_its_own_counter() -> Result<(), WireError> {
+        // A flipped ciphertext byte is an ABE integrity failure; a TTL
+        // pushed forward or a rewritten version, a home-signature
+        // failure; an honest replica past its TTL, expired.
+        let (home, mut sat, mut ue) = setup();
+        let rec = sc_obs::Recorder::new();
+        sat.attach_recorder(rec.clone());
+        let honest = ue.replica.clone();
+        let past_ttl = honest.expires_at + 1.0;
+        let mut wire = sc_crypto::wire::encode_state(&honest);
+        let last = wire.len() - 1;
+        wire[last] ^= 1; // the last ciphertext-payload byte
+        let cases = [
+            (sc_crypto::wire::decode_state(&wire)?, 1.0),
+            (
+                EncryptedUeState {
+                    expires_at: past_ttl + 1e3,
+                    ..honest.clone()
+                },
+                past_ttl,
+            ),
+            (
+                EncryptedUeState {
+                    version: honest.version + 1,
+                    ..honest.clone()
+                },
+                1.0,
+            ),
+            (honest, past_ttl),
+        ];
+        for (replica, now) in cases {
+            ue.replica = replica;
+            assert!(!sat.establish_session(&home, &mut ue, now).local);
+        }
+
+        let snap = rec.snapshot();
+        for (cause, n) in [
+            ("crypto_abe", 1),
+            ("crypto_home_sig", 2),
+            ("crypto_expired", 1),
+        ] {
+            let name = format!("spacecore.satellite.rollback.{cause}");
+            assert_eq!(snap.counter(&name), n, "{name}");
+        }
+        assert_eq!(snap.counter("spacecore.satellite.rollbacks"), 4);
+        assert_eq!(snap.counter("crypto.abe.decrypts"), 3);
+        assert_eq!(snap.counter("crypto.abe.decrypt_failures"), 1);
+        Ok(())
+    }
+
+    #[test]
     fn installed_state_matches_ue_session() {
         let (home, sat, mut ue) = setup();
         sat.establish_session(&home, &mut ue, 1.0);

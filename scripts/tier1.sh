@@ -17,6 +17,14 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q --offline $*" >&2
 cargo test -q --offline "$@"
 
+# The pinned crypto bytes and the per-establishment allocation budget
+# once more under the release profile (fat LTO): the optimised build
+# inlines and vectorises the payload pass differently from the debug
+# build the run above tests, and it is the build every number is
+# measured on.
+echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget" >&2
+cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget
+
 # `cargo test` compiles the examples but never runs them; run the one
 # whose asserts pin the executed counts to the Fig. 16 step tables.
 echo "== tier-1: cargo run --release --offline --example quickstart" >&2
