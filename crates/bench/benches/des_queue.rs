@@ -1,7 +1,6 @@
-//! Criterion micro-benches for the DES scheduler hot paths: the
+//! Criterion micro-bench for the DES scheduler hot path: the
 //! calendar-queue [`EventQueue`] against the retained binary-heap
-//! [`ReferenceQueue`] (schedule/pop hold pattern), and the single-pop
-//! `run_until` against the peek-then-pop loop it replaced.
+//! [`ReferenceQueue`] on a schedule/pop hold pattern.
 //! scbench's `netsim.des_event_ns` layer times the calendar queue alone.
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sc_netsim::des::{reference::ReferenceQueue, EventQueue};
@@ -39,52 +38,11 @@ fn hold_heap() -> u64 {
     n
 }
 
-fn drain_run_until() -> u64 {
-    let mut q = EventQueue::new();
-    for v in 0..PENDING {
-        q.schedule(f64::from(v % 600) + f64::from(v % 7) * 0.01, v);
-    }
-    let mut horizon = 0.0;
-    let mut n = 0u64;
-    while !q.is_empty() {
-        horizon += 1.0;
-        n += q.run_until(horizon, |_, _, _| ()) as u64;
-    }
-    n
-}
-
-fn drain_peek_then_pop() -> u64 {
-    let mut q = ReferenceQueue::new();
-    for v in 0..PENDING {
-        q.schedule(f64::from(v % 600) + f64::from(v % 7) * 0.01, v);
-    }
-    let mut horizon = 0.0;
-    let mut n = 0u64;
-    while !q.is_empty() {
-        horizon += 1.0;
-        loop {
-            match q.peek() {
-                Some(ev) if ev.time <= horizon => {}
-                _ => break,
-            }
-            q.pop();
-            n += 1;
-        }
-    }
-    n
-}
-
 fn bench(c: &mut Criterion) {
     c.bench_function("des_queue::hold/calendar", |b| {
         b.iter(|| black_box(hold_calendar()))
     });
     c.bench_function("des_queue::hold/heap", |b| b.iter(|| black_box(hold_heap())));
-    c.bench_function("des_queue::run_until/single_pop", |b| {
-        b.iter(|| black_box(drain_run_until()))
-    });
-    c.bench_function("des_queue::run_until/peek_then_pop", |b| {
-        b.iter(|| black_box(drain_peek_then_pop()))
-    });
 }
 
 criterion_group! {

@@ -64,11 +64,6 @@ impl AccessTree {
         AccessTree::And(attrs.iter().map(|a| Self::leaf(*a)).collect())
     }
 
-    /// Convenience OR of leaves.
-    pub fn any_of(attrs: &[&str]) -> Self {
-        AccessTree::Or(attrs.iter().map(|a| Self::leaf(*a)).collect())
-    }
-
     /// The effective threshold `(k, n)` of this node's gate.
     ///
     /// # Panics

@@ -86,17 +86,6 @@ pub fn conceal_obs(
     conceal(home_public, params, supi, ephemeral)
 }
 
-/// [`deconceal`] with telemetry: counts `crypto.suci.deconcealments`
-/// and `crypto.suci.deconceal_failures`.
-pub fn deconceal_obs(obs: &sc_obs::Recorder, home: &SuciHomeKey, suci: &Suci) -> Option<u64> {
-    obs.inc("crypto.suci.deconcealments", 1);
-    let r = deconceal(home, suci);
-    if r.is_none() {
-        obs.inc("crypto.suci.deconceal_failures", 1);
-    }
-    r
-}
-
 /// Home side: deconceal. Returns `None` on MAC failure (tampered or
 /// encrypted for a different home).
 pub fn deconceal(home: &SuciHomeKey, suci: &Suci) -> Option<u64> {

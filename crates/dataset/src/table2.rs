@@ -78,16 +78,6 @@ impl DatasetSource {
         }
     }
 
-    /// Is this a (geostationary) satellite capture?
-    pub fn is_satellite(self) -> bool {
-        matches!(
-            self,
-            DatasetSource::InmarsatExplorer710
-                | DatasetSource::TiantongSc310
-                | DatasetSource::TiantongT900
-        )
-    }
-
     /// Mean registration signaling latency observed in the capture,
     /// seconds (Fig. 5b: "9.5 s and 13.5 s average registration delays in
     /// Inmarsat and Tiantong"). Terrestrial 5G registers in well under a

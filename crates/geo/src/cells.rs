@@ -164,11 +164,6 @@ impl CellGrid {
         )
     }
 
-    /// Geographic center of a cell.
-    pub fn cell_center_geo(&self, id: CellId) -> GeoPoint {
-        self.frame.to_geo(self.cell_center(id))
-    }
-
     /// Exact physical area of a cell in km².
     ///
     /// Uses the closed form `A = R²·Δα·sin i·∫_{γ₁}^{γ₂} |cos γ| dγ`.

@@ -105,11 +105,6 @@ impl InclinedFrame {
         self.inclination
     }
 
-    /// Maximum latitude (radians) representable in this frame.
-    pub fn max_latitude(&self) -> f64 {
-        self.inclination
-    }
-
     /// Convert an inclined coordinate to the geographic point it denotes.
     ///
     /// Works for any `γ` (both branches): standard spherical orbit

@@ -9,24 +9,25 @@
 //! # Structure
 //!
 //! The queue partitions simulated time into fixed-width *days* of
-//! [`EventQueue::BUCKET_WIDTH_S`] seconds each and keeps four tiers:
+//! [`EventQueue::BUCKET_WIDTH_S`] units of the caller's clock each
+//! (seconds for the churn soaks, milliseconds for `ProcedureSim`) and
+//! keeps four tiers:
 //!
-//! - `active`: the earliest pending events, kept sorted by
-//!   `(time, seq)`. Pops are `pop_front` — O(1).
-//! - `rungs`: ladder-style sub-day wheels, mounted lazily when an
-//!   activated bucket is too dense to sort wholesale (a signaling
-//!   storm packs thousands of events into one day). An overloaded
-//!   rung slot recursively spawns a finer rung, so the sorted bottom
-//!   stays small no matter how skewed the event density; builds are
-//!   counted as `netsim.des.rung_builds`.
+//! - `active`: the current day as it stood when the calendar reached
+//!   it, sorted once by `(time, seq)`. Pops are `pop_front` — O(1).
+//! - `late`: a binary heap for events scheduled into the current day
+//!   (or an earlier one) after it was sorted — follow-ups a handler
+//!   schedules close behind the event it handles. A pop takes
+//!   whichever of `active`'s front and `late`'s minimum comes first;
+//!   when `active` runs dry, `late`'s events are sorted into it.
 //! - `wheel`: unsorted buckets for the next [`EventQueue::WHEEL_SLOTS`]
 //!   days, indexed by `day % WHEEL_SLOTS`, with a word bitmap marking
 //!   occupied slots. Scheduling into the wheel is O(1); a bucket is
-//!   promoted when its day becomes current.
+//!   sorted into `active` when its day becomes current and both
+//!   `active` and `late` are empty.
 //! - `overflow`: a binary heap for events beyond the wheel horizon.
-//!   Spills are rare in real workloads and counted as
-//!   `netsim.des.wheel_spills`; spilled events migrate back into the
-//!   wheel as the calendar advances.
+//!   Spills are counted as `netsim.des.wheel_spills`; spilled events
+//!   migrate back into the wheel as the calendar advances.
 //!
 //! Every tier orders by the same `(time, seq)` key, so the pop sequence
 //! is identical to the reference binary-heap scheduler kept in
@@ -76,159 +77,6 @@ fn event_order<E>(a: &ScheduledEvent<E>, b: &ScheduledEvent<E>) -> Ordering {
 const WHEEL_SLOTS: usize = 256;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 
-/// Slots per sub-day rung.
-const RUNG_SLOTS: usize = 128;
-/// A bucket at or below this size is sorted straight into `active`;
-/// above it, it is redistributed into a finer rung instead. Sorting a
-/// few hundred events wholesale beats a rung's slot-distribution pass,
-/// so this sits well above the insert-path [`ACTIVE_SPLIT`].
-const SORT_THRESHOLD: usize = 1024;
-/// Narrowest rung worth building; below this (or when every event in
-/// a bucket carries the same timestamp) subdivision cannot spread the
-/// load, so the bucket is sorted wholesale.
-const MIN_RUNG_WIDTH_S: f64 = 1e-9;
-/// When `active` grows past this many events, its tail is split off
-/// into a new deepest rung (storms schedule straight into the current
-/// day and would otherwise degrade sorted insertion to O(n) memmoves).
-/// Deliberately lower than [`SORT_THRESHOLD`]: a one-shot sort of an
-/// activated bucket is cheap, but a *dense insert path* pays per
-/// event.
-const ACTIVE_SPLIT: usize = 128;
-/// Sorted head retained in `active` by a split.
-const SPLIT_KEEP: usize = ACTIVE_SPLIT / 4;
-
-/// A ladder rung: a fine one-shot wheel inside the current calendar
-/// day. Rungs are built lazily when an activated bucket is too large
-/// to sort (`SORT_THRESHOLD`) or `active` grows dense
-/// ([`ACTIVE_SPLIT`]), and nest: an overloaded bucket spawns a finer
-/// rung. The rung *routes* for the whole window `[start, window_end)`
-/// it took over from its parent, but its slots span only the content
-/// range `[start, start + RUNG_SLOTS*slot_width ≈ latest]` actually
-/// occupied at build time — sparse storms cluster in a sliver of
-/// their day, and window-proportional slots would degenerate to one
-/// hot slot. Later arrivals past the content range collect in `tail`,
-/// promoted once after the slots drain. Consumed boundaries keep the
-/// time axis partitioned as
-/// `active < deepest rung < … < shallowest rung < wheel < overflow`.
-#[derive(Debug, Clone)]
-struct Rung<E> {
-    /// Content start; slot `i` covers
-    /// `[start + i*slot_width, start + (i+1)*slot_width)`.
-    start: f64,
-    slot_width: f64,
-    /// `1.0 / slot_width`, precomputed: slot indexing is one multiply
-    /// (monotone under IEEE rounding, like the division it replaces).
-    inv_slot_width: f64,
-    /// Routing window end (exclusive): the parent's consumed boundary
-    /// at build time. Everything in `[slots_end, window_end)` routes
-    /// to `tail`.
-    window_end: f64,
-    /// Next slot to promote; slots below it are already consumed, and
-    /// the consumed boundary (`start + cursor*slot_width`) is the
-    /// upper bound of the `active` tier below this rung.
-    cursor: usize,
-    /// Events held across all remaining slots plus the tail.
-    len: usize,
-    slots: Vec<Vec<ScheduledEvent<E>>>,
-    /// Events past the content range but inside the routing window;
-    /// strictly later than every slotted event, promoted last.
-    tail: Vec<ScheduledEvent<E>>,
-    /// The tail has been promoted: the rung is spent, and its
-    /// boundary jumps to `window_end` so late arrivals go to the
-    /// sorted `active` tier (the taken tail may already sit there —
-    /// re-filling `tail` behind it would pop out of order).
-    tail_taken: bool,
-}
-
-impl<E> Rung<E> {
-    /// Build with slots over the content range `[start, latest]`,
-    /// routing for `[start, window_end)`, and distribute `bucket` —
-    /// O(n). Caller guarantees `latest - start > MIN_RUNG_WIDTH_S`.
-    fn build(start: f64, latest: f64, window_end: f64, bucket: Vec<ScheduledEvent<E>>) -> Self {
-        // Pre-size each slot for an even spread (×2 slack): one
-        // allocation up front instead of a doubling ladder of
-        // reallocs per slot as events stream in.
-        let slot_cap = (bucket.len() / RUNG_SLOTS + 1) * 2;
-        let slot_width = (latest - start) / RUNG_SLOTS as f64;
-        let mut r = Self {
-            start,
-            slot_width,
-            inv_slot_width: 1.0 / slot_width,
-            window_end,
-            cursor: 0,
-            len: 0,
-            slots: std::iter::repeat_with(|| Vec::with_capacity(slot_cap))
-                .take(RUNG_SLOTS)
-                .collect(),
-            // The tail refills to roughly the build population before
-            // the slots drain (steady-state holds).
-            tail: Vec::with_capacity(bucket.len()),
-            tail_taken: false,
-        };
-        for ev in bucket {
-            r.insert(ev);
-        }
-        r
-    }
-
-    /// Routing window end (exclusive).
-    fn end(&self) -> f64 {
-        self.window_end
-    }
-
-    /// End of the slotted content range (exclusive).
-    fn slots_end(&self) -> f64 {
-        self.start + self.slot_width * RUNG_SLOTS as f64
-    }
-
-    /// Upper bound of everything already consumed from this rung: the
-    /// tier below (ultimately `active`) covers times before it.
-    fn boundary(&self) -> f64 {
-        if self.tail_taken {
-            self.window_end
-        } else {
-            self.start + self.cursor as f64 * self.slot_width
-        }
-    }
-
-    /// O(1) insert: a slot push for the content range, a tail push
-    /// beyond it. The slot index is a monotone function of the
-    /// timestamp (clamped to the unconsumed range), and the tail only
-    /// ever holds times past every slot, so cross-bucket order can
-    /// never invert regardless of float rounding.
-    fn insert(&mut self, ev: ScheduledEvent<E>) {
-        if ev.time >= self.slots_end() {
-            self.tail.push(ev);
-        } else {
-            let idx = ((ev.time - self.start) * self.inv_slot_width) as usize;
-            let idx = idx.clamp(self.cursor, RUNG_SLOTS - 1);
-            self.slots[idx].push(ev);
-        }
-        self.len += 1;
-    }
-
-    /// Take the next non-empty bucket — slots in cursor order, then
-    /// the tail — with its consumed-boundary end. `None` when the
-    /// rung is spent.
-    fn take_next_slot(&mut self) -> Option<(Vec<ScheduledEvent<E>>, f64)> {
-        while self.cursor < RUNG_SLOTS {
-            self.cursor += 1;
-            if !self.slots[self.cursor - 1].is_empty() {
-                let bucket = std::mem::take(&mut self.slots[self.cursor - 1]);
-                self.len -= bucket.len();
-                return Some((bucket, self.boundary()));
-            }
-        }
-        if !self.tail_taken && !self.tail.is_empty() {
-            self.tail_taken = true;
-            let bucket = std::mem::take(&mut self.tail);
-            self.len -= bucket.len();
-            return Some((bucket, self.window_end));
-        }
-        None
-    }
-}
-
 /// A deterministic event queue.
 ///
 /// ```
@@ -243,15 +91,13 @@ impl<E> Rung<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// The earliest pending events, sorted by `(time, seq)`; the pop
-    /// tier. Covers every pending time below the deepest rung's
-    /// consumed boundary (or the whole current day when no rungs are
-    /// mounted).
+    /// The current day's events as of its promotion, sorted by
+    /// `(time, seq)`.
     active: VecDeque<ScheduledEvent<E>>,
-    /// Sub-day ladder rungs, shallowest first; `rungs.last()` is the
-    /// finest and earliest. Mounted on demand when a day holds too
-    /// many events to sort wholesale.
-    rungs: Vec<Rung<E>>,
+    /// Events scheduled into the current day (or an earlier one) after
+    /// its promotion, or before the first pop; earliest first by the
+    /// inverted [`Ord`].
+    late: BinaryHeap<ScheduledEvent<E>>,
     /// Future-day buckets; slot `day % WHEEL_SLOTS`. Empty (never
     /// allocated) until an event actually lands beyond the current day,
     /// so short procedure sims pay nothing for the wheel.
@@ -282,7 +128,9 @@ impl<E: PartialEq> Default for EventQueue<E> {
 }
 
 impl<E: PartialEq> EventQueue<E> {
-    /// Calendar bucket width, seconds of simulated time per day.
+    /// Calendar bucket width: 1.0 unit of the caller's clock per day
+    /// (1 s for the churn soaks, 1 ms for `ProcedureSim`, whose wheel
+    /// horizon is therefore 256 ms).
     pub const BUCKET_WIDTH_S: f64 = 1.0;
     /// Number of wheel slots (days covered before spilling to the
     /// overflow heap).
@@ -291,7 +139,7 @@ impl<E: PartialEq> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             active: VecDeque::new(),
-            rungs: Vec::new(),
+            late: BinaryHeap::new(),
             wheel: Vec::new(),
             occupied: [0; BITMAP_WORDS],
             overflow: BinaryHeap::new(),
@@ -322,7 +170,7 @@ impl<E: PartialEq> EventQueue<E> {
     /// like a fresh one.
     pub fn reset(&mut self) {
         self.active.clear();
-        self.rungs.clear();
+        self.late.clear();
         for w in 0..BITMAP_WORDS {
             let mut word = self.occupied[w];
             while word != 0 {
@@ -365,7 +213,7 @@ impl<E: PartialEq> EventQueue<E> {
         let ev = ScheduledEvent { time, seq, event };
         let day = Self::day_of(time);
         if day <= self.base_day {
-            self.insert_current(ev);
+            self.late.push(ev);
         } else if day - self.base_day < WHEEL_SLOTS as u64 {
             if self.wheel.is_empty() {
                 self.wheel = std::iter::repeat_with(Vec::new).take(WHEEL_SLOTS).collect();
@@ -376,95 +224,6 @@ impl<E: PartialEq> EventQueue<E> {
         } else {
             self.obs.inc("netsim.des.wheel_spills", 1);
             self.overflow.push(ev);
-        }
-    }
-
-    /// Schedule an event `delay` seconds from now.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Place an event belonging to the current (or an earlier) day:
-    /// into the first rung window that covers its timestamp — an O(1)
-    /// slot push — or, below the deepest rung's consumed boundary,
-    /// into the sorted `active` tier. The fresh event holds the
-    /// largest seq, so among equal timestamps it lands last — FIFO by
-    /// construction (rung slots preserve push order for the later
-    /// promotion sort, which orders by `(time, seq)`).
-    fn insert_current(&mut self, ev: ScheduledEvent<E>) {
-        for r in self.rungs.iter_mut().rev() {
-            if ev.time < r.boundary() {
-                break; // earlier than every rung window: active tier
-            }
-            if ev.time < r.end() {
-                r.insert(ev);
-                return;
-            }
-        }
-        let pos = self
-            .active
-            .partition_point(|e| e.time.total_cmp(&ev.time) != Ordering::Greater);
-        self.active.insert(pos, ev);
-        if self.active.len() > ACTIVE_SPLIT {
-            self.split_active();
-        }
-    }
-
-    /// `active` has grown dense (a storm is scheduling straight into
-    /// the current day, which never passes through a promotion): keep
-    /// a short sorted head as the pop tier and hang the tail on a new
-    /// deepest rung, so subsequent inserts become O(1) slot pushes
-    /// instead of O(n) sorted inserts.
-    fn split_active(&mut self) {
-        let keep = SPLIT_KEEP;
-        let end = match self.rungs.last() {
-            Some(r) => r.boundary(),
-            None => (self.base_day + 1) as f64 * Self::BUCKET_WIDTH_S,
-        };
-        let (start, latest) = match (self.active.get(keep), self.active.back()) {
-            (Some(first), Some(last)) => (first.time, last.time),
-            _ => return,
-        };
-        // Degenerate tails (mass ties, vanishing window) stay put:
-        // their sorted inserts are near-back and cheap anyway.
-        if latest - start <= MIN_RUNG_WIDTH_S || end - start <= MIN_RUNG_WIDTH_S {
-            return;
-        }
-        let tail: Vec<ScheduledEvent<E>> = self.active.drain(keep..).collect();
-        self.obs.inc("netsim.des.rung_builds", 1);
-        self.rungs.push(Rung::build(start, latest, end, tail));
-    }
-
-    /// Promote a bucket of events (a rung slot or a calendar day whose
-    /// window ends at `end`): small buckets are sorted straight into
-    /// `active`; large ones are redistributed into a finer rung, which
-    /// [`Self::ensure_active`] then drains slot by slot.
-    fn promote(&mut self, mut bucket: Vec<ScheduledEvent<E>>, end: f64) {
-        if bucket.len() > SORT_THRESHOLD {
-            let (mut start, mut latest) = (f64::INFINITY, f64::NEG_INFINITY);
-            for e in &bucket {
-                start = start.min(e.time);
-                latest = latest.max(e.time);
-            }
-            // Subdivide only when the timestamps actually spread out;
-            // a mass of ties (or a vanishing window) sorts in one go.
-            if latest - start > MIN_RUNG_WIDTH_S && end - start > MIN_RUNG_WIDTH_S {
-                self.obs.inc("netsim.des.rung_builds", 1);
-                self.rungs.push(Rung::build(start, latest, end, bucket));
-                return;
-            }
-        }
-        bucket.sort_unstable_by(event_order);
-        self.adopt(bucket);
-    }
-
-    /// Hand a sorted bucket to the pop tier: O(1) buffer adoption in
-    /// the common case (promotion only happens once the tier drains).
-    fn adopt(&mut self, bucket: Vec<ScheduledEvent<E>>) {
-        if self.active.is_empty() {
-            self.active = VecDeque::from(bucket);
-        } else {
-            self.active.extend(bucket);
         }
     }
 
@@ -483,28 +242,26 @@ impl<E: PartialEq> EventQueue<E> {
         None
     }
 
-    /// Refill the pop path until `active` holds the next event (or
-    /// everything is drained): promote rung slots deepest-first, then
-    /// fall back to the next calendar day.
+    /// Make `active` or `late` hold the next event (unless everything
+    /// is drained). A dry `active` first takes whatever `late` holds,
+    /// sorted in one go — a single sort instead of a heap pop per event
+    /// for a day filled before its first pop (every queue's day 0) —
+    /// and only when both are empty does the calendar advance.
     fn ensure_active(&mut self) {
-        while self.active.is_empty() {
-            if self.rungs.is_empty() {
-                if !self.activate_next_day() {
-                    return;
-                }
-                continue;
-            }
-            match self.rungs.last_mut().and_then(Rung::take_next_slot) {
-                Some((bucket, end)) => self.promote(bucket, end),
-                None => {
-                    self.rungs.pop();
-                }
+        if self.active.is_empty() && !self.late.is_empty() {
+            self.active.extend(self.late.drain());
+            self.active.make_contiguous().sort_unstable_by(event_order);
+        }
+        while self.active.is_empty() && self.late.is_empty() {
+            if !self.activate_next_day() {
+                return;
             }
         }
     }
 
-    /// Advance `base_day` to the next day holding events and promote
-    /// that day's bucket. Returns false when the calendar is empty.
+    /// Advance `base_day` to the next day holding events and sort that
+    /// day's bucket into the (empty) `active` tier. Returns false when
+    /// the calendar is empty.
     ///
     /// The next day is the *earlier* of the next occupied wheel slot
     /// and the earliest overflow day: overflow events spill relative
@@ -548,15 +305,34 @@ impl<E: PartialEq> EventQueue<E> {
                 self.occupied[slot / 64] |= 1 << (slot % 64);
             }
         }
-        let day_end = (self.base_day + 1) as f64 * Self::BUCKET_WIDTH_S;
-        self.promote(current, day_end);
+        current.sort_unstable_by(event_order);
+        self.active = VecDeque::from(current);
         true
     }
 
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+    /// Pop the earliest event if it is due before `horizon`, advancing
+    /// the clock to its timestamp: the earlier in `(time, seq)` of
+    /// `active`'s front and `late`'s minimum.
+    fn pop_before(&mut self, horizon: f64) -> Option<ScheduledEvent<E>> {
         self.ensure_active();
-        let ev = self.active.pop_front()?;
+        let from_late = match (self.active.front(), self.late.peek()) {
+            (Some(a), Some(l)) => event_order(l, a) == Ordering::Less,
+            (a, _) => a.is_none(),
+        };
+        let head = if from_late {
+            self.late.peek()
+        } else {
+            self.active.front()
+        };
+        match head {
+            Some(ev) if ev.time < horizon => {}
+            _ => return None,
+        }
+        let ev = if from_late {
+            self.late.pop()
+        } else {
+            self.active.pop_front()
+        }?;
         self.pending -= 1;
         self.now = ev.time;
         self.obs.inc("netsim.des.processed", 1);
@@ -566,42 +342,10 @@ impl<E: PartialEq> EventQueue<E> {
         Some(ev)
     }
 
-    /// Peek at the earliest event without consuming it. Tiers are
-    /// examined in time-partition order: `active`, then the rungs
-    /// (deepest first — their windows ascend toward the shallowest),
-    /// then the calendar, where like `activate_next_day` the
-    /// wheel's next day and the overflow minimum are both candidates —
-    /// either can hold the earliest event once the clock has advanced.
-    pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
-        if let Some(ev) = self.active.front() {
-            return Some(ev);
-        }
-        for r in self.rungs.iter().rev() {
-            if r.len == 0 {
-                continue;
-            }
-            let rung_min = r.slots[r.cursor..]
-                .iter()
-                .flatten()
-                .chain(r.tail.iter())
-                .min_by(|a, b| event_order(a, b));
-            if rung_min.is_some() {
-                return rung_min;
-            }
-        }
-        let wheel_min = self
-            .next_wheel_day()
-            .and_then(|(_, slot)| self.wheel[slot].iter().min_by(|a, b| event_order(a, b)));
-        match (wheel_min, self.overflow.peek()) {
-            (Some(w), Some(o)) => {
-                if event_order(w, o) == Ordering::Greater {
-                    Some(o)
-                } else {
-                    Some(w)
-                }
-            }
-            (w, o) => w.or(o),
-        }
+    /// Pop the earliest event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        // Event times are finite, so every pending event is due.
+        self.pop_before(f64::INFINITY)
     }
 
     /// Number of pending events.
@@ -613,39 +357,8 @@ impl<E: PartialEq> EventQueue<E> {
         self.pending == 0
     }
 
-    /// Drain and process events until the queue is empty or `horizon` is
-    /// passed; `handler` may schedule follow-up events through the queue
-    /// it is handed. Returns the number of events processed.
-    ///
-    /// One queue operation per event: the current day's bucket is
-    /// already sorted, so the horizon check reads `active.front()` —
-    /// O(1) — and the event is taken with a single `pop_front`. (The
-    /// binary-heap scheduler this replaced paid two O(log n) heap
-    /// operations per event here: a `peek` sift plus a `pop` sift.)
-    pub fn run_until(&mut self, horizon: f64, mut handler: impl FnMut(&mut Self, f64, E)) -> usize {
-        let mut processed = 0;
-        loop {
-            self.ensure_active();
-            match self.active.front() {
-                Some(ev) if ev.time <= horizon => {}
-                _ => break,
-            }
-            let Some(ev) = self.active.pop_front() else { break };
-            self.pending -= 1;
-            self.now = ev.time;
-            self.obs.inc("netsim.des.processed", 1);
-            self.obs.series_inc("netsim.des.processed_per_window", ev.time, 1);
-            self.obs
-                .series_gauge("netsim.des.queue_depth", ev.time, self.pending as f64);
-            handler(self, ev.time, ev.event);
-            processed += 1;
-        }
-        processed
-    }
-
     /// Drain every event with `time < horizon` — a **half-open** batch
-    /// window, unlike [`Self::run_until`]'s inclusive one — into
-    /// `batch` (cleared first), in exactly the order repeated
+    /// window — into `batch` (cleared first), in exactly the order repeated
     /// [`Self::pop`] calls would return them. Returns the batch size.
     ///
     /// This is the batch-processing face of the queue: a caller steps
@@ -667,19 +380,7 @@ impl<E: PartialEq> EventQueue<E> {
     /// the same causality assert as scheduling from a handler.
     pub fn drain_until(&mut self, horizon: f64, batch: &mut Vec<ScheduledEvent<E>>) -> usize {
         batch.clear();
-        loop {
-            self.ensure_active();
-            match self.active.front() {
-                Some(ev) if ev.time < horizon => {}
-                _ => break,
-            }
-            let Some(ev) = self.active.pop_front() else { break };
-            self.pending -= 1;
-            self.now = ev.time;
-            self.obs.inc("netsim.des.processed", 1);
-            self.obs.series_inc("netsim.des.processed_per_window", ev.time, 1);
-            self.obs
-                .series_gauge("netsim.des.queue_depth", ev.time, self.pending as f64);
+        while let Some(ev) = self.pop_before(horizon) {
             batch.push(ev);
         }
         batch.len()
@@ -731,18 +432,10 @@ pub mod reference {
             self.heap.push(ScheduledEvent { time, seq, event });
         }
 
-        pub fn schedule_in(&mut self, delay: f64, event: E) {
-            self.schedule(self.now + delay, event);
-        }
-
         pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
             let ev = self.heap.pop()?;
             self.now = ev.time;
             Some(ev)
-        }
-
-        pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
-            self.heap.peek()
         }
 
         pub fn len(&self) -> usize {
@@ -786,7 +479,7 @@ mod tests {
         assert_eq!(q.now(), 0.0);
         q.pop();
         assert_eq!(q.now(), 1.5);
-        q.schedule_in(0.5, ());
+        q.schedule(q.now() + 0.5, ());
         assert_eq!(q.pop().map(|e| e.time), Some(2.0));
     }
 
@@ -797,22 +490,6 @@ mod tests {
         q.schedule(5.0, ());
         q.pop();
         q.schedule(4.0, ());
-    }
-
-    #[test]
-    fn run_until_respects_horizon_and_cascades() {
-        let mut q = EventQueue::new();
-        q.schedule(0.0, 0u32);
-        let mut seen = Vec::new();
-        // Each event at t schedules a follow-up at t+1 with value+1.
-        let n = q.run_until(5.0, |q, t, v| {
-            seen.push((t, v));
-            q.schedule_in(1.0, v + 1);
-        });
-        assert_eq!(n, 6); // t = 0,1,2,3,4,5
-        assert_eq!(seen.last().map(|e| e.1), Some(5));
-        // The t=6 follow-up remains pending.
-        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -964,19 +641,21 @@ mod tests {
     }
 
     #[test]
-    fn peek_sees_through_all_tiers() {
+    fn pops_see_through_all_tiers() {
         let mut q = EventQueue::new();
+        // Overflow alone: the calendar jumps straight to its day.
         q.schedule(1e7, "overflow");
-        assert_eq!(q.peek().map(|e| e.event), Some("overflow"));
-        q.schedule(12.25, "wheel");
-        assert_eq!(q.peek().map(|e| e.event), Some("wheel"));
-        q.schedule(0.125, "active");
-        assert_eq!(q.peek().map(|e| e.event), Some("active"));
+        assert_eq!(q.pop().map(|e| e.event), Some("overflow"));
+        // One event per tier, scheduled latest first: overflow, wheel,
+        // and the already-sorted current day's late heap.
+        q.schedule(2e7, "overflow");
+        q.schedule(1e7 + 12.25, "wheel");
+        q.schedule(1e7 + 0.125, "late");
         assert_eq!(q.len(), 3);
-        // Peek is non-destructive.
-        assert_eq!(q.pop().map(|e| e.event), Some("active"));
+        assert_eq!(q.pop().map(|e| e.event), Some("late"));
         assert_eq!(q.pop().map(|e| e.event), Some("wheel"));
         assert_eq!(q.pop().map(|e| e.event), Some("overflow"));
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -991,7 +670,6 @@ mod tests {
         q.schedule(100.0, "advance");
         assert_eq!(q.pop().map(|e| e.event), Some("advance"));
         q.schedule(300.7, "wheel-late"); // same day, now within the wheel
-        assert_eq!(q.peek().map(|e| e.event), Some("overflow-early"));
         assert_eq!(q.pop().map(|e| e.event), Some("overflow-early"));
         assert_eq!(q.pop().map(|e| e.event), Some("wheel-late"));
         assert!(q.pop().is_none());
@@ -999,12 +677,12 @@ mod tests {
 
     #[test]
     fn schedule_after_horizon_probe_stays_ordered() {
-        // run_until may advance the calendar past empty days while
+        // drain_until advances the calendar past empty days while
         // probing the horizon; later schedules into those earlier days
         // must still pop in time order.
         let mut q = EventQueue::new();
         q.schedule(100.0, "late");
-        assert_eq!(q.run_until(1.0, |_, _, _| ()), 0);
+        assert_eq!(q.drain_until(1.0, &mut Vec::new()), 0);
         q.schedule(2.0, "early");
         assert_eq!(q.pop().map(|e| e.event), Some("early"));
         assert_eq!(q.pop().map(|e| e.event), Some("late"));

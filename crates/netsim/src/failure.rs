@@ -135,11 +135,6 @@ impl GilbertElliott {
         self.rng.chance(p)
     }
 
-    /// Currently in the bad (bursty) state?
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
-
     /// Long-run loss rate implied by the chain's stationary distribution.
     pub fn stationary_loss(&self) -> f64 {
         let pi_bad = self.p_gb / (self.p_gb + self.p_bg);

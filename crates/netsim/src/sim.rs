@@ -75,17 +75,6 @@ use crate::failure::LossProcess;
 use crate::topo::{Graph, NodeId, PathScratch};
 use sc_obs::{FieldValue, Recorder, SpanId};
 
-/// Where each abstract entity of a procedure lives in the network.
-#[derive(Debug, Clone)]
-pub struct EntityMap {
-    /// Node hosting the UE side (the serving satellite's radio).
-    pub ue_node: NodeId,
-    /// Node hosting satellite-resident functions.
-    pub sat_node: NodeId,
-    /// Node hosting ground/home functions.
-    pub ground_node: NodeId,
-}
-
 /// One abstract message of a procedure: from/to node plus a label.
 ///
 /// Labels are `&'static str`: every step list ultimately comes from

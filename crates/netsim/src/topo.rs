@@ -149,12 +149,6 @@ impl Graph {
         self.adj.is_empty()
     }
 
-    /// Add a node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
-    }
-
     /// Add a directed edge.
     ///
     /// # Panics

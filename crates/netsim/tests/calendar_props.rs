@@ -4,8 +4,10 @@
 //! The reference queue is the executable specification of the pop
 //! order (ascending time, FIFO among equal timestamps); these tests
 //! pin the calendar queue to it on random workloads that exercise all
-//! three tiers — the sorted `active` day, the 256-slot wheel, and the
-//! overflow heap — plus interleaved pops, ties, and `reset`.
+//! four tiers — the sorted `active` day, the same-day `late` heap, the
+//! 256-slot wheel, and the overflow heap — plus interleaved pops,
+//! ties, `reset`, `drain_until` windows, and dense days of thousands
+//! of events with hundreds more scheduled into them mid-drain.
 
 use proptest::prelude::*;
 use sc_netsim::des::{reference::ReferenceQueue, EventQueue};
@@ -44,6 +46,51 @@ fn tiered(sel: u32, frac: f64) -> f64 {
 /// Offsets spanning all three tiers.
 fn any_offset() -> impl Strategy<Value = f64> {
     (0u32..9, 0.0f64..1.0).prop_map(|(s, f)| tiered(s, f))
+}
+
+/// A unit fraction, snapped to sixteenths one time in three so that
+/// dense days carry plenty of exact ties.
+fn tie_prone_frac() -> impl Strategy<Value = f64> {
+    (0u32..3, 0.0f64..1.0).prop_map(|(k, f)| if k == 0 { (f * 16.0).floor() / 16.0 } else { f })
+}
+
+/// One dense calendar day: its index (day 0 starts in the queue's
+/// current day, days past 255 spill to the overflow heap) and 2 000 to
+/// 2 400 timestamps inside it.
+fn dense_day() -> impl Strategy<Value = (f64, Vec<f64>)> {
+    (
+        (0u32..6).prop_map(|k| f64::from([0, 1, 7, 255, 256, 300][k as usize])),
+        proptest::collection::vec(tie_prone_frac(), 2000..2400),
+    )
+        .prop_map(|(day, fracs)| {
+            let times = fracs.iter().map(|f| day + f).collect();
+            (day, times)
+        })
+}
+
+/// 200 to 240 fractions of the rest of a day: a burst of same-day
+/// schedules.
+fn same_day_burst() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(tie_prone_frac(), 200..240)
+}
+
+/// Schedule `times` into both queues, numbering events from `*next`.
+fn schedule_both(
+    cal: &mut EventQueue<usize>,
+    refq: &mut ReferenceQueue<usize>,
+    times: impl IntoIterator<Item = f64>,
+    next: &mut usize,
+) {
+    for t in times {
+        cal.schedule(t, *next);
+        refq.schedule(t, *next);
+        *next += 1;
+    }
+}
+
+/// Times in `[now, day_end)` at the given fractions of the way there.
+fn rest_of_day(now: f64, day_end: f64, fracs: &[f64]) -> Vec<f64> {
+    fracs.iter().map(|f| now + f * (day_end - now)).collect()
 }
 
 proptest! {
@@ -140,31 +187,100 @@ proptest! {
         assert_drains_equal(&mut cal, &mut refq);
     }
 
-    /// `run_until` processes exactly the events the reference queue
-    /// says are due by the horizon, in the same order, and leaves the
-    /// rest pending.
+    /// `drain_until` returns exactly the prefix of the reference's pop
+    /// order that lies strictly before the horizon, and leaves the rest
+    /// pending in the same order.
     #[test]
-    fn run_until_matches_reference_prefix(
+    fn drain_until_matches_reference_prefix(
         offsets in proptest::collection::vec(any_offset(), 1..150),
-        horizon in 0.0f64..400.0,
+        pick in (0usize..300, 0.0f64..400.0),
     ) {
+        // Half the horizons sit exactly on an event's time.
+        let horizon = if pick.0 % 2 == 0 { offsets[pick.0 % offsets.len()] } else { pick.1 };
         let mut cal = EventQueue::new();
         let mut refq = ReferenceQueue::new();
-        for (i, dt) in offsets.iter().enumerate() {
-            cal.schedule(*dt, i);
-            refq.schedule(*dt, i);
+        schedule_both(&mut cal, &mut refq, offsets, &mut 0);
+        let want: Vec<(f64, u64, usize)> =
+            std::iter::from_fn(|| refq.pop().map(|e| (e.time, e.seq, e.event))).collect();
+        let due = want.iter().take_while(|e| e.0 < horizon).count();
+
+        let mut batch = Vec::new();
+        prop_assert_eq!(cal.drain_until(horizon, &mut batch), due);
+        let got: Vec<(f64, u64, usize)> =
+            batch.iter().map(|e| (e.time, e.seq, e.event)).collect();
+        prop_assert_eq!(&got[..], &want[..due]);
+        let rest: Vec<(f64, u64, usize)> =
+            std::iter::from_fn(|| cal.pop().map(|e| (e.time, e.seq, e.event))).collect();
+        prop_assert_eq!(&rest[..], &want[due..]);
+    }
+
+    /// A dense day — thousands of events in one calendar day, landing
+    /// in the current day, the wheel, or the overflow heap — pops in
+    /// reference order, and so do bursts of 200+ events scheduled into
+    /// the rest of the day between runs of pops.
+    #[test]
+    fn dense_day_with_same_day_schedules_between_pops_matches_reference(
+        dense in dense_day(),
+        rounds in proptest::collection::vec((0usize..600, same_day_burst()), 3..6),
+    ) {
+        let (day, seed) = dense;
+        let mut cal = EventQueue::new();
+        let mut refq = ReferenceQueue::new();
+        let mut next = 0;
+        schedule_both(&mut cal, &mut refq, seed, &mut next);
+        for (pops, burst) in rounds {
+            for _ in 0..pops {
+                let (a, b) = (cal.pop(), refq.pop());
+                prop_assert_eq!(
+                    a.as_ref().map(|e| (e.time, e.seq, e.event)),
+                    b.as_ref().map(|e| (e.time, e.seq, e.event))
+                );
+            }
+            let now = cal.now().max(day);
+            schedule_both(&mut cal, &mut refq, rest_of_day(now, day + 1.0, &burst), &mut next);
+            prop_assert_eq!(cal.len(), refq.len());
         }
-        let mut seen = Vec::new();
-        let n = cal.run_until(horizon, |_, t, v| seen.push((t, v)));
-        prop_assert_eq!(n, seen.len());
-        for (t, v) in &seen {
-            let e = refq.pop();
-            prop_assert_eq!(e.as_ref().map(|e| (e.time, e.event)), Some((*t, *v)));
-        }
-        // Everything left in the reference is past the horizon, and the
-        // calendar agrees on the remainder.
-        if let Some(e) = refq.peek() {
-            prop_assert!(e.time > horizon);
+        assert_drains_equal(&mut cal, &mut refq);
+    }
+
+    /// The same dense day drained in sub-day `drain_until` windows,
+    /// with a burst of 200+ same-day schedules between windows: each
+    /// batch is the reference's next pops, and nothing before the
+    /// horizon is left behind.
+    #[test]
+    fn dense_day_with_same_day_schedules_between_drains_matches_reference(
+        dense in dense_day(),
+        rounds in proptest::collection::vec((0.0f64..1.0, same_day_burst()), 3..6),
+    ) {
+        let (day, seed) = dense;
+        let mut cal = EventQueue::new();
+        let mut refq = ReferenceQueue::new();
+        let mut next = 0;
+        schedule_both(&mut cal, &mut refq, seed, &mut next);
+        let mut batch = Vec::new();
+        let mut horizon = day;
+        for (step, burst) in rounds {
+            // Advance the horizon through the day, on a sixteenth so
+            // that it often ties with seeded events.
+            horizon += step * (day + 1.0 - horizon);
+            horizon = day + ((horizon - day) * 16.0).floor() / 16.0;
+            cal.drain_until(horizon, &mut batch);
+            for e in &batch {
+                prop_assert!(e.time < horizon);
+                let r = refq.pop();
+                prop_assert_eq!(
+                    Some((e.time, e.seq, e.event)),
+                    r.map(|r| (r.time, r.seq, r.event))
+                );
+            }
+            // The reference's next event (probed on a copy) is due at
+            // or past the horizon.
+            if let Some(r) = refq.clone().pop() {
+                prop_assert!(r.time >= horizon, "{} left before {horizon}", r.time);
+            }
+            let now = cal.now().max(horizon);
+            schedule_both(&mut cal, &mut refq, rest_of_day(now, day + 1.0, &burst), &mut next);
+            prop_assert_eq!(cal.len(), refq.len());
         }
         assert_drains_equal(&mut cal, &mut refq);
     }

@@ -61,12 +61,6 @@ impl Recorder {
         Self::with_capacities(DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY)
     }
 
-    /// An enabled recorder with an explicit event-ring capacity (and the
-    /// default span-ring capacity).
-    pub fn with_event_capacity(event_capacity: usize) -> Self {
-        Self::with_capacities(event_capacity, DEFAULT_SPAN_CAPACITY)
-    }
-
     /// An enabled recorder with explicit event- and span-ring capacities.
     pub fn with_capacities(event_capacity: usize, span_capacity: usize) -> Self {
         Self {

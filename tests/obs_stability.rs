@@ -5,7 +5,7 @@
 //! byte-identical across reruns and across `SC_EMU_THREADS` settings,
 //! and an instrumented run produces the same figure output as an
 //! uninstrumented one. `SC_OBS=1 scripts/tier1.sh` checks the same
-//! property end-to-end through the experiment binaries.
+//! property end-to-end for the soak sidecars.
 
 use sc_obs::Recorder;
 
@@ -78,6 +78,15 @@ fn fig10_telemetry_spans_layers_with_ten_plus_metrics() {
     assert!(snap.counter("crypto.suci.concealments") >= 1);
     assert!(snap.counter("spacecore.satellite.local_establishments") >= 1);
     assert!(snap.counter("netsim.sim.procedures") >= 1);
+    // The storm's windowed message series is present and non-empty.
+    let c2 = snap
+        .series
+        .get("fiveg.msgs_per_window.c2_session_establishment")
+        .map(|d| d.points());
+    assert!(
+        c2.is_some_and(|p| !p.is_empty()),
+        "fig10 sidecar lacks the C2 msgs_per_window series"
+    );
 }
 
 /// The acceptance contrast from docs/TELEMETRY.md: in fig10's sidecar,
