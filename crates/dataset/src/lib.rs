@@ -9,8 +9,7 @@
 //! (DESIGN.md §3 substitution table):
 //!
 //! * [`table2`] — the Table 2 dataset descriptors (exact published
-//!   per-protocol message counts) and a generator that emits synthetic
-//!   traces with the same mix,
+//!   per-protocol message counts and the per-layer mix they imply),
 //! * [`population`] — a coarse global population-density model (mixture
 //!   of regional hotspots) with deterministic UE placement sampling and
 //!   the region classification used by Figure 12,

@@ -13,8 +13,7 @@
 //!
 //! Every experiment is deterministic (seeded) and emits JSON via
 //! `serde`; `tests/results_stability.rs` pins the rows' bytes against
-//! `results/`, and the `experiments` Criterion target (`crates/bench`)
-//! times them.
+//! `results/`.
 //!
 //! Sweeps fan independent cells out over the [`engine`] worker pool
 //! (`SC_EMU_THREADS` overrides the worker count); results are ordered
@@ -121,9 +120,9 @@ macro_rules! experiment {
 }
 
 /// Every experiment of the suite: the paper's figures and tables in
-/// paper order, then the extensions. `scemu`, the byte-stability tests
-/// and the `experiments` bench all walk this table, so a new row is
-/// runnable, pinned and timed by being here.
+/// paper order, then the extensions. `scemu` (which times each run)
+/// and the byte-stability tests both walk this table, so a new row is
+/// runnable, timed and pinned by being here.
 pub static EXPERIMENTS: &[Experiment] = &[
     experiment!(fig05, "Fig. 5b — registration latency through GEO transparent pipes", obs),
     experiment!(fig07, "Fig. 7 — satellite CPU breakdown by core function"),

@@ -390,8 +390,8 @@ impl<E: PartialEq> EventQueue<E> {
 pub mod reference {
     //! The original binary-heap scheduler, retained as an executable
     //! specification. [`ReferenceQueue`] defines the pop order the
-    //! calendar queue must reproduce; differential property tests and
-    //! the `sc-bench` scheduler benchmarks run both side by side.
+    //! calendar queue must reproduce, and the differential property
+    //! tests run both side by side.
 
     use super::ScheduledEvent;
     use std::collections::BinaryHeap;

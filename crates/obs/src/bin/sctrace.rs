@@ -5,25 +5,26 @@
 //! sctrace critical-path <telemetry.json>   per-kind p50/p95/p99 + slowest chains
 //! sctrace folded <telemetry.json>          flamegraph-compatible folded stacks
 //! sctrace series <telemetry.json>          windowed series sparkline table
-//! sctrace diff <a.json> <b.json> [--fail-on-regress <pct>]
+//! sctrace diff <a.json> <b.json>          what moved from A to B
 //! ```
 //!
 //! `series` renders the windowed time-series section: one row per
 //! series with total, peak window, steady-state (median), the
 //! peak/steady storm-amplitude ratio, and a sparkline of the shape.
 //!
-//! `diff` exits 2 when any counter, histogram statistic, drop counter,
-//! or series total/peak increased by more than `<pct>` percent from A
-//! to B — scripts/tier1.sh uses it as a telemetry regression gate (a
-//! sidecar diffed against its own rerun must report zero regressions).
-//! All other failures exit 1. Output is a pure function of the input
-//! bytes, so reports are as byte-stable as the sidecars themselves.
+//! `diff` lists every counter, histogram statistic, drop counter and
+//! series total/peak that differs from A to B, with its relative
+//! change, then the first differing windows of each series; a sidecar
+//! diffed against its own rerun prints `no differences`. It is a report,
+//! not a gate: like every subcommand it exits 1 only when it cannot read
+//! or parse its input. Output is a pure function of the input bytes, so
+//! reports are as byte-stable as the sidecars themselves.
 
 use sc_obs::sidecar::Sidecar;
 use sc_obs::trace::{render_diff, render_series, TraceForest};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: sctrace <tree|critical-path|folded|series> <telemetry.json>\n       sctrace diff <a.json> <b.json> [--fail-on-regress <pct>]";
+const USAGE: &str = "usage: sctrace <tree|critical-path|folded|series> <telemetry.json>\n       sctrace diff <a.json> <b.json>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,30 +73,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "diff" => {
             let a = args.get(1).map(String::as_str).ok_or(USAGE)?;
             let b = args.get(2).map(String::as_str).ok_or(USAGE)?;
-            let gate = match args.get(3).map(String::as_str) {
-                None => None,
-                Some("--fail-on-regress") => Some(
-                    args.get(4)
-                        .ok_or(USAGE)?
-                        .parse::<f64>()
-                        .map_err(|e| format!("bad --fail-on-regress value: {e}"))?,
-                ),
-                Some(_) => return Err(USAGE.to_string()),
-            };
-            if args.len() > 5 {
+            if args.len() > 3 {
                 return Err(USAGE.to_string());
             }
-            let (sa, sb) = (load(a)?, load(b)?);
-            let report = render_diff(&sa, &sb, gate.unwrap_or(f64::INFINITY));
-            print!("{}", report.text);
-            if gate.is_some() && !report.regressions.is_empty() {
-                eprintln!(
-                    "sctrace: {} regression(s) beyond the gate: {}",
-                    report.regressions.len(),
-                    report.regressions.join(", ")
-                );
-                return Ok(ExitCode::from(2));
-            }
+            print!("{}", render_diff(&load(a)?, &load(b)?));
             Ok(ExitCode::SUCCESS)
         }
         _ => Err(USAGE.to_string()),

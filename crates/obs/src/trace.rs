@@ -378,27 +378,16 @@ fn trim_num(v: f64) -> String {
     }
 }
 
-/// The outcome of [`render_diff`].
-pub struct DiffReport {
-    /// Human-readable report, one line per differing series.
-    pub text: String,
-    /// Series whose value increased by more than the gate threshold.
-    pub regressions: Vec<String>,
-}
-
-/// Compare two sidecars metric-by-metric. A **regression** is any
-/// counter, histogram statistic (count, mean, p50, p95, p99), windowed
-/// series quantity (total, peak), or drop counter
+/// Compare two sidecars metric-by-metric: one line per counter,
+/// histogram statistic (count, mean, p50, p95, p99), windowed series
+/// quantity (total, peak) or drop counter
 /// (`events_dropped`/`spans_dropped`/`series_dropped` — silent ring or
-/// window shedding) that *increased* from `a` to `b` by more than
-/// `fail_pct` percent — the gate direction suits cost-like quantities
-/// (transmissions, losses, latency percentiles), which is what the CI
-/// self-diff guards. Window-aligned series deltas are reported in the
-/// text (first differing windows) so a shifted storm is attributable.
-/// Identical sidecars always produce zero regressions.
-pub fn render_diff(a: &Sidecar, b: &Sidecar, fail_pct: f64) -> DiffReport {
+/// window shedding) that differs from `a` to `b`, with its relative
+/// change, or `(absent)` on the side that lacks it. Window-aligned
+/// series deltas follow (first differing windows) so a shifted storm is
+/// attributable. Identical sidecars report `no differences`.
+pub fn render_diff(a: &Sidecar, b: &Sidecar) -> String {
     let mut text = String::new();
-    let mut regressions = Vec::new();
     let mut compare = |name: String, va: Option<f64>, vb: Option<f64>| match (va, vb) {
         (Some(x), Some(y)) if x != y => {
             let pct = if x != 0.0 {
@@ -407,9 +396,6 @@ pub fn render_diff(a: &Sidecar, b: &Sidecar, fail_pct: f64) -> DiffReport {
                 100.0
             };
             let _ = writeln!(text, "{name}: {x} -> {y} ({pct:+.2}%)");
-            if pct > fail_pct {
-                regressions.push(name);
-            }
         }
         (Some(x), None) => {
             let _ = writeln!(text, "{name}: {x} -> (absent)");
@@ -452,9 +438,8 @@ pub fn render_diff(a: &Sidecar, b: &Sidecar, fail_pct: f64) -> DiffReport {
             );
         }
     }
-    // Drop counters: shed telemetry is itself a regression — a run that
-    // overflows a ring or series capacity must not pass the gate
-    // silently.
+    // Drop counters: a run that overflows a ring or series capacity
+    // must not differ silently.
     compare(
         "events_dropped".to_string(),
         Some(a.events_dropped as f64),
@@ -486,9 +471,9 @@ pub fn render_diff(a: &Sidecar, b: &Sidecar, fail_pct: f64) -> DiffReport {
             sa.and_then(|s| s.peak()).map(|(_, v)| v),
             sb.and_then(|s| s.peak()).map(|(_, v)| v),
         );
-        // Window-aligned delta report (text only; totals/peaks gate):
-        // the first few windows whose values differ, so a shifted or
-        // reshaped storm is visible, not just its magnitude.
+        // Window-aligned deltas: the first few windows whose values
+        // differ, so a shifted or reshaped storm is visible, not just
+        // its magnitude.
         if let (Some(sa), Some(sb)) = (sa, sb) {
             let windows: std::collections::BTreeSet<u64> = sa
                 .points
@@ -522,7 +507,7 @@ pub fn render_diff(a: &Sidecar, b: &Sidecar, fail_pct: f64) -> DiffReport {
     if text.is_empty() {
         text.push_str("no differences\n");
     }
-    DiffReport { text, regressions }
+    text
 }
 
 #[cfg(test)]
@@ -612,9 +597,7 @@ mod tests {
     #[test]
     fn diff_of_identical_sidecars_is_clean() -> Result<(), String> {
         let (a, b) = (traced_sidecar()?, traced_sidecar()?);
-        let report = render_diff(&a, &b, 0.0);
-        assert_eq!(report.text, "no differences\n");
-        assert!(report.regressions.is_empty());
+        assert_eq!(render_diff(&a, &b), "no differences\n");
         Ok(())
     }
 
@@ -628,16 +611,15 @@ mod tests {
         rb.observe("lat", 10.0);
         let a = Sidecar::parse(&ra.snapshot().to_json("u")).map_err(|e| e.to_string())?;
         let b = Sidecar::parse(&rb.snapshot().to_json("u")).map_err(|e| e.to_string())?;
-        // +20% over a 10% gate: regression.
-        let r = render_diff(&a, &b, 10.0);
-        assert_eq!(r.regressions, vec!["counter net.tx".to_string()]);
-        // Same diff under a 30% gate: reported but not failing.
-        let r = render_diff(&a, &b, 30.0);
-        assert!(r.regressions.is_empty());
-        assert!(r.text.contains("counter net.tx: 100 -> 120"));
-        // Improvements never regress.
-        let r = render_diff(&b, &a, 0.0);
-        assert!(r.regressions.is_empty());
+        // Only the counter that moved is reported, with its change.
+        assert_eq!(render_diff(&a, &b), "counter net.tx: 100 -> 120 (+20.00%)\n");
+        assert_eq!(render_diff(&b, &a), "counter net.tx: 120 -> 100 (-16.67%)\n");
+        // A counter on one side only is reported absent on the other.
+        rb.inc("net.rx", 7);
+        let b = Sidecar::parse(&rb.snapshot().to_json("u")).map_err(|e| e.to_string())?;
+        let r = render_diff(&a, &b);
+        assert!(r.contains("counter net.rx: (absent) -> 7\n"), "{r}");
+        assert!(render_diff(&b, &a).contains("counter net.rx: 7 -> (absent)\n"));
         Ok(())
     }
 
@@ -658,15 +640,14 @@ mod tests {
     fn diff_gates_series_totals_and_peaks() -> Result<(), String> {
         let a = stormy_sidecar(40)?;
         let b = stormy_sidecar(80)?;
-        // Peak 40 -> 80 (+100%), total 90 -> 130 (+44%): both regress at 0.
-        let r = render_diff(&a, &b, 0.0);
-        assert!(r.regressions.contains(&"series load.per_s total".to_string()), "{:?}", r.regressions);
-        assert!(r.regressions.contains(&"series load.per_s peak".to_string()), "{:?}", r.regressions);
+        // Peak 40 -> 80, total 90 -> 130.
+        let r = render_diff(&a, &b);
+        assert!(r.contains("series load.per_s total: 90 -> 130 (+44.44%)\n"), "{r}");
+        assert!(r.contains("series load.per_s peak: 40 -> 80 (+100.00%)\n"), "{r}");
         // Window-aligned delta names the reshaped window.
-        assert!(r.text.contains("series load.per_s w3: 40 -> 80"), "{}", r.text);
+        assert!(r.contains("series load.per_s w3: 40 -> 80"), "{r}");
         // Self-diff stays clean.
-        let r = render_diff(&a, &stormy_sidecar(40)?, 0.0);
-        assert_eq!(r.text, "no differences\n");
+        assert_eq!(render_diff(&a, &stormy_sidecar(40)?), "no differences\n");
         Ok(())
     }
 
@@ -677,9 +658,7 @@ mod tests {
         let rb = Recorder::new();
         rb.series_inc("shed", -1.0, 1); // negative time: dropped
         let b = Sidecar::parse(&rb.snapshot().to_json("u")).map_err(|e| e.to_string())?;
-        let r = render_diff(&a, &b, 0.0);
-        assert_eq!(r.regressions, vec!["series_dropped".to_string()]);
-        assert!(r.text.contains("series_dropped: 0 -> 1"), "{}", r.text);
+        assert_eq!(render_diff(&a, &b), "series_dropped: 0 -> 1 (+100.00%)\n");
         Ok(())
     }
 

@@ -86,8 +86,8 @@ impl GeoRelay {
         self
     }
 
-    /// Override the coverage radius (used by the cell-granularity
-    /// ablation bench).
+    /// Override the coverage radius (the cell-granularity ablation,
+    /// held by `finer_coverage_radius_can_cause_detours_but_still_delivers`).
     pub fn with_coverage_radius(mut self, r: f64) -> Self {
         assert!(r > 0.0);
         self.coverage_radius = r;

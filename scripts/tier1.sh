@@ -37,55 +37,30 @@ cargo run -q --release --offline --example quickstart >/dev/null
 echo "== tier-1: sc-audit (warn-only; scripts/audit.sh enforces)" >&2
 cargo run -q -p sc-audit --offline -- --warn-only || true
 
-# The experiment gates below all call the one sc-emu binary, built once
-# here, through scemu(): `scemu <threads> <args…>` runs it from a scratch
-# directory (so the checkout's results/ is never written) with
-# SC_EMU_THREADS=<threads> ("" leaves the caller's setting), stdout
-# dropped. A run's results/<name>.json lands in $RUN_TMP/results/.
-obs_on() { [ "${SC_OBS:-0}" != "0" ] && [ -n "${SC_OBS:-}" ]; }
-if [ "${SC_NO_RATCHET:-0}" = "0" ] || obs_on; then
+# Opt-in telemetry determinism check (SC_OBS=1 scripts/tier1.sh): the
+# load-engine sidecars across thread counts and against results/, the
+# `sctrace series` render, and scbench's output checks. fig05's sidecar
+# stability, fig10's spans and critical paths, the `sctrace diff` of
+# identical sidecars, and fig10's and ext_chaos's results and sidecars
+# (pinned to results/) are `cargo test` checks (tests/obs_stability.rs,
+# tests/results_stability.rs, crates/obs). See docs/TELEMETRY.md for
+# the schema.
+if [ "${SC_OBS:-0}" != "0" ]; then
+    # Every gate below calls the one sc-emu binary, built once here,
+    # through scemu(): `scemu <threads> <args…>` runs it from a scratch
+    # directory (so the checkout's results/ is never written) with
+    # SC_EMU_THREADS=<threads> ("" leaves the caller's setting), stdout
+    # dropped. A run's results/<name>.json lands in $RUN_TMP/results/.
     echo "== tier-1: cargo build --release --offline -p sc-emu --bin scemu" >&2
     cargo build -q --release --offline -p sc-emu --bin scemu
     SCEMU="$PWD/target/release/scemu"
     RUN_TMP="$(mktemp -d)"
     trap 'rm -rf "$RUN_TMP"' EXIT
-fi
-scemu() {
-    ( cd "$RUN_TMP" && { [ -z "$1" ] || export SC_EMU_THREADS="$1"; } && \
-      shift && "$SCEMU" "$@" >/dev/null )
-}
-
-# Perf-ratchet (opt-out: SC_NO_RATCHET=1). Regenerate the fig10 sc-obs
-# sidecar deterministically (threads=1 — spans record *simulated* time,
-# so the file is byte-stable and a checked-in baseline is meaningful)
-# and gate span regressions against perf/fig10.telemetry.baseline.json
-# with `sctrace diff --fail-on-regress`. 5% headroom: simulated span
-# durations only move when modeled behavior changes, and small modeled
-# shifts should not block unrelated work; anything larger is either a
-# real regression or an intentional change that must regenerate the
-# baseline (see perf/README.md).
-if [ "${SC_NO_RATCHET:-0}" = "0" ]; then
-    echo "== tier-1: perf-ratchet (sctrace diff vs perf/fig10.telemetry.baseline.json)" >&2
-    scemu 1 fig10 --obs-out "$RUN_TMP/fig10.telemetry.json"
-    cargo run -q --release --offline -p sc-obs --bin sctrace -- \
-        diff perf/fig10.telemetry.baseline.json "$RUN_TMP/fig10.telemetry.json" \
-        --fail-on-regress 5 >&2 || {
-        echo "== tier-1: FAIL — perf-ratchet: fig10 span regression vs checked-in baseline" >&2
-        echo "           (intentional change? regenerate per perf/README.md; bypass: SC_NO_RATCHET=1)" >&2
-        exit 1
+    scemu() {
+        ( cd "$RUN_TMP" && { [ -z "$1" ] || export SC_EMU_THREADS="$1"; } && \
+          shift && "$SCEMU" "$@" >/dev/null )
     }
-    echo "== tier-1: perf-ratchet clean (--fail-on-regress 5)" >&2
-fi
 
-# Opt-in telemetry determinism check (SC_OBS=1 scripts/tier1.sh): the
-# load-engine sidecars across thread counts and against results/, the
-# `sctrace series` render, and scbench's output checks. fig05's and
-# fig10's sidecar stability, fig10's spans and critical paths, the
-# `sctrace diff` of identical sidecars and ext_chaos's results and
-# sidecar are `cargo test` checks (tests/obs_stability.rs,
-# tests/results_stability.rs, crates/obs). See docs/TELEMETRY.md for
-# the schema.
-if obs_on; then
     # Sustained-load engine, bounded smoke configs (seconds, not the
     # million-UE soaks: scbench times those, tests/churn_equivalence.rs their SLOs).
     # ext_mload: per-shard recorders are merged in slot order and every

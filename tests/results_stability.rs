@@ -9,8 +9,9 @@
 //! `SC_EMU_THREADS` 1 and 4 (passed explicitly through `run_with`, so
 //! the tests cannot race on the environment): the scheduler, arena,
 //! and visibility-kernel hot paths must not shift a single output
-//! byte under any thread count. `ext_chaos` runs with its recorder
-//! on, which pins `results/ext_chaos.telemetry.json` too.
+//! byte under any thread count. `fig10` and `ext_chaos` run with
+//! their recorders on, which pins `results/fig10.telemetry.json` and
+//! `results/ext_chaos.telemetry.json` too.
 //!
 //! fig18 is excluded by design: it reports wall-clock timings
 //! (EXPERIMENTS.md documents it as the one non-reproducible figure).
@@ -60,10 +61,6 @@ fn assert_same_bytes<R: serde::Serialize>(
 
 #[test]
 fn threaded_experiments_byte_stable_across_thread_counts() -> Result<(), Box<dyn Error>> {
-    let (a, b) = (sc_emu::fig10::run_with(1), sc_emu::fig10::run_with(4));
-    assert_same_bytes("fig10", &a, &b)?;
-    assert_matches_checked_in("fig10", &a)?;
-
     let (a, b) = (sc_emu::fig12::run_with(1), sc_emu::fig12::run_with(4));
     assert_same_bytes("fig12", &a, &b)?;
     assert_matches_checked_in("fig12", &a)?;
@@ -80,7 +77,17 @@ fn threaded_experiments_byte_stable_across_thread_counts() -> Result<(), Box<dyn
     assert_matches_checked_in("ext_scaling", &a)?;
 
     // Recorders on: telemetry must not move a result byte, and the
-    // sidecar itself is golden — the one `cargo test` can afford to pin.
+    // sidecars themselves are golden — the two `cargo test` can afford
+    // to pin.
+    let (obs_1, obs_4) = (sc_obs::Recorder::new(), sc_obs::Recorder::new());
+    let (a, b) = (
+        sc_emu::fig10::run_obs_with(1, &obs_1),
+        sc_emu::fig10::run_obs_with(4, &obs_4),
+    );
+    assert_same_bytes("fig10", &a, &b)?;
+    assert_matches_checked_in("fig10", &a)?;
+    assert_sidecar_pinned("fig10", &obs_1, &obs_4)?;
+
     let (obs_1, obs_4) = (sc_obs::Recorder::new(), sc_obs::Recorder::new());
     let (a, b) = (
         sc_emu::ext_chaos::run_with(1, &obs_1),
@@ -88,12 +95,22 @@ fn threaded_experiments_byte_stable_across_thread_counts() -> Result<(), Box<dyn
     );
     assert_same_bytes("ext_chaos", &a, &b)?;
     assert_matches_checked_in("ext_chaos", &a)?;
-    let sidecar = obs_1.snapshot().to_json("ext_chaos");
-    if sidecar != obs_4.snapshot().to_json("ext_chaos") {
-        return Err("ext_chaos telemetry differs across thread counts".into());
+    assert_sidecar_pinned("ext_chaos", &obs_1, &obs_4)
+}
+
+/// The sidecars of a 1-worker and a 4-worker run must be the same
+/// bytes, and those of the checked-in `results/<name>.telemetry.json`.
+fn assert_sidecar_pinned(
+    name: &str,
+    obs_1: &sc_obs::Recorder,
+    obs_4: &sc_obs::Recorder,
+) -> Result<(), Box<dyn Error>> {
+    let sidecar = obs_1.snapshot().to_json(name);
+    if sidecar != obs_4.snapshot().to_json(name) {
+        return Err(format!("{name} telemetry differs across thread counts").into());
     }
-    if sidecar != checked_in("results/ext_chaos.telemetry.json")? {
-        return Err("results/ext_chaos.telemetry.json drifted from what ext_chaos records".into());
+    if sidecar != checked_in(&format!("results/{name}.telemetry.json"))? {
+        return Err(format!("results/{name}.telemetry.json drifted from what {name} records").into());
     }
     Ok(())
 }
