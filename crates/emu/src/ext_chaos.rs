@@ -146,7 +146,7 @@ fn run_cell(net: &IslNetwork, cell: &Cell, rec: &sc_obs::Recorder) -> ChaosPoint
     let mut completed = 0u64;
     let mut lat_sum = 0.0;
     let mut tx_sum = 0u64;
-    let mut scratch = SimScratch::new();
+    let mut scratch = SimScratch::new(net.graph());
     for run in 0..RUNS {
         // The solution's clock starts when it *detects* the crash, so
         // the absolute loss-burst window shifts into its frame.

@@ -13,7 +13,7 @@
 use sc_netsim::chaos::FailureTimeline;
 use sc_netsim::failure::LossProcess;
 use sc_netsim::isl::{IslConfig, IslNetwork};
-use sc_netsim::sim::{ProcedureSim, SimConfig, SimStep};
+use sc_netsim::sim::{ProcedureSim, SimConfig, SimScratch, SimStep};
 use sc_orbit::{ConstellationConfig, GroundStationSet, IdealPropagator, SatId};
 use serde::Serialize;
 
@@ -97,12 +97,15 @@ pub fn run() -> ExtResilience {
                 let failures = FailureTimeline::random_dead(net.num_sats(), decay, 0xFA11)
                     .without_node(serving);
                 let sim = ProcedureSim::with_timeline(net.graph(), &failures, SimConfig::default());
+                // One scratch per cell: its runs share the buffers and
+                // each pair's failure-free search.
+                let mut scratch = SimScratch::new(net.graph());
                 let mut completed = 0u64;
                 let mut lat_sum = 0.0;
                 let mut tx_sum = 0u64;
                 for run in 0..RUNS {
                     let mut loss = LossProcess::new(loss_rate, 0xC0DE + run);
-                    let o = sim.run(&steps, &mut loss);
+                    let o = sim.run_in(&steps, &mut loss, &mut scratch);
                     if o.completed {
                         completed += 1;
                         lat_sum += o.latency_ms;

@@ -20,16 +20,25 @@
 //! # Route resolution
 //!
 //! Every transmission is routed against the failure view *current at
-//! its send* — but the Dijkstra behind it runs only when that view has
-//! changed in a way that can change the answer. A [`RouteMemo`] keeps,
-//! per `(from, to)` pair, the last resolved `(cost, hops)` and the
-//! nodes of its path, and is told every event the cursor applies:
+//! its send* — but the Dijkstra behind it runs only when neither a
+//! remembered route nor the failure-free one can answer. A
+//! [`RouteMemo`] keeps, per `(from, to)` pair, the last resolved
+//! `(cost, hops)` and the nodes of its path, and is told every event
+//! the cursor applies:
 //!
 //! * a `Recover` or `LinkUp` (a *heal*) drops every entry,
 //! * a `Crash(n)` drops the entries whose path contains `n`; a
 //!   `LinkDown(a, b)` those whose path contains both `a` and `b`,
 //! * a remembered partition (`None`) falls only to a heal,
 //! * burst windows do not touch routing.
+//!
+//! A miss first tries the pair's *healthy route*: [`Graph::route_in`]
+//! with nothing blocked, searched once per pair and kept for the
+//! memo's lifetime. If the current view leaves all of it standing —
+//! none of its nodes dead, none of its links down — it is the answer,
+//! and it is remembered like a searched route, so the rules above
+//! drop it. Only otherwise does the view get its own search. A pair
+//! with no failure-free route has none in any view.
 //!
 //! This is exact, not approximate: a hit returns the very bits a fresh
 //! [`Graph::route_in`] would. The argument, once. Weights are
@@ -66,6 +75,16 @@
 //! node or an edge back can create a cheaper or an earlier-popped rival
 //! anywhere, which is why a heal forgets everything (pruning that is a
 //! separate, bounded-detour argument and not attempted here).
+//!
+//! The healthy route is the same argument with `G` the failure-free
+//! graph and `G′` the current view. A view only removes — dead nodes,
+//! and down links in both directions — and the intact check has just
+//! seen that it removes nothing on `P₀`, the healthy chain: so `G′` is
+//! `G` minus nodes and edges that are not on `P₀`, and its search
+//! returns `P₀` with the same cost bits and the same hops. In a sparse
+//! failure field `P₀` usually stands, so a run's first send of a pair
+//! and the re-resolutions after a heal mostly cost no search.
+//!
 //! `tests/route_memo_props.rs` holds the memo to the public
 //! [`Graph::shortest_path_avoiding`] on generated timelines.
 
@@ -173,31 +192,63 @@ struct MemoEntry {
     nodes: Vec<NodeId>,
 }
 
+impl MemoEntry {
+    fn is(&self, from: NodeId, to: NodeId) -> bool {
+        self.from == from && self.to == to
+    }
+
+    /// Does `cursor`'s view leave this route standing: no node of it
+    /// dead, no link of it down?
+    fn intact(&self, cursor: &ChaosCursor<'_>) -> bool {
+        !self.nodes.iter().any(|&n| cursor.is_dead(n))
+            && !self.nodes.windows(2).any(|l| cursor.link_down(l[0], l[1]))
+    }
+}
+
 /// Routes resolved so far in one replay, keyed by `(from, to)` and
 /// dropped exactly when an applied chaos event can change Dijkstra's
-/// answer — the rule and why it is exact are in the [module
-/// doc](self#route-resolution).
+/// answer, and each pair's *healthy route* — its shortest path in the
+/// failure-free graph. The rules and why they are exact are in the
+/// [module doc](self#route-resolution).
 ///
 /// One memo serves one [`ChaosCursor`] from t = 0: every slice
 /// [`ChaosCursor::advance_to`] returns goes to [`Self::observe`], and
-/// [`Self::clear`] starts the next replay.
-#[derive(Default)]
-pub struct RouteMemo {
+/// [`Self::clear`] starts the next replay. The healthy routes outlive
+/// `clear()`: they depend on the graph alone, and the memo borrows
+/// that graph from [`Self::new`] on, so they never answer for another.
+pub struct RouteMemo<'g> {
+    graph: &'g Graph,
     /// `entries[..live]` are remembered; the tail only keeps its path
     /// buffers for reuse.
     entries: Vec<MemoEntry>,
     live: usize,
+    /// One per pair ever resolved; never dropped.
+    healthy: Vec<MemoEntry>,
     paths: PathScratch,
+    searches: u64,
 }
 
-impl RouteMemo {
-    pub fn new() -> Self {
-        Self::default()
+impl<'g> RouteMemo<'g> {
+    pub fn new(graph: &'g Graph) -> Self {
+        Self {
+            graph,
+            entries: Vec::new(),
+            live: 0,
+            healthy: Vec::new(),
+            paths: PathScratch::new(),
+            searches: 0,
+        }
     }
 
-    /// Forget every route (a new replay, a new cursor).
+    /// Forget every route of the current view (a new replay, a new
+    /// cursor). The healthy routes stay.
     pub fn clear(&mut self) {
         self.live = 0;
+    }
+
+    /// Dijkstra runs so far, failure-free ones included.
+    pub fn searches(&self) -> u64 {
+        self.searches
     }
 
     /// Account for the events the cursor just applied.
@@ -217,26 +268,43 @@ impl RouteMemo {
     /// `(cost, hops)` of the route `from → to` under `cursor`'s current
     /// view, `None` for a partition: bit-for-bit what
     /// [`Graph::shortest_path_avoiding`] answers for the same view.
+    /// A remembered route, else the pair's healthy route if the view
+    /// leaves it intact, else a search of the view.
     pub fn resolve(
         &mut self,
-        graph: &Graph,
         cursor: &ChaosCursor<'_>,
         from: NodeId,
         to: NodeId,
     ) -> Option<(f64, usize)> {
-        let known = self.entries[..self.live]
-            .iter()
-            .find(|e| e.from == from && e.to == to);
-        if let Some(e) = known {
+        if let Some(e) = self.entries[..self.live].iter().find(|e| e.is(from, to)) {
             return e.route;
         }
-        let route = graph.route_in(
-            from,
-            to,
-            |n| cursor.is_dead(n),
-            |a, b| cursor.link_down(a, b),
-            &mut self.paths,
-        );
+        let i = match self.healthy.iter().position(|e| e.is(from, to)) {
+            Some(i) => i,
+            None => {
+                let route = self.search(from, to, |_| false, |_, _| false);
+                self.healthy.push(MemoEntry {
+                    from,
+                    to,
+                    route,
+                    nodes: self.paths.path_rev().collect(),
+                });
+                self.healthy.len() - 1
+            }
+        };
+        let healthy = &self.healthy[i];
+        // A pair with no failure-free route has no route in any view.
+        let standing = healthy.intact(cursor);
+        let route = if standing {
+            healthy.route
+        } else {
+            self.search(
+                from,
+                to,
+                |n| cursor.is_dead(n),
+                |a, b| cursor.link_down(a, b),
+            )
+        };
         if self.live == self.entries.len() {
             self.entries.push(MemoEntry::default());
         }
@@ -244,8 +312,25 @@ impl RouteMemo {
         self.live += 1;
         (e.from, e.to, e.route) = (from, to, route);
         e.nodes.clear();
-        e.nodes.extend(self.paths.path_rev());
+        if standing {
+            e.nodes.extend_from_slice(&self.healthy[i].nodes);
+        } else {
+            e.nodes.extend(self.paths.path_rev());
+        }
         route
+    }
+
+    /// The one Dijkstra call of the memo; its path stays in `paths`.
+    fn search(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        blocked: impl Fn(NodeId) -> bool,
+        blocked_edge: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Option<(f64, usize)> {
+        self.searches += 1;
+        self.graph
+            .route_in(from, to, blocked, blocked_edge, &mut self.paths)
     }
 
     fn drop_if(&mut self, hit: impl Fn(&[NodeId]) -> bool) {
@@ -261,35 +346,49 @@ impl RouteMemo {
     }
 }
 
-/// Reusable per-run working memory for [`ProcedureSim`].
+/// Reusable per-run working memory for [`ProcedureSim`], bound to the
+/// graph the simulator routes over.
 ///
 /// One run needs an event queue, five per-step vectors and the route
 /// memo with its Dijkstra scratch; a sweep that replays thousands of
 /// procedures can hand the same scratch to every
 /// [`ProcedureSim::run_in`] call and amortize all of those allocations
 /// to one (what a run still allocates is its outcome's `deliveries`,
-/// and span fields when telemetry is on). Outcomes and telemetry are
-/// bit-identical to the scratch-free entry points — the queue's
-/// [`EventQueue::reset`] rewinds time and the sequence counter
-/// completely, and the memo is cleared per run.
-#[derive(Default)]
-pub struct SimScratch {
+/// and span fields when telemetry is on), and each pair's failure-free
+/// search to one. Outcomes and telemetry are bit-identical to the
+/// scratch-free entry points — the queue's [`EventQueue::reset`]
+/// rewinds time and the sequence counter completely, and the memo's
+/// routes of the view are cleared per run (its healthy routes, a
+/// property of the graph alone, are kept).
+pub struct SimScratch<'g> {
     q: EventQueue<Ev>,
     delivered: Vec<bool>,
     in_flight: Vec<Option<u32>>,
     partition_retries: Vec<u32>,
     step_spans: Vec<SpanId>,
     tx_spans: Vec<SpanId>,
-    routes: RouteMemo,
-    /// Test oracle: forget every route before every send, i.e. run one
-    /// Dijkstra per transmission as if there were no memo.
+    routes: RouteMemo<'g>,
+    /// Test oracle: route every send with its own search of the view,
+    /// as if there were neither a memo nor healthy routes.
     #[cfg(test)]
     forget_before_send: bool,
 }
 
-impl SimScratch {
-    pub fn new() -> Self {
-        Self::default()
+impl<'g> SimScratch<'g> {
+    /// Scratch for simulators over `graph`; [`ProcedureSim::run_in`]
+    /// refuses it for any other.
+    pub fn new(graph: &'g Graph) -> Self {
+        Self {
+            q: EventQueue::new(),
+            delivered: Vec::new(),
+            in_flight: Vec::new(),
+            partition_retries: Vec::new(),
+            step_spans: Vec::new(),
+            tx_spans: Vec::new(),
+            routes: RouteMemo::new(graph),
+            #[cfg(test)]
+            forget_before_send: false,
+        }
     }
 }
 
@@ -344,14 +443,18 @@ impl<'a> ProcedureSim<'a> {
     }
 
     /// [`Self::run`] against a caller-owned [`SimScratch`], reusing its
-    /// event queue and per-step buffers. The hot-loop entry point:
-    /// sweeps that replay thousands of procedures back to back pay for
-    /// the scratch once instead of per run.
+    /// event queue, per-step buffers and healthy routes. The hot-loop
+    /// entry point: sweeps that replay thousands of procedures back to
+    /// back pay for the scratch once instead of per run.
+    ///
+    /// # Panics
+    /// Panics if `scratch` was made for another graph than this
+    /// simulator's.
     pub fn run_in(
         &self,
         steps: &[SimStep],
         loss: &mut LossProcess,
-        scratch: &mut SimScratch,
+        scratch: &mut SimScratch<'_>,
     ) -> SimOutcome {
         self.run_traced_in(steps, loss, None, scratch)
     }
@@ -381,18 +484,22 @@ impl<'a> ProcedureSim<'a> {
         loss: &mut LossProcess,
         parent: Option<SpanId>,
     ) -> SimOutcome {
-        self.run_traced_in(steps, loss, parent, &mut SimScratch::new())
+        self.run_traced_in(steps, loss, parent, &mut SimScratch::new(self.graph))
     }
 
     /// [`Self::run_traced`] against a caller-owned [`SimScratch`];
-    /// outcome- and telemetry-identical.
+    /// outcome- and telemetry-identical. Panics as [`Self::run_in`].
     pub fn run_traced_in(
         &self,
         steps: &[SimStep],
         loss: &mut LossProcess,
         parent: Option<SpanId>,
-        scratch: &mut SimScratch,
+        scratch: &mut SimScratch<'_>,
     ) -> SimOutcome {
+        assert!(
+            std::ptr::eq(self.graph, scratch.routes.graph),
+            "SimScratch is bound to another graph"
+        );
         self.obs.inc("netsim.sim.procedures", 1);
         // Spans allocate field vectors; skip all of it when disabled so
         // the hot path stays an Option check.
@@ -497,14 +604,22 @@ impl<'a> ProcedureSim<'a> {
                         );
                     }
                     let step = &steps[idx];
-                    #[cfg(test)]
-                    if *forget_before_send {
-                        routes.clear();
-                    }
                     // Routed against the view current at this send: a
                     // chaos run reroutes around nodes that died after
                     // the procedure started.
-                    match routes.resolve(self.graph, &cursor, step.from, step.to) {
+                    let route = routes.resolve(&cursor, step.from, step.to);
+                    #[cfg(test)]
+                    let route = if *forget_before_send {
+                        routes.search(
+                            step.from,
+                            step.to,
+                            |n| cursor.is_dead(n),
+                            |a, b| cursor.link_down(a, b),
+                        )
+                    } else {
+                        route
+                    };
+                    match route {
                         None if self.cfg.retry_on_partition => {
                             // Partition-as-transient: wait a backoff and
                             // re-resolve, bounded by the deadline budget
@@ -1163,10 +1278,10 @@ mod tests {
             .collect();
         let steps = steps_from_pairs(&legs);
         let mut rng = Xorshift64::new(0x5EED);
-        let mut memo = SimScratch::new();
+        let mut memo = SimScratch::new(&g);
         let mut oracle = SimScratch {
             forget_before_send: true,
-            ..SimScratch::new()
+            ..SimScratch::new(&g)
         };
         let mut blocked = 0;
         for case in 0..600 {
@@ -1200,6 +1315,86 @@ mod tests {
         assert!((50..550).contains(&blocked), "{blocked} of 600 blocked");
     }
 
+    /// Diamond of `chaos_reroute_mid_procedure` (healthy route 0-1-3,
+    /// detour 0-2-3) with a spur 2—4 off both.
+    fn diamond_with_spur() -> Graph {
+        let mut g = Graph::new(5);
+        g.add_bidirectional(0, 1, 5.0);
+        g.add_bidirectional(1, 3, 5.0);
+        g.add_bidirectional(0, 2, 20.0);
+        g.add_bidirectional(2, 3, 20.0);
+        g.add_bidirectional(2, 4, 1.0);
+        g
+    }
+
+    #[test]
+    fn crashes_off_the_healthy_route_search_nothing() {
+        let g = diamond_with_spur();
+        // Both crashes, a recovery (a heal) and a flap of an unused
+        // link land while the legs run: none touches 0-1-3.
+        let tl = FailureTimeline::none()
+            .crash(0.0, 2)
+            .crash(12.0, 4)
+            .recover(30.0, 2)
+            .link_flap(5.0, 25.0, 0, 2);
+        let sim = ProcedureSim::with_timeline(&g, &tl, SimConfig::default());
+        let steps = steps_from_pairs(&[("up", 0, 3), ("down", 3, 0), ("up", 0, 3)]);
+        let mut scratch = SimScratch::new(&g);
+        for _ in 0..5 {
+            let o = sim.run_in(&steps, &mut LossProcess::new(0.0, 1), &mut scratch);
+            assert_eq!(o, sim.run(&steps, &mut LossProcess::new(0.0, 1)));
+            assert!((o.latency_ms - 33.0).abs() < 1e-9, "{}", o.latency_ms);
+        }
+        // One failure-free search per pair, over all five replays.
+        assert_eq!(scratch.routes.searches(), 2);
+    }
+
+    #[test]
+    fn dead_node_on_the_healthy_route_costs_one_view_search() {
+        let g = diamond_with_spur();
+        let tl = FailureTimeline::none()
+            .crash(0.0, 1)
+            .loss_burst(40.0, 60.0, 0.5)
+            .recover(100.0, 1)
+            .crash(150.0, 1);
+        let obs = Recorder::disabled();
+        let mut cursor = tl.cursor();
+        let mut memo = RouteMemo::new(&g);
+        let detour = Some((40.0, 2));
+        let healthy = Some((10.0, 2));
+        // Node 1 dead: the failure-free search, then one of the view —
+        // and none again while no event touches the route (the burst
+        // does not).
+        for (t, want, searches) in [
+            (0.0, detour, 2),
+            (20.0, detour, 2),
+            (50.0, detour, 2),
+            // The heal drops the entry; the healthy route stands again.
+            (100.0, healthy, 2),
+            (120.0, healthy, 2),
+            // The next crash on it drops it once more: one view search.
+            (150.0, detour, 3),
+            (200.0, detour, 3),
+        ] {
+            memo.observe(cursor.advance_to(t, &obs));
+            for _ in 0..3 {
+                assert_eq!(memo.resolve(&cursor, 0, 3), want, "t = {t}");
+            }
+            assert_eq!(memo.searches(), searches, "t = {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bound to another graph")]
+    fn scratch_of_another_graph_is_refused() {
+        let (g, other) = (line(), line());
+        let nf = no_failures();
+        let sim = ProcedureSim::with_timeline(&g, &nf, SimConfig::default());
+        let steps = steps_from_pairs(&[("a", 0, 3)]);
+        let mut scratch = SimScratch::new(&other);
+        sim.run_in(&steps, &mut LossProcess::new(0.0, 1), &mut scratch);
+    }
+
     #[test]
     fn reused_scratch_equals_fresh_runs() {
         let g = line();
@@ -1216,7 +1411,7 @@ mod tests {
             ProcedureSim::with_timeline(&g, &tl, SimConfig::default()).with_recorder(rec.clone())
         };
         let quiet = ProcedureSim::with_timeline(&g, &tl, SimConfig::default());
-        let mut scratch = SimScratch::new();
+        let mut scratch = SimScratch::new(&g);
         let loss = || LossProcess::new(0.2, 9);
 
         // A traced run, then quiet ones on the same scratch — run 0 and

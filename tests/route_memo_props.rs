@@ -10,6 +10,10 @@
 //! with unit weights (every route tied many ways), on tori with three
 //! weight classes, zero included (ties between routes of different hop
 //! counts), and on the Starlink ISL graph `ext_chaos` replays over.
+//! The memo's healthy routes (each pair's failure-free shortest path)
+//! outlive `clear()`, so one memo walks one to four timelines back to
+//! back, as `ext_chaos`'s per-cell scratch does, and a pair the
+//! failure-free graph already disconnects must read `None` throughout.
 //! `ext_chaos`'s own seeds are compile-time constants, so these
 //! timelines are the unseen-seed half of its byte-identity claim.
 
@@ -72,11 +76,12 @@ fn timeline(
     tl.without_node(keep)
 }
 
-/// Walk one cursor and one memo through `tl` in `stops` random steps;
-/// at each stop query a random subset of `pairs` (an entry may sit
-/// through several batches of events before it is asked for again).
+/// Walk one cursor and `memo`, cleared, through `tl` in `stops` random
+/// steps; at each stop query a random subset of `pairs` (an entry may
+/// sit through several batches of events before it is asked for again).
 fn memo_matches_fresh_search(
     graph: &Graph,
+    memo: &mut RouteMemo<'_>,
     tl: &FailureTimeline,
     pairs: &[(NodeId, NodeId)],
     stops: usize,
@@ -84,7 +89,7 @@ fn memo_matches_fresh_search(
 ) {
     let obs = Recorder::disabled();
     let mut cursor = tl.cursor();
-    let mut memo = RouteMemo::new();
+    memo.clear();
     let mut now = 0.0;
     for _ in 0..stops {
         memo.observe(cursor.advance_to(now, &obs));
@@ -101,7 +106,7 @@ fn memo_matches_fresh_search(
                 )
                 .map(|p| (p.cost.to_bits(), p.hops()));
             let memoised = memo
-                .resolve(graph, &cursor, from, to)
+                .resolve(&cursor, from, to)
                 .map(|(cost, hops)| (cost.to_bits(), hops));
             assert_eq!(memoised, fresh, "{from} -> {to} at t = {now} ms");
         }
@@ -109,13 +114,33 @@ fn memo_matches_fresh_search(
     }
 }
 
-fn torus_case(weights: &[f64], w: usize, h: usize, seed: u64) {
+/// `replays` generated timelines on one `w × h` torus, walked back to
+/// back by one memo.
+fn torus_case(weights: &[f64], w: usize, h: usize, replays: usize, seed: u64) {
     let mut rng = Xorshift64::new(seed);
     let g = torus(w, h, weights);
     let n = g.len();
     let (a, b, c) = (rng.below(n), rng.below(n), rng.below(n));
-    let tl = timeline(&g, n, 3, a, &mut rng);
-    memo_matches_fresh_search(&g, &tl, &[(a, b), (b, a), (a, c), (c, b)], 60, &mut rng);
+    let mut memo = RouteMemo::new(&g);
+    for _ in 0..replays {
+        let tl = timeline(&g, n, 3, a, &mut rng);
+        let pairs = [(a, b), (b, a), (a, c), (c, b)];
+        memo_matches_fresh_search(&g, &mut memo, &tl, &pairs, 60, &mut rng);
+    }
+}
+
+/// Two disjoint `w × h` unit tori, nodes `0..wh` and `wh..2wh`.
+fn two_tori(w: usize, h: usize) -> Graph {
+    let one = torus(w, h, &[1.0]);
+    let n = one.len();
+    let mut g = Graph::new(2 * n);
+    for a in 0..n {
+        for (b, weight) in one.neighbors(a) {
+            g.add_edge(a, b, weight);
+            g.add_edge(a + n, b + n, weight);
+        }
+    }
+    g
 }
 
 fn starlink() -> &'static IslNetwork {
@@ -129,13 +154,49 @@ fn starlink() -> &'static IslNetwork {
 
 proptest! {
     #[test]
-    fn memo_matches_fresh_search_on_unit_tori(w in 3usize..9, h in 3usize..9, seed in any::<u64>()) {
-        torus_case(&[1.0], w, h, seed);
+    fn memo_matches_fresh_search_on_unit_tori(
+        w in 3usize..9,
+        h in 3usize..9,
+        replays in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        torus_case(&[1.0], w, h, replays, seed);
     }
 
     #[test]
-    fn memo_matches_fresh_search_on_weighted_tori(w in 3usize..9, h in 3usize..9, seed in any::<u64>()) {
-        torus_case(&[0.0, 1.0, 2.0], w, h, seed);
+    fn memo_matches_fresh_search_on_weighted_tori(
+        w in 3usize..9,
+        h in 3usize..9,
+        replays in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        torus_case(&[0.0, 1.0, 2.0], w, h, replays, seed);
+    }
+
+    /// A pair in different components has no failure-free route, so it
+    /// is a partition at every stop of every replay; the pairs inside
+    /// one component still match the fresh search.
+    #[test]
+    fn disconnected_pair_reads_none_at_every_stop(w in 3usize..6, h in 3usize..6, seed in any::<u64>()) {
+        let mut rng = Xorshift64::new(seed);
+        let g = two_tori(w, h);
+        let n = g.len() / 2;
+        let (a, b, c) = (rng.below(n), rng.below(n), n + rng.below(n));
+        prop_assert!(g.shortest_path(a, c, |_| false).is_none());
+        prop_assert!(g.shortest_path(c, a, |_| false).is_none());
+        let obs = Recorder::disabled();
+        let mut memo = RouteMemo::new(&g);
+        for _ in 0..3 {
+            let tl = timeline(&g, g.len(), 3, a, &mut rng);
+            memo_matches_fresh_search(&g, &mut memo, &tl, &[(a, b), (a, c), (c, a)], 30, &mut rng);
+            let mut cursor = tl.cursor();
+            memo.clear();
+            for t in [0.0, HORIZON_MS / 2.0, HORIZON_MS + 250.0] {
+                memo.observe(cursor.advance_to(t, &obs));
+                prop_assert_eq!(memo.resolve(&cursor, a, c), None);
+                prop_assert_eq!(memo.resolve(&cursor, c, a), None);
+            }
+        }
     }
 }
 
@@ -145,18 +206,22 @@ proptest! {
     /// `ext_chaos`'s own shape: serving satellite ⇄ gateway over the
     /// Starlink graph, the serving satellite protected.
     #[test]
-    fn memo_matches_fresh_search_on_starlink(seed in any::<u64>()) {
+    fn memo_matches_fresh_search_on_starlink(replays in 1usize..4, seed in any::<u64>()) {
         let net = starlink();
         let mut rng = Xorshift64::new(seed);
         let serving = net.sat_node(SatId::new(10, 6));
         let gateway = net.ground_node(0);
-        let tl = timeline(net.graph(), net.num_sats(), 8, serving, &mut rng);
-        memo_matches_fresh_search(
-            net.graph(),
-            &tl,
-            &[(serving, gateway), (gateway, serving)],
-            40,
-            &mut rng,
-        );
+        let mut memo = RouteMemo::new(net.graph());
+        for _ in 0..replays {
+            let tl = timeline(net.graph(), net.num_sats(), 8, serving, &mut rng);
+            memo_matches_fresh_search(
+                net.graph(),
+                &mut memo,
+                &tl,
+                &[(serving, gateway), (gateway, serving)],
+                40,
+                &mut rng,
+            );
+        }
     }
 }
