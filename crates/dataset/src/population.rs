@@ -77,6 +77,27 @@ struct Hotspot {
     region: Region,
 }
 
+/// One UE's share of [`PopulationModel::sample_ues`]'s seeded stream,
+/// from [`PopulationModel::draws`]: the picked hotspot and the two
+/// Box–Muller uniforms, each kept as the 53-bit integer `rand` scales
+/// into `[0, 1)`. The hotspot index rides in the bits above the first
+/// uniform, so a record is 16 bytes — a [`GeoPoint`]'s size.
+#[derive(Debug, Clone, Copy)]
+pub struct Draw {
+    hotspot_u1: u64,
+    u2: u64,
+}
+
+// A soak holds one `Draw` per UE through placement, where its peak RSS
+// used to hold one `GeoPoint`.
+const _: () = assert!(size_of::<Draw>() <= size_of::<GeoPoint>());
+
+/// The low 53 bits of `bits` scaled into `[0, 1)`: exactly what
+/// `rng.gen::<f64>()` makes of `rng.next_u64() >> 11`.
+fn unit(bits: u64) -> f64 {
+    (bits & ((1 << 53) - 1)) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// The global population/subscription model.
 #[derive(Debug, Clone)]
 pub struct PopulationModel {
@@ -188,31 +209,47 @@ impl PopulationModel {
         (self.density(p) * footprint_sr / (std::f64::consts::TAU * self.total_weight)).min(1.0)
     }
 
-    /// Sample `n` UE positions from the mixture (deterministic in seed).
+    /// Sample `n` UE positions from the mixture (deterministic in seed):
+    /// [`Self::draws`] mapped through [`Self::point_of`].
     pub fn sample_ues(&self, n: usize, seed: u64) -> Vec<GeoPoint> {
+        self.draws(n, seed).map(|d| self.point_of(&d)).collect()
+    }
+
+    /// The serial half of [`Self::sample_ues`]: the seeded stream, read
+    /// in order, and the hotspot pick by weight — one [`Draw`] per UE.
+    pub fn draws(&self, n: usize, seed: u64) -> impl Iterator<Item = Draw> + '_ {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                // Pick a hotspot by weight.
-                let mut x: f64 = rng.gen::<f64>() * self.total_weight;
-                let mut chosen = self.hotspots.last().expect("non-empty");
-                for h in &self.hotspots {
-                    if x < h.weight {
-                        chosen = h;
-                        break;
-                    }
-                    x -= h.weight;
+        (0..n).map(move |_| {
+            // Pick a hotspot by weight.
+            let mut x: f64 = rng.gen::<f64>() * self.total_weight;
+            let mut chosen = self.hotspots.len() - 1;
+            for (k, h) in self.hotspots.iter().enumerate() {
+                if x < h.weight {
+                    chosen = k;
+                    break;
                 }
-                // Gaussian offset (Box-Muller) around the centre.
-                let (u1, u2): (f64, f64) = (rng.gen::<f64>().max(1e-12), rng.gen());
-                let r = chosen.sigma * (-2.0 * u1.ln()).sqrt();
-                let theta = std::f64::consts::TAU * u2;
-                let dlat = r * theta.sin();
-                let dlon = r * theta.cos() / chosen.center.lat.cos().max(0.2);
-                let lat = (chosen.center.lat + dlat).clamp(-1.55, 1.55);
-                GeoPoint::new(lat, chosen.center.lon + dlon)
-            })
-            .collect()
+                x -= h.weight;
+            }
+            let u1 = rng.next_u64() >> 11;
+            let u2 = rng.next_u64() >> 11;
+            Draw {
+                hotspot_u1: (chosen as u64) << 53 | u1,
+                u2,
+            }
+        })
+    }
+
+    /// The pure half of [`Self::sample_ues`]: a Gaussian (Box–Muller)
+    /// offset around the drawn hotspot's centre.
+    pub fn point_of(&self, d: &Draw) -> GeoPoint {
+        let chosen = &self.hotspots[(d.hotspot_u1 >> 53) as usize];
+        let (u1, u2) = (unit(d.hotspot_u1).max(1e-12), unit(d.u2));
+        let r = chosen.sigma * (-2.0 * u1.ln()).sqrt();
+        let theta = std::f64::consts::TAU * u2;
+        let dlat = r * theta.sin();
+        let dlon = r * theta.cos() / chosen.center.lat.cos().max(0.2);
+        let lat = (chosen.center.lat + dlat).clamp(-1.55, 1.55);
+        GeoPoint::new(lat, chosen.center.lon + dlon)
     }
 
     /// The mixture's components as `(centre, σ in radians, region)` —
@@ -290,6 +327,44 @@ mod tests {
             .count() as f64
             / 20_000.0;
         assert!(oceania < 0.05, "{oceania}");
+    }
+
+    /// The sampler as first written: one loop reading the stream as
+    /// `gen::<f64>()` and computing each point in place.
+    fn sample_ues_reference(m: &PopulationModel, n: usize, seed: u64) -> Vec<GeoPoint> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let mut x: f64 = rng.gen::<f64>() * m.total_weight;
+                let mut chosen = m.hotspots.last().expect("non-empty");
+                for h in &m.hotspots {
+                    if x < h.weight {
+                        chosen = h;
+                        break;
+                    }
+                    x -= h.weight;
+                }
+                let (u1, u2): (f64, f64) = (rng.gen::<f64>().max(1e-12), rng.gen());
+                let r = chosen.sigma * (-2.0 * u1.ln()).sqrt();
+                let theta = std::f64::consts::TAU * u2;
+                let dlat = r * theta.sin();
+                let dlon = r * theta.cos() / chosen.center.lat.cos().max(0.2);
+                let lat = (chosen.center.lat + dlat).clamp(-1.55, 1.55);
+                GeoPoint::new(lat, chosen.center.lon + dlon)
+            })
+            .collect()
+    }
+
+    /// Draws + `point_of` reproduce the one-loop sampler bit for bit.
+    #[test]
+    fn split_sampler_matches_the_first_written_one() {
+        let m = PopulationModel::world_bank_like();
+        for (n, seed) in [(0, 0), (1, 7), (5_000, 0x5C_10AD), (20_001, u64::MAX)] {
+            let bits = |ps: Vec<GeoPoint>| -> Vec<(u64, u64)> {
+                ps.iter().map(|p| (p.lat.to_bits(), p.lon.to_bits())).collect()
+            };
+            assert_eq!(bits(m.sample_ues(n, seed)), bits(sample_ues_reference(&m, n, seed)));
+        }
     }
 
     #[test]

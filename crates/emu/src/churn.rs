@@ -1,8 +1,9 @@
 //! The sharded churn engine behind `ext_mload` and `ext_chaosload`.
 //!
 //! [`run`] draws a population, pins every UE to its geospatial cell and
-//! to the shard owning that cell ([`place`]), and drives each shard's
-//! UEs through continuous churn on one calendar-queue DES per shard:
+//! to the shard owning that cell ([`place_labelled`]), and drives each
+//! shard's UEs through continuous churn on one calendar-queue DES per
+//! shard:
 //! Poisson session arrivals (a localized 4-message establishment on an
 //! idle UE, a piggyback on a connected one), RRC releases 10–15 s
 //! later, a satellite sweep once per ~165.8 s transit (a local handover
@@ -20,6 +21,18 @@
 //! batch ahead, so a reaction never lands inside the batch being
 //! processed. Chaos timestamps sit on the integer-µs grid, so a crash on
 //! a batch boundary is applied on the same tick at any batch width.
+//!
+//! **Horizon rule.** The last batch ends at the horizon, so an event
+//! timed at or past it would never be processed: it is never queued.
+//! The draws that timed it are spent all the same, so every hash stream
+//! is the one an unbounded queue would see, and each shard's queue is
+//! empty once its last batch has drained.
+//!
+//! **Serial draws, parallel points.** Only the population sampler's
+//! seeded stream is read serially ([`PopulationModel::draws`]: the
+//! stream and the hotspot pick). Each draw becomes its point
+//! ([`PopulationModel::point_of`]) inside placement's parallel cell
+//! pass, so the points are never materialised.
 //!
 //! **Hash streams.** Every random draw is a pure hash of
 //! `(seed, UE id, draw#)` ([`ue_unit`]) rather than stateful RNG: a UE's
@@ -96,25 +109,29 @@ pub fn place(
     grid: &CellGrid,
     shard_map: &ShardMap,
 ) -> Vec<Vec<(u32, u32)>> {
-    place_labelled(threads, points, grid, shard_map, &|_| 0).0
+    place_labelled(threads, points, &|p| *p, grid, shard_map, &|_| 0).0
 }
 
-/// [`place`], plus each point's `label` by id — computed in the same
-/// parallel pass, the one place the engine reads `points`.
-fn place_labelled(
+/// [`place`] over any per-UE `items`, each turned into its point by
+/// `point` inside the parallel pass, plus each point's `label` by id —
+/// computed in the same pass. [`run`] hands it the population's serial
+/// draws, so the sampler's per-UE arithmetic runs on every worker.
+pub fn place_labelled<T: Sync>(
     threads: usize,
-    points: &[GeoPoint],
+    items: &[T],
+    point: &(dyn Fn(&T) -> GeoPoint + Sync),
     grid: &CellGrid,
     shard_map: &ShardMap,
     label: &(dyn Fn(&GeoPoint) -> u8 + Sync),
 ) -> (Vec<Vec<(u32, u32)>>, Vec<u8>) {
-    let chunks: Vec<&[GeoPoint]> = points.chunks(PLACE_CHUNK).collect();
+    let chunks: Vec<&[T]> = items.chunks(PLACE_CHUNK).collect();
     let pinned = crate::engine::parallel_map_with(threads, chunks, |chunk| {
-        let cells: Vec<u32> = chunk
-            .iter()
-            .map(|p| cell_index(grid, grid.cell_of_point(p)) as u32)
-            .collect();
-        let labels: Vec<u8> = chunk.iter().map(label).collect();
+        let mut cells = Vec::with_capacity(chunk.len());
+        let mut labels = Vec::with_capacity(chunk.len());
+        for p in chunk.iter().map(point) {
+            cells.push(cell_index(grid, grid.cell_of_point(&p)) as u32);
+            labels.push(label(&p));
+        }
         (cells, labels)
     });
     let cells = || pinned.iter().flat_map(|(cells, _)| cells);
@@ -524,34 +541,41 @@ impl<'a> Shard<'a> {
     /// in *every* shard), then each UE, in local order, gets an
     /// exponential first arrival (stationary Poisson from t = 0), a
     /// uniform sweep phase and an exponential first crossing.
-    fn new(run: &'a Run<'a>, mut ues: Vec<Ue>) -> Self {
+    fn new(run: &'a Run<'a>, ues: Vec<Ue>) -> Self {
         let cfg = run.cfg;
         let seed = cfg.load.seed;
-        let mut q = EventQueue::new();
-        let mut out = ChurnOut::zero(run);
-        for (k, e) in cfg.timeline.events().iter().enumerate() {
-            q.schedule(e.time_ms / 1000.0, Ev::Chaos(k as u32));
-        }
-        for (i, ue) in ues.iter_mut().enumerate() {
-            out.class_ues[ue.class as usize] += 1;
-            let i = i as u32;
-            let u = ue.draw(seed);
-            q.schedule(exp_clamped(run.params.session_interarrival_s, u), Ev::Arrive(i));
-            let u = ue.draw(seed);
-            q.schedule(u * run.params.transit_s, Ev::Sweep(i));
-            let u = ue.draw(seed);
-            q.schedule(exp_clamped(cfg.load.crossing_interval_s, u), Ev::Cross(i));
-        }
-        Self {
+        let mut shard = Self {
             run,
             seed,
             ues,
-            q,
+            q: EventQueue::new(),
             ledger: CellLedger::new(run.grid.cell_count(), cfg.load.warmup_s, run.horizon),
             storm: CellStorm::new(run.grid.cell_count()),
             cursor: cfg.timeline.cursor(),
             quiet: Recorder::disabled(),
-            out,
+            out: ChurnOut::zero(run),
+        };
+        for (k, e) in cfg.timeline.events().iter().enumerate() {
+            shard.at(e.time_ms / 1000.0, Ev::Chaos(k as u32));
+        }
+        for i in 0..shard.ues.len() as u32 {
+            let ue = &mut shard.ues[i as usize];
+            shard.out.class_ues[ue.class as usize] += 1;
+            let arrive = exp_clamped(run.params.session_interarrival_s, ue.draw(seed));
+            let sweep = ue.draw(seed) * run.params.transit_s;
+            let cross = exp_clamped(cfg.load.crossing_interval_s, ue.draw(seed));
+            shard.at(arrive, Ev::Arrive(i));
+            shard.at(sweep, Ev::Sweep(i));
+            shard.at(cross, Ev::Cross(i));
+        }
+        shard
+    }
+
+    /// Schedule `ev` at `t` under the horizon rule (see the module
+    /// docs): an event at or past the horizon is dropped.
+    fn at(&mut self, t: f64, ev: Ev) {
+        if t < self.run.horizon {
+            self.q.schedule(t, ev);
         }
     }
 
@@ -566,6 +590,7 @@ impl<'a> Shard<'a> {
                 self.step(ev.time, ev.event);
             }
         }
+        debug_assert!(self.q.is_empty(), "an event past the last batch was queued");
         self.ledger.finish();
         for ue in self.ues.iter().filter(|u| u.state == Link::Reattaching) {
             self.out.reattaching_at_horizon += 1;
@@ -651,8 +676,9 @@ impl<'a> Shard<'a> {
         let u = ue.draw(self.seed);
         let hold = self.run.params.inactivity_release_s - 2.5 + 5.0 * u;
         ue.state = Link::Connected;
+        let gen = ue.gen;
         self.ledger.connect(ue.cell as usize, t);
-        self.q.schedule(t + hold, Ev::Release { ue: i, gen: ue.gen });
+        self.at(t + hold, Ev::Release { ue: i, gen });
         hold
     }
 
@@ -669,7 +695,8 @@ impl<'a> Shard<'a> {
             let key = ((ue.id as u64) << 16) | 0xFF00 | u64::from(ue.attempt);
             budget.admission_attempt_s(budget.slot(mix64(self.seed ^ mix64(key))), u)
         };
-        self.q.schedule(t + delay.max(MIN_DELAY_S), Ev::Reattach { ue: i, gen: ue.gen });
+        let gen = ue.gen;
+        self.at(t + delay.max(MIN_DELAY_S), Ev::Reattach { ue: i, gen });
     }
 
     /// After a failed or barred attempt: try again, or give the session
@@ -751,7 +778,7 @@ impl<'a> Shard<'a> {
                 self.observe_cost(i, msgs, measured);
             }
         }
-        self.q.schedule(next, Ev::Arrive(i));
+        self.at(next, Ev::Arrive(i));
     }
 
     fn release(&mut self, t: f64, measured: bool, i: u32) {
@@ -764,8 +791,8 @@ impl<'a> Shard<'a> {
                 self.out.chaos.deferred_releases += 1;
                 self.out.gate_deferred_win[win_of(t)] += 1;
             }
-            let u = ue.draw(self.seed);
-            self.q.schedule(t + MIN_DELAY_S + u, Ev::Release { ue: i, gen: ue.gen });
+            let (u, gen) = (ue.draw(self.seed), ue.gen);
+            self.at(t + MIN_DELAY_S + u, Ev::Release { ue: i, gen });
         } else {
             ue.state = Link::Idle;
             self.ledger.release(cell, t);
@@ -797,7 +824,7 @@ impl<'a> Shard<'a> {
                 self.out.gate_deferred_win[win_of(t)] += 1;
             }
             let u = ue.draw(self.seed);
-            self.q.schedule(t + MIN_DELAY_S + u, Ev::Sweep(i));
+            self.at(t + MIN_DELAY_S + u, Ev::Sweep(i));
             return;
         } else {
             let msgs = if measured {
@@ -807,7 +834,7 @@ impl<'a> Shard<'a> {
             };
             self.observe_cost(i, msgs, measured);
         }
-        self.q.schedule(next, Ev::Sweep(i));
+        self.at(next, Ev::Sweep(i));
     }
 
     fn cross(&mut self, t: f64, measured: bool, i: u32) {
@@ -838,7 +865,7 @@ impl<'a> Shard<'a> {
         };
         self.observe_cost(i, msgs, measured);
         let u = self.ues[i as usize].draw(self.seed);
-        self.q.schedule(t + exp_clamped(run.cfg.load.crossing_interval_s, u), Ev::Cross(i));
+        self.at(t + exp_clamped(run.cfg.load.crossing_interval_s, u), Ev::Cross(i));
     }
 
     fn reattach(&mut self, t: f64, measured: bool, i: u32) {
@@ -919,7 +946,8 @@ impl<'a> Shard<'a> {
             return; // recover/link/burst/flap: no drops
         };
         let footprint = self.out.crashes[row].cells.clone();
-        for (j, ue) in self.ues.iter_mut().enumerate() {
+        for j in 0..self.ues.len() as u32 {
+            let ue = &mut self.ues[j as usize];
             let cell = ue.cell as usize;
             if ue.state != Link::Connected || !footprint.contains(&cell) {
                 continue;
@@ -942,7 +970,8 @@ impl<'a> Shard<'a> {
                 // right after detection.
                 cfg.budget.detect_s + 0.2 * u
             };
-            self.q.schedule(t + first, Ev::Reattach { ue: j as u32, gen: ue.gen });
+            let gen = ue.gen;
+            self.at(t + first, Ev::Reattach { ue: j, gen });
         }
     }
 }
@@ -967,11 +996,15 @@ pub fn run(
 ) -> ChurnOut {
     let run = Run::new(cfg, classes, record_holds);
     let shard_map = ShardMap::new(run.grid.cell_count(), cfg.load.shards);
-    // `points` is the largest allocation of the run and only placement
-    // reads it, so it is gone before the shards drain.
-    let points = PopulationModel::world_bank_like().sample_ues(cfg.load.total_ues, cfg.load.seed);
-    let (placed, classes_of) = place_labelled(threads, &points, &run.grid, &shard_map, label);
-    drop(points);
+    // Only the seeded stream is serial: each draw becomes its point
+    // inside placement's parallel pass. `draws` is the largest
+    // allocation of the run and only placement reads it, so it is gone
+    // before the shards drain.
+    let pop = PopulationModel::world_bank_like();
+    let draws: Vec<_> = pop.draws(cfg.load.total_ues, cfg.load.seed).collect();
+    let (placed, classes_of) =
+        place_labelled(threads, &draws, &|d| pop.point_of(d), &run.grid, &shard_map, label);
+    drop(draws);
 
     let outs = crate::engine::parallel_map_with(threads, placed, |placed| {
         let ues = placed
@@ -1020,6 +1053,39 @@ mod tests {
     fn batch_window_matches_calendar_day() {
         assert_eq!(BATCH_WINDOW_S, EventQueue::<Ev>::BUCKET_WIDTH_S);
         assert_eq!(WINDOW_S * 1e6, sc_obs::WINDOW_TICKS as f64);
+    }
+
+    /// The horizon rule: an event at or past the horizon is never
+    /// queued, one just before it is. `Shard::new` seeds through the
+    /// same rule, so only in-horizon chaos markers are queued.
+    #[test]
+    fn only_events_before_the_horizon_are_queued() {
+        let cfg = ChaosloadConfig::smoke();
+        let run = Run::new(&cfg, 1, false);
+        let mut shard = Shard::new(&run, Vec::new());
+        let markers = cfg.timeline.events().iter();
+        let due = markers.filter(|e| e.time_ms / 1000.0 < run.horizon).count();
+        assert_eq!(shard.q.len(), due);
+        shard.at(run.horizon, Ev::Arrive(0));
+        shard.at(run.horizon + 1.0, Ev::Sweep(0));
+        assert_eq!(shard.q.len(), due);
+        shard.at(run.horizon - 1e-6, Ev::Cross(0));
+        assert_eq!(shard.q.len(), due + 1);
+    }
+
+    /// The smoke soak with its queue bounded by the horizon drains empty
+    /// (`Shard::drain` asserts it in debug builds) and folds to the same
+    /// output at the default batch width and at a quarter of it.
+    #[test]
+    fn horizon_bounded_smoke_soak_is_invariant_to_the_batch_width() {
+        let outs = [1.0, 0.25].map(|batch_window_s| {
+            let cfg = ChaosloadConfig {
+                batch_window_s,
+                ..ChaosloadConfig::smoke()
+            };
+            format!("{:?}", run(2, &cfg, 1, &|_| 0, true))
+        });
+        assert_eq!(outs[0], outs[1]);
     }
 
     fn rejected(edit: impl FnOnce(&mut ChaosloadConfig)) {

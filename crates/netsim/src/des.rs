@@ -74,6 +74,14 @@ fn event_order<E>(a: &ScheduledEvent<E>, b: &ScheduledEvent<E>) -> Ordering {
         .then_with(|| a.seq.cmp(&b.seq))
 }
 
+/// [`event_order`] as an integer key: `f64::total_cmp`'s own bit
+/// transform of the time (so −0.0 still sorts before +0.0), then the
+/// sequence number. A day sorts on it without a float compare.
+fn order_key<E>(ev: &ScheduledEvent<E>) -> (i64, u64) {
+    let bits = ev.time.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64, ev.seq)
+}
+
 const WHEEL_SLOTS: usize = 256;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 
@@ -250,7 +258,7 @@ impl<E: PartialEq> EventQueue<E> {
     fn ensure_active(&mut self) {
         if self.active.is_empty() && !self.late.is_empty() {
             self.active.extend(self.late.drain());
-            self.active.make_contiguous().sort_unstable_by(event_order);
+            self.active.make_contiguous().sort_unstable_by_key(order_key);
         }
         while self.active.is_empty() && self.late.is_empty() {
             if !self.activate_next_day() {
@@ -305,7 +313,7 @@ impl<E: PartialEq> EventQueue<E> {
                 self.occupied[slot / 64] |= 1 << (slot % 64);
             }
         }
-        current.sort_unstable_by(event_order);
+        current.sort_unstable_by_key(order_key);
         self.active = VecDeque::from(current);
         true
     }

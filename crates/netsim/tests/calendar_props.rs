@@ -7,10 +7,11 @@
 //! four tiers — the sorted `active` day, the same-day `late` heap, the
 //! 256-slot wheel, and the overflow heap — plus interleaved pops,
 //! ties, `reset`, `drain_until` windows, and dense days of thousands
-//! of events with hundreds more scheduled into them mid-drain.
+//! of events with hundreds more scheduled into them mid-drain, and
+//! signed-zero and equal-time ties.
 
 use proptest::prelude::*;
-use sc_netsim::des::{reference::ReferenceQueue, EventQueue};
+use sc_netsim::des::{reference::ReferenceQueue, EventQueue, ScheduledEvent};
 
 /// Drain both queues and assert the full `(time, seq, event)` pop
 /// sequences are identical.
@@ -247,6 +248,43 @@ proptest! {
     /// with a burst of 200+ same-day schedules between windows: each
     /// batch is the reference's next pops, and nothing before the
     /// horizon is left behind.
+    /// Signed zeros and equal times in every tier: days sort on an
+    /// integer key, which must order −0.0 before +0.0 (as `total_cmp`
+    /// does) and keep FIFO among equal times. Times are compared by
+    /// their bits, since `-0.0 == 0.0`.
+    #[test]
+    fn signed_zero_and_equal_time_ties_match_reference(
+        picks in proptest::collection::vec(0usize..8, 1..300),
+        pops in 0usize..300,
+    ) {
+        const TIMES: [f64; 8] = [-0.0, 0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 7.25, 300.0, 300.0];
+        let mut cal = EventQueue::new();
+        let mut refq = ReferenceQueue::new();
+        let bits = |e: Option<ScheduledEvent<usize>>| e.map(|e| (e.time.to_bits(), e.seq, e.event));
+        for (i, &k) in picks.iter().enumerate() {
+            cal.schedule(TIMES[k], i);
+            refq.schedule(TIMES[k], i);
+        }
+        // Pop part of the way, then schedule the same times again where
+        // causality allows: ties across the `late` heap and a sorted day.
+        for _ in 0..pops.min(picks.len()) {
+            prop_assert_eq!(bits(cal.pop()), bits(refq.pop()));
+        }
+        for (i, &k) in picks.iter().enumerate() {
+            if TIMES[k] >= cal.now() {
+                cal.schedule(TIMES[k], picks.len() + i);
+                refq.schedule(TIMES[k], picks.len() + i);
+            }
+        }
+        loop {
+            let (a, b) = (bits(cal.pop()), bits(refq.pop()));
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
     #[test]
     fn dense_day_with_same_day_schedules_between_drains_matches_reference(
         dense in dense_day(),

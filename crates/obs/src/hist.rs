@@ -15,13 +15,11 @@ pub const BUCKET_BOUNDS: [f64; 46] = [
     2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, 1e9,
 ];
 
-/// Index into the per-histogram count array for a sample, with the
-/// overflow bucket at `BUCKET_BOUNDS.len()`.
+/// Index into the per-histogram count array for a sample: the first
+/// bound `>= v`, with the overflow bucket at `BUCKET_BOUNDS.len()`.
+/// A binary search over the ascending ladder.
 fn bucket_index(v: f64) -> usize {
-    BUCKET_BOUNDS
-        .iter()
-        .position(|b| v <= *b)
-        .unwrap_or(BUCKET_BOUNDS.len())
+    BUCKET_BOUNDS.partition_point(|b| *b < v)
 }
 
 /// A fixed-bucket histogram with exact count/sum/min/max sidecars.
@@ -179,11 +177,52 @@ pub fn percentile_from_buckets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bounds_are_strictly_ascending() {
         for w in BUCKET_BOUNDS.windows(2) {
             assert!(w[0] < w[1], "{w:?}");
+        }
+    }
+
+    /// The ladder as first written: a linear scan for the first
+    /// inclusive upper bound.
+    fn bucket_index_linear(v: f64) -> usize {
+        BUCKET_BOUNDS
+            .iter()
+            .position(|b| v <= *b)
+            .unwrap_or(BUCKET_BOUNDS.len())
+    }
+
+    /// One sample of every kind the search can get wrong: any finite
+    /// bit pattern, an exact bound or its neighbouring float, a value
+    /// at or below the first bound (zero and negatives included), and
+    /// one past the last.
+    fn finite_sample() -> impl Strategy<Value = f64> {
+        (0u32..4, any::<u64>(), 0usize..BUCKET_BOUNDS.len(), -1.0f64..1.0).prop_map(
+            |(kind, bits, i, x)| match kind {
+                0 => f64::from_bits(bits),
+                1 => f64::from_bits(BUCKET_BOUNDS[i].to_bits() + bits % 3 - 1),
+                2 => 1e-6 * x,
+                _ => 1e9 * (1.0 + x.abs()),
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn bucket_index_matches_the_linear_scan(v in finite_sample()) {
+            if v.is_finite() {
+                prop_assert_eq!(bucket_index(v), bucket_index_linear(v), "{}", v);
+            }
+        }
+    }
+
+    #[test]
+    fn every_exact_bound_lands_in_its_own_bucket() {
+        for (i, b) in BUCKET_BOUNDS.iter().enumerate() {
+            assert_eq!(bucket_index(*b), i);
         }
     }
 

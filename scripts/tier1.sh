@@ -17,13 +17,15 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q --offline $*" >&2
 cargo test -q --offline "$@"
 
-# The pinned crypto bytes, the per-establishment allocation budget and
-# the route memo's exactness once more under the release profile (fat
-# LTO): the optimised build inlines and vectorises the payload pass and
-# the Dijkstra loop differently from the debug build the run above
-# tests, and it is the build every number is measured on.
-echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props" >&2
-cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props
+# The pinned crypto bytes, the per-establishment allocation budget, the
+# route memo's exactness and the draw → point placement once more under
+# the release profile (fat LTO): the optimised build inlines and
+# vectorises the payload pass, the Dijkstra loop and the sampler's
+# arithmetic inside the placement closure differently from the debug
+# build the run above tests, and it is the build every number is
+# measured on.
+echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props" >&2
+cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props
 
 # `cargo test` compiles the examples but never runs them; run the one
 # whose asserts pin the executed counts to the Fig. 16 step tables.

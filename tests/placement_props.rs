@@ -10,10 +10,14 @@
 //!   *and* in-shard order must be what one serial pass in UE-id order
 //!   produces, for any thread count, shard count and population size —
 //!   the engines' byte-stable artifacts rest on that order.
+//! * The soaks never materialise the points: `churn::place_labelled`
+//!   turns the population's serial draws into points inside its
+//!   parallel pass. Cells, order and labels must be what `place` and
+//!   `region_of` give on `sample_ues`'s points.
 
 use proptest::prelude::*;
 use sc_dataset::population::{PopulationModel, Region};
-use sc_emu::churn::place;
+use sc_emu::churn::{place, place_labelled};
 use sc_geo::cells::CellGrid;
 use sc_geo::sphere::GeoPoint;
 use spacecore::shard::{cell_index, ShardMap};
@@ -82,6 +86,35 @@ proptest! {
         for threads in [1, 2, 3, 7] {
             prop_assert_eq!(&place(threads, &points, &grid, &shard_map), &want, "threads={}", threads);
         }
+    }
+}
+
+proptest! {
+    // Half the default case count: each case classifies every point
+    // twice, which dominates this file's debug-build time.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Placement straight from the draws equals placement of the
+    /// sampled points, labels included, for every thread count.
+    #[test]
+    fn placement_from_draws_matches_placement_of_sampled_points(
+        n in 0usize..50_000,
+        shards in 1usize..33,
+        seed in any::<u64>(),
+        threads in 1usize..8,
+    ) {
+        let grid = CellGrid::new(53f64.to_radians(), 72, 22);
+        let shard_map = ShardMap::new(grid.cell_count(), shards);
+        let pop = PopulationModel::world_bank_like();
+        let region = |p: &GeoPoint| pop.region_of(p).index() as u8;
+        let points = pop.sample_ues(n, seed);
+        let want = (
+            place(threads, &points, &grid, &shard_map),
+            points.iter().map(region).collect::<Vec<u8>>(),
+        );
+        let draws: Vec<_> = pop.draws(n, seed).collect();
+        let got = place_labelled(threads, &draws, &|d| pop.point_of(d), &grid, &shard_map, &region);
+        prop_assert_eq!(&got, &want, "threads={}", threads);
     }
 }
 
