@@ -143,7 +143,7 @@ fn allow_needs_a_reason_exactly_as_for_r1() {
     let corpus = |lib: &'static str| {
         audit(&[("crates/spacecore/src/lib.rs", lib), ("crates/spacecore/src/paging.rs", ITEM)])
     };
-    let report = corpus("// sc-audit: allow(orphan, reason = \"ROADMAP item 1 decides\")\npub mod paging;\n");
+    let report = corpus("// sc-audit: allow(orphan, reason = \"kept for a planned caller\")\npub mod paging;\n");
     assert_eq!(orphans(&report), [] as [&str; 0]);
     assert_eq!(report.allowed_orphans.len(), 1);
     assert!(report.is_clean());

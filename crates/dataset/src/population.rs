@@ -8,8 +8,8 @@
 //! each region* (the Fig. 12 temporal dynamics) and *where sessions are
 //! generated globally* (Figs. 10/20 aggregates).
 
-use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha12Rng;
 use sc_geo::sphere::{GeoPoint, Vec3};
 
 /// Continental region labels used by Figure 12's annotations.
@@ -63,6 +63,9 @@ impl Region {
 struct Hotspot {
     /// Centre as lat/lon — what sampling offsets from.
     center: GeoPoint,
+    /// `center.lat.cos().max(0.2)`, cached: the longitude stretch of
+    /// every point sampled around this centre.
+    cos_lat: f64,
     /// `center.unit_vector()`, cached: every distance query is one dot
     /// product against it.
     unit: Vec3,
@@ -78,25 +81,20 @@ struct Hotspot {
 }
 
 /// One UE's share of [`PopulationModel::sample_ues`]'s seeded stream,
-/// from [`PopulationModel::draws`]: the picked hotspot and the two
-/// Box–Muller uniforms, each kept as the 53-bit integer `rand` scales
-/// into `[0, 1)`. The hotspot index rides in the bits above the first
-/// uniform, so a record is 16 bytes — a [`GeoPoint`]'s size.
-#[derive(Debug, Clone, Copy)]
+/// from [`PopulationModel::draws_at`]: the picked hotspot and the two
+/// Box–Muller uniforms.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Draw {
-    hotspot_u1: u64,
-    u2: u64,
+    hotspot: usize,
+    u1: f64,
+    u2: f64,
 }
 
-// A soak holds one `Draw` per UE through placement, where its peak RSS
-// used to hold one `GeoPoint`.
-const _: () = assert!(size_of::<Draw>() <= size_of::<GeoPoint>());
-
-/// The low 53 bits of `bits` scaled into `[0, 1)`: exactly what
-/// `rng.gen::<f64>()` makes of `rng.next_u64() >> 11`.
-fn unit(bits: u64) -> f64 {
-    (bits & ((1 << 53) - 1)) as f64 * (1.0 / (1u64 << 53) as f64)
-}
+/// Stream words one UE reads: three `next_u64` calls (the hotspot pick
+/// and the two uniforms). UE `k` therefore starts at word `6·k`, and
+/// every read is even-aligned, so none straddles the generator's
+/// 64-word buffer.
+const WORDS_PER_UE: u128 = 6;
 
 /// The global population/subscription model.
 #[derive(Debug, Clone)]
@@ -121,6 +119,7 @@ impl PopulationModel {
             let sigma = sigma_deg.to_radians();
             Hotspot {
                 center,
+                cos_lat: center.lat.cos().max(0.2),
                 unit: center.unit_vector(),
                 reject_below: (3.0 * sigma).cos() - 1e-9,
                 weight,
@@ -215,39 +214,46 @@ impl PopulationModel {
         self.draws(n, seed).map(|d| self.point_of(&d)).collect()
     }
 
-    /// The serial half of [`Self::sample_ues`]: the seeded stream, read
-    /// in order, and the hotspot pick by weight — one [`Draw`] per UE.
+    /// The first `n` UEs' [`Draw`]s: [`Self::draws_at`] from UE 0.
     pub fn draws(&self, n: usize, seed: u64) -> impl Iterator<Item = Draw> + '_ {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(move |_| {
+        self.draws_at(seed, 0).take(n)
+    }
+
+    /// The seeded stream from UE `first` on, one [`Draw`] per UE: the
+    /// hotspot pick by weight and the two uniforms. The generator is
+    /// seeked straight to UE `first`'s words, so any range of UEs is
+    /// drawn without reading the ones before it.
+    pub fn draws_at(&self, seed: u64, first: usize) -> impl Iterator<Item = Draw> + '_ {
+        // `StdRng`'s own generator, named so that it can seek.
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        rng.set_word_pos(WORDS_PER_UE * first as u128);
+        std::iter::repeat_with(move || {
             // Pick a hotspot by weight.
             let mut x: f64 = rng.gen::<f64>() * self.total_weight;
-            let mut chosen = self.hotspots.len() - 1;
+            let mut hotspot = self.hotspots.len() - 1;
             for (k, h) in self.hotspots.iter().enumerate() {
                 if x < h.weight {
-                    chosen = k;
+                    hotspot = k;
                     break;
                 }
                 x -= h.weight;
             }
-            let u1 = rng.next_u64() >> 11;
-            let u2 = rng.next_u64() >> 11;
             Draw {
-                hotspot_u1: (chosen as u64) << 53 | u1,
-                u2,
+                hotspot,
+                u1: rng.gen(),
+                u2: rng.gen(),
             }
         })
     }
 
-    /// The pure half of [`Self::sample_ues`]: a Gaussian (Box–Muller)
-    /// offset around the drawn hotspot's centre.
+    /// A [`Draw`]'s point: a Gaussian (Box–Muller) offset around the
+    /// drawn hotspot's centre.
     pub fn point_of(&self, d: &Draw) -> GeoPoint {
-        let chosen = &self.hotspots[(d.hotspot_u1 >> 53) as usize];
-        let (u1, u2) = (unit(d.hotspot_u1).max(1e-12), unit(d.u2));
-        let r = chosen.sigma * (-2.0 * u1.ln()).sqrt();
-        let theta = std::f64::consts::TAU * u2;
+        let chosen = &self.hotspots[d.hotspot];
+        let r = chosen.sigma * (-2.0 * d.u1.max(1e-12).ln()).sqrt();
+        let theta = std::f64::consts::TAU * d.u2;
         let dlat = r * theta.sin();
-        let dlon = r * theta.cos() / chosen.center.lat.cos().max(0.2);
+        let dlon = r * theta.cos() / chosen.cos_lat;
         let lat = (chosen.center.lat + dlat).clamp(-1.55, 1.55);
         GeoPoint::new(lat, chosen.center.lon + dlon)
     }
@@ -267,6 +273,7 @@ impl PopulationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
 
     #[test]
     fn dense_in_china_sparse_in_pacific() {
@@ -364,6 +371,49 @@ mod tests {
                 ps.iter().map(|p| (p.lat.to_bits(), p.lon.to_bits())).collect()
             };
             assert_eq!(bits(m.sample_ues(n, seed)), bits(sample_ues_reference(&m, n, seed)));
+        }
+    }
+
+    /// A seek lands where reading and discarding as many words does,
+    /// and later reads (mixed widths, across buffer refills) agree —
+    /// including at word 63, where the unseeked stream's next `u64`
+    /// straddles the generator's 64-word buffer.
+    #[test]
+    fn set_word_pos_equals_reading_and_discarding() {
+        for k in [0u32, 1, 5, 15, 16, 63, 64, 65, 127, 1001] {
+            let mut seeked = ChaCha12Rng::seed_from_u64(11);
+            seeked.set_word_pos(u128::from(k));
+            let mut read = StdRng::seed_from_u64(11);
+            for _ in 0..k {
+                read.next_u32();
+            }
+            for i in 0..150 {
+                if i % 3 == 0 {
+                    assert_eq!(seeked.next_u32(), read.next_u32(), "k={k} read {i}");
+                } else {
+                    assert_eq!(seeked.next_u64(), read.next_u64(), "k={k} read {i}");
+                }
+            }
+        }
+    }
+
+    /// Seeking to UE `k` draws exactly what reading from UE 0 and
+    /// skipping `k` draws gives, at random and unaligned `k` (the
+    /// generator's 64-word buffer holds 10⅔ UEs).
+    #[test]
+    fn draws_at_equals_skipping_from_the_start() {
+        let m = PopulationModel::world_bank_like();
+        let mut state = 0x5EED_u64;
+        for seed in [0, 7, u64::MAX] {
+            let all: Vec<Draw> = m.draws(3_000, seed).collect();
+            for _ in 0..24 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let k = (state >> 33) as usize % all.len();
+                let got: Vec<Draw> = m.draws_at(seed, k).take(all.len() - k).collect();
+                assert_eq!(got, all[k..], "seed {seed} k {k}");
+            }
         }
     }
 

@@ -28,11 +28,13 @@
 //! is the one an unbounded queue would see, and each shard's queue is
 //! empty once its last batch has drained.
 //!
-//! **Serial draws, parallel points.** Only the population sampler's
-//! seeded stream is read serially ([`PopulationModel::draws`]: the
-//! stream and the hotspot pick). Each draw becomes its point
-//! ([`PopulationModel::point_of`]) inside placement's parallel cell
-//! pass, so the points are never materialised.
+//! **Streamed placement, no serial prefix.** Every UE reads the same
+//! six words of the population sampler's seeded stream, so
+//! [`PopulationModel::draws_at`] seeks straight to any UE. Each
+//! placement chunk draws its own UEs' hotspots and uniforms and turns
+//! them into points ([`PopulationModel::point_of`]) inside the parallel
+//! cell pass: neither the draws nor the points are ever materialised,
+//! and no part of the sampler runs serially.
 //!
 //! **Hash streams.** Every random draw is a pure hash of
 //! `(seed, UE id, draw#)` ([`ue_unit`]) rather than stateful RNG: a UE's
@@ -62,6 +64,7 @@ use sc_obs::{Histogram, Recorder};
 use spacecore::shard::{
     cell_at, cell_index, CellLedger, CellStorm, ChaosStats, ProcedureCosts, ShardMap, ShardStats,
 };
+use std::ops::Range;
 
 /// Default batch window width; equals the DES calendar day
 /// (`EventQueue::BUCKET_WIDTH_S`) so a window never spans day
@@ -109,26 +112,31 @@ pub fn place(
     grid: &CellGrid,
     shard_map: &ShardMap,
 ) -> Vec<Vec<(u32, u32)>> {
-    place_labelled(threads, points, &|p| *p, grid, shard_map, &|_| 0).0
+    let points_of = |ids: Range<usize>| points[ids].iter().copied();
+    place_labelled(threads, points.len(), &points_of, grid, shard_map, &|_| 0).0
 }
 
-/// [`place`] over any per-UE `items`, each turned into its point by
-/// `point` inside the parallel pass, plus each point's `label` by id —
-/// computed in the same pass. [`run`] hands it the population's serial
-/// draws, so the sampler's per-UE arithmetic runs on every worker.
-pub fn place_labelled<T: Sync>(
+/// [`place`] over `n` UEs whose points `points` produces one id range
+/// at a time, inside the parallel pass, plus each point's `label` by
+/// id — computed in the same pass. [`run`] hands it the population
+/// sampler seeked to each range's first UE, so the whole sampler runs
+/// on every worker and no per-UE record outlives its chunk.
+pub fn place_labelled<P: Iterator<Item = GeoPoint>>(
     threads: usize,
-    items: &[T],
-    point: &(dyn Fn(&T) -> GeoPoint + Sync),
+    n: usize,
+    points: &(dyn Fn(Range<usize>) -> P + Sync),
     grid: &CellGrid,
     shard_map: &ShardMap,
     label: &(dyn Fn(&GeoPoint) -> u8 + Sync),
 ) -> (Vec<Vec<(u32, u32)>>, Vec<u8>) {
-    let chunks: Vec<&[T]> = items.chunks(PLACE_CHUNK).collect();
-    let pinned = crate::engine::parallel_map_with(threads, chunks, |chunk| {
-        let mut cells = Vec::with_capacity(chunk.len());
-        let mut labels = Vec::with_capacity(chunk.len());
-        for p in chunk.iter().map(point) {
+    let chunks: Vec<Range<usize>> = (0..n)
+        .step_by(PLACE_CHUNK)
+        .map(|first| first..n.min(first + PLACE_CHUNK))
+        .collect();
+    let pinned = crate::engine::parallel_map_with(threads, chunks, |ids| {
+        let mut cells = Vec::with_capacity(ids.len());
+        let mut labels = Vec::with_capacity(ids.len());
+        for p in points(ids) {
             cells.push(cell_index(grid, grid.cell_of_point(&p)) as u32);
             labels.push(label(&p));
         }
@@ -244,7 +252,7 @@ pub struct CrashTrack {
     pub t_s: f64,
     pub sat: usize,
     /// The crashed satellite's footprint, row-major cell indices.
-    pub cells: std::ops::Range<usize>,
+    pub cells: Range<usize>,
     /// The timeline event that is this crash.
     ev_idx: usize,
     pub dropped: u64,
@@ -294,7 +302,7 @@ impl CrashTrack {
 /// realignment + hold — sessions stay up, the control plane backs off).
 struct StormWin {
     ev_idx: usize,
-    cells: std::ops::Range<usize>,
+    cells: Range<usize>,
     until_s: f64,
 }
 
@@ -996,15 +1004,15 @@ pub fn run(
 ) -> ChurnOut {
     let run = Run::new(cfg, classes, record_holds);
     let shard_map = ShardMap::new(run.grid.cell_count(), cfg.load.shards);
-    // Only the seeded stream is serial: each draw becomes its point
-    // inside placement's parallel pass. `draws` is the largest
-    // allocation of the run and only placement reads it, so it is gone
-    // before the shards drain.
+    // Each placement chunk draws its own UEs, straight from its slice
+    // of the seeded stream: nothing of the sampler is serial.
     let pop = PopulationModel::world_bank_like();
-    let draws: Vec<_> = pop.draws(cfg.load.total_ues, cfg.load.seed).collect();
+    let points = |ids: Range<usize>| {
+        let n = ids.len();
+        pop.draws_at(cfg.load.seed, ids.start).take(n).map(|d| pop.point_of(&d))
+    };
     let (placed, classes_of) =
-        place_labelled(threads, &draws, &|d| pop.point_of(d), &run.grid, &shard_map, label);
-    drop(draws);
+        place_labelled(threads, cfg.load.total_ues, &points, &run.grid, &shard_map, label);
 
     let outs = crate::engine::parallel_map_with(threads, placed, |placed| {
         let ues = placed

@@ -27,6 +27,12 @@ cargo test -q --offline "$@"
 echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props" >&2
 cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props
 
+# The sampler's stream seek (`ChaCha12Rng::set_word_pos` and
+# `PopulationModel::draws_at`) under the same release profile: fat LTO
+# inlines the ChaCha refill differently from the debug build.
+echo "== tier-1: cargo test --release --offline -q -p sc-dataset --lib" >&2
+cargo test --release --offline -q -p sc-dataset --lib
+
 # `cargo test` compiles the examples but never runs them; run the one
 # whose asserts pin the executed counts to the Fig. 16 step tables.
 echo "== tier-1: cargo run --release --offline --example quickstart" >&2

@@ -11,9 +11,9 @@
 //!   produces, for any thread count, shard count and population size —
 //!   the engines' byte-stable artifacts rest on that order.
 //! * The soaks never materialise the points: `churn::place_labelled`
-//!   turns the population's serial draws into points inside its
-//!   parallel pass. Cells, order and labels must be what `place` and
-//!   `region_of` give on `sample_ues`'s points.
+//!   draws each chunk's UEs from the population's seeked stream inside
+//!   its parallel pass. Cells, order and labels must be what `place`
+//!   and `region_of` give on `sample_ues`'s points.
 
 use proptest::prelude::*;
 use sc_dataset::population::{PopulationModel, Region};
@@ -94,7 +94,7 @@ proptest! {
     // twice, which dominates this file's debug-build time.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Placement straight from the draws equals placement of the
+    /// Placement from per-chunk streamed draws equals placement of the
     /// sampled points, labels included, for every thread count.
     #[test]
     fn placement_from_draws_matches_placement_of_sampled_points(
@@ -112,8 +112,11 @@ proptest! {
             place(threads, &points, &grid, &shard_map),
             points.iter().map(region).collect::<Vec<u8>>(),
         );
-        let draws: Vec<_> = pop.draws(n, seed).collect();
-        let got = place_labelled(threads, &draws, &|d| pop.point_of(d), &grid, &shard_map, &region);
+        let streamed = |ids: std::ops::Range<usize>| {
+            let len = ids.len();
+            pop.draws_at(seed, ids.start).take(len).map(|d| pop.point_of(&d))
+        };
+        let got = place_labelled(threads, n, &streamed, &grid, &shard_map, &region);
         prop_assert_eq!(&got, &want, "threads={}", threads);
     }
 }
