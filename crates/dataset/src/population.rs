@@ -73,6 +73,10 @@ struct Hotspot {
     /// The margin is ~10⁶ ulps, so rounding in the dot product can only
     /// send a borderline hotspot through the exact test, never past it.
     reject_below: f64,
+    /// `cos(3σ) + 1e-9`: a dot product at or above this is nearer than
+    /// 3σ, so the exact test would keep the hotspot (same margin
+    /// argument, mirrored).
+    accept_above: f64,
     /// Relative subscription weight (≈ millions of subscribers).
     weight: f64,
     /// Spatial spread, radians of central angle.
@@ -122,6 +126,7 @@ impl PopulationModel {
                 cos_lat: center.lat.cos().max(0.2),
                 unit: center.unit_vector(),
                 reject_below: (3.0 * sigma).cos() - 1e-9,
+                accept_above: (3.0 * sigma).cos() + 1e-9,
                 weight,
                 sigma,
                 region,
@@ -182,11 +187,42 @@ impl PopulationModel {
     /// `central_angle`'s own `clamp → acos` arithmetic, so the result is
     /// bit-for-bit what 20 full `central_angle` calls give
     /// (`tests/placement_props.rs` pins it to that reference).
+    ///
+    /// Most points need no `acos` at all. When every hotspot that is not
+    /// clearly beyond 3σ belongs to one region R and at least one is
+    /// clearly within it (`dot ≥ cos(3σ) + 1e-9`), the nearest hotspot
+    /// within 3σ exists and is one of them, so the answer is R whatever
+    /// the distances are. Both margins are 1e-9 against a dot product
+    /// whose rounding error is a few ulps (< 1e-15) and an `acos` whose
+    /// error is an ulp: no rounding can move a hotspot across either
+    /// test. Any other point takes the exact loop.
     pub fn region_of(&self, p: &GeoPoint) -> Region {
         let u = p.unit_vector();
-        let mut best: Option<(f64, Region)> = None;
+        let mut only: Option<Region> = None;
+        let mut within = false;
         for h in &self.hotspots {
             let dot = h.unit.dot(&u);
+            if dot < h.reject_below {
+                continue;
+            }
+            if only.is_some_and(|r| r != h.region) {
+                return self.nearest_region(&u);
+            }
+            only = Some(h.region);
+            within |= dot >= h.accept_above;
+        }
+        match only {
+            Some(r) if within => r,
+            _ => self.nearest_region(&u),
+        }
+    }
+
+    /// [`Self::region_of`]'s exact loop over the unit vector `u`: the
+    /// region of the nearest hotspot in σ units if within 3σ.
+    fn nearest_region(&self, u: &Vec3) -> Region {
+        let mut best: Option<(f64, Region)> = None;
+        for h in &self.hotspots {
+            let dot = h.unit.dot(u);
             if dot < h.reject_below {
                 continue;
             }

@@ -25,6 +25,15 @@ use crate::inclined::{Branch, InclinedCoord, InclinedFrame};
 use crate::sphere::{GeoPoint, EARTH_RADIUS_KM};
 use std::f64::consts::TAU;
 
+/// How close, in column widths, [`CellGrid::cell_of_point`]'s fast α
+/// may come to a column edge before the exact path decides the column.
+const COLUMN_MARGIN: f64 = 1e-6;
+
+/// Smallest `cos i` for which [`CellGrid::cell_of_point`] tries the fast
+/// α (inclinations up to ≈ 89.94°); nearer the pole the `atan2` it feeds
+/// is too ill-conditioned for [`COLUMN_MARGIN`] to cover.
+const FAST_COLUMN_MIN_COS_I: f64 = 1e-3;
+
 /// Identifier of one geospatial cell: orbital-plane column and in-plane row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId {
@@ -81,6 +90,8 @@ pub struct CellGrid {
     slots: u16,
     alpha_width: f64,
     gamma_height: f64,
+    /// Whether [`Self::cell_of_point`] may try the fast α.
+    fast_column: bool,
 }
 
 impl CellGrid {
@@ -97,6 +108,7 @@ impl CellGrid {
             slots,
             alpha_width: TAU / planes as f64,
             gamma_height: TAU / slots as f64,
+            fast_column: inclination_rad.cos() >= FAST_COLUMN_MIN_COS_I,
         }
     }
 
@@ -133,16 +145,59 @@ impl CellGrid {
     /// Map an inclined coordinate (any branch) to its cell.
     pub fn cell_of_coord(&self, c: InclinedCoord) -> CellId {
         let a = wrap_2pi(c.alpha);
-        let g = wrap_2pi(c.gamma);
         let col = ((a / self.alpha_width) as u32).min(self.planes as u32 - 1) as u16;
-        let row = ((g / self.gamma_height) as u32).min(self.slots as u32 - 1) as u16;
-        CellId { col, row }
+        CellId {
+            col,
+            row: self.row_of(c.gamma),
+        }
+    }
+
+    /// Row of an inclined latitude `γ` (any branch).
+    fn row_of(&self, gamma: f64) -> u16 {
+        let g = wrap_2pi(gamma);
+        ((g / self.gamma_height) as u32).min(self.slots as u32 - 1) as u16
     }
 
     /// Canonical cell of a terrestrial point: its ascending-branch
-    /// coordinate, with out-of-band latitudes clamped to the band edge.
+    /// coordinate, with out-of-band latitudes clamped to the band edge —
+    /// always `cell_of_coord(frame().from_geo_clamped(p))`.
+    ///
+    /// `sin γ` and `γ = asin(sin γ)` are computed exactly as there, so
+    /// the row is too. The column first tries `sin γ` itself and
+    /// `cos γ = √((1 − sin γ)(1 + sin γ))` in place of `γ.sin_cos()`.
+    /// Both pairs are within 7e-16 of the true values, the `atan2` they
+    /// feed has slope at most `1/cos i`, and the subtraction and wrap
+    /// round the same way up to an ulp of 2π, so the two αs differ by
+    /// less than `1e-15/cos i + 3e-15` rad: 5e-15 rad at 53°, 1e-12 rad
+    /// at the `cos i ≥ 1e-3` this is tried for. The fast α is kept only
+    /// when it lies more than 1e-6 column widths from a column edge —
+    /// ≈ 9e-8 rad for 72 planes, ≥ 9e-11 rad for any grid. 0 and 2π
+    /// are column edges, so a wrap the two αs could take differently is
+    /// excluded too. Any other point takes the exact path.
+    /// `crates/geo/tests/props.rs` pins the equality, column edges,
+    /// band edges, poles and the antimeridian included.
     pub fn cell_of_point(&self, p: &GeoPoint) -> CellId {
-        self.cell_of_coord(self.frame.from_geo_clamped(p))
+        let (lon, s) = self.frame.clamped_lon_sin_gamma(p);
+        let gamma = s.asin();
+        if self.fast_column {
+            let alpha = self
+                .frame
+                .node_alpha(lon, s, ((1.0 - s) * (1.0 + s)).sqrt());
+            let x = alpha / self.alpha_width;
+            let col = x as u32;
+            let edge = x - f64::from(col);
+            if edge > COLUMN_MARGIN && edge < 1.0 - COLUMN_MARGIN {
+                return CellId {
+                    col: col as u16,
+                    row: self.row_of(gamma),
+                };
+            }
+        }
+        let (sg, cg) = gamma.sin_cos();
+        self.cell_of_coord(InclinedCoord::new(
+            self.frame.node_alpha(lon, sg, cg),
+            gamma,
+        ))
     }
 
     /// The (α, γ) lower corner and upper corner of a cell.

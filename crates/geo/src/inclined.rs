@@ -137,9 +137,10 @@ impl InclinedFrame {
             Branch::Descending => PI - gamma_asc, // ∈ [π/2, 3π/2]
         };
         let (sg, cg) = gamma.sin_cos();
-        let dlon = (self.cos_i * sg).atan2(cg);
-        let alpha = wrap_2pi(p.lon - dlon);
-        Ok(InclinedCoord { alpha, gamma })
+        Ok(InclinedCoord {
+            alpha: self.node_alpha(p.lon, sg, cg),
+            gamma,
+        })
     }
 
     /// Canonical (ascending-branch) conversion; see [`Self::from_geo_branch`].
@@ -152,12 +153,34 @@ impl InclinedFrame {
     /// under low-inclination shells (e.g. polar stations under Starlink),
     /// which the paper serves from the nearest band-edge cell.
     pub fn from_geo_clamped(&self, p: &GeoPoint) -> InclinedCoord {
+        let (lon, s) = self.clamped_lon_sin_gamma(p);
+        let gamma = s.asin();
+        let (sg, cg) = gamma.sin_cos();
+        InclinedCoord {
+            alpha: self.node_alpha(lon, sg, cg),
+            gamma,
+        }
+    }
+
+    /// The first half of [`Self::from_geo_clamped`]: the point's
+    /// longitude and `sin γ` of its ascending coordinate, the latitude
+    /// clamped into the band — the same arithmetic as
+    /// [`Self::from_geo`] on the clamped point, whose in-band check can
+    /// then never fail.
+    pub(crate) fn clamped_lon_sin_gamma(&self, p: &GeoPoint) -> (f64, f64) {
         let clamped = GeoPoint::new(
             p.lat.clamp(-self.inclination + 1e-9, self.inclination - 1e-9),
             p.lon,
         );
-        self.from_geo(&clamped)
-            .expect("clamped latitude is always in band")
+        (clamped.lon, (clamped.lat.sin() / self.sin_i).clamp(-1.0, 1.0))
+    }
+
+    /// The longitude `α ∈ [0, 2π)` at which the inclined great circle
+    /// through a point at longitude `lon` and inclined latitude γ (given
+    /// as `sin γ`, `cos γ`, either branch) crosses the equator
+    /// northbound.
+    pub(crate) fn node_alpha(&self, lon: f64, sin_gamma: f64, cos_gamma: f64) -> f64 {
+        wrap_2pi(lon - (self.cos_i * sin_gamma).atan2(cos_gamma))
     }
 }
 

@@ -125,3 +125,89 @@ proptest! {
         prop_assert!((bottom.lat + inc).abs() < 1e-9);
     }
 }
+
+/// `CellGrid::cell_of_point` as first written: the exact clamped
+/// conversion, then the coordinate's cell.
+fn cell_of_point_reference(g: &CellGrid, p: &GeoPoint) -> CellId {
+    g.cell_of_coord(g.frame().from_geo_clamped(p))
+}
+
+/// `x` moved by `ulps` representable steps (negative: downwards).
+fn nudge(x: f64, ulps: i32) -> f64 {
+    let step = if ulps < 0 { f64::next_down } else { f64::next_up };
+    (0..ulps.unsigned_abs()).fold(x, |x, _| step(x))
+}
+
+/// Inclinations from a low shell to exactly polar, the last beyond the
+/// fast column's `cos i ≥ 1e-3` and the two before it the Iridium- and
+/// OneWeb-like shells.
+const INCLINATIONS: [f64; 6] = [0.3, 0.9, 53.0 * PI / 180.0, 1.508, 1.534, FRAC_PI_2];
+
+proptest! {
+    /// Random points on random grids: the fast column never changes the
+    /// cell.
+    #[test]
+    fn cell_of_point_matches_clamped_conversion(
+        inc in 0.2f64..FRAC_PI_2,
+        planes in 1u16..200, slots in 1u16..100,
+        z in -1.0f64..1.0, lon in -PI..PI,
+    ) {
+        let g = CellGrid::new(inc, planes, slots);
+        let p = GeoPoint::new(z.asin(), lon);
+        prop_assert_eq!(g.cell_of_point(&p), cell_of_point_reference(&g, &p), "{:?}", p);
+    }
+
+    /// Points built on every column edge (α = 0 and α = 2π included)
+    /// and up to 4 ulps of α either side, at random inclined latitudes
+    /// of both branches: the fast α must hand each to the exact path
+    /// or agree with it.
+    #[test]
+    fn cell_of_point_matches_at_column_edges(
+        k in 0usize..INCLINATIONS.len(),
+        planes in 1u16..100,
+        gamma in -PI..PI,
+    ) {
+        let g = CellGrid::new(INCLINATIONS[k], planes, 22);
+        for col in 0..=planes {
+            let edge = f64::from(col) * g.alpha_width();
+            for ulps in -4..=4 {
+                let alpha = nudge(edge, ulps);
+                let p = g.frame().to_geo(InclinedCoord::new(alpha, gamma));
+                prop_assert_eq!(
+                    g.cell_of_point(&p),
+                    cell_of_point_reference(&g, &p),
+                    "col edge {} ulps {} gamma {} -> {:?}", col, ulps, gamma, p
+                );
+            }
+        }
+    }
+
+    /// Latitudes at the band-edge clamp (to the ulp), beyond it and at
+    /// the poles, on random longitudes and on the antimeridian.
+    #[test]
+    fn cell_of_point_matches_at_band_edges_poles_and_antimeridian(
+        k in 0usize..INCLINATIONS.len(),
+        planes in 1u16..100,
+        lon in -PI..PI,
+    ) {
+        let inc = INCLINATIONS[k];
+        let g = CellGrid::new(inc, planes, 22);
+        let mut lats = vec![FRAC_PI_2, -FRAC_PI_2, inc, -inc];
+        for ulps in -4..=4 {
+            lats.push(nudge(inc - 1e-9, ulps));
+            lats.push(-nudge(inc - 1e-9, ulps));
+            lats.push(nudge(inc, ulps).min(FRAC_PI_2));
+        }
+        lats.push((inc + FRAC_PI_2) / 2.0);
+        for lat in lats {
+            for lon in [lon, PI, -PI, nudge(PI, -1), nudge(-PI, 1), 0.0, -0.0] {
+                let p = GeoPoint::new(lat, lon);
+                prop_assert_eq!(
+                    g.cell_of_point(&p),
+                    cell_of_point_reference(&g, &p),
+                    "inc {} {:?}", inc, p
+                );
+            }
+        }
+    }
+}

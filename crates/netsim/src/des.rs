@@ -14,20 +14,37 @@
 //! keeps four tiers:
 //!
 //! - `active`: the current day as it stood when the calendar reached
-//!   it, sorted once by `(time, seq)`. Pops are `pop_front` — O(1).
+//!   it, put in `(time, seq)` order once by the day promotion below.
+//!   Pops are `pop_front` — O(1).
 //! - `late`: a binary heap for events scheduled into the current day
-//!   (or an earlier one) after it was sorted — follow-ups a handler
+//!   (or an earlier one) after it was promoted — follow-ups a handler
 //!   schedules close behind the event it handles. A pop takes
 //!   whichever of `active`'s front and `late`'s minimum comes first;
-//!   when `active` runs dry, `late`'s events are sorted into it.
+//!   when `active` runs dry, `late`'s events are promoted into it.
 //! - `wheel`: unsorted buckets for the next [`EventQueue::WHEEL_SLOTS`]
 //!   days, indexed by `day % WHEEL_SLOTS`, with a word bitmap marking
 //!   occupied slots. Scheduling into the wheel is O(1); a bucket is
-//!   sorted into `active` when its day becomes current and both
+//!   promoted into `active` when its day becomes current and both
 //!   `active` and `late` are empty.
 //! - `overflow`: a binary heap for events beyond the wheel horizon.
 //!   Spills are counted as `netsim.des.wheel_spills`; spilled events
 //!   migrate back into the wheel as the calendar advances.
+//!
+//! **Day promotion** (a wheel bucket, or the drained `late` heap, into
+//! `active`) is one routine, linear in the day's size for the days the
+//! soaks and `ProcedureSim` produce. A stable counting pass scatters the
+//! events by `⌊(time − day_start) · K⌋` into `K = n.next_power_of_two()`
+//! sub-day buckets — a monotone map of the time, so events of different
+//! buckets already stand in order — and an insertion pass on the exact
+//! `(time, seq)` key then finishes the job. The insertion pass is a
+//! complete sort, so the order is exact for any input (equal times,
+//! −0.0 before +0.0, overflow-migrated events whose `seq` is not
+//! monotone, even events outside the day, which share the first or last
+//! bucket); its cost is the number of out-of-order pairs left inside a
+//! bucket, none for ties scheduled in `seq` order. The count and
+//! scatter buffers and the day buffers themselves are the queue's and
+//! are reused from day to day: a promoted bucket trades its buffer with
+//! the emptied `active` one instead of being copied.
 //!
 //! Every tier orders by the same `(time, seq)` key, so the pop sequence
 //! is identical to the reference binary-heap scheduler kept in
@@ -76,12 +93,84 @@ fn event_order<E>(a: &ScheduledEvent<E>, b: &ScheduledEvent<E>) -> Ordering {
 
 /// [`event_order`] as an integer key: `f64::total_cmp`'s own bit
 /// transform of the time (so −0.0 still sorts before +0.0), then the
-/// sequence number. A day sorts on it without a float compare.
+/// sequence number. A day's insertion pass compares it without a float
+/// compare.
 fn order_key<E>(ev: &ScheduledEvent<E>) -> (i64, u64) {
     let bits = ev.time.to_bits() as i64;
     (bits ^ (((bits >> 63) as u64) >> 1) as i64, ev.seq)
 }
 
+/// Scratch space of the day promotion ([`DaySort::order`]), kept by the
+/// queue so that no day allocates once the buffers have grown to the
+/// largest day seen.
+#[derive(Debug, Clone, Default)]
+struct DaySort {
+    /// Per sub-day bucket: its size, then its next free position.
+    counts: Vec<usize>,
+    /// Per event: its bucket, then its position after the scatter.
+    dest: Vec<usize>,
+}
+
+impl DaySort {
+    /// Put `events` in `(time, seq)` order. `day_start` is the start of
+    /// the day they belong to; an event outside the day lands in the
+    /// first or last bucket, which costs time but not exactness. (The
+    /// `late` heap holds events from before the current day after a
+    /// `drain_until` probe has moved the calendar ahead of the clock, but
+    /// they pop before the day's own events, so no promotion sees them.)
+    fn order<E>(&mut self, events: &mut [ScheduledEvent<E>], day_start: f64) {
+        let n = events.len();
+        if n < 2 {
+            return;
+        }
+        // Stable counting pass: bucket by the time's offset into the
+        // day. The map is monotone (a float subtraction, a scaling by a
+        // power of two, a saturating cast and a clamp), so equal times
+        // share a bucket and the buckets come in time order.
+        let k = n.next_power_of_two();
+        let (scale, last) = (k as f64 / BUCKET_WIDTH_S, k as i64 - 1);
+        self.counts.clear();
+        self.counts.resize(k, 0);
+        self.dest.clear();
+        for ev in events.iter() {
+            let b = (((ev.time - day_start) * scale) as i64).clamp(0, last) as usize;
+            self.counts[b] += 1;
+            self.dest.push(b);
+        }
+        let mut first = 0;
+        for c in self.counts.iter_mut() {
+            (*c, first) = (first, first + *c);
+        }
+        for d in self.dest.iter_mut() {
+            let slot = &mut self.counts[*d];
+            *d = *slot;
+            *slot += 1;
+        }
+        // Move every event to its position in place, one cycle of the
+        // permutation at a time; each swap settles one event.
+        for i in 0..n {
+            loop {
+                let j = self.dest[i];
+                if j == i {
+                    break;
+                }
+                events.swap(i, j);
+                self.dest.swap(i, j);
+            }
+        }
+        // Insertion pass on the exact key: only pairs inside a bucket
+        // can still be out of order.
+        for i in 1..n {
+            let mut j = i;
+            while j > 0 && order_key(&events[j]) < order_key(&events[j - 1]) {
+                events.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+    }
+}
+
+const BUCKET_WIDTH_S: f64 = 1.0;
 const WHEEL_SLOTS: usize = 256;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 
@@ -114,6 +203,8 @@ pub struct EventQueue<E> {
     occupied: [u64; BITMAP_WORDS],
     /// Events at `WHEEL_SLOTS` or more days past `base_day`.
     overflow: BinaryHeap<ScheduledEvent<E>>,
+    /// Buffers of the day promotion.
+    day_sort: DaySort,
     /// Day of the `active` tier; wheel slots cover
     /// `(base_day, base_day + WHEEL_SLOTS)`.
     base_day: u64,
@@ -139,7 +230,7 @@ impl<E: PartialEq> EventQueue<E> {
     /// Calendar bucket width: 1.0 unit of the caller's clock per day
     /// (1 s for the churn soaks, 1 ms for `ProcedureSim`, whose wheel
     /// horizon is therefore 256 ms).
-    pub const BUCKET_WIDTH_S: f64 = 1.0;
+    pub const BUCKET_WIDTH_S: f64 = BUCKET_WIDTH_S;
     /// Number of wheel slots (days covered before spilling to the
     /// overflow heap).
     pub const WHEEL_SLOTS: usize = WHEEL_SLOTS;
@@ -151,6 +242,7 @@ impl<E: PartialEq> EventQueue<E> {
             wheel: Vec::new(),
             occupied: [0; BITMAP_WORDS],
             overflow: BinaryHeap::new(),
+            day_sort: DaySort::default(),
             base_day: 0,
             pending: 0,
             next_seq: 0,
@@ -250,15 +342,28 @@ impl<E: PartialEq> EventQueue<E> {
         None
     }
 
+    /// Start of the current day, in the caller's clock.
+    fn day_start(&self) -> f64 {
+        self.base_day as f64 * Self::BUCKET_WIDTH_S
+    }
+
+    /// The emptied `active` tier's buffer (both callers run only once
+    /// `active` is dry), to stage the next day in.
+    fn spare_buffer(&mut self) -> Vec<ScheduledEvent<E>> {
+        Vec::from(std::mem::take(&mut self.active))
+    }
+
     /// Make `active` or `late` hold the next event (unless everything
     /// is drained). A dry `active` first takes whatever `late` holds,
-    /// sorted in one go — a single sort instead of a heap pop per event
-    /// for a day filled before its first pop (every queue's day 0) —
-    /// and only when both are empty does the calendar advance.
+    /// promoted in one go — one ordering pass instead of a heap pop per
+    /// event for a day filled before its first pop (every queue's day
+    /// 0) — and only when both are empty does the calendar advance.
     fn ensure_active(&mut self) {
         if self.active.is_empty() && !self.late.is_empty() {
-            self.active.extend(self.late.drain());
-            self.active.make_contiguous().sort_unstable_by_key(order_key);
+            let spare = BinaryHeap::from(self.spare_buffer());
+            let mut day = std::mem::replace(&mut self.late, spare).into_vec();
+            self.day_sort.order(&mut day, self.day_start());
+            self.active = VecDeque::from(day);
         }
         while self.active.is_empty() && self.late.is_empty() {
             if !self.activate_next_day() {
@@ -267,9 +372,9 @@ impl<E: PartialEq> EventQueue<E> {
         }
     }
 
-    /// Advance `base_day` to the next day holding events and sort that
-    /// day's bucket into the (empty) `active` tier. Returns false when
-    /// the calendar is empty.
+    /// Advance `base_day` to the next day holding events and promote
+    /// that day's bucket into the (empty) `active` tier. Returns false
+    /// when the calendar is empty.
     ///
     /// The next day is the *earlier* of the next occupied wheel slot
     /// and the earliest overflow day: overflow events spill relative
@@ -287,11 +392,13 @@ impl<E: PartialEq> EventQueue<E> {
             (Some(w), Some(o)) => w.min(o),
         };
         self.base_day = target;
-        let mut current = Vec::new();
+        // The bucket's buffer becomes `active`'s; the slot keeps the old
+        // `active` buffer for its next day.
+        let mut current = self.spare_buffer();
         if let Some((day, slot)) = wheel_next {
             if day == target {
                 self.occupied[slot / 64] &= !(1 << (slot % 64));
-                current.append(&mut self.wheel[slot]);
+                std::mem::swap(&mut current, &mut self.wheel[slot]);
             }
         }
         // Migrate every overflow event the wheel can now hold.
@@ -313,7 +420,7 @@ impl<E: PartialEq> EventQueue<E> {
                 self.occupied[slot / 64] |= 1 << (slot % 64);
             }
         }
-        current.sort_unstable_by_key(order_key);
+        self.day_sort.order(&mut current, self.day_start());
         self.active = VecDeque::from(current);
         true
     }
@@ -712,6 +819,43 @@ mod tests {
         q.schedule(5.0, 11);
         assert_eq!(q.pop().map(|e| e.event), Some(10));
         assert_eq!(q.pop().map(|e| e.event), Some(11));
+    }
+
+    /// The day promotion is a complete sort whatever it is given: times
+    /// before the day (bucket 0), past it (the last bucket), −0.0 beside
+    /// +0.0, heavy ties and `seq` in any order.
+    #[test]
+    fn day_sort_orders_any_input() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut sorter = DaySort::default();
+        for n in [0usize, 1, 2, 3, 17, 64, 65, 1000] {
+            let mut events: Vec<ScheduledEvent<u64>> = (0..n)
+                .map(|i| {
+                    let r = next();
+                    let time = match r % 6 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => 5.0 + (r >> 40) as f64 / (1u64 << 24) as f64 * 4.0,
+                        3 => 7.5,
+                        _ => 7.0 + (r >> 40) as f64 / (1u64 << 24) as f64,
+                    };
+                    ScheduledEvent { time, seq: next(), event: i as u64 }
+                })
+                .collect();
+            let mut want = events.clone();
+            want.sort_by(event_order);
+            sorter.order(&mut events, 7.0);
+            let key = |v: &[ScheduledEvent<u64>]| -> Vec<(u64, u64, u64)> {
+                v.iter().map(|e| (e.time.to_bits(), e.seq, e.event)).collect()
+            };
+            assert_eq!(key(&events), key(&want), "n={n}");
+        }
     }
 
     #[test]

@@ -9,25 +9,28 @@
 //! ties, `reset`, `drain_until` windows, and dense days of thousands
 //! of events with hundreds more scheduled into them mid-drain, and
 //! signed-zero and equal-time ties.
+//!
+//! A day is promoted into `active` by a counting pass over sub-day
+//! buckets and an insertion pass; the last block aims at that routine:
+//! days of one event, days of thousands of events on a handful of
+//! distinct times, days that mix wheel events with overflow events
+//! migrated in behind them (so `seq` is not monotone inside the day),
+//! and a `late` heap holding events from before the current day.
 
 use proptest::prelude::*;
 use sc_netsim::des::{reference::ReferenceQueue, EventQueue, ScheduledEvent};
 
 /// Drain both queues and assert the full `(time, seq, event)` pop
-/// sequences are identical.
+/// sequences are identical, times compared by their bits (so −0.0 and
+/// +0.0 are told apart).
 fn assert_drains_equal(cal: &mut EventQueue<usize>, refq: &mut ReferenceQueue<usize>) {
     loop {
         let (a, b) = (cal.pop(), refq.pop());
-        assert_eq!(a.is_some(), b.is_some(), "queues ended at different lengths");
-        match (a, b) {
-            (Some(a), Some(b)) => {
-                assert_eq!(
-                    (a.time, a.seq, a.event),
-                    (b.time, b.seq, b.event),
-                    "calendar and reference disagree"
-                );
-            }
-            _ => break,
+        let bits = |e: Option<ScheduledEvent<usize>>| e.map(|e| (e.time.to_bits(), e.seq, e.event));
+        let (a, b) = (bits(a), bits(b));
+        assert_eq!(a, b, "calendar and reference disagree");
+        if a.is_none() {
+            break;
         }
     }
 }
@@ -244,14 +247,10 @@ proptest! {
         assert_drains_equal(&mut cal, &mut refq);
     }
 
-    /// The same dense day drained in sub-day `drain_until` windows,
-    /// with a burst of 200+ same-day schedules between windows: each
-    /// batch is the reference's next pops, and nothing before the
-    /// horizon is left behind.
-    /// Signed zeros and equal times in every tier: days sort on an
-    /// integer key, which must order −0.0 before +0.0 (as `total_cmp`
-    /// does) and keep FIFO among equal times. Times are compared by
-    /// their bits, since `-0.0 == 0.0`.
+    /// Signed zeros and equal times in every tier: a day's insertion
+    /// pass compares an integer key, which must order −0.0 before +0.0
+    /// (as `total_cmp` does) and keep FIFO among equal times. Times are
+    /// compared by their bits, since `-0.0 == 0.0`.
     #[test]
     fn signed_zero_and_equal_time_ties_match_reference(
         picks in proptest::collection::vec(0usize..8, 1..300),
@@ -285,6 +284,10 @@ proptest! {
         }
     }
 
+    /// The same dense day drained in sub-day `drain_until` windows,
+    /// with a burst of 200+ same-day schedules between windows: each
+    /// batch is the reference's next pops, and nothing before the
+    /// horizon is left behind.
     #[test]
     fn dense_day_with_same_day_schedules_between_drains_matches_reference(
         dense in dense_day(),
@@ -319,6 +322,136 @@ proptest! {
             let now = cal.now().max(horizon);
             schedule_both(&mut cal, &mut refq, rest_of_day(now, day + 1.0, &burst), &mut next);
             prop_assert_eq!(cal.len(), refq.len());
+        }
+        assert_drains_equal(&mut cal, &mut refq);
+    }
+}
+
+proptest! {
+    /// Days of one event each, on days spread over the current day, the
+    /// wheel and the overflow heap, with pops in between and a second
+    /// lone event scheduled behind some of them.
+    #[test]
+    fn one_event_days_match_reference(
+        days in proptest::collection::vec((0u32..2000, 0.0f64..1.0, any::<bool>()), 1..120),
+    ) {
+        let mut cal = EventQueue::new();
+        let mut refq = ReferenceQueue::new();
+        let mut next = 0;
+        // One event per distinct day.
+        let mut seen = std::collections::BTreeSet::new();
+        for (day, frac, _) in &days {
+            if seen.insert(*day) {
+                schedule_both(&mut cal, &mut refq, [f64::from(*day) + frac], &mut next);
+            }
+        }
+        for (_, frac, follow_up) in days {
+            let (a, b) = (cal.pop(), refq.pop());
+            prop_assert_eq!(
+                a.as_ref().map(|e| (e.time, e.seq, e.event)),
+                b.as_ref().map(|e| (e.time, e.seq, e.event))
+            );
+            if follow_up {
+                // A lone event a few days ahead: a one-event wheel day.
+                let t = cal.now() + 3.0 + frac;
+                schedule_both(&mut cal, &mut refq, [t], &mut next);
+            }
+        }
+        assert_drains_equal(&mut cal, &mut refq);
+    }
+
+    /// Thousands of events on at most a handful of distinct times, in
+    /// the first day (promoted from the `late` heap, whose storage order
+    /// is not `seq` order), on a wheel day and on an overflow day.
+    #[test]
+    fn tie_heavy_thousand_event_days_match_reference(
+        day in (0u32..3).prop_map(|k| f64::from([0, 9, 400][k as usize])),
+        distinct in 1usize..5,
+        picks in proptest::collection::vec(0usize..5, 2000..4000),
+        pops in 0usize..3000,
+    ) {
+        const FRACS: [f64; 5] = [0.0, 0.125, 0.5, 0.5 + f64::EPSILON, 0.875];
+        let mut cal = EventQueue::new();
+        let mut refq = ReferenceQueue::new();
+        let mut next = 0;
+        let times: Vec<f64> = picks.iter().map(|k| day + FRACS[k % distinct]).collect();
+        schedule_both(&mut cal, &mut refq, times.iter().copied(), &mut next);
+        for _ in 0..pops {
+            let (a, b) = (cal.pop(), refq.pop());
+            prop_assert_eq!(
+                a.as_ref().map(|e| (e.time, e.seq, e.event)),
+                b.as_ref().map(|e| (e.time, e.seq, e.event))
+            );
+        }
+        // The same times again where causality allows: ties between the
+        // promoted day and the `late` heap.
+        let now = cal.now();
+        schedule_both(&mut cal, &mut refq, times.into_iter().filter(|t| *t >= now), &mut next);
+        assert_drains_equal(&mut cal, &mut refq);
+    }
+
+    /// Events spilled to the overflow heap, then, once the clock has
+    /// moved their day into the wheel horizon, more events into the same
+    /// day — equal times included. The migrated events enter the bucket
+    /// in `(time, seq)` order ahead of the wheel's own, so `seq` is not
+    /// monotone in the bucket (it is among equal times).
+    #[test]
+    fn wheel_and_migrated_overflow_day_matches_reference(
+        target in 256u32..700,
+        spilled in proptest::collection::vec(tie_prone_frac(), 1..400),
+        wheeled in proptest::collection::vec(tie_prone_frac(), 1..400),
+        lead in 1u32..255,
+    ) {
+        let day = f64::from(target);
+        let mut cal = EventQueue::new();
+        let mut refq = ReferenceQueue::new();
+        let mut next = 0;
+        // At base day 0 the target day is past the wheel: overflow.
+        schedule_both(&mut cal, &mut refq, spilled.iter().map(|f| day + f), &mut next);
+        // Move the clock to within `lead` days of the target.
+        let advance = day - f64::from(lead);
+        schedule_both(&mut cal, &mut refq, [advance], &mut next);
+        let (a, b) = (cal.pop(), refq.pop());
+        prop_assert_eq!(a.map(|e| e.seq), b.map(|e| e.seq));
+        // Now the target day is inside the wheel horizon.
+        schedule_both(&mut cal, &mut refq, wheeled.iter().map(|f| day + f), &mut next);
+        schedule_both(&mut cal, &mut refq, spilled.iter().map(|f| day + f), &mut next);
+        assert_drains_equal(&mut cal, &mut refq);
+    }
+
+    /// A `drain_until` horizon probe promotes a far day while the clock
+    /// stays behind it; everything scheduled afterwards into the days in
+    /// between sits in the `late` heap, before the current day, beside
+    /// more of the current day's events.
+    #[test]
+    fn late_events_before_the_current_day_match_reference(
+        far in 2u32..600,
+        before in proptest::collection::vec(0.0f64..1.0, 1..300),
+        same_day in proptest::collection::vec(tie_prone_frac(), 0..300),
+        pops in 0usize..600,
+    ) {
+        let day = f64::from(far);
+        let mut cal = EventQueue::new();
+        let mut refq = ReferenceQueue::new();
+        let mut next = 0;
+        schedule_both(&mut cal, &mut refq, [day + 0.5, -0.0, 0.0], &mut next);
+        let mut batch = Vec::new();
+        cal.drain_until(1.0, &mut batch);
+        for e in &batch {
+            let r = refq.pop();
+            prop_assert_eq!(Some((e.time.to_bits(), e.seq)), r.map(|r| (r.time.to_bits(), r.seq)));
+        }
+        // The probe found nothing due before 1.0 past the zeros and left
+        // the far day current.
+        prop_assert_eq!(cal.drain_until(1.0, &mut batch), 0);
+        schedule_both(&mut cal, &mut refq, before.iter().map(|f| 1.0 + f * (day - 1.0)), &mut next);
+        schedule_both(&mut cal, &mut refq, same_day.iter().map(|f| day + f), &mut next);
+        for _ in 0..pops {
+            let (a, b) = (cal.pop(), refq.pop());
+            prop_assert_eq!(
+                a.as_ref().map(|e| (e.time, e.seq, e.event)),
+                b.as_ref().map(|e| (e.time, e.seq, e.event))
+            );
         }
         assert_drains_equal(&mut cal, &mut refq);
     }

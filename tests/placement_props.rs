@@ -2,10 +2,15 @@
 //! the straightforward code it replaced:
 //!
 //! * `PopulationModel::region_of` rejects far hotspots with one dot
-//!   product against a cached unit vector; it must classify every point
-//!   exactly as 20 full `central_angle` calls do — on the open sphere,
-//!   on the 3σ decision boundary of every hotspot, and where lat/lon
-//!   arithmetic is least forgiving (poles, antimeridian).
+//!   product against a cached unit vector, and answers without any
+//!   `acos` when the hotspots left all share one region and one is
+//!   clearly within 3σ; it must classify every point exactly as 20 full
+//!   `central_angle` calls do — on the open sphere, on the 3σ decision
+//!   boundary of every hotspot (also where the dot product sits within
+//!   ulps of either margin), where hotspots of different regions overlap
+//!   (Egypt ↔ Middle East) and of one region overlap (China ↔ India ↔
+//!   Indochina), and where lat/lon arithmetic is least forgiving (poles,
+//!   antimeridian).
 //! * `churn::place` computes cells in parallel chunks; shard membership
 //!   *and* in-shard order must be what one serial pass in UE-id order
 //!   produces, for any thread count, shard count and population size —
@@ -34,6 +39,12 @@ fn region_of_reference(m: &PopulationModel, p: &GeoPoint) -> Region {
         }
     }
     best.map_or(Region::Ocean, |(_, r)| r)
+}
+
+/// `x` moved by `ulps` representable steps (negative: downwards).
+fn nudge(x: f64, ulps: i32) -> f64 {
+    let step = if ulps < 0 { f64::next_down } else { f64::next_up };
+    (0..ulps.unsigned_abs()).fold(x, |x, _| step(x))
 }
 
 /// The point at central angle `r` from `from` along `bearing`.
@@ -67,6 +78,53 @@ proptest! {
                     "hotspot {:?} eps {} bearing {}", center, eps, bearing
                 );
             }
+        }
+    }
+
+    /// Points at the `acos` of dot products within 4 ulps of `cos 3σ`,
+    /// `cos 3σ − 1e-9` (the reject margin) and `cos 3σ + 1e-9` (the
+    /// accept margin) from a hotspot's centre; placing them rounds by a
+    /// few ulps more, so the points straddle each threshold.
+    #[test]
+    fn region_of_matches_reference_at_the_dot_product_margins(bearing in 0.0f64..(2.0 * PI)) {
+        let m = PopulationModel::world_bank_like();
+        for (center, sigma, _) in m.hotspots() {
+            let c = (3.0 * sigma).cos();
+            for target in [c, c - 1e-9, c + 1e-9] {
+                for ulps in -4..=4 {
+                    let dot = nudge(target, ulps);
+                    let p = offset(&center, dot.acos(), bearing);
+                    prop_assert_eq!(
+                        m.region_of(&p),
+                        region_of_reference(&m, &p),
+                        "hotspot {:?} dot {} bearing {}", center, dot, bearing
+                    );
+                }
+            }
+        }
+    }
+
+    /// Points strewn between hotspots whose 3σ discs overlap: Egypt
+    /// (Africa) and the Middle East (Europe & Asia), where the nearest
+    /// one in σ units decides; and eastern China, India and Indochina,
+    /// all Europe & Asia, where the one-region answer needs no distance.
+    #[test]
+    fn region_of_matches_reference_where_hotspots_overlap(
+        a in 0.0f64..1.0, b in 0.0f64..1.0, spread in 0.0f64..0.2, bearing in 0.0f64..(2.0 * PI),
+    ) {
+        let m = PopulationModel::world_bank_like();
+        let at = |lat: f64, lon: f64| GeoPoint::from_degrees(lat, lon);
+        let mix = |p: GeoPoint, q: GeoPoint, w: f64| {
+            GeoPoint::new(p.lat + w * (q.lat - p.lat), p.lon + w * (q.lon - p.lon))
+        };
+        let (egypt, middle_east) = (at(30.0, 30.0), at(33.0, 48.0));
+        let (china, india, indochina) = (at(31.0, 112.0), at(23.0, 80.0), at(16.0, 102.0));
+        for p in [
+            mix(egypt, middle_east, a),
+            mix(mix(china, india, a), indochina, b),
+        ] {
+            let p = offset(&p, spread, bearing);
+            prop_assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{:?}", p);
         }
     }
 
