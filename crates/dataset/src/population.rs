@@ -11,6 +11,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use sc_geo::sphere::{GeoPoint, Vec3};
+use std::f64::consts::{FRAC_PI_2, PI, TAU};
 
 /// Continental region labels used by Figure 12's annotations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,6 +78,18 @@ struct Hotspot {
     /// 3σ, so the exact test would keep the hotspot (same margin
     /// argument, mirrored).
     accept_above: f64,
+    /// `center.lat.cos()`: the length of a radian of longitude along
+    /// the centre's parallel.
+    cos_center: f64,
+    /// Half-height and half-width, radians, of the latitude/longitude
+    /// box around the cap of radius `ρ = 3σ + 1e-9`: `ρ`, and
+    /// `asin(sin ρ / cos φ)` (π when the cap holds a pole). A point
+    /// outside the box is farther than 3σ by more than any rounding.
+    box_lat: f64,
+    box_lon: f64,
+    /// `3σ − 1e-9`: a point whose meridian-then-parallel path to the
+    /// centre is no longer than this is clearly within 3σ.
+    within: f64,
     /// Relative subscription weight (≈ millions of subscribers).
     weight: f64,
     /// Spatial spread, radians of central angle.
@@ -94,6 +107,18 @@ pub struct Draw {
     u2: f64,
 }
 
+/// Side of a cell of [`PopulationModel::region_of`]'s candidate grid,
+/// degrees: 36 latitude rows from the south pole up, 72 longitude
+/// columns from −180° east.
+pub const CANDIDATE_CELL_DEG: f64 = 5.0;
+const CANDIDATE_ROWS: usize = 36;
+const CANDIDATE_COLS: usize = 72;
+
+/// Margin, radians, of every geometric shortcut in
+/// [`PopulationModel::region_of`]: ~10⁶ times the rounding error of the
+/// arithmetic it guards.
+const MARGIN: f64 = 1e-9;
+
 /// Stream words one UE reads: three `next_u64` calls (the hotspot pick
 /// and the two uniforms). UE `k` therefore starts at word `6·k`, and
 /// every read is even-aligned, so none straddles the generator's
@@ -105,6 +130,9 @@ const WORDS_PER_UE: u128 = 6;
 pub struct PopulationModel {
     hotspots: Vec<Hotspot>,
     total_weight: f64,
+    /// Per candidate-grid cell, row-major: bit `k` set when hotspot
+    /// `k`'s box, widened by [`MARGIN`], meets the cell.
+    candidates: Vec<u32>,
 }
 
 impl Default for PopulationModel {
@@ -121,12 +149,22 @@ impl PopulationModel {
         let h = |lat: f64, lon: f64, weight: f64, sigma_deg: f64, region: Region| {
             let center = GeoPoint::from_degrees(lat, lon);
             let sigma = sigma_deg.to_radians();
+            let rho = 3.0 * sigma + MARGIN;
+            let cos_center = center.lat.cos();
             Hotspot {
                 center,
-                cos_lat: center.lat.cos().max(0.2),
+                cos_lat: cos_center.max(0.2),
                 unit: center.unit_vector(),
-                reject_below: (3.0 * sigma).cos() - 1e-9,
-                accept_above: (3.0 * sigma).cos() + 1e-9,
+                reject_below: (3.0 * sigma).cos() - MARGIN,
+                accept_above: (3.0 * sigma).cos() + MARGIN,
+                cos_center,
+                box_lat: rho,
+                box_lon: if rho.sin() < cos_center {
+                    (rho.sin() / cos_center).asin()
+                } else {
+                    PI
+                },
+                within: 3.0 * sigma - MARGIN,
                 weight,
                 sigma,
                 region,
@@ -160,9 +198,11 @@ impl PopulationModel {
             h(-40.0, 175.0, 6.0, 3.0, Oceania),  // New Zealand
         ];
         let total_weight = hotspots.iter().map(|h| h.weight).sum();
+        let candidates = candidate_masks(&hotspots);
         Self {
             hotspots,
             total_weight,
+            candidates,
         }
     }
 
@@ -182,21 +222,69 @@ impl PopulationModel {
     /// Region classification of a point: the region of the nearest
     /// hotspot (in σ units) if within 3σ, else [`Region::Ocean`].
     ///
+    /// The answer is bit-for-bit what 20 full `central_angle` calls give
+    /// (`tests/placement_props.rs` pins it to that reference), and most
+    /// points need neither a unit vector nor an `acos`:
+    ///
+    /// * The point's candidate-grid cell names the hotspots whose 3σ
+    ///   cap, widened by 1e-9 rad, can reach it. Each is kept only if
+    ///   the point lies in the box around that cap; `|Δlat|` and the
+    ///   wrapped `|Δlon|` bound the central angle from below.
+    /// * No hotspot kept: nothing is within 3σ, the answer is `Ocean`.
+    /// * Every hotspot kept belongs to one region R and one is clearly
+    ///   within 3σ — its meridian-then-parallel path,
+    ///   `|Δlat| + |Δlon|·cos φ`, an upper bound on the central angle, is
+    ///   at most `3σ − 1e-9`: the nearest hotspot within 3σ exists and
+    ///   is one of them, so the answer is R whatever the distances are.
+    ///
+    /// Every margin is 1e-9 rad against rounding errors of order 1e-15,
+    /// so no rounding can move a hotspot across a test. Any other point,
+    /// and a point off the `[−π/2, π/2] × [−π, π]` lat/lon ranges, takes
+    /// `region_by_dot`, the exact path.
+    pub fn region_of(&self, p: &GeoPoint) -> Region {
+        if !(p.lat.abs() <= FRAC_PI_2 && p.lon.abs() <= PI) {
+            return self.region_by_dot(p);
+        }
+        let step = CANDIDATE_CELL_DEG.to_radians();
+        let row = (((p.lat + FRAC_PI_2) / step) as usize).min(CANDIDATE_ROWS - 1);
+        let col = (((p.lon + PI) / step) as usize).min(CANDIDATE_COLS - 1);
+        let mut mask = self.candidates[row * CANDIDATE_COLS + col];
+        let mut only: Option<Region> = None;
+        let mut within = false;
+        while mask != 0 {
+            let h = &self.hotspots[mask.trailing_zeros() as usize];
+            mask &= mask - 1;
+            let dlat = (p.lat - h.center.lat).abs();
+            let dlon = (p.lon - h.center.lon).abs();
+            let dlon = if dlon > PI { TAU - dlon } else { dlon };
+            if dlat > h.box_lat || dlon > h.box_lon {
+                continue;
+            }
+            if only.is_some_and(|r| r != h.region) {
+                return self.region_by_dot(p);
+            }
+            only = Some(h.region);
+            within |= dlat + dlon * h.cos_center <= h.within;
+        }
+        match only {
+            None => Region::Ocean,
+            Some(r) if within => r,
+            Some(_) => self.region_by_dot(p),
+        }
+    }
+
+    /// [`Self::region_of`] through the point's unit vector.
+    ///
     /// A hotspot whose dot product with the point is clearly below
     /// `cos(3σ)` is skipped; every other one goes through
-    /// `central_angle`'s own `clamp → acos` arithmetic, so the result is
-    /// bit-for-bit what 20 full `central_angle` calls give
-    /// (`tests/placement_props.rs` pins it to that reference).
-    ///
-    /// Most points need no `acos` at all. When every hotspot that is not
-    /// clearly beyond 3σ belongs to one region R and at least one is
-    /// clearly within it (`dot ≥ cos(3σ) + 1e-9`), the nearest hotspot
-    /// within 3σ exists and is one of them, so the answer is R whatever
-    /// the distances are. Both margins are 1e-9 against a dot product
-    /// whose rounding error is a few ulps (< 1e-15) and an `acos` whose
-    /// error is an ulp: no rounding can move a hotspot across either
-    /// test. Any other point takes the exact loop.
-    pub fn region_of(&self, p: &GeoPoint) -> Region {
+    /// `central_angle`'s own `clamp → acos` arithmetic. When every
+    /// hotspot that is not clearly beyond 3σ belongs to one region R and
+    /// at least one is clearly within it (`dot ≥ cos(3σ) + 1e-9`), the
+    /// answer is R without any `acos`. Both margins are 1e-9 against a
+    /// dot product whose rounding error is a few ulps (< 1e-15) and an
+    /// `acos` whose error is an ulp. Any other point takes the exact
+    /// loop.
+    fn region_by_dot(&self, p: &GeoPoint) -> Region {
         let u = p.unit_vector();
         let mut only: Option<Region> = None;
         let mut within = false;
@@ -217,7 +305,7 @@ impl PopulationModel {
         }
     }
 
-    /// [`Self::region_of`]'s exact loop over the unit vector `u`: the
+    /// [`Self::region_by_dot`]'s exact loop over the unit vector `u`: the
     /// region of the nearest hotspot in σ units if within 3σ.
     fn nearest_region(&self, u: &Vec3) -> Region {
         let mut best: Option<(f64, Region)> = None;
@@ -240,8 +328,8 @@ impl PopulationModel {
     /// normalized by the mixture's total integral (each Gaussian blob
     /// integrates to `2π · weight` under the `weight/σ²` scaling).
     pub fn coverage_fraction(&self, p: &GeoPoint, half_angle: f64) -> f64 {
-        let footprint_sr = std::f64::consts::PI * half_angle * half_angle;
-        (self.density(p) * footprint_sr / (std::f64::consts::TAU * self.total_weight)).min(1.0)
+        let footprint_sr = PI * half_angle * half_angle;
+        (self.density(p) * footprint_sr / (TAU * self.total_weight)).min(1.0)
     }
 
     /// Sample `n` UE positions from the mixture (deterministic in seed):
@@ -287,7 +375,7 @@ impl PopulationModel {
     pub fn point_of(&self, d: &Draw) -> GeoPoint {
         let chosen = &self.hotspots[d.hotspot];
         let r = chosen.sigma * (-2.0 * d.u1.max(1e-12).ln()).sqrt();
-        let theta = std::f64::consts::TAU * d.u2;
+        let theta = TAU * d.u2;
         let dlat = r * theta.sin();
         let dlon = r * theta.cos() / chosen.cos_lat;
         let lat = (chosen.center.lat + dlat).clamp(-1.55, 1.55);
@@ -304,6 +392,35 @@ impl PopulationModel {
     pub fn total_weight(&self) -> f64 {
         self.total_weight
     }
+}
+
+/// The candidate grid: per cell, row-major, the mask of the hotspots
+/// whose box meets the cell's closed lat/lon rectangle once both are
+/// widened by [`MARGIN`] — more than the rounding of the cell a point
+/// is filed under.
+fn candidate_masks(hotspots: &[Hotspot]) -> Vec<u32> {
+    assert!(hotspots.len() <= 32, "a candidate mask holds 32 hotspots");
+    let step = CANDIDATE_CELL_DEG.to_radians();
+    let mut masks = vec![0u32; CANDIDATE_ROWS * CANDIDATE_COLS];
+    for (k, h) in hotspots.iter().enumerate() {
+        for row in 0..CANDIDATE_ROWS {
+            let lat_lo = -FRAC_PI_2 + row as f64 * step;
+            let lat_gap = (lat_lo - h.center.lat).max(h.center.lat - (lat_lo + step));
+            if lat_gap > h.box_lat + MARGIN {
+                continue;
+            }
+            for col in 0..CANDIDATE_COLS {
+                // Angular gap from the centre's meridian to the column.
+                let mid = -PI + (col as f64 + 0.5) * step;
+                let off = (h.center.lon - mid).abs();
+                let lon_gap = off.min(TAU - off) - 0.5 * step;
+                if h.box_lon >= PI || lon_gap <= h.box_lon + MARGIN {
+                    masks[row * CANDIDATE_COLS + col] |= 1 << k;
+                }
+            }
+        }
+    }
+    masks
 }
 
 #[cfg(test)]
@@ -389,7 +506,7 @@ mod tests {
                 }
                 let (u1, u2): (f64, f64) = (rng.gen::<f64>().max(1e-12), rng.gen());
                 let r = chosen.sigma * (-2.0 * u1.ln()).sqrt();
-                let theta = std::f64::consts::TAU * u2;
+                let theta = TAU * u2;
                 let dlat = r * theta.sin();
                 let dlon = r * theta.cos() / chosen.center.lat.cos().max(0.2);
                 let lat = (chosen.center.lat + dlat).clamp(-1.55, 1.55);
@@ -474,7 +591,7 @@ mod tests {
         let m = PopulationModel::world_bank_like();
         for p in m.sample_ues(5000, 3) {
             assert!(p.lat.abs() <= 1.56);
-            assert!(p.lon.abs() <= std::f64::consts::PI + 1e-9);
+            assert!(p.lon.abs() <= PI + 1e-9);
         }
     }
 }

@@ -45,8 +45,11 @@
 //! **What a shard may record.** Shards touch no `sc_obs::Recorder`.
 //! Each fills a [`ChurnOut`]: integer tallies, per-second window
 //! vectors, and histograms of **integer-valued** samples (µs, ms), whose
-//! float sums stay exact. All of it adds, so the slot-order fold is the
-//! same for every thread count and every partition of the cells. The
+//! float sums stay exact. That exactness lets the per-event cost
+//! histogram be kept as a dense per-µs tally and folded in once, when
+//! the shard's drain ends (`Histogram::observe_n`), into the histogram
+//! per-event observes would give. All of it adds, so the slot-order fold
+//! is the same for every thread count and every partition of the cells. The
 //! two experiment modules turn the folded `ChurnOut` into their result
 //! schema and emit their metric namespace from it once. Gauges, events
 //! and spans would encode shard layout and are written only at top
@@ -63,6 +66,7 @@ use sc_netsim::des::EventQueue;
 use sc_obs::{Histogram, Recorder};
 use spacecore::shard::{
     cell_at, cell_index, CellLedger, CellStorm, ChaosStats, ProcedureCosts, ShardMap, ShardStats,
+    Tick,
 };
 use std::ops::Range;
 
@@ -89,7 +93,7 @@ const PLACE_CHUNK: usize = 16_384;
 
 /// Microsecond tick of a simulation timestamp (the `CellLedger` grid).
 fn tick(t_s: f64) -> u64 {
-    (t_s * 1e6).round() as u64
+    Tick::from(t_s).0
 }
 
 /// The [`WINDOW_S`] window holding event time `t_s` (< the horizon, so
@@ -420,8 +424,9 @@ struct Run<'a> {
     cfg: &'a ChaosloadConfig,
     params: WorkloadParams,
     grid: CellGrid,
-    /// Static cell → serving-satellite footprint map.
-    coverage: ShardMap,
+    /// Serving satellite of each cell: the static footprint map
+    /// (`ShardMap::shard_of` over the satellites), looked up once here.
+    serving: Vec<u32>,
     costs: ProcedureCosts,
     horizon: f64,
     /// [`WINDOW_S`] windows covering the horizon.
@@ -456,6 +461,7 @@ impl<'a> Run<'a> {
         );
         assert!(cfg.budget.max_attempts <= u32::from(u16::MAX), "attempt counter is 16-bit");
         let horizon = cfg.load.warmup_s + cfg.load.measure_s;
+        // Static cell → serving-satellite footprint map.
         let coverage = ShardMap::new(grid.cell_count(), cfg.sats);
         let in_slots = (deadline_us / TT_SLOT_US) as usize;
 
@@ -511,8 +517,8 @@ impl<'a> Run<'a> {
         Self {
             cfg,
             params: WorkloadParams::paper_defaults(),
+            serving: (0..grid.cell_count()).map(|c| coverage.shard_of(c) as u32).collect(),
             grid,
-            coverage,
             costs: ProcedureCosts::paper(),
             horizon,
             windows: (horizon / WINDOW_S).ceil() as usize,
@@ -525,6 +531,20 @@ impl<'a> Run<'a> {
         }
     }
 
+}
+
+/// An event's instant as every handler reads it, computed once per
+/// event by [`Shard::step`].
+#[derive(Clone, Copy)]
+struct Now {
+    /// Event time, s.
+    t: f64,
+    /// `tick(t)`: the µs grid of the storm windows and the ledger.
+    us: u64,
+    /// `win_of(t)`: the event's [`WINDOW_S`] window.
+    win: usize,
+    /// Inside the measured window (at or past the warm-up).
+    measured: bool,
 }
 
 /// One shard mid-drain: its UEs, its DES, its dense per-cell state and
@@ -541,6 +561,10 @@ struct Shard<'a> {
     cursor: ChaosCursor<'a>,
     /// What the cursor records into: nothing (see the module docs).
     quiet: Recorder,
+    /// `step_tally[v]`: measured events that cost `v` simulated µs,
+    /// folded into `out.step_us` once, when the drain ends. The samples
+    /// are integers, so the fold is exactly the per-event histogram.
+    step_tally: Vec<u64>,
     out: ChurnOut,
 }
 
@@ -561,6 +585,7 @@ impl<'a> Shard<'a> {
             storm: CellStorm::new(run.grid.cell_count()),
             cursor: cfg.timeline.cursor(),
             quiet: Recorder::disabled(),
+            step_tally: Vec::new(),
             out: ChurnOut::zero(run),
         };
         for (k, e) in cfg.timeline.events().iter().enumerate() {
@@ -610,57 +635,70 @@ impl<'a> Shard<'a> {
         for (acc, &n) in self.out.cell_active_end.iter_mut().zip(self.ledger.cell_active()) {
             *acc = u64::from(n);
         }
+        for (us, &n) in self.step_tally.iter().enumerate() {
+            self.out.step_us.observe_n(us as f64, n);
+        }
         self.out
     }
 
     fn step(&mut self, t: f64, ev: Ev) {
-        let measured = t >= self.run.cfg.load.warmup_s;
+        let now = Now {
+            t,
+            us: tick(t),
+            win: win_of(t),
+            measured: t >= self.run.cfg.load.warmup_s,
+        };
         self.cursor.advance_to(t * 1000.0, &self.quiet);
         // Chaos markers are replayed in *every* shard: schedule
         // bookkeeping, not workload, so they stay out of the tallies.
         if !matches!(ev, Ev::Chaos(_)) {
             self.out.events_total += 1;
-            self.out.events_measured += u64::from(measured);
-            self.out.events_win[win_of(t)] += 1;
+            self.out.events_measured += u64::from(now.measured);
+            self.out.events_win[now.win] += 1;
         }
         // A `Release`/`Reattach` left behind by a session that a crash
         // or a give-up has since ended is stale: it is dropped without
         // consuming a draw, so it is invisible to the hash streams.
         match ev {
-            Ev::Arrive(i) => self.arrive(t, measured, i),
+            Ev::Arrive(i) => self.arrive(now, i),
             Ev::Release { ue, gen } => {
                 let u = &self.ues[ue as usize];
                 if u.gen == gen && u.state == Link::Connected {
-                    self.release(t, measured, ue);
+                    self.release(now, ue);
                 }
             }
-            Ev::Sweep(i) => self.sweep(t, measured, i),
-            Ev::Cross(i) => self.cross(t, measured, i),
+            Ev::Sweep(i) => self.sweep(now, i),
+            Ev::Cross(i) => self.cross(now, i),
             Ev::Reattach { ue, gen } => {
                 let u = &self.ues[ue as usize];
                 if u.gen == gen && u.state == Link::Reattaching {
-                    self.reattach(t, measured, ue);
+                    self.reattach(now, ue);
                 }
             }
-            Ev::Chaos(k) => self.chaos(t, measured, k as usize),
+            Ev::Chaos(k) => self.chaos(now, k as usize),
         }
     }
 
     /// Draw the per-event cost jitter and, for measured events with
-    /// SpaceCore-side work, record the processing cost in integer
-    /// simulated µs. The draw always happens, so a UE's stream position
-    /// never depends on the measurement window.
+    /// SpaceCore-side work, tally the processing cost in integer
+    /// simulated µs (folded into `out.step_us` when the drain ends). The
+    /// draw always happens, so a UE's stream position never depends on
+    /// the measurement window.
     fn observe_cost(&mut self, i: u32, msgs: u32, measured: bool) {
         let u = self.ues[i as usize].draw(self.seed);
         if measured && msgs > 0 {
-            self.out.step_us.observe((msgs as f64 * PER_MSG_US * (0.75 + 0.5 * u)).round());
+            let us = (msgs as f64 * PER_MSG_US * (0.75 + 0.5 * u)).round() as usize;
+            if us >= self.step_tally.len() {
+                self.step_tally.resize(us + 1, 0);
+            }
+            self.step_tally[us] += 1;
         }
     }
 
     /// Is the serving satellite of `cell` unreachable right now (dead or
     /// feeder link down)? Burst loss is drawn separately, per attempt.
     fn service_down(&self, cell: usize) -> bool {
-        let sat = self.run.coverage.shard_of(cell);
+        let sat = self.run.serving[cell] as usize;
         self.cursor.is_dead(sat) || self.cursor.link_down(sat, self.run.cfg.gateway())
     }
 
@@ -677,16 +715,16 @@ impl<'a> Shard<'a> {
         lost
     }
 
-    /// Bring the UE's session up at `t`: draw the U(10, 15) s hold and
+    /// Bring the UE's session up at `now`: draw the U(10, 15) s hold and
     /// schedule the release that ends it.
-    fn start_session(&mut self, t: f64, i: u32) -> f64 {
+    fn start_session(&mut self, now: Now, i: u32) -> f64 {
         let ue = &mut self.ues[i as usize];
         let u = ue.draw(self.seed);
         let hold = self.run.params.inactivity_release_s - 2.5 + 5.0 * u;
         ue.state = Link::Connected;
         let gen = ue.gen;
-        self.ledger.connect(ue.cell as usize, t);
-        self.at(t + hold, Ev::Release { ue: i, gen });
+        self.ledger.connect(ue.cell as usize, Tick(now.us));
+        self.at(now.t + hold, Ev::Release { ue: i, gen });
         hold
     }
 
@@ -709,13 +747,13 @@ impl<'a> Shard<'a> {
 
     /// After a failed or barred attempt: try again, or give the session
     /// up once the budget is spent.
-    fn retry_or_give_up(&mut self, t: f64, measured: bool, i: u32) {
+    fn retry_or_give_up(&mut self, now: Now, i: u32) {
         let ue = &mut self.ues[i as usize];
         if u32::from(ue.attempt) < self.run.cfg.budget.max_attempts {
             ue.attempt += 1;
-            return self.schedule_attempt(t, i);
+            return self.schedule_attempt(now.t, i);
         }
-        if measured {
+        if now.measured {
             self.out.chaos.budget_exhausted += 1;
             if ue.crash != NO_CRASH {
                 self.out.crashes[ue.crash as usize].lost += 1;
@@ -727,11 +765,11 @@ impl<'a> Shard<'a> {
         ue.attempt = 0;
     }
 
-    fn arrive(&mut self, t: f64, measured: bool, i: u32) {
-        let run = self.run;
+    fn arrive(&mut self, now: Now, i: u32) {
+        let (run, measured) = (self.run, now.measured);
         let ue = &mut self.ues[i as usize];
         let u = ue.draw(self.seed);
-        let next = t + exp_clamped(run.params.session_interarrival_s, u);
+        let next = now.t + exp_clamped(run.params.session_interarrival_s, u);
         let cell = ue.cell as usize;
         if measured {
             self.out.class_arrivals[ue.class as usize] += 1;
@@ -748,7 +786,7 @@ impl<'a> Shard<'a> {
             // broadcasts access-class barring, so new-session requests
             // are never even transmitted — recovery traffic keeps the
             // bucket's full token rate.
-            let barred = !down && self.storm.overloaded(cell, tick(t));
+            let barred = !down && self.storm.overloaded(cell, now.us);
             if down || barred || self.burst_lost(i, measured) {
                 // Admission is deferred into the paced lane (no session
                 // to lose yet, so no crash row).
@@ -759,25 +797,25 @@ impl<'a> Shard<'a> {
                 if measured {
                     self.out.stats.arrivals += 1;
                     self.out.chaos.deferred_establishments += 1;
-                    self.out.gate_deferred_win[win_of(t)] += 1;
+                    self.out.gate_deferred_win[now.win] += 1;
                     // Only a burst-lost setup actually transmitted to a
                     // live satellite; barred UEs stay silent and against
                     // a dead one there is no cell to signal to — no
                     // surge counted.
                     if run.in_storm[cell] && !down && !barred {
-                        self.out.rereg_storm_win[win_of(t)] += 1;
+                        self.out.rereg_storm_win[now.win] += 1;
                     }
                 }
-                self.schedule_attempt(t, i);
+                self.schedule_attempt(now.t, i);
             } else {
-                let hold = self.start_session(t, i);
+                let hold = self.start_session(now, i);
                 let msgs = if measured {
                     if run.record_holds {
                         self.out.session_hold_ms.observe((hold * 1000.0).round());
                     }
                     if run.in_storm[cell] {
-                        self.out.est_storm_win[win_of(t)] += 1;
-                        self.out.rereg_storm_win[win_of(t)] += 1;
+                        self.out.est_storm_win[now.win] += 1;
+                        self.out.rereg_storm_win[now.win] += 1;
                     }
                     self.out.stats.bill_arrival(&run.costs, false)
                 } else {
@@ -789,50 +827,50 @@ impl<'a> Shard<'a> {
         self.at(next, Ev::Arrive(i));
     }
 
-    fn release(&mut self, t: f64, measured: bool, i: u32) {
+    fn release(&mut self, now: Now, i: u32) {
         let ue = &mut self.ues[i as usize];
         let cell = ue.cell as usize;
-        if self.storm.overloaded(cell, tick(t)) {
+        if self.storm.overloaded(cell, now.us) {
             // Overload gate: the release is low-priority signaling —
             // defer it past the storm.
-            if measured {
+            if now.measured {
                 self.out.chaos.deferred_releases += 1;
-                self.out.gate_deferred_win[win_of(t)] += 1;
+                self.out.gate_deferred_win[now.win] += 1;
             }
             let (u, gen) = (ue.draw(self.seed), ue.gen);
-            self.at(t + MIN_DELAY_S + u, Ev::Release { ue: i, gen });
+            self.at(now.t + MIN_DELAY_S + u, Ev::Release { ue: i, gen });
         } else {
             ue.state = Link::Idle;
-            self.ledger.release(cell, t);
-            let msgs = if measured {
+            self.ledger.release(cell, Tick(now.us));
+            let msgs = if now.measured {
                 self.out.stats.bill_release(&self.run.costs)
             } else {
                 self.run.costs.release
             };
-            self.observe_cost(i, msgs, measured);
+            self.observe_cost(i, msgs, now.measured);
         }
     }
 
-    fn sweep(&mut self, t: f64, measured: bool, i: u32) {
-        let run = self.run;
+    fn sweep(&mut self, now: Now, i: u32) {
+        let (run, measured) = (self.run, now.measured);
         let ue = &mut self.ues[i as usize];
         let u = ue.draw(self.seed);
-        let next = (t + run.params.transit_s * (0.75 + 0.5 * u)).max(t + MIN_DELAY_S);
+        let next = (now.t + run.params.transit_s * (0.75 + 0.5 * u)).max(now.t + MIN_DELAY_S);
         if ue.state != Link::Connected {
             // Free under geospatial tracking areas; billed as a C4 on
             // the legacy side.
             if measured {
                 self.out.stats.bill_sweep(&run.costs, false);
             }
-        } else if self.storm.overloaded(ue.cell as usize, tick(t)) {
+        } else if self.storm.overloaded(ue.cell as usize, now.us) {
             // Defer the handover signaling, not the satellite: retry
             // shortly, the normal sweep cadence resumes once it lands.
             if measured {
                 self.out.chaos.deferred_handovers += 1;
-                self.out.gate_deferred_win[win_of(t)] += 1;
+                self.out.gate_deferred_win[now.win] += 1;
             }
             let u = ue.draw(self.seed);
-            self.at(t + MIN_DELAY_S + u, Ev::Sweep(i));
+            self.at(now.t + MIN_DELAY_S + u, Ev::Sweep(i));
             return;
         } else {
             let msgs = if measured {
@@ -845,8 +883,8 @@ impl<'a> Shard<'a> {
         self.at(next, Ev::Sweep(i));
     }
 
-    fn cross(&mut self, t: f64, measured: bool, i: u32) {
-        let run = self.run;
+    fn cross(&mut self, now: Now, i: u32) {
+        let (run, measured) = (self.run, now.measured);
         let ue = &mut self.ues[i as usize];
         let u = ue.draw(self.seed);
         let dir = ((u * 4.0) as usize).min(3);
@@ -856,14 +894,14 @@ impl<'a> Shard<'a> {
             self.ledger.move_session(ue.cell as usize, new_idx);
         }
         ue.cell = new_idx as u32;
-        let msgs = if self.storm.overloaded(new_idx, tick(t)) {
+        let msgs = if self.storm.overloaded(new_idx, now.us) {
             // Shed: the destination satellite is storming; the C4
             // update is dropped outright (the cell record is eventually
             // consistent). Cost jitter still draws below so the stream
             // stays aligned.
             if measured {
                 self.out.chaos.shed_crossings += 1;
-                self.out.gate_shed_win[win_of(t)] += 1;
+                self.out.gate_shed_win[now.win] += 1;
             }
             0
         } else if measured {
@@ -873,36 +911,36 @@ impl<'a> Shard<'a> {
         };
         self.observe_cost(i, msgs, measured);
         let u = self.ues[i as usize].draw(self.seed);
-        self.at(t + exp_clamped(run.cfg.load.crossing_interval_s, u), Ev::Cross(i));
+        self.at(now.t + exp_clamped(run.cfg.load.crossing_interval_s, u), Ev::Cross(i));
     }
 
-    fn reattach(&mut self, t: f64, measured: bool, i: u32) {
-        let run = self.run;
+    fn reattach(&mut self, now: Now, i: u32) {
+        let (run, measured) = (self.run, now.measured);
         let ue = &self.ues[i as usize];
         let cell = ue.cell as usize;
         let crash = ue.crash;
         let down = self.service_down(cell);
-        if crash == NO_CRASH && !down && self.storm.overloaded(cell, tick(t)) {
+        if crash == NO_CRASH && !down && self.storm.overloaded(cell, now.us) {
             // Fresh admission still barred by the overload broadcast:
             // stay silent, re-enter the half-rate admission lane.
             if measured {
                 self.out.chaos.deferred_establishments += 1;
-                self.out.gate_deferred_win[win_of(t)] += 1;
+                self.out.gate_deferred_win[now.win] += 1;
             }
-            return self.retry_or_give_up(t, measured, i);
+            return self.retry_or_give_up(now, i);
         }
         let failed = down || self.burst_lost(i, measured);
         // Surge accounting: an attempt is signaling load on the
         // satellite only if a live satellite saw it — against a dead one
         // there is no cell to reach, the UE just keeps scanning.
         if measured && run.in_storm[cell] && !down {
-            self.out.rereg_storm_win[win_of(t)] += 1;
+            self.out.rereg_storm_win[now.win] += 1;
         }
         if failed {
             if measured {
                 self.out.chaos.bill_attempt_failure(&run.costs);
             }
-            return self.retry_or_give_up(t, measured, i);
+            return self.retry_or_give_up(now, i);
         }
         // Stateless local re-establishment at the replacement satellite
         // (legacy re-runs the home-routed C2), or a deferred fresh
@@ -912,7 +950,7 @@ impl<'a> Shard<'a> {
                 self.out.chaos.bill_reattach(&run.costs);
                 let row = &mut self.out.crashes[crash as usize];
                 row.reattached += 1;
-                let off_us = tick(t) - tick(row.t_s);
+                let off_us = now.us - tick(row.t_s);
                 let slot = ((off_us / TT_SLOT_US) as usize).min(run.in_slots);
                 row.slots[slot] += 1;
                 if slot < run.in_slots {
@@ -928,27 +966,26 @@ impl<'a> Shard<'a> {
             stats.spacecore_msgs += run.costs.local_establishment as u64;
             stats.legacy_msgs += run.costs.legacy_establishment as u64;
             if run.in_storm[cell] {
-                self.out.est_storm_win[win_of(t)] += 1;
+                self.out.est_storm_win[now.win] += 1;
             }
         }
         let ue = &mut self.ues[i as usize];
         ue.crash = NO_CRASH;
         ue.attempt = 0;
-        self.start_session(t, i);
+        self.start_session(now, i);
         self.observe_cost(i, run.costs.local_establishment, measured);
     }
 
     /// Apply timeline event `k`: open the overload windows it starts
     /// and, for a crash, drop every connected session in the footprint
     /// and pace its re-establishment through the budget.
-    fn chaos(&mut self, t: f64, measured: bool, k: usize) {
+    fn chaos(&mut self, now: Now, k: usize) {
         let cfg = self.run.cfg;
         // Apply through the event's *exact* quantized timestamp: the
         // s → ms roundtrip in `step` can land one ulp short of it.
         self.cursor.advance_to(cfg.timeline.events()[k].time_ms, &self.quiet);
-        let now_us = tick(t);
         for sw in self.run.storms.iter().filter(|s| s.ev_idx == k) {
-            self.storm.open(sw.cells.clone(), now_us, tick(sw.until_s));
+            self.storm.open(sw.cells.clone(), now.us, tick(sw.until_s));
         }
         let Some(row) = self.out.crashes.iter().position(|c| c.ev_idx == k) else {
             return; // recover/link/burst/flap: no drops
@@ -964,8 +1001,8 @@ impl<'a> Shard<'a> {
             ue.gen = ue.gen.wrapping_add(1); // invalidates the pending Release
             ue.attempt = 1;
             ue.crash = row as u16;
-            self.ledger.release(cell, t);
-            if measured {
+            self.ledger.release(cell, Tick(now.us));
+            if now.measured {
                 self.out.chaos.dropped += 1;
                 self.out.crashes[row].dropped += 1;
             }
@@ -979,7 +1016,7 @@ impl<'a> Shard<'a> {
                 cfg.budget.detect_s + 0.2 * u
             };
             let gen = ue.gen;
-            self.at(t + first, Ev::Reattach { ue: j, gen });
+            self.at(now.t + first, Ev::Reattach { ue: j, gen });
         }
     }
 }

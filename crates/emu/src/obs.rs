@@ -229,6 +229,7 @@ pub fn replay_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(args: &[&str], sc_obs: Option<&str>) -> Result<Command, String> {
         Command::parse(args.iter().map(|s| s.to_string()), sc_obs.map(String::from))
@@ -299,6 +300,49 @@ mod tests {
             (&["fig05", "--obs-out="][..], "--obs-out needs a path"),
         ] {
             assert_eq!(parse(args, None).err().as_deref(), Some(why), "{args:?}");
+        }
+    }
+
+    /// Words a `scemu` command line is made of — real and near-miss
+    /// experiment names, every flag, flag-looking paths, the empty
+    /// string — or arbitrary characters.
+    fn arg_word() -> impl Strategy<Value = String> {
+        const WORDS: [&str; 12] = [
+            "list", "fig05", "ext_mload", "ext_chaosload", "fig99", "--smoke", "--obs-out",
+            "--obs-out=", "--obs-out=x.json", "--obs-out=--smoke", "", "-",
+        ];
+        (0usize..16, proptest::collection::vec(any::<u32>(), 0..12)).prop_map(|(k, cs)| {
+            match WORDS.get(k) {
+                Some(w) => (*w).to_string(),
+                None => cs.into_iter().filter_map(char::from_u32).collect(),
+            }
+        })
+    }
+
+    proptest! {
+        /// Panic budget: any argv and `SC_OBS` value parse to `Ok` or
+        /// `Err`; an `Ok` run names a row of the catalogue and, with
+        /// telemetry on, a non-empty sidecar path.
+        #[test]
+        fn command_parse_never_panics(
+            argv in proptest::collection::vec(arg_word(), 0..6),
+            sc_obs in (0usize..16, proptest::collection::vec(any::<u32>(), 0..12)).prop_map(|(k, cs)| {
+                match k {
+                    0 => None,
+                    1 => Some("0".to_string()),
+                    2 => Some("1".to_string()),
+                    _ => Some(cs.into_iter().filter_map(char::from_u32).collect()),
+                }
+            }),
+        ) {
+            match Command::parse(argv.clone().into_iter(), sc_obs) {
+                Ok(Command::List) => prop_assert_eq!(argv, vec!["list".to_string()]),
+                Ok(Command::Run { name, obs_out, .. }) => {
+                    prop_assert!(crate::find(name).is_some(), "{}", name);
+                    prop_assert!(obs_out.is_none_or(|p| !p.as_os_str().is_empty()));
+                }
+                Err(why) => prop_assert!(!why.is_empty()),
+            }
         }
     }
 

@@ -17,10 +17,14 @@
 //!   it, put in `(time, seq)` order once by the day promotion below.
 //!   Pops are `pop_front` — O(1).
 //! - `late`: a binary heap for events scheduled into the current day
-//!   (or an earlier one) after it was promoted — follow-ups a handler
-//!   schedules close behind the event it handles. A pop takes
+//!   (or an earlier one) after it was promoted — same-day schedules, and
+//!   day 0's events scheduled before the first pop. A pop takes
 //!   whichever of `active`'s front and `late`'s minimum comes first;
-//!   when `active` runs dry, `late`'s events are promoted into it.
+//!   when `active` runs dry, `late`'s events are promoted into it. Only
+//!   [`EventQueue::pop`] callers and same-day schedules use it:
+//!   [`EventQueue::drain_until`] never promotes a day that starts at or
+//!   past its horizon, so a batch's next-day follow-ups go to the wheel
+//!   like any later event.
 //! - `wheel`: unsorted buckets for the next [`EventQueue::WHEEL_SLOTS`]
 //!   days, indexed by `day % WHEEL_SLOTS`, with a word bitmap marking
 //!   occupied slots. Scheduling into the wheel is O(1); a bucket is
@@ -45,6 +49,15 @@
 //! scatter buffers and the day buffers themselves are the queue's and
 //! are reused from day to day: a promoted bucket trades its buffer with
 //! the emptied `active` one instead of being copied.
+//!
+//! **Whole days.** `drain_until` hands out days whole: when `late` is
+//! empty and the current day ends at or before the horizon, the sorted
+//! `active` buffer itself becomes the batch (swapped with the caller's
+//! emptied one, nothing popped or copied) and the pending count and the
+//! clock are set once. A day the horizon cuts, or one that `late`
+//! interleaves with, is popped event by event, as is every drain of a
+//! queue with an enabled recorder, whose `netsim.des.*` telemetry
+//! counts and samples each pop.
 //!
 //! Every tier orders by the same `(time, seq)` key, so the pop sequence
 //! is identical to the reference binary-heap scheduler kept in
@@ -116,8 +129,9 @@ impl DaySort {
     /// the day they belong to; an event outside the day lands in the
     /// first or last bucket, which costs time but not exactness. (The
     /// `late` heap holds events from before the current day after a
-    /// `drain_until` probe has moved the calendar ahead of the clock, but
-    /// they pop before the day's own events, so no promotion sees them.)
+    /// `drain_until` whose horizon cut a day has promoted it ahead of the
+    /// clock, but they pop before the day's own events, so no promotion
+    /// sees them.)
     fn order<E>(&mut self, events: &mut [ScheduledEvent<E>], day_start: f64) {
         let n = events.len();
         if n < 2 {
@@ -308,7 +322,10 @@ impl<E: PartialEq> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.obs.inc("netsim.des.scheduled", 1);
+        let observed = self.obs.enabled();
+        if observed {
+            self.obs.inc("netsim.des.scheduled", 1);
+        }
         self.pending += 1;
         let ev = ScheduledEvent { time, seq, event };
         let day = Self::day_of(time);
@@ -322,7 +339,9 @@ impl<E: PartialEq> EventQueue<E> {
             self.wheel[slot].push(ev);
             self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
-            self.obs.inc("netsim.des.wheel_spills", 1);
+            if observed {
+                self.obs.inc("netsim.des.wheel_spills", 1);
+            }
             self.overflow.push(ev);
         }
     }
@@ -354,11 +373,16 @@ impl<E: PartialEq> EventQueue<E> {
     }
 
     /// Make `active` or `late` hold the next event (unless everything
-    /// is drained). A dry `active` first takes whatever `late` holds,
-    /// promoted in one go — one ordering pass instead of a heap pop per
-    /// event for a day filled before its first pop (every queue's day
-    /// 0) — and only when both are empty does the calendar advance.
-    fn ensure_active(&mut self) {
+    /// is drained, or the next day starts at or past `horizon`). A dry
+    /// `active` first takes whatever `late` holds, promoted in one go —
+    /// one ordering pass instead of a heap pop per event for a day filled
+    /// before its first pop (every queue's day 0) — and only when both
+    /// are empty does the calendar advance. It never advances to a day
+    /// that starts at or past `horizon`: that day keeps filling in the
+    /// wheel, so a follow-up scheduled into it before it is reached never
+    /// takes the `late` heap. Returns whether `active` or `late` holds an
+    /// event.
+    fn ensure_active(&mut self, horizon: f64) -> bool {
         if self.active.is_empty() && !self.late.is_empty() {
             let spare = BinaryHeap::from(self.spare_buffer());
             let mut day = std::mem::replace(&mut self.late, spare).into_vec();
@@ -366,15 +390,17 @@ impl<E: PartialEq> EventQueue<E> {
             self.active = VecDeque::from(day);
         }
         while self.active.is_empty() && self.late.is_empty() {
-            if !self.activate_next_day() {
-                return;
+            if !self.activate_next_day(horizon) {
+                return false;
             }
         }
+        true
     }
 
     /// Advance `base_day` to the next day holding events and promote
-    /// that day's bucket into the (empty) `active` tier. Returns false
-    /// when the calendar is empty.
+    /// that day's bucket into the (empty) `active` tier. Returns false,
+    /// and leaves the calendar as it is, when the calendar is empty or
+    /// its next day starts at or past `horizon`.
     ///
     /// The next day is the *earlier* of the next occupied wheel slot
     /// and the earliest overflow day: overflow events spill relative
@@ -382,7 +408,7 @@ impl<E: PartialEq> EventQueue<E> {
     /// an overflow day can predate everything left in the wheel.
     /// Whenever the calendar lands on a new day, overflow events that
     /// now fit the wheel horizon are migrated in.
-    fn activate_next_day(&mut self) -> bool {
+    fn activate_next_day(&mut self, horizon: f64) -> bool {
         let wheel_next = self.next_wheel_day();
         let overflow_day = self.overflow.peek().map(|ev| Self::day_of(ev.time));
         let target = match (wheel_next.map(|(d, _)| d), overflow_day) {
@@ -391,6 +417,9 @@ impl<E: PartialEq> EventQueue<E> {
             (None, Some(d)) => d,
             (Some(w), Some(o)) => w.min(o),
         };
+        if target as f64 * Self::BUCKET_WIDTH_S >= horizon {
+            return false;
+        }
         self.base_day = target;
         // The bucket's buffer becomes `active`'s; the slot keeps the old
         // `active` buffer for its next day.
@@ -429,7 +458,7 @@ impl<E: PartialEq> EventQueue<E> {
     /// the clock to its timestamp: the earlier in `(time, seq)` of
     /// `active`'s front and `late`'s minimum.
     fn pop_before(&mut self, horizon: f64) -> Option<ScheduledEvent<E>> {
-        self.ensure_active();
+        self.ensure_active(horizon);
         let from_late = match (self.active.front(), self.late.peek()) {
             (Some(a), Some(l)) => event_order(l, a) == Ordering::Less,
             (a, _) => a.is_none(),
@@ -450,10 +479,12 @@ impl<E: PartialEq> EventQueue<E> {
         }?;
         self.pending -= 1;
         self.now = ev.time;
-        self.obs.inc("netsim.des.processed", 1);
-        self.obs.series_inc("netsim.des.processed_per_window", ev.time, 1);
-        self.obs
-            .series_gauge("netsim.des.queue_depth", ev.time, self.pending as f64);
+        if self.obs.enabled() {
+            self.obs.inc("netsim.des.processed", 1);
+            self.obs.series_inc("netsim.des.processed_per_window", ev.time, 1);
+            self.obs
+                .series_gauge("netsim.des.queue_depth", ev.time, self.pending as f64);
+        }
         Some(ev)
     }
 
@@ -490,13 +521,44 @@ impl<E: PartialEq> EventQueue<E> {
     /// triggered it; with windows of [`Self::BUCKET_WIDTH_S`] and
     /// minimum follow-up delays of the same width (the `ext_mload`
     /// regime), a reaction to an event in `[t, t + w)` lands at or
-    /// past `t + w` — always a later batch. The clock still advances
-    /// per drained event, so scheduling from the processing loop obeys
-    /// the same causality assert as scheduling from a handler.
+    /// past `t + w` — always a later batch. The clock ends at the last
+    /// drained event, as it would after popping it, so scheduling from
+    /// the processing loop obeys the same causality assert as
+    /// scheduling from a handler.
     pub fn drain_until(&mut self, horizon: f64, batch: &mut Vec<ScheduledEvent<E>>) -> usize {
         batch.clear();
-        while let Some(ev) = self.pop_before(horizon) {
-            batch.push(ev);
+        if self.obs.enabled() {
+            // Per event, so that every pop is counted and sampled.
+            while let Some(ev) = self.pop_before(horizon) {
+                batch.push(ev);
+            }
+            return batch.len();
+        }
+        while self.ensure_active(horizon) {
+            let day_end = (self.base_day + 1) as f64 * Self::BUCKET_WIDTH_S;
+            if !self.late.is_empty() || day_end > horizon {
+                // The day's remainder may hold events at or past the
+                // horizon, or interleave with `late`: pop one event.
+                match self.pop_before(horizon) {
+                    Some(ev) => batch.push(ev),
+                    None => break,
+                }
+                continue;
+            }
+            // Every event of `active` is due before the horizon and
+            // nothing in `late` competes with it: hand out the whole
+            // day, in place when the batch is still empty.
+            let n = self.active.len();
+            if batch.is_empty() {
+                let spare = std::mem::take(batch);
+                *batch = Vec::from(std::mem::replace(&mut self.active, VecDeque::from(spare)));
+            } else {
+                batch.extend(self.active.drain(..));
+            }
+            self.pending -= n;
+            if let Some(last) = batch.last() {
+                self.now = last.time;
+            }
         }
         batch.len()
     }
@@ -545,6 +607,11 @@ pub mod reference {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.heap.push(ScheduledEvent { time, seq, event });
+        }
+
+        /// The event the next [`Self::pop`] returns.
+        pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
+            self.heap.peek()
         }
 
         pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
@@ -792,15 +859,64 @@ mod tests {
 
     #[test]
     fn schedule_after_horizon_probe_stays_ordered() {
-        // drain_until advances the calendar past empty days while
-        // probing the horizon; later schedules into those earlier days
+        // A horizon inside a day promotes that day while probing it,
+        // ahead of the clock; later schedules into the days before it
         // must still pop in time order.
         let mut q = EventQueue::new();
-        q.schedule(100.0, "late");
-        assert_eq!(q.drain_until(1.0, &mut Vec::new()), 0);
+        q.schedule(100.75, "late");
+        assert_eq!(q.drain_until(100.5, &mut Vec::new()), 0);
+        assert_eq!(q.base_day, 100);
         q.schedule(2.0, "early");
         assert_eq!(q.pop().map(|e| e.event), Some("early"));
         assert_eq!(q.pop().map(|e| e.event), Some("late"));
+    }
+
+    /// `drain_until(h)` promotes no day that starts at or past `h`: an
+    /// event scheduled at `h + 0.5` afterwards joins its day in the
+    /// wheel rather than the `late` heap, and the next drain returns it
+    /// in order with that day's other events.
+    #[test]
+    fn drain_until_leaves_days_past_the_horizon_in_the_wheel() {
+        let mut q = EventQueue::new();
+        for t in [0.25, 1.75, 1.25, 3.5] {
+            q.schedule(t, t);
+        }
+        let mut batch = Vec::new();
+        assert_eq!(q.drain_until(1.0, &mut batch), 1);
+        assert_eq!((q.now(), q.base_day), (0.25, 0));
+        q.schedule(1.5, 1.5);
+        assert!(q.late.is_empty(), "the follow-up took the late heap");
+        q.drain_until(2.0, &mut batch);
+        let got: Vec<f64> = batch.iter().map(|e| e.event).collect();
+        assert_eq!(got, vec![1.25, 1.5, 1.75]);
+        assert_eq!((q.now(), q.len()), (1.75, 1));
+    }
+
+    /// A whole day handed out as the batch leaves the queue exactly as
+    /// popping it would: the same events, clock and pending count, and
+    /// a buffer that keeps serving later days.
+    #[test]
+    fn whole_day_hand_out_equals_popping_the_day() {
+        let build = || {
+            let mut q = EventQueue::new();
+            for i in 0..40u32 {
+                q.schedule(f64::from(i * 7 % 40) / 10.0, i);
+            }
+            q
+        };
+        let (mut whole, mut popped) = (build(), build());
+        let mut batch = Vec::new();
+        for h in 1..=4 {
+            whole.drain_until(f64::from(h), &mut batch);
+            let want: Vec<(f64, u64)> = std::iter::from_fn(|| popped.pop())
+                .take(10)
+                .map(|e| (e.time, e.seq))
+                .collect();
+            let got: Vec<(f64, u64)> = batch.iter().map(|e| (e.time, e.seq)).collect();
+            assert_eq!(got, want, "day {}", h - 1);
+            assert_eq!((whole.now(), whole.len()), (popped.now(), popped.len()));
+        }
+        assert!(whole.is_empty());
     }
 
     #[test]

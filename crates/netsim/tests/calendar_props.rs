@@ -10,6 +10,13 @@
 //! of events with hundreds more scheduled into them mid-drain, and
 //! signed-zero and equal-time ties.
 //!
+//! `drain_until` hands a day out whole when its horizon is at or past
+//! the day's end and nothing was scheduled into the day after its
+//! promotion, and pops event by event otherwise; a block of windowed
+//! drains at four batch widths, with follow-ups scheduled between
+//! batches, pins both paths — and the telemetry of a recorded queue —
+//! to the reference.
+//!
 //! A day is promoted into `active` by a counting pass over sub-day
 //! buckets and an insertion pass; the last block aims at that routine:
 //! days of one event, days of thousands of events on a handful of
@@ -19,6 +26,7 @@
 
 use proptest::prelude::*;
 use sc_netsim::des::{reference::ReferenceQueue, EventQueue, ScheduledEvent};
+use sc_obs::Recorder;
 
 /// Drain both queues and assert the full `(time, seq, event)` pop
 /// sequences are identical, times compared by their bits (so −0.0 and
@@ -419,10 +427,10 @@ proptest! {
         assert_drains_equal(&mut cal, &mut refq);
     }
 
-    /// A `drain_until` horizon probe promotes a far day while the clock
-    /// stays behind it; everything scheduled afterwards into the days in
-    /// between sits in the `late` heap, before the current day, beside
-    /// more of the current day's events.
+    /// A `drain_until` horizon inside a far day promotes that day while
+    /// the clock stays behind it; everything scheduled afterwards into
+    /// the days in between sits in the `late` heap, before the current
+    /// day, beside more of the current day's events.
     #[test]
     fn late_events_before_the_current_day_match_reference(
         far in 2u32..600,
@@ -436,14 +444,14 @@ proptest! {
         let mut next = 0;
         schedule_both(&mut cal, &mut refq, [day + 0.5, -0.0, 0.0], &mut next);
         let mut batch = Vec::new();
-        cal.drain_until(1.0, &mut batch);
+        cal.drain_until(day + 0.25, &mut batch);
         for e in &batch {
             let r = refq.pop();
             prop_assert_eq!(Some((e.time.to_bits(), e.seq)), r.map(|r| (r.time.to_bits(), r.seq)));
         }
-        // The probe found nothing due before 1.0 past the zeros and left
-        // the far day current.
-        prop_assert_eq!(cal.drain_until(1.0, &mut batch), 0);
+        // The probe found nothing due before `day + 0.25` past the zeros
+        // and left the far day current.
+        prop_assert_eq!(cal.drain_until(day + 0.25, &mut batch), 0);
         schedule_both(&mut cal, &mut refq, before.iter().map(|f| 1.0 + f * (day - 1.0)), &mut next);
         schedule_both(&mut cal, &mut refq, same_day.iter().map(|f| day + f), &mut next);
         for _ in 0..pops {
@@ -454,5 +462,115 @@ proptest! {
             );
         }
         assert_drains_equal(&mut cal, &mut refq);
+    }
+}
+
+/// The batch widths the churn soaks may run at: the calendar day, and
+/// widths whose horizons fall mid-day, on and off the day's binary grid.
+const WIDTHS: [f64; 4] = [1.0, 0.5, 0.3, 0.25];
+
+/// A windowed soak in miniature: seed `seeds` (offsets across the
+/// current day, the wheel and the overflow heap), then drain windows
+/// `[k·w, (k+1)·w)` and, after each batch, schedule `follow_ups` behind
+/// the drained events in order — a delay in `[0, 2w)`, no earlier than
+/// the clock, so some land in a day already promoted (the `late` heap)
+/// and some in later days —
+/// until the follow-ups are spent and the queue is empty. `on_batch`
+/// sees the reference, each batch's horizon and its events. Windows
+/// with nothing due are skipped straight to the next event, as a
+/// caller that knows the next time would. Returns the number of events
+/// scheduled.
+fn windowed_soak(
+    cal: &mut EventQueue<usize>,
+    refq: &mut ReferenceQueue<usize>,
+    width: f64,
+    seeds: &[f64],
+    follow_ups: &[(bool, f64)],
+    mut on_batch: impl FnMut(&mut ReferenceQueue<usize>, f64, &[ScheduledEvent<usize>]),
+) -> usize {
+    let mut next = 0;
+    schedule_both(cal, refq, seeds.iter().copied(), &mut next);
+    let mut follow = follow_ups.iter();
+    let mut batch = Vec::new();
+    let mut k = 0u64;
+    while let Some(head) = refq.peek() {
+        k = k.max((head.time / width) as u64);
+        let horizon = (k + 1) as f64 * width;
+        cal.drain_until(horizon, &mut batch);
+        on_batch(refq, horizon, &batch);
+        for e in &batch {
+            match follow.next() {
+                Some(&(true, f)) => {
+                    let t = cal.now().max(e.time + 2.0 * width * f);
+                    schedule_both(cal, refq, [t], &mut next);
+                }
+                Some(_) => {}
+                None => break,
+            }
+        }
+        k += 1;
+    }
+    assert!(
+        cal.is_empty(),
+        "the calendar kept events the reference drained"
+    );
+    next
+}
+
+proptest! {
+    /// Windowed drains at every width equal the reference's pops: each
+    /// batch is exactly the reference's events before the horizon, in
+    /// order, and the clock and pending count agree after every batch.
+    #[test]
+    fn windowed_drains_with_follow_ups_match_reference(
+        seeds in proptest::collection::vec(any_offset(), 1..150),
+        follow_ups in proptest::collection::vec((any::<bool>(), 0.0f64..1.0), 0..300),
+    ) {
+        for width in WIDTHS {
+            let (mut cal, mut refq) = (EventQueue::new(), ReferenceQueue::new());
+            windowed_soak(&mut cal, &mut refq, width, &seeds, &follow_ups, |refq, horizon, batch| {
+                for e in batch {
+                    let r = refq.pop().map(|r| (r.time.to_bits(), r.seq, r.event));
+                    assert_eq!(Some((e.time.to_bits(), e.seq, e.event)), r, "width {width}");
+                }
+                if let Some(r) = refq.peek() {
+                    assert!(r.time >= horizon, "width {width}: {} left before {horizon}", r.time);
+                }
+            });
+            prop_assert_eq!(cal.now(), refq.now());
+        }
+    }
+
+    /// A queue with an enabled recorder drains event by event: its
+    /// `netsim.des.*` counters and series are exactly what one count,
+    /// one window increment and one depth sample per reference pop,
+    /// plus one count per schedule and per spill, record. Follow-ups are
+    /// less than two windows ahead, so only seeds past day 255 spill.
+    #[test]
+    fn recorded_drains_keep_per_event_telemetry(
+        seeds in proptest::collection::vec(any_offset(), 1..150),
+        follow_ups in proptest::collection::vec((any::<bool>(), 0.0f64..1.0), 0..300),
+    ) {
+        for width in WIDTHS {
+            let (rec, mirror) = (Recorder::new(), Recorder::new());
+            let mut cal = EventQueue::new();
+            cal.attach_recorder(rec.clone());
+            let mut refq = ReferenceQueue::new();
+            let scheduled = windowed_soak(&mut cal, &mut refq, width, &seeds, &follow_ups, |refq, _, batch| {
+                for _ in batch {
+                    if let Some(r) = refq.pop() {
+                        mirror.inc("netsim.des.processed", 1);
+                        mirror.series_inc("netsim.des.processed_per_window", r.time, 1);
+                        mirror.series_gauge("netsim.des.queue_depth", r.time, refq.len() as f64);
+                    }
+                }
+            });
+            let spills = seeds.iter().filter(|t| **t >= 256.0).count() as u64;
+            mirror.inc("netsim.des.scheduled", scheduled as u64);
+            if spills > 0 {
+                mirror.inc("netsim.des.wheel_spills", spills);
+            }
+            prop_assert_eq!(rec.snapshot(), mirror.snapshot(), "width {}", width);
+        }
     }
 }

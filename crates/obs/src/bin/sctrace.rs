@@ -21,10 +21,8 @@
 //! reports are as byte-stable as the sidecars themselves.
 
 use sc_obs::sidecar::Sidecar;
-use sc_obs::trace::{render_diff, render_series, TraceForest};
+use sc_obs::trace::{render_diff, render_series, SpanView, TraceCommand, TraceForest};
 use std::process::ExitCode;
-
-const USAGE: &str = "usage: sctrace <tree|critical-path|folded|series> <telemetry.json>\n       sctrace diff <a.json> <b.json>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,19 +36,14 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let cmd = args.first().map(String::as_str).ok_or(USAGE)?;
-    match cmd {
-        "tree" | "critical-path" | "folded" => {
-            let path = args.get(1).map(String::as_str).ok_or(USAGE)?;
-            if args.len() > 2 {
-                return Err(USAGE.to_string());
-            }
-            let sc = load(path)?;
+    match TraceCommand::parse(args)? {
+        TraceCommand::Spans { view, path } => {
+            let sc = load(&path)?;
             let forest = TraceForest::build(&sc.spans);
-            let report = match cmd {
-                "tree" => forest.render_tree(),
-                "critical-path" => forest.render_critical_paths(),
-                _ => forest.render_folded(),
+            let report = match view {
+                SpanView::Tree => forest.render_tree(),
+                SpanView::CriticalPath => forest.render_critical_paths(),
+                SpanView::Folded => forest.render_folded(),
             };
             print!("{report}");
             if sc.spans_dropped > 0 {
@@ -59,28 +52,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     sc.spans_dropped
                 );
             }
-            Ok(ExitCode::SUCCESS)
         }
-        "series" => {
-            let path = args.get(1).map(String::as_str).ok_or(USAGE)?;
-            if args.len() > 2 {
-                return Err(USAGE.to_string());
-            }
-            let sc = load(path)?;
-            print!("{}", render_series(&sc));
-            Ok(ExitCode::SUCCESS)
-        }
-        "diff" => {
-            let a = args.get(1).map(String::as_str).ok_or(USAGE)?;
-            let b = args.get(2).map(String::as_str).ok_or(USAGE)?;
-            if args.len() > 3 {
-                return Err(USAGE.to_string());
-            }
-            print!("{}", render_diff(&load(a)?, &load(b)?));
-            Ok(ExitCode::SUCCESS)
-        }
-        _ => Err(USAGE.to_string()),
+        TraceCommand::Series { path } => print!("{}", render_series(&load(&path)?)),
+        TraceCommand::Diff { a, b } => print!("{}", render_diff(&load(&a)?, &load(&b)?)),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn load(path: &str) -> Result<Sidecar, String> {

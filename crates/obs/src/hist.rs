@@ -66,6 +66,25 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Record `n` samples of value `v` at once. The result is exactly
+    /// that of `n` calls of [`Self::observe`]`(v)` whenever every partial
+    /// sum is exact — integer samples whose running sum stays below 2⁵³ —
+    /// so a tally of integer samples folds in, in any order, to the
+    /// histogram per-sample observes give.
+    pub fn observe_n(&mut self, v: f64, n: u64) {
+        if n == 0 || !v.is_finite() {
+            return;
+        }
+        let idx = bucket_index(v);
+        if let Some(c) = self.counts.get_mut(idx) {
+            *c += n;
+        }
+        self.count += n;
+        self.sum += v * n as f64;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
     /// Bucket-wise merge (the operation parallel sweeps rely on; it is
     /// commutative but the engine still merges in slot order so `sum`,
     /// a float, accumulates in a fixed order).
@@ -217,6 +236,41 @@ mod tests {
                 prop_assert_eq!(bucket_index(v), bucket_index_linear(v), "{}", v);
             }
         }
+    }
+
+    proptest! {
+        /// A tally of integer samples folded in by `observe_n`, values in
+        /// any order, leaves exactly the per-sample `observe` state.
+        #[test]
+        fn observe_n_equals_n_observes(
+            samples in proptest::collection::vec((0u64..5_000, 0u64..300), 0..60),
+            order in any::<u64>(),
+        ) {
+            let mut each = Histogram::new();
+            for &(v, n) in &samples {
+                for _ in 0..n {
+                    each.observe(v as f64);
+                }
+            }
+            // Fold the same multiset in another order: a rotation of
+            // the tally, then duplicates split into two folds.
+            let k = if samples.is_empty() { 0 } else { (order % samples.len() as u64) as usize };
+            let mut folded = Histogram::new();
+            for &(v, n) in samples[k..].iter().chain(&samples[..k]) {
+                folded.observe_n(v as f64, n / 2);
+                folded.observe_n(v as f64, n - n / 2);
+            }
+            prop_assert_eq!(folded, each);
+        }
+    }
+
+    #[test]
+    fn observe_n_drops_empty_and_non_finite_folds() {
+        let mut h = Histogram::new();
+        h.observe_n(4.0, 0);
+        h.observe_n(f64::NAN, 3);
+        h.observe_n(f64::INFINITY, 3);
+        assert_eq!(h, Histogram::new());
     }
 
     #[test]

@@ -510,11 +510,111 @@ pub fn render_diff(a: &Sidecar, b: &Sidecar) -> String {
     text
 }
 
+/// `sctrace`'s usage line, printed for any command line
+/// [`TraceCommand::parse`] rejects.
+pub const USAGE: &str = "usage: sctrace <tree|critical-path|folded|series> <telemetry.json>\n       sctrace diff <a.json> <b.json>";
+
+/// One of [`TraceForest`]'s span renderings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanView {
+    Tree,
+    CriticalPath,
+    Folded,
+}
+
+/// A parsed `sctrace` command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceCommand {
+    /// `tree`, `critical-path` or `folded` over one sidecar.
+    Spans { view: SpanView, path: String },
+    /// `series` over one sidecar.
+    Series { path: String },
+    /// `diff` from sidecar `a` to sidecar `b`.
+    Diff { a: String, b: String },
+}
+
+impl TraceCommand {
+    /// Parse the arguments after the binary name. A missing or unknown
+    /// subcommand, a missing path or an extra argument is an error
+    /// carrying [`USAGE`]; no input panics.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let spans = |view, path: &String| Self::Spans { view, path: path.clone() };
+        match args {
+            [cmd, path] if cmd == "tree" => Ok(spans(SpanView::Tree, path)),
+            [cmd, path] if cmd == "critical-path" => Ok(spans(SpanView::CriticalPath, path)),
+            [cmd, path] if cmd == "folded" => Ok(spans(SpanView::Folded, path)),
+            [cmd, path] if cmd == "series" => Ok(Self::Series { path: path.clone() }),
+            [cmd, a, b] if cmd == "diff" => Ok(Self::Diff {
+                a: a.clone(),
+                b: b.clone(),
+            }),
+            _ => Err(USAGE.to_string()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sidecar::Sidecar;
     use crate::Recorder;
+    use proptest::prelude::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn trace_command_parses_every_subcommand() {
+        let parse = |w: &[&str]| TraceCommand::parse(&args(w));
+        let spans = |view| Ok(TraceCommand::Spans { view, path: "t.json".into() });
+        assert_eq!(parse(&["tree", "t.json"]), spans(SpanView::Tree));
+        assert_eq!(parse(&["critical-path", "t.json"]), spans(SpanView::CriticalPath));
+        assert_eq!(parse(&["folded", "t.json"]), spans(SpanView::Folded));
+        assert_eq!(
+            parse(&["series", "t.json"]),
+            Ok(TraceCommand::Series { path: "t.json".into() })
+        );
+        assert_eq!(
+            parse(&["diff", "a", "b"]),
+            Ok(TraceCommand::Diff { a: "a".into(), b: "b".into() })
+        );
+        for bad in [&[][..], &["tree"], &["tree", "a", "b"], &["diff", "a"], &["diff", "a", "b", "c"], &["dump", "a"]] {
+            assert_eq!(parse(bad), Err(USAGE.to_string()), "{bad:?}");
+        }
+    }
+
+    /// Words an `sctrace` command line is made of — the subcommands,
+    /// paths, flags, the empty string — or arbitrary characters.
+    fn arg_word() -> impl Strategy<Value = String> {
+        const WORDS: [&str; 9] =
+            ["tree", "critical-path", "folded", "series", "diff", "", "-", "--help", "t.json"];
+        (0usize..12, proptest::collection::vec(any::<u32>(), 0..12)).prop_map(|(k, cs)| {
+            match WORDS.get(k) {
+                Some(w) => (*w).to_string(),
+                None => cs.into_iter().filter_map(char::from_u32).collect(),
+            }
+        })
+    }
+
+    proptest! {
+        /// Panic budget: any argv parses to `Ok` or `Err`, and an `Ok`
+        /// names exactly the paths it was given.
+        #[test]
+        fn trace_command_parse_never_panics(argv in proptest::collection::vec(arg_word(), 0..5)) {
+            match TraceCommand::parse(&argv) {
+                Ok(TraceCommand::Spans { path, .. } | TraceCommand::Series { path }) => {
+                    prop_assert_eq!(argv.len(), 2);
+                    prop_assert_eq!(&path, &argv[1]);
+                }
+                Ok(TraceCommand::Diff { a, b }) => {
+                    prop_assert_eq!(argv.len(), 3);
+                    prop_assert_eq!((&a, &b), (&argv[1], &argv[2]));
+                }
+                Err(e) => prop_assert_eq!(e, USAGE.to_string()),
+            }
+        }
+    }
 
     fn traced_sidecar() -> Result<Sidecar, String> {
         let r = Recorder::new();

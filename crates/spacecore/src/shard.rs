@@ -122,19 +122,28 @@ pub struct CellLedger {
     busy_us: u64,
 }
 
-/// Microsecond tick of a simulation timestamp.
-fn tick_us(t: f64) -> u64 {
-    (t * 1e6).round() as u64
+/// An instant on the ledger's integer-microsecond grid. A simulation
+/// timestamp in seconds converts with [`From<f64>`], rounding to the
+/// nearest tick; a caller that already holds the tick wraps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Tick(pub u64);
+
+impl From<f64> for Tick {
+    fn from(t_s: f64) -> Self {
+        Self((t_s * 1e6).round() as u64)
+    }
 }
 
 impl CellLedger {
+    /// A ledger over `cells` cells measuring `[window_start,
+    /// window_end]`, both in seconds.
     pub fn new(cells: usize, window_start: f64, window_end: f64) -> Self {
         assert!(window_end >= window_start && window_start >= 0.0);
         Self {
             active: vec![0; cells],
             total_active: 0,
-            start_us: tick_us(window_start),
-            end_us: tick_us(window_end),
+            start_us: Tick::from(window_start).0,
+            end_us: Tick::from(window_end).0,
             last_us: 0,
             busy_us: 0,
         }
@@ -151,16 +160,16 @@ impl CellLedger {
         self.last_us = self.last_us.max(now_us);
     }
 
-    /// A session came up in `cell` at time `now`.
-    pub fn connect(&mut self, cell: usize, now: f64) {
-        self.advance(tick_us(now));
+    /// A session came up in `cell` at tick `now`.
+    pub fn connect(&mut self, cell: usize, now: impl Into<Tick>) {
+        self.advance(now.into().0);
         self.active[cell] += 1;
         self.total_active += 1;
     }
 
-    /// A session in `cell` ended at time `now`.
-    pub fn release(&mut self, cell: usize, now: f64) {
-        self.advance(tick_us(now));
+    /// A session in `cell` ended at tick `now`.
+    pub fn release(&mut self, cell: usize, now: impl Into<Tick>) {
+        self.advance(now.into().0);
         debug_assert!(self.active[cell] > 0, "release without a session");
         self.active[cell] -= 1;
         self.total_active -= 1;
@@ -519,12 +528,30 @@ mod tests {
         // t=12 to t=30 → integral = 1·(15−10) + 1·(20−12) = 13.
         let mut l = CellLedger::new(4, 10.0, 20.0);
         l.connect(0, 5.0);
-        l.connect(1, 12.0);
+        l.connect(1, Tick(12_000_000));
         l.release(0, 15.0);
         l.finish();
         assert!((l.busy_integral() - 13.0).abs() < 1e-9, "{}", l.busy_integral());
         assert_eq!(l.active_total(), 1);
         assert_eq!(l.cell_active(), &[0, 1, 0, 0]);
+    }
+
+    /// Seconds convert to the nearest µs tick, so a timestamp and its
+    /// tick are the same instant to the ledger.
+    #[test]
+    fn seconds_round_to_the_nearest_tick() {
+        assert_eq!(Tick::from(1.5), Tick(1_500_000));
+        assert_eq!(Tick::from(2.000_000_4), Tick(2_000_000));
+        assert_eq!(Tick::from(2.000_000_6), Tick(2_000_001));
+        let (mut by_s, mut by_tick) = (CellLedger::new(2, 1.0, 9.0), CellLedger::new(2, 1.0, 9.0));
+        by_s.connect(1, 0.5);
+        by_s.release(1, 3.25);
+        by_tick.connect(1, Tick(500_000));
+        by_tick.release(1, Tick(3_250_000));
+        by_s.finish();
+        by_tick.finish();
+        assert_eq!(by_s.busy_us(), by_tick.busy_us());
+        assert_eq!(by_s.busy_us(), 2_250_000);
     }
 
     #[test]

@@ -18,17 +18,23 @@ echo "== tier-1: cargo test -q --offline $*" >&2
 cargo test -q --offline "$@"
 
 # The pinned crypto bytes, the per-establishment allocation budget, the
-# route memo's exactness, the draw → point placement and its two float
-# fast paths (`region_of`, `cell_of_point`), and the calendar's day
-# promotion once more under the release profile (fat LTO): the
-# optimised build inlines and vectorises the payload pass, the Dijkstra
-# loop, the sampler's and the placement's arithmetic and the day
-# scatter differently from the debug build the run above tests, and it
-# is the build every number is measured on.
+# route memo's exactness, the draw → point placement and its float fast
+# paths (`region_of`'s candidate grid and dot products, `cell_of_point`),
+# the calendar's day promotion and whole-day hand-out, the histogram
+# tally fold (`sc-obs`) and the churn engine's own tests once more under
+# the release profile (fat LTO): the optimised build inlines and
+# vectorises the payload pass, the Dijkstra loop, the sampler's and the
+# placement's arithmetic, the day scatter and the soak's handlers
+# differently from the debug build the run above tests, and it is the
+# build every number is measured on.
 echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props" >&2
 cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props
 echo "== tier-1: cargo test --release --offline -q -p sc-netsim --test calendar_props -p sc-geo --test props" >&2
 cargo test --release --offline -q -p sc-netsim --test calendar_props -p sc-geo --test props
+echo "== tier-1: cargo test --release --offline -q -p sc-obs" >&2
+cargo test --release --offline -q -p sc-obs
+echo "== tier-1: cargo test --release --offline -q -p sc-emu --lib churn" >&2
+cargo test --release --offline -q -p sc-emu --lib churn
 
 # The sampler's stream seek (`ChaCha12Rng::set_word_pos` and
 # `PopulationModel::draws_at`) under the same release profile: fat LTO

@@ -1,15 +1,19 @@
 //! The placement stage that feeds both sharded soak engines, pinned to
 //! the straightforward code it replaced:
 //!
-//! * `PopulationModel::region_of` rejects far hotspots with one dot
-//!   product against a cached unit vector, and answers without any
-//!   `acos` when the hotspots left all share one region and one is
-//!   clearly within 3σ; it must classify every point exactly as 20 full
-//!   `central_angle` calls do — on the open sphere, on the 3σ decision
-//!   boundary of every hotspot (also where the dot product sits within
-//!   ulps of either margin), where hotspots of different regions overlap
-//!   (Egypt ↔ Middle East) and of one region overlap (China ↔ India ↔
-//!   Indochina), and where lat/lon arithmetic is least forgiving (poles,
+//! * `PopulationModel::region_of` looks up the hotspots its 5° candidate
+//!   grid names for the point's cell and answers from lat/lon bounds
+//!   alone when they settle it; otherwise it rejects far hotspots with
+//!   one dot product against a cached unit vector, and answers without
+//!   any `acos` when the hotspots left all share one region and one is
+//!   clearly within 3σ. It must classify every point exactly as 20 full
+//!   `central_angle` calls do — on sampled UEs and on the open sphere,
+//!   on the 3σ decision boundary of every hotspot (also where the dot
+//!   product sits within ulps of either margin), where hotspots of
+//!   different regions overlap (Egypt ↔ Middle East) and of one region
+//!   overlap (China ↔ India ↔ Indochina), on and beside the edges of the
+//!   candidate grid's cells, and where lat/lon arithmetic is least
+//!   forgiving (poles, the sampler's ±1.55 rad latitude clamp, the
 //!   antimeridian).
 //! * `churn::place` computes cells in parallel chunks; shard membership
 //!   *and* in-shard order must be what one serial pass in UE-id order
@@ -21,7 +25,7 @@
 //!   and `region_of` give on `sample_ues`'s points.
 
 use proptest::prelude::*;
-use sc_dataset::population::{PopulationModel, Region};
+use sc_dataset::population::{PopulationModel, Region, CANDIDATE_CELL_DEG};
 use sc_emu::churn::{place, place_labelled};
 use sc_geo::cells::CellGrid;
 use sc_geo::sphere::GeoPoint;
@@ -62,6 +66,23 @@ proptest! {
         let m = PopulationModel::world_bank_like();
         let p = GeoPoint::new(z.asin(), lon);
         prop_assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{:?}", p);
+    }
+
+    /// A batch of sampled UEs — the soaks' own input, most of which the
+    /// candidate grid answers — and a batch of uniform-sphere points.
+    #[test]
+    fn region_of_matches_reference_on_sampled_and_uniform_points(
+        seed in any::<u64>(),
+        uniform in proptest::collection::vec((-1.0f64..1.0, -PI..PI), 500),
+    ) {
+        let m = PopulationModel::world_bank_like();
+        for p in m.sample_ues(2_000, seed) {
+            prop_assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{:?}", p);
+        }
+        for (z, lon) in uniform {
+            let p = GeoPoint::new(z.asin(), lon);
+            prop_assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{:?}", p);
+        }
     }
 
     /// Rings at 3σ·(1 ± ε) around every hotspot: the fast reject must
@@ -176,6 +197,44 @@ proptest! {
         };
         let got = place_labelled(threads, n, &streamed, &grid, &shard_map, &region);
         prop_assert_eq!(&got, &want, "threads={}", threads);
+    }
+}
+
+/// Every corner and edge of the candidate grid, and the floats within
+/// 2 ulps of it: a point on a cell edge may be filed under either
+/// neighbour, so each must name every hotspot the point could be near.
+/// The latitude rows run through ±1.55 rad (the sampler's clamp) and the
+/// poles, the columns through ±π.
+#[test]
+fn region_of_matches_reference_on_candidate_cell_edges() {
+    let m = PopulationModel::world_bank_like();
+    let step = CANDIDATE_CELL_DEG.to_radians();
+    let rows = (180.0 / CANDIDATE_CELL_DEG) as usize;
+    let cols = (360.0 / CANDIDATE_CELL_DEG) as usize;
+    let mut lats: Vec<f64> = (0..=rows).map(|r| -FRAC_PI_2 + r as f64 * step).collect();
+    lats.extend((0..=rows).map(|r| (r as f64 * CANDIDATE_CELL_DEG - 90.0).to_radians()));
+    lats.extend([1.55, -1.55]);
+    let mut lons: Vec<f64> = (0..=cols).map(|c| -PI + c as f64 * step).collect();
+    lons.extend((0..=cols).map(|c| (c as f64 * CANDIDATE_CELL_DEG - 180.0).to_radians()));
+    for &lat in &lats {
+        for ulps in -2..=2 {
+            let lat = nudge(lat, ulps).clamp(-FRAC_PI_2, FRAC_PI_2);
+            for &lon in &lons {
+                // Along the edge's own row and halfway into the cell.
+                for lon in [nudge(lon, ulps), lon + 0.5 * step] {
+                    let p = GeoPoint::new(lat, lon);
+                    assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{p:?}");
+                }
+            }
+        }
+    }
+    for &lon in &lons {
+        for ulps in -2..=2 {
+            for k in 0..rows {
+                let p = GeoPoint::new(-FRAC_PI_2 + (k as f64 + 0.5) * step, nudge(lon, ulps));
+                assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{p:?}");
+            }
+        }
     }
 }
 
