@@ -367,9 +367,9 @@ impl Analyzer<'_> {
             return None;
         }
         if LOCKS.contains(&ty.head.as_str()) {
-            // The arena pool types are recycled handle-addressed
-            // scratch, never subscriber-keyed.
-            if self.cfg.pool_types.iter().any(|p| ty.mentions(p)) {
+            // The arena pool is recycled handle-addressed scratch, never
+            // subscriber-keyed.
+            if locks_pool(ty, self.cfg) {
                 return None;
             }
             for arg in &ty.args {
@@ -471,15 +471,24 @@ impl Analyzer<'_> {
     }
 }
 
+/// Is the lock `ty` the sanctioned arena pool: a lock of a pool type
+/// itself (`Mutex<MessageArena>`), or of a growable of bare pool
+/// handles (`Mutex<Vec<BufId>>`)? A lock that merely mentions a pool
+/// type beside other data (`Mutex<Vec<(BufId, Supi)>>`) is not.
+fn locks_pool(ty: &TypeExpr, cfg: &Config) -> bool {
+    let bare = |t: &TypeExpr| t.args.is_empty() && cfg.pool_types.contains(&t.head);
+    let pool = |t: &TypeExpr| {
+        bare(t)
+            || (GROWABLE.contains(&t.head.as_str()) && !t.args.is_empty() && t.args.iter().all(bare))
+    };
+    !ty.args.is_empty() && ty.args.iter().all(pool)
+}
+
 /// The first lock in `ty`'s own spelling that wraps a growable buffer
-/// and names no pool type (`Mutex<MessageArena>`, `Mutex<Vec<BufId>>`
-/// are the sanctioned pool).
+/// and is not the arena pool (see [`locks_pool`]).
 fn adhoc_lock<'t>(ty: &'t TypeExpr, cfg: &Config) -> Option<&'t str> {
     let buffer = |a: &TypeExpr| GROWABLE.iter().any(|g| a.mentions(g));
-    if LOCKS.contains(&ty.head.as_str())
-        && ty.args.iter().any(buffer)
-        && !cfg.pool_types.iter().any(|p| ty.mentions(p))
-    {
+    if LOCKS.contains(&ty.head.as_str()) && ty.args.iter().any(buffer) && !locks_pool(ty, cfg) {
         return Some(&ty.head);
     }
     ty.args.iter().find_map(|a| adhoc_lock(a, cfg))

@@ -30,6 +30,7 @@ EXIT STATUS:
     2  usage or I/O error
 ";
 
+#[derive(Debug, Default, PartialEq)]
 struct Args {
     root: Option<PathBuf>,
     baseline: Option<PathBuf>,
@@ -39,34 +40,37 @@ struct Args {
     explain: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        baseline: None,
-        update_baseline: false,
-        warn_only: false,
-        counts: false,
-        explain: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => args.root = Some(it.next().ok_or("--root needs a path")?.into()),
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a path")?.into())
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// `-h` / `--help`: print [`USAGE`] and exit 0.
+    Help,
+    /// Audit the workspace.
+    Run(Args),
+}
+
+impl Command {
+    /// Parse the arguments after the program name. Pure: printing and
+    /// exiting are `main`'s.
+    fn parse(argv: &[String]) -> Result<Self, String> {
+        let mut args = Args::default();
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--root" => args.root = Some(it.next().ok_or("--root needs a path")?.into()),
+                "--baseline" => {
+                    args.baseline = Some(it.next().ok_or("--baseline needs a path")?.into())
+                }
+                "--update-baseline" => args.update_baseline = true,
+                "--warn-only" => args.warn_only = true,
+                "--counts" => args.counts = true,
+                "--explain" => args.explain = true,
+                "-h" | "--help" => return Ok(Self::Help),
+                other => return Err(format!("unknown argument `{other}`")),
             }
-            "--update-baseline" => args.update_baseline = true,
-            "--warn-only" => args.warn_only = true,
-            "--counts" => args.counts = true,
-            "--explain" => args.explain = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
         }
+        Ok(Self::Run(args))
     }
-    Ok(args)
 }
 
 /// Walk up from the current directory to the first ancestor containing
@@ -84,8 +88,13 @@ fn find_root() -> Option<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match Command::parse(&argv) {
+        Ok(Command::Run(a)) => a,
+        Ok(Command::Help) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("sc-audit: {e}\n\n{USAGE}");
             return ExitCode::from(2);
@@ -191,5 +200,60 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Command, String> {
+        Command::parse(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_flags_paths_and_help() {
+        assert_eq!(parse(&[]), Ok(Command::Run(Args::default())));
+        assert_eq!(
+            parse(&["--root", "r", "--warn-only", "--explain", "--baseline", "b.toml"]),
+            Ok(Command::Run(Args {
+                root: Some("r".into()),
+                baseline: Some("b.toml".into()),
+                warn_only: true,
+                explain: true,
+                ..Args::default()
+            }))
+        );
+        assert_eq!(parse(&["--counts", "-h", "--bogus"]), Ok(Command::Help));
+        assert!(parse(&["--root"]).is_err());
+        assert!(parse(&["--bogus", "--help"]).is_err());
+    }
+
+    /// Every argv of up to four words over an alphabet of every flag,
+    /// a path, an unknown flag and the empty word parses to a command
+    /// or to a non-empty error — never a panic.
+    #[test]
+    fn parse_never_panics_on_short_argvs() {
+        let alphabet = [
+            "--root", "--baseline", "--update-baseline", "--warn-only", "--counts",
+            "--explain", "-h", "--help", "path", "--bogus", "",
+        ];
+        let mut argv: Vec<String> = Vec::new();
+        let mut seen = 0usize;
+        fn walk(alphabet: &[&str], argv: &mut Vec<String>, seen: &mut usize) {
+            *seen += 1;
+            if let Err(e) = Command::parse(argv) {
+                assert!(!e.is_empty(), "{argv:?}");
+            }
+            if argv.len() < 4 {
+                for word in alphabet {
+                    argv.push(word.to_string());
+                    walk(alphabet, argv, seen);
+                    argv.pop();
+                }
+            }
+        }
+        walk(&alphabet, &mut argv, &mut seen);
+        assert_eq!(seen, 1 + 11 + 11 * 11 + 11 * 11 * 11 + 11 * 11 * 11 * 11);
     }
 }

@@ -459,6 +459,30 @@ mod tests {
     }
 
     #[test]
+    fn lock_mentioning_the_pool_beside_per_ue_data_is_not_exempt() {
+        // Handles paired with a subscriber key are per-UE state however
+        // they are pooled.
+        for ty in [
+            "Mutex<Vec<(BufId, Supi)>>",
+            "Mutex<HashMap<Supi, BufId>>",
+            "RwLock<Vec<(arena::BufId, Supi)>>",
+        ] {
+            let (f, _) = run(SAT, &format!("struct S {{ held: {ty}, }}"));
+            assert_eq!(f.len(), 1, "{ty}: {f:?}");
+            assert_eq!(f[0].rule, "R4-state-flow");
+        }
+        // A lock of the pool beside plain scratch is an ad-hoc buffer.
+        let (f, _) = run(SAT, "struct S { held: Mutex<Vec<(BufId, Vec<u8>)>>, }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("growable buffer"), "{}", f[0].message);
+        // Bare handles in any growable stay exempt.
+        for ty in ["Mutex<VecDeque<BufId>>", "RefCell<Vec<BufId>>", "Mutex<MessageArena>"] {
+            let (f, _) = run(SAT, &format!("struct S {{ pool: {ty}, }}"));
+            assert!(f.is_empty(), "{ty}: {f:?}");
+        }
+    }
+
+    #[test]
     fn adhoc_locked_buffer_flagged() {
         let src = "struct S { scratch: Mutex<Vec<Vec<u8>>>, }";
         let (f, _) = run(SAT, src);

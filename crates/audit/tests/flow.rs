@@ -24,6 +24,7 @@ const MSG: &str = include_str!("fixtures/flowcases/msg.rs");
 const GROUND: &str = include_str!("fixtures/flowcases/ground.rs");
 const ALLOWED: &str = include_str!("fixtures/flowcases/allowed.rs");
 const PAR: &str = include_str!("fixtures/flowcases/par.rs");
+const POOL: &str = include_str!("fixtures/flowcases/pool.rs");
 
 const CORPUS: &[(&str, &str)] = &[
     ("crates/fiveg/src/ids.rs", IDS),
@@ -210,6 +211,29 @@ fn corpus_negatives_stay_negative() {
         report.flow.iter().all(|f| f.line != counts_line),
         "satellite-scope counters keyed by CellId are not per-UE state"
     );
+}
+
+/// Only a lock of the pool type itself, or of a growable of bare
+/// handles, is exempt: naming `BufId` beside a per-UE key or beside
+/// plain scratch does not launder the lock.
+#[test]
+fn pool_exemption_covers_the_pool_and_bare_handles_only() {
+    let sources = [("crates/fiveg/src/ids.rs", IDS), ("crates/spacecore/src/pool.rs", POOL)]
+        .map(|(rel, src)| (rel.to_string(), src.to_string()));
+    let report = audit_sources(&sources, &Baseline::default(), &Config::default());
+    let lines: Vec<u32> = report.flow.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        vec![
+            line_of(POOL, "pub held_by:"),
+            line_of(POOL, "pub owner_of:"),
+            line_of(POOL, "pub scratch:"),
+        ],
+        "{:?}",
+        report.flow
+    );
+    assert!(report.flow.iter().all(|f| f.rule == "R4-state-flow"));
+    assert!(report.flow[2].message.contains("growable buffer"), "{}", report.flow[2].message);
 }
 
 #[test]

@@ -133,6 +133,9 @@ pub struct PopulationModel {
     /// Per candidate-grid cell, row-major: bit `k` set when hotspot
     /// `k`'s box, widened by [`MARGIN`], meets the cell.
     candidates: Vec<u32>,
+    /// Per candidate-grid cell: the region every point filed under the
+    /// cell gets, when one does (see [`pure_regions`]).
+    pure: Vec<Option<Region>>,
 }
 
 impl Default for PopulationModel {
@@ -146,63 +149,72 @@ impl PopulationModel {
     /// Bank 2019 mobile-subscription distribution.
     pub fn world_bank_like() -> Self {
         use Region::*;
-        let h = |lat: f64, lon: f64, weight: f64, sigma_deg: f64, region: Region| {
-            let center = GeoPoint::from_degrees(lat, lon);
-            let sigma = sigma_deg.to_radians();
-            let rho = 3.0 * sigma + MARGIN;
-            let cos_center = center.lat.cos();
-            Hotspot {
-                center,
-                cos_lat: cos_center.max(0.2),
-                unit: center.unit_vector(),
-                reject_below: (3.0 * sigma).cos() - MARGIN,
-                accept_above: (3.0 * sigma).cos() + MARGIN,
-                cos_center,
-                box_lat: rho,
-                box_lon: if rho.sin() < cos_center {
-                    (rho.sin() / cos_center).asin()
-                } else {
-                    PI
-                },
-                within: 3.0 * sigma - MARGIN,
-                weight,
-                sigma,
-                region,
-            }
-        };
-        let hotspots = vec![
+        Self::from_hotspots(&[
             // Europe & Asia (the dominant mass).
-            h(31.0, 112.0, 1700.0, 10.0, EuropeAsia), // eastern China
-            h(23.0, 80.0, 1200.0, 9.0, EuropeAsia),   // India
-            h(36.0, 138.0, 190.0, 4.0, EuropeAsia),   // Japan
-            h(-2.0, 110.0, 350.0, 8.0, EuropeAsia),   // Indonesia / SE Asia
-            h(16.0, 102.0, 220.0, 6.0, EuropeAsia),   // Indochina
-            h(50.0, 10.0, 480.0, 8.0, EuropeAsia),    // western/central Europe
-            h(55.0, 45.0, 250.0, 10.0, EuropeAsia),   // Russia / eastern Europe
-            h(33.0, 48.0, 280.0, 8.0, EuropeAsia),    // Middle East
-            h(40.0, 68.0, 120.0, 7.0, EuropeAsia),    // central Asia
+            (31.0, 112.0, 1700.0, 10.0, EuropeAsia), // eastern China
+            (23.0, 80.0, 1200.0, 9.0, EuropeAsia),   // India
+            (36.0, 138.0, 190.0, 4.0, EuropeAsia),   // Japan
+            (-2.0, 110.0, 350.0, 8.0, EuropeAsia),   // Indonesia / SE Asia
+            (16.0, 102.0, 220.0, 6.0, EuropeAsia),   // Indochina
+            (50.0, 10.0, 480.0, 8.0, EuropeAsia),    // western/central Europe
+            (55.0, 45.0, 250.0, 10.0, EuropeAsia),   // Russia / eastern Europe
+            (33.0, 48.0, 280.0, 8.0, EuropeAsia),    // Middle East
+            (40.0, 68.0, 120.0, 7.0, EuropeAsia),    // central Asia
             // North America.
-            h(40.0, -95.0, 360.0, 10.0, NorthAmerica),
-            h(19.5, -99.0, 120.0, 5.0, NorthAmerica), // Mexico
+            (40.0, -95.0, 360.0, 10.0, NorthAmerica),
+            (19.5, -99.0, 120.0, 5.0, NorthAmerica), // Mexico
             // South & Central America.
-            h(-15.0, -52.0, 210.0, 9.0, SouthCentralAmerica), // Brazil
-            h(-34.0, -61.0, 70.0, 6.0, SouthCentralAmerica),  // Argentina
-            h(5.0, -74.0, 90.0, 6.0, SouthCentralAmerica),    // Andes north
+            (-15.0, -52.0, 210.0, 9.0, SouthCentralAmerica), // Brazil
+            (-34.0, -61.0, 70.0, 6.0, SouthCentralAmerica),  // Argentina
+            (5.0, -74.0, 90.0, 6.0, SouthCentralAmerica),    // Andes north
             // Africa.
-            h(9.0, 8.0, 190.0, 7.0, Africa),    // Nigeria / west Africa
-            h(0.5, 36.0, 130.0, 7.0, Africa),   // east Africa
-            h(-28.0, 25.0, 90.0, 6.0, Africa),  // southern Africa
-            h(30.0, 30.0, 110.0, 5.0, Africa),  // Egypt / north Africa
+            (9.0, 8.0, 190.0, 7.0, Africa),    // Nigeria / west Africa
+            (0.5, 36.0, 130.0, 7.0, Africa),   // east Africa
+            (-28.0, 25.0, 90.0, 6.0, Africa),  // southern Africa
+            (30.0, 30.0, 110.0, 5.0, Africa),  // Egypt / north Africa
             // Oceania.
-            h(-31.0, 140.0, 35.0, 8.0, Oceania), // Australia
-            h(-40.0, 175.0, 6.0, 3.0, Oceania),  // New Zealand
-        ];
+            (-31.0, 140.0, 35.0, 8.0, Oceania), // Australia
+            (-40.0, 175.0, 6.0, 3.0, Oceania),  // New Zealand
+        ])
+    }
+
+    /// A mixture of hotspots given as `(lat°, lon°, weight, σ°, region)`.
+    fn from_hotspots(spec: &[(f64, f64, f64, f64, Region)]) -> Self {
+        let hotspots: Vec<Hotspot> = spec
+            .iter()
+            .map(|&(lat, lon, weight, sigma_deg, region)| {
+                let center = GeoPoint::from_degrees(lat, lon);
+                let sigma = sigma_deg.to_radians();
+                let rho = 3.0 * sigma + MARGIN;
+                let cos_center = center.lat.cos();
+                Hotspot {
+                    center,
+                    cos_lat: cos_center.max(0.2),
+                    unit: center.unit_vector(),
+                    reject_below: (3.0 * sigma).cos() - MARGIN,
+                    accept_above: (3.0 * sigma).cos() + MARGIN,
+                    cos_center,
+                    box_lat: rho,
+                    box_lon: if rho.sin() < cos_center {
+                        (rho.sin() / cos_center).asin()
+                    } else {
+                        PI
+                    },
+                    within: 3.0 * sigma - MARGIN,
+                    weight,
+                    sigma,
+                    region,
+                }
+            })
+            .collect();
         let total_weight = hotspots.iter().map(|h| h.weight).sum();
         let candidates = candidate_masks(&hotspots);
+        let pure = pure_regions(&hotspots, &candidates);
         Self {
             hotspots,
             total_weight,
             candidates,
+            pure,
         }
     }
 
@@ -226,10 +238,13 @@ impl PopulationModel {
     /// (`tests/placement_props.rs` pins it to that reference), and most
     /// points need neither a unit vector nor an `acos`:
     ///
-    /// * The point's candidate-grid cell names the hotspots whose 3σ
-    ///   cap, widened by 1e-9 rad, can reach it. Each is kept only if
-    ///   the point lies in the box around that cap; `|Δlat|` and the
-    ///   wrapped `|Δlon|` bound the central angle from below.
+    /// * The point's candidate-grid cell may be *pure*: one region R
+    ///   that every point filed under the cell gets (see
+    ///   `pure_regions`). The answer is R, read from one byte.
+    /// * Otherwise the cell names the hotspots whose 3σ cap, widened by
+    ///   1e-9 rad, can reach it. Each is kept only if the point lies in
+    ///   the box around that cap; `|Δlat|` and the wrapped `|Δlon|`
+    ///   bound the central angle from below.
     /// * No hotspot kept: nothing is within 3σ, the answer is `Ocean`.
     /// * Every hotspot kept belongs to one region R and one is clearly
     ///   within 3σ — its meridian-then-parallel path,
@@ -248,7 +263,11 @@ impl PopulationModel {
         let step = CANDIDATE_CELL_DEG.to_radians();
         let row = (((p.lat + FRAC_PI_2) / step) as usize).min(CANDIDATE_ROWS - 1);
         let col = (((p.lon + PI) / step) as usize).min(CANDIDATE_COLS - 1);
-        let mut mask = self.candidates[row * CANDIDATE_COLS + col];
+        let cell = row * CANDIDATE_COLS + col;
+        if let Some(region) = self.pure[cell] {
+            return region;
+        }
+        let mut mask = self.candidates[cell];
         let mut only: Option<Region> = None;
         let mut within = false;
         while mask != 0 {
@@ -423,6 +442,64 @@ fn candidate_masks(hotspots: &[Hotspot]) -> Vec<u32> {
     masks
 }
 
+/// Per candidate-grid cell, the region every point filed under it gets,
+/// when one does: `Ocean` for a cell no hotspot's box meets, and R when
+/// every hotspot the cell names belongs to R and at least one of them
+/// holds the whole cell within `3σ − 1e-9`. The nearest hotspot within
+/// 3σ then exists and is one the cell names, whatever the point.
+///
+/// A hotspot holds the cell when it holds the four corners of the
+/// cell's lat/lon rectangle, widened by [`MARGIN`] like the masks, and
+/// the rectangle's longitudes lie within a quarter turn of the
+/// hotspot's meridian. Along a parallel the distance to the centre
+/// then grows with `|Δlon|`, and along a meridian it is largest at an
+/// end, so the farthest point is a corner. (A rectangle holding the
+/// antipodal meridian, or past a quarter turn, can be farthest in
+/// between.) A corner is held when its dot product with the centre is
+/// at least `cos 3σ + 1e-9`, which puts it more than 1e-9 rad inside
+/// 3σ against rounding of order 1e-15.
+fn pure_regions(hotspots: &[Hotspot], masks: &[u32]) -> Vec<Option<Region>> {
+    let step = CANDIDATE_CELL_DEG.to_radians();
+    masks
+        .iter()
+        .enumerate()
+        .map(|(cell, &mask)| {
+            let named = || {
+                (0..hotspots.len())
+                    .filter(move |k| mask & (1 << k) != 0)
+                    .map(|k| &hotspots[k])
+            };
+            let region = named().next().map_or(Region::Ocean, |h| h.region);
+            if named().any(|h| h.region != region) {
+                return None;
+            }
+            if mask == 0 {
+                return Some(region);
+            }
+            let (row, col) = (cell / CANDIDATE_COLS, cell % CANDIDATE_COLS);
+            let lat_lo = -FRAC_PI_2 + row as f64 * step;
+            let lon_lo = -PI + col as f64 * step;
+            let lats = [
+                (lat_lo - MARGIN).max(-FRAC_PI_2),
+                (lat_lo + step + MARGIN).min(FRAC_PI_2),
+            ];
+            let lons = [lon_lo - MARGIN, lon_lo + step + MARGIN];
+            let holds = |h: &Hotspot| {
+                lons.iter().all(|&lon| {
+                    let off = (lon - h.center.lon).abs();
+                    off.min(TAU - off) <= FRAC_PI_2
+                }) && lats.iter().all(|&lat| {
+                    lons.iter().all(|&lon| {
+                        let corner = GeoPoint { lat, lon }.unit_vector();
+                        h.unit.dot(&corner) >= h.accept_above
+                    })
+                })
+            };
+            named().any(holds).then_some(region)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,6 +537,58 @@ mod tests {
             m.region_of(&GeoPoint::from_degrees(-35.0, -140.0)),
             Region::Ocean
         );
+    }
+
+    /// The first-written classifier: nearest hotspot in σ units by
+    /// full `central_angle`, if within 3σ.
+    fn region_reference(m: &PopulationModel, p: &GeoPoint) -> Region {
+        let mut best: Option<(f64, Region)> = None;
+        for h in &m.hotspots {
+            let d = h.center.central_angle(p) / h.sigma;
+            if d <= 3.0 && best.is_none_or(|(bd, _)| d < bd) {
+                best = Some((d, h.region));
+            }
+        }
+        best.map_or(Region::Ocean, |(_, r)| r)
+    }
+
+    /// A hotspot at 80° N, 2.5° E whose 3σ cap (19.998°) holds the pole
+    /// and all four corners of the candidate cell [80°, 85°] ×
+    /// [−180°, −175°] (≤ 19.9952°) — but not that cell's middle, on the
+    /// hotspot's antipodal meridian −177.5°, 20° away. The cell must not
+    /// be pure.
+    #[test]
+    fn a_cell_holding_the_antipodal_meridian_is_not_pure() {
+        let m = PopulationModel::from_hotspots(&[(80.0, 2.5, 1.0, 19.998 / 3.0, Region::Oceania)]);
+        let middle = GeoPoint::from_degrees(80.0, -177.5);
+        assert_eq!(region_reference(&m, &middle), Region::Ocean);
+        assert_eq!(m.region_of(&middle), Region::Ocean);
+        for lat in [80.0, 81.0, 82.5, 84.0, 85.0, 87.5, 90.0] {
+            for k in 0..=40 {
+                let p = GeoPoint::from_degrees(lat, -180.0 + k as f64 * 0.25);
+                assert_eq!(m.region_of(&p), region_reference(&m, &p), "{p:?}");
+            }
+        }
+    }
+
+    /// Pure cells exist where one region's hotspot covers them, and
+    /// every cell no box meets is `Ocean`.
+    #[test]
+    fn pure_cells_cover_the_hotspot_cores_and_the_empty_ocean() {
+        let m = PopulationModel::world_bank_like();
+        let cell = |lat: f64, lon: f64| {
+            let row = ((lat + 90.0) / CANDIDATE_CELL_DEG) as usize;
+            let col = ((lon + 180.0) / CANDIDATE_CELL_DEG) as usize;
+            m.pure[row * CANDIDATE_COLS + col]
+        };
+        assert_eq!(cell(-12.5, -52.5), Some(Region::SouthCentralAmerica));
+        assert_eq!(cell(-47.5, -137.5), Some(Region::Ocean));
+        assert_eq!(cell(31.0, 39.0), None); // Egypt meets the Middle East
+        for (&mask, &pure) in m.candidates.iter().zip(&m.pure) {
+            if mask == 0 {
+                assert_eq!(pure, Some(Region::Ocean));
+            }
+        }
     }
 
     #[test]

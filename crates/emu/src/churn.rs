@@ -1022,8 +1022,8 @@ impl<'a> Shard<'a> {
 }
 
 /// Run the churn soak `cfg` describes on `threads` workers and fold the
-/// shards in slot order. `label` assigns each UE one of `classes`
-/// classes from its position, for the per-class tallies;
+/// shards in slot order. The UEs are drawn from `pop`; `label` assigns
+/// each UE one of `classes` classes from its position, for the per-class tallies;
 /// `record_holds` asks for the telemetry-only `session_hold_ms`
 /// histogram. The result is identical for every `threads` and every
 /// `cfg.load.shards`.
@@ -1035,6 +1035,7 @@ impl<'a> Shard<'a> {
 pub fn run(
     threads: usize,
     cfg: &ChaosloadConfig,
+    pop: &PopulationModel,
     classes: usize,
     label: &(dyn Fn(&GeoPoint) -> u8 + Sync),
     record_holds: bool,
@@ -1043,7 +1044,6 @@ pub fn run(
     let shard_map = ShardMap::new(run.grid.cell_count(), cfg.load.shards);
     // Each placement chunk draws its own UEs, straight from its slice
     // of the seeded stream: nothing of the sampler is serial.
-    let pop = PopulationModel::world_bank_like();
     let points = |ids: Range<usize>| {
         let n = ids.len();
         pop.draws_at(cfg.load.seed, ids.start).take(n).map(|d| pop.point_of(&d))
@@ -1128,7 +1128,7 @@ mod tests {
                 batch_window_s,
                 ..ChaosloadConfig::smoke()
             };
-            format!("{:?}", run(2, &cfg, 1, &|_| 0, true))
+            format!("{:?}", run(2, &cfg, &PopulationModel::world_bank_like(), 1, &|_| 0, true))
         });
         assert_eq!(outs[0], outs[1]);
     }
@@ -1137,7 +1137,7 @@ mod tests {
         let mut cfg = ChaosloadConfig::smoke();
         cfg.load.total_ues = 10;
         edit(&mut cfg);
-        run(1, &cfg, 1, &|_| 0, false);
+        run(1, &cfg, &PopulationModel::world_bank_like(), 1, &|_| 0, false);
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! and on the full run through its checked-in telemetry sidecar.
 
 use crate::churn::{self, WINDOW_S};
+use sc_dataset::population::PopulationModel;
 use sc_netsim::chaos::FailureTimeline;
 use serde::Serialize;
 use spacecore::recovery::RetryBudget;
@@ -260,7 +261,8 @@ pub fn run_smoke_obs(obs: &sc_obs::Recorder) -> ExtChaosload {
 /// byte-identical for every `threads`, `cfg.load.shards` and
 /// `cfg.batch_window_s` value.
 pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadConfig) -> ExtChaosload {
-    let out = churn::run(threads, cfg, 1, &|_| 0, obs.enabled());
+    let pop = PopulationModel::world_bank_like();
+    let out = churn::run(threads, cfg, &pop, 1, &|_| 0, obs.enabled());
     let (stats, cstats) = (&out.stats, &out.chaos);
     let horizon = cfg.load.warmup_s + cfg.load.measure_s;
     let windows = out.rereg_storm_win.len();

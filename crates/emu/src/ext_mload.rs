@@ -144,6 +144,7 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &MloadConfig
     let out = churn::run(
         threads,
         &ChaosloadConfig::failure_free(cfg.clone()),
+        &pop,
         Region::ALL.len(),
         &|p| pop.region_of(p).index() as u8,
         obs.enabled(),

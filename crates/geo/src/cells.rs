@@ -24,15 +24,20 @@ use crate::angle::wrap_2pi;
 use crate::inclined::{Branch, InclinedCoord, InclinedFrame};
 use crate::sphere::{GeoPoint, EARTH_RADIUS_KM};
 use std::f64::consts::TAU;
+use std::sync::Arc;
 
-/// How close, in column widths, [`CellGrid::cell_of_point`]'s fast α
-/// may come to a column edge before the exact path decides the column.
-const COLUMN_MARGIN: f64 = 1e-6;
+/// Latitude strips [`CellGrid::new`] cuts the clamped band into.
+const STRIPS: usize = 2048;
 
-/// Smallest `cos i` for which [`CellGrid::cell_of_point`] tries the fast
-/// α (inclinations up to ≈ 89.94°); nearer the pole the `atan2` it feeds
-/// is too ill-conditioned for [`COLUMN_MARGIN`] to cover.
-const FAST_COLUMN_MIN_COS_I: f64 = 1e-3;
+/// How close, in column widths, a strip's α range may come to a column
+/// edge before [`CellGrid::cell_of_point`] hands the point to the exact
+/// path.
+const COLUMN_MARGIN: f64 = 1e-9;
+
+/// Strips whose `|sin γ|` comes within this of 1 are left to the exact
+/// path: near the band's turning points `γ = asin(sin γ)` magnifies a
+/// rounding of `sin γ` by `1/√(1 − sin²γ)`.
+const TURNING_POINT_MARGIN: f64 = 1e-6;
 
 /// Identifier of one geospatial cell: orbital-plane column and in-plane row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,8 +95,9 @@ pub struct CellGrid {
     slots: u16,
     alpha_width: f64,
     gamma_height: f64,
-    /// Whether [`Self::cell_of_point`] may try the fast α.
-    fast_column: bool,
+    /// What every point of each latitude strip gets; shared, so clones
+    /// stay cheap.
+    strips: Arc<StripTable>,
 }
 
 impl CellGrid {
@@ -102,13 +108,19 @@ impl CellGrid {
     /// Panics if `planes` or `slots` is zero.
     pub fn new(inclination_rad: f64, planes: u16, slots: u16) -> Self {
         assert!(planes > 0 && slots > 0, "grid must have at least one cell");
+        let frame = InclinedFrame::new(inclination_rad);
+        let alpha_width = TAU / planes as f64;
+        let gamma_height = TAU / slots as f64;
+        let strips = StripTable::new(&frame, alpha_width, planes, |g| {
+            row_of(g, gamma_height, slots)
+        });
         Self {
-            frame: InclinedFrame::new(inclination_rad),
+            frame,
             planes,
             slots,
-            alpha_width: TAU / planes as f64,
-            gamma_height: TAU / slots as f64,
-            fast_column: inclination_rad.cos() >= FAST_COLUMN_MIN_COS_I,
+            alpha_width,
+            gamma_height,
+            strips: Arc::new(strips),
         }
     }
 
@@ -148,56 +160,57 @@ impl CellGrid {
         let col = ((a / self.alpha_width) as u32).min(self.planes as u32 - 1) as u16;
         CellId {
             col,
-            row: self.row_of(c.gamma),
+            row: row_of(c.gamma, self.gamma_height, self.slots),
         }
-    }
-
-    /// Row of an inclined latitude `γ` (any branch).
-    fn row_of(&self, gamma: f64) -> u16 {
-        let g = wrap_2pi(gamma);
-        ((g / self.gamma_height) as u32).min(self.slots as u32 - 1) as u16
     }
 
     /// Canonical cell of a terrestrial point: its ascending-branch
     /// coordinate, with out-of-band latitudes clamped to the band edge —
     /// always `cell_of_coord(frame().from_geo_clamped(p))`.
     ///
-    /// `sin γ` and `γ = asin(sin γ)` are computed exactly as there, so
-    /// the row is too. The column first tries `sin γ` itself and
-    /// `cos γ = √((1 − sin γ)(1 + sin γ))` in place of `γ.sin_cos()`.
-    /// Both pairs are within 7e-16 of the true values, the `atan2` they
-    /// feed has slope at most `1/cos i`, and the subtraction and wrap
-    /// round the same way up to an ulp of 2π, so the two αs differ by
-    /// less than `1e-15/cos i + 3e-15` rad: 5e-15 rad at 53°, 1e-12 rad
-    /// at the `cos i ≥ 1e-3` this is tried for. The fast α is kept only
-    /// when it lies more than 1e-6 column widths from a column edge —
-    /// ≈ 9e-8 rad for 72 planes, ≥ 9e-11 rad for any grid. 0 and 2π
-    /// are column edges, so a wrap the two αs could take differently is
-    /// excluded too. Any other point takes the exact path.
-    /// `crates/geo/tests/props.rs` pins the equality, column edges,
-    /// band edges, poles and the antimeridian included.
+    /// Most points are answered from a table [`Self::new`] builds once.
+    /// The clamped band is cut into latitude strips, and each strip
+    /// records its row and the interval of node offsets
+    /// `φ = atan2(cos i·sin γ, cos γ)` its points can compute; a point
+    /// at longitude λ has `α = λ − φ`. γ and φ are monotone in
+    /// latitude, so the exact values at a strip's two edges bound every
+    /// point between them, up to rounding:
+    ///
+    /// * `sin`, `/ sin i`, `asin`, `sin_cos` and `atan2` together err by
+    ///   what about 1.2e-15 in `sin γ` would move, plus an ulp; γ
+    ///   magnifies that by at most `1/√(1 − sin²γ)` and φ by
+    ///   `dφ/d(sin γ)`, both largest at the strip's edge nearer a
+    ///   turning point. Each strip's γ and φ margins are
+    ///   `1e-12 + 1e-14 ×` that derivative: four times what an edge and
+    ///   a point can err together. A strip that comes within 1e-6 of
+    ///   `|sin γ| = 1`, where both derivatives blow up, is not used.
+    /// * A strip decides the row only if its widened γ range holds no
+    ///   row edge; γ = 0, where a negative γ wraps into the last row, is
+    ///   one. The two clamp latitudes `±(i − 1e-9)` keep their exact row
+    ///   and φ.
+    /// * The column is taken when the point's whole α range
+    ///   `[λ − φ_hi, λ − φ_lo]`, brought into `[0, 2π)` by at most one
+    ///   turn, lies inside one column, more than 1e-9 column widths from
+    ///   its edges. The exact path's α differs from that range only by
+    ///   the rounding of a longitude normalisation, a subtraction, a wrap
+    ///   and a division: < 2e-10 column widths even at 65 535 planes.
+    ///
+    /// Every other point — near a row or column edge, near a turning
+    /// point, more than a turn out of range, or NaN — takes the exact
+    /// path. `crates/geo/tests/props.rs` pins the equality at every
+    /// strip edge, both clamp latitudes, column edges, poles and the
+    /// antimeridian.
     pub fn cell_of_point(&self, p: &GeoPoint) -> CellId {
-        let (lon, s) = self.frame.clamped_lon_sin_gamma(p);
-        let gamma = s.asin();
-        if self.fast_column {
-            let alpha = self
-                .frame
-                .node_alpha(lon, s, ((1.0 - s) * (1.0 + s)).sqrt());
-            let x = alpha / self.alpha_width;
-            let col = x as u32;
-            let edge = x - f64::from(col);
-            if edge > COLUMN_MARGIN && edge < 1.0 - COLUMN_MARGIN {
-                return CellId {
-                    col: col as u16,
-                    row: self.row_of(gamma),
-                };
-            }
-        }
-        let (sg, cg) = gamma.sin_cos();
-        self.cell_of_coord(InclinedCoord::new(
-            self.frame.node_alpha(lon, sg, cg),
-            gamma,
-        ))
+        self.strips
+            .cell_of(p)
+            .unwrap_or_else(|| self.cell_of_coord(self.frame.from_geo_clamped(p)))
+    }
+
+    /// The latitudes at which [`Self::cell_of_point`]'s table changes
+    /// strip, ascending: the clamped band's two edges `±(i − 1e-9)` and
+    /// the strip edges between them.
+    pub fn strip_edges(&self) -> &[f64] {
+        &self.strips.edges
     }
 
     /// The (α, γ) lower corner and upper corner of a cell.
@@ -290,6 +303,156 @@ impl CellGrid {
             .ok()
             .map(|c| self.cell_of_coord(c));
         (asc, desc)
+    }
+}
+
+/// Row of an inclined latitude `γ` (any branch) on a grid of `slots`
+/// rows of height `gamma_height`.
+fn row_of(gamma: f64, gamma_height: f64, slots: u16) -> u16 {
+    let g = wrap_2pi(gamma);
+    ((g / gamma_height) as u32).min(slots as u32 - 1) as u16
+}
+
+/// What every point of one latitude strip gets.
+#[derive(Debug, Clone, Copy)]
+struct Strip {
+    /// Smallest node offset φ a point of the strip can compute, less
+    /// the strip's margin.
+    phi_lo: f64,
+    /// `φ_hi − φ_lo` in column widths; +∞ when the strip cannot decide
+    /// the row, so that no column test passes.
+    span: f64,
+    row: u16,
+}
+
+/// [`CellGrid::cell_of_point`]'s latitude-strip table.
+struct StripTable {
+    /// The clamped band, `[−i + 1e-9, i − 1e-9]`.
+    lo: f64,
+    hi: f64,
+    /// Strips per radian of latitude.
+    per_rad: f64,
+    /// `STRIPS + 1` strip edges, `lo` first and `hi` last.
+    edges: Vec<f64>,
+    /// The south clamp latitude, the `STRIPS` band strips, the north
+    /// clamp latitude.
+    strips: Vec<Strip>,
+    /// Columns per radian of α.
+    per_col: f64,
+    planes: u16,
+}
+
+impl StripTable {
+    fn new(frame: &InclinedFrame, alpha_width: f64, planes: u16, row_of: impl Fn(f64) -> u16) -> Self {
+        let (lo, hi) = frame.clamped_band();
+        // A band too thin to clamp into is left wholly to the exact path.
+        let usable = lo < hi;
+        let per_col = 1.0 / alpha_width;
+        let undecided = Strip {
+            phi_lo: 0.0,
+            span: f64::INFINITY,
+            row: 0,
+        };
+        let clamp = |lat: f64| {
+            let (gamma, phi) = frame.ascending(lat);
+            Strip {
+                phi_lo: phi,
+                span: if usable { 0.0 } else { f64::INFINITY },
+                row: row_of(gamma),
+            }
+        };
+        let edges: Vec<f64> = (0..STRIPS)
+            .map(|k| lo + (hi - lo) * (k as f64 / STRIPS as f64))
+            .chain([hi])
+            .collect();
+        let cos_i = frame.inclination().cos().abs();
+        let band = edges.windows(2).map(|w| {
+            let ((ga, pa), (gb, pb)) = (frame.ascending(w[0]), frame.ascending(w[1]));
+            let s = ga.sin().abs().max(gb.sin().abs());
+            if !usable || 1.0 - s < TURNING_POINT_MARGIN {
+                return undecided;
+            }
+            // dγ/d(sin γ) and dφ/d(sin γ) at the strip's steeper edge.
+            let cos2 = (1.0 - s) * (1.0 + s);
+            let dgamma = 1.0 / cos2.sqrt();
+            let dphi = cos_i * dgamma / (cos2 + cos_i * cos_i * s * s);
+            let gamma_margin = 1e-12 + 1e-14 * dgamma;
+            let phi_margin = 1e-12 + 1e-14 * dphi;
+            let (g_lo, g_hi) = (ga.min(gb) - gamma_margin, ga.max(gb) + gamma_margin);
+            let (phi_lo, phi_hi) = (pa.min(pb) - phi_margin, pa.max(pb) + phi_margin);
+            // γ = 0 is a row edge too: `row_of` wraps a negative γ into
+            // the last row.
+            let row = row_of(g_lo);
+            if row != row_of(g_hi) {
+                return undecided;
+            }
+            Strip {
+                phi_lo,
+                span: (phi_hi - phi_lo) * per_col,
+                row,
+            }
+        });
+        let strips = std::iter::once(clamp(lo))
+            .chain(band)
+            .chain([clamp(hi)])
+            .collect();
+        Self {
+            lo,
+            hi,
+            per_rad: STRIPS as f64 / (hi - lo),
+            edges,
+            strips,
+            per_col,
+            planes,
+        }
+    }
+
+    /// The cell of `p` if its strip decides it; `None` sends the point
+    /// to the exact path.
+    fn cell_of(&self, p: &GeoPoint) -> Option<CellId> {
+        let lat = p.lat;
+        let k = if lat > self.lo && lat < self.hi {
+            // The estimate is off by at most one strip; the edge
+            // compare makes the lookup exact.
+            let mut k = (((lat - self.lo) * self.per_rad) as usize).min(STRIPS - 1);
+            if lat < self.edges[k] {
+                k -= 1;
+            } else if lat >= self.edges[k + 1] {
+                k += 1;
+            }
+            k + 1
+        } else if lat >= self.hi {
+            STRIPS + 1
+        } else if lat <= self.lo {
+            0
+        } else {
+            return None; // NaN
+        };
+        let strip = &self.strips[k];
+        // The strip's largest α in columns, moved into `[0, planes)` by
+        // at most one turn.
+        let planes = f64::from(self.planes);
+        let mut x = (p.lon - strip.phi_lo) * self.per_col;
+        if x < 0.0 {
+            x += planes;
+        } else if x >= planes {
+            x -= planes;
+        }
+        let col = x as u32; // saturating: negative and NaN give 0
+        let frac = x - f64::from(col);
+        let inside = frac - strip.span > COLUMN_MARGIN && frac < 1.0 - COLUMN_MARGIN;
+        (inside && col < u32::from(self.planes)).then_some(CellId {
+            col: col as u16,
+            row: strip.row,
+        })
+    }
+}
+
+impl std::fmt::Debug for StripTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StripTable")
+            .field("strips", &self.strips.len())
+            .finish_non_exhaustive()
     }
 }
 

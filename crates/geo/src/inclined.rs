@@ -153,33 +153,37 @@ impl InclinedFrame {
     /// under low-inclination shells (e.g. polar stations under Starlink),
     /// which the paper serves from the nearest band-edge cell.
     pub fn from_geo_clamped(&self, p: &GeoPoint) -> InclinedCoord {
-        let (lon, s) = self.clamped_lon_sin_gamma(p);
-        let gamma = s.asin();
-        let (sg, cg) = gamma.sin_cos();
+        let (lo, hi) = self.clamped_band();
+        // `GeoPoint::new` normalises the longitude.
+        let clamped = GeoPoint::new(p.lat.clamp(lo, hi), p.lon);
+        let (gamma, offset) = self.ascending(clamped.lat);
         InclinedCoord {
-            alpha: self.node_alpha(lon, sg, cg),
+            alpha: wrap_2pi(clamped.lon - offset),
             gamma,
         }
     }
 
-    /// The first half of [`Self::from_geo_clamped`]: the point's
-    /// longitude and `sin γ` of its ascending coordinate, the latitude
-    /// clamped into the band — the same arithmetic as
-    /// [`Self::from_geo`] on the clamped point, whose in-band check can
-    /// then never fail.
-    pub(crate) fn clamped_lon_sin_gamma(&self, p: &GeoPoint) -> (f64, f64) {
-        let clamped = GeoPoint::new(
-            p.lat.clamp(-self.inclination + 1e-9, self.inclination - 1e-9),
-            p.lon,
-        );
-        (clamped.lon, (clamped.lat.sin() / self.sin_i).clamp(-1.0, 1.0))
+    /// The latitudes `[−i + 1e-9, i − 1e-9]` that
+    /// [`Self::from_geo_clamped`] clamps into.
+    pub(crate) fn clamped_band(&self) -> (f64, f64) {
+        (-self.inclination + 1e-9, self.inclination - 1e-9)
+    }
+
+    /// The ascending coordinate of an in-band latitude, as
+    /// [`Self::from_geo_clamped`] computes it: `γ = asin(sin φ / sin i)`
+    /// and the node offset `atan2(cos i·sin γ, cos γ)`, which a point at
+    /// longitude `λ` subtracts to get `α = wrap_2pi(λ − offset)`.
+    pub(crate) fn ascending(&self, lat: f64) -> (f64, f64) {
+        let gamma = (lat.sin() / self.sin_i).clamp(-1.0, 1.0).asin();
+        let (sg, cg) = gamma.sin_cos();
+        (gamma, (self.cos_i * sg).atan2(cg))
     }
 
     /// The longitude `α ∈ [0, 2π)` at which the inclined great circle
     /// through a point at longitude `lon` and inclined latitude γ (given
     /// as `sin γ`, `cos γ`, either branch) crosses the equator
     /// northbound.
-    pub(crate) fn node_alpha(&self, lon: f64, sin_gamma: f64, cos_gamma: f64) -> f64 {
+    fn node_alpha(&self, lon: f64, sin_gamma: f64, cos_gamma: f64) -> f64 {
         wrap_2pi(lon - (self.cos_i * sin_gamma).atan2(cos_gamma))
     }
 }

@@ -138,13 +138,13 @@ fn nudge(x: f64, ulps: i32) -> f64 {
     (0..ulps.unsigned_abs()).fold(x, |x, _| step(x))
 }
 
-/// Inclinations from a low shell to exactly polar, the last beyond the
-/// fast column's `cos i ≥ 1e-3` and the two before it the Iridium- and
-/// OneWeb-like shells.
+/// Inclinations from a low shell to exactly polar, where `cos i` is an
+/// ulp-sized 6e-17; the two before it are the Iridium- and OneWeb-like
+/// shells.
 const INCLINATIONS: [f64; 6] = [0.3, 0.9, 53.0 * PI / 180.0, 1.508, 1.534, FRAC_PI_2];
 
 proptest! {
-    /// Random points on random grids: the fast column never changes the
+    /// Random points on random grids: the strip table never changes the
     /// cell.
     #[test]
     fn cell_of_point_matches_clamped_conversion(
@@ -159,8 +159,8 @@ proptest! {
 
     /// Points built on every column edge (α = 0 and α = 2π included)
     /// and up to 4 ulps of α either side, at random inclined latitudes
-    /// of both branches: the fast α must hand each to the exact path
-    /// or agree with it.
+    /// of both branches: the strip table must hand each to the exact
+    /// path or agree with it.
     #[test]
     fn cell_of_point_matches_at_column_edges(
         k in 0usize..INCLINATIONS.len(),
@@ -207,6 +207,42 @@ proptest! {
                     cell_of_point_reference(&g, &p),
                     "inc {} {:?}", inc, p
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case checks ≈ 220 000 points.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every edge of `cell_of_point`'s latitude strips, the two clamp
+    /// latitudes `±(i − 1e-9)` among them, and the floats within 4 ulps
+    /// of each, on every inclination up to exactly polar, at a random
+    /// longitude and beside the antimeridian: a point on an edge may be
+    /// looked up in either neighbouring strip, so both must agree with
+    /// the exact path.
+    #[test]
+    fn cell_of_point_matches_at_strip_edges_and_clamp_latitudes(
+        planes in 1u16..100, slots in 1u16..50, lon in -PI..PI,
+    ) {
+        for inc in INCLINATIONS {
+            let g = CellGrid::new(inc, planes, slots);
+            let edges = g.strip_edges();
+            prop_assert!(edges.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(edges.first().copied(), Some(-inc + 1e-9));
+            prop_assert_eq!(edges.last().copied(), Some(inc - 1e-9));
+            for &edge in edges {
+                for ulps in -4..=4 {
+                    for lon in [lon, nudge(-PI, 1)] {
+                        let p = GeoPoint::new(nudge(edge, ulps), lon);
+                        prop_assert_eq!(
+                            g.cell_of_point(&p),
+                            cell_of_point_reference(&g, &p),
+                            "inc {} {:?}", inc, p
+                        );
+                    }
+                }
             }
         }
     }

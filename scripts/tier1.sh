@@ -18,11 +18,14 @@ echo "== tier-1: cargo test -q --offline $*" >&2
 cargo test -q --offline "$@"
 
 # The pinned crypto bytes, the per-establishment allocation budget, the
-# route memo's exactness, the draw → point placement and its float fast
-# paths (`region_of`'s candidate grid and dot products, `cell_of_point`),
-# the calendar's day promotion and whole-day hand-out, the histogram
-# tally fold (`sc-obs`) and the churn engine's own tests once more under
-# the release profile (fat LTO): the optimised build inlines and
+# route memo's exactness, the draw → point placement and its lookup
+# tables (`region_of`'s pure candidate cells, masks and dot products,
+# `cell_of_point`'s latitude strips; the release-only
+# `default_seed_population_places_and_labels_exactly` checks all 1 M
+# UEs of the default seed), the calendar's day promotion and whole-day
+# hand-out, the histogram tally fold (`sc-obs`) and the churn engine's
+# own tests once more under the release profile (fat LTO): the
+# optimised build inlines and
 # vectorises the payload pass, the Dijkstra loop, the sampler's and the
 # placement's arithmetic, the day scatter and the soak's handlers
 # differently from the debug build the run above tests, and it is the

@@ -1,9 +1,10 @@
 //! The placement stage that feeds both sharded soak engines, pinned to
 //! the straightforward code it replaced:
 //!
-//! * `PopulationModel::region_of` looks up the hotspots its 5° candidate
-//!   grid names for the point's cell and answers from lat/lon bounds
-//!   alone when they settle it; otherwise it rejects far hotspots with
+//! * `PopulationModel::region_of` answers from its 5° candidate cell's
+//!   pure region when the cell has one; otherwise it looks up the
+//!   hotspots the cell names and answers from lat/lon bounds alone
+//!   when they settle it; otherwise it rejects far hotspots with
 //!   one dot product against a cached unit vector, and answers without
 //!   any `acos` when the hotspots left all share one region and one is
 //!   clearly within 3σ. It must classify every point exactly as 20 full
@@ -11,10 +12,14 @@
 //!   on the 3σ decision boundary of every hotspot (also where the dot
 //!   product sits within ulps of either margin), where hotspots of
 //!   different regions overlap (Egypt ↔ Middle East) and of one region
-//!   overlap (China ↔ India ↔ Indochina), on and beside the edges of the
-//!   candidate grid's cells, and where lat/lon arithmetic is least
+//!   overlap (China ↔ India ↔ Indochina), on and beside the edges and
+//!   corners of the candidate grid's cells, in the cells that hold a
+//!   hotspot's antipodal meridian, and where lat/lon arithmetic is least
 //!   forgiving (poles, the sampler's ±1.55 rad latitude clamp, the
 //!   antimeridian).
+//! * `CellGrid::cell_of_point` answers from its latitude strips; on the
+//!   soaks' own 1 M UEs (release builds) it must equal the exact
+//!   conversion, as `region_of` must equal the reference.
 //! * `churn::place` computes cells in parallel chunks; shard membership
 //!   *and* in-shard order must be what one serial pass in UE-id order
 //!   produces, for any thread count, shard count and population size —
@@ -260,5 +265,91 @@ fn region_of_matches_reference_at_poles_and_antimeridian() {
             let p = GeoPoint::new((k as f64 - 90.0).to_radians(), lon);
             assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{p:?}");
         }
+    }
+}
+
+/// The candidate grid's lattice: `(latitudes, longitudes)` of every
+/// cell edge, south pole and −π first.
+fn candidate_edges() -> (Vec<f64>, Vec<f64>) {
+    let step = CANDIDATE_CELL_DEG.to_radians();
+    let rows = (180.0 / CANDIDATE_CELL_DEG) as usize;
+    let cols = (360.0 / CANDIDATE_CELL_DEG) as usize;
+    (
+        (0..=rows).map(|r| -FRAC_PI_2 + r as f64 * step).collect(),
+        (0..=cols).map(|c| -PI + c as f64 * step).collect(),
+    )
+}
+
+/// Every corner of every candidate cell, moved by up to 2 ulps in
+/// latitude and longitude independently: a cell answered from its pure
+/// region must be held within 3σ up to its corners, and a corner point
+/// may be filed under any of the four cells that meet there.
+#[test]
+fn region_of_matches_reference_at_candidate_cell_corners() {
+    let m = PopulationModel::world_bank_like();
+    let (lats, lons) = candidate_edges();
+    for &lat in &lats {
+        for &lon in &lons {
+            for dlat in -2..=2 {
+                for dlon in -2..=2 {
+                    let lat = nudge(lat, dlat).clamp(-FRAC_PI_2, FRAC_PI_2);
+                    let p = GeoPoint { lat, lon: nudge(lon, dlon) };
+                    assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{p:?}");
+                }
+            }
+        }
+    }
+}
+
+/// The candidate cells whose longitudes hold a hotspot's antipodal
+/// meridian, where the farthest point of a cell from the hotspot need
+/// not be a corner: a lattice of points over each such column, the
+/// antipodal meridian itself included.
+#[test]
+fn region_of_matches_reference_in_cells_holding_an_antipodal_meridian() {
+    let m = PopulationModel::world_bank_like();
+    let step = CANDIDATE_CELL_DEG.to_radians();
+    for (center, _, _) in m.hotspots() {
+        let antipode = sc_geo::angle::normalize_lon(center.lon + PI);
+        let col_lo = -PI + ((antipode + PI) / step).floor() * step;
+        for k in 0..=180 {
+            let lat = (-FRAC_PI_2 + k as f64 * (step / 5.0)).min(FRAC_PI_2);
+            for lon in (0..=8).map(|j| col_lo + j as f64 * step / 8.0).chain([antipode]) {
+                let p = GeoPoint::new(lat, lon);
+                assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{p:?}");
+            }
+        }
+    }
+}
+
+/// A lattice over the cells between Egypt (Africa) and the Middle East
+/// (Europe & Asia), whose 3σ discs overlap: no cell there is pure, and
+/// the nearest hotspot in σ units decides point by point.
+#[test]
+fn region_of_matches_reference_where_egypt_meets_the_middle_east() {
+    let m = PopulationModel::world_bank_like();
+    let fine = CANDIDATE_CELL_DEG / 8.0;
+    for i in 0..=(35.0 / fine) as usize {
+        for j in 0..=(50.0 / fine) as usize {
+            let p = GeoPoint::from_degrees(15.0 + i as f64 * fine, 15.0 + j as f64 * fine);
+            assert_eq!(m.region_of(&p), region_of_reference(&m, &p), "{p:?}");
+        }
+    }
+}
+
+/// The soaks' own population — 1 M UEs of the default seed — placed by
+/// the strip table and labelled by the candidate grid, against the
+/// exact conversion and the 20-`central_angle` reference, UE by UE.
+/// Release builds only: in a debug build it takes minutes.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn default_seed_population_places_and_labels_exactly() {
+    let grid = CellGrid::new(53f64.to_radians(), 72, 22);
+    let m = PopulationModel::world_bank_like();
+    let seed = sc_emu::ext_mload::MloadConfig::full().seed;
+    for (id, p) in m.sample_ues(1_000_000, seed).iter().enumerate() {
+        let exact = grid.cell_of_coord(grid.frame().from_geo_clamped(p));
+        assert_eq!(grid.cell_of_point(p), exact, "UE {id} {p:?}");
+        assert_eq!(m.region_of(p), region_of_reference(&m, p), "UE {id} {p:?}");
     }
 }
