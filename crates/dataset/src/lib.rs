@@ -23,7 +23,7 @@
 //! Everything is seeded and deterministic: [`population::PopulationModel::sample_ues`]
 //! is the placement source for Figure 12's per-region breakdown and for
 //! the million-UE sustained-load engine (`sc_emu::ext_mload`), which
-//! shards its UEs by the geospatial cell each sampled point falls in.
+//! pins each UE to the geospatial cell its sampled point falls in.
 
 pub mod population;
 pub mod table2;

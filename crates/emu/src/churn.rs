@@ -1,60 +1,60 @@
-//! The sharded churn engine behind `ext_mload` and `ext_chaosload`.
+//! The churn engine behind `ext_mload` and `ext_chaosload`.
 //!
-//! [`run`] draws a population, pins every UE to its geospatial cell and
-//! to the shard owning that cell ([`place_labelled`]), and drives each
-//! shard's UEs through continuous churn on one calendar-queue DES per
-//! shard:
-//! Poisson session arrivals (a localized 4-message establishment on an
-//! idle UE, a piggyback on a connected one), RRC releases 10–15 s
+//! [`run`] draws a population and drives every UE through continuous
+//! churn: Poisson session arrivals (a localized 4-message establishment
+//! on an idle UE, a piggyback on a connected one), RRC releases 10–15 s
 //! later, a satellite sweep once per ~165.8 s transit (a local handover
-//! if connected, nothing if idle), and rare cell crossings. The
-//! config's [`FailureTimeline`](sc_netsim::chaos::FailureTimeline) is
-//! replayed into every shard; a crash drops the footprint's connected
-//! sessions into paced stateless re-establishment and opens the
-//! overload gate (see `ext_chaosload` for the two mechanisms). An empty
-//! timeline opens no window and drops nothing: the failure-free soak is
-//! the same code on the same events.
+//! if connected, nothing if idle), and rare cell crossings. The config's
+//! [`FailureTimeline`](sc_netsim::chaos::FailureTimeline) is replayed
+//! against every UE; a crash drops the footprint's connected sessions
+//! into paced stateless re-establishment and opens the overload gate
+//! (see `ext_chaosload`). An empty timeline drops nothing: the
+//! failure-free soak is the same code on the same events.
 //!
-//! **Batching ≡ interleaving.** A shard drains its queue in
-//! `batch_window_s`-wide half-open batches ([`EventQueue::drain_until`])
-//! and every follow-up it schedules is at least [`MIN_DELAY_S`] ≥ one
-//! batch ahead, so a reaction never lands inside the batch being
-//! processed. Chaos timestamps sit on the integer-µs grid, so a crash on
-//! a batch boundary is applied on the same tick at any batch width.
+//! **Each UE is its own event stream.** SpaceCore's satellites keep no
+//! per-UE state (§4.2), and neither does the engine: a UE's events
+//! touch only its own record, read satellite, link, burst and overload
+//! state that is a pure function of the timeline and the event's
+//! instant, and add into order-free integer tallies. A global
+//! `(time, seq)` order over all UEs thus carries nothing beyond each
+//! UE's own order, so each UE runs alone to the horizon: its pending
+//! events sit in one slot per kind (arrival, sweep, crossing, the live
+//! release, the live re-attach), the earliest by `(time, UE-local seq)`
+//! runs next, and a crash applies at its instant before the UE's events
+//! at that instant. UEs run in fixed-size id chunks on the workers, each
+//! chunk drawing its own UEs ([`placed`]) into one [`ChurnOut`]; the
+//! chunks fold in id order.
 //!
-//! **Horizon rule.** The last batch ends at the horizon, so an event
-//! timed at or past it would never be processed: it is never queued.
-//! The draws that timed it are spent all the same, so every hash stream
-//! is the one an unbounded queue would see, and each shard's queue is
-//! empty once its last batch has drained.
+//! **The timeline as a function of time.** A calendar replaying the
+//! timeline through one shared cursor advances it to `t·1000` ms before
+//! each event at `t` s and to a marker's exact `time_ms` when the
+//! marker fires, markers first at their instant. An event at `t` thus
+//! sees the prefix with `time_ms ≤ max(t·1000, time_ms of every
+//! in-horizon marker with time_ms/1000 ≤ t)`, and the overload windows
+//! those markers opened. `Run::new` computes both once per run; a UE
+//! walks an index into each as its clock advances.
 //!
-//! **Streamed placement, no serial prefix.** Every UE reads the same
-//! six words of the population sampler's seeded stream, so
-//! [`PopulationModel::draws_at`] seeks straight to any UE. Each
-//! placement chunk draws its own UEs' hotspots and uniforms and turns
-//! them into points ([`PopulationModel::point_of`]) inside the parallel
-//! cell pass: neither the draws nor the points are ever materialised,
-//! and no part of the sampler runs serially.
+//! **Horizon rule.** An event timed at or past the horizon is never
+//! queued, though the draws that timed it are spent, so every hash
+//! stream is the one an unbounded run would see. An event is counted
+//! when queued: a release or re-attach that a crash or a give-up made
+//! stale counts without running, as in a calendar that pops and
+//! ignores it. Every draw is a pure hash of `(seed, UE id, draw#)`
+//! ([`ue_unit`]); stale events consume none.
 //!
-//! **Hash streams.** Every random draw is a pure hash of
-//! `(seed, UE id, draw#)` ([`ue_unit`]) rather than stateful RNG: a UE's
-//! own events are totally ordered by its shard's DES, so its draw
-//! counter sequence — and every value — is identical under any shard
-//! layout or thread schedule. Stale events consume no draws.
+//! **What a chunk records.** No `sc_obs::Recorder`: integer tallies,
+//! per-second window vectors and histograms of integer-valued samples,
+//! whose float sums stay exact (the per-event cost is a dense per-µs
+//! tally, folded in once per chunk). The busy integral is the sum of
+//! each session's `[connect, release]` tick interval clipped to the
+//! measured window — `CellLedger`'s integral. All of it adds, so the
+//! fold is the same for every thread count; the experiment modules emit
+//! telemetry from the folded `ChurnOut` once.
 //!
-//! **What a shard may record.** Shards touch no `sc_obs::Recorder`.
-//! Each fills a [`ChurnOut`]: integer tallies, per-second window
-//! vectors, and histograms of **integer-valued** samples (µs, ms), whose
-//! float sums stay exact. That exactness lets the per-event cost
-//! histogram be kept as a dense per-µs tally and folded in once, when
-//! the shard's drain ends (`Histogram::observe_n`), into the histogram
-//! per-event observes would give. All of it adds, so the slot-order fold
-//! is the same for every thread count and every partition of the cells. The
-//! two experiment modules turn the folded `ChurnOut` into their result
-//! schema and emit their metric namespace from it once. Gauges, events
-//! and spans would encode shard layout and are written only at top
-//! level; the per-shard DES queues stay recorder-free for the same
-//! reason, and per-shard chaos cursors replay silently.
+//! The handlers are written once over a `Seam`. The test-only
+//! `oracle` driver runs them for all UEs through one global
+//! `EventQueue::drain_until` calendar, and the engine's tests hold
+//! every artifact to it.
 
 use crate::ext_chaosload::ChaosloadConfig;
 use sc_dataset::population::PopulationModel;
@@ -62,34 +62,31 @@ use sc_dataset::workload::WorkloadParams;
 use sc_geo::cells::CellGrid;
 use sc_geo::sphere::GeoPoint;
 use sc_netsim::chaos::{ChaosAction, ChaosCursor};
-use sc_netsim::des::EventQueue;
 use sc_obs::{Histogram, Recorder};
 use spacecore::shard::{
-    cell_at, cell_index, CellLedger, CellStorm, ChaosStats, ProcedureCosts, ShardMap, ShardStats,
+    cell_at, cell_index, round_u64, CellStorm, ChaosStats, ProcedureCosts, ShardMap, ShardStats,
     Tick,
 };
 use std::ops::Range;
 
-/// Default batch window width; equals the DES calendar day
-/// (`EventQueue::BUCKET_WIDTH_S`) so a window never spans day
-/// promotions mid-drain. A config may narrow it.
-pub const BATCH_WINDOW_S: f64 = 1.0;
+#[cfg(test)]
+mod oracle;
+
 /// Minimum follow-up delay: every reaction the engine schedules (churn
-/// follow-ups, retries, backoffs, deferrals) is at least one full
-/// default batch window ahead. Loss *detection* is likewise quantized up
-/// to this — the plan-level 200 ms would land retries inside the window
-/// that scheduled them.
-pub const MIN_DELAY_S: f64 = BATCH_WINDOW_S;
+/// follow-ups, retries, backoffs, deferrals) is at least this far ahead.
+/// Loss *detection* is likewise quantized up to it — the plan-level
+/// 200 ms would put retries closer than any other reaction.
+pub const MIN_DELAY_S: f64 = 1.0;
 /// Simulated per-message processing cost, µs — the Figure 16b scale of
 /// a satellite-local signaling step.
 const PER_MSG_US: f64 = 120.0;
 /// Width of the per-window vectors in [`ChurnOut`], s: the `sc-obs`
-/// series window. Indexed by event time, never by batch number.
+/// series window, indexed by event time.
 pub const WINDOW_S: f64 = 1.0;
 /// Resolution of the time-to-re-established slot counts, µs (0.25 s).
 const TT_SLOT_US: u64 = 250_000;
-/// UEs per parallel placement chunk.
-const PLACE_CHUNK: usize = 16_384;
+/// UEs per parallel chunk.
+const CHUNK: usize = 16_384;
 
 /// Microsecond tick of a simulation timestamp (the `CellLedger` grid).
 fn tick(t_s: f64) -> u64 {
@@ -102,64 +99,22 @@ fn win_of(t_s: f64) -> usize {
     (t_s / WINDOW_S) as usize
 }
 
-/// The placement stage: pin every point to its cell and hand it to the
-/// shard owning that cell, as a compact `(UE id, cell index)` record
-/// (the id is the point's index — the hash-stream key). Cells are
-/// computed in parallel over fixed-size id ranges; the scatter is serial
-/// and walks ids upwards into exactly-sized vectors. **Ordering
-/// contract:** `out[s]` lists shard `s`'s UEs in ascending id order for
-/// every `threads` value — the order a shard seeds its DES in, so every
-/// byte of the artifacts rests on it.
-pub fn place(
-    threads: usize,
-    points: &[GeoPoint],
-    grid: &CellGrid,
-    shard_map: &ShardMap,
-) -> Vec<Vec<(u32, u32)>> {
-    let points_of = |ids: Range<usize>| points[ids].iter().copied();
-    place_labelled(threads, points.len(), &points_of, grid, shard_map, &|_| 0).0
-}
-
-/// [`place`] over `n` UEs whose points `points` produces one id range
-/// at a time, inside the parallel pass, plus each point's `label` by
-/// id — computed in the same pass. [`run`] hands it the population
-/// sampler seeked to each range's first UE, so the whole sampler runs
-/// on every worker and no per-UE record outlives its chunk.
-pub fn place_labelled<P: Iterator<Item = GeoPoint>>(
-    threads: usize,
-    n: usize,
-    points: &(dyn Fn(Range<usize>) -> P + Sync),
-    grid: &CellGrid,
-    shard_map: &ShardMap,
-    label: &(dyn Fn(&GeoPoint) -> u8 + Sync),
-) -> (Vec<Vec<(u32, u32)>>, Vec<u8>) {
-    let chunks: Vec<Range<usize>> = (0..n)
-        .step_by(PLACE_CHUNK)
-        .map(|first| first..n.min(first + PLACE_CHUNK))
-        .collect();
-    let pinned = crate::engine::parallel_map_with(threads, chunks, |ids| {
-        let mut cells = Vec::with_capacity(ids.len());
-        let mut labels = Vec::with_capacity(ids.len());
-        for p in points(ids) {
-            cells.push(cell_index(grid, grid.cell_of_point(&p)) as u32);
-            labels.push(label(&p));
-        }
-        (cells, labels)
-    });
-    let cells = || pinned.iter().flat_map(|(cells, _)| cells);
-    let owner: Vec<u32> = (0..shard_map.cells())
-        .map(|c| shard_map.shard_of(c) as u32)
-        .collect();
-    let mut sizes = vec![0usize; shard_map.shards()];
-    for &cell in cells() {
-        sizes[owner[cell as usize] as usize] += 1;
-    }
-    let mut out: Vec<Vec<(u32, u32)>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for (id, &cell) in cells().enumerate() {
-        out[owner[cell as usize] as usize].push((id as u32, cell));
-    }
-    let labels = pinned.iter().flat_map(|(_, labels)| labels).copied().collect();
-    (out, labels)
+/// UEs `ids`, drawn straight from the population's seeded stream: each
+/// UE's row-major cell index and its `label`, in id order. The sampler
+/// is seeked to the range's first UE, so any partition of the ids into
+/// ranges yields, range after range, what one serial pass over
+/// `pop.sample_ues` yields.
+pub fn placed<'p>(
+    pop: &'p PopulationModel,
+    seed: u64,
+    grid: &'p CellGrid,
+    label: &'p (dyn Fn(&GeoPoint) -> u8 + Sync),
+    ids: Range<usize>,
+) -> impl Iterator<Item = (u32, u8)> + 'p {
+    pop.draws_at(seed, ids.start).take(ids.len()).map(move |d| {
+        let p = pop.point_of(&d);
+        (cell_index(grid, grid.cell_of_point(&p)) as u32, label(&p))
+    })
 }
 
 /// splitmix64 finalizer: the stateless per-UE hash stream.
@@ -174,15 +129,14 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// Uniform `[0, 1)` draw for `(seed, ue, draw#)` — a pure hash, so the
 /// value depends only on the UE's own draw counter, never on which
-/// shard or thread evaluates it.
+/// chunk or thread evaluates it.
 pub fn ue_unit(seed: u64, ue: u32, draw: u32) -> f64 {
     let h = mix64(seed ^ mix64(((ue as u64) << 32) | draw as u64));
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Exponential draw with mean `mean_s`, clamped to [`MIN_DELAY_S`] (the
-/// batch-window contract). The clamp shifts < 1% of the mass for the
-/// ≥ 100 s means used here.
+/// Exponential draw with mean `mean_s`, clamped to [`MIN_DELAY_S`]. The
+/// clamp shifts < 1% of the mass for the ≥ 100 s means used here.
 fn exp_clamped(mean_s: f64, u: f64) -> f64 {
     (-mean_s * (1.0 - u).max(1e-12).ln()).max(MIN_DELAY_S)
 }
@@ -200,7 +154,7 @@ enum Link {
 /// [`Ue::crash`] of a UE that is not recovering a dropped session.
 const NO_CRASH: u16 = u16::MAX;
 
-/// One UE's churn + recovery state inside its shard.
+/// One UE's churn + recovery state.
 struct Ue {
     /// Global UE id — the hash-stream key.
     id: u32,
@@ -224,6 +178,19 @@ struct Ue {
 }
 
 impl Ue {
+    fn new(id: u32, cell: u32, class: u8) -> Self {
+        Self {
+            id,
+            cell,
+            draws: 0,
+            gen: 0,
+            attempt: 0,
+            crash: NO_CRASH,
+            state: Link::Idle,
+            class,
+        }
+    }
+
     fn draw(&mut self, seed: u64) -> f64 {
         let u = ue_unit(seed, self.id, self.draws);
         self.draws += 1;
@@ -231,23 +198,30 @@ impl Ue {
     }
 }
 
-/// Churn + chaos events; UE payloads are shard-local indices.
+/// One UE's churn events. A UE has at most one pending event of each
+/// kind that can still run: [`Ev::slot`] is its place in [`Stream`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
-    Arrive(u32),
-    Release { ue: u32, gen: u16 },
-    Sweep(u32),
-    Cross(u32),
-    Reattach { ue: u32, gen: u16 },
-    /// Index into the timeline's event list; scheduled before any UE
-    /// event so same-tick ties resolve chaos-first in every shard.
-    Chaos(u32),
+    Arrive,
+    Sweep,
+    Cross,
+    /// Ends the session of the given generation.
+    Release(u16),
+    /// Next attempt of the re-establishment chain of the given generation.
+    Reattach(u16),
 }
 
-// Peak RSS of a soak is a few shards' `Ue`s and queued events; these two
-// sizes were measured to be ≈ 13 MB of it at 1M UEs when left to grow.
-const _: () = assert!(size_of::<Ev>() <= 8);
-const _: () = assert!(size_of::<Ue>() <= 24);
+impl Ev {
+    fn slot(self) -> usize {
+        match self {
+            Ev::Arrive => 0,
+            Ev::Sweep => 1,
+            Ev::Cross => 2,
+            Ev::Release(_) => 3,
+            Ev::Reattach(_) => 4,
+        }
+    }
+}
 
 /// One crash of the scenario and its recovery accounting: additive
 /// counts plus the time-to-re-established slot histogram.
@@ -257,8 +231,6 @@ pub struct CrashTrack {
     pub sat: usize,
     /// The crashed satellite's footprint, row-major cell indices.
     pub cells: Range<usize>,
-    /// The timeline event that is this crash.
-    ev_idx: usize,
     pub dropped: u64,
     pub reattached: u64,
     pub survived: u64,
@@ -305,7 +277,8 @@ impl CrashTrack {
 /// drop (the cut-off satellite defers non-essential signaling until
 /// realignment + hold — sessions stay up, the control plane backs off).
 struct StormWin {
-    ev_idx: usize,
+    /// The opening marker's instant, s.
+    t_s: f64,
     cells: Range<usize>,
     until_s: f64,
 }
@@ -316,21 +289,20 @@ fn add_into(acc: &mut [u64], other: &[u64]) {
     }
 }
 
-/// What one shard produces and, once [`run`] has folded the shards in
-/// slot order, what the whole run produced. Window vectors are indexed by
-/// `floor(event time / WINDOW_S)`.
+/// What one chunk of UEs produces and, once [`run`] has folded the
+/// chunks in id order, what the whole run produced. Window vectors are
+/// indexed by `floor(event time / WINDOW_S)`.
 #[derive(Debug, Clone)]
 pub struct ChurnOut {
     pub stats: ShardStats,
     pub chaos: ChaosStats,
-    /// Events processed over warmup + measured windows (chaos markers,
-    /// replayed in every shard, are bookkeeping and not counted).
+    /// Events queued below the horizon over warmup + measured windows
+    /// (chaos markers are bookkeeping and not counted).
     pub events_total: u64,
     pub events_measured: u64,
     /// Busy-time integral in integer µs ticks — exact under summation.
     pub busy_us: u64,
-    /// Active sessions per cell at the horizon. A cell's sessions can
-    /// live in any shard (crossings migrate UEs), so sum before counting.
+    /// Active sessions per cell at the horizon.
     pub cell_active_end: Vec<u64>,
     /// Per-event SpaceCore processing cost, measured window.
     pub step_us: Histogram,
@@ -417,9 +389,9 @@ pub fn emit_series(obs: &Recorder, name: &'static str, win: &[u64]) {
     }
 }
 
-/// Immutable per-run context every shard worker borrows: the config,
-/// the static maps, the cost models and the resolved chaos scenario —
-/// all pure functions of the config, identical for every shard.
+/// Immutable per-run context every worker borrows: the config, the
+/// static maps, the cost models and the resolved chaos scenario — all
+/// pure functions of the config.
 struct Run<'a> {
     cfg: &'a ChaosloadConfig,
     params: WorkloadParams,
@@ -429,6 +401,9 @@ struct Run<'a> {
     serving: Vec<u32>,
     costs: ProcedureCosts,
     horizon: f64,
+    /// The measured window on the tick grid.
+    start_us: u64,
+    end_us: u64,
     /// [`WINDOW_S`] windows covering the horizon.
     windows: usize,
     /// Time-to-re-established slots inside the deadline.
@@ -437,7 +412,16 @@ struct Run<'a> {
     record_holds: bool,
     /// Zeroed per-crash rows, in timeline order.
     crashes: Vec<CrashTrack>,
+    /// Overload windows, in timeline order.
     storms: Vec<StormWin>,
+    /// `storm_after[j]`: the per-cell storm state once `storms[..j]`
+    /// have opened.
+    storm_after: Vec<CellStorm>,
+    /// The timeline's distinct instants, ms, ascending.
+    instants: Vec<f64>,
+    /// `cursor_after[j]`: the replay cursor once every event at
+    /// `instants[..j]` has applied.
+    cursor_after: Vec<ChaosCursor<'a>>,
     /// Cells inside any crash footprint.
     in_storm: Vec<bool>,
 }
@@ -447,10 +431,6 @@ impl<'a> Run<'a> {
     fn new(cfg: &'a ChaosloadConfig, classes: usize, record_holds: bool) -> Self {
         let grid = CellGrid::new(53f64.to_radians(), 72, 22);
         let deadline_us = tick(cfg.deadline_s);
-        assert!(
-            cfg.batch_window_s > 0.0 && cfg.batch_window_s <= MIN_DELAY_S,
-            "batch window must not exceed the minimum follow-up delay"
-        );
         assert!(
             deadline_us.is_multiple_of(TT_SLOT_US),
             "deadline_s must sit on the 0.25 s re-establishment slot grid"
@@ -484,7 +464,7 @@ impl<'a> Run<'a> {
                     let cells = coverage.range(sat);
                     in_storm[cells.clone()].fill(true);
                     storms.push(StormWin {
-                        ev_idx: k,
+                        t_s,
                         cells: cells.clone(),
                         until_s: until_s(ChaosAction::Recover(sat)),
                     });
@@ -492,7 +472,6 @@ impl<'a> Run<'a> {
                         t_s,
                         sat,
                         cells,
-                        ev_idx: k,
                         dropped: 0,
                         reattached: 0,
                         survived: 0,
@@ -505,7 +484,7 @@ impl<'a> Run<'a> {
                 ChaosAction::LinkDown(a, b) if a.min(b) < cfg.sats => {
                     let sat = if a < cfg.sats { a } else { b };
                     storms.push(StormWin {
-                        ev_idx: k,
+                        t_s,
                         cells: coverage.range(sat),
                         until_s: until_s(ChaosAction::LinkUp(a, b)),
                     });
@@ -514,6 +493,21 @@ impl<'a> Run<'a> {
             }
         }
         assert!(crashes.len() < NO_CRASH as usize, "crash index is 16-bit");
+
+        let mut storm = CellStorm::new(grid.cell_count());
+        let mut storm_after = vec![storm.clone()];
+        for w in &storms {
+            storm.open(w.cells.clone(), tick(w.until_s));
+            storm_after.push(storm.clone());
+        }
+        let mut instants: Vec<f64> = events.iter().map(|e| e.time_ms).collect();
+        instants.dedup();
+        let mut cursor = cfg.timeline.cursor();
+        let mut cursor_after = vec![cursor.clone()];
+        for &t_ms in &instants {
+            cursor.advance_to(t_ms, &Recorder::disabled());
+            cursor_after.push(cursor.clone());
+        }
         Self {
             cfg,
             params: WorkloadParams::paper_defaults(),
@@ -521,20 +515,39 @@ impl<'a> Run<'a> {
             grid,
             costs: ProcedureCosts::paper(),
             horizon,
+            start_us: tick(cfg.load.warmup_s),
+            end_us: tick(horizon),
             windows: (horizon / WINDOW_S).ceil() as usize,
             in_slots,
             classes,
             record_holds,
             crashes,
             storms,
+            storm_after,
+            instants,
+            cursor_after,
             in_storm,
         }
     }
 
+    /// The instant `t` as every handler reads it.
+    fn now(&self, t: f64) -> Now {
+        Now {
+            t,
+            us: tick(t),
+            win: win_of(t),
+            measured: t >= self.cfg.load.warmup_s,
+        }
+    }
+
+    /// µs of `[from_us, to_us]` inside the measured window.
+    fn measured_us(&self, from_us: u64, to_us: u64) -> u64 {
+        to_us.min(self.end_us).saturating_sub(from_us.max(self.start_us))
+    }
 }
 
 /// An event's instant as every handler reads it, computed once per
-/// event by [`Shard::step`].
+/// event.
 #[derive(Clone, Copy)]
 struct Now {
     /// Event time, s.
@@ -547,147 +560,99 @@ struct Now {
     measured: bool,
 }
 
-/// One shard mid-drain: its UEs, its DES, its dense per-cell state and
-/// the output it is filling.
-struct Shard<'a> {
-    run: &'a Run<'a>,
+/// What the handlers need of the driver that runs them.
+trait Seam<'a> {
+    /// Queue `ev` for the UE being handled at `t`, below the horizon.
+    fn queue(&mut self, t: f64, ev: Ev);
+    /// The timeline, replayed as far as the event being handled sees it.
+    fn cursor(&self) -> &ChaosCursor<'a>;
+    /// The overload windows the event being handled sees.
+    fn storm(&self) -> &CellStorm;
+    /// The UE being handled brought a session up in `cell` at `now_us`.
+    fn connect(&mut self, cell: usize, now_us: u64);
+    /// The UE being handled ended its session in `cell` at `now_us`.
+    fn release(&mut self, cell: usize, now_us: u64);
+    /// The UE being handled carried its session from `from` to `to`.
+    fn moved(&mut self, from: usize, to: usize);
+}
+
+/// The handlers, over the driver `S` that schedules their follow-ups.
+struct Engine<'r, S> {
+    run: &'r Run<'r>,
     seed: u64,
-    ues: Vec<Ue>,
-    q: EventQueue<Ev>,
-    ledger: CellLedger,
-    storm: CellStorm,
-    /// Replay cursor over the shared timeline, advanced on this shard's
-    /// own DES clock.
-    cursor: ChaosCursor<'a>,
-    /// What the cursor records into: nothing (see the module docs).
+    seam: S,
+    /// What the chaos cursor records into: nothing (see the module docs).
     quiet: Recorder,
     /// `step_tally[v]`: measured events that cost `v` simulated µs,
-    /// folded into `out.step_us` once, when the drain ends. The samples
-    /// are integers, so the fold is exactly the per-event histogram.
+    /// folded into `out.step_us` by [`Engine::finish`]. The samples are
+    /// integers, so the fold is exactly the per-event histogram.
     step_tally: Vec<u64>,
     out: ChurnOut,
 }
 
-impl<'a> Shard<'a> {
-    /// Seed the queue: chaos markers first (smallest sequence numbers
-    /// in *every* shard), then each UE, in local order, gets an
-    /// exponential first arrival (stationary Poisson from t = 0), a
-    /// uniform sweep phase and an exponential first crossing.
-    fn new(run: &'a Run<'a>, ues: Vec<Ue>) -> Self {
-        let cfg = run.cfg;
-        let seed = cfg.load.seed;
-        let mut shard = Self {
+impl<'r, S: Seam<'r>> Engine<'r, S> {
+    fn new(run: &'r Run<'r>, seam: S) -> Self {
+        Self {
             run,
-            seed,
-            ues,
-            q: EventQueue::new(),
-            ledger: CellLedger::new(run.grid.cell_count(), cfg.load.warmup_s, run.horizon),
-            storm: CellStorm::new(run.grid.cell_count()),
-            cursor: cfg.timeline.cursor(),
+            seed: run.cfg.load.seed,
+            seam,
             quiet: Recorder::disabled(),
             step_tally: Vec::new(),
             out: ChurnOut::zero(run),
-        };
-        for (k, e) in cfg.timeline.events().iter().enumerate() {
-            shard.at(e.time_ms / 1000.0, Ev::Chaos(k as u32));
         }
-        for i in 0..shard.ues.len() as u32 {
-            let ue = &mut shard.ues[i as usize];
-            shard.out.class_ues[ue.class as usize] += 1;
-            let arrive = exp_clamped(run.params.session_interarrival_s, ue.draw(seed));
-            let sweep = ue.draw(seed) * run.params.transit_s;
-            let cross = exp_clamped(cfg.load.crossing_interval_s, ue.draw(seed));
-            shard.at(arrive, Ev::Arrive(i));
-            shard.at(sweep, Ev::Sweep(i));
-            shard.at(cross, Ev::Cross(i));
-        }
-        shard
     }
 
     /// Schedule `ev` at `t` under the horizon rule (see the module
-    /// docs): an event at or past the horizon is dropped.
+    /// docs), counting it if it is queued.
     fn at(&mut self, t: f64, ev: Ev) {
         if t < self.run.horizon {
-            self.q.schedule(t, ev);
-        }
-    }
-
-    fn drain(mut self) -> ChurnOut {
-        let width = self.run.cfg.batch_window_s;
-        let batches = (self.run.horizon / width).ceil() as u64;
-        let mut batch = Vec::new();
-        for w in 0..batches {
-            let end = ((w + 1) as f64 * width).min(self.run.horizon);
-            self.q.drain_until(end, &mut batch);
-            for ev in &batch {
-                self.step(ev.time, ev.event);
-            }
-        }
-        debug_assert!(self.q.is_empty(), "an event past the last batch was queued");
-        self.ledger.finish();
-        for ue in self.ues.iter().filter(|u| u.state == Link::Reattaching) {
-            self.out.reattaching_at_horizon += 1;
-            if ue.crash != NO_CRASH {
-                self.out.crashes[ue.crash as usize].pending += 1;
-            }
-        }
-        self.out.busy_us = self.ledger.busy_us();
-        for (acc, &n) in self.out.cell_active_end.iter_mut().zip(self.ledger.cell_active()) {
-            *acc = u64::from(n);
-        }
-        for (us, &n) in self.step_tally.iter().enumerate() {
-            self.out.step_us.observe_n(us as f64, n);
-        }
-        self.out
-    }
-
-    fn step(&mut self, t: f64, ev: Ev) {
-        let now = Now {
-            t,
-            us: tick(t),
-            win: win_of(t),
-            measured: t >= self.run.cfg.load.warmup_s,
-        };
-        self.cursor.advance_to(t * 1000.0, &self.quiet);
-        // Chaos markers are replayed in *every* shard: schedule
-        // bookkeeping, not workload, so they stay out of the tallies.
-        if !matches!(ev, Ev::Chaos(_)) {
             self.out.events_total += 1;
-            self.out.events_measured += u64::from(now.measured);
-            self.out.events_win[now.win] += 1;
+            self.out.events_measured += u64::from(t >= self.run.cfg.load.warmup_s);
+            self.out.events_win[win_of(t)] += 1;
+            self.seam.queue(t, ev);
         }
-        // A `Release`/`Reattach` left behind by a session that a crash
-        // or a give-up has since ended is stale: it is dropped without
-        // consuming a draw, so it is invisible to the hash streams.
+    }
+
+    /// A UE's first events: an exponential first arrival (stationary
+    /// Poisson from t = 0), a uniform sweep phase and an exponential
+    /// first crossing.
+    fn seed(&mut self, ue: &mut Ue) {
+        let (run, seed) = (self.run, self.seed);
+        self.out.class_ues[ue.class as usize] += 1;
+        let arrive = exp_clamped(run.params.session_interarrival_s, ue.draw(seed));
+        let sweep = ue.draw(seed) * run.params.transit_s;
+        let cross = exp_clamped(run.cfg.load.crossing_interval_s, ue.draw(seed));
+        self.at(arrive, Ev::Arrive);
+        self.at(sweep, Ev::Sweep);
+        self.at(cross, Ev::Cross);
+    }
+
+    /// Run `ev`. A `Release`/`Reattach` left behind by a session that a
+    /// crash or a give-up has since ended is stale: it is dropped
+    /// without consuming a draw, so it is invisible to the hash streams.
+    fn dispatch(&mut self, now: Now, ue: &mut Ue, ev: Ev) {
         match ev {
-            Ev::Arrive(i) => self.arrive(now, i),
-            Ev::Release { ue, gen } => {
-                let u = &self.ues[ue as usize];
-                if u.gen == gen && u.state == Link::Connected {
-                    self.release(now, ue);
-                }
+            Ev::Arrive => self.arrive(now, ue),
+            Ev::Sweep => self.sweep(now, ue),
+            Ev::Cross => self.cross(now, ue),
+            Ev::Release(gen) if ue.gen == gen && ue.state == Link::Connected => {
+                self.release(now, ue)
             }
-            Ev::Sweep(i) => self.sweep(now, i),
-            Ev::Cross(i) => self.cross(now, i),
-            Ev::Reattach { ue, gen } => {
-                let u = &self.ues[ue as usize];
-                if u.gen == gen && u.state == Link::Reattaching {
-                    self.reattach(now, ue);
-                }
+            Ev::Reattach(gen) if ue.gen == gen && ue.state == Link::Reattaching => {
+                self.reattach(now, ue)
             }
-            Ev::Chaos(k) => self.chaos(now, k as usize),
+            Ev::Release(_) | Ev::Reattach(_) => {}
         }
     }
 
     /// Draw the per-event cost jitter and, for measured events with
     /// SpaceCore-side work, tally the processing cost in integer
-    /// simulated µs (folded into `out.step_us` when the drain ends). The
-    /// draw always happens, so a UE's stream position never depends on
-    /// the measurement window.
-    fn observe_cost(&mut self, i: u32, msgs: u32, measured: bool) {
-        let u = self.ues[i as usize].draw(self.seed);
+    /// simulated µs. The draw always happens, so a UE's stream position
+    /// never depends on the measurement window.
+    fn observe_cost(&mut self, ue: &mut Ue, msgs: u32, measured: bool) {
+        let u = ue.draw(self.seed);
         if measured && msgs > 0 {
-            let us = (msgs as f64 * PER_MSG_US * (0.75 + 0.5 * u)).round() as usize;
+            let us = round_u64(msgs as f64 * PER_MSG_US * (0.75 + 0.5 * u)) as usize;
             if us >= self.step_tally.len() {
                 self.step_tally.resize(us + 1, 0);
             }
@@ -699,17 +664,22 @@ impl<'a> Shard<'a> {
     /// feeder link down)? Burst loss is drawn separately, per attempt.
     fn service_down(&self, cell: usize) -> bool {
         let sat = self.run.serving[cell] as usize;
-        self.cursor.is_dead(sat) || self.cursor.link_down(sat, self.run.cfg.gateway())
+        let cursor = self.seam.cursor();
+        cursor.is_dead(sat) || cursor.link_down(sat, self.run.cfg.gateway())
+    }
+
+    fn overloaded(&self, cell: usize, now: Now) -> bool {
+        self.seam.storm().overloaded(cell, now.us)
     }
 
     /// Inside a loss-burst window, draw whether this UE's transmission
     /// is lost (a keyed draw on the UE's own counter).
-    fn burst_lost(&mut self, i: u32, measured: bool) -> bool {
-        if !self.cursor.in_burst() {
+    fn burst_lost(&mut self, ue: &mut Ue, measured: bool) -> bool {
+        let cursor = self.seam.cursor();
+        if !cursor.in_burst() {
             return false;
         }
-        let ue = &mut self.ues[i as usize];
-        let lost = self.cursor.burst_loss_keyed(ue.id as u64, ue.draws as u64, &self.quiet);
+        let lost = cursor.burst_loss_keyed(ue.id as u64, ue.draws as u64, &self.quiet);
         ue.draws += 1;
         self.out.chaos.burst_losses += u64::from(lost && measured);
         lost
@@ -717,23 +687,20 @@ impl<'a> Shard<'a> {
 
     /// Bring the UE's session up at `now`: draw the U(10, 15) s hold and
     /// schedule the release that ends it.
-    fn start_session(&mut self, now: Now, i: u32) -> f64 {
-        let ue = &mut self.ues[i as usize];
+    fn start_session(&mut self, now: Now, ue: &mut Ue) -> f64 {
         let u = ue.draw(self.seed);
         let hold = self.run.params.inactivity_release_s - 2.5 + 5.0 * u;
         ue.state = Link::Connected;
-        let gen = ue.gen;
-        self.ledger.connect(ue.cell as usize, Tick(now.us));
-        self.at(now.t + hold, Ev::Release { ue: i, gen });
+        self.seam.connect(ue.cell as usize, now.us);
+        self.at(now.t + hold, Ev::Release(ue.gen));
         hold
     }
 
     /// Schedule attempt `ue.attempt` of the UE's chain. Recovery chains
     /// back off exponentially (deadline-bound); fresh-admission chains
     /// enter the paced half-rate admission lane.
-    fn schedule_attempt(&mut self, t: f64, i: u32) {
+    fn schedule_attempt(&mut self, t: f64, ue: &mut Ue) {
         let budget = &self.run.cfg.budget;
-        let ue = &mut self.ues[i as usize];
         let u = ue.draw(self.seed);
         let delay = if ue.crash != NO_CRASH || !self.run.cfg.paced {
             budget.backoff_s(u32::from(ue.attempt), u)
@@ -741,17 +708,15 @@ impl<'a> Shard<'a> {
             let key = ((ue.id as u64) << 16) | 0xFF00 | u64::from(ue.attempt);
             budget.admission_attempt_s(budget.slot(mix64(self.seed ^ mix64(key))), u)
         };
-        let gen = ue.gen;
-        self.at(t + delay.max(MIN_DELAY_S), Ev::Reattach { ue: i, gen });
+        self.at(t + delay.max(MIN_DELAY_S), Ev::Reattach(ue.gen));
     }
 
     /// After a failed or barred attempt: try again, or give the session
     /// up once the budget is spent.
-    fn retry_or_give_up(&mut self, now: Now, i: u32) {
-        let ue = &mut self.ues[i as usize];
+    fn retry_or_give_up(&mut self, now: Now, ue: &mut Ue) {
         if u32::from(ue.attempt) < self.run.cfg.budget.max_attempts {
             ue.attempt += 1;
-            return self.schedule_attempt(now.t, i);
+            return self.schedule_attempt(now.t, ue);
         }
         if now.measured {
             self.out.chaos.budget_exhausted += 1;
@@ -765,9 +730,8 @@ impl<'a> Shard<'a> {
         ue.attempt = 0;
     }
 
-    fn arrive(&mut self, now: Now, i: u32) {
+    fn arrive(&mut self, now: Now, ue: &mut Ue) {
         let (run, measured) = (self.run, now.measured);
-        let ue = &mut self.ues[i as usize];
         let u = ue.draw(self.seed);
         let next = now.t + exp_clamped(run.params.session_interarrival_s, u);
         let cell = ue.cell as usize;
@@ -786,11 +750,10 @@ impl<'a> Shard<'a> {
             // broadcasts access-class barring, so new-session requests
             // are never even transmitted — recovery traffic keeps the
             // bucket's full token rate.
-            let barred = !down && self.storm.overloaded(cell, now.us);
-            if down || barred || self.burst_lost(i, measured) {
+            let barred = !down && self.overloaded(cell, now);
+            if down || barred || self.burst_lost(ue, measured) {
                 // Admission is deferred into the paced lane (no session
                 // to lose yet, so no crash row).
-                let ue = &mut self.ues[i as usize];
                 ue.state = Link::Reattaching;
                 ue.gen = ue.gen.wrapping_add(1);
                 ue.attempt = 1;
@@ -806,12 +769,12 @@ impl<'a> Shard<'a> {
                         self.out.rereg_storm_win[now.win] += 1;
                     }
                 }
-                self.schedule_attempt(now.t, i);
+                self.schedule_attempt(now.t, ue);
             } else {
-                let hold = self.start_session(now, i);
+                let hold = self.start_session(now, ue);
                 let msgs = if measured {
                     if run.record_holds {
-                        self.out.session_hold_ms.observe((hold * 1000.0).round());
+                        self.out.session_hold_ms.observe(round_u64(hold * 1000.0) as f64);
                     }
                     if run.in_storm[cell] {
                         self.out.est_storm_win[now.win] += 1;
@@ -821,39 +784,37 @@ impl<'a> Shard<'a> {
                 } else {
                     run.costs.local_establishment
                 };
-                self.observe_cost(i, msgs, measured);
+                self.observe_cost(ue, msgs, measured);
             }
         }
-        self.at(next, Ev::Arrive(i));
+        self.at(next, Ev::Arrive);
     }
 
-    fn release(&mut self, now: Now, i: u32) {
-        let ue = &mut self.ues[i as usize];
+    fn release(&mut self, now: Now, ue: &mut Ue) {
         let cell = ue.cell as usize;
-        if self.storm.overloaded(cell, now.us) {
+        if self.overloaded(cell, now) {
             // Overload gate: the release is low-priority signaling —
             // defer it past the storm.
             if now.measured {
                 self.out.chaos.deferred_releases += 1;
                 self.out.gate_deferred_win[now.win] += 1;
             }
-            let (u, gen) = (ue.draw(self.seed), ue.gen);
-            self.at(now.t + MIN_DELAY_S + u, Ev::Release { ue: i, gen });
+            let u = ue.draw(self.seed);
+            self.at(now.t + MIN_DELAY_S + u, Ev::Release(ue.gen));
         } else {
             ue.state = Link::Idle;
-            self.ledger.release(cell, Tick(now.us));
+            self.seam.release(cell, now.us);
             let msgs = if now.measured {
                 self.out.stats.bill_release(&self.run.costs)
             } else {
                 self.run.costs.release
             };
-            self.observe_cost(i, msgs, now.measured);
+            self.observe_cost(ue, msgs, now.measured);
         }
     }
 
-    fn sweep(&mut self, now: Now, i: u32) {
+    fn sweep(&mut self, now: Now, ue: &mut Ue) {
         let (run, measured) = (self.run, now.measured);
-        let ue = &mut self.ues[i as usize];
         let u = ue.draw(self.seed);
         let next = (now.t + run.params.transit_s * (0.75 + 0.5 * u)).max(now.t + MIN_DELAY_S);
         if ue.state != Link::Connected {
@@ -862,7 +823,7 @@ impl<'a> Shard<'a> {
             if measured {
                 self.out.stats.bill_sweep(&run.costs, false);
             }
-        } else if self.storm.overloaded(ue.cell as usize, now.us) {
+        } else if self.overloaded(ue.cell as usize, now) {
             // Defer the handover signaling, not the satellite: retry
             // shortly, the normal sweep cadence resumes once it lands.
             if measured {
@@ -870,31 +831,29 @@ impl<'a> Shard<'a> {
                 self.out.gate_deferred_win[now.win] += 1;
             }
             let u = ue.draw(self.seed);
-            self.at(now.t + MIN_DELAY_S + u, Ev::Sweep(i));
-            return;
+            return self.at(now.t + MIN_DELAY_S + u, Ev::Sweep);
         } else {
             let msgs = if measured {
                 self.out.stats.bill_sweep(&run.costs, true)
             } else {
                 run.costs.local_handover
             };
-            self.observe_cost(i, msgs, measured);
+            self.observe_cost(ue, msgs, measured);
         }
-        self.at(next, Ev::Sweep(i));
+        self.at(next, Ev::Sweep);
     }
 
-    fn cross(&mut self, now: Now, i: u32) {
+    fn cross(&mut self, now: Now, ue: &mut Ue) {
         let (run, measured) = (self.run, now.measured);
-        let ue = &mut self.ues[i as usize];
         let u = ue.draw(self.seed);
         let dir = ((u * 4.0) as usize).min(3);
         let old = cell_at(&run.grid, ue.cell as usize);
         let new_idx = cell_index(&run.grid, run.grid.neighbors(old)[dir]);
         if ue.state == Link::Connected {
-            self.ledger.move_session(ue.cell as usize, new_idx);
+            self.seam.moved(ue.cell as usize, new_idx);
         }
         ue.cell = new_idx as u32;
-        let msgs = if self.storm.overloaded(new_idx, now.us) {
+        let msgs = if self.overloaded(new_idx, now) {
             // Shed: the destination satellite is storming; the C4
             // update is dropped outright (the cell record is eventually
             // consistent). Cost jitter still draws below so the stream
@@ -909,27 +868,26 @@ impl<'a> Shard<'a> {
         } else {
             run.costs.cell_crossing
         };
-        self.observe_cost(i, msgs, measured);
-        let u = self.ues[i as usize].draw(self.seed);
-        self.at(now.t + exp_clamped(run.cfg.load.crossing_interval_s, u), Ev::Cross(i));
+        self.observe_cost(ue, msgs, measured);
+        let u = ue.draw(self.seed);
+        self.at(now.t + exp_clamped(run.cfg.load.crossing_interval_s, u), Ev::Cross);
     }
 
-    fn reattach(&mut self, now: Now, i: u32) {
+    fn reattach(&mut self, now: Now, ue: &mut Ue) {
         let (run, measured) = (self.run, now.measured);
-        let ue = &self.ues[i as usize];
         let cell = ue.cell as usize;
         let crash = ue.crash;
         let down = self.service_down(cell);
-        if crash == NO_CRASH && !down && self.storm.overloaded(cell, now.us) {
+        if crash == NO_CRASH && !down && self.overloaded(cell, now) {
             // Fresh admission still barred by the overload broadcast:
             // stay silent, re-enter the half-rate admission lane.
             if measured {
                 self.out.chaos.deferred_establishments += 1;
                 self.out.gate_deferred_win[now.win] += 1;
             }
-            return self.retry_or_give_up(now, i);
+            return self.retry_or_give_up(now, ue);
         }
-        let failed = down || self.burst_lost(i, measured);
+        let failed = down || self.burst_lost(ue, measured);
         // Surge accounting: an attempt is signaling load on the
         // satellite only if a live satellite saw it — against a dead one
         // there is no cell to reach, the UE just keeps scanning.
@@ -940,7 +898,7 @@ impl<'a> Shard<'a> {
             if measured {
                 self.out.chaos.bill_attempt_failure(&run.costs);
             }
-            return self.retry_or_give_up(now, i);
+            return self.retry_or_give_up(now, ue);
         }
         // Stateless local re-establishment at the replacement satellite
         // (legacy re-runs the home-routed C2), or a deferred fresh
@@ -958,7 +916,7 @@ impl<'a> Shard<'a> {
                 } else {
                     row.late += 1;
                 }
-                self.out.reattach_ms.observe((off_us as f64 / 1000.0).round());
+                self.out.reattach_ms.observe(round_u64(off_us as f64 / 1000.0) as f64);
             }
         } else if measured {
             let stats = &mut self.out.stats;
@@ -969,69 +927,170 @@ impl<'a> Shard<'a> {
                 self.out.est_storm_win[now.win] += 1;
             }
         }
-        let ue = &mut self.ues[i as usize];
         ue.crash = NO_CRASH;
         ue.attempt = 0;
-        self.start_session(now, i);
-        self.observe_cost(i, run.costs.local_establishment, measured);
+        self.start_session(now, ue);
+        self.observe_cost(ue, run.costs.local_establishment, measured);
     }
 
-    /// Apply timeline event `k`: open the overload windows it starts
-    /// and, for a crash, drop every connected session in the footprint
-    /// and pace its re-establishment through the budget.
-    fn chaos(&mut self, now: Now, k: usize) {
+    /// Crash `row` at its instant `now`: if the UE holds a session in
+    /// the footprint, drop it and pace its re-establishment through the
+    /// budget.
+    fn crash(&mut self, now: Now, row: usize, ue: &mut Ue) {
         let cfg = self.run.cfg;
-        // Apply through the event's *exact* quantized timestamp: the
-        // s → ms roundtrip in `step` can land one ulp short of it.
-        self.cursor.advance_to(cfg.timeline.events()[k].time_ms, &self.quiet);
-        for sw in self.run.storms.iter().filter(|s| s.ev_idx == k) {
-            self.storm.open(sw.cells.clone(), now.us, tick(sw.until_s));
+        if ue.state != Link::Connected || !self.run.crashes[row].cells.contains(&(ue.cell as usize))
+        {
+            return;
         }
-        let Some(row) = self.out.crashes.iter().position(|c| c.ev_idx == k) else {
-            return; // recover/link/burst/flap: no drops
+        ue.state = Link::Reattaching;
+        ue.gen = ue.gen.wrapping_add(1); // invalidates the pending Release
+        ue.attempt = 1;
+        ue.crash = row as u16;
+        self.seam.release(ue.cell as usize, now.us);
+        if now.measured {
+            self.out.chaos.dropped += 1;
+            self.out.crashes[row].dropped += 1;
+        }
+        let u = ue.draw(self.seed);
+        let first = if cfg.paced {
+            let key = ((ue.id as u64) << 8) | row as u64;
+            cfg.budget.first_attempt_s(cfg.budget.slot(mix64(self.seed ^ mix64(key))), u)
+        } else {
+            // Thundering herd: everyone storms the replacement right
+            // after detection.
+            cfg.budget.detect_s + 0.2 * u
         };
-        let footprint = self.out.crashes[row].cells.clone();
-        for j in 0..self.ues.len() as u32 {
-            let ue = &mut self.ues[j as usize];
-            let cell = ue.cell as usize;
-            if ue.state != Link::Connected || !footprint.contains(&cell) {
-                continue;
+        self.at(now.t + first, Ev::Reattach(ue.gen));
+    }
+
+    /// The UE at the horizon: a chain still re-establishing is pending.
+    fn finish_ue(&mut self, ue: &Ue) {
+        if ue.state == Link::Reattaching {
+            self.out.reattaching_at_horizon += 1;
+            if ue.crash != NO_CRASH {
+                self.out.crashes[ue.crash as usize].pending += 1;
             }
-            ue.state = Link::Reattaching;
-            ue.gen = ue.gen.wrapping_add(1); // invalidates the pending Release
-            ue.attempt = 1;
-            ue.crash = row as u16;
-            self.ledger.release(cell, Tick(now.us));
-            if now.measured {
-                self.out.chaos.dropped += 1;
-                self.out.crashes[row].dropped += 1;
+        }
+    }
+
+    /// Fold the step-cost tally into its histogram.
+    fn finish(mut self) -> ChurnOut {
+        for (us, &n) in self.step_tally.iter().enumerate() {
+            self.out.step_us.observe_n(us as f64, n);
+        }
+        self.out
+    }
+}
+
+/// An empty [`Stream`] slot.
+const EMPTY: (f64, u32, Ev) = (f64::INFINITY, u32::MAX, Ev::Arrive);
+
+/// The per-UE driver: the UE's pending events by [`Ev::slot`], as
+/// `(time, UE-local scheduling seq, event)`; where its clock stands in
+/// `Run::cursor_after` (`epoch`) and `Run::storm_after` (`opened`); the
+/// tick its session came up at; and the chunk's busy integral.
+struct Stream<'r> {
+    run: &'r Run<'r>,
+    slots: [(f64, u32, Ev); 5],
+    next_seq: u32,
+    epoch: usize,
+    opened: usize,
+    since_us: u64,
+    busy_us: u64,
+}
+
+impl<'r> Stream<'r> {
+    /// A fresh UE's stream, adding to the busy integral `busy_us`.
+    fn new(run: &'r Run<'r>, busy_us: u64) -> Self {
+        Self { run, slots: [EMPTY; 5], next_seq: 0, epoch: 0, opened: 0, since_us: 0, busy_us }
+    }
+
+    /// The slot of the earliest pending event by `(time, seq)`.
+    fn earliest(&self) -> usize {
+        let key = |k: usize| (self.slots[k].0, self.slots[k].1);
+        (1..5).fold(0, |k, j| if key(j) < key(k) { j } else { k })
+    }
+
+    /// Move the UE's clock to `t`: apply the timeline prefix and open
+    /// the storms an event at `t` sees (see the module docs).
+    fn advance_to(&mut self, t: f64) {
+        let run = self.run;
+        while let Some(&t_ms) = run.instants.get(self.epoch) {
+            let marker_s = t_ms / 1000.0;
+            if !(t_ms <= t * 1000.0 || (marker_s < run.horizon && marker_s <= t)) {
+                break;
             }
-            let u = ue.draw(self.seed);
-            let first = if cfg.paced {
-                let key = ((ue.id as u64) << 8) | row as u64;
-                cfg.budget.first_attempt_s(cfg.budget.slot(mix64(self.seed ^ mix64(key))), u)
-            } else {
-                // Thundering herd: everyone storms the replacement
-                // right after detection.
-                cfg.budget.detect_s + 0.2 * u
-            };
-            let gen = ue.gen;
-            self.at(now.t + first, Ev::Reattach { ue: j, gen });
+            self.epoch += 1;
+        }
+        while run.storms.get(self.opened).is_some_and(|w| w.t_s <= t) {
+            self.opened += 1;
         }
     }
 }
 
+impl<'r> Seam<'r> for Stream<'r> {
+    fn queue(&mut self, t: f64, ev: Ev) {
+        self.slots[ev.slot()] = (t, self.next_seq, ev);
+        self.next_seq += 1;
+    }
+
+    fn cursor(&self) -> &ChaosCursor<'r> {
+        &self.run.cursor_after[self.epoch]
+    }
+
+    fn storm(&self) -> &CellStorm {
+        &self.run.storm_after[self.opened]
+    }
+
+    fn connect(&mut self, _cell: usize, now_us: u64) {
+        self.since_us = now_us;
+    }
+
+    fn release(&mut self, _cell: usize, now_us: u64) {
+        self.busy_us += self.run.measured_us(self.since_us, now_us);
+    }
+
+    fn moved(&mut self, _from: usize, _to: usize) {}
+}
+
+impl<'r> Engine<'r, Stream<'r>> {
+    /// Run one UE from its first event to the horizon.
+    fn drive(&mut self, ue: &mut Ue) {
+        let run = self.run;
+        self.seam = Stream::new(run, self.seam.busy_us);
+        self.seed(ue);
+        let mut crashes = run.crashes.iter().enumerate().peekable();
+        loop {
+            let k = self.seam.earliest();
+            let (t, _, ev) = self.seam.slots[k];
+            if let Some((row, c)) = crashes.next_if(|(_, c)| c.t_s <= t) {
+                self.crash(run.now(c.t_s), row, ue);
+                continue;
+            }
+            if t == f64::INFINITY {
+                break;
+            }
+            self.seam.slots[k] = EMPTY;
+            self.seam.advance_to(t);
+            self.dispatch(run.now(t), ue, ev);
+        }
+        if ue.state == Link::Connected {
+            self.seam.busy_us += run.measured_us(self.seam.since_us, run.end_us);
+            self.out.cell_active_end[ue.cell as usize] += 1;
+        }
+        self.finish_ue(ue);
+    }
+}
+
 /// Run the churn soak `cfg` describes on `threads` workers and fold the
-/// shards in slot order. The UEs are drawn from `pop`; `label` assigns
+/// chunks in id order. The UEs are drawn from `pop`; `label` assigns
 /// each UE one of `classes` classes from its position, for the per-class tallies;
 /// `record_holds` asks for the telemetry-only `session_hold_ms`
-/// histogram. The result is identical for every `threads` and every
-/// `cfg.load.shards`.
+/// histogram. The result is identical for every `threads`.
 ///
 /// # Panics
-/// Panics on a config the engine cannot run faithfully: a batch window
-/// outside `(0, MIN_DELAY_S]`, a deadline off the 0.25 s slot grid, or
-/// `sats` outside `1..=cells`.
+/// Panics on a config the engine cannot run faithfully: a deadline off
+/// the 0.25 s slot grid, or `sats` outside `1..=cells`.
 pub fn run(
     threads: usize,
     cfg: &ChaosloadConfig,
@@ -1041,31 +1100,17 @@ pub fn run(
     record_holds: bool,
 ) -> ChurnOut {
     let run = Run::new(cfg, classes, record_holds);
-    let shard_map = ShardMap::new(run.grid.cell_count(), cfg.load.shards);
-    // Each placement chunk draws its own UEs, straight from its slice
-    // of the seeded stream: nothing of the sampler is serial.
-    let points = |ids: Range<usize>| {
-        let n = ids.len();
-        pop.draws_at(cfg.load.seed, ids.start).take(n).map(|d| pop.point_of(&d))
-    };
-    let (placed, classes_of) =
-        place_labelled(threads, cfg.load.total_ues, &points, &run.grid, &shard_map, label);
-
-    let outs = crate::engine::parallel_map_with(threads, placed, |placed| {
-        let ues = placed
-            .iter()
-            .map(|&(id, cell)| Ue {
-                id,
-                cell,
-                draws: 0,
-                gen: 0,
-                attempt: 0,
-                crash: NO_CRASH,
-                state: Link::Idle,
-                class: classes_of[id as usize],
-            })
-            .collect();
-        Shard::new(&run, ues).drain()
+    let n = cfg.load.total_ues;
+    let chunks: Vec<Range<usize>> =
+        (0..n).step_by(CHUNK).map(|first| first..n.min(first + CHUNK)).collect();
+    let outs = crate::engine::parallel_map_with(threads, chunks, |ids| {
+        let mut engine = Engine::new(&run, Stream::new(&run, 0));
+        let ues = placed(pop, cfg.load.seed, &run.grid, label, ids.clone());
+        for (id, (cell, class)) in ids.zip(ues) {
+            engine.drive(&mut Ue::new(id as u32, cell, class));
+        }
+        engine.out.busy_us = engine.seam.busy_us;
+        engine.finish()
     });
     outs.iter().fold(ChurnOut::zero(&run), ChurnOut::absorb)
 }
@@ -1094,43 +1139,44 @@ mod tests {
         assert!((mean - 106.9).abs() < 0.05 * 106.9, "{mean}");
     }
 
+    /// The oracle drains its calendar one day at a time at most, and the
+    /// series windows are the engine's.
     #[test]
     fn batch_window_matches_calendar_day() {
-        assert_eq!(BATCH_WINDOW_S, EventQueue::<Ev>::BUCKET_WIDTH_S);
+        assert_eq!(oracle::BATCH_WINDOW_S, sc_netsim::des::EventQueue::<Ev>::BUCKET_WIDTH_S);
+        assert_eq!(oracle::BATCH_WINDOW_S, MIN_DELAY_S);
         assert_eq!(WINDOW_S * 1e6, sc_obs::WINDOW_TICKS as f64);
     }
 
     /// The horizon rule: an event at or past the horizon is never
-    /// queued, one just before it is. `Shard::new` seeds through the
-    /// same rule, so only in-horizon chaos markers are queued.
+    /// queued nor counted, one just before it is.
     #[test]
     fn only_events_before_the_horizon_are_queued() {
         let cfg = ChaosloadConfig::smoke();
         let run = Run::new(&cfg, 1, false);
-        let mut shard = Shard::new(&run, Vec::new());
-        let markers = cfg.timeline.events().iter();
-        let due = markers.filter(|e| e.time_ms / 1000.0 < run.horizon).count();
-        assert_eq!(shard.q.len(), due);
-        shard.at(run.horizon, Ev::Arrive(0));
-        shard.at(run.horizon + 1.0, Ev::Sweep(0));
-        assert_eq!(shard.q.len(), due);
-        shard.at(run.horizon - 1e-6, Ev::Cross(0));
-        assert_eq!(shard.q.len(), due + 1);
+        let mut engine = Engine::new(&run, Stream::new(&run, 0));
+        engine.at(run.horizon, Ev::Arrive);
+        engine.at(run.horizon + 1.0, Ev::Sweep);
+        assert_eq!(engine.seam.slots, [EMPTY; 5]);
+        assert_eq!(engine.out.events_total, 0);
+        engine.at(run.horizon - 1e-6, Ev::Cross);
+        assert_eq!(engine.seam.earliest(), Ev::Cross.slot());
+        assert_eq!(engine.seam.slots[Ev::Cross.slot()], (run.horizon - 1e-6, 0, Ev::Cross));
+        assert_eq!(engine.out.events_total, 1);
+        assert_eq!(engine.out.events_win.iter().sum::<u64>(), 1);
     }
 
-    /// The smoke soak with its queue bounded by the horizon drains empty
-    /// (`Shard::drain` asserts it in debug builds) and folds to the same
-    /// output at the default batch width and at a quarter of it.
+    /// The smoke soak run UE by UE equals the calendar oracle at the
+    /// default batch width and at a quarter of it.
     #[test]
     fn horizon_bounded_smoke_soak_is_invariant_to_the_batch_width() {
-        let outs = [1.0, 0.25].map(|batch_window_s| {
-            let cfg = ChaosloadConfig {
-                batch_window_s,
-                ..ChaosloadConfig::smoke()
-            };
-            format!("{:?}", run(2, &cfg, &PopulationModel::world_bank_like(), 1, &|_| 0, true))
-        });
-        assert_eq!(outs[0], outs[1]);
+        let cfg = ChaosloadConfig::smoke();
+        let pop = PopulationModel::world_bank_like();
+        let want = format!("{:?}", run(2, &cfg, &pop, 1, &|_| 0, true));
+        for width in [1.0, 0.25] {
+            let got = oracle::run(&cfg, &pop, 1, &|_| 0, true, width);
+            assert_eq!(format!("{got:?}"), want, "width {width}");
+        }
     }
 
     fn rejected(edit: impl FnOnce(&mut ChaosloadConfig)) {

@@ -3,8 +3,8 @@
 //!
 //! `ext_mload` serves a million UEs on a failure-free sky; this
 //! experiment runs the same churn engine ([`crate::churn`], which
-//! documents the shard model, per-shard timeline replay and the
-//! determinism contract) on a seeded [`FailureTimeline`]: a serving
+//! documents the per-UE event streams, how each reads the timeline and
+//! the determinism contract) on a seeded [`FailureTimeline`]: a serving
 //! satellite crashes mid-soak (and its replacement re-crashes
 //! mid-recovery), a feeder link flaps, and a loss-burst window opens
 //! over the recovery. Every session the crash drops goes through
@@ -17,18 +17,17 @@
 //!   per-cell token bucket with jittered exponential backoff. Admission
 //!   is *stateless*: each dropped UE hashes into one of the bucket's
 //!   refill slots, so the storm drains at a fixed per-cell rate without
-//!   any first-come-first-served state that would couple shards. The
+//!   any first-come-first-served state that would couple UEs. The
 //!   per-cell bucket clocks live in dense cell-indexed Vecs
 //!   ([`spacecore::shard::CellStorm`]).
 //! * **Overload gate** — while a crashed satellite's footprint is
 //!   inside its overload window (crash → recovery + hold), the serving
 //!   satellite sheds or defers low-priority signaling: connected-UE
 //!   mobility updates and RRC releases are deferred (retried after ≥
-//!   one batch window), cell-crossing C4 updates are shed outright.
+//!   [`MIN_DELAY_S`]), cell-crossing C4 updates are shed outright.
 //!   The saturation signal is derived from the failure timeline, not
-//!   from shard-local queue depth — a deliberate choice: queue depth
-//!   depends on how cells are grouped into shards, and gating on it
-//!   would break the byte-identity contract.
+//!   from a queue depth — a deliberate choice: a signal that depends
+//!   on other UEs' traffic would couple the UEs' event streams.
 //!
 //! What this module adds to the engine is the scenario presets, the
 //! result schema and the SLO pass. Recovery SLOs reported per crash:
@@ -40,28 +39,24 @@
 //! is asserted by `tests/churn_equivalence.rs`: on a smoke-config run,
 //! and on the full run through its checked-in telemetry sidecar.
 
-use crate::churn::{self, WINDOW_S};
+use crate::churn::{self, ChurnOut, WINDOW_S};
 use sc_dataset::population::PopulationModel;
 use sc_netsim::chaos::FailureTimeline;
 use serde::Serialize;
 use spacecore::recovery::RetryBudget;
 
-pub use crate::churn::{BATCH_WINDOW_S, MIN_DELAY_S};
+pub use crate::churn::MIN_DELAY_S;
 pub use crate::ext_mload::MloadConfig;
 
 /// Engine configuration: the `ext_mload` churn substrate plus the
 /// failure scenario and the robustness policies.
 #[derive(Debug, Clone)]
 pub struct ChaosloadConfig {
-    /// Churn substrate (population, shards, windows, seed).
+    /// Churn substrate (population, windows, seed).
     pub load: MloadConfig,
     /// Satellites covering the grid; [`spacecore::shard::ShardMap`]
-    /// doubles as the static cell → serving-satellite footprint map
-    /// (independent of the execution shard count).
+    /// is the static cell → serving-satellite footprint map.
     pub sats: usize,
-    /// DES drain-batch width, s (≤ [`MIN_DELAY_S`]; test hook — results
-    /// are invariant to it).
-    pub batch_window_s: f64,
     /// The failure scenario. Node ids `0..sats` are satellites;
     /// [`Self::gateway`] is the feeder-link ground node.
     pub timeline: FailureTimeline,
@@ -97,7 +92,6 @@ impl ChaosloadConfig {
         Self {
             load: MloadConfig::full(),
             sats,
-            batch_window_s: BATCH_WINDOW_S,
             timeline,
             deadline_s: 20.0,
             // 160 slots × 0.1 s spread the 14 k-session storm over
@@ -158,8 +152,8 @@ impl ChaosloadConfig {
     }
 }
 
-/// Result of one run — deterministic in the config, invariant to
-/// thread and shard counts (`tests/chaosload_props.rs`).
+/// Result of one run — deterministic in the config, invariant to the
+/// thread count (`tests/chaosload_props.rs`).
 #[derive(Debug, Clone, Serialize)]
 pub struct ExtChaosload {
     pub total_ues: usize,
@@ -258,11 +252,15 @@ pub fn run_smoke_obs(obs: &sc_obs::Recorder) -> ExtChaosload {
 }
 
 /// Explicit worker count and config. Results and telemetry are
-/// byte-identical for every `threads`, `cfg.load.shards` and
-/// `cfg.batch_window_s` value.
+/// byte-identical for every `threads` value.
 pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadConfig) -> ExtChaosload {
     let pop = PopulationModel::world_bank_like();
-    let out = churn::run(threads, cfg, &pop, 1, &|_| 0, obs.enabled());
+    report(obs, cfg, churn::run(threads, cfg, &pop, 1, &|_| 0, obs.enabled()))
+}
+
+/// The result schema, the `emu.chaosload.*` telemetry and the SLO pass
+/// of a folded run.
+pub(crate) fn report(obs: &sc_obs::Recorder, cfg: &ChaosloadConfig, out: ChurnOut) -> ExtChaosload {
     let (stats, cstats) = (&out.stats, &out.chaos);
     let horizon = cfg.load.warmup_s + cfg.load.measure_s;
     let windows = out.rereg_storm_win.len();
@@ -271,7 +269,7 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
     // Surge SLO: steady state is the storm cells' establishment rate
     // over the pre-crash measured windows; peak is the worst measured
     // re-registration window over the same cells. Integer sums → the
-    // ratio is exact and shard-invariant.
+    // ratio is exact and order-free.
     let warmup_win = (cfg.load.warmup_s / WINDOW_S) as usize;
     let first_crash_win = out
         .crashes
@@ -335,7 +333,7 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &ChaosloadCo
     churn::emit_series(obs, "emu.chaosload.rereg_storm_per_s", &out.rereg_storm_win);
 
     // The chaos schedule's own telemetry: one serial replay (the
-    // per-shard cursors are silent).
+    // engine's cursors are silent).
     cfg.timeline.cursor().advance_to(horizon * 1000.0, obs);
     for c in &out.crashes {
         let mut fields = vec![

@@ -5,8 +5,8 @@
 //! one: `total_ues` UEs from the World-Bank population mixture under
 //! continuous churn on the Starlink cell grid, for a ramp plus a
 //! measured window. It is the churn engine ([`crate::churn`], which
-//! documents the shard model and the determinism contract) run on an
-//! empty failure timeline, with every UE labelled by its population
+//! documents the per-UE event streams and the determinism contract) run
+//! on an empty failure timeline, with every UE labelled by its population
 //! region. What this module adds is the config, the result schema — the
 //! paper's stateless signaling win at serving scale, plus a per-region
 //! table — and the `emu.mload.*` telemetry.
@@ -15,12 +15,12 @@
 //! wall-clock throughput and peak RSS of the same run are scbench's
 //! `soak` workload (`benchmark/README.md`).
 
-use crate::churn;
+use crate::churn::{self, ChurnOut};
 use crate::ext_chaosload::ChaosloadConfig;
 use sc_dataset::population::{PopulationModel, Region};
 use serde::Serialize;
 
-pub use crate::churn::{BATCH_WINDOW_S, MIN_DELAY_S};
+pub use crate::churn::MIN_DELAY_S;
 
 /// Engine configuration. [`MloadConfig::full`] is the million-UE soak
 /// the acceptance figures come from; [`MloadConfig::smoke`] is the
@@ -29,8 +29,6 @@ pub use crate::churn::{BATCH_WINDOW_S, MIN_DELAY_S};
 pub struct MloadConfig {
     /// Live UEs under churn management.
     pub total_ues: usize,
-    /// Requested shard count (clamped to the cell count).
-    pub shards: usize,
     /// Ramp-in window excluded from every measured quantity, s.
     pub warmup_s: f64,
     /// Measured steady-state window, s.
@@ -47,7 +45,6 @@ impl MloadConfig {
     pub fn full() -> Self {
         Self {
             total_ues: 1_000_000,
-            shards: 64,
             warmup_s: 30.0,
             measure_s: 120.0,
             seed: 0x5C_10AD,
@@ -60,7 +57,6 @@ impl MloadConfig {
     pub fn smoke() -> Self {
         Self {
             total_ues: 20_000,
-            shards: 8,
             warmup_s: 5.0,
             measure_s: 20.0,
             ..Self::full()
@@ -69,9 +65,8 @@ impl MloadConfig {
 }
 
 /// Result of one run. Everything here is deterministic in the config —
-/// no wall-clock, no thread count, no shard count (shard layout is an
-/// execution detail, deliberately **absent** from the schema;
-/// `tests/mload_props.rs` asserts the bytes are invariant to it).
+/// no wall-clock and no thread count (`tests/mload_props.rs` asserts
+/// the bytes are invariant to it).
 #[derive(Debug, Clone, Serialize)]
 pub struct ExtMload {
     pub total_ues: usize,
@@ -137,8 +132,7 @@ pub fn run_smoke_obs(obs: &sc_obs::Recorder) -> ExtMload {
 }
 
 /// Explicit worker count and config. Results and telemetry are
-/// byte-identical for every `threads` value and every `cfg.shards`
-/// value.
+/// byte-identical for every `threads` value.
 pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &MloadConfig) -> ExtMload {
     let pop = PopulationModel::world_bank_like();
     let out = churn::run(
@@ -149,6 +143,11 @@ pub fn run_config_with(threads: usize, obs: &sc_obs::Recorder, cfg: &MloadConfig
         &|p| pop.region_of(p).index() as u8,
         obs.enabled(),
     );
+    report(obs, cfg, &out)
+}
+
+/// The result schema and the `emu.mload.*` telemetry of a folded run.
+pub(crate) fn report(obs: &sc_obs::Recorder, cfg: &MloadConfig, out: &ChurnOut) -> ExtMload {
     let stats = &out.stats;
     let active_end: u64 = out.cell_active_end.iter().sum();
     let occupied = out.cell_active_end.iter().filter(|c| **c > 0).count() as u64;
@@ -253,6 +252,7 @@ pub fn render(r: &ExtMload) -> String {
             fmt(row.arrivals as f64),
         ]);
     }
+    // The header's wording is pinned by `results/ext_mload.txt`.
     format!(
         "Extension — sharded sustained-load engine ({} UEs on geospatial cells)\n{}\n{}",
         fmt(r.total_ues as f64),

@@ -142,7 +142,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     experiment!(ext_scaling, "§7 — signaling reduction vs. constellation size (66 → 7,200 satellites)"),
     experiment!(ext_iot, "§2.2 — traffic-mix sensitivity up to massive IoT"),
     experiment!(ext_chaos, "§3.3 / Fig. 13 — session survival under serving-satellite crashes (chaos timelines)", obs),
-    experiment!(ext_mload, "million-UE sharded sustained-load soak", obs, smoke),
+    experiment!(ext_mload, "million-UE sustained-load soak", obs, smoke),
     experiment!(ext_chaosload, "the million-UE soak under a crash storm: paced reattach, admission control, recovery SLOs", obs, smoke),
 ];
 

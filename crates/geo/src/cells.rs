@@ -34,11 +34,6 @@ const STRIPS: usize = 2048;
 /// path.
 const COLUMN_MARGIN: f64 = 1e-9;
 
-/// Strips whose `|sin γ|` comes within this of 1 are left to the exact
-/// path: near the band's turning points `γ = asin(sin γ)` magnifies a
-/// rounding of `sin γ` by `1/√(1 − sin²γ)`.
-const TURNING_POINT_MARGIN: f64 = 1e-6;
-
 /// Identifier of one geospatial cell: orbital-plane column and in-plane row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId {
@@ -369,10 +364,20 @@ impl StripTable {
         let band = edges.windows(2).map(|w| {
             let ((ga, pa), (gb, pb)) = (frame.ascending(w[0]), frame.ascending(w[1]));
             let s = ga.sin().abs().max(gb.sin().abs());
-            if !usable || 1.0 - s < TURNING_POINT_MARGIN {
+            if !usable {
                 return undecided;
             }
-            // dγ/d(sin γ) and dφ/d(sin γ) at the strip's steeper edge.
+            // dγ/d(sin γ) and dφ/d(sin γ) at the strip's steeper edge:
+            // `|sin γ|` grows with `|lat|`, so no point of the strip is
+            // steeper. The margins hold at the band's turning points
+            // too, where `asin` is not linear over a rounding δ of a few
+            // ulps of `sin γ` (`sin`, `sin i`, the quotient): with
+            // `1 − s = ε ≥ δ`, γ moves by at most
+            // `√(2ε) − √(2(ε − δ)) ≤ 2δ/√(2ε) ≈ 2δ·dγ/d(sin γ)`, and
+            // where `s` clamps at 1 by at most `√(2ε) < 2δ/√(2ε)` — some
+            // 7e-16 in units of the derivative against the 1e-14 the
+            // margins allow, whatever ε is. Where `s` rounds to 1 the
+            // margins are infinite and the strip decides nothing.
             let cos2 = (1.0 - s) * (1.0 + s);
             let dgamma = 1.0 / cos2.sqrt();
             let dphi = cos_i * dgamma / (cos2 + cos_i * cos_i * s * s);

@@ -25,10 +25,10 @@
 //!
 //! Everything here is pure math with no I/O and no floating-point
 //! nondeterminism across runs; the `orbit`, `netsim`, and `spacecore`
-//! crates build on it. The cell grid doubles as the *shard key* for the
-//! million-UE sustained-load engine — `spacecore::shard` maps
-//! [`cells::CellId`]s to contiguous shard ranges in `iter_cells` order
-//! (see `docs/ARCHITECTURE.md`).
+//! crates build on it. The cell grid doubles as the key of live session
+//! state in the million-UE sustained-load engine — `spacecore::shard`
+//! maps [`cells::CellId`]s to contiguous satellite footprints in
+//! `iter_cells` order (see `docs/ARCHITECTURE.md`).
 
 pub mod addr;
 pub mod angle;

@@ -19,11 +19,11 @@
 //! order is (time, insertion order) — [`FailureTimeline`] inserts each
 //! new event after every event scheduled at or before its time — so
 //! chaos runs replay bit-identically, the property the `ext_chaos`
-//! experiment's byte-stability checks enforce. Sharded engines that fan
-//! one timeline out across UE partitions use
+//! experiment's byte-stability checks enforce. Engines that replay one
+//! timeline against many independent UEs use
 //! [`ChaosCursor::burst_loss_keyed`] instead: the loss decision is keyed
-//! by `(seed, entity, draw#)` and is therefore invariant to shard layout
-//! and drain interleaving.
+//! by `(seed, entity, draw#)` and is therefore invariant to which cursor
+//! evaluates it and in what order.
 //!
 //! Event times are quantized to the integer-microsecond grid on insert
 //! ([`quantize_ms_to_us_grid`]) — the same tick resolution
@@ -77,6 +77,14 @@ pub struct ChaosEvent {
     pub action: ChaosAction,
 }
 
+impl ChaosEvent {
+    /// `action` at `t_ms` quantized to the µs grid.
+    fn at(t_ms: f64, action: ChaosAction) -> Self {
+        assert!(t_ms >= 0.0 && t_ms.is_finite(), "bad chaos time {t_ms}");
+        Self { time_ms: quantize_ms_to_us_grid(t_ms), action }
+    }
+}
+
 /// A sim-time-ordered schedule of failure events.
 ///
 /// Build one with the fluent methods ([`Self::dead_from_start`],
@@ -125,20 +133,20 @@ impl FailureTimeline {
         assert!((0.0..=1.0).contains(&p_crash));
         assert!(horizon_ms >= 0.0 && horizon_ms.is_finite());
         let mut rng = Xorshift64::new(seed);
-        let mut tl = Self {
-            seed,
-            ..Self::default()
-        };
+        let mut events = Vec::new();
         for node in 0..num_nodes {
             if rng.chance(p_crash) {
                 let t = rng.next_f64() * horizon_ms;
-                tl = tl.crash(t, node);
+                events.push(ChaosEvent::at(t, ChaosAction::Crash(node)));
                 if let Some(d) = recover_after_ms {
-                    tl = tl.recover(t + d, node);
+                    events.push(ChaosEvent::at(t + d, ChaosAction::Recover(node)));
                 }
             }
         }
-        tl
+        // `push`'s order — after every event at or before its time — is
+        // a stable sort by time: one sort instead of an insert per event.
+        events.sort_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+        Self { events, seed, ..Self::default() }
     }
 
     /// Seed for burst-loss draws (deterministic per timeline).
@@ -242,15 +250,14 @@ impl FailureTimeline {
     }
 
     fn push(mut self, t_ms: f64, action: ChaosAction) -> Self {
-        assert!(t_ms >= 0.0 && t_ms.is_finite(), "bad chaos time {t_ms}");
-        let time_ms = quantize_ms_to_us_grid(t_ms);
-        // After every event at or before `time_ms` — the order a push
+        let ev = ChaosEvent::at(t_ms, action);
+        // After every event at or before its time — the order a push
         // followed by a stable sort gives, without the sort — so replay
         // order is a pure function of the build sequence.
         let at = self
             .events
-            .partition_point(|e| e.time_ms.total_cmp(&time_ms).is_le());
-        self.events.insert(at, ChaosEvent { time_ms, action });
+            .partition_point(|e| e.time_ms.total_cmp(&ev.time_ms).is_le());
+        self.events.insert(at, ev);
         self
     }
 }
@@ -283,7 +290,7 @@ pub struct ChaosCursor<'a> {
     draws: u64,
 }
 
-/// splitmix64 finalizer — the same stateless hash stream the sharded
+/// splitmix64 finalizer — the same stateless hash stream the
 /// load engines key their per-UE draws with.
 fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;
@@ -386,11 +393,11 @@ impl<'a> ChaosCursor<'a> {
         lost
     }
 
-    /// Keyed burst-loss draw for sharded fan-out: the decision for
+    /// Keyed burst-loss draw for per-entity fan-out: the decision for
     /// `(key, draw)` — e.g. a UE id and that UE's own draw counter — is
     /// a pure hash of `(timeline seed, key, draw)`, so it does not
-    /// depend on which shard's cursor evaluates it or in what order
-    /// shards interleave their queries. Like [`Self::burst_loss`], it
+    /// depend on which cursor evaluates it or in what order queries
+    /// interleave. Like [`Self::burst_loss`], it
     /// only draws while a burst window is open.
     pub fn burst_loss_keyed(&self, key: u64, draw: u64, obs: &Recorder) -> bool {
         let Some(&p) = self.bursts.last() else {

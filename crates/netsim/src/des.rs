@@ -50,15 +50,6 @@
 //! are reused from day to day: a promoted bucket trades its buffer with
 //! the emptied `active` one instead of being copied.
 //!
-//! **Whole days.** `drain_until` hands out days whole: when `late` is
-//! empty and the current day ends at or before the horizon, the sorted
-//! `active` buffer itself becomes the batch (swapped with the caller's
-//! emptied one, nothing popped or copied) and the pending count and the
-//! clock are set once. A day the horizon cuts, or one that `late`
-//! interleaves with, is popped event by event, as is every drain of a
-//! queue with an enabled recorder, whose `netsim.des.*` telemetry
-//! counts and samples each pop.
-//!
 //! Every tier orders by the same `(time, seq)` key, so the pop sequence
 //! is identical to the reference binary-heap scheduler kept in
 //! [`mod@reference`] — `crates/netsim/tests/calendar_props.rs`
@@ -380,21 +371,15 @@ impl<E: PartialEq> EventQueue<E> {
     /// are empty does the calendar advance. It never advances to a day
     /// that starts at or past `horizon`: that day keeps filling in the
     /// wheel, so a follow-up scheduled into it before it is reached never
-    /// takes the `late` heap. Returns whether `active` or `late` holds an
-    /// event.
-    fn ensure_active(&mut self, horizon: f64) -> bool {
+    /// takes the `late` heap.
+    fn ensure_active(&mut self, horizon: f64) {
         if self.active.is_empty() && !self.late.is_empty() {
             let spare = BinaryHeap::from(self.spare_buffer());
             let mut day = std::mem::replace(&mut self.late, spare).into_vec();
             self.day_sort.order(&mut day, self.day_start());
             self.active = VecDeque::from(day);
         }
-        while self.active.is_empty() && self.late.is_empty() {
-            if !self.activate_next_day(horizon) {
-                return false;
-            }
-        }
-        true
+        while self.active.is_empty() && self.late.is_empty() && self.activate_next_day(horizon) {}
     }
 
     /// Advance `base_day` to the next day holding events and promote
@@ -519,46 +504,16 @@ impl<E: PartialEq> EventQueue<E> {
     /// being processed. Callers must therefore never schedule a
     /// follow-up less than one full window ahead of the event that
     /// triggered it; with windows of [`Self::BUCKET_WIDTH_S`] and
-    /// minimum follow-up delays of the same width (the `ext_mload`
-    /// regime), a reaction to an event in `[t, t + w)` lands at or
-    /// past `t + w` — always a later batch. The clock ends at the last
-    /// drained event, as it would after popping it, so scheduling from
-    /// the processing loop obeys the same causality assert as
+    /// minimum follow-up delays of the same width (the churn engine's
+    /// calendar oracle), a reaction to an event in `[t, t + w)` lands
+    /// at or past `t + w` — always a later batch. The clock ends at the
+    /// last drained event, as it would after popping it, so scheduling
+    /// from the processing loop obeys the same causality assert as
     /// scheduling from a handler.
     pub fn drain_until(&mut self, horizon: f64, batch: &mut Vec<ScheduledEvent<E>>) -> usize {
         batch.clear();
-        if self.obs.enabled() {
-            // Per event, so that every pop is counted and sampled.
-            while let Some(ev) = self.pop_before(horizon) {
-                batch.push(ev);
-            }
-            return batch.len();
-        }
-        while self.ensure_active(horizon) {
-            let day_end = (self.base_day + 1) as f64 * Self::BUCKET_WIDTH_S;
-            if !self.late.is_empty() || day_end > horizon {
-                // The day's remainder may hold events at or past the
-                // horizon, or interleave with `late`: pop one event.
-                match self.pop_before(horizon) {
-                    Some(ev) => batch.push(ev),
-                    None => break,
-                }
-                continue;
-            }
-            // Every event of `active` is due before the horizon and
-            // nothing in `late` competes with it: hand out the whole
-            // day, in place when the batch is still empty.
-            let n = self.active.len();
-            if batch.is_empty() {
-                let spare = std::mem::take(batch);
-                *batch = Vec::from(std::mem::replace(&mut self.active, VecDeque::from(spare)));
-            } else {
-                batch.extend(self.active.drain(..));
-            }
-            self.pending -= n;
-            if let Some(last) = batch.last() {
-                self.now = last.time;
-            }
+        while let Some(ev) = self.pop_before(horizon) {
+            batch.push(ev);
         }
         batch.len()
     }
@@ -892,9 +847,9 @@ mod tests {
         assert_eq!((q.now(), q.len()), (1.75, 1));
     }
 
-    /// A whole day handed out as the batch leaves the queue exactly as
-    /// popping it would: the same events, clock and pending count, and
-    /// a buffer that keeps serving later days.
+    /// Draining a whole day leaves the queue exactly as popping it
+    /// would: the same events, clock and pending count, day after day
+    /// into one reused buffer.
     #[test]
     fn whole_day_hand_out_equals_popping_the_day() {
         let build = || {

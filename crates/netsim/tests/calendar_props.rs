@@ -10,12 +10,9 @@
 //! of events with hundreds more scheduled into them mid-drain, and
 //! signed-zero and equal-time ties.
 //!
-//! `drain_until` hands a day out whole when its horizon is at or past
-//! the day's end and nothing was scheduled into the day after its
-//! promotion, and pops event by event otherwise; a block of windowed
-//! drains at four batch widths, with follow-ups scheduled between
-//! batches, pins both paths — and the telemetry of a recorded queue —
-//! to the reference.
+//! A block of windowed `drain_until` drains at four batch widths, with
+//! follow-ups scheduled between batches, pins the drains — and the
+//! telemetry of a recorded queue — to the reference.
 //!
 //! A day is promoted into `active` by a counting pass over sub-day
 //! buckets and an insertion pass; the last block aims at that routine:

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use sc_netsim::chaos::FailureTimeline;
-use sc_netsim::failure::LossProcess;
+use sc_netsim::failure::{LossProcess, Xorshift64};
 use sc_netsim::sim::{steps_from_pairs, ProcedureSim, SimConfig, SimStep};
 use sc_netsim::topo::Graph;
 
@@ -129,5 +129,59 @@ proptest! {
             .run(&steps, &mut loss);
         prop_assert!(retry.completed, "retry must ride out the outage");
         prop_assert!(retry.latency_ms >= down_ms);
+    }
+}
+
+/// `random_crashes` as it was first built: one `crash` (and `recover`)
+/// push per drawn node, each inserted after every event at or before
+/// its time.
+fn random_crashes_by_push(
+    num_nodes: usize,
+    p_crash: f64,
+    horizon_ms: f64,
+    recover_after_ms: Option<f64>,
+    seed: u64,
+) -> FailureTimeline {
+    let mut rng = Xorshift64::new(seed);
+    let mut tl = FailureTimeline::none().with_seed(seed);
+    for node in 0..num_nodes {
+        if rng.chance(p_crash) {
+            let t = rng.next_f64() * horizon_ms;
+            tl = tl.crash(t, node);
+            if let Some(d) = recover_after_ms {
+                tl = tl.recover(t + d, node);
+            }
+        }
+    }
+    tl
+}
+
+proptest! {
+    /// The one-sort build equals the push-by-push build: at crash rates
+    /// 0 and 1 and between, on horizons short enough that most times
+    /// quantize to the same µs (ties keep push order), with recoveries
+    /// at, after or without the crash — and stays equal when more
+    /// events are chained on.
+    #[test]
+    fn random_crashes_equals_the_push_by_push_build(
+        num_nodes in 0usize..300,
+        rate in 0usize..4,
+        horizon_ms in 0.0f64..5_000.0,
+        short in any::<bool>(),
+        recover in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let p = [0.0, 1.0, 0.15, 0.5][rate];
+        let horizon_ms = if short { horizon_ms * 1e-6 } else { horizon_ms };
+        let after = [None, Some(0.0), Some(horizon_ms / 3.0)][recover];
+        let sorted = FailureTimeline::random_crashes(num_nodes, p, horizon_ms, after, seed);
+        let pushed = random_crashes_by_push(num_nodes, p, horizon_ms, after, seed);
+        prop_assert_eq!(&sorted, &pushed);
+        let chain = |tl: FailureTimeline| {
+            tl.without_node(num_nodes / 2)
+                .crash(horizon_ms / 2.0, 1)
+                .loss_burst(0.0, horizon_ms, 0.3)
+        };
+        prop_assert_eq!(chain(sorted), chain(pushed));
     }
 }

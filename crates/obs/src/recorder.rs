@@ -129,7 +129,7 @@ impl Recorder {
     }
 
     /// [`Recorder::series_inc`] for callers already on the integer
-    /// µs-tick grid (the sharded engines' `tick()` values).
+    /// µs-tick grid (the load engine's `tick()` values).
     pub fn series_inc_tick(&self, name: &'static str, tick: u64, by: u64) {
         self.with_inner(|i| i.series.inc_tick(name, tick, by));
     }

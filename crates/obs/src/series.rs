@@ -15,8 +15,8 @@
 //!
 //! * **counter** series ([`SeriesData::Counter`]): a dense
 //!   window-indexed `Vec<u64>` of per-window totals. Merging adds
-//!   element-wise, so per-shard tallies fold identically under any
-//!   shard count, thread count, or merge order — the same additivity
+//!   element-wise, so per-chunk tallies fold identically under any
+//!   partition, thread count, or merge order — the same additivity
 //!   argument as plain counters.
 //! * **gauge** series ([`SeriesData::Gauge`]): a dense window-indexed
 //!   `Vec<Option<f64>>` of last-written samples. Merging replays the
@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn boundary_rounding_matches_the_engines_tick_grid() {
         // 59.9999996 s rounds to tick 60_000_000 → window 60, exactly
-        // like `(t * 1e6).round()` in the sharded engines.
+        // like `(t * 1e6).round()` in the load engine.
         assert_eq!(tick_of(59.999_999_6), Some(60_000_000));
         assert_eq!(tick_of(59.999_999_4), Some(59_999_999));
         assert_eq!(tick_of(-1.0), None);

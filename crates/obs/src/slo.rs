@@ -13,7 +13,7 @@
 //! Evaluation is a pure function of the series buffer and the rule —
 //! no clocks, no iteration-order dependence — so running it once at
 //! end-of-run on the merged top-level recorder keeps the sidecar
-//! byte-identical across thread and shard counts.
+//! byte-identical across thread counts.
 
 use crate::recorder::Recorder;
 use crate::series::{SeriesData, SeriesSet};

@@ -112,11 +112,10 @@ impl RecoveryPlan {
 /// number.
 ///
 /// A classic first-come-first-served bucket would make admission order
-/// (and therefore results) depend on how cells are split across shards
-/// and threads; instead each affected UE hashes into one of `tokens`
-/// refill slots, so the bucket drains at `1/token_interval_s` tokens
-/// per second per cell without any shard observing its neighbors. The
-/// dense per-cell bucket clocks live in `shard::CellStorm`.
+/// (and therefore results) depend on the order in which UEs reach the
+/// bucket; instead each affected UE hashes into one of `tokens` refill
+/// slots, so the bucket drains at `1/token_interval_s` tokens per second
+/// per cell without any UE observing another.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryBudget {
     /// Loss-detection delay before the first token is claimable, s.

@@ -1,31 +1,33 @@
-//! Cell-keyed shard substrate for the sustained-load engine.
+//! Cell-keyed substrate of the sustained-load engine.
 //!
-//! The paper's natural shard key is the **geospatial cell**: all
-//! serving state for a UE lives in the cell the UE occupies, never in
-//! the satellite passing overhead (§4.1). This module gives the
-//! million-UE engine (`sc-emu`'s `ext_mload`) that model as data
-//! structures:
+//! The paper's natural key is the **geospatial cell**: all serving
+//! state for a UE lives in the cell the UE occupies, never in the
+//! satellite passing overhead (§4.1). This module gives the million-UE
+//! engine (`sc-emu`'s `churn`, behind `ext_mload` and `ext_chaosload`)
+//! that model as data structures:
 //!
 //! * [`ShardMap`] — partitions the row-major cell index space of a
-//!   [`sc_geo::cells::CellGrid`] into contiguous, balanced shards, so
-//!   each shard owns a band of orbital-plane columns and every cell has
-//!   exactly one owner.
-//! * [`CellLedger`] — per-shard active-session accounting, **dense by
-//!   cell index** (a `Vec<u32>`, no per-UE keyed collections — the
-//!   whole point of the stateless design is that satellites and shards
-//!   hold no UE-keyed maps). It also integrates busy-time over a
-//!   measurement window, so mean concurrent sessions come out as a
-//!   shard-additive quantity (a sum of integrals), invariant to how
-//!   many shards the cells are split across.
-//! * [`ProcedureCosts`] / [`ShardStats`] — the signaling bill of the
-//!   churn events, derived once from [`crate::mobility::MobilityManager`]
-//!   and the Figure 9 / Figure 16 procedure message counts, and tallied
-//!   per shard in plain additive counters.
+//!   [`sc_geo::cells::CellGrid`] into contiguous, balanced bands of
+//!   orbital-plane columns, every cell with exactly one owner: the
+//!   engine's static cell → serving-satellite coverage map.
+//! * [`CellLedger`] — active-session accounting **dense by cell index**
+//!   (a `Vec<u32>`, no per-UE keyed collections — the whole point of the
+//!   stateless design is that satellites hold no UE-keyed maps), with a
+//!   busy-time integral over a measurement window. The integral is the
+//!   sum of each session's clipped `[connect, release]` tick interval,
+//!   so the engine, which runs each UE alone, sums those intervals
+//!   instead of keeping a ledger.
+//! * [`CellStorm`] — the per-cell overload windows a failure timeline
+//!   opens, a pure function of the timeline.
+//! * [`ProcedureCosts`] / [`ShardStats`] / [`ChaosStats`] — the
+//!   signaling bill of the churn events, derived once from
+//!   [`crate::mobility::MobilityManager`] and the Figure 9 / Figure 16
+//!   procedure message counts, tallied in plain additive counters.
 //!
-//! Everything here is `u64`/`f64` sums over disjoint cell ranges:
-//! merging shard results in any grouping reproduces the single-shard
-//! numbers exactly, which is what lets `ext_mload` assert byte-identical
-//! output across `SC_EMU_THREADS` and shard counts.
+//! Everything here is `u64` sums (or integer-tick integrals): merging
+//! partial results in any grouping reproduces the whole-run numbers
+//! exactly, which is what lets `ext_mload` assert byte-identical output
+//! across `SC_EMU_THREADS`.
 
 use crate::mobility::{MobilityEvent, MobilityManager};
 use sc_fiveg::conn::ConnState;
@@ -72,11 +74,6 @@ impl ShardMap {
     /// Number of shards after clamping.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Number of cells partitioned.
-    pub fn cells(&self) -> usize {
-        self.cells
     }
 
     /// Owner shard of a row-major cell index.
@@ -130,8 +127,18 @@ pub struct Tick(pub u64);
 
 impl From<f64> for Tick {
     fn from(t_s: f64) -> Self {
-        Self((t_s * 1e6).round() as u64)
+        Self(round_u64(t_s * 1e6))
     }
+}
+
+/// `x.round() as u64` without the call into the runtime's `round` (a
+/// library call on the baseline x86-64 target): `x − trunc(x)` is exact,
+/// so comparing it with ½ rounds half away from zero exactly as `round`
+/// does. Negative and NaN inputs give 0 and values past `u64::MAX`
+/// saturate, as the `as` cast of `round` does.
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl CellLedger {
@@ -189,22 +196,11 @@ impl CellLedger {
         self.advance(self.end_us);
     }
 
-    /// Sessions currently active across all cells.
-    pub fn active_total(&self) -> u64 {
-        self.total_active
-    }
-
     /// `∫ active_total dt` over the window in microsecond ticks — the
     /// exact, shard-additive form. Sum these across shards *before*
     /// converting to seconds.
     pub fn busy_us(&self) -> u64 {
         self.busy_us
-    }
-
-    /// `∫ active_total dt` over the window, seconds (call
-    /// [`Self::finish`] first for the full-window value).
-    pub fn busy_integral(&self) -> f64 {
-        self.busy_us as f64 * 1e-6
     }
 
     /// Per-cell active counts, dense by cell index.
@@ -357,47 +353,35 @@ impl ShardStats {
     }
 }
 
-/// Dense per-cell storm state for chaos injection: the retry-budget
-/// bucket clock and the overload/admission-control window, both **by
-/// cell index** (`Vec<u64>` of µs ticks — no per-UE keyed collections,
-/// same statelessness rule `CellLedger` obeys).
+/// Dense per-cell overload/admission-control windows for chaos
+/// injection, **by cell index** (`Vec<u64>` of µs ticks — no per-UE
+/// keyed collections, same statelessness rule `CellLedger` obeys).
 ///
-/// When a serving satellite crashes, every cell in its footprint opens
-/// a *storm*: `storm_start_us` anchors the cell's token-bucket refill
-/// clock (retries are paced from the crash instant, see
-/// `recovery::RetryBudget`), and `overload_until_us` marks the window
-/// during which the replacement satellite sheds or defers low-priority
-/// signaling. Both are derived purely from the failure timeline, so
-/// every shard — under any shard layout — computes identical windows.
+/// When a serving satellite crashes (or its feeder link drops), every
+/// cell in its footprint opens a *storm*: until `overload_until_us`
+/// the replacement satellite sheds or defers low-priority signaling.
+/// The windows derive purely from the failure timeline, so every UE
+/// reads the same ones.
 #[derive(Debug, Clone)]
 pub struct CellStorm {
-    storm_start_us: Vec<u64>,
     overload_until_us: Vec<u64>,
 }
 
 impl CellStorm {
-    /// Quiet state over `cells` cells: no storms, no overload.
+    /// Quiet state over `cells` cells: no overload.
     pub fn new(cells: usize) -> Self {
         Self {
-            storm_start_us: vec![0; cells],
             overload_until_us: vec![0; cells],
         }
     }
 
     /// Open a storm over a contiguous cell range (a crashed satellite's
-    /// footprint): anchor the bucket clock at the crash tick and extend
-    /// the overload window (overlapping storms keep the later close).
-    pub fn open(&mut self, cells: std::ops::Range<usize>, start_us: u64, until_us: u64) {
+    /// footprint) until `until_us`; overlapping storms keep the later
+    /// close.
+    pub fn open(&mut self, cells: std::ops::Range<usize>, until_us: u64) {
         for c in cells {
-            self.storm_start_us[c] = start_us;
             self.overload_until_us[c] = self.overload_until_us[c].max(until_us);
         }
-    }
-
-    /// The cell's current bucket-clock anchor (µs tick of the most
-    /// recent crash affecting it; 0 = never stormed).
-    pub fn storm_start_us(&self, cell: usize) -> u64 {
-        self.storm_start_us[cell]
     }
 
     /// Is the cell's serving satellite inside an overload window at
@@ -406,10 +390,6 @@ impl CellStorm {
         now_us < self.overload_until_us[cell]
     }
 
-    /// Cells currently inside an overload window.
-    pub fn overloaded_cells(&self, now_us: u64) -> usize {
-        self.overload_until_us.iter().filter(|&&u| now_us < u).count()
-    }
 }
 
 /// Additive robustness tallies for one shard of the chaos soak:
@@ -531,8 +511,7 @@ mod tests {
         l.connect(1, Tick(12_000_000));
         l.release(0, 15.0);
         l.finish();
-        assert!((l.busy_integral() - 13.0).abs() < 1e-9, "{}", l.busy_integral());
-        assert_eq!(l.active_total(), 1);
+        assert_eq!(l.busy_us(), 13_000_000);
         assert_eq!(l.cell_active(), &[0, 1, 0, 0]);
     }
 
@@ -554,16 +533,49 @@ mod tests {
         assert_eq!(by_s.busy_us(), 2_250_000);
     }
 
+    /// `round_u64` is `round() as u64` at halves and one ulp either side
+    /// of them, through the integers-and-halves binade 2⁵²–2⁵³ and past
+    /// it, on the µs grid of event times, at `u64::MAX` and beyond, and
+    /// for negative, infinite and NaN inputs.
+    #[test]
+    fn round_u64_matches_round() {
+        let check = |x: f64| {
+            for y in [x, x.next_down(), x.next_up()] {
+                assert_eq!(round_u64(y), y.round() as u64, "{y:e}");
+            }
+        };
+        for x in [
+            0.0, -0.0, 0.5, 0.499_999_999_999_999_94, 1.5, 2.5, -0.5, -0.7, -1e300,
+            2f64.powi(52), 2f64.powi(53), 2f64.powi(63), 2f64.powi(64), 1e300,
+            f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+        ] {
+            check(x);
+        }
+        // A splitmix64 walk over 52-bit integers and every shift.
+        let mut h = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..200_000u64 {
+            h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB) ^ (z >> 31);
+            let k = z >> 12;
+            let shift = (i % 64) as i32;
+            check(k as f64 + 0.5);
+            check((k >> (i % 53)) as f64 + 0.5);
+            check(2f64.powi(52) + k as f64 / 2.0);
+            check(k as f64 * 2f64.powi(shift));
+            check((k % 150_000_000) as f64 * 1e-6 * 1e6);
+        }
+    }
+
     #[test]
     fn ledger_move_session_keeps_totals() {
         let mut l = CellLedger::new(3, 0.0, 10.0);
         l.connect(0, 1.0);
         l.move_session(0, 2);
-        assert_eq!(l.active_total(), 1);
         assert_eq!(l.cell_active(), &[0, 0, 1]);
         l.release(2, 4.0);
         l.finish();
-        assert!((l.busy_integral() - 3.0).abs() < 1e-9);
+        assert_eq!(l.busy_us(), 3_000_000);
     }
 
     #[test]
@@ -603,19 +615,16 @@ mod tests {
     #[test]
     fn cell_storm_windows_merge_by_latest_close() {
         let mut s = CellStorm::new(10);
-        assert!(!s.overloaded(3, 0));
-        assert_eq!(s.overloaded_cells(0), 0);
-        s.open(2..5, 1_000_000, 5_000_000);
-        assert_eq!(s.storm_start_us(3), 1_000_000);
+        assert!((0..10).all(|c| !s.overloaded(c, 0)));
+        s.open(2..5, 5_000_000);
         assert!(s.overloaded(3, 4_999_999) && !s.overloaded(3, 5_000_000));
         assert!(!s.overloaded(5, 2_000_000), "outside the footprint");
-        // A second overlapping storm re-anchors the clock but never
-        // shortens the overload window.
-        s.open(3..6, 2_000_000, 4_000_000);
-        assert_eq!(s.storm_start_us(3), 2_000_000);
+        // A second overlapping storm never shortens the overload window.
+        s.open(3..6, 4_000_000);
         assert!(s.overloaded(3, 4_500_000), "earlier window still open");
         assert!(s.overloaded(5, 3_999_999));
-        assert_eq!(s.overloaded_cells(3_000_000), 4);
+        let open_at = |t| (0..10).filter(|&c| s.overloaded(c, t)).count();
+        assert_eq!(open_at(3_000_000), 4);
     }
 
     #[test]

@@ -23,17 +23,19 @@ cargo test -q --offline "$@"
 # `cell_of_point`'s latitude strips; the release-only
 # `default_seed_population_places_and_labels_exactly` checks all 1 M
 # UEs of the default seed), the calendar's day promotion and whole-day
-# hand-out, the histogram tally fold (`sc-obs`) and the churn engine's
-# own tests once more under the release profile (fat LTO): the
-# optimised build inlines and
-# vectorises the payload pass, the Dijkstra loop, the sampler's and the
-# placement's arithmetic, the day scatter and the soak's handlers
-# differently from the debug build the run above tests, and it is the
-# build every number is measured on.
+# hand-out, `random_crashes`' one-sort build (`chaos_props`), the
+# histogram tally fold (`sc-obs`) and the churn engine's own tests — its
+# per-UE driver against the test-only global-calendar oracle at every
+# batch width and on generated failure timelines (`churn::oracle`) —
+# once more under the release profile (fat LTO): the optimised build
+# inlines and vectorises the payload pass, the Dijkstra loop, the
+# sampler's and the placement's arithmetic, the day scatter and the
+# per-UE event loop differently from the debug build the run above
+# tests, and it is the build every number is measured on.
 echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props" >&2
 cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props
-echo "== tier-1: cargo test --release --offline -q -p sc-netsim --test calendar_props -p sc-geo --test props" >&2
-cargo test --release --offline -q -p sc-netsim --test calendar_props -p sc-geo --test props
+echo "== tier-1: cargo test --release --offline -q -p sc-netsim --test calendar_props --test chaos_props -p sc-geo --test props" >&2
+cargo test --release --offline -q -p sc-netsim --test calendar_props --test chaos_props -p sc-geo --test props
 echo "== tier-1: cargo test --release --offline -q -p sc-obs" >&2
 cargo test --release --offline -q -p sc-obs
 echo "== tier-1: cargo test --release --offline -q -p sc-emu --lib churn" >&2
@@ -83,17 +85,17 @@ if [ "${SC_OBS:-0}" != "0" ]; then
 
     # Sustained-load engine, bounded smoke configs (seconds, not the
     # million-UE soaks: scbench times those, tests/churn_equivalence.rs their SLOs).
-    # ext_mload: per-shard recorders are merged in slot order and every
-    # reported quantity is shard-additive. ext_chaosload: the
-    # fault-injected soak (satellite crash + mid-recovery re-crash,
-    # feeder flap, loss burst) drives paced reattach storms, admission
-    # barring and overload deferral across shard boundaries — every one
-    # of those draws is keyed by (seed, ue, attempt) and chaos markers
-    # replay per shard. So for both, the result JSON and the telemetry
-    # sidecar must be byte-identical across thread counts. Threads 3 as
-    # well as 4: the smoke population is two placement chunks, the
-    # second ragged, and an odd worker count leaves both the chunks and
-    # the 8 shards unevenly divided.
+    # ext_mload: every UE is its own event stream, the chunks' tallies
+    # fold in id order and every reported quantity is an order-free sum.
+    # ext_chaosload: the fault-injected soak (satellite crash +
+    # mid-recovery re-crash, feeder flap, loss burst) drives paced
+    # reattach storms, admission barring and overload deferral — every
+    # one of those draws is keyed by (seed, ue, attempt), and every UE
+    # reads the timeline as a function of its event's instant. So for
+    # both, the result JSON and the telemetry sidecar must be
+    # byte-identical across thread counts. Threads 3 as well as 4: the
+    # smoke population is two chunks, the second ragged, and an odd
+    # worker count leaves them unevenly divided.
     for exp in ext_mload ext_chaosload; do
         echo "== tier-1: $exp --smoke result/telemetry byte-stability (threads 1 vs 3 vs 4)" >&2
         for t in 1 3 4; do

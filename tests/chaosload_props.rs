@@ -1,18 +1,18 @@
-//! Shard-merging and batching invariants of the chaos-under-load
-//! engine (`sc_emu::ext_chaosload`): results and telemetry sidecars
-//! must be byte-identical across worker-thread counts (`SC_EMU_THREADS`
-//! 1 vs 4, passed explicitly through `run_config_with`), across shard
-//! counts, and across DES drain-batch widths — including when a crash
-//! lands exactly on a batch boundary versus mid-batch.
+//! Determinism and accounting of the chaos-under-load engine
+//! (`sc_emu::ext_chaosload`): results and telemetry sidecars must be
+//! byte-identical across worker-thread counts (`SC_EMU_THREADS`, passed
+//! explicitly through `run_config_with`), also where the population
+//! spans several of the engine's 16 384-UE chunks and a crash footprint
+//! holds UEs of every chunk, and on generated failure timelines every
+//! session a crash drops must be accounted for. (That the per-UE engine
+//! equals one global calendar drained at any batch width, on fixed and
+//! generated timelines, is the engine's own test: `sc_emu::churn`'s
+//! oracle.)
 //!
 //! These are the contracts that let `scripts/tier1.sh` cmp the smoke
 //! run's artifacts across thread counts, and let scbench `chaos-soak`
 //! check every 2-thread million-UE repetition against its 1-thread
-//! oracle. The batching
-//! invariance leans on chaos timestamps being quantized to the
-//! integer-µs tick grid (`sc_netsim::chaos::quantize_ms_to_us_grid`),
-//! so a crash at a window edge is applied on the same tick regardless
-//! of how the calendar is drained.
+//! oracle.
 
 use proptest::prelude::*;
 use sc_emu::ext_chaosload::{run_config_with, ChaosloadConfig, MloadConfig};
@@ -24,12 +24,11 @@ use sc_obs::Recorder;
 /// flap — every robustness path (drop, paced reattach, barred
 /// admission, deferral, shed, burst loss) exercised in ~20 simulated
 /// seconds.
-fn small(total_ues: usize, shards: usize, seed: u64, crash_s: f64) -> ChaosloadConfig {
+fn small(total_ues: usize, seed: u64, crash_s: f64) -> ChaosloadConfig {
     let base = ChaosloadConfig::smoke();
     ChaosloadConfig {
         load: MloadConfig {
             total_ues,
-            shards,
             warmup_s: 3.0,
             measure_s: 17.0,
             seed,
@@ -63,79 +62,104 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `SC_EMU_THREADS` 1 vs 4: byte-identical results and telemetry
-    /// for any population size, shard count and seed.
+    /// for any population size and seed.
     #[test]
     fn thread_count_invisible_in_artifacts(
         total_ues in 50usize..400,
-        shards in 1usize..32,
         seed in any::<u64>(),
     ) {
-        let cfg = small(total_ues, shards, seed, 6.0);
+        let cfg = small(total_ues, seed, 6.0);
         let one = artifacts(1, &cfg);
         let four = artifacts(4, &cfg);
         prop_assert_eq!(&one.0, &four.0, "result JSON diverged");
         prop_assert_eq!(&one.1, &four.1, "telemetry sidecar diverged");
     }
 
-    /// Shard count is an execution detail: merging any partition of the
-    /// cells reproduces the single-shard bytes exactly — even though
-    /// chaos cursors are replayed per shard and crash footprints span
-    /// shard boundaries.
+    /// The chunking is an execution detail: a population of two or
+    /// three chunks gives the one-worker bytes on any number of
+    /// workers — every chunk replays the timeline, and the crashed
+    /// footprint's UEs fall in every chunk.
     #[test]
     fn shard_count_invisible_in_artifacts(
-        total_ues in 50usize..400,
-        shards in 2usize..64,
+        total_ues in 16_400usize..40_000,
+        threads in 2usize..8,
         seed in any::<u64>(),
     ) {
-        let single = artifacts(2, &small(total_ues, 1, seed, 6.0));
-        let sharded = artifacts(2, &small(total_ues, shards, seed, 6.0));
-        prop_assert_eq!(&single.0, &sharded.0, "result JSON depends on shard count");
-        prop_assert_eq!(&single.1, &sharded.1, "telemetry depends on shard count");
+        let serial = artifacts(1, &small(total_ues, seed, 6.0));
+        let chunked = artifacts(threads, &small(total_ues, seed, 6.0));
+        prop_assert_eq!(&serial.0, &chunked.0, "result JSON depends on the workers");
+        prop_assert_eq!(&serial.1, &chunked.1, "telemetry depends on the workers");
     }
 
-    /// The DES drain-batch width is invisible: 0.25 s, 0.5 s and 1 s
-    /// calendars produce the same bytes whether the crash lands exactly
-    /// on a batch boundary (6.0) or strictly inside a batch (6.3).
+    /// Generated timelines — crash, recover and re-crash, feeder and
+    /// inter-satellite flaps, nested loss bursts, markers on window
+    /// edges and at identical quantized times, in the warm-up and at
+    /// the horizon — on a population of two chunks: two workers give
+    /// the one-worker bytes, and every crash row of the measured window
+    /// accounts for each session it dropped, exactly.
     #[test]
-    fn batch_width_and_boundary_alignment_invisible(
+    fn generated_timelines_keep_the_crash_accounting(
+        ops in proptest::collection::vec(
+            (any::<u8>(), 0usize..64, 0u32..85, 0u32..40, any::<bool>()),
+            1..9,
+        ),
         seed in any::<u64>(),
-        on_boundary in any::<bool>(),
     ) {
-        let crash_s = if on_boundary { 6.0 } else { 6.3 };
-        let reference = artifacts(2, &small(250, 8, seed, crash_s));
-        for batch_window_s in [0.25, 0.5] {
-            let cfg = ChaosloadConfig {
-                batch_window_s,
-                ..small(250, 8, seed, crash_s)
-            };
-            let got = artifacts(2, &cfg);
-            prop_assert_eq!(&reference.0, &got.0, "batch={} crash={}", batch_window_s, crash_s);
-            prop_assert_eq!(&reference.1, &got.1, "batch={} crash={}", batch_window_s, crash_s);
+        let cfg = ChaosloadConfig { timeline: timeline(&ops, seed), ..small(20_000, seed, 6.0) };
+        let off = Recorder::disabled();
+        let [serial, two] = [1, 2].map(|threads| run_config_with(threads, &off, &cfg));
+        let json = |r| serde_json::to_string_pretty(r).expect("serialize");
+        prop_assert_eq!(json(&serial), json(&two));
+        for row in serial.crashes.iter().filter(|c| c.t_s >= cfg.load.warmup_s) {
+            prop_assert_eq!(row.dropped, row.reestablished + row.lost + row.pending, "{:?}", row);
+            prop_assert_eq!(row.reestablished, row.survived + row.late, "{:?}", row);
         }
     }
+}
+
+/// A timeline from generated `(kind, node, slot, len, early)` ops, over
+/// quarter-second instants from 0 to 21 s (the warm-up edge at 3 s and
+/// the horizon at 20 s among them), each optionally 1 µs early. Nodes
+/// favour satellite 5, whose footprint is populated.
+fn timeline(ops: &[(u8, usize, u32, u32, bool)], seed: u64) -> FailureTimeline {
+    let at = |slot: u32, early: bool| {
+        (f64::from(slot) * 250.0 - if early { 1e-3 } else { 0.0 }).max(0.0)
+    };
+    let tl = ops.iter().fold(FailureTimeline::none(), |tl, &(kind, node, slot, len, early)| {
+        let sat = if node % 2 == 0 { 5 } else { node % 26 };
+        let (t, end) = (at(slot, early), at(slot + len, false));
+        match kind % 6 {
+            0 => tl.crash(t, sat).recover(end, sat),
+            1 => tl.crash(t, sat),
+            2 => tl.link_flap(t, end, sat, 24),
+            3 => tl.link_flap(t, end, sat, (sat + 1) % 24),
+            4 => tl.loss_burst(t, end, (node % 10 + 1) as f64 / 10.0),
+            _ => tl.recover(t, sat).dead_from_start(node % 30),
+        }
+    });
+    tl.with_seed(seed ^ 0xC4A0_5EED)
 }
 
 /// The chaos scenario is a pure function of the seed: same seed → same
 /// bytes on repeated runs, different seed → different outcome.
 #[test]
 fn chaos_outcome_deterministic_under_fixed_seed() {
-    let cfg = small(300, 8, 0xC0FFEE, 6.0);
+    let cfg = small(300, 0xC0FFEE, 6.0);
     let a = artifacts(2, &cfg);
     let b = artifacts(2, &cfg);
     assert_eq!(a, b, "same seed must reproduce identical artifacts");
-    let other = artifacts(2, &small(300, 8, 0xC0FFEE + 1, 6.0));
+    let other = artifacts(2, &small(300, 0xC0FFEE + 1, 6.0));
     assert_ne!(a.0, other.0, "different seeds must produce different chaos outcomes");
 }
 
-/// Shard invariance holds at the exact boundary cases: one shard per
-/// cell, and more shards than cells (clamped) — with the crash
-/// footprint split across the maximum number of shards.
+/// Worker invariance holds at the chunk edges: a population of exactly
+/// one chunk, one UE more, and exactly two chunks, on more workers than
+/// there are chunks.
 #[test]
 fn shard_invariance_at_extremes() {
-    let reference = artifacts(1, &small(250, 1, 7, 6.0));
-    for shards in [1584, 100_000] {
-        let got = artifacts(4, &small(250, shards, 7, 6.0));
-        assert_eq!(reference, got, "shards={shards}");
+    for total_ues in [16_384, 16_385, 32_768] {
+        let reference = artifacts(1, &small(total_ues, 7, 6.0));
+        assert_eq!(reference, artifacts(7, &small(total_ues, 7, 6.0)), "total_ues={total_ues}");
     }
 }
 
@@ -145,7 +169,7 @@ fn shard_invariance_at_extremes() {
 #[test]
 fn crash_at_measurement_edges_keeps_accounting_consistent() {
     for crash_s in [3.0, 18.5] {
-        let r = run_config_with(2, &Recorder::disabled(), &small(300, 8, 11, crash_s));
+        let r = run_config_with(2, &Recorder::disabled(), &small(300, 11, crash_s));
         let pending: u64 = r.crashes.iter().map(|c| c.pending).sum();
         assert_eq!(
             r.sessions_dropped,

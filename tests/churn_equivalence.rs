@@ -16,24 +16,19 @@ proptest! {
     #[test]
     fn chaosload_on_an_empty_timeline_equals_mload(
         total_ues in 50usize..500,
-        shards in 1usize..48,
         seed in any::<u64>(),
-        batch in 0usize..3,
+        threads in 1usize..5,
     ) {
         let load = MloadConfig {
             total_ues,
-            shards,
             warmup_s: 3.0,
             measure_s: 9.0,
             seed,
             crossing_interval_s: 60.0,
         };
         let off = Recorder::disabled();
-        let m = ext_mload::run_config_with(2, &off, &load);
-        let c = ext_chaosload::run_config_with(2, &off, &ChaosloadConfig {
-            batch_window_s: [0.25, 0.5, 1.0][batch],
-            ..ChaosloadConfig::failure_free(load)
-        });
+        let m = ext_mload::run_config_with(threads, &off, &load);
+        let c = ext_chaosload::run_config_with(2, &off, &ChaosloadConfig::failure_free(load));
 
         prop_assert_eq!(
             (m.total_ues, m.cells, m.warmup_s, m.measure_s, m.events_total, m.events_measured),

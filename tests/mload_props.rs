@@ -1,8 +1,10 @@
-//! Shard-merging invariants of the sustained-load engine
-//! (`sc_emu::ext_mload`): results and telemetry sidecars must be
-//! byte-identical across worker-thread counts (`SC_EMU_THREADS` 1 vs 4,
-//! passed explicitly through `run_config_with`) and across shard
-//! counts, and the churn schedule must be a pure function of the seed.
+//! Determinism of the sustained-load engine (`sc_emu::ext_mload`):
+//! results and telemetry sidecars must be byte-identical across
+//! worker-thread counts (`SC_EMU_THREADS`, passed explicitly through
+//! `run_config_with`), also where the population spans several of the
+//! engine's 16 384-UE chunks, and the churn schedule must be a pure
+//! function of the seed. (That the per-UE engine equals one global
+//! calendar is the engine's own test, `sc_emu::churn`'s oracle.)
 //!
 //! These are the contracts that let `scripts/tier1.sh` cmp the smoke
 //! run's artifacts across thread counts, and let scbench `soak` check
@@ -15,10 +17,9 @@ use sc_obs::Recorder;
 /// A small-but-real config: hundreds of UEs, a few simulated seconds,
 /// every churn path (arrival, piggyback, release, sweep, crossing)
 /// exercised.
-fn small(total_ues: usize, shards: usize, seed: u64) -> MloadConfig {
+fn small(total_ues: usize, seed: u64) -> MloadConfig {
     MloadConfig {
         total_ues,
-        shards,
         warmup_s: 3.0,
         measure_s: 9.0,
         seed,
@@ -41,32 +42,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `SC_EMU_THREADS` 1 vs 4: byte-identical results and telemetry
-    /// for any population size, shard count and seed.
+    /// for any population size and seed.
     #[test]
     fn thread_count_invisible_in_artifacts(
         total_ues in 50usize..600,
-        shards in 1usize..32,
         seed in any::<u64>(),
     ) {
-        let cfg = small(total_ues, shards, seed);
+        let cfg = small(total_ues, seed);
         let one = artifacts(1, &cfg);
         let four = artifacts(4, &cfg);
         prop_assert_eq!(&one.0, &four.0, "result JSON diverged");
         prop_assert_eq!(&one.1, &four.1, "telemetry sidecar diverged");
     }
 
-    /// Shard count is an execution detail: merging any partition of the
-    /// cells reproduces the single-shard bytes exactly.
+    /// The chunking is an execution detail: a population of two or
+    /// three chunks, the last one ragged, gives the one-worker bytes on
+    /// any number of workers, whichever chunk each one takes.
     #[test]
     fn shard_count_invisible_in_artifacts(
-        total_ues in 50usize..600,
-        shards in 2usize..64,
+        total_ues in 16_400usize..40_000,
+        threads in 2usize..8,
         seed in any::<u64>(),
     ) {
-        let single = artifacts(2, &small(total_ues, 1, seed));
-        let sharded = artifacts(2, &small(total_ues, shards, seed));
-        prop_assert_eq!(&single.0, &sharded.0, "result JSON depends on shard count");
-        prop_assert_eq!(&single.1, &sharded.1, "telemetry depends on shard count");
+        let serial = artifacts(1, &small(total_ues, seed));
+        let chunked = artifacts(threads, &small(total_ues, seed));
+        prop_assert_eq!(&serial.0, &chunked.0, "result JSON depends on the workers");
+        prop_assert_eq!(&serial.1, &chunked.1, "telemetry depends on the workers");
     }
 }
 
@@ -74,21 +75,21 @@ proptest! {
 /// → same bytes on repeated runs, different seed → different churn.
 #[test]
 fn churn_schedule_deterministic_under_fixed_seed() {
-    let cfg = small(400, 8, 0xC0FFEE);
+    let cfg = small(400, 0xC0FFEE);
     let a = artifacts(2, &cfg);
     let b = artifacts(2, &cfg);
     assert_eq!(a, b, "same seed must reproduce identical artifacts");
-    let other = artifacts(2, &small(400, 8, 0xC0FFEE + 1));
+    let other = artifacts(2, &small(400, 0xC0FFEE + 1));
     assert_ne!(a.0, other.0, "different seeds must produce different churn");
 }
 
-/// Shard invariance holds at the exact boundary cases: one shard per
-/// cell, and more shards than cells (clamped).
+/// Worker invariance holds at the chunk edges: a population of exactly
+/// one chunk, one UE more, and exactly two chunks, on more workers than
+/// there are chunks.
 #[test]
 fn shard_invariance_at_extremes() {
-    let reference = artifacts(1, &small(300, 1, 7));
-    for shards in [1584, 100_000] {
-        let got = artifacts(4, &small(300, shards, 7));
-        assert_eq!(reference, got, "shards={shards}");
+    for total_ues in [16_384, 16_385, 32_768] {
+        let reference = artifacts(1, &small(total_ues, 7));
+        assert_eq!(reference, artifacts(7, &small(total_ues, 7)), "total_ues={total_ues}");
     }
 }

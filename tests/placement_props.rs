@@ -1,4 +1,4 @@
-//! The placement stage that feeds both sharded soak engines, pinned to
+//! The placement stage that feeds both soaks, pinned to
 //! the straightforward code it replaced:
 //!
 //! * `PopulationModel::region_of` answers from its 5° candidate cell's
@@ -20,21 +20,20 @@
 //! * `CellGrid::cell_of_point` answers from its latitude strips; on the
 //!   soaks' own 1 M UEs (release builds) it must equal the exact
 //!   conversion, as `region_of` must equal the reference.
-//! * `churn::place` computes cells in parallel chunks; shard membership
-//!   *and* in-shard order must be what one serial pass in UE-id order
-//!   produces, for any thread count, shard count and population size —
-//!   the engines' byte-stable artifacts rest on that order.
-//! * The soaks never materialise the points: `churn::place_labelled`
-//!   draws each chunk's UEs from the population's seeked stream inside
-//!   its parallel pass. Cells, order and labels must be what `place`
-//!   and `region_of` give on `sample_ues`'s points.
+//! * The soaks never materialise the points: `churn::placed` draws each
+//!   chunk's UEs from the population's seeked stream inside the chunk's
+//!   parallel pass. Range after range, in any partition of the ids and
+//!   on any number of workers, its cells and labels must be what one
+//!   serial pass over `sample_ues`'s points gives with `cell_of_point`
+//!   and `region_of` — every UE's hash-stream key is its id, so the
+//!   engines' byte-stable artifacts rest on that order.
 
 use proptest::prelude::*;
 use sc_dataset::population::{PopulationModel, Region, CANDIDATE_CELL_DEG};
-use sc_emu::churn::{place, place_labelled};
+use sc_emu::churn::placed;
 use sc_geo::cells::CellGrid;
 use sc_geo::sphere::GeoPoint;
-use spacecore::shard::{cell_index, ShardMap};
+use spacecore::shard::cell_index;
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// The classifier as first written: every hotspot pays a full
@@ -154,23 +153,30 @@ proptest! {
         }
     }
 
-    /// Shard membership and in-shard order equal the serial pass for
-    /// every thread count — including populations of less than one
-    /// chunk, a ragged last chunk, and more workers than chunks.
+    /// Cells in id order equal the serial pass for any partition of
+    /// the ids into about `parts` ranges — one range, a ragged last
+    /// range, and an empty one at the end.
     #[test]
-    fn place_matches_serial_pass(n in 0usize..50_000, shards in 1usize..33, seed in any::<u64>()) {
+    fn place_matches_serial_pass(n in 0usize..50_000, parts in 1usize..33, seed in any::<u64>()) {
         let grid = CellGrid::new(53f64.to_radians(), 72, 22);
-        let shard_map = ShardMap::new(grid.cell_count(), shards);
-        let points = PopulationModel::world_bank_like().sample_ues(n, seed);
-        let mut want: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shard_map.shards()];
-        for (id, p) in points.iter().enumerate() {
-            let cell = cell_index(&grid, grid.cell_of_point(p));
-            want[shard_map.shard_of(cell)].push((id as u32, cell as u32));
-        }
-        for threads in [1, 2, 3, 7] {
-            prop_assert_eq!(&place(threads, &points, &grid, &shard_map), &want, "threads={}", threads);
-        }
+        let pop = PopulationModel::world_bank_like();
+        let want: Vec<u32> = pop
+            .sample_ues(n, seed)
+            .iter()
+            .map(|p| cell_index(&grid, grid.cell_of_point(p)) as u32)
+            .collect();
+        let got: Vec<u32> = ranges(n, n.div_ceil(parts).max(1))
+            .into_iter()
+            .chain(std::iter::once(n..n))
+            .flat_map(|ids| placed(&pop, seed, &grid, &|_| 0, ids).map(|(cell, _)| cell))
+            .collect();
+        prop_assert_eq!(&got, &want, "parts={}", parts);
     }
+}
+
+/// `0..n` cut into consecutive ranges of `len` (the last one ragged).
+fn ranges(n: usize, len: usize) -> Vec<std::ops::Range<usize>> {
+    (0..n).step_by(len).map(|first| first..n.min(first + len)).collect()
 }
 
 proptest! {
@@ -178,30 +184,29 @@ proptest! {
     // twice, which dominates this file's debug-build time.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Placement from per-chunk streamed draws equals placement of the
-    /// sampled points, labels included, for every thread count.
+    /// Placement from per-chunk streamed draws, chunks of `1 + n /
+    /// parts` UEs spread over `threads` workers, equals placement of the
+    /// sampled points, labels included.
     #[test]
     fn placement_from_draws_matches_placement_of_sampled_points(
         n in 0usize..50_000,
-        shards in 1usize..33,
+        parts in 1usize..33,
         seed in any::<u64>(),
         threads in 1usize..8,
     ) {
         let grid = CellGrid::new(53f64.to_radians(), 72, 22);
-        let shard_map = ShardMap::new(grid.cell_count(), shards);
         let pop = PopulationModel::world_bank_like();
         let region = |p: &GeoPoint| pop.region_of(p).index() as u8;
-        let points = pop.sample_ues(n, seed);
-        let want = (
-            place(threads, &points, &grid, &shard_map),
-            points.iter().map(region).collect::<Vec<u8>>(),
-        );
-        let streamed = |ids: std::ops::Range<usize>| {
-            let len = ids.len();
-            pop.draws_at(seed, ids.start).take(len).map(|d| pop.point_of(&d))
-        };
-        let got = place_labelled(threads, n, &streamed, &grid, &shard_map, &region);
-        prop_assert_eq!(&got, &want, "threads={}", threads);
+        let want: Vec<(u32, u8)> = pop
+            .sample_ues(n, seed)
+            .iter()
+            .map(|p| (cell_index(&grid, grid.cell_of_point(p)) as u32, region(p)))
+            .collect();
+        let chunks = ranges(n, 1 + n / parts);
+        let got = sc_emu::engine::parallel_map_with(threads, chunks, |ids| {
+            placed(&pop, seed, &grid, &region, ids).collect::<Vec<_>>()
+        });
+        prop_assert_eq!(&got.concat(), &want, "threads={} parts={}", threads, parts);
     }
 }
 
