@@ -100,7 +100,7 @@ struct Hotspot {
 /// One UE's share of [`PopulationModel::sample_ues`]'s seeded stream,
 /// from [`PopulationModel::draws_at`]: the picked hotspot and the two
 /// Box–Muller uniforms.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Draw {
     hotspot: usize,
     u1: f64,
@@ -130,6 +130,10 @@ const WORDS_PER_UE: u128 = 6;
 pub struct PopulationModel {
     hotspots: Vec<Hotspot>,
     total_weight: f64,
+    /// `cumulative[k]`: the weights of hotspots `0..=k`, summed in
+    /// order — exact, as every weight is an integer (see
+    /// [`Self::pick`]).
+    cumulative: Vec<f64>,
     /// Per candidate-grid cell, row-major: bit `k` set when hotspot
     /// `k`'s box, widened by [`MARGIN`], meets the cell.
     candidates: Vec<u32>,
@@ -179,6 +183,10 @@ impl PopulationModel {
     }
 
     /// A mixture of hotspots given as `(lat°, lon°, weight, σ°, region)`.
+    ///
+    /// # Panics
+    /// Panics unless every weight is a non-negative integer and they sum
+    /// to less than 2⁵³: [`Self::pick`] is exact only then.
     fn from_hotspots(spec: &[(f64, f64, f64, f64, Region)]) -> Self {
         let hotspots: Vec<Hotspot> = spec
             .iter()
@@ -207,12 +215,25 @@ impl PopulationModel {
                 }
             })
             .collect();
-        let total_weight = hotspots.iter().map(|h| h.weight).sum();
+        let cumulative: Vec<f64> = hotspots
+            .iter()
+            .scan(0.0, |sum, h| {
+                *sum += h.weight;
+                Some(*sum)
+            })
+            .collect();
+        let total_weight = cumulative.last().copied().unwrap_or(0.0);
+        assert!(
+            hotspots.iter().all(|h| h.weight >= 0.0 && h.weight.fract() == 0.0)
+                && total_weight < 2f64.powi(53),
+            "hotspot weights must be non-negative integers summing to less than 2^53"
+        );
         let candidates = candidate_masks(&hotspots);
         let pure = pure_regions(&hotspots, &candidates);
         Self {
             hotspots,
             total_weight,
+            cumulative,
             candidates,
             pure,
         }
@@ -370,23 +391,33 @@ impl PopulationModel {
         // `StdRng`'s own generator, named so that it can seek.
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         rng.set_word_pos(WORDS_PER_UE * first as u128);
-        std::iter::repeat_with(move || {
-            // Pick a hotspot by weight.
-            let mut x: f64 = rng.gen::<f64>() * self.total_weight;
-            let mut hotspot = self.hotspots.len() - 1;
-            for (k, h) in self.hotspots.iter().enumerate() {
-                if x < h.weight {
-                    hotspot = k;
-                    break;
-                }
-                x -= h.weight;
-            }
-            Draw {
-                hotspot,
-                u1: rng.gen(),
-                u2: rng.gen(),
-            }
+        std::iter::repeat_with(move || Draw {
+            hotspot: self.pick(rng.gen::<f64>() * self.total_weight),
+            u1: rng.gen(),
+            u2: rng.gen(),
         })
+    }
+
+    /// The hotspot a weight draw `x` in `[0, total_weight]` picks: the
+    /// number of cumulative weights `c_k = w_0 + … + w_k` at or below
+    /// `x`, or the last hotspot if `x` reaches the total.
+    ///
+    /// This is the first-written subtract-and-break loop bit for bit.
+    /// That loop tests `x_k < w_k` and sets `x_{k+1} = x_k − w_k`, from
+    /// `x_0 = x`, and picks the first `k` whose test holds. The weights
+    /// are integers summing to less than 2⁵³ (`from_hotspots` checks
+    /// it), so every `c_k` is exact and `x < 2⁵³` has `ulp(x) ≤ 1`: `x`,
+    /// every integer and so every `x_k` are multiples of `ulp(x)`. The
+    /// loop subtracts only while `x_k ≥ w_k`, so each result lies in
+    /// `[0, x]`, and a multiple of `ulp(x)` in that range is a double:
+    /// every subtraction is exact, `x_k = x − c_{k−1}`. The loop's test
+    /// is then the real comparison `x < c_k`, and since the `c_k` never
+    /// decrease, the first `k` where it holds is the count of `c_k ≤ x`.
+    /// (The default model's weights sum to 6 201 < 2¹³.) The count has
+    /// no branch to mispredict.
+    fn pick(&self, x: f64) -> usize {
+        let below = self.cumulative.iter().filter(|&&c| c <= x).count();
+        below.min(self.hotspots.len() - 1)
     }
 
     /// A [`Draw`]'s point: a Gaussian (Box–Muller) offset around the
@@ -654,6 +685,45 @@ mod tests {
             };
             assert_eq!(bits(m.sample_ues(n, seed)), bits(sample_ues_reference(&m, n, seed)));
         }
+    }
+
+    /// The hotspot pick as first written: subtract each weight until the
+    /// remainder falls below the next one.
+    fn pick_reference(m: &PopulationModel, mut x: f64) -> usize {
+        for (k, h) in m.hotspots.iter().enumerate() {
+            if x < h.weight {
+                return k;
+            }
+            x -= h.weight;
+        }
+        m.hotspots.len() - 1
+    }
+
+    /// The count of cumulative weights picks what the subtract-and-break
+    /// loop picks: at every cumulative weight and one ulp either side,
+    /// at 0, just below and at the total, and on 10⁵ random draws.
+    #[test]
+    fn pick_by_count_matches_the_subtracting_loop() {
+        let m = PopulationModel::world_bank_like();
+        let total = m.total_weight();
+        let mut xs = vec![0.0, total.next_down(), total];
+        for &c in &m.cumulative {
+            xs.extend([c.next_down(), c, c.next_up()]);
+        }
+        let mut rng = StdRng::seed_from_u64(0x91C4);
+        xs.extend((0..100_000).map(|_| rng.gen::<f64>() * total));
+        for x in xs {
+            assert_eq!(m.pick(x), pick_reference(&m, x), "x = {x:e}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative integers")]
+    fn a_non_integral_weight_is_rejected() {
+        PopulationModel::from_hotspots(&[
+            (0.0, 0.0, 2.0, 5.0, Region::Africa),
+            (10.0, 10.0, 1.5, 5.0, Region::Africa),
+        ]);
     }
 
     /// A seek lands where reading and discarding as many words does,

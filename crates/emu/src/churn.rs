@@ -21,9 +21,12 @@
 //! events sit in one slot per kind (arrival, sweep, crossing, the live
 //! release, the live re-attach), the earliest by `(time, UE-local seq)`
 //! runs next, and a crash applies at its instant before the UE's events
-//! at that instant. UEs run in fixed-size id chunks on the workers, each
-//! chunk drawing its own UEs ([`placed`]) into one [`ChurnOut`]; the
-//! chunks fold in id order.
+//! at that instant. UEs run in fixed-size id chunks on the workers, and
+//! each chunk places, then runs: its placement pass ([`placed`]) fills
+//! two flat arrays on the worker's stack, the cell and the label of
+//! each of its UEs (5 bytes a UE, alive for one chunk), and only then
+//! do its UEs run, one after another, into one [`ChurnOut`]; the chunks
+//! fold in id order.
 //!
 //! **The timeline as a function of time.** A calendar replaying the
 //! timeline through one shared cursor advances it to `t·1000` ms before
@@ -57,7 +60,7 @@
 //! every artifact to it.
 
 use crate::ext_chaosload::ChaosloadConfig;
-use sc_dataset::population::PopulationModel;
+use sc_dataset::population::{Draw, PopulationModel};
 use sc_dataset::workload::WorkloadParams;
 use sc_geo::cells::CellGrid;
 use sc_geo::sphere::GeoPoint;
@@ -86,7 +89,7 @@ pub const WINDOW_S: f64 = 1.0;
 /// Resolution of the time-to-re-established slot counts, µs (0.25 s).
 const TT_SLOT_US: u64 = 250_000;
 /// UEs per parallel chunk.
-const CHUNK: usize = 16_384;
+pub const CHUNK: usize = 16_384;
 
 /// Microsecond tick of a simulation timestamp (the `CellLedger` grid).
 fn tick(t_s: f64) -> u64 {
@@ -99,22 +102,50 @@ fn win_of(t_s: f64) -> usize {
     (t_s / WINDOW_S) as usize
 }
 
-/// UEs `ids`, drawn straight from the population's seeded stream: each
-/// UE's row-major cell index and its `label`, in id order. The sampler
-/// is seeked to the range's first UE, so any partition of the ids into
-/// ranges yields, range after range, what one serial pass over
-/// `pop.sample_ues` yields.
-pub fn placed<'p>(
-    pop: &'p PopulationModel,
+/// UEs per stage batch of [`placed`]: each stage's inputs and outputs
+/// for a batch stay in L1.
+pub const PLACE_BATCH: usize = 64;
+
+/// The placement pass over the UEs from id `first` on, one per slot of
+/// `cells` and `labels`: each UE, drawn straight from the population's
+/// seeded stream, gets its row-major cell index and its `label`, in id
+/// order. The pass runs in stages over batches of [`PLACE_BATCH`] UEs:
+/// the seeked draws, then their points, then the points' cells, then
+/// their labels, each stage one tight loop. The sampler is seeked to
+/// UE `first`, so any partition of the ids into ranges yields, range
+/// after range, what one serial pass over `pop.sample_ues` yields.
+///
+/// # Panics
+/// Panics unless `cells` and `labels` have one slot per UE each.
+pub fn placed(
+    pop: &PopulationModel,
     seed: u64,
-    grid: &'p CellGrid,
-    label: &'p (dyn Fn(&GeoPoint) -> u8 + Sync),
-    ids: Range<usize>,
-) -> impl Iterator<Item = (u32, u8)> + 'p {
-    pop.draws_at(seed, ids.start).take(ids.len()).map(move |d| {
-        let p = pop.point_of(&d);
-        (cell_index(grid, grid.cell_of_point(&p)) as u32, label(&p))
-    })
+    grid: &CellGrid,
+    label: &(dyn Fn(&GeoPoint) -> u8 + Sync),
+    first: usize,
+    cells: &mut [u32],
+    labels: &mut [u8],
+) {
+    assert_eq!(cells.len(), labels.len(), "one cell and one label per UE");
+    let mut draws = pop.draws_at(seed, first);
+    let mut batch = [Draw::default(); PLACE_BATCH];
+    let mut points = [GeoPoint { lat: 0.0, lon: 0.0 }; PLACE_BATCH];
+    for (cells, labels) in cells.chunks_mut(PLACE_BATCH).zip(labels.chunks_mut(PLACE_BATCH)) {
+        // The batch first: zipping ends on it without a draw too many.
+        let batch = &mut batch[..cells.len()];
+        for (slot, d) in batch.iter_mut().zip(&mut draws) {
+            *slot = d;
+        }
+        for (p, d) in points.iter_mut().zip(&*batch) {
+            *p = pop.point_of(d);
+        }
+        for (c, p) in cells.iter_mut().zip(&points) {
+            *c = cell_index(grid, grid.cell_of_point(p)) as u32;
+        }
+        for (l, p) in labels.iter_mut().zip(&points) {
+            *l = label(p);
+        }
+    }
 }
 
 /// splitmix64 finalizer: the stateless per-UE hash stream.
@@ -440,6 +471,7 @@ impl<'a> Run<'a> {
             "need 1 <= sats <= cells for a footprint per satellite"
         );
         assert!(cfg.budget.max_attempts <= u32::from(u16::MAX), "attempt counter is 16-bit");
+        assert!(cfg.load.total_ues as u64 <= 1 << 32, "UE id is a 32-bit hash-stream key");
         let horizon = cfg.load.warmup_s + cfg.load.measure_s;
         // Static cell → serving-satellite footprint map.
         let coverage = ShardMap::new(grid.cell_count(), cfg.sats);
@@ -1090,7 +1122,8 @@ impl<'r> Engine<'r, Stream<'r>> {
 ///
 /// # Panics
 /// Panics on a config the engine cannot run faithfully: a deadline off
-/// the 0.25 s slot grid, or `sats` outside `1..=cells`.
+/// the 0.25 s slot grid, `sats` outside `1..=cells`, or more than 2³²
+/// UEs (ids are the 32-bit hash-stream keys).
 pub fn run(
     threads: usize,
     cfg: &ChaosloadConfig,
@@ -1104,9 +1137,13 @@ pub fn run(
     let chunks: Vec<Range<usize>> =
         (0..n).step_by(CHUNK).map(|first| first..n.min(first + CHUNK)).collect();
     let outs = crate::engine::parallel_map_with(threads, chunks, |ids| {
+        // On the stack: the same pages serve every chunk a worker runs,
+        // where two heap arrays a chunk fragment the workers' arenas.
+        let (mut cells, mut classes) = ([0u32; CHUNK], [0u8; CHUNK]);
+        let (cells, classes) = (&mut cells[..ids.len()], &mut classes[..ids.len()]);
+        placed(pop, cfg.load.seed, &run.grid, label, ids.start, cells, classes);
         let mut engine = Engine::new(&run, Stream::new(&run, 0));
-        let ues = placed(pop, cfg.load.seed, &run.grid, label, ids.clone());
-        for (id, (cell, class)) in ids.zip(ues) {
+        for ((id, &cell), &class) in ids.zip(&*cells).zip(&*classes) {
             engine.drive(&mut Ue::new(id as u32, cell, class));
         }
         engine.out.busy_us = engine.seam.busy_us;
@@ -1196,6 +1233,22 @@ mod tests {
     #[should_panic(expected = "sats <= cells")]
     fn zero_satellites_are_rejected() {
         rejected(|c| c.sats = 0);
+    }
+
+    /// UE ids are the `u32` keys of the hash streams: one more UE than
+    /// they can number would alias two UEs' streams.
+    #[test]
+    #[should_panic(expected = "32-bit hash-stream key")]
+    fn more_ues_than_32_bit_ids_are_rejected() {
+        rejected(|c| c.load.total_ues = (1 << 32) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one cell and one label per UE")]
+    fn placement_arrays_of_unequal_length_are_rejected() {
+        let pop = PopulationModel::world_bank_like();
+        let grid = CellGrid::new(53f64.to_radians(), 72, 22);
+        placed(&pop, 0, &grid, &|_| 0, 0, &mut [0; 3], &mut [0; 2]);
     }
 
     #[test]

@@ -20,18 +20,21 @@ cargo test -q --offline "$@"
 # The pinned crypto bytes, the per-establishment allocation budget, the
 # route memo's exactness, the draw → point placement and its lookup
 # tables (`region_of`'s pure candidate cells, masks and dot products,
-# `cell_of_point`'s latitude strips; the release-only
-# `default_seed_population_places_and_labels_exactly` checks all 1 M
-# UEs of the default seed), the calendar's day promotion and whole-day
-# hand-out, `random_crashes`' one-sort build (`chaos_props`), the
-# histogram tally fold (`sc-obs`) and the churn engine's own tests — its
-# per-UE driver against the test-only global-calendar oracle at every
-# batch width and on generated failure timelines (`churn::oracle`) —
-# once more under the release profile (fat LTO): the optimised build
-# inlines and vectorises the payload pass, the Dijkstra loop, the
-# sampler's and the placement's arithmetic, the day scatter and the
-# per-UE event loop differently from the debug build the run above
-# tests, and it is the build every number is measured on.
+# `cell_of_point`'s latitude strips), the churn engine's staged
+# placement pass (`churn::placed`: draws, points, cells, labels over
+# 64-UE batches into each chunk's two arrays, at every partition, worker
+# count and chunk length around the batch; the release-only
+# `default_seed_population_places_and_labels_exactly` checks all 1 M UEs
+# of the default seed, the pass's arrays included), the calendar's day
+# promotion, `random_crashes`' one-sort build
+# (`chaos_props`), the histogram tally fold (`sc-obs`) and the churn
+# engine's own tests — its per-UE driver against the test-only
+# global-calendar oracle at every batch width and on generated failure
+# timelines (`churn::oracle`) — once more under the release profile (fat
+# LTO): the optimised build inlines and vectorises the payload pass, the
+# Dijkstra loop, the sampler's and the placement's arithmetic, the day
+# scatter and the per-UE event loop differently from the debug build the
+# run above tests, and it is the build every number is measured on.
 echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props" >&2
 cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props
 echo "== tier-1: cargo test --release --offline -q -p sc-netsim --test calendar_props --test chaos_props -p sc-geo --test props" >&2
@@ -42,8 +45,10 @@ echo "== tier-1: cargo test --release --offline -q -p sc-emu --lib churn" >&2
 cargo test --release --offline -q -p sc-emu --lib churn
 
 # The sampler's stream seek (`ChaCha12Rng::set_word_pos` and
-# `PopulationModel::draws_at`) under the same release profile: fat LTO
-# inlines the ChaCha refill differently from the debug build.
+# `PopulationModel::draws_at`) and its branch-free hotspot pick (the
+# count of cumulative weights, pinned to the subtract-and-break loop)
+# under the same release profile: fat LTO inlines the ChaCha refill and
+# vectorises the count differently from the debug build.
 echo "== tier-1: cargo test --release --offline -q -p sc-dataset --lib" >&2
 cargo test --release --offline -q -p sc-dataset --lib
 

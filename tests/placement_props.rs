@@ -20,17 +20,21 @@
 //! * `CellGrid::cell_of_point` answers from its latitude strips; on the
 //!   soaks' own 1 M UEs (release builds) it must equal the exact
 //!   conversion, as `region_of` must equal the reference.
-//! * The soaks never materialise the points: `churn::placed` draws each
-//!   chunk's UEs from the population's seeked stream inside the chunk's
-//!   parallel pass. Range after range, in any partition of the ids and
-//!   on any number of workers, its cells and labels must be what one
-//!   serial pass over `sample_ues`'s points gives with `cell_of_point`
-//!   and `region_of` — every UE's hash-stream key is its id, so the
-//!   engines' byte-stable artifacts rest on that order.
+//! * The soaks never materialise the points: each chunk of UEs first
+//!   runs `churn::placed`, a pass that draws the chunk's UEs from the
+//!   population's seeked stream in stages over small batches (draws,
+//!   points, cells, labels) into two flat per-chunk arrays, a cell and
+//!   a label per UE; only then do the chunk's UEs run their events.
+//!   Range after range, in any partition of the ids, at chunk lengths
+//!   around the stage batch and the engine's chunk, and on any number
+//!   of workers, the arrays must be what one serial pass over
+//!   `sample_ues`'s points gives with `cell_of_point` and `region_of` —
+//!   every UE's hash-stream key is its id, so the engines'
+//!   byte-stable artifacts rest on that order.
 
 use proptest::prelude::*;
 use sc_dataset::population::{PopulationModel, Region, CANDIDATE_CELL_DEG};
-use sc_emu::churn::placed;
+use sc_emu::churn::{placed, CHUNK, PLACE_BATCH};
 use sc_geo::cells::CellGrid;
 use sc_geo::sphere::GeoPoint;
 use spacecore::shard::cell_index;
@@ -168,7 +172,7 @@ proptest! {
         let got: Vec<u32> = ranges(n, n.div_ceil(parts).max(1))
             .into_iter()
             .chain(std::iter::once(n..n))
-            .flat_map(|ids| placed(&pop, seed, &grid, &|_| 0, ids).map(|(cell, _)| cell))
+            .flat_map(|ids| place(&pop, seed, &grid, &|_| 0, ids).0)
             .collect();
         prop_assert_eq!(&got, &want, "parts={}", parts);
     }
@@ -196,17 +200,74 @@ proptest! {
     ) {
         let grid = CellGrid::new(53f64.to_radians(), 72, 22);
         let pop = PopulationModel::world_bank_like();
-        let region = |p: &GeoPoint| pop.region_of(p).index() as u8;
-        let want: Vec<(u32, u8)> = pop
-            .sample_ues(n, seed)
-            .iter()
-            .map(|p| (cell_index(&grid, grid.cell_of_point(p)) as u32, region(p)))
-            .collect();
-        let chunks = ranges(n, 1 + n / parts);
-        let got = sc_emu::engine::parallel_map_with(threads, chunks, |ids| {
-            placed(&pop, seed, &grid, &region, ids).collect::<Vec<_>>()
-        });
-        prop_assert_eq!(&got.concat(), &want, "threads={} parts={}", threads, parts);
+        let got = placed_in_chunks(&pop, seed, &grid, n, 1 + n / parts, threads);
+        prop_assert_eq!(got, serial(&pop, seed, &grid, n), "threads={} parts={}", threads, parts);
+    }
+}
+
+/// The region label both soaks' per-class tallies read.
+fn region(pop: &PopulationModel, p: &GeoPoint) -> u8 {
+    pop.region_of(p).index() as u8
+}
+
+/// The serial reference: `n` sampled points, each placed by
+/// `cell_of_point` and labelled by `region_of`.
+fn serial(pop: &PopulationModel, seed: u64, grid: &CellGrid, n: usize) -> (Vec<u32>, Vec<u8>) {
+    let points = pop.sample_ues(n, seed);
+    (
+        points.iter().map(|p| cell_index(grid, grid.cell_of_point(p)) as u32).collect(),
+        points.iter().map(|p| region(pop, p)).collect(),
+    )
+}
+
+/// The placement pass over UEs `ids` into two fresh arrays.
+fn place(
+    pop: &PopulationModel,
+    seed: u64,
+    grid: &CellGrid,
+    label: &(dyn Fn(&GeoPoint) -> u8 + Sync),
+    ids: std::ops::Range<usize>,
+) -> (Vec<u32>, Vec<u8>) {
+    let (mut cells, mut labels) = (vec![0; ids.len()], vec![0; ids.len()]);
+    placed(pop, seed, grid, label, ids.start, &mut cells, &mut labels);
+    (cells, labels)
+}
+
+/// The placement pass over `0..n` in chunks of `len` UEs on `threads`
+/// workers, each chunk's two arrays appended in id order.
+fn placed_in_chunks(
+    pop: &PopulationModel,
+    seed: u64,
+    grid: &CellGrid,
+    n: usize,
+    len: usize,
+    threads: usize,
+) -> (Vec<u32>, Vec<u8>) {
+    let label = |p: &GeoPoint| region(pop, p);
+    let chunks = sc_emu::engine::parallel_map_with(threads, ranges(n, len), |ids| {
+        place(pop, seed, grid, &label, ids)
+    });
+    chunks.into_iter().fold((vec![], vec![]), |(mut cells, mut labels), (c, l)| {
+        cells.extend(c);
+        labels.extend(l);
+        (cells, labels)
+    })
+}
+
+/// Chunks of 1, B − 1, B, B + 1 UEs for the stage batch B, and of the
+/// engine's chunk and one more: chunks of whole batches, of a ragged
+/// last batch, and of both, most of them starting off the batch grid
+/// of the ids before them, and a ragged last chunk.
+#[test]
+fn placement_matches_the_serial_pass_at_chunk_lengths_around_the_batch() {
+    let grid = CellGrid::new(53f64.to_radians(), 72, 22);
+    let pop = PopulationModel::world_bank_like();
+    for len in [1, PLACE_BATCH - 1, PLACE_BATCH, PLACE_BATCH + 1, CHUNK, CHUNK + 1] {
+        let n = (3 * len + 5).min(2 * CHUNK + 7);
+        for (seed, threads) in [(0, 1), (0x5C_10AD, 2), (u64::MAX, 3)] {
+            let got = placed_in_chunks(&pop, seed, &grid, n, len, threads);
+            assert_eq!(got, serial(&pop, seed, &grid, n), "len {len} seed {seed}");
+        }
     }
 }
 
@@ -344,7 +405,9 @@ fn region_of_matches_reference_where_egypt_meets_the_middle_east() {
 
 /// The soaks' own population — 1 M UEs of the default seed — placed by
 /// the strip table and labelled by the candidate grid, against the
-/// exact conversion and the 20-`central_angle` reference, UE by UE.
+/// exact conversion and the 20-`central_angle` reference, UE by UE; and
+/// the placement pass's two arrays, chunk by chunk as the soaks run it,
+/// against the serial `sample_ues` → `cell_of_point` / `region_of`.
 /// Release builds only: in a debug build it takes minutes.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
@@ -352,9 +415,13 @@ fn default_seed_population_places_and_labels_exactly() {
     let grid = CellGrid::new(53f64.to_radians(), 72, 22);
     let m = PopulationModel::world_bank_like();
     let seed = sc_emu::ext_mload::MloadConfig::full().seed;
-    for (id, p) in m.sample_ues(1_000_000, seed).iter().enumerate() {
+    let n = 1_000_000;
+    let (cells, labels) = placed_in_chunks(&m, seed, &grid, n, CHUNK, 2);
+    for (id, p) in m.sample_ues(n, seed).iter().enumerate() {
         let exact = grid.cell_of_coord(grid.frame().from_geo_clamped(p));
         assert_eq!(grid.cell_of_point(p), exact, "UE {id} {p:?}");
         assert_eq!(m.region_of(p), region_of_reference(&m, p), "UE {id} {p:?}");
+        assert_eq!(cells[id], cell_index(&grid, exact) as u32, "UE {id} {p:?}");
+        assert_eq!(labels[id], region(&m, p), "UE {id} {p:?}");
     }
 }
