@@ -45,8 +45,8 @@ fn live_workspace_is_clean_under_checked_in_baseline() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // R6: nothing uncalled, bar the two modules the ROADMAP's
-    // executed-path soak decides.
+    // R6: nothing uncalled, bar the two modules kept until a soak
+    // executes procedures on real satellites.
     let allowed: Vec<&str> = report
         .allowed_orphans
         .iter()

@@ -1176,11 +1176,10 @@ mod tests {
         assert!((mean - 106.9).abs() < 0.05 * 106.9, "{mean}");
     }
 
-    /// The oracle drains its calendar one day at a time at most, and the
-    /// series windows are the engine's.
+    /// The oracle's batches are no wider than the shortest follow-up
+    /// delay, and the series windows are the engine's.
     #[test]
     fn batch_window_matches_calendar_day() {
-        assert_eq!(oracle::BATCH_WINDOW_S, sc_netsim::des::EventQueue::<Ev>::BUCKET_WIDTH_S);
         assert_eq!(oracle::BATCH_WINDOW_S, MIN_DELAY_S);
         assert_eq!(WINDOW_S * 1e6, sc_obs::WINDOW_TICKS as f64);
     }

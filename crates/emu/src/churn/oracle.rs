@@ -11,9 +11,9 @@ use super::*;
 use sc_netsim::des::EventQueue;
 use spacecore::shard::CellLedger;
 
-/// Widest batch the calendar may drain at once: one calendar day, and
-/// no wider than the shortest follow-up delay, so that no reaction
-/// lands inside the batch that scheduled it.
+/// Widest batch the calendar may drain at once: the shortest follow-up
+/// delay, [`MIN_DELAY_S`], so that no reaction lands inside the batch
+/// that scheduled it.
 pub(super) const BATCH_WINDOW_S: f64 = 1.0;
 
 /// A queued event: a timeline marker by index, or a UE's event.

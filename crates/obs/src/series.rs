@@ -5,11 +5,10 @@
 //! microsecond-tick grid: a sample at sim-time `t` lands in window
 //! `round(t·1e6) / WINDOW_TICKS`. With the default
 //! [`WINDOW_TICKS`] = 1 000 000 the window is exactly 1.0 native time
-//! unit — the DES calendar's `BUCKET_WIDTH_S` and the `ext_mload` /
-//! `ext_chaosload` batch window — so a `drain_until` batch never
-//! straddles a window and the rounding rule matches the engines' own
-//! `tick()` grids (an event scheduled *exactly* on a bucket boundary
-//! belongs to the window it opens).
+//! unit — the churn engine's `WINDOW_S`, the window `ext_mload` /
+//! `ext_chaosload` count their events in — so the rounding rule
+//! matches the engine's own `tick()` grid (an event scheduled
+//! *exactly* on a window boundary belongs to the window it opens).
 //!
 //! Two series kinds exist, chosen by first touch of a name:
 //!
@@ -34,7 +33,7 @@
 use std::collections::BTreeMap;
 
 /// Ticks per window: 1 000 000 µs-grid ticks = 1.0 native sim-time
-/// unit, aligned to the DES calendar bucket width.
+/// unit, aligned to the churn engine's `WINDOW_S`.
 pub const WINDOW_TICKS: u64 = 1_000_000;
 
 /// Default bound on windows per series: 4096 windows ≈ 68 minutes of

@@ -4,8 +4,9 @@
 //!
 //! **Caller-less.** No experiment, root test, example or scbench layer
 //! drives this module — only its own unit tests do. It is kept, under
-//! an `allow(orphan)` in `lib.rs`, until the executed-path soak (ROADMAP)
-//! decides whether it grows into the one executed fleet or is deleted.
+//! an `allow(orphan)` in `lib.rs`, until a soak executes procedures on
+//! real satellites instead of billing them: then it grows into that one
+//! executed fleet or is deleted.
 //!
 //! This is the "whole system running" view: where `satellite.rs` models
 //! one SpaceCore proxy and `solutions.rs` models aggregate costs, a

@@ -46,11 +46,11 @@
 //! assert_eq!(outcome.home_round_trips, 0);
 //! ```
 
-// sc-audit: allow(orphan, reason = "caller-less until the ROADMAP's executed-path soak decides: it becomes the one executed fleet or is deleted")
+// sc-audit: allow(orphan, reason = "caller-less until a soak executes procedures on real satellites instead of billing them: it becomes that executed fleet or is deleted")
 pub mod deployment;
 pub mod home;
 pub mod mobility;
-// sc-audit: allow(orphan, reason = "caller-less until the ROADMAP's executed-path soak decides: the executed fleet exercises downlink delivery or it is deleted")
+// sc-audit: allow(orphan, reason = "caller-less until a soak executes procedures on real satellites instead of billing them: that fleet exercises downlink delivery or it is deleted")
 pub mod paging;
 pub mod recovery;
 pub mod relay;
