@@ -19,6 +19,13 @@
 //! deadline.
 //!
 //! Swept: crash rate × crash-recover duration × the five solutions.
+//! The fabric's crash schedule of a run depends only on the crash rate,
+//! the recover time and the run, so the sweep works in eight groups of
+//! (crash rate, recover time), heaviest first: each run of a group
+//! draws its base schedule once, every solution replays a copy with its
+//! own loss burst appended, and the group's runs share one
+//! [`SimScratch`]. Each (solution, group) cell still records into its
+//! own telemetry child, merged in solution-major cell order.
 //! Everything is seeded; reruns are byte-identical under any
 //! `SC_EMU_THREADS`.
 
@@ -128,40 +135,70 @@ fn chaos_config(plan: &RecoveryPlan) -> SimConfig {
     }
 }
 
-struct Cell {
-    kind: SolutionKind,
+/// One (crash rate, recover time) pair: its runs draw one fabric
+/// schedule each, which all five solutions replay.
+struct Group {
     crash_rate: f64,
     recover_ms: f64,
 }
 
-fn run_cell(net: &IslNetwork, cell: &Cell, rec: &sc_obs::Recorder) -> ChaosPoint {
+/// One solution's cell of a [`Group`]: its exchange and its tallies.
+struct Cell<'r> {
+    kind: SolutionKind,
+    plan: RecoveryPlan,
+    steps: Vec<SimStep>,
+    cfg: SimConfig,
+    /// The loss burst's end in the solution's clock, which starts when
+    /// it *detects* the crash.
+    burst_left: f64,
+    rec: &'r sc_obs::Recorder,
+    completed: u64,
+    lat_sum: f64,
+    tx_sum: u64,
+}
+
+/// The five cells of `group`, in [`SolutionKind::ALL`] order, each
+/// recording into its own `recs` entry. Run `r` of every cell replays
+/// the same base schedule — the fabric's crashes, the old serving
+/// satellite's crash, `new_serving` protected — plus the cell's own
+/// loss burst and the shared re-crash, pushed in that order; the one
+/// [`SimScratch`] is exact across cells because a run clears the memo's
+/// routes of the view and keeps only the graph's healthy routes.
+fn run_group(net: &IslNetwork, group: Group, recs: &[sc_obs::Recorder]) -> Vec<ChaosPoint> {
     let old_serving = net.sat_node(SatId::new(10, 5));
     let new_serving = net.sat_node(SatId::new(10, 6)); // next along the plane
     let gateway = net.ground_node(0);
-    let plan = RecoveryPlan::for_solution(cell.kind);
-    let steps = recovery_steps(&plan, new_serving, gateway);
-    let cfg = chaos_config(&plan);
+    let mut cells: Vec<Cell<'_>> = SolutionKind::ALL
+        .into_iter()
+        .zip(recs)
+        .map(|(kind, rec)| {
+            let plan = RecoveryPlan::for_solution(kind);
+            rec.inc("emu.ext_chaos.cells", 1);
+            Cell {
+                kind,
+                steps: recovery_steps(&plan, new_serving, gateway),
+                cfg: chaos_config(&plan),
+                burst_left: (BURST_MS - plan.detection_delay_ms).max(0.0),
+                plan,
+                rec,
+                completed: 0,
+                lat_sum: 0.0,
+                tx_sum: 0,
+            }
+        })
+        .collect();
 
-    rec.inc("emu.ext_chaos.cells", 1);
-    let mut completed = 0u64;
-    let mut lat_sum = 0.0;
-    let mut tx_sum = 0u64;
     let mut scratch = SimScratch::new(net.graph());
     for run in 0..RUNS {
-        // The solution's clock starts when it *detects* the crash, so
-        // the absolute loss-burst window shifts into its frame.
-        let burst_left = (BURST_MS - plan.detection_delay_ms).max(0.0);
-        let mut tl = FailureTimeline::random_crashes(
+        let base = FailureTimeline::random_crashes(
             net.num_sats(),
-            cell.crash_rate,
+            group.crash_rate,
             HORIZON_MS,
-            Some(cell.recover_ms),
+            Some(group.recover_ms),
             SEED_TIMELINE ^ (run * 7 + 1),
         )
         .without_node(new_serving)
-        .crash(0.0, old_serving)
-        .loss_burst(0.0, burst_left, BURST_P)
-        .with_seed(SEED_BURST ^ run);
+        .crash(0.0, old_serving);
         // The replacement satellite is itself subject to the fabric
         // crash rate: with probability `crash_rate` it too dies, at a
         // uniform time inside the deadline window, and comes back after
@@ -170,51 +207,64 @@ fn run_cell(net: &IslNetwork, cell: &Cell, rec: &sc_obs::Recorder) -> ChaosPoint
         // as a transient partition; slow home-routed recovery is almost
         // always caught mid-exchange.
         let mut recrash = Xorshift64::new(SEED_RECRASH ^ (run * 31 + 1));
-        if recrash.next_f64() < cell.crash_rate {
-            let t = recrash.next_f64() * DEADLINE_MS;
-            tl = tl.crash(t, new_serving).recover(t + cell.recover_ms, new_serving);
-        }
-        // Telemetry for the first run of each cell only: counters stay
-        // cheap, and the chaos event stream stays bounded while still
-        // exercising every metric (the schedule is seeded per run, so
-        // run 0 is representative).
-        let run_rec = if run == 0 {
-            rec.clone()
-        } else {
-            sc_obs::Recorder::disabled()
-        };
-        let sim = ProcedureSim::with_timeline(net.graph(), &tl, cfg.clone()).with_recorder(run_rec);
-        let mut loss = LossProcess::new(AMBIENT_LOSS, SEED_LOSS ^ (run * 13 + 1));
-        let o = sim.run_in(&steps, &mut loss, &mut scratch);
-        rec.inc("emu.ext_chaos.runs", 1);
-        if o.completed {
-            completed += 1;
-            lat_sum += plan.detection_delay_ms + o.latency_ms;
-            if plan.ip_survives {
-                rec.inc("emu.ext_chaos.survivals", 1);
+        let recrash_at =
+            (recrash.next_f64() < group.crash_rate).then(|| recrash.next_f64() * DEADLINE_MS);
+        for cell in &mut cells {
+            let mut tl = base
+                .clone()
+                .loss_burst(0.0, cell.burst_left, BURST_P)
+                .with_seed(SEED_BURST ^ run);
+            if let Some(t) = recrash_at {
+                tl = tl.crash(t, new_serving).recover(t + group.recover_ms, new_serving);
             }
+            // Telemetry for the first run of each cell only: counters stay
+            // cheap, and the chaos event stream stays bounded while still
+            // exercising every metric (the schedule is seeded per run, so
+            // run 0 is representative).
+            let run_rec = if run == 0 {
+                cell.rec.clone()
+            } else {
+                sc_obs::Recorder::disabled()
+            };
+            let sim = ProcedureSim::with_timeline(net.graph(), &tl, cell.cfg.clone())
+                .with_recorder(run_rec);
+            let mut loss = LossProcess::new(AMBIENT_LOSS, SEED_LOSS ^ (run * 13 + 1));
+            let o = sim.run_in(&cell.steps, &mut loss, &mut scratch);
+            cell.rec.inc("emu.ext_chaos.runs", 1);
+            if o.completed {
+                cell.completed += 1;
+                cell.lat_sum += cell.plan.detection_delay_ms + o.latency_ms;
+                if cell.plan.ip_survives {
+                    cell.rec.inc("emu.ext_chaos.survivals", 1);
+                }
+            }
+            cell.tx_sum += o.transmissions as u64;
         }
-        tx_sum += o.transmissions as u64;
     }
 
-    let completion_rate = completed as f64 / RUNS as f64;
-    ChaosPoint {
-        solution: cell.kind.name().to_string(),
-        crash_rate: cell.crash_rate,
-        recover_ms: cell.recover_ms,
-        completion_rate,
-        session_survival: if plan.ip_survives {
-            completion_rate
-        } else {
-            0.0
-        },
-        mean_recovery_ms: if completed > 0 {
-            Some(lat_sum / completed as f64)
-        } else {
-            None
-        },
-        mean_transmissions: tx_sum as f64 / RUNS as f64,
-    }
+    cells
+        .into_iter()
+        .map(|cell| {
+            let completion_rate = cell.completed as f64 / RUNS as f64;
+            ChaosPoint {
+                solution: cell.kind.name().to_string(),
+                crash_rate: group.crash_rate,
+                recover_ms: group.recover_ms,
+                completion_rate,
+                session_survival: if cell.plan.ip_survives {
+                    completion_rate
+                } else {
+                    0.0
+                },
+                mean_recovery_ms: if cell.completed > 0 {
+                    Some(cell.lat_sum / cell.completed as f64)
+                } else {
+                    None
+                },
+                mean_transmissions: cell.tx_sum as f64 / RUNS as f64,
+            }
+        })
+        .collect()
 }
 
 /// Run the experiment with the default worker count.
@@ -235,22 +285,47 @@ pub fn run_with(threads: usize, obs: &sc_obs::Recorder) -> ExtChaos {
     let stations = GroundStationSet::starlink_like();
     let net = IslNetwork::build(&prop, &stations, 0.0, IslConfig::default());
 
-    let mut cells = Vec::new();
-    for kind in SolutionKind::ALL {
-        for crash_rate in CRASH_RATES {
-            for recover_ms in RECOVER_MS {
-                cells.push(Cell {
-                    kind,
-                    crash_rate,
-                    recover_ms,
-                });
-            }
+    // Points and telemetry are solution-major: cell `k * GROUPS + g` is
+    // solution `k` in group `g`, groups in crash-rate-major order. Each
+    // cell records into its own child, merged in cell order after the
+    // map, so every counter and event lands as if the cells ran one by
+    // one.
+    const GROUPS: usize = CRASH_RATES.len() * RECOVER_MS.len();
+    let children: Vec<sc_obs::Recorder> = (0..SolutionKind::ALL.len() * GROUPS)
+        .map(|_| obs.child())
+        .collect();
+    // Heaviest groups first, so the last group a worker claims is a
+    // light one: the highest crash rate first and, within a rate, the
+    // short outage (its recoveries clear the memo's routes more often).
+    let groups: Vec<(usize, Group, Vec<sc_obs::Recorder>)> = (0..CRASH_RATES.len())
+        .rev()
+        .flat_map(|c| (0..RECOVER_MS.len()).map(move |r| (c, r)))
+        .map(|(c, r)| {
+            let g = c * RECOVER_MS.len() + r;
+            let group = Group {
+                crash_rate: CRASH_RATES[c],
+                recover_ms: RECOVER_MS[r],
+            };
+            let recs = children.iter().skip(g).step_by(GROUPS).cloned().collect();
+            (g, group, recs)
+        })
+        .collect();
+    let by_group = crate::engine::parallel_map_with(threads, groups, |(g, group, recs)| {
+        (g, run_group(&net, group, &recs))
+    });
+    for c in &children {
+        obs.absorb(c);
+    }
+
+    let mut slots: Vec<Option<ChaosPoint>> = vec![None; children.len()];
+    for (g, points) in by_group {
+        for (k, p) in points.into_iter().enumerate() {
+            slots[k * GROUPS + g] = Some(p);
         }
     }
-    let points = crate::engine::parallel_map_obs_with(threads, obs, cells, |cell, rec| {
-        run_cell(&net, &cell, rec)
-    });
-    ExtChaos { points }
+    ExtChaos {
+        points: slots.into_iter().flatten().collect(),
+    }
 }
 
 /// Text rendering.
@@ -392,7 +467,7 @@ mod tests {
                 obs.snapshot().to_json("t"),
             )
         };
-        for threads in [2, 4] {
+        for threads in [2, 3, 4, 16] {
             let obs = sc_obs::Recorder::new();
             let r = run_with(threads, &obs);
             assert_eq!(

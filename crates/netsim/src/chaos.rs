@@ -91,7 +91,7 @@ impl ChaosEvent {
 /// [`Self::crash`], [`Self::link_flap`], [`Self::loss_burst`], …) or
 /// generate a seeded random one with [`Self::random_dead`] (decay: dead
 /// before the run) or [`Self::random_crashes`] (crashes during it).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct FailureTimeline {
     /// Sorted by `time_ms`; ties keep insertion order.
     events: Vec<ChaosEvent>,
@@ -99,6 +99,21 @@ pub struct FailureTimeline {
     initial_dead: Vec<NodeId>,
     /// Seed for the replay cursor's burst-loss draws.
     seed: u64,
+}
+
+/// A clone is made to be extended (`ext_chaos` appends each solution's
+/// loss burst and re-crash to a shared schedule), so its events keep
+/// room for those four pushes instead of doubling on the first one.
+impl Clone for FailureTimeline {
+    fn clone(&self) -> Self {
+        let mut events = Vec::with_capacity(self.events.len() + 4);
+        events.extend_from_slice(&self.events);
+        Self {
+            events,
+            initial_dead: self.initial_dead.clone(),
+            seed: self.seed,
+        }
+    }
 }
 
 impl FailureTimeline {
@@ -620,6 +635,19 @@ mod tests {
         let mut closed = tl.cursor();
         closed.advance_to(2_000.0, &obs);
         assert!(!closed.burst_loss_keyed(3, 0, &obs));
+    }
+
+    #[test]
+    fn clone_equals_its_source_and_takes_four_pushes_in_place() {
+        let base = FailureTimeline::random_crashes(500, 0.2, 100.0, Some(10.0), 3)
+            .dead_from_start(7)
+            .with_seed(11);
+        let copy = base.clone();
+        assert_eq!(copy, base);
+        let room = copy.events.capacity();
+        let grown = copy.loss_burst(0.0, 50.0, 0.3).crash(20.0, 1).recover(30.0, 1);
+        assert_eq!(grown.events.capacity(), room);
+        assert_eq!(grown.events.len(), base.events.len() + 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! changes); SpaceCore's stateless Algorithm 1 (in the `spacecore` crate)
 //! is evaluated against it for path stretch.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Index of a node in a [`Graph`].
@@ -41,24 +41,18 @@ impl PathResult {
     }
 }
 
-/// Heap entry of the Dijkstra loop: min-heap on `(dist, node)`.
-#[derive(Debug, Clone, PartialEq)]
-struct QItem {
-    dist: f64,
-    node: NodeId,
+/// Heap key of the Dijkstra loop: `dist`'s bits over `node`, popped
+/// smallest first. No label is ever negative or −0.0 — the source's is
+/// +0.0, [`Graph::add_edge`] admits only finite weights ≥ 0, and
+/// +0.0 + (−0.0) = +0.0 — and on non-negative doubles the bit order is
+/// `f64::total_cmp`'s, so keys pop in `(dist, node)` order.
+fn heap_key(dist: f64, node: NodeId) -> Reverse<u128> {
+    Reverse((u128::from(dist.to_bits()) << 64) | node as u128)
 }
-impl Eq for QItem {}
-impl Ord for QItem {
-    fn cmp(&self, o: &Self) -> Ordering {
-        o.dist
-            .total_cmp(&self.dist)
-            .then_with(|| o.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for QItem {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
+
+/// Inverse of [`heap_key`].
+fn heap_entry(Reverse(key): Reverse<u128>) -> (f64, NodeId) {
+    (f64::from_bits((key >> 64) as u64), key as u64 as NodeId)
 }
 
 /// One node's Dijkstra label. Live only while `stamp` equals the
@@ -66,8 +60,9 @@ impl PartialOrd for QItem {
 #[derive(Debug, Clone, Copy)]
 struct Label {
     stamp: u32,
+    /// Fits: [`Graph::new`] refuses graphs whose ids a `u32` cannot name.
+    prev: u32,
     dist: f64,
-    prev: NodeId,
 }
 
 /// Reusable working memory for [`Graph::route_in`]: generation-stamped
@@ -77,7 +72,7 @@ struct Label {
 pub struct PathScratch {
     generation: u32,
     labels: Vec<Label>,
-    heap: BinaryHeap<QItem>,
+    heap: BinaryHeap<Reverse<u128>>,
     /// Endpoints of the last search, if it reached its destination.
     found: Option<(NodeId, NodeId)>,
 }
@@ -92,7 +87,7 @@ impl PathScratch {
     pub fn path_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
         let src = self.found.map(|(src, _)| src);
         std::iter::successors(self.found.map(|(_, dst)| dst), move |&cur| {
-            (Some(cur) != src).then(|| self.labels[cur].prev)
+            (Some(cur) != src).then(|| self.labels[cur].prev as NodeId)
         })
     }
 
@@ -100,8 +95,8 @@ impl PathScratch {
     fn begin(&mut self, n: usize) {
         const UNREACHED: Label = Label {
             stamp: 0,
+            prev: u32::MAX,
             dist: f64::INFINITY,
-            prev: usize::MAX,
         };
         if self.generation == u32::MAX {
             self.labels.fill(UNREACHED);
@@ -126,15 +121,20 @@ impl PathScratch {
     fn relabel(&mut self, node: NodeId, dist: f64, prev: NodeId) {
         self.labels[node] = Label {
             stamp: self.generation,
+            prev: prev as u32,
             dist,
-            prev,
         };
     }
 }
 
 impl Graph {
     /// Create a graph with `n` nodes and no edges.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `u32::MAX`: the search labels name a
+    /// node's predecessor in 32 bits.
     pub fn new(n: usize) -> Self {
+        assert!(n <= u32::MAX as usize, "{n} nodes exceed 32-bit node ids");
         Self {
             adj: vec![Vec::new(); n],
         }
@@ -231,12 +231,10 @@ impl Graph {
         }
         scratch.begin(self.adj.len());
         scratch.relabel(src, 0.0, src);
-        scratch.heap.push(QItem {
-            dist: 0.0,
-            node: src,
-        });
+        scratch.heap.push(heap_key(0.0, src));
 
-        while let Some(QItem { dist: d, node }) = scratch.heap.pop() {
+        while let Some(entry) = scratch.heap.pop() {
+            let (d, node) = heap_entry(entry);
             if node == dst {
                 break;
             }
@@ -250,10 +248,7 @@ impl Graph {
                 let nd = d + e.weight;
                 if nd < scratch.dist(e.to) {
                     scratch.relabel(e.to, nd, node);
-                    scratch.heap.push(QItem {
-                        dist: nd,
-                        node: e.to,
-                    });
+                    scratch.heap.push(heap_key(nd, e.to));
                 }
             }
         }
@@ -410,6 +405,26 @@ mod tests {
         assert_eq!(g.hop_distance(0, 9), Some(1));
         let r = g.shortest_path(0, 5, |_| false).unwrap();
         assert_eq!(r.hops(), 5);
+    }
+
+    #[test]
+    fn label_packs_to_16_bytes() {
+        assert_eq!(size_of::<Label>(), 16);
+    }
+
+    #[test]
+    fn heap_key_round_trips_and_orders_as_dist_then_node() {
+        let dists = [0.0, 1e-300, 0.5, 1.0, 1.0 + f64::EPSILON, 7.25, 1e300];
+        let nodes = [0, 1, 2, u32::MAX as NodeId - 1];
+        for (d1, n1) in dists.iter().flat_map(|&d| nodes.map(|n| (d, n))) {
+            let (d, n) = heap_entry(heap_key(d1, n1));
+            assert_eq!((d.to_bits(), n), (d1.to_bits(), n1));
+            for (d2, n2) in dists.iter().flat_map(|&d| nodes.map(|n| (d, n))) {
+                // Min-heap: the larger key is the smaller (dist, node).
+                let want = d1.total_cmp(&d2).then(n1.cmp(&n2)).reverse();
+                assert_eq!(heap_key(d1, n1).cmp(&heap_key(d2, n2)), want);
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 use proptest::prelude::*;
 use sc_netsim::des::EventQueue;
 use sc_netsim::chaos::FailureTimeline;
-use sc_netsim::failure::{GilbertElliott, LossProcess};
+use sc_netsim::failure::{GilbertElliott, LossProcess, Xorshift64};
 use sc_netsim::flow::TcpFlow;
 use sc_netsim::queueing::MM1Model;
-use sc_netsim::topo::Graph;
+use sc_netsim::topo::{Graph, NodeId, PathScratch};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
 proptest! {
     #[test]
@@ -135,4 +137,212 @@ proptest! {
             t += rtt;
         }
     }
+}
+
+/// The Dijkstra kernel `Graph::route_in` replaced, kept as its oracle: a
+/// `BinaryHeap` of `(dist, node)` items under `total_cmp`-then-node order
+/// and 24-byte generation-stamped labels with a `usize` predecessor.
+/// Like the kernel it reuses its labels from search to search.
+mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct QItem {
+        dist: f64,
+        node: NodeId,
+    }
+    impl Eq for QItem {}
+    impl Ord for QItem {
+        fn cmp(&self, o: &Self) -> Ordering {
+            o.dist
+                .total_cmp(&self.dist)
+                .then_with(|| o.node.cmp(&self.node))
+        }
+    }
+    impl PartialOrd for QItem {
+        fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Label {
+        stamp: u32,
+        dist: f64,
+        prev: NodeId,
+    }
+
+    const _: () = assert!(size_of::<Label>() == 24);
+
+    const UNREACHED: Label = Label {
+        stamp: 0,
+        dist: f64::INFINITY,
+        prev: usize::MAX,
+    };
+
+    #[derive(Default)]
+    pub struct Kernel {
+        generation: u32,
+        labels: Vec<Label>,
+        heap: BinaryHeap<QItem>,
+    }
+
+    impl Kernel {
+        fn dist(&self, node: NodeId) -> f64 {
+            let l = &self.labels[node];
+            if l.stamp == self.generation {
+                l.dist
+            } else {
+                f64::INFINITY
+            }
+        }
+
+        fn relabel(&mut self, node: NodeId, dist: f64, prev: NodeId) {
+            self.labels[node] = Label {
+                stamp: self.generation,
+                dist,
+                prev,
+            };
+        }
+
+        /// `(cost, hops)` and the path, source first, as the replaced
+        /// `route_in` found them.
+        pub fn route(
+            &mut self,
+            g: &Graph,
+            src: NodeId,
+            dst: NodeId,
+            blocked: impl Fn(NodeId) -> bool,
+            blocked_edge: impl Fn(NodeId, NodeId) -> bool,
+        ) -> Option<((f64, usize), Vec<NodeId>)> {
+            if blocked(src) || blocked(dst) {
+                return None;
+            }
+            self.generation += 1;
+            if self.labels.len() < g.len() {
+                self.labels.resize(g.len(), UNREACHED);
+            }
+            self.heap.clear();
+            self.relabel(src, 0.0, src);
+            self.heap.push(QItem { dist: 0.0, node: src });
+            while let Some(QItem { dist: d, node }) = self.heap.pop() {
+                if node == dst {
+                    break;
+                }
+                if d > self.dist(node) {
+                    continue;
+                }
+                for (to, weight) in g.neighbors(node) {
+                    if blocked(to) || blocked_edge(node, to) {
+                        continue;
+                    }
+                    let nd = d + weight;
+                    if nd < self.dist(to) {
+                        self.relabel(to, nd, node);
+                        self.heap.push(QItem { dist: nd, node: to });
+                    }
+                }
+            }
+            let cost = self.dist(dst);
+            if cost.is_infinite() {
+                return None;
+            }
+            let mut path = vec![dst];
+            while path[path.len() - 1] != src {
+                path.push(self.labels[path[path.len() - 1]].prev);
+            }
+            path.reverse();
+            Some(((cost, path.len() - 1), path))
+        }
+    }
+}
+
+/// `w × h` torus followed by `isolated` nodes with no edges; edge `k`
+/// (in build order) weighs `weight(k)`.
+fn torus_with_islands(w: usize, h: usize, isolated: usize, weight: impl Fn(usize) -> f64) -> Graph {
+    let mut g = Graph::new(w * h + isolated);
+    let mut k = 0;
+    for y in 0..h {
+        for x in 0..w {
+            for to in [y * w + (x + 1) % w, ((y + 1) % h) * w + x] {
+                g.add_bidirectional(y * w + x, to, weight(k));
+                k += 1;
+            }
+        }
+    }
+    g
+}
+
+/// `searches` queries on `g` through one reused `PathScratch` and one
+/// reused reference kernel: random blocked nodes and undirected links
+/// (drawn afresh per query, denser as `p_block` grows), one query in
+/// eight from a node to itself, and pairs that touch the isolated
+/// nodes, which no search reaches. Path, cost bits and hops must agree.
+fn kernel_matches_reference(g: &Graph, p_block: f64, searches: usize, seed: u64) {
+    let mut rng = Xorshift64::new(seed);
+    let n = g.len();
+    let mut scratch = PathScratch::new();
+    let mut oracle = reference::Kernel::default();
+    for _ in 0..searches {
+        let dead: Vec<bool> = (0..n).map(|_| rng.chance(p_block / 2.0)).collect();
+        let cut: HashSet<(NodeId, NodeId)> = (0..n)
+            .flat_map(|a| g.neighbors(a).map(move |(b, _)| (a.min(b), a.max(b))))
+            .filter(|_| rng.chance(p_block))
+            .collect();
+        let blocked = |v: NodeId| dead[v];
+        let blocked_edge = |a: NodeId, b: NodeId| cut.contains(&(a.min(b), a.max(b)));
+        let src = rng.below(n);
+        let dst = if rng.chance(0.125) { src } else { rng.below(n) };
+
+        let want = oracle.route(g, src, dst, blocked, blocked_edge);
+        let got = g.route_in(src, dst, blocked, blocked_edge, &mut scratch);
+        let mut path: Vec<NodeId> = scratch.path_rev().collect();
+        path.reverse();
+        assert_eq!(
+            got.map(|(cost, hops)| (cost.to_bits(), hops)),
+            want.as_ref().map(|((cost, hops), _)| (cost.to_bits(), *hops)),
+            "{src} -> {dst}"
+        );
+        assert_eq!(path, want.map(|(_, p)| p).unwrap_or_default(), "{src} -> {dst}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn route_in_matches_reference_kernel_on_unit_tori(
+        w in 2usize..9,
+        h in 2usize..9,
+        isolated in 0usize..3,
+        p_block in 0.0f64..0.4,
+        seed in any::<u64>(),
+    ) {
+        let g = torus_with_islands(w, h, isolated, |_| 1.0);
+        kernel_matches_reference(&g, p_block, 40, seed);
+    }
+
+    #[test]
+    fn route_in_matches_reference_kernel_with_signed_zero_weights(
+        w in 2usize..9,
+        h in 2usize..9,
+        isolated in 0usize..3,
+        p_block in 0.0f64..0.4,
+        seed in any::<u64>(),
+    ) {
+        // Three classes — zero of either sign, 1 and 2 — so routes of
+        // different hop counts tie, and −0.0 meets +0.0 labels.
+        let mut rng = Xorshift64::new(seed ^ 0x5EED);
+        let classes: Vec<f64> = (0..2 * w * h)
+            .map(|_| [0.0, -0.0, 1.0, 2.0][rng.below(4)])
+            .collect();
+        let g = torus_with_islands(w, h, isolated, |k| classes[k]);
+        kernel_matches_reference(&g, p_block, 40, seed);
+    }
+}
+
+#[test]
+#[should_panic(expected = "exceed 32-bit node ids")]
+fn graph_refuses_more_nodes_than_32_bit_labels_name() {
+    let _ = Graph::new(u32::MAX as usize + 1);
 }

@@ -18,7 +18,11 @@ echo "== tier-1: cargo test -q --offline $*" >&2
 cargo test -q --offline "$@"
 
 # The pinned crypto bytes, the per-establishment allocation budget, the
-# route memo's exactness, the draw → point placement and its lookup
+# checked-in results and the fig10 and ext_chaos sidecars
+# (`results_stability`, at 1 and 4 workers), the route memo's
+# exactness, the Dijkstra kernel's packed heap keys against a copy of
+# the `(dist, node)`-ordered kernel they replaced (sc-netsim's `props`),
+# the draw → point placement and its lookup
 # tables (`region_of`'s pure candidate cells, masks and dot products,
 # `cell_of_point`'s latitude strips), the churn engine's staged
 # placement pass (`churn::placed`: draws, points, cells, labels over
@@ -35,10 +39,10 @@ cargo test -q --offline "$@"
 # Dijkstra loop, the sampler's and the placement's arithmetic and the
 # per-UE event loop differently from the debug build the
 # run above tests, and it is the build every number is measured on.
-echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props" >&2
-cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test route_memo_props --test placement_props
-echo "== tier-1: cargo test --release --offline -q -p sc-netsim --test calendar_props --test des_props --test chaos_props -p sc-geo --test props" >&2
-cargo test --release --offline -q -p sc-netsim --test calendar_props --test des_props --test chaos_props -p sc-geo --test props
+echo "== tier-1: cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test results_stability --test route_memo_props --test placement_props" >&2
+cargo test --release --offline -q --test crypto_golden_bytes --test alloc_budget --test results_stability --test route_memo_props --test placement_props
+echo "== tier-1: cargo test --release --offline -q -p sc-netsim -p sc-geo --test props --test calendar_props --test des_props --test chaos_props" >&2
+cargo test --release --offline -q -p sc-netsim -p sc-geo --test props --test calendar_props --test des_props --test chaos_props
 echo "== tier-1: cargo test --release --offline -q -p sc-obs" >&2
 cargo test --release --offline -q -p sc-obs
 echo "== tier-1: cargo test --release --offline -q -p sc-emu --lib churn" >&2

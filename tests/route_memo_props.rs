@@ -12,7 +12,8 @@
 //! counts), and on the Starlink ISL graph `ext_chaos` replays over.
 //! The memo's healthy routes (each pair's failure-free shortest path)
 //! outlive `clear()`, so one memo walks one to four timelines back to
-//! back, as `ext_chaos`'s per-cell scratch does, and a pair the
+//! back, as `ext_chaos`'s per-group scratch does for the five
+//! solutions' replays of each run's schedule, and a pair the
 //! failure-free graph already disconnects must read `None` throughout.
 //! `ext_chaos`'s own seeds are compile-time constants, so these
 //! timelines are the unseen-seed half of its byte-identity claim.
