@@ -4,7 +4,10 @@
 //! * [`GilbertElliott`] — two-state bursty frame-error process matching
 //!   the Tiantong radio-link failure bursts of Figure 13b,
 //! * [`AttackInjector`] — hijacked-satellite and man-in-the-middle tap
-//!   markers consumed by the Figure 19 leakage experiments.
+//!   markers of the Figure 19 threat model. No experiment reads them
+//!   (Figure 19's leakage is `spacecore`'s analytic
+//!   `Solution::hijack_leakage`); the root `tests/resilience.rs` checks
+//!   that taps compose with real routes.
 //!
 //! Dead satellites (the Fig. 13a decay regime as much as mid-run
 //! crashes) are [`crate::chaos::FailureTimeline`]'s business.
@@ -142,7 +145,12 @@ impl GilbertElliott {
     }
 }
 
-/// Attack markers for the Figure 19 experiments.
+/// Hijacked-satellite and tapped-link markers of the Figure 19 threat
+/// model. The Figure 19 experiment (`sc-emu`'s `fig19`) does not use
+/// them — it reads `spacecore`'s analytic `Solution::hijack_leakage` —
+/// and their one caller outside this module's tests is the root
+/// `tests/resilience.rs`, which taps a hop of a real route and routes
+/// around it.
 #[derive(Debug, Clone, Default)]
 pub struct AttackInjector {
     hijacked: HashSet<usize>,

@@ -37,8 +37,14 @@
 //! memo's lifetime. If the current view leaves all of it standing —
 //! none of its nodes dead, none of its links down — it is the answer,
 //! and it is remembered like a searched route, so the rules above
-//! drop it. Only otherwise does the view get its own search. A pair
-//! with no failure-free route has none in any view.
+//! drop it. Only otherwise does the view get its own search, directed
+//! by the destination's *potential* — every node's failure-free
+//! distance to it, searched once per destination over the reversed
+//! graph and kept for the memo's lifetime too: [`Graph::route_in`]
+//! runs A* on `label + h` for `C`, the cost of a real route of the
+//! view, then the `(dist, node)`-ordered search again, skipping every
+//! relaxation whose `label + h` exceeds `C` (by more than a rounding
+//! allowance). A pair with no failure-free route has none in any view.
 //!
 //! This is exact, not approximate: a hit returns the very bits a fresh
 //! [`Graph::route_in`] would. The argument, once. Weights are
@@ -73,8 +79,22 @@
 //! of a route: the delivery delay, the per-hop loss draws and the
 //! span's `hops` field. A partition of `G` is one of `G′`. Putting a
 //! node or an edge back can create a cheaper or an earlier-popped rival
-//! anywhere, which is why a heal forgets everything (pruning that is a
-//! separate, bounded-detour argument and not attempted here).
+//! anywhere, which is why a heal forgets everything (keeping entries
+//! across a heal would take a separate, bounded-detour argument, not
+//! attempted here).
+//!
+//! The directed search's pruning is the same argument once more. Each
+//! node is relaxed at most once, so the pruned pass *is* the plain
+//! search of `G` minus the edges it skipped, and it returns `P` unless
+//! it skips an edge of `P`. Suppose it does; up to the first such skip,
+//! at `p(i-1)`'s pop, it runs exactly as the plain search of `G` minus
+//! the edges skipped so far, which returns `P` with the labels `D` —
+//! so `p(i-1)` pops with `D[p(i-1)]` and offers `pi` exactly `D[pi]`.
+//! And `h[pi]` is at most the cost of any route from `pi` to the
+//! destination in `G` (a view only removes), the rest of `P` among
+//! them, so `D[pi] + h[pi]` is at most `D` at the destination — the
+//! least cost of a route of `G`, so at most `C` — up to the rounding
+//! that the allowance covers: that offer is not skipped.
 //!
 //! The healthy route is the same argument with `G` the failure-free
 //! graph and `G′` the current view. A view only removes — dead nodes,
@@ -91,7 +111,7 @@
 use crate::chaos::{ChaosAction, ChaosCursor, ChaosEvent, FailureTimeline};
 use crate::des::EventQueue;
 use crate::failure::LossProcess;
-use crate::topo::{Graph, NodeId, PathScratch};
+use crate::topo::{Graph, NodeId, PathScratch, Potential};
 use sc_obs::{FieldValue, Recorder, SpanId};
 
 /// One abstract message of a procedure: from/to node plus a label.
@@ -207,15 +227,17 @@ impl MemoEntry {
 
 /// Routes resolved so far in one replay, keyed by `(from, to)` and
 /// dropped exactly when an applied chaos event can change Dijkstra's
-/// answer, and each pair's *healthy route* — its shortest path in the
-/// failure-free graph. The rules and why they are exact are in the
-/// [module doc](self#route-resolution).
+/// answer, each pair's *healthy route* — its shortest path in the
+/// failure-free graph — and each destination's [`Potential`], the
+/// failure-free distances to it that direct a view's search. The rules
+/// and why they are exact are in the [module doc](self#route-resolution).
 ///
 /// One memo serves one [`ChaosCursor`] from t = 0: every slice
 /// [`ChaosCursor::advance_to`] returns goes to [`Self::observe`], and
-/// [`Self::clear`] starts the next replay. The healthy routes outlive
-/// `clear()`: they depend on the graph alone, and the memo borrows
-/// that graph from [`Self::new`] on, so they never answer for another.
+/// [`Self::clear`] starts the next replay. The healthy routes and the
+/// potentials outlive `clear()`: they depend on the graph alone, and
+/// the memo borrows that graph from [`Self::new`] on, so they never
+/// answer for another.
 pub struct RouteMemo<'g> {
     graph: &'g Graph,
     /// `entries[..live]` are remembered; the tail only keeps its path
@@ -224,6 +246,8 @@ pub struct RouteMemo<'g> {
     live: usize,
     /// One per pair ever resolved; never dropped.
     healthy: Vec<MemoEntry>,
+    /// One per destination ever searched in a view; never dropped.
+    potentials: Vec<Potential>,
     paths: PathScratch,
     searches: u64,
 }
@@ -235,18 +259,21 @@ impl<'g> RouteMemo<'g> {
             entries: Vec::new(),
             live: 0,
             healthy: Vec::new(),
+            potentials: Vec::new(),
             paths: PathScratch::new(),
             searches: 0,
         }
     }
 
     /// Forget every route of the current view (a new replay, a new
-    /// cursor). The healthy routes stay.
+    /// cursor). The healthy routes and the potentials stay.
     pub fn clear(&mut self) {
         self.live = 0;
     }
 
-    /// Dijkstra runs so far, failure-free ones included.
+    /// Route searches so far: one per failure-free route and one per
+    /// view search (its two passes count once, the potentials' reverse
+    /// searches not at all).
     pub fn searches(&self) -> u64 {
         self.searches
     }
@@ -269,7 +296,8 @@ impl<'g> RouteMemo<'g> {
     /// view, `None` for a partition: bit-for-bit what
     /// [`Graph::shortest_path_avoiding`] answers for the same view.
     /// A remembered route, else the pair's healthy route if the view
-    /// leaves it intact, else a search of the view.
+    /// leaves it intact, else a search of the view directed by `to`'s
+    /// potential.
     pub fn resolve(
         &mut self,
         cursor: &ChaosCursor<'_>,
@@ -282,7 +310,7 @@ impl<'g> RouteMemo<'g> {
         let i = match self.healthy.iter().position(|e| e.is(from, to)) {
             Some(i) => i,
             None => {
-                let route = self.search(from, to, |_| false, |_, _| false);
+                let route = self.search(from, to, |_| false, |_, _| false, false);
                 self.healthy.push(MemoEntry {
                     from,
                     to,
@@ -303,6 +331,7 @@ impl<'g> RouteMemo<'g> {
                 to,
                 |n| cursor.is_dead(n),
                 |a, b| cursor.link_down(a, b),
+                true,
             )
         };
         if self.live == self.entries.len() {
@@ -320,17 +349,31 @@ impl<'g> RouteMemo<'g> {
         route
     }
 
-    /// The one Dijkstra call of the memo; its path stays in `paths`.
+    /// The one route search of the memo, directed by `to`'s potential
+    /// if `directed`; its path stays in `paths`.
     fn search(
         &mut self,
         from: NodeId,
         to: NodeId,
         blocked: impl Fn(NodeId) -> bool,
         blocked_edge: impl Fn(NodeId, NodeId) -> bool,
+        directed: bool,
     ) -> Option<(f64, usize)> {
+        let p = directed.then(|| self.potential_of(to));
         self.searches += 1;
+        let to_dst = p.map(|i| &self.potentials[i]);
         self.graph
-            .route_in(from, to, blocked, blocked_edge, &mut self.paths)
+            .route_in(from, to, blocked, blocked_edge, to_dst, &mut self.paths)
+    }
+
+    /// Index of `to`'s potential, searched on first use.
+    fn potential_of(&mut self, to: NodeId) -> usize {
+        if let Some(i) = self.potentials.iter().position(|p| p.dst() == to) {
+            return i;
+        }
+        self.potentials
+            .push(self.graph.potential_to(to, &mut self.paths));
+        self.potentials.len() - 1
     }
 
     fn drop_if(&mut self, hit: impl Fn(&[NodeId]) -> bool) {
@@ -358,8 +401,8 @@ impl<'g> RouteMemo<'g> {
 /// search to one. Outcomes and telemetry are bit-identical to the
 /// scratch-free entry points — the queue's [`EventQueue::reset`]
 /// rewinds time and the sequence counter completely, and the memo's
-/// routes of the view are cleared per run (its healthy routes, a
-/// property of the graph alone, are kept).
+/// routes of the view are cleared per run (its healthy routes and
+/// potentials, properties of the graph alone, are kept).
 pub struct SimScratch<'g> {
     q: EventQueue<Ev>,
     delivered: Vec<bool>,
@@ -368,8 +411,9 @@ pub struct SimScratch<'g> {
     step_spans: Vec<SpanId>,
     tx_spans: Vec<SpanId>,
     routes: RouteMemo<'g>,
-    /// Test oracle: route every send with its own search of the view,
-    /// as if there were neither a memo nor healthy routes.
+    /// Test oracle: route every send with its own plain search of the
+    /// view, as if there were neither a memo, nor healthy routes, nor
+    /// potentials.
     #[cfg(test)]
     forget_before_send: bool,
 }
@@ -443,9 +487,9 @@ impl<'a> ProcedureSim<'a> {
     }
 
     /// [`Self::run`] against a caller-owned [`SimScratch`], reusing its
-    /// event queue, per-step buffers and healthy routes. The hot-loop
-    /// entry point: sweeps that replay thousands of procedures back to
-    /// back pay for the scratch once instead of per run.
+    /// event queue, per-step buffers, healthy routes and potentials. The
+    /// hot-loop entry point: sweeps that replay thousands of procedures
+    /// back to back pay for the scratch once instead of per run.
     ///
     /// # Panics
     /// Panics if `scratch` was made for another graph than this
@@ -615,6 +659,7 @@ impl<'a> ProcedureSim<'a> {
                             step.to,
                             |n| cursor.is_dead(n),
                             |a, b| cursor.link_down(a, b),
+                            false,
                         )
                     } else {
                         route
@@ -1382,6 +1427,34 @@ mod tests {
             }
             assert_eq!(memo.searches(), searches, "t = {t}");
         }
+    }
+
+    #[test]
+    fn each_destination_gets_one_potential_that_outlives_clear() {
+        let g = diamond_with_spur();
+        // Node 1 dead from the start breaks the healthy routes 0-1-3 and
+        // 3-1-0 both ways: each replay searches the view once per pair.
+        let tl = FailureTimeline::none().crash(0.0, 1);
+        let obs = Recorder::disabled();
+        let mut memo = RouteMemo::new(&g);
+        for replay in 1..=3 {
+            memo.clear();
+            // The potentials of the replays before are still there.
+            let dsts: Vec<NodeId> = memo.potentials.iter().map(|p| p.dst()).collect();
+            assert_eq!(dsts, if replay == 1 { vec![] } else { vec![3, 0] });
+            let mut cursor = tl.cursor();
+            memo.observe(cursor.advance_to(0.0, &obs));
+            assert_eq!(memo.resolve(&cursor, 0, 3), Some((40.0, 2)));
+            assert_eq!(memo.resolve(&cursor, 3, 0), Some((40.0, 2)));
+            // The failure-free searches once, the view's once a replay;
+            // the potentials' searches are not counted.
+            assert_eq!(memo.searches(), 2 + 2 * replay);
+        }
+        // One potential per destination, each the failure-free distance.
+        assert_eq!(memo.potentials.len(), 2);
+        let h = |p: &Potential| (0..g.len()).map(|v| p.at(v)).collect::<Vec<_>>();
+        assert_eq!(h(&memo.potentials[0]), [10.0, 5.0, 20.0, 0.0, 21.0]);
+        assert_eq!(h(&memo.potentials[1]), [0.0, 5.0, 20.0, 10.0, 21.0]);
     }
 
     #[test]

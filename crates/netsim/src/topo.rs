@@ -41,18 +41,118 @@ impl PathResult {
     }
 }
 
-/// Heap key of the Dijkstra loop: `dist`'s bits over `node`, popped
-/// smallest first. No label is ever negative or −0.0 — the source's is
-/// +0.0, [`Graph::add_edge`] admits only finite weights ≥ 0, and
-/// +0.0 + (−0.0) = +0.0 — and on non-negative doubles the bit order is
-/// `f64::total_cmp`'s, so keys pop in `(dist, node)` order.
-fn heap_key(dist: f64, node: NodeId) -> Reverse<u128> {
-    Reverse((u128::from(dist.to_bits()) << 64) | node as u128)
+/// Heap key of the Dijkstra loop: `key`'s bits over `node`, popped
+/// smallest first. No key is ever negative or −0.0 — a key is a label,
+/// or a label plus a [`Potential`] entry; the source's label and every
+/// potential's destination entry are +0.0, [`Graph::add_edge`] admits
+/// only finite weights ≥ 0, and +0.0 + (−0.0) = +0.0 — and on
+/// non-negative doubles the bit order is `f64::total_cmp`'s, so keys
+/// pop in `(key, node)` order.
+fn heap_key(key: f64, node: NodeId) -> Reverse<u128> {
+    Reverse((u128::from(key.to_bits()) << 64) | node as u128)
 }
 
 /// Inverse of [`heap_key`].
 fn heap_entry(Reverse(key): Reverse<u128>) -> (f64, NodeId) {
     (f64::from_bits((key >> 64) as u64), key as u64 as NodeId)
+}
+
+/// Relative slack of the bounded pass: with an A* cost `C` it keeps
+/// every relaxation whose `label + h` is at most `C · (1 + PRUNE_SLACK)`.
+/// A label, a potential entry and `C` are each float sums of
+/// non-negative weights along fewer than `n` hops, so each is within
+/// `n·ε` of its exact value (ε = 2⁻⁵³), and the three together within
+/// `4n·ε` ≤ 2⁻¹⁹ for any graph [`Graph::new`] builds. The slack is
+/// eight times that.
+const PRUNE_SLACK: f64 = 1.0 / 65_536.0;
+
+/// How one pass of the Dijkstra loop uses `h`, a lower bound on each
+/// node's distance to the destination: entries pop in
+/// `(label + h, node)` order if `keyed` (A*), else in `(label, node)`
+/// order, and a relaxation whose `label + h` exceeds `bound` is
+/// skipped.
+struct Pass<H> {
+    h: H,
+    keyed: bool,
+    bound: f64,
+}
+
+/// The pass with no potential: `h ≡ 0`, nothing skipped.
+fn plain() -> Pass<impl Fn(NodeId) -> f64> {
+    Pass {
+        h: |_| 0.0,
+        keyed: false,
+        bound: f64::INFINITY,
+    }
+}
+
+/// Failure-free distance from every node to one destination, `+∞` for
+/// a node with no path to it: the potential [`Graph::route_in`] directs
+/// its search with. A view only removes nodes and edges, so these
+/// bound the distances of every view from below. Built by
+/// [`Graph::potential_to`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Potential {
+    dst: NodeId,
+    h: Vec<f64>,
+}
+
+impl Potential {
+    /// The destination the distances lead to.
+    pub fn dst(&self) -> NodeId {
+        self.dst
+    }
+
+    /// The failure-free distance from `node` to [`Self::dst`].
+    pub fn at(&self, node: NodeId) -> f64 {
+        self.h[node]
+    }
+}
+
+/// The in-edges of every node of a [`Graph`] in flat arrays: node `v`'s
+/// tails are `tails[starts[v]..starts[v + 1]]`, the edges' weights
+/// `weights` at the same indices — 12 bytes an edge. The reverse graph
+/// a [`Potential`] is searched on.
+struct InEdges {
+    starts: Vec<usize>,
+    /// Fits: [`Graph::new`] refuses graphs whose ids a `u32` cannot name.
+    tails: Vec<u32>,
+    weights: Vec<f64>,
+}
+
+impl InEdges {
+    fn of_graph(g: &Graph) -> Self {
+        // Count each node's in-edges, sum them into each node's end,
+        // then place every edge by stepping its head's end back.
+        let mut starts = vec![0; g.adj.len() + 1];
+        for e in g.adj.iter().flatten() {
+            starts[e.to] += 1;
+        }
+        let mut end = 0;
+        for s in &mut starts {
+            end += *s;
+            *s = end;
+        }
+        let (mut tails, mut weights) = (vec![0; end], vec![0.0; end]);
+        for (from, out) in g.adj.iter().enumerate() {
+            for e in out {
+                starts[e.to] -= 1;
+                (tails[starts[e.to]], weights[starts[e.to]]) = (from as u32, e.weight);
+            }
+        }
+        Self {
+            starts,
+            tails,
+            weights,
+        }
+    }
+
+    fn of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let at = self.starts[v]..self.starts[v + 1];
+        (self.tails[at.clone()].iter())
+            .zip(&self.weights[at])
+            .map(|(&tail, &weight)| (tail as NodeId, weight))
+    }
 }
 
 /// One node's Dijkstra label. Live only while `stamp` equals the
@@ -125,6 +225,49 @@ impl PathScratch {
             dist,
         };
     }
+
+    /// The one Dijkstra loop: from `src` over the out-edges `out(v)` of
+    /// `n` nodes, entering `b` from `a` only if `open(a, b)`, until it
+    /// pops `dst` — or, with none, until the heap runs dry. Labels and
+    /// predecessors stay readable until the next search.
+    ///
+    /// A label is replaced only by a strictly smaller one, and an entry
+    /// is stale once its node's current label no longer gives its key.
+    fn settle<E: Iterator<Item = (NodeId, f64)>, H: Fn(NodeId) -> f64>(
+        &mut self,
+        out: impl Fn(NodeId) -> E,
+        n: usize,
+        src: NodeId,
+        dst: Option<NodeId>,
+        open: impl Fn(NodeId, NodeId) -> bool,
+        pass: Pass<H>,
+    ) {
+        let lift = |v| if pass.keyed { (pass.h)(v) } else { 0.0 };
+        self.begin(n);
+        self.relabel(src, 0.0, src);
+        self.heap.push(heap_key(lift(src), src));
+
+        while let Some(entry) = self.heap.pop() {
+            let (key, node) = heap_entry(entry);
+            if Some(node) == dst {
+                break;
+            }
+            let d = self.dist(node);
+            if key > d + lift(node) {
+                continue;
+            }
+            for (to, weight) in out(node) {
+                if !open(node, to) {
+                    continue;
+                }
+                let nd = d + weight;
+                if nd < self.dist(to) && nd + (pass.h)(to) <= pass.bound {
+                    self.relabel(to, nd, node);
+                    self.heap.push(heap_key(nd + lift(to), to));
+                }
+            }
+        }
+    }
 }
 
 impl Graph {
@@ -175,6 +318,21 @@ impl Graph {
         self.adj.iter().map(|v| v.len()).sum()
     }
 
+    /// The failure-free distance from every node to `dst`: one search
+    /// from `dst` over the graph reversed, run to exhaustion in
+    /// `scratch` (which then holds no found path). The reversed graph
+    /// lives for the call only.
+    pub fn potential_to(&self, dst: NodeId, scratch: &mut PathScratch) -> Potential {
+        let in_edges = InEdges::of_graph(self);
+        scratch.found = None;
+        let n = self.adj.len();
+        scratch.settle(|v| in_edges.of(v), n, dst, None, |_, _| true, plain());
+        Potential {
+            dst,
+            h: (0..n).map(|v| scratch.dist(v)).collect(),
+        }
+    }
+
     /// Dijkstra shortest path from `src` to `dst`, skipping nodes for
     /// which `blocked(node)` is true (used for failure injection: dead
     /// satellites simply vanish from the graph).
@@ -202,53 +360,77 @@ impl Graph {
         blocked_edge: impl Fn(NodeId, NodeId) -> bool,
     ) -> Option<PathResult> {
         let mut scratch = PathScratch::new();
-        let (cost, _) = self.route_in(src, dst, blocked, blocked_edge, &mut scratch)?;
+        let (cost, _) = self.route_in(src, dst, blocked, blocked_edge, None, &mut scratch)?;
         let mut path: Vec<NodeId> = scratch.path_rev().collect();
         path.reverse();
         Some(PathResult { path, cost })
     }
 
-    /// The one Dijkstra loop: [`Self::shortest_path_avoiding`] against
+    /// The route search behind [`Self::shortest_path_avoiding`], against
     /// caller-owned working memory, returning only `(cost, hops)`. The
     /// found path's nodes stay readable through
     /// [`PathScratch::path_rev`] until the scratch's next search.
     ///
-    /// The search order is part of the contract — the heap pops in
-    /// `(dist, node)` order and a label is replaced only by a strictly
-    /// smaller one — because [`crate::sim::RouteMemo`]'s invalidation
-    /// rule is exact only for that order.
+    /// The answer is part of the contract — the route the heap finds
+    /// popping in `(dist, node)` order, a label replaced only by a
+    /// strictly smaller one — because [`crate::sim::RouteMemo`]'s
+    /// invalidation rule is exact only for that route. With no
+    /// potential (`to_dst` = `None`, i.e. `h ≡ 0`) that is one pass of
+    /// the loop. With `to_dst`, the failure-free distances to `dst`, it
+    /// is two:
+    ///
+    /// 1. A* — entries pop by `label + h` — which stops at `dst` with
+    ///    `C`, the cost of a real path of the view;
+    /// 2. the `(dist, node)`-ordered pass, skipping every relaxation
+    ///    whose `label + h` exceeds `C` by more than a relative rounding
+    ///    allowance of 2⁻¹⁶.
+    ///
+    /// Both return the same route: the second pass is the plain search
+    /// of the view minus the skipped edges, no edge of the plain route
+    /// is skipped, and `crate::sim`'s lemma (its module doc, "Route
+    /// resolution") says such a subgraph yields the same chain, cost
+    /// bits and hops. The A* keys `label + h` are never negative or
+    /// −0.0 either, so the heap's `u128` bit order is still
+    /// `total_cmp`'s.
+    ///
+    /// # Panics
+    /// Panics if `to_dst` leads to another node than `dst`, or belongs
+    /// to a graph of another size.
     pub fn route_in(
         &self,
         src: NodeId,
         dst: NodeId,
         blocked: impl Fn(NodeId) -> bool,
         blocked_edge: impl Fn(NodeId, NodeId) -> bool,
+        to_dst: Option<&Potential>,
         scratch: &mut PathScratch,
     ) -> Option<(f64, usize)> {
         scratch.found = None;
         if blocked(src) || blocked(dst) {
             return None;
         }
-        scratch.begin(self.adj.len());
-        scratch.relabel(src, 0.0, src);
-        scratch.heap.push(heap_key(0.0, src));
-
-        while let Some(entry) = scratch.heap.pop() {
-            let (d, node) = heap_entry(entry);
-            if node == dst {
-                break;
-            }
-            if d > scratch.dist(node) {
-                continue;
-            }
-            for e in &self.adj[node] {
-                if blocked(e.to) || blocked_edge(node, e.to) {
-                    continue;
-                }
-                let nd = d + e.weight;
-                if nd < scratch.dist(e.to) {
-                    scratch.relabel(e.to, nd, node);
-                    scratch.heap.push(heap_key(nd, e.to));
+        let n = self.adj.len();
+        let out = move |v: NodeId| self.neighbors(v);
+        let open = |a, b| !blocked(b) && !blocked_edge(a, b);
+        match to_dst {
+            None => scratch.settle(out, n, src, Some(dst), open, plain()),
+            Some(p) => {
+                assert!(p.dst == dst && p.h.len() == n, "potential of another route");
+                let h = |v: NodeId| p.h[v];
+                let astar = Pass {
+                    h,
+                    keyed: true,
+                    bound: f64::INFINITY,
+                };
+                scratch.settle(out, n, src, Some(dst), open, astar);
+                let c = scratch.dist(dst);
+                if c.is_finite() {
+                    let bounded = Pass {
+                        h,
+                        keyed: false,
+                        bound: c * (1.0 + PRUNE_SLACK),
+                    };
+                    scratch.settle(out, n, src, Some(dst), open, bounded);
                 }
             }
         }
@@ -373,12 +555,49 @@ mod tests {
         ];
         for (graph, src, dst, dead) in searches {
             let fresh = graph.shortest_path(src, dst, |n| n == dead);
-            let got = graph.route_in(src, dst, |n| n == dead, |_, _| false, &mut scratch);
+            let got = graph.route_in(src, dst, |n| n == dead, |_, _| false, None, &mut scratch);
             assert_eq!(got, fresh.as_ref().map(|p| (p.cost, p.hops())));
             let mut path: Vec<NodeId> = scratch.path_rev().collect();
             path.reverse();
             assert_eq!(path, fresh.map(|p| p.path).unwrap_or_default());
         }
+    }
+
+    #[test]
+    fn potential_follows_in_edges_and_directs_the_same_route() {
+        // One-way: 0 → 1 → 2 and 0 → 2, 3 → 0; node 4 has no edge.
+        let mut g = Graph::new(5);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, 2.0);
+        g.add_edge(0, 2, 5.0);
+        g.add_edge(3, 0, 0.5);
+        let mut scratch = PathScratch::new();
+        let h = |p: &Potential| (0..5).map(|v| p.at(v)).collect::<Vec<_>>();
+        let inf = f64::INFINITY;
+        let to_2 = g.potential_to(2, &mut scratch);
+        assert_eq!(h(&to_2), [3.0, 2.0, 0.0, 3.5, inf]);
+        let to_3 = g.potential_to(3, &mut scratch);
+        assert_eq!(h(&to_3), [inf, inf, inf, 0.0, inf]);
+        assert_eq!(scratch.path_rev().count(), 0);
+        let mut route = |src, dead: NodeId, to_dst| {
+            g.route_in(src, 2, |n| n == dead, |_, _| false, to_dst, &mut scratch)
+        };
+        assert_eq!(route(3, usize::MAX, None), Some((3.5, 3)));
+        assert_eq!(route(3, usize::MAX, Some(&to_2)), Some((3.5, 3)));
+        assert_eq!(route(3, 1, None), Some((5.5, 2)));
+        assert_eq!(route(3, 1, Some(&to_2)), Some((5.5, 2)));
+        assert_eq!(route(4, usize::MAX, Some(&to_2)), None);
+        route(3, usize::MAX, Some(&to_2));
+        assert_eq!(scratch.path_rev().collect::<Vec<_>>(), [2, 1, 0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "potential of another route")]
+    fn potential_of_another_destination_is_refused() {
+        let g = diamond();
+        let mut scratch = PathScratch::new();
+        let to_3 = g.potential_to(3, &mut scratch);
+        g.route_in(0, 2, |_| false, |_, _| false, Some(&to_3), &mut scratch);
     }
 
     #[test]

@@ -139,7 +139,8 @@ proptest! {
     }
 }
 
-/// The Dijkstra kernel `Graph::route_in` replaced, kept as its oracle: a
+/// The Dijkstra kernel `Graph::route_in` replaced, kept as the oracle of
+/// its plain and its goal-directed searches alike: a
 /// `BinaryHeap` of `(dist, node)` items under `total_cmp`-then-node order
 /// and 24-byte generation-stamped labels with a `usize` predecessor.
 /// Like the kernel it reuses its labels from search to search.
@@ -278,7 +279,13 @@ fn torus_with_islands(w: usize, h: usize, isolated: usize, weight: impl Fn(usize
 /// (drawn afresh per query, denser as `p_block` grows), one query in
 /// eight from a node to itself, and pairs that touch the isolated
 /// nodes, which no search reaches. Path, cost bits and hops must agree.
-fn kernel_matches_reference(g: &Graph, p_block: f64, searches: usize, seed: u64) {
+///
+/// With `directed`, each query's search is directed by the potential of
+/// its destination, searched on the failure-free graph in the same
+/// scratch just before; the potential itself must read 0 at the
+/// destination and, at the source, the failure-free cost (`+∞` exactly
+/// when the reference finds no failure-free route).
+fn kernel_matches_reference(g: &Graph, p_block: f64, searches: usize, directed: bool, seed: u64) {
     let mut rng = Xorshift64::new(seed);
     let n = g.len();
     let mut scratch = PathScratch::new();
@@ -294,8 +301,28 @@ fn kernel_matches_reference(g: &Graph, p_block: f64, searches: usize, seed: u64)
         let src = rng.below(n);
         let dst = if rng.chance(0.125) { src } else { rng.below(n) };
 
+        let potential = directed.then(|| g.potential_to(dst, &mut scratch));
+        if let Some(p) = &potential {
+            assert_eq!((p.dst(), p.at(dst).to_bits()), (dst, 0.0f64.to_bits()));
+            let free = oracle.route(g, src, dst, |_| false, |_, _| false);
+            match free {
+                None => assert_eq!(p.at(src), f64::INFINITY, "{src} -> {dst}"),
+                Some(((cost, _), _)) => assert!(
+                    (p.at(src) - cost).abs() <= 1e-12 * cost,
+                    "{src} -> {dst}: potential {} against failure-free cost {cost}",
+                    p.at(src)
+                ),
+            }
+        }
         let want = oracle.route(g, src, dst, blocked, blocked_edge);
-        let got = g.route_in(src, dst, blocked, blocked_edge, &mut scratch);
+        let got = g.route_in(
+            src,
+            dst,
+            blocked,
+            blocked_edge,
+            potential.as_ref(),
+            &mut scratch,
+        );
         let mut path: Vec<NodeId> = scratch.path_rev().collect();
         path.reverse();
         assert_eq!(
@@ -319,7 +346,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let g = torus_with_islands(w, h, isolated, |_| 1.0);
-        kernel_matches_reference(&g, p_block, 40, seed);
+        kernel_matches_reference(&g, p_block, 40, false, seed);
     }
 
     #[test]
@@ -337,8 +364,82 @@ proptest! {
             .map(|_| [0.0, -0.0, 1.0, 2.0][rng.below(4)])
             .collect();
         let g = torus_with_islands(w, h, isolated, |k| classes[k]);
-        kernel_matches_reference(&g, p_block, 40, seed);
+        kernel_matches_reference(&g, p_block, 40, false, seed);
     }
+
+    #[test]
+    fn directed_route_in_matches_reference_kernel_on_unit_tori(
+        w in 2usize..9,
+        h in 2usize..9,
+        isolated in 0usize..3,
+        p_block in 0.0f64..0.4,
+        seed in any::<u64>(),
+    ) {
+        let g = torus_with_islands(w, h, isolated, |_| 1.0);
+        kernel_matches_reference(&g, p_block, 40, true, seed);
+    }
+
+    #[test]
+    fn directed_route_in_matches_reference_kernel_with_signed_zero_weights(
+        w in 2usize..9,
+        h in 2usize..9,
+        isolated in 0usize..3,
+        p_block in 0.0f64..0.4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Xorshift64::new(seed ^ 0x5EED);
+        let classes: Vec<f64> = (0..2 * w * h)
+            .map(|_| [0.0, -0.0, 1.0, 2.0][rng.below(4)])
+            .collect();
+        let g = torus_with_islands(w, h, isolated, |k| classes[k]);
+        kernel_matches_reference(&g, p_block, 40, true, seed);
+    }
+
+    #[test]
+    fn directed_route_in_matches_reference_kernel_on_one_way_inexact_graphs(
+        w in 2usize..9,
+        h in 2usize..9,
+        ends in 0usize..4,
+        chords in 0usize..24,
+        p_block in 0.0f64..0.4,
+        seed in any::<u64>(),
+    ) {
+        let g = one_way_graph(w, h, ends, chords, seed);
+        kernel_matches_reference(&g, p_block, 40, true, seed);
+    }
+}
+
+/// A `w × h` torus whose links run one way only (+x and +y), `chords`
+/// random one-way chords across it, then `ends` nodes that only send
+/// into the torus (no node reaches them: `h = ∞` towards them from
+/// everywhere else) and `ends` that only receive from it (they reach
+/// nothing), and one node with no edge at all. Every weight is one of
+/// 0.1, 0.3 and 3.3, which f64 does not hold exactly, so routes of
+/// equal real cost and different hop counts split by rounding — and a
+/// potential searched over out-edges instead of in-edges would be a
+/// wrong bound.
+fn one_way_graph(w: usize, h: usize, ends: usize, chords: usize, seed: u64) -> Graph {
+    let mut rng = Xorshift64::new(seed ^ 0x0E_3A7);
+    let mut weight = || [0.1, 0.3, 3.3][rng.below(3)];
+    let torus = w * h;
+    let mut links = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            links.push((y * w + x, y * w + (x + 1) % w));
+            links.push((y * w + x, ((y + 1) % h) * w + x));
+        }
+    }
+    let mut picks = Xorshift64::new(seed ^ 0xC40_8D5);
+    links.extend((0..chords).map(|_| (picks.below(torus), picks.below(torus))));
+    for i in 0..ends {
+        links.push((torus + i, picks.below(torus)));
+        links.push((picks.below(torus), torus + ends + i));
+    }
+    let mut g = Graph::new(torus + 2 * ends + 1);
+    for (a, b) in links {
+        g.add_edge(a, b, weight());
+    }
+    g
 }
 
 #[test]

@@ -20,8 +20,11 @@ cargo test -q --offline "$@"
 # The pinned crypto bytes, the per-establishment allocation budget, the
 # checked-in results and the fig10 and ext_chaos sidecars
 # (`results_stability`, at 1 and 4 workers), the route memo's
-# exactness, the Dijkstra kernel's packed heap keys against a copy of
-# the `(dist, node)`-ordered kernel they replaced (sc-netsim's `props`),
+# exactness, the Dijkstra kernel's packed heap keys and its
+# goal-directed two-pass search (A* for a bound, then the pruned
+# `(dist, node)`-ordered pass) against a copy of the kernel the packed
+# keys replaced (sc-netsim's `props`, the `directed_route_in_…`
+# properties among them),
 # the draw → point placement and its lookup
 # tables (`region_of`'s pure candidate cells, masks and dot products,
 # `cell_of_point`'s latitude strips), the churn engine's staged
