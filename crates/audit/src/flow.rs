@@ -561,9 +561,6 @@ fn parallel_one(unit: &FileUnit, out: &mut Vec<FlowFinding>) {
             continue;
         }
         let args_close = matching(toks, i + 1, "(", ")");
-        let Some((params, body)) = closure_in(toks, i + 2, args_close) else {
-            continue;
-        };
         let spawn_step = FlowStep {
             file: unit.rel.clone(),
             line: t.line,
@@ -584,114 +581,133 @@ fn parallel_one(unit: &FileUnit, out: &mut Vec<FlowFinding>) {
                 captured.push((n.text.clone(), n.line, n.col));
             }
         }
-        let mut local: HashSet<&str> = params.iter().map(String::as_str).collect();
-        for j in body.0..body.1 {
-            if toks[j].is_ident("let") {
-                let mut k = j + 1;
-                if toks.get(k).is_some_and(|n| n.is_ident("mut")) {
-                    k += 1;
-                }
-                if let Some(n) = toks.get(k).filter(|n| n.kind == TokenKind::Ident) {
-                    local.insert(&n.text);
-                }
+        // Every closure argument runs on the workers: the per-item
+        // closure and, for `parallel_map_init`, the per-worker `init` —
+        // and so does a closure bound by `let` and passed by name
+        // (`s.spawn(worker)`).
+        let mut closures = Vec::new();
+        let mut from = i + 2;
+        while let Some(c) = closure_in(toks, from, args_close) {
+            from = c.1 .1;
+            closures.push(c);
+        }
+        for j in i + 2..args_close {
+            let alone = toks[j - 1].is_punct('(') || toks[j - 1].is_punct(',');
+            let ends = toks[j + 1].is_punct(')') || toks[j + 1].is_punct(',');
+            if toks[j].kind == TokenKind::Ident && alone && ends {
+                closures.extend(let_bound_closure(toks, i, &toks[j].text));
             }
         }
-
-        for j in body.0..body.1 {
-            let tk = &toks[j];
-            if tk.kind != TokenKind::Ident {
-                continue;
-            }
-            let field_access = j > 0 && toks[j - 1].is_punct('.');
-
-            // (a) mutation of a captured local.
-            if !field_access && !local.contains(tk.text.as_str()) {
-                if let Some((_, dl, dc)) = captured.iter().find(|(n, _, _)| n == &tk.text) {
-                    if is_mutation(toks, j) {
-                        out.push(FlowFinding {
-                            file: unit.rel.clone(),
-                            line: tk.line,
-                            col: tk.col,
-                            rule: "R5-parallel",
-                            message: format!(
-                                "parallel closure mutates captured `{}`; cross-thread write \
-                                 order is nondeterministic under SC_EMU_THREADS — return the \
-                                 value and aggregate through the slot-ordered results \
-                                 protocol, or annotate `// sc-audit: allow(parallel, reason \
-                                 = \"…\")`",
-                                tk.text
-                            ),
-                            trace: vec![
-                                spawn_step.clone(),
-                                FlowStep {
-                                    file: unit.rel.clone(),
-                                    line: *dl,
-                                    col: *dc,
-                                    note: format!("captured binding `{}` declared here", tk.text),
-                                },
-                            ],
-                        });
+        for (params, body) in closures {
+            let mut local: HashSet<&str> = params.iter().map(String::as_str).collect();
+            for j in body.0..body.1 {
+                if toks[j].is_ident("let") {
+                    let mut k = j + 1;
+                    if toks.get(k).is_some_and(|n| n.is_ident("mut")) {
+                        k += 1;
+                    }
+                    if let Some(n) = toks.get(k).filter(|n| n.kind == TokenKind::Ident) {
+                        local.insert(&n.text);
                     }
                 }
             }
 
-            // (b) ad-hoc shared-mutable access inside the closure.
-            if field_access
-                && (tk.text == "lock" || tk.text == "write" || tk.text == "borrow_mut")
-                && toks.get(j + 1).is_some_and(|n| n.is_punct('('))
-            {
-                out.push(FlowFinding {
-                    file: unit.rel.clone(),
-                    line: tk.line,
-                    col: tk.col,
-                    rule: "R5-parallel",
-                    message: format!(
-                        "`.{}()` on shared state inside a parallel closure; acquisition \
-                         order varies across runs — writes must be slot-ordered and \
-                         commutative to keep results byte-stable, or annotate \
-                         `// sc-audit: allow(parallel, reason = \"…\")`",
-                        tk.text
-                    ),
-                    trace: vec![spawn_step.clone()],
-                });
-            }
+            for j in body.0..body.1 {
+                let tk = &toks[j];
+                if tk.kind != TokenKind::Ident {
+                    continue;
+                }
+                let field_access = j > 0 && toks[j - 1].is_punct('.');
 
-            // (c) hash-ordered iteration inside the closure.
-            let is_hashed = hashed.binary_search(&tk.text).is_ok();
-            if is_hashed && !field_access {
-                let iterates = {
-                    let m = toks.get(j + 1).zip(toks.get(j + 2));
-                    let method_iter = m.is_some_and(|(d, n)| {
-                        d.is_punct('.')
-                            && ["iter", "keys", "values", "into_iter", "drain"]
-                                .iter()
-                                .any(|x| n.is_ident(x))
+                // (a) mutation of a captured local.
+                if !field_access && !local.contains(tk.text.as_str()) {
+                    if let Some((_, dl, dc)) = captured.iter().find(|(n, _, _)| n == &tk.text) {
+                        if is_mutation(toks, j) {
+                            out.push(FlowFinding {
+                                file: unit.rel.clone(),
+                                line: tk.line,
+                                col: tk.col,
+                                rule: "R5-parallel",
+                                message: format!(
+                                    "parallel closure mutates captured `{}`; cross-thread write \
+                                     order is nondeterministic under SC_EMU_THREADS — return the \
+                                     value and aggregate through the slot-ordered results \
+                                     protocol, or annotate `// sc-audit: allow(parallel, reason \
+                                     = \"…\")`",
+                                    tk.text
+                                ),
+                                trace: vec![
+                                    spawn_step.clone(),
+                                    FlowStep {
+                                        file: unit.rel.clone(),
+                                        line: *dl,
+                                        col: *dc,
+                                        note: format!("captured binding `{}` declared here", tk.text),
+                                    },
+                                ],
+                            });
+                        }
+                    }
+                }
+
+                // (b) ad-hoc shared-mutable access inside the closure.
+                if field_access
+                    && (tk.text == "lock" || tk.text == "write" || tk.text == "borrow_mut")
+                    && toks.get(j + 1).is_some_and(|n| n.is_punct('('))
+                {
+                    out.push(FlowFinding {
+                        file: unit.rel.clone(),
+                        line: tk.line,
+                        col: tk.col,
+                        rule: "R5-parallel",
+                        message: format!(
+                            "`.{}()` on shared state inside a parallel closure; acquisition \
+                             order varies across runs — writes must be slot-ordered and \
+                             commutative to keep results byte-stable, or annotate \
+                             `// sc-audit: allow(parallel, reason = \"…\")`",
+                            tk.text
+                        ),
+                        trace: vec![spawn_step.clone()],
                     });
-                    let for_in = (body.0..j).rev().take(6).any(|k| toks[k].is_ident("in"))
-                        && (body.0..j).rev().take(8).any(|k| toks[k].is_ident("for"));
-                    method_iter || for_in
-                };
-                if iterates {
-                    let stmt_end = (j..body.1)
-                        .find(|&k| toks[k].is_punct(';') || toks[k].is_punct('{'))
-                        .unwrap_or(body.1 - 1);
-                    let sanctioned = toks[j..=stmt_end].iter().any(|x| {
-                        x.kind == TokenKind::Ident && ORDER_INSENSITIVE.contains(&x.text.as_str())
-                    });
-                    if !sanctioned {
-                        out.push(FlowFinding {
-                            file: unit.rel.clone(),
-                            line: tk.line,
-                            col: tk.col,
-                            rule: "R5-parallel",
-                            message: format!(
-                                "hash-ordered iteration over `{}` inside a parallel closure; \
-                                 per-thread order differences leak into results — sort first \
-                                 or use a BTree collection",
-                                tk.text
-                            ),
-                            trace: vec![spawn_step.clone()],
+                }
+
+                // (c) hash-ordered iteration inside the closure.
+                let is_hashed = hashed.binary_search(&tk.text).is_ok();
+                if is_hashed && !field_access {
+                    let iterates = {
+                        let m = toks.get(j + 1).zip(toks.get(j + 2));
+                        let method_iter = m.is_some_and(|(d, n)| {
+                            d.is_punct('.')
+                                && ["iter", "keys", "values", "into_iter", "drain"]
+                                    .iter()
+                                    .any(|x| n.is_ident(x))
                         });
+                        let for_in = (body.0..j).rev().take(6).any(|k| toks[k].is_ident("in"))
+                            && (body.0..j).rev().take(8).any(|k| toks[k].is_ident("for"));
+                        method_iter || for_in
+                    };
+                    if iterates {
+                        let stmt_end = (j..body.1)
+                            .find(|&k| toks[k].is_punct(';') || toks[k].is_punct('{'))
+                            .unwrap_or(body.1 - 1);
+                        let sanctioned = toks[j..=stmt_end].iter().any(|x| {
+                            x.kind == TokenKind::Ident && ORDER_INSENSITIVE.contains(&x.text.as_str())
+                        });
+                        if !sanctioned {
+                            out.push(FlowFinding {
+                                file: unit.rel.clone(),
+                                line: tk.line,
+                                col: tk.col,
+                                rule: "R5-parallel",
+                                message: format!(
+                                    "hash-ordered iteration over `{}` inside a parallel closure; \
+                                     per-thread order differences leak into results — sort first \
+                                     or use a BTree collection",
+                                    tk.text
+                                ),
+                                trace: vec![spawn_step.clone()],
+                            });
+                        }
                     }
                 }
             }
@@ -720,6 +736,36 @@ fn is_mutation(toks: &[Token], j: usize) -> bool {
             .get(j + 2)
             .is_some_and(|n| MUTATORS.contains(&n.text.as_str()))
         && toks.get(j + 3).is_some_and(|n| n.is_punct('('))
+}
+
+/// The closure bound by the last `let name = …;` before token `before`,
+/// if that binding is a closure.
+fn let_bound_closure(
+    toks: &[Token],
+    before: usize,
+    name: &str,
+) -> Option<(Vec<String>, (usize, usize))> {
+    let at = (1..before)
+        .rev()
+        .find(|&k| toks[k - 1].is_ident("let") && toks[k].is_ident(name))?;
+    let eq = at + 1;
+    if !toks.get(eq).is_some_and(|t| t.is_punct('=')) {
+        return None;
+    }
+    let rhs = toks.get(eq + 1)?;
+    if !(rhs.is_punct('|') || rhs.is_ident("move")) {
+        return None;
+    }
+    let mut depth = 0i32;
+    let end = (eq + 1..toks.len()).find(|&k| {
+        match toks[k].text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            _ => {}
+        }
+        depth == 0 && toks[k].is_punct(';')
+    })?;
+    closure_in(toks, eq + 1, end)
 }
 
 /// Find the first closure `|params| body` / `move || { body }` between
@@ -955,6 +1001,44 @@ mod tests {
         assert_eq!(f[0].rule, "R5-parallel");
         assert!(f[0].message.contains("captured `total`"), "{}", f[0].message);
         assert!(f[0].trace.iter().any(|s| s.note.contains("declared here")));
+    }
+
+    #[test]
+    fn every_closure_argument_is_checked() {
+        // `parallel_map_init(threads, items, init, f)`: the per-worker
+        // `init` and the per-item `f` both run on the workers.
+        let src = "
+            fn sweep(items: Vec<u32>) {
+                let mut built = 0u64;
+                let mut seen = 0u64;
+                parallel_map_init(2, items, || { built += 1; Vec::new() }, |buf, i| {
+                    buf.push(i);
+                    seen += 1;
+                });
+            }
+        ";
+        let f = r5(src);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].message.contains("captured `built`"), "{}", f[0].message);
+        assert!(f[1].message.contains("captured `seen`"), "{}", f[1].message);
+    }
+
+    #[test]
+    fn closure_passed_by_name_is_checked() {
+        let src = "
+            fn sweep(s: &Scope, shared: &Mutex<Vec<u8>>) {
+                let worker = || loop {
+                    shared.lock().push(1);
+                };
+                let helper = 3;
+                s.spawn(worker);
+                s.spawn(helper);
+            }
+        ";
+        let f = r5(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains(".lock()"), "{}", f[0].message);
+        assert_eq!(f[0].line, 4);
     }
 
     #[test]

@@ -9,9 +9,18 @@
 //! serialized JSON — is identical to a serial `map`, regardless of
 //! thread count or scheduling.
 //!
+//! A sweep whose cells can share working memory — a route memo whose
+//! entries are pure functions of the graph, reusable buffers — maps with
+//! [`parallel_map_init`]: each worker builds one state when it claims
+//! its first cell and lends it `&mut` to every cell it claims, so a
+//! sweep builds at most one state per worker instead of one per cell.
+//! Which cells share a state depends on scheduling, so a cell's result
+//! must not depend on what earlier cells left in it. The stateless maps
+//! are its `|| ()` case: there is one worker loop.
+//!
 //! Worker count comes from the `SC_EMU_THREADS` environment variable,
 //! defaulting to the machine's available parallelism. `SC_EMU_THREADS=1`
-//! runs the map inline on the caller's thread, which is also the
+//! runs the one worker inline on the caller's thread, which is also the
 //! fallback when an experiment has a single cell.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,18 +53,35 @@ where
 
 /// [`parallel_map`] with an explicit worker count. The result is the
 /// same as `items.into_iter().map(f).collect()` for every `threads`
-/// value; tests use `threads = 1` as the serial reference.
+/// value; tests use `threads = 1` as the serial reference. The
+/// stateless case of [`parallel_map_init`].
 pub fn parallel_map_with<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    parallel_map_init(threads, items, || (), |(), item| f(item))
+}
+
+/// [`parallel_map_with`] with per-worker state: a worker builds its
+/// state with `init` when it claims its first item and lends it to `f`
+/// for every item it claims, so `init` runs at most once per worker —
+/// at most `threads` times, never for a worker that finds the items all
+/// taken. The result is the same as the serial
+/// `items.into_iter().map(|t| f(&mut init(), t)).collect()` whenever
+/// `f`'s answer does not depend on what earlier items left in the state
+/// (a cache of pure functions of shared inputs, reusable buffers): which
+/// items share a worker, and so a state, depends on scheduling.
+pub fn parallel_map_init<T, R, S, I, F>(threads: usize, items: Vec<T>, init: I, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
+{
     let n = items.len();
     let workers = threads.min(n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
 
     // Dynamic (work-stealing) distribution: workers claim the next
     // unprocessed index, so uneven cell costs — Iridium vs Kuiper-scale
@@ -64,25 +90,33 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let f = &f;
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // sc-audit: allow(parallel, reason = "per-index slot lock; fetch_add hands each index to exactly one worker, so there is no cross-thread contention and the read is order-free")
-                let mut slot = slots[i].lock().unwrap_or_else(|p| p.into_inner());
-                let item = slot.take().expect("each slot is claimed exactly once");
-                drop(slot);
-                let r = f(item);
-                // sc-audit: allow(parallel, reason = "slot-ordered result write: output lands in its input's index, so completion order cannot leak into the collected Vec")
-                *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
-            });
+    let worker = || {
+        let mut state = None;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            // sc-audit: allow(parallel, reason = "per-index slot lock; fetch_add hands each index to exactly one worker, so there is no cross-thread contention and the read is order-free")
+            let mut slot = slots[i].lock().unwrap_or_else(|p| p.into_inner());
+            let item = slot.take().expect("each slot is claimed exactly once");
+            drop(slot);
+            let r = f(state.get_or_insert_with(&init), item);
+            // sc-audit: allow(parallel, reason = "slot-ordered result write: output lands in its input's index, so completion order cannot leak into the collected Vec")
+            *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
         }
-    });
+    };
+    // One worker runs inline on the caller's thread (also the fallback
+    // for a single item); more run on scoped threads.
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(worker);
+            }
+        });
+    }
 
     results
         .into_iter()
@@ -155,6 +189,54 @@ mod tests {
         });
         let want: Vec<u64> = items.iter().map(|i| i * i).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn init_runs_once_per_worker_and_lends_its_state() {
+        let items: Vec<usize> = (0..64).collect();
+        let serial: Vec<usize> = items.iter().map(|i| i * 3).collect();
+        for threads in [1, 2, 4, 16] {
+            let inits = AtomicUsize::new(0);
+            let seen: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let got = parallel_map_init(
+                threads,
+                items.clone(),
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |claimed, i| {
+                    *claimed += 1;
+                    seen[i].fetch_add(1, Ordering::Relaxed);
+                    (i * 3, *claimed)
+                },
+            );
+            let inits = inits.into_inner();
+            assert!((1..=threads).contains(&inits), "threads={threads}: {inits} inits");
+            let out: Vec<usize> = got.iter().map(|&(r, _)| r).collect();
+            assert_eq!(out, serial, "threads={threads}");
+            // Each worker counts its own items in its one state, so the
+            // counts restart at 1 exactly once per init.
+            let firsts = got.iter().filter(|&&(_, c)| c == 1).count();
+            assert_eq!(firsts, inits, "threads={threads}");
+            assert!(
+                seen.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                "threads={threads}: every item exactly once"
+            );
+        }
+    }
+
+    #[test]
+    fn init_never_runs_without_an_item() {
+        let inits = AtomicUsize::new(0);
+        let got = parallel_map_init(
+            4,
+            Vec::<u32>::new(),
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, i| i,
+        );
+        assert!(got.is_empty());
+        assert_eq!(inits.into_inner(), 0);
     }
 
     #[test]

@@ -22,17 +22,36 @@
 //! The fabric's crash schedule of a run depends only on the crash rate,
 //! the recover time and the run, so the sweep works in eight groups of
 //! (crash rate, recover time), heaviest first: each run of a group
-//! draws its base schedule once, every solution replays a copy with its
-//! own loss burst appended, and the group's runs share one
-//! [`SimScratch`]. Each (solution, group) cell still records into its
-//! own telemetry child, merged in solution-major cell order.
-//! Everything is seeded; reruns are byte-identical under any
-//! `SC_EMU_THREADS`.
+//! draws its base schedule once, and every solution replays a copy with
+//! its own loss burst appended. What a sweep shares:
+//!
+//! * **One replay per distinct exchange.** A replay reads only its
+//!   solution's exchange — steps, [`SimConfig`], loss-burst window —
+//!   and the run's schedule, re-crash and loss seed. Solutions whose
+//!   exchanges are equal (5G NTN and Baoyun: a 13-message home-routed
+//!   C2 after 1 000 ms of detection; they differ only in what the replay
+//!   never reads) replay once per run, and the outcome is tallied into
+//!   each of their cells. Sharing is decided by equality of those
+//!   inputs, not by solution. A replay that records telemetry (run 0
+//!   under an enabled recorder) still runs once per cell, so each cell's
+//!   child recorder receives its own.
+//! * **One route memo per worker.** The groups map with
+//!   [`crate::engine::parallel_map_init`], and each worker's one
+//!   [`SimScratch`] serves every group it claims: a replay clears the
+//!   memo's routes of the view, and the healthy routes and potentials
+//!   it keeps are properties of the graph alone (the exactness argument
+//!   is in `sc_netsim::sim`'s module doc), so they carry across groups
+//!   exactly.
+//!
+//! Each (solution, group) cell records into its own telemetry child,
+//! merged in solution-major cell order. Everything is seeded; reruns
+//! are byte-identical under any `SC_EMU_THREADS`.
 
 use sc_netsim::chaos::FailureTimeline;
 use sc_netsim::failure::{LossProcess, Xorshift64};
 use sc_netsim::isl::{IslConfig, IslNetwork};
-use sc_netsim::sim::{ProcedureSim, SimConfig, SimScratch, SimStep};
+use sc_netsim::sim::{ProcedureSim, SimConfig, SimOutcome, SimScratch, SimStep};
+use sc_netsim::topo::Graph;
 use sc_orbit::{ConstellationConfig, GroundStationSet, IdealPropagator, SatId};
 use serde::Serialize;
 use spacecore::recovery::RecoveryPlan;
@@ -87,10 +106,30 @@ pub struct ChaosPoint {
     pub mean_transmissions: f64,
 }
 
+/// The three nodes every replay names: the serving satellite that
+/// crashes, the next one along its plane, where the UE recovers, and
+/// the home-facing gateway.
+#[derive(Clone, Copy)]
+struct Endpoints {
+    old_serving: usize,
+    new_serving: usize,
+    gateway: usize,
+}
+
+impl Endpoints {
+    fn of(net: &IslNetwork) -> Self {
+        Self {
+            old_serving: net.sat_node(SatId::new(10, 5)),
+            new_serving: net.sat_node(SatId::new(10, 6)),
+            gateway: net.ground_node(0),
+        }
+    }
+}
+
 /// The recovery exchange as network legs: local plans run entirely on
 /// the new serving satellite; home-routed plans ping-pong between it and
 /// the gateway.
-fn recovery_steps(plan: &RecoveryPlan, new_serving: usize, gateway: usize) -> Vec<SimStep> {
+fn recovery_steps(plan: &RecoveryPlan, at: Endpoints) -> Vec<SimStep> {
     // Static label table: `SimStep` labels are `&'static str` (no per-run
     // allocation), and the exchange is at most the 13 messages of a full
     // C2 re-run. Same "m<i>" strings the telemetry always carried.
@@ -104,11 +143,11 @@ fn recovery_steps(plan: &RecoveryPlan, new_serving: usize, gateway: usize) -> Ve
     (0..plan.messages)
         .map(|i| {
             let (from, to) = if plan.local {
-                (new_serving, new_serving)
+                (at.new_serving, at.new_serving)
             } else if i % 2 == 0 {
-                (new_serving, gateway)
+                (at.new_serving, at.gateway)
             } else {
-                (gateway, new_serving)
+                (at.gateway, at.new_serving)
             };
             SimStep {
                 label: M_LABELS[i as usize],
@@ -137,59 +176,47 @@ fn chaos_config(plan: &RecoveryPlan) -> SimConfig {
 
 /// One (crash rate, recover time) pair: its runs draw one fabric
 /// schedule each, which all five solutions replay.
+#[derive(Debug, Clone, Copy)]
 struct Group {
     crash_rate: f64,
     recover_ms: f64,
 }
 
-/// One solution's cell of a [`Group`]: its exchange and its tallies.
-struct Cell<'r> {
-    kind: SolutionKind,
-    plan: RecoveryPlan,
+/// All that a replay reads of its solution. Two solutions with equal
+/// exchanges replay every run alike.
+#[derive(PartialEq)]
+struct Exchange {
     steps: Vec<SimStep>,
     cfg: SimConfig,
     /// The loss burst's end in the solution's clock, which starts when
     /// it *detects* the crash.
     burst_left: f64,
-    rec: &'r sc_obs::Recorder,
-    completed: u64,
-    lat_sum: f64,
-    tx_sum: u64,
 }
 
-/// The five cells of `group`, in [`SolutionKind::ALL`] order, each
-/// recording into its own `recs` entry. Run `r` of every cell replays
-/// the same base schedule — the fabric's crashes, the old serving
-/// satellite's crash, `new_serving` protected — plus the cell's own
-/// loss burst and the shared re-crash, pushed in that order; the one
-/// [`SimScratch`] is exact across cells because a run clears the memo's
-/// routes of the view and keeps only the graph's healthy routes.
-fn run_group(net: &IslNetwork, group: Group, recs: &[sc_obs::Recorder]) -> Vec<ChaosPoint> {
-    let old_serving = net.sat_node(SatId::new(10, 5));
-    let new_serving = net.sat_node(SatId::new(10, 6)); // next along the plane
-    let gateway = net.ground_node(0);
-    let mut cells: Vec<Cell<'_>> = SolutionKind::ALL
-        .into_iter()
-        .zip(recs)
-        .map(|(kind, rec)| {
-            let plan = RecoveryPlan::for_solution(kind);
-            rec.inc("emu.ext_chaos.cells", 1);
-            Cell {
-                kind,
-                steps: recovery_steps(&plan, new_serving, gateway),
-                cfg: chaos_config(&plan),
-                burst_left: (BURST_MS - plan.detection_delay_ms).max(0.0),
-                plan,
-                rec,
-                completed: 0,
-                lat_sum: 0.0,
-                tx_sum: 0,
-            }
-        })
-        .collect();
+impl Exchange {
+    fn of(plan: &RecoveryPlan, at: Endpoints) -> Self {
+        Self {
+            steps: recovery_steps(plan, at),
+            cfg: chaos_config(plan),
+            burst_left: (BURST_MS - plan.detection_delay_ms).max(0.0),
+        }
+    }
+}
 
-    let mut scratch = SimScratch::new(net.graph());
-    for run in 0..RUNS {
+/// Run `run` of a group: the fabric schedule every solution replays.
+struct RunSchedule {
+    run: u64,
+    new_serving: usize,
+    /// The fabric's crashes and the old serving satellite's crash, the
+    /// new serving satellite protected.
+    base: FailureTimeline,
+    /// When the new serving satellite is hit in turn, and when it is
+    /// back, if it is hit.
+    recrash: Option<(f64, f64)>,
+}
+
+impl RunSchedule {
+    fn draw(net: &IslNetwork, at: Endpoints, group: Group, run: u64) -> Self {
         let base = FailureTimeline::random_crashes(
             net.num_sats(),
             group.crash_rate,
@@ -197,8 +224,8 @@ fn run_group(net: &IslNetwork, group: Group, recs: &[sc_obs::Recorder]) -> Vec<C
             Some(group.recover_ms),
             SEED_TIMELINE ^ (run * 7 + 1),
         )
-        .without_node(new_serving)
-        .crash(0.0, old_serving);
+        .without_node(at.new_serving)
+        .crash(0.0, at.old_serving);
         // The replacement satellite is itself subject to the fabric
         // crash rate: with probability `crash_rate` it too dies, at a
         // uniform time inside the deadline window, and comes back after
@@ -207,38 +234,143 @@ fn run_group(net: &IslNetwork, group: Group, recs: &[sc_obs::Recorder]) -> Vec<C
         // as a transient partition; slow home-routed recovery is almost
         // always caught mid-exchange.
         let mut recrash = Xorshift64::new(SEED_RECRASH ^ (run * 31 + 1));
-        let recrash_at =
-            (recrash.next_f64() < group.crash_rate).then(|| recrash.next_f64() * DEADLINE_MS);
-        for cell in &mut cells {
-            let mut tl = base
-                .clone()
-                .loss_burst(0.0, cell.burst_left, BURST_P)
-                .with_seed(SEED_BURST ^ run);
-            if let Some(t) = recrash_at {
-                tl = tl.crash(t, new_serving).recover(t + group.recover_ms, new_serving);
+        let recrash = (recrash.next_f64() < group.crash_rate).then(|| {
+            let t = recrash.next_f64() * DEADLINE_MS;
+            (t, t + group.recover_ms)
+        });
+        Self {
+            run,
+            new_serving: at.new_serving,
+            base,
+            recrash,
+        }
+    }
+
+    /// Replay `ex` over this run's schedule: `tl` takes a copy of the
+    /// base, then the exchange's loss burst and the re-crash, pushed in
+    /// that order. `rec` records the replay.
+    fn replay(
+        &self,
+        graph: &Graph,
+        ex: &Exchange,
+        rec: sc_obs::Recorder,
+        tl: &mut FailureTimeline,
+        scratch: &mut SimScratch<'_>,
+    ) -> SimOutcome {
+        tl.clone_from(&self.base);
+        let mut built = std::mem::take(tl)
+            .loss_burst(0.0, ex.burst_left, BURST_P)
+            .with_seed(SEED_BURST ^ self.run);
+        if let Some((down, up)) = self.recrash {
+            built = built.crash(down, self.new_serving).recover(up, self.new_serving);
+        }
+        *tl = built;
+        let sim = ProcedureSim::with_timeline(graph, tl, ex.cfg.clone()).with_recorder(rec);
+        let mut loss = LossProcess::new(AMBIENT_LOSS, SEED_LOSS ^ (self.run * 13 + 1));
+        sim.run_in(&ex.steps, &mut loss, scratch)
+    }
+}
+
+/// One solution's cell of a [`Group`]: its exchange and its tallies.
+struct Cell<'r> {
+    kind: SolutionKind,
+    plan: RecoveryPlan,
+    exchange: Exchange,
+    /// The first cell, in [`SolutionKind::ALL`] order, whose exchange
+    /// equals this one's: this cell's own index when none comes before.
+    replays_as: usize,
+    rec: &'r sc_obs::Recorder,
+    completed: u64,
+    lat_sum: f64,
+    tx_sum: u64,
+}
+
+impl Cell<'_> {
+    fn tally(&mut self, o: &SimOutcome) {
+        self.rec.inc("emu.ext_chaos.runs", 1);
+        if o.completed {
+            self.completed += 1;
+            self.lat_sum += self.plan.detection_delay_ms + o.latency_ms;
+            if self.plan.ip_survives {
+                self.rec.inc("emu.ext_chaos.survivals", 1);
             }
+        }
+        self.tx_sum += o.transmissions as u64;
+    }
+}
+
+/// The five cells of a group, in [`SolutionKind::ALL`] order, each
+/// recording into its own `recs` entry.
+fn cells(at: Endpoints, recs: &[sc_obs::Recorder]) -> Vec<Cell<'_>> {
+    let mut cells: Vec<Cell<'_>> = SolutionKind::ALL
+        .into_iter()
+        .zip(recs)
+        .map(|(kind, rec)| {
+            let plan = RecoveryPlan::for_solution(kind);
+            Cell {
+                kind,
+                exchange: Exchange::of(&plan, at),
+                plan,
+                replays_as: 0,
+                rec,
+                completed: 0,
+                lat_sum: 0.0,
+                tx_sum: 0,
+            }
+        })
+        .collect();
+    for k in 0..cells.len() {
+        cells[k].replays_as = (0..k)
+            .find(|&j| cells[j].exchange == cells[k].exchange)
+            .unwrap_or(k);
+    }
+    cells
+}
+
+/// Run every run of `group` over `scratch`. Each run replays each
+/// distinct exchange once and tallies the outcome into every cell that
+/// shares it; a replay that records telemetry (run 0, under an enabled
+/// recorder) runs for its own cell. The worker's one [`SimScratch`] is
+/// exact across cells, runs and groups: a run clears the memo's routes
+/// of the view and keeps only the graph's healthy routes and
+/// potentials.
+fn run_group(
+    net: &IslNetwork,
+    group: Group,
+    recs: &[sc_obs::Recorder],
+    scratch: &mut SimScratch<'_>,
+) -> Vec<ChaosPoint> {
+    let at = Endpoints::of(net);
+    let mut cells = cells(at, recs);
+    for cell in &cells {
+        cell.rec.inc("emu.ext_chaos.cells", 1);
+    }
+
+    let mut tl = FailureTimeline::none();
+    let mut outcomes: Vec<SimOutcome> = Vec::with_capacity(cells.len());
+    let mut outcome_of = vec![0; cells.len()];
+    for run in 0..RUNS {
+        let schedule = RunSchedule::draw(net, at, group, run);
+        outcomes.clear();
+        for k in 0..cells.len() {
             // Telemetry for the first run of each cell only: counters stay
             // cheap, and the chaos event stream stays bounded while still
             // exercising every metric (the schedule is seeded per run, so
             // run 0 is representative).
-            let run_rec = if run == 0 {
-                cell.rec.clone()
+            let rec = if run == 0 {
+                cells[k].rec.clone()
             } else {
                 sc_obs::Recorder::disabled()
             };
-            let sim = ProcedureSim::with_timeline(net.graph(), &tl, cell.cfg.clone())
-                .with_recorder(run_rec);
-            let mut loss = LossProcess::new(AMBIENT_LOSS, SEED_LOSS ^ (run * 13 + 1));
-            let o = sim.run_in(&cell.steps, &mut loss, &mut scratch);
-            cell.rec.inc("emu.ext_chaos.runs", 1);
-            if o.completed {
-                cell.completed += 1;
-                cell.lat_sum += cell.plan.detection_delay_ms + o.latency_ms;
-                if cell.plan.ip_survives {
-                    cell.rec.inc("emu.ext_chaos.survivals", 1);
-                }
-            }
-            cell.tx_sum += o.transmissions as u64;
+            let j = cells[k].replays_as;
+            outcome_of[k] = if j < k && !rec.enabled() {
+                outcome_of[j]
+            } else {
+                let ex = &cells[k].exchange;
+                outcomes.push(schedule.replay(net.graph(), ex, rec, &mut tl, scratch));
+                outcomes.len() - 1
+            };
+            cells[k].tally(&outcomes[outcome_of[k]]);
         }
     }
 
@@ -310,9 +442,12 @@ pub fn run_with(threads: usize, obs: &sc_obs::Recorder) -> ExtChaos {
             (g, group, recs)
         })
         .collect();
-    let by_group = crate::engine::parallel_map_with(threads, groups, |(g, group, recs)| {
-        (g, run_group(&net, group, &recs))
-    });
+    let by_group = crate::engine::parallel_map_init(
+        threads,
+        groups,
+        || SimScratch::new(net.graph()),
+        |scratch, (g, group, recs)| (g, run_group(&net, group, &recs, scratch)),
+    );
     for c in &children {
         obs.absorb(c);
     }
@@ -476,6 +611,58 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(obs.snapshot().to_json("t"), reference.1, "threads={threads}");
+        }
+    }
+
+    fn groups() -> impl Iterator<Item = Group> {
+        CRASH_RATES.into_iter().flat_map(|crash_rate| {
+            RECOVER_MS.into_iter().map(move |recover_ms| Group {
+                crash_rate,
+                recover_ms,
+            })
+        })
+    }
+
+    #[test]
+    fn cells_sharing_an_exchange_replay_alike() {
+        let prop = IdealPropagator::new(ConstellationConfig::starlink());
+        let net = IslNetwork::build(
+            &prop,
+            &GroundStationSet::starlink_like(),
+            0.0,
+            IslConfig::default(),
+        );
+        let at = Endpoints::of(&net);
+        let recs = vec![sc_obs::Recorder::disabled(); SolutionKind::ALL.len()];
+        let cells = cells(at, &recs);
+        let shared: Vec<(&str, &str)> = cells
+            .iter()
+            .filter(|c| c.kind != cells[c.replays_as].kind)
+            .map(|c| (cells[c.replays_as].kind.name(), c.kind.name()))
+            .collect();
+        // 4 distinct exchanges of 5: 4 × 40 × 8 = 1 280 replays a sweep.
+        assert_eq!(shared, [("5G NTN", "Baoyun")]);
+        for group in groups() {
+            for run in 0..4 {
+                let schedule = RunSchedule::draw(&net, at, group, run);
+                for c in cells.iter().filter(|c| c.kind != cells[c.replays_as].kind) {
+                    let own = |ex: &Exchange| {
+                        schedule.replay(
+                            net.graph(),
+                            ex,
+                            sc_obs::Recorder::disabled(),
+                            &mut FailureTimeline::none(),
+                            &mut SimScratch::new(net.graph()),
+                        )
+                    };
+                    assert_eq!(
+                        own(&c.exchange),
+                        own(&cells[c.replays_as].exchange),
+                        "{group:?} run {run}: {}",
+                        c.kind.name()
+                    );
+                }
+            }
         }
     }
 

@@ -85,6 +85,10 @@ pub fn run() -> ExtResilience {
     // Use gateway 0 (North America) as the home-facing gateway.
     let gateway = net.ground_node(0);
 
+    // One scratch for the whole sweep: every run shares its buffers,
+    // and each pair's failure-free search is made once. A run clears
+    // the memo's routes of the view, so this is exact across cells.
+    let mut scratch = SimScratch::new(net.graph());
     let mut points = Vec::new();
     for (name, steps) in [
         ("legacy C2 via home", legacy_steps(serving, gateway)),
@@ -97,9 +101,6 @@ pub fn run() -> ExtResilience {
                 let failures = FailureTimeline::random_dead(net.num_sats(), decay, 0xFA11)
                     .without_node(serving);
                 let sim = ProcedureSim::with_timeline(net.graph(), &failures, SimConfig::default());
-                // One scratch per cell: its runs share the buffers and
-                // each pair's failure-free search.
-                let mut scratch = SimScratch::new(net.graph());
                 let mut completed = 0u64;
                 let mut lat_sum = 0.0;
                 let mut tx_sum = 0u64;

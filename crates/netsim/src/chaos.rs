@@ -104,15 +104,22 @@ pub struct FailureTimeline {
 /// A clone is made to be extended (`ext_chaos` appends each solution's
 /// loss burst and re-crash to a shared schedule), so its events keep
 /// room for those four pushes instead of doubling on the first one.
+/// [`Clone::clone_from`] copies into the target's own buffers, so a
+/// timeline reused for one replay after another allocates only when a
+/// schedule outgrows every earlier one.
 impl Clone for FailureTimeline {
     fn clone(&self) -> Self {
-        let mut events = Vec::with_capacity(self.events.len() + 4);
-        events.extend_from_slice(&self.events);
-        Self {
-            events,
-            initial_dead: self.initial_dead.clone(),
-            seed: self.seed,
-        }
+        let mut copy = Self::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.events.clear();
+        self.events.reserve(source.events.len() + 4);
+        self.events.extend_from_slice(&source.events);
+        self.initial_dead.clone_from(&source.initial_dead);
+        self.seed = source.seed;
     }
 }
 
@@ -147,6 +154,10 @@ impl FailureTimeline {
     ) -> Self {
         assert!((0.0..=1.0).contains(&p_crash));
         assert!(horizon_ms >= 0.0 && horizon_ms.is_finite());
+        // No draw can succeed, and the generator is this call's own.
+        if p_crash == 0.0 {
+            return Self { seed, ..Self::default() };
+        }
         let mut rng = Xorshift64::new(seed);
         let mut events = Vec::new();
         for node in 0..num_nodes {
@@ -159,8 +170,22 @@ impl FailureTimeline {
             }
         }
         // `push`'s order — after every event at or before its time — is
-        // a stable sort by time: one sort instead of an insert per event.
-        events.sort_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+        // the order of (time, push index): one sort instead of an insert
+        // per event. The loop above pushes node by node, each node's
+        // crash before its recovery, so (node, is recovery) ranks the
+        // pushes. The keys are unique, so an unstable sort, in place, is
+        // that order exactly.
+        let pushed = |e: &ChaosEvent| match e.action {
+            ChaosAction::Crash(n) => (n, false),
+            ChaosAction::Recover(n) => (n, true),
+            // Never pushed above; any fixed rank keeps the order total.
+            _ => (NodeId::MAX, true),
+        };
+        events.sort_unstable_by(|a, b| {
+            a.time_ms
+                .total_cmp(&b.time_ms)
+                .then_with(|| pushed(a).cmp(&pushed(b)))
+        });
         Self { events, seed, ..Self::default() }
     }
 
@@ -238,16 +263,10 @@ impl FailureTimeline {
 
     /// Start a replay cursor at t = 0.
     pub fn cursor(&self) -> ChaosCursor<'_> {
-        // Sized once, from the largest node id the timeline can ever
-        // crash; ids beyond it are alive by construction.
-        let crashable = self.events.iter().filter_map(|e| match e.action {
-            ChaosAction::Crash(n) => Some(n),
-            _ => None,
-        });
-        let len = crashable
-            .chain(self.initial_dead.iter().copied())
-            .max()
-            .map_or(0, |n| n + 1);
+        // Sized from the initial dead set (ascending, so its last id is
+        // the largest); a crash beyond it grows the set, and ids beyond
+        // its length are alive.
+        let len = self.initial_dead.last().map_or(0, |&n| n + 1);
         let mut dead = vec![false; len];
         for &n in &self.initial_dead {
             dead[n] = true;
@@ -287,7 +306,11 @@ impl FailureTimeline {
 /// emitted as events are applied.
 ///
 /// The dead set is dense — `dead[node]`, plus a count — because routing
-/// asks [`Self::is_dead`] once per relaxed edge.
+/// asks [`Self::is_dead`] once per relaxed edge. It starts as long as
+/// the initial dead set needs and grows on a crash beyond its end, to
+/// the next power of two past the crashed id (so the replays of a sweep
+/// ask the allocator for a handful of sizes, which it reuses); an id
+/// beyond its end is alive.
 #[derive(Debug, Clone)]
 pub struct ChaosCursor<'a> {
     timeline: &'a FailureTimeline,
@@ -332,6 +355,9 @@ impl<'a> ChaosCursor<'a> {
             }
             match ev.action {
                 ChaosAction::Crash(n) => {
+                    if n >= self.dead.len() {
+                        self.dead.resize((n + 1).next_power_of_two(), false);
+                    }
                     if !self.dead[n] {
                         self.dead[n] = true;
                         self.dead_count += 1;
@@ -688,9 +714,58 @@ mod tests {
     }
 
     #[test]
+    fn crash_past_the_initial_dead_set_grows_it() {
+        let tl = FailureTimeline::none()
+            .dead_from_start(2)
+            .crash(5.0, 40)
+            .crash(6.0, 9)
+            .recover(7.0, 2);
+        let obs = Recorder::new();
+        let mut c = tl.cursor();
+        assert_eq!(c.dead.len(), 3, "sized from the initial dead set");
+        assert!(c.is_dead(2) && !c.is_dead(3) && !c.is_dead(40) && !c.is_dead(1_000));
+        c.advance_to(5.0, &obs);
+        assert!(c.dead.len() > 40, "grown by the crash of 40");
+        assert!(c.is_dead(40) && c.is_dead(2) && !c.is_dead(39) && !c.is_dead(41));
+        assert!(!c.is_dead(c.dead.len()), "beyond the length is alive");
+        c.advance_to(7.0, &obs);
+        assert!(c.is_dead(9) && c.is_dead(40) && !c.is_dead(2));
+        assert_eq!(c.dead_count(), 2);
+        assert_eq!(obs.snapshot().counter("netsim.chaos.crashes"), 2);
+        assert_eq!(obs.snapshot().counter("netsim.chaos.recoveries"), 1);
+        // With nothing dead from the start, the set starts empty.
+        assert!(FailureTimeline::none().crash(1.0, 3).cursor().dead.is_empty());
+    }
+
+    #[test]
+    fn clone_from_reuses_the_target_and_equals_a_clone() {
+        let big = FailureTimeline::random_crashes(500, 0.2, 100.0, Some(10.0), 3)
+            .dead_from_start(7)
+            .with_seed(11);
+        let small = FailureTimeline::random_crashes(50, 0.2, 100.0, None, 4).with_seed(5);
+        let mut buf = FailureTimeline::none();
+        buf.clone_from(&big);
+        assert_eq!(buf, big.clone());
+        let room = buf.events.capacity();
+        assert!(room >= big.events.len() + 4);
+        buf.clone_from(&small);
+        assert_eq!(buf, small);
+        assert_eq!(buf.events.capacity(), room, "the larger buffer is kept");
+    }
+
+    #[test]
+    fn zero_crash_rate_is_the_empty_schedule() {
+        for n in [0, 1, 1_584] {
+            let tl = FailureTimeline::random_crashes(n, 0.0, 5_000.0, Some(500.0), 9);
+            assert!(tl.is_empty());
+            assert_eq!(tl, FailureTimeline::none().with_seed(9));
+        }
+    }
+
+    #[test]
     fn dense_view_treats_unnamed_ids_as_alive() {
-        // The view is sized by the largest id that can crash (here 7);
-        // queries and recoveries beyond it are in range and alive.
+        // The view grows to the largest id that has crashed (here 7);
+        // queries and recoveries beyond it are alive.
         let tl = FailureTimeline::none().crash(5.0, 7).recover(6.0, 1_000);
         let obs = Recorder::new();
         let mut c = tl.cursor();

@@ -146,7 +146,7 @@ pub struct SimOutcome {
 /// `retry_on_partition`, `total_deadline_ms`) all default to the legacy
 /// behavior — fixed RTO, abort on partition, no deadline — so existing
 /// experiments replay byte-identically unless a caller opts in.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Per-hop processing delay already included in edge weights; this
     /// is the additional endpoint processing per message, ms.

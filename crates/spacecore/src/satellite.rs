@@ -442,6 +442,40 @@ mod tests {
         );
     }
 
+    #[test]
+    fn replica_refreshed_after_the_first_hour_is_fresh() {
+        // A refresh at t = 10 000 s issued version 2 with
+        // `expires_at = 2 × state_ttl_s = 7 200`, so the establishment
+        // one second later rolled back.
+        let (home, sat, mut ue) = setup();
+        let ttl = home.config().state_ttl_s;
+        let (session, replica) = home.refresh_state(&ue, 10_000.0);
+        assert_eq!((replica.version, replica.expires_at), (2, 10_000.0 + ttl));
+        assert!(ue.install_update(session, replica).is_ok());
+        let o = sat.establish_session(&home, &mut ue, 10_001.0);
+        assert!(o.local, "{o:?}");
+        assert_eq!(o.home_round_trips, 0);
+        assert!(sat.release(ue.supi));
+        // Past the refreshed TTL it rolls back as any expired replica does.
+        let o = sat.establish_session(&home, &mut ue, 10_000.0 + ttl + 1.0);
+        assert!(!o.local);
+    }
+
+    #[test]
+    fn clockless_reissues_keep_the_replica_expiry() {
+        let (home, _, mut ue) = setup();
+        let expires_at = ue.replica.expires_at;
+        assert_eq!(expires_at, home.config().state_ttl_s, "registration issues at t = 0");
+        let crossed = ue.move_to(&home.cell_grid(), GeoPoint::from_degrees(-30.0, 20.0));
+        assert!(crossed);
+        let replica = home.handle_cell_crossing(&mut ue);
+        assert_eq!(replica.expires_at, expires_at);
+        assert!(ue.install_update(ue.session.clone(), replica).is_ok());
+        let quota = ue.session.billing.quota_bytes;
+        let throttled = home.apply_usage_report(&mut ue, quota + 1);
+        assert_eq!(throttled.map(|r| r.expires_at), Some(expires_at), "quota crossed");
+    }
+
     /// The NAS bytes a UE sends for `ue`'s replica.
     fn piggyback_wire(ue: &UeDevice) -> Vec<u8> {
         sc_fiveg::nas::piggybacked_session_request(sc_crypto::wire::encode_state(ue.piggyback()), 7)

@@ -20,7 +20,10 @@ cargo test -q --offline "$@"
 # The pinned crypto bytes, the per-establishment allocation budget, the
 # checked-in results and the fig10 and ext_chaos sidecars
 # (`results_stability`, at 1 and 4 workers), the route memo's
-# exactness, the Dijkstra kernel's packed heap keys and its
+# exactness and one `SimScratch` carried across generated timelines
+# against a fresh one per replay (`route_memo_props`'
+# `scratch_carried_across_timelines_…` properties), the Dijkstra
+# kernel's packed heap keys and its
 # goal-directed two-pass search (A* for a bound, then the pruned
 # `(dist, node)`-ordered pass) against a copy of the kernel the packed
 # keys replaced (sc-netsim's `props`, the `directed_route_in_…`
@@ -34,10 +37,14 @@ cargo test -q --offline "$@"
 # `default_seed_population_places_and_labels_exactly` checks all 1 M UEs
 # of the default seed, the pass's arrays included), the event queue
 # against its oracle (`calendar_props`, `des_props`), `random_crashes`'
-# one-sort build (`chaos_props`), the histogram tally fold (`sc-obs`) and the churn
+# one-sort build (`chaos_props`), the histogram tally fold (`sc-obs`), the churn
 # engine's own tests — its per-UE driver against the test-only
 # global-calendar oracle at every batch width and on generated failure
-# timelines (`churn::oracle`) — once more under the release profile (fat
+# timelines (`churn::oracle`) — the worker loop's per-worker state
+# (`engine`: `init` at most once per worker, every item once, the
+# serial map's output at 1 to 16 threads) and `ext_chaos`'s shared
+# replays (the solutions that share a replay replay alike on their
+# own) once more under the release profile (fat
 # LTO): the optimised build inlines and vectorises the payload pass, the
 # Dijkstra loop, the sampler's and the placement's arithmetic and the
 # per-UE event loop differently from the debug build the
@@ -48,8 +55,8 @@ echo "== tier-1: cargo test --release --offline -q -p sc-netsim -p sc-geo --test
 cargo test --release --offline -q -p sc-netsim -p sc-geo --test props --test calendar_props --test des_props --test chaos_props
 echo "== tier-1: cargo test --release --offline -q -p sc-obs" >&2
 cargo test --release --offline -q -p sc-obs
-echo "== tier-1: cargo test --release --offline -q -p sc-emu --lib churn" >&2
-cargo test --release --offline -q -p sc-emu --lib churn
+echo "== tier-1: cargo test --release --offline -q -p sc-emu --lib -- churn engine:: ext_chaos::" >&2
+cargo test --release --offline -q -p sc-emu --lib -- churn engine:: ext_chaos::
 
 # The sampler's stream seek (`ChaCha12Rng::set_word_pos` and
 # `PopulationModel::draws_at`) and its branch-free hotspot pick (the

@@ -12,17 +12,25 @@
 //! counts), and on the Starlink ISL graph `ext_chaos` replays over.
 //! The memo's healthy routes (each pair's failure-free shortest path)
 //! outlive `clear()`, so one memo walks one to four timelines back to
-//! back, as `ext_chaos`'s per-group scratch does for the five
-//! solutions' replays of each run's schedule, and a pair the
+//! back, as `ext_chaos`'s per-worker scratch does for the solutions'
+//! replays of each run's schedule, and a pair the
 //! failure-free graph already disconnects must read `None` throughout.
 //! `ext_chaos`'s own seeds are compile-time constants, so these
 //! timelines are the unseen-seed half of its byte-identity claim.
+//!
+//! A `SimScratch` (the memo with the simulator's buffers) outlives more
+//! than one schedule: `ext_chaos` lends each worker's one scratch to
+//! every group the worker claims, and `ext_resilience` one scratch to
+//! its whole sweep. So the last properties replay whole procedures:
+//! one scratch carried across generated timelines — crash rates,
+//! recover times, loss bursts, endpoints and step lists all varying —
+//! must give every `SimOutcome` a fresh scratch gives.
 
 use proptest::prelude::*;
 use sc_netsim::chaos::FailureTimeline;
-use sc_netsim::failure::Xorshift64;
+use sc_netsim::failure::{LossProcess, Xorshift64};
 use sc_netsim::isl::{IslConfig, IslNetwork};
-use sc_netsim::sim::RouteMemo;
+use sc_netsim::sim::{ProcedureSim, RouteMemo, SimConfig, SimScratch, SimStep};
 use sc_netsim::topo::{Graph, NodeId};
 use sc_obs::Recorder;
 use sc_orbit::{ConstellationConfig, GroundStationSet, IdealPropagator, SatId};
@@ -224,5 +232,77 @@ proptest! {
                 &mut rng,
             );
         }
+    }
+}
+
+/// `replays` procedures over `graph`, each on its own generated
+/// timeline, endpoints and step list, replayed once with one scratch
+/// carried across them all and once with a fresh scratch: the outcomes
+/// must be equal. The endpoints of each replay come from one pool of
+/// four nodes, so later replays ask for pairs that earlier ones left
+/// in the carried memo.
+fn carried_scratch_matches_fresh(
+    graph: &Graph,
+    crashable: usize,
+    replays: usize,
+    rng: &mut Xorshift64,
+) {
+    const LABELS: [&str; 4] = ["a", "b", "c", "d"];
+    let pool: Vec<NodeId> = (0..4).map(|_| rng.below(graph.len())).collect();
+    let mut carried = SimScratch::new(graph);
+    for _ in 0..replays {
+        let ends: Vec<NodeId> = (0..3).map(|_| pool[rng.below(pool.len())]).collect();
+        let steps: Vec<SimStep> = (0..1 + rng.below(8))
+            .map(|i| SimStep {
+                label: LABELS[i % LABELS.len()],
+                from: ends[rng.below(ends.len())],
+                to: ends[rng.below(ends.len())],
+            })
+            .collect();
+        let burst = rng.next_f64() * HORIZON_MS;
+        let tl = timeline(graph, crashable, 2, ends[0], rng)
+            .loss_burst(0.0, burst, 0.3)
+            .with_seed(rng.next_u64());
+        let cfg = SimConfig {
+            max_attempts: 6,
+            backoff_factor: 2.0,
+            rto_cap_ms: 400.0,
+            retry_on_partition: rng.chance(0.5),
+            total_deadline_ms: 2_000.0,
+            loss_per_hop: rng.chance(0.5),
+            ..SimConfig::default()
+        };
+        let sim = ProcedureSim::with_timeline(graph, &tl, cfg);
+        let seed = rng.next_u64();
+        let carried_outcome = sim.run_in(&steps, &mut LossProcess::new(0.02, seed), &mut carried);
+        let fresh = sim.run(&steps, &mut LossProcess::new(0.02, seed));
+        assert_eq!(carried_outcome, fresh, "{steps:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn scratch_carried_across_timelines_matches_fresh_on_weighted_tori(
+        w in 3usize..8,
+        h in 3usize..8,
+        replays in 2usize..10,
+        seed in any::<u64>(),
+    ) {
+        let g = torus(w, h, &[0.0, 1.0, 2.0]);
+        carried_scratch_matches_fresh(&g, g.len(), replays, &mut Xorshift64::new(seed));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// On the graph `ext_chaos` replays over, the satellites crashable.
+    #[test]
+    fn scratch_carried_across_timelines_matches_fresh_on_starlink(
+        replays in 2usize..8,
+        seed in any::<u64>(),
+    ) {
+        let net = starlink();
+        carried_scratch_matches_fresh(net.graph(), net.num_sats(), replays, &mut Xorshift64::new(seed));
     }
 }
